@@ -1,47 +1,22 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels, written as whole-array numpy passes.
 
-The backend is chosen once at import time from the STJAC_BACKEND
-environment variable:
+There is one backend, ``BACKEND = "numpy"``.  Every kernel is one O(p)
+vectorized pass; the Python-level loops are O(sqrt(p)) at most.
 
-    STJAC_BACKEND=numba   require numba (ImportError if missing)
-    STJAC_BACKEND=numpy   force the pure-numpy implementations
-    unset / auto          numba when importable, numpy otherwise
-
-Both implementation families are always defined (numba ones only when the
-import succeeds) so they can be benchmarked against each other; the public
-names ``dlog_table``, ``char_pair_histogram`` and ``affine_count`` are bound
-to the selected family.
-
-All kernels assume p <= ~10^6 so every intermediate product fits in int64.
+Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a dlog value
+(< n = p - 1) fits in int32 and a product a * dlog (< n^2) fits in int64.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-
-def _resolve_backend(requested: str, have_numba: bool) -> str:
-    requested = (requested or "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"STJAC_BACKEND must be 'numba', 'numpy' or unset, got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not have_numba:
-            raise ImportError("STJAC_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if have_numba else "numpy"
+BACKEND = "numpy"
 
 
-# -- pure-numpy implementations -----------------------------------------
-
-
-def dlog_table_numpy(p: int, g: int) -> np.ndarray:
+def dlog_table(p: int, g: int) -> np.ndarray:
     """dlog[x] = e with g^e = x mod p for units x; dlog[0] = -1.
 
     Baby-step blocks keep the Python-level loop at O(sqrt(p)).
@@ -64,17 +39,19 @@ def dlog_table_numpy(p: int, g: int) -> np.ndarray:
     return dlog
 
 
-def char_pair_histogram_numpy(
-    dlog: np.ndarray, a: int, b: int, n: int
-) -> np.ndarray:
-    """Histogram over e of a*dlog(x) + b*dlog(1-x) mod n, x in F_p minus {0, 1}."""
+def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """Histogram over e of a*u(x) + b*u(1-x) mod n, x in F_p minus {0, 1}.
+
+    ``u`` is any integer table indexed by x in F_p (p = n + 1): the dlog
+    table itself, or its residues mod some M, as int64 or int32.
+    """
     p = n + 1
     x = np.arange(2, p, dtype=np.int64)
-    e = (a * dlog[x] + b * dlog[p + 1 - x]) % n
+    e = (a * u[x] + b * u[p + 1 - x]) % n
     return np.bincount(e, minlength=n).astype(np.int64)
 
 
-def affine_count_numpy(p: int, d: int, c: int, linear: bool) -> int:
+def affine_count(p: int, d: int, c: int, linear: bool) -> int:
     """Number of (x, y) in F_p^2 with y^2 = x^d + c (or + c*x)."""
     y = np.arange(p, dtype=np.int64)
     nsq = np.bincount((y * y) % p, minlength=p).astype(np.int64)
@@ -89,77 +66,3 @@ def affine_count_numpy(p: int, d: int, c: int, linear: bool) -> int:
         e >>= 1
     f = (v + c * x) % p if linear else (v + c) % p
     return int(nsq[f].sum())
-
-
-# -- numba implementations ----------------------------------------------
-
-_HAVE_NUMBA = False
-if os.environ.get("STJAC_BACKEND", "auto").strip().lower() != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        pass
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def dlog_table_numba(p, g):  # pragma: no cover - exercised via dispatch
-        dlog = np.full(p, -1, dtype=np.int64)
-        v = 1
-        for e in range(p - 1):
-            dlog[v] = e
-            v = (v * g) % p
-        return dlog
-
-    @njit(cache=True, nogil=True)
-    def char_pair_histogram_numba(dlog, a, b, n):  # pragma: no cover
-        p = n + 1
-        hist = np.zeros(n, dtype=np.int64)
-        for x in range(2, p):
-            e = (a * dlog[x] + b * dlog[p + 1 - x]) % n
-            hist[e] += 1
-        return hist
-
-    @njit(cache=True, nogil=True)
-    def affine_count_numba(p, d, c, linear):  # pragma: no cover
-        nsq = np.zeros(p, dtype=np.int64)
-        for y in range(p):
-            nsq[(y * y) % p] += 1
-        total = 0
-        for x in range(p):
-            v = 1
-            base = x
-            e = d
-            while e:
-                if e & 1:
-                    v = (v * base) % p
-                base = (base * base) % p
-                e >>= 1
-            if linear:
-                f = (v + c * x) % p
-            else:
-                f = (v + c) % p
-            total += nsq[f]
-        return total
-
-
-BACKEND = _resolve_backend(os.environ.get("STJAC_BACKEND", "auto"), _HAVE_NUMBA)
-
-if BACKEND == "numba":
-    dlog_table = dlog_table_numba
-    _char_pair_histogram = char_pair_histogram_numba
-    _affine_count = affine_count_numba
-else:
-    dlog_table = dlog_table_numpy
-    _char_pair_histogram = char_pair_histogram_numpy
-    _affine_count = affine_count_numpy
-
-
-def char_pair_histogram(dlog: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    return _char_pair_histogram(dlog, int(a), int(b), int(n))
-
-
-def affine_count(p: int, d: int, c: int, linear: bool) -> int:
-    return int(_affine_count(int(p), int(d), int(c), bool(linear)))

@@ -9,6 +9,13 @@ J(A, B) = sum_x A(x) B(1-x), never from Gauss-sum quotients.
 containing it (conductor (p-1)/gcd(a, b, p-1)), which is what keeps the
 point-count and relation-check pipelines cheap; ``jacobi_sum`` lifts the
 same value to the full conductor p-1.
+
+Its histogram comes from one O(p) pass per field, not per character: the
+first call builds the joint table of (dlog x, dlog(1-x)) mod M, with M the
+lcm of 2 and both character orders, caches it on the field, and every later
+call whose orders divide M folds it in O(M^2).  A table exists only when
+M^2 <= p - 1 (small p, or characters of large order); otherwise the call
+makes its own O(p) pass over the dlog table.
 """
 
 from __future__ import annotations
@@ -41,14 +48,50 @@ def gauss_sum(fld: PrimeField, a: CharExponent) -> GaussDiagnostic:
     return GaussDiagnostic(p=p, a=a % n, value=value)
 
 
+def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
+    """Cached joint histogram of (dlog x, dlog(1-x)) mod some M with need | M.
+
+    Built on first use with one O(p) pass.  The kernel key need*u(x) + u(1-x)
+    stays below need^2, so it is injective exactly when need^2 <= n; above
+    that there is no table and the caller takes the direct pass.
+    """
+    for m, table in fld.joint.items():
+        if m % need == 0:
+            return table
+    n = fld.n
+    if need * need > n:
+        return None
+    red = np.remainder(fld.dlog, need, dtype=np.int32)
+    hist = _accel.char_pair_histogram(red, need, 1, n)
+    table = hist[: need * need].reshape(need, need).copy()
+    table.flags.writeable = False
+    fld.joint[need] = table
+    return table
+
+
 def jacobi_sum_compact(fld: PrimeField, a: CharExponent, b: CharExponent) -> CycloElt:
-    """J(T^a, T^b) in its minimal cyclotomic field."""
+    """J(T^a, T^b) in its minimal cyclotomic field.
+
+    T^a(x) T^b(1-x) depends only on dlog x and dlog(1-x) modulo any M that
+    both orders n/gcd(a, n) and n/gcd(b, n) divide, so the histogram over
+    e = a*i + b*s (mod n) is a fold of the field's cached M x M joint table.
+    """
     n = fld.n
     a %= n
     b %= n
     g = math.gcd(a, b, n)
-    hist = _accel.char_pair_histogram(fld.dlog, a, b, n)
-    compact = hist[::g] if g > 1 else hist
+    need = math.lcm(2, n // math.gcd(a, n), n // math.gcd(b, n))
+    table = _joint_table(fld, need)
+    if table is None:
+        hist = _accel.char_pair_histogram(fld.dlog, a, b, n)
+        compact = hist[::g] if g > 1 else hist
+    else:
+        i = np.arange(len(table), dtype=np.int64)
+        idx = ((a * i[:, None] + b * i[None, :]) % n) // g
+        # float64 weights sum exactly: every bin total is at most p < 2^53
+        compact = np.bincount(
+            idx.ravel(), weights=table.ravel(), minlength=n // g
+        ).astype(np.int64)
     return CycloElt.from_int_coeffs(n // g, compact.tolist())
 
 

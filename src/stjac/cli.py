@@ -22,9 +22,10 @@ from .errors import (
     EvenOrTooSmallError,
     NoColumnsError,
     NotPrimeError,
+    PrimeTooLargeError,
     StjacError,
 )
-from .ffield import make_field
+from .ffield import check_p_max, make_field
 from .pointcount import ADDITIVE, LINEAR, CurveSpec
 from .primes import is_prime
 
@@ -82,6 +83,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _check_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise SystemExit(f"p must be an odd prime, got {p}")
+    check_p_max(p)
 
 
 def _primes_from_args(args) -> list[int]:
@@ -90,6 +92,7 @@ def _primes_from_args(args) -> list[int]:
         return [args.p]
     if args.pmax is None:
         raise SystemExit("give --p or --pmax (with optional --pmin)")
+    check_p_max(args.pmax)
     from .primes import prime_range
 
     return prime_range(max(3, args.pmin), args.pmax)
@@ -274,6 +277,7 @@ def cmd_sweep(args) -> int:
     spec = _build_spec(args)
     if args.pmax is None:
         raise SystemExit("--pmax is required for sweep")
+    check_p_max(args.pmax)
     result = pointcount.trace_sweep(
         spec, max(3, args.pmin), args.pmax, workers=args.workers
     )
@@ -403,7 +407,10 @@ def main(argv=None) -> int:
             print(f"stjac: error: {exc.code}", file=sys.stderr)
             return 1
         return exc.code if exc.code is not None else 0
-    except (NotPrimeError, EvenOrTooSmallError, NoColumnsError, BadReductionError) as exc:
+    except (
+        NotPrimeError, EvenOrTooSmallError, PrimeTooLargeError,
+        NoColumnsError, BadReductionError,
+    ) as exc:
         print(f"stjac: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except StjacError as exc:

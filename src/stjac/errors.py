@@ -13,6 +13,10 @@ class EvenOrTooSmallError(StjacError):
     """The given prime must be odd and at least 3."""
 
 
+class PrimeTooLargeError(StjacError):
+    """The given prime exceeds the supported bound ffield.P_MAX."""
+
+
 class NotCoprimeError(StjacError):
     """An embedding index must be coprime to the conductor."""
 

@@ -16,21 +16,30 @@ import numpy as np
 
 from . import _accel
 from .cyclo import CycloElt
-from .errors import EvenOrTooSmallError, NotPrimeError
+from .errors import EvenOrTooSmallError, NotPrimeError, PrimeTooLargeError
 from .primes import factorize, is_prime
 
 # A character exponent is a plain integer a modulo p-1: a = 0 is the
 # trivial character, a = (p-1)/2 the quadratic character.
 CharExponent = int
 
+# Largest supported prime: dlog values (< p - 1) then fit in int32 and every
+# product a * dlog (< (p - 1)^2) in int64, which the kernels rely on.
+P_MAX = 2**31 - 1
+
 
 @dataclass(frozen=True, eq=False)
 class PrimeField:
-    """Odd prime p with its smallest primitive root and dense dlog table."""
+    """Odd prime p with its smallest primitive root and dense dlog table.
+
+    ``joint`` caches joint histograms for the Jacobi sums: M -> the M x M
+    table of #{x in F_p minus {0, 1} : dlog x = i, dlog(1-x) = s (mod M)}.
+    """
 
     p: int
     generator: int
     dlog: np.ndarray = field(repr=False)
+    joint: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -63,10 +72,17 @@ def smallest_primitive_root(p: int) -> int:
         g += 1
 
 
+def check_p_max(p: int) -> None:
+    """Reject p above P_MAX, before anything of size p is allocated."""
+    if p > P_MAX:
+        raise PrimeTooLargeError(f"p must be at most P_MAX = 2^31 - 1, got {p}")
+
+
 def make_field(p: int) -> PrimeField:
     """Build the field data for an odd prime p (dense table, desk scale)."""
     if p < 3 or p % 2 == 0:
         raise EvenOrTooSmallError(f"p must be an odd prime >= 3, got {p}")
+    check_p_max(p)
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     g = smallest_primitive_root(p)

@@ -144,6 +144,8 @@ def generic_modulus(family: str, d: int) -> int:
 
 def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[int]:
     """First `count` primes where the contributing set is fully split."""
+    if count < 1:
+        raise ValueError(f"the number of primes must be at least 1, got {count}")
     mod = generic_modulus(family, d)
     found = []
     for p in prime_range(3, bound):

@@ -21,6 +21,7 @@ collapses to a rational integer, which is asserted.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,10 +243,14 @@ def trace_sweep(
     """Trace-of-Frobenius samples over all good odd primes in [p_min, p_max].
 
     Each prime is independent; with workers > 1 the sweep fans out over a
-    process pool and the results are merged back in prime order.
+    process pool and the results are merged back in prime order.  workers
+    must lie in [1, os.cpu_count()].
     """
     if p_min > p_max:
         raise ValueError("p_min must not exceed p_max")
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must be between 1 and {cpus}, got {workers}")
     primes = [p for p in prime_range(max(3, p_min), p_max) if good_reduction(p, spec)]
     if workers > 1 and len(primes) > 1:
         tasks = [(spec.family, spec.d, str(spec.c), p) for p in primes]

@@ -288,6 +288,8 @@ def lockwood_check(
         raise EvenInputError(f"needs odd g >= 3, got {g}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     cf = complex(c)
     for _ in range(trials):

@@ -1,16 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
+from stjac import _accel, pointcount
 from stjac.charsums import (
     gauss_jacobi_check,
     gauss_sum,
     jacobi_sum,
     jacobi_sum_compact,
 )
-from stjac.cyclo import embed
+from stjac.cyclo import CycloElt, embed
 from stjac.errors import DegenerateCharactersError
-from stjac.ffield import char_eval
+from stjac.ffield import char_eval, make_field
+from stjac.pointcount import ADDITIVE, LINEAR, contributing_ms
 from stjac.primes import prime_range
 
 
@@ -122,3 +125,96 @@ def test_gauss_jacobi_degenerate(field):
         gauss_jacobi_check(field(7), 0, 1)
     with pytest.raises(DegenerateCharactersError):
         gauss_jacobi_check(field(7), 2, 4)
+
+
+# -- the cached joint table against the direct per-column histogram ---------
+
+
+def direct_jacobi(fld, a, b):
+    """J(T^a, T^b) from its own O(p) histogram pass, folded to the compact field."""
+    n = fld.n
+    a %= n
+    b %= n
+    g = math.gcd(a, b, n)
+    hist = _accel.char_pair_histogram(fld.dlog, a, b, n)
+    return CycloElt.from_int_coeffs(n // g, hist[::g].tolist())
+
+
+def assert_matches_direct(fld, pairs):
+    for a, b in pairs:
+        got = jacobi_sum_compact(fld, a, b)
+        want = direct_jacobi(fld, a, b)
+        assert (got.n, got.coeffs) == (want.n, want.coeffs), (fld.p, a, b)
+
+
+def count_columns(p, families):
+    """(a, (p-1)/2) for every contributing column of the given families, in order."""
+    half = (p - 1) // 2
+    return [
+        (a, half)
+        for family, d in families
+        for a in contributing_ms(p, d, family).exponents
+    ]
+
+
+def test_joint_table_is_the_joint_histogram():
+    fld = make_field(2161)
+    jacobi_sum_compact(fld, fld.n // 24, fld.n // 2)
+    assert list(fld.joint) == [24]
+    x = np.arange(2, fld.p)
+    u, v = fld.dlog[x] % 24, fld.dlog[(1 - x) % fld.p] % 24
+    want = np.zeros((24, 24), dtype=np.int64)
+    np.add.at(want, (u, v), 1)
+    assert np.array_equal(fld.joint[24], want)
+    assert not fld.joint[24].flags.writeable
+
+
+def test_cached_jacobi_equals_direct_on_every_column_below_4000():
+    families = [(ADDITIVE, d) for d in range(1, 41)]
+    families += [(LINEAR, d) for d in range(3, 40, 2)]
+    folded = 0
+    for p in prime_range(3, 4000):
+        fld = make_field(p)
+        assert_matches_direct(fld, sorted(set(count_columns(p, families))))
+        folded += bool(fld.joint)
+    assert folded > 400  # most of these primes go through a table
+
+
+def test_cached_jacobi_equals_direct_near_a_million():
+    pool = [(ADDITIVE, d) for d in (9, 10, 12, 18, 24)] + [(LINEAR, 7), (LINEAR, 9)]
+    for p in (1000081, 1093681, 1188721):  # p = 1 mod 720, from the count pool
+        fld = make_field(p)
+        assert_matches_direct(fld, sorted(set(count_columns(p, pool))))
+        assert 24 in fld.joint
+
+
+def test_cached_jacobi_equals_direct_on_arbitrary_pairs():
+    for p in prime_range(3, 400):
+        fld = make_field(p)
+        n = fld.n
+        # every exponent of small order (the table path) ...
+        small = sorted({
+            j * (n // k) for k in range(1, math.isqrt(n) + 1) if n % k == 0
+            for j in range(k)
+        })
+        # ... and an even spread of the rest (mostly the direct path)
+        spread = list(range(0, n, max(1, n // 12)))
+        exps = sorted(set(small + spread))
+        assert_matches_direct(fld, [(a, b) for a in exps for b in exps[::3]])
+        assert_matches_direct(fld, [(a, b) for a in (-1, n + 3) for b in (-n // 2, 2 * n)])
+
+
+def test_count_formula_makes_one_histogram_pass(monkeypatch):
+    calls = []
+    kernel = _accel.char_pair_histogram
+
+    def counted(*args):
+        calls.append(args[1:])
+        return kernel(*args)
+
+    monkeypatch.setattr(_accel, "char_pair_histogram", counted)
+    spec = pointcount.curve(ADDITIVE, 24, 3)
+    fld = make_field(2161)  # 2161 = 1 mod 720: all 23 columns contribute
+    assert len(contributing_ms(fld.p, 24, ADDITIVE)) == 23
+    assert pointcount.count_formula(fld, spec) == pointcount.count_bruteforce(fld, spec)
+    assert calls == [(24, 1, fld.n)]

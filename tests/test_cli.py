@@ -1,4 +1,5 @@
 import json
+import os
 
 from stjac.cli import main
 
@@ -187,6 +188,54 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "count")[0] == 1
     assert run(capsys, "split", "--g", "1")[0] == 1
+
+
+def test_prime_above_p_max_exits_1(capsys):
+    # each check comes before any table or sieve of size p is built
+    big = str(2**31 + 11)  # prime
+    for argv in (
+        ("count", "--curve", "x^9+c", "--p", big),
+        ("count", "--curve", "x^9+c", "--pmin", big, "--pmax", big),
+        ("matrix", "--curve", "x^9+c", "--p", big),
+        ("kernel", "--curve", "x^9+c", "--p", big),
+        ("sweep", "--curve", "x^9+c", "--pmin", big, "--pmax", big),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "PrimeTooLargeError" in err
+
+
+def test_sweep_workers_out_of_range_exits_1(capsys, monkeypatch):
+    from stjac import pointcount
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(pointcount, "ProcessPoolExecutor", no_pool)
+    for workers in (0, -1, (os.cpu_count() or 1) + 1):
+        code, out, err = run(
+            capsys, "sweep", "--curve", "x^6+c", "--pmax", "50",
+            "--workers", str(workers),
+        )
+        assert code == 1, workers
+        assert out == ""
+        assert "workers must be between 1 and" in err
+
+
+def test_st0_zero_primes_exits_1(capsys):
+    code, out, err = run(capsys, "st0", "--curve", "x^10+c", "--num-primes", "0")
+    assert code == 1
+    assert out == ""
+    assert "at least 1" in err
+
+
+def test_split_zero_trials_exits_1(capsys):
+    code, out, err = run(
+        capsys, "split", "--g", "5", "--refine", "--check", "--trials", "0"
+    )
+    assert code == 1
+    assert "identity check: pass" not in out
+    assert "trials must be at least 1" in err
 
 
 def test_oracle_mismatch_exits_2(capsys, monkeypatch):

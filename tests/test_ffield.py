@@ -1,8 +1,9 @@
 import pytest
 
+from stjac import _accel
 from stjac.cyclo import CycloElt
-from stjac.errors import EvenOrTooSmallError, NotPrimeError
-from stjac.ffield import char_eval, legendre, make_field
+from stjac.errors import EvenOrTooSmallError, NotPrimeError, PrimeTooLargeError
+from stjac.ffield import P_MAX, char_eval, legendre, make_field
 from stjac.primes import prime_range
 
 
@@ -13,6 +14,25 @@ def test_make_field_validation():
         make_field(10)
     with pytest.raises(NotPrimeError):
         make_field(15)
+
+
+def test_make_field_rejects_p_above_p_max(monkeypatch):
+    # the bound is checked before the 8p-byte dlog table is allocated
+    class TableRequested(Exception):
+        pass
+
+    def no_table(p, g):
+        raise TableRequested(p)
+
+    monkeypatch.setattr(_accel, "dlog_table", no_table)
+    assert P_MAX == 2**31 - 1
+    with pytest.raises(TableRequested):
+        make_field(P_MAX)  # a prime, and still in range
+    for p in (2**31 + 11, 2**61 - 1):  # primes above the bound
+        with pytest.raises(PrimeTooLargeError):
+            make_field(p)
+    with pytest.raises(PrimeTooLargeError):
+        make_field(2**31 + 1)  # above the bound wins over "not prime"
 
 
 def test_smallest_generator_examples(field):
