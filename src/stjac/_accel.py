@@ -48,7 +48,7 @@ def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     p = n + 1
     x = np.arange(2, p, dtype=np.int64)
     e = (a * u[x] + b * u[p + 1 - x]) % n
-    return np.bincount(e, minlength=n).astype(np.int64)
+    return np.bincount(e, minlength=n).astype(np.int64, copy=False)
 
 
 def affine_count(p: int, d: int, c: int, linear: bool) -> int:

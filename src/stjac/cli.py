@@ -163,7 +163,7 @@ def cmd_matrix(args) -> int:
 def cmd_kernel(args) -> int:
     spec = _build_spec(args)
     _check_prime(args.p)
-    _, kern, relations = stmatrix.relation_report(
+    mat, kern, relations = stmatrix.relation_report(
         args.p, spec.d, spec.family, spec.c
     )
     ok = all(r.ok for r in relations)
@@ -171,7 +171,7 @@ def cmd_kernel(args) -> int:
         _emit(json.dumps({
             "command": "kernel", "p": args.p, "d": spec.d, "family": spec.family,
             "c": str(spec.c), "rank": kern.rank, "saturated": kern.saturated,
-            "basis": kern.to_list(),
+            "generic": mat.is_generic, "basis": kern.to_list(),
             "relations": [
                 {"vector": list(v), "kind": r.kind, "order": r.order}
                 for v, r in zip(kern.basis, relations)
@@ -187,6 +187,8 @@ def cmd_kernel(args) -> int:
                    "torsion": f"relation up to torsion (order {r.order})",
                    "fail": "NOT A RELATION"}[r.kind]
             lines.append(f"  {list(v)}  ->  {tag}")
+        if not mat.is_generic:
+            lines.append("warning: non-generic prime (fewer than 2g columns)")
         _emit("\n".join(lines), args.out)
     return 0 if ok else 2
 

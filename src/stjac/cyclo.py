@@ -1,10 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 An element is stored by its coordinates in the power basis
-1, z, ..., z^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial,
-with Fraction coefficients.  The representation is canonical, so equality
-is coefficient-wise equality.  Conversion between conductors goes through
-``lift`` (n must divide the target conductor).
+1, z, ..., z^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial.
+That basis is an integral basis of Z[zeta_n], so an algebraic integer
+(every Jacobi sum, Frobenius term and product of them) has int
+coordinates and its arithmetic never leaves Python ints.  A coordinate
+is a Fraction only when it is not integral (``inv``, division by a
+scalar, ``from_rational``); one with denominator 1 is stored as its int.
+The representation is canonical, so equality is coefficient-wise
+equality.  Conversion between conductors goes through ``lift`` (n must
+divide the target conductor).
+
+``is_root_of_unity`` is a table lookup: the roots of unity in Q(zeta_n)
+are the +-zeta_n^k, whose coordinates are rows of ``_reduction_rows``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .errors import NotCoprimeError
-from .primes import divisors, euler_phi, factorize
+from .primes import divisors, euler_phi
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -92,19 +100,27 @@ def _reduce_mod_phi(coeffs: list, n: int) -> list:
     return out
 
 
+def _canon(c) -> int | Fraction:
+    """An int stays an int; anything else is a Fraction, or its int if integral."""
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class CycloElt:
     """Element of Q(zeta_n) in the canonical power basis mod Phi_n."""
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @staticmethod
     def _make(n: int, coeffs) -> "CycloElt":
         deg = len(cyclotomic_poly(n)) - 1
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_canon(c) for c in coeffs]
         if len(cs) < deg:
-            cs += [Fraction(0)] * (deg - len(cs))
+            cs += [0] * (deg - len(cs))
         assert len(cs) == deg
         return CycloElt(n, tuple(cs))
 
@@ -119,11 +135,11 @@ class CycloElt:
 
     @staticmethod
     def one(n: int) -> "CycloElt":
-        return CycloElt._make(n, [Fraction(1)])
+        return CycloElt._make(n, [1])
 
     @staticmethod
     def from_rational(n: int, q) -> "CycloElt":
-        return CycloElt._make(n, [Fraction(q)])
+        return CycloElt._make(n, [q])
 
     @staticmethod
     def zeta_pow(n: int, k: int) -> "CycloElt":
@@ -143,14 +159,14 @@ class CycloElt:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return CycloElt(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloElt._make(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return CycloElt(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloElt._make(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -160,11 +176,10 @@ class CycloElt:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElt(self.n, tuple(a * q for a in self.coeffs))
+            return CycloElt._make(self.n, [a * other for a in self.coeffs])
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -199,7 +214,8 @@ class CycloElt:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         phi_poly = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        r0, r1 = phi_poly, _poly_trim(list(self.coeffs))
+        # Fraction coordinates: 1 / int would be a float in the division below
+        r0, r1 = phi_poly, _poly_trim([Fraction(c) for c in self.coeffs])
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
             q, rem = _poly_divmod_frac(r0, r1)
@@ -213,7 +229,7 @@ class CycloElt:
         """Image under zeta_n -> zeta_n^u, for u coprime to n."""
         if math.gcd(u, self.n) != 1:
             raise NotCoprimeError(f"galois index {u} not coprime to {self.n}")
-        scattered = [Fraction(0)] * self.n
+        scattered = [0] * self.n
         for i, c in enumerate(self.coeffs):
             if c:
                 scattered[(i * u) % self.n] += c
@@ -232,7 +248,7 @@ class CycloElt:
         if m == self.n:
             return self
         step = m // self.n
-        scattered = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        scattered = [0] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 scattered[i * step] = c
@@ -264,7 +280,7 @@ class CycloElt:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def __repr__(self):
         return f"CycloElt(n={self.n}, coeffs={[str(c) for c in self.coeffs]})"
@@ -319,22 +335,31 @@ def embed(w: CycloElt, k: int = 1) -> complex:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _zeta_exponents(n: int) -> dict[tuple[int, ...], int]:
+    """Coordinates of zeta_n^k -> k, for 0 <= k < n."""
+    rows = _reduction_rows(n)
+    return {rows[k]: k for k in range(n)}
+
+
 def is_root_of_unity(w: CycloElt) -> int | None:
     """Least N with w^N = 1, or None if w is not a root of unity.
 
-    The roots of unity in Q(zeta_n) all have order dividing lcm(2, n), so a
-    single exponentiation decides membership.
+    The roots of unity in Q(zeta_n) are s*zeta_n^k with s = +-1, i.e.
+    exp(2*pi*i*e/(2n)) with e = 2k + n*(1-s)/2, of order 2n / gcd(e, 2n).
+    Zero and non-integral elements match no entry of the table.
     """
-    if w.is_zero():
-        return None
-    bound = math.lcm(2, w.n)
-    if w**bound != 1:
-        return None
-    order = bound
-    for q in factorize(bound):
-        while order % q == 0 and w ** (order // q) == 1:
-            order //= q
-    return order
+    n = w.n
+    exponents = _zeta_exponents(n)
+    k = exponents.get(w.coeffs)
+    if k is not None:
+        e = 2 * k
+    else:
+        k = exponents.get(tuple(-c for c in w.coeffs))
+        if k is None:
+            return None
+        e = 2 * k + n
+    return 2 * n // math.gcd(e, 2 * n)
 
 
 def conductor_join(values: list[int]) -> int:

@@ -21,11 +21,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join, is_root_of_unity
 from .errors import NoColumnsError, NotInKernelError
 from .ffield import PrimeField, make_field
-from .intlinalg import kernel_basis, matvec, rank, snf_invariant_factors
+from .intlinalg import kernel_basis, rank, snf_invariant_factors
 from .pointcount import ADDITIVE, Contribution, contributing_ms
 
 
@@ -108,6 +110,13 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     return CarryMatrix(p=p, d=d, family=family, rows=units, cols=cols, entries=entries)
 
 
+def _position_table(keys: np.ndarray, n: int) -> np.ndarray:
+    """pos[x] = index of x in ``keys`` (distinct residues mod n), else -1."""
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[keys] = np.arange(len(keys))
+    return pos
+
+
 def validate_matrix(mat: CarryMatrix) -> list[str]:
     """Names of violated structural checks (expected empty).
 
@@ -117,37 +126,24 @@ def validate_matrix(mat: CarryMatrix) -> list[str]:
     """
     violations = []
     n = mat.n
-    nrows, ncols = len(mat.rows), len(mat.cols)
-    if any(sum(row) * 2 != ncols for row in mat.entries):
+    ent = np.array(mat.entries, dtype=np.int8).reshape(len(mat.rows), len(mat.cols))
+    nrows, ncols = ent.shape
+    if np.any(ent.sum(axis=1) * 2 != ncols):
         violations.append("row_balance")
-    if any(sum(row[j] for row in mat.entries) * 2 != nrows for j in range(ncols)):
+    if np.any(ent.sum(axis=0) * 2 != nrows):
         violations.append("column_balance")
-    row_of = {k: i for i, k in enumerate(mat.rows)}
-    if any(
-        mat.entries[row_of[n - k]][j] != 1 - mat.entries[i][j]
-        for i, k in enumerate(mat.rows)
-        for j in range(ncols)
-    ):
+    rows = np.array(mat.rows, dtype=np.int64)
+    exps = np.array([c.exponent for c in mat.cols], dtype=np.int64)
+    row_of = _position_table(rows, n)
+    col_of = _position_table(exps, n)
+    if np.any(ent[row_of[n - rows]] != 1 - ent):
         violations.append("conjugate_complement")
-    col_of = {c.exponent: j for j, c in enumerate(mat.cols)}
-    galois_ok = True
     for u in mat.rows:
-        u_inv = pow(u, -1, n)
-        for i, k in enumerate(mat.rows):
-            for j, c in enumerate(mat.cols):
-                target = col_of.get((u_inv * c.exponent) % n)
-                if target is None:
-                    galois_ok = False
-                    break
-                if mat.entries[row_of[(k * u) % n]][target] != mat.entries[i][j]:
-                    galois_ok = False
-                    break
-            if not galois_ok:
-                break
-        if not galois_ok:
+        # entry(k*u, a/u) = entry(k, a): unit u moves row k*u and column a/u
+        cols_u = col_of[pow(u, -1, n) * exps % n]
+        if np.any(cols_u < 0) or np.any(ent[np.ix_(row_of[rows * u % n], cols_u)] != ent):
+            violations.append("galois_stability")
             break
-    if not galois_ok:
-        violations.append("galois_stability")
     return violations
 
 
@@ -203,6 +199,17 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
     return CycloElt.zeta_pow(j.n, (shift // g) % j.n) * j
 
 
+def _divide_exact(w: CycloElt, q: int) -> CycloElt | None:
+    """w / q when q divides every coordinate of w, else None."""
+    quotients = []
+    for c in w.coeffs:
+        quo, rem = divmod(c, q)
+        if rem:
+            return None
+        quotients.append(quo)
+    return CycloElt(w.n, tuple(quotients))
+
+
 def verify_relation(
     fld: PrimeField, mat: CarryMatrix, v, c=Fraction(1)
 ) -> RelationResult:
@@ -215,14 +222,17 @@ def verify_relation(
     says should never happen on genuine kernel vectors.
 
     Inverses never need a polynomial gcd: every factor satisfies
-    w * conj(w) = p, so w^-1 = conj(w)/p.
+    w * conj(w) = p, so w^-1 = conj(w)/p.  The whole product stays in
+    Z[zeta] and is divided by p^k once at the end; a remainder there means
+    W is not an algebraic integer, hence not a root of unity.
     """
     v = [int(x) for x in v]
     if len(v) != len(mat.cols):
         raise NotInKernelError("vector length does not match the column count")
-    if any(x != 0 for x in matvec(mat.entries, v)):
+    support = [(j, x) for j, x in enumerate(v) if x]
+    if any(sum(row[j] * x for j, x in support) for row in mat.entries):
         raise NotInKernelError(f"{v} is not in the kernel of the carry matrix")
-    if all(x == 0 for x in v):
+    if not support:
         return RelationResult(kind="exact", order=1)
     factors = {
         col.exponent: frobenius_factor(fld, col.exponent, c)
@@ -243,7 +253,9 @@ def verify_relation(
             assert w * wbar == fld.p
             numerator = numerator * wbar ** (-coeff)
             p_power += -coeff
-    value = numerator / Fraction(fld.p) ** p_power if p_power else numerator
+    value = _divide_exact(numerator, fld.p**p_power)
+    if value is None:
+        return RelationResult(kind="fail", order=None)
     if value == 1:
         return RelationResult(kind="exact", order=1)
     order = is_root_of_unity(value)

@@ -108,6 +108,23 @@ def test_kernel_json(capsys):
     assert {r["kind"] for r in payload["relations"]} <= {"exact", "torsion"}
 
 
+def test_kernel_warns_at_non_generic_prime(capsys):
+    warning = "warning: non-generic prime (fewer than 2g columns)"
+    code, out, _ = run(capsys, "kernel", "--family", "additive", "--d", "9", "--p", "7")
+    assert code == 0
+    assert out.splitlines()[-1] == warning
+    code, out, _ = run(
+        capsys, "kernel", "--family", "additive", "--d", "9", "--p", "7", "--format", "json"
+    )
+    assert json.loads(out)["generic"] is False
+    code, out, _ = run(capsys, "kernel", "--family", "additive", "--d", "9", "--p", "19")
+    assert warning not in out
+    code, out, _ = run(
+        capsys, "kernel", "--family", "additive", "--d", "9", "--p", "19", "--format", "json"
+    )
+    assert json.loads(out)["generic"] is True
+
+
 def test_st0_text_and_json(capsys):
     code, out, _ = run(capsys, "st0", "--family", "additive", "--d", "10")
     assert code == 0

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stjac.cyclo import CycloElt, cyclotomic_poly, embed, is_root_of_unity
 from stjac.errors import NotCoprimeError
@@ -147,3 +150,125 @@ def test_root_of_unity_exhaustive_small_conductor():
                 for m in range(1, order):
                     assert w**m != 1
                 assert bound % order == 0
+
+
+# -- root-of-unity table against the exponentiation it replaced ----------
+
+
+def _order_by_exponentiation(w):
+    """Least N with w^N = 1, or None: one power w^lcm(2, n), then a walk
+    down the prime divisors of lcm(2, n)."""
+    import math
+
+    from stjac.primes import factorize
+
+    if w.is_zero():
+        return None
+    bound = math.lcm(2, w.n)
+    if w**bound != 1:
+        return None
+    order = bound
+    for q in factorize(bound):
+        while order % q == 0 and w ** (order // q) == 1:
+            order //= q
+    return order
+
+
+def test_root_of_unity_table_matches_exponentiation():
+    for n in range(1, 61):
+        for k in range(n):
+            z = CycloElt.zeta_pow(n, k)
+            for w in (z, -z):
+                assert is_root_of_unity(w) == _order_by_exponentiation(w), (n, k, w)
+
+
+def test_root_of_unity_table_rejects_non_roots():
+    rng = random.Random(4)
+    for n in range(1, 61):
+        assert is_root_of_unity(CycloElt.zero(n)) is None
+        assert is_root_of_unity(CycloElt.from_rational(n, 2)) is None
+        assert is_root_of_unity(CycloElt.from_rational(n, Fraction(1, 2))) is None
+        if n not in (1, 2, 3):
+            assert is_root_of_unity(CycloElt.one(n) + CycloElt.zeta(n)) is None
+        for _ in range(3):
+            w = CycloElt._make(n, [rng.randrange(-2, 3) for _ in range(euler_phi(n))])
+            assert is_root_of_unity(w) == _order_by_exponentiation(w), (n, w)
+    # a Fraction-coordinate root of unity (from inv) is still found
+    z = CycloElt.zeta(12)
+    assert is_root_of_unity(z.inv()) == 12
+    assert is_root_of_unity(CycloElt(12, tuple(Fraction(c) for c in z.coeffs))) == 12
+
+
+# -- Z[zeta] representation: int coordinates, checked against sympy -------
+
+_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30)
+
+
+@st.composite
+def _int_elements(draw, pair=False):
+    n = draw(st.sampled_from(_CONDUCTORS))
+    coeffs = st.lists(
+        st.integers(-6, 6), min_size=euler_phi(n), max_size=euler_phi(n)
+    )
+    a = CycloElt._make(n, draw(coeffs))
+    return (a, CycloElt._make(n, draw(coeffs))) if pair else a
+
+
+_X = sympy.Symbol("x")
+
+
+def _sympy_poly(w):
+    return sum(int(c) * _X**i for i, c in enumerate(w.coeffs))
+
+
+def _sympy_coords(expr, n):
+    """Ascending coefficients of (expr mod Phi_n), padded to phi(n)."""
+    rem = sympy.Poly(sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(n, _X), _X), _X)
+    out = [int(c) for c in reversed(rem.all_coeffs())]
+    return out + [0] * (euler_phi(n) - len(out))
+
+
+def _all_int(w):
+    return all(type(c) is int for c in w.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_elements(pair=True))
+def test_product_has_int_coords_and_matches_sympy(pair):
+    a, b = pair
+    prod = a * b
+    assert _all_int(prod)
+    assert list(prod.coeffs) == _sympy_coords(_sympy_poly(a) * _sympy_poly(b), a.n)
+    assert _all_int(a + b) and _all_int(a - b) and _all_int(-a) and _all_int(3 * a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_int_elements(), st.integers(1, 60), st.integers(1, 3))
+def test_galois_and_lift_have_int_coords_and_match_sympy(a, u, step):
+    import math
+
+    n = a.n
+    u = next(v for v in range(u, u + n + 1) if math.gcd(v, n) == 1)
+    image = a.galois(u)
+    assert _all_int(image)
+    assert list(image.coeffs) == _sympy_coords(_sympy_poly(a).subs(_X, _X**u), n)
+    lifted = a.lift(n * step)
+    assert _all_int(lifted)
+    assert list(lifted.coeffs) == _sympy_coords(
+        _sympy_poly(a).subs(_X, _X**step), n * step
+    )
+
+
+def test_canonical_int_coordinates():
+    assert type(CycloElt.from_rational(10, Fraction(6, 3)).coeffs[0]) is int
+    assert CycloElt.from_rational(10, Fraction(6, 3)) == CycloElt.from_rational(10, 2)
+    assert _all_int(CycloElt.from_rational(10, Fraction(3, 4)) * 4)
+    half = CycloElt.from_rational(10, Fraction(1, 2))
+    assert half.coeffs[0] == Fraction(1, 2) and _all_int(half + half)
+    assert _all_int(CycloElt.zeta(10).inv())
+    assert isinstance(CycloElt.from_rational(6, 5).rational_value(), Fraction)
+    assert repr(CycloElt.zeta(5)) == "CycloElt(n=5, coeffs=['0', '1', '0', '0'])"
+    # int and Fraction coordinates hash and compare alike
+    z = CycloElt.zeta(7)
+    zf = CycloElt(7, tuple(Fraction(c) for c in z.coeffs))
+    assert z == zf and hash(z) == hash(zf)

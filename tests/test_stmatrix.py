@@ -256,3 +256,134 @@ def test_verify_relation_matches_full_conductor_product(field):
                 assert w == 1
             else:
                 assert is_root_of_unity(w) == res.order
+
+
+# -- validate_matrix against the loop implementation it replaced ----------
+
+
+def _validate_by_loops(mat):
+    """Element-by-element form of the four structural checks."""
+    violations = []
+    n = mat.n
+    nrows, ncols = len(mat.rows), len(mat.cols)
+    if any(sum(row) * 2 != ncols for row in mat.entries):
+        violations.append("row_balance")
+    if any(sum(row[j] for row in mat.entries) * 2 != nrows for j in range(ncols)):
+        violations.append("column_balance")
+    row_of = {k: i for i, k in enumerate(mat.rows)}
+    if any(
+        mat.entries[row_of[n - k]][j] != 1 - mat.entries[i][j]
+        for i, k in enumerate(mat.rows)
+        for j in range(ncols)
+    ):
+        violations.append("conjugate_complement")
+    col_of = {c.exponent: j for j, c in enumerate(mat.cols)}
+    for u in mat.rows:
+        u_inv = pow(u, -1, n)
+        for i, k in enumerate(mat.rows):
+            for j, c in enumerate(mat.cols):
+                target = col_of.get((u_inv * c.exponent) % n)
+                if target is None or mat.entries[row_of[(k * u) % n]][target] != mat.entries[i][j]:
+                    violations.append("galois_stability")
+                    return violations
+    return violations
+
+
+def _with_entries(mat, entries):
+    return dataclasses.replace(mat, entries=tuple(tuple(r) for r in entries))
+
+
+@pytest.mark.parametrize("p,d", [(11, 10), (19, 9)])
+def test_validate_matrix_matches_loops_on_every_bit_flip(p, d):
+    m = build_matrix(p, d, ADDITIVE)
+    assert validate_matrix(m) == _validate_by_loops(m) == []
+    seen = set()
+    for i in range(len(m.rows)):
+        for j in range(len(m.cols)):
+            entries = [list(r) for r in m.entries]
+            entries[i][j] ^= 1
+            bad = _with_entries(m, entries)
+            got = validate_matrix(bad)
+            assert got == _validate_by_loops(bad), (i, j)
+            seen.add(tuple(got))
+    assert seen == {("row_balance", "column_balance", "conjugate_complement", "galois_stability")}
+
+
+def test_validate_matrix_conjugate_row_swap():
+    # rows k and p-1-k swapped: still balanced and still complementary, but
+    # row k no longer carries the Galois image of row 1
+    m = build_matrix(11, 10, ADDITIVE)
+    entries = [list(r) for r in m.entries]
+    i, i_conj = m.rows.index(3), m.rows.index(7)
+    entries[i], entries[i_conj] = entries[i_conj], entries[i]
+    bad = _with_entries(m, entries)
+    assert validate_matrix(bad) == _validate_by_loops(bad) == ["galois_stability"]
+
+
+def test_validate_matrix_residue_swap_breaks_only_complement():
+    # entry(k, a) read off the carry of s(k*a), where s swaps the residues 1
+    # and 7 (one unit orbit, not negatives of each other): the table stays
+    # balanced and Galois-stable, but rows k and -k now agree at k*a = 1, 9
+    m = build_matrix(11, 10, ADDITIVE)
+    swap = {1: 7, 7: 1}
+    entries = [
+        [carry(1, swap.get(k * c.exponent % 10, k * c.exponent % 10), 10) for c in m.cols]
+        for k in m.rows
+    ]
+    bad = _with_entries(m, entries)
+    assert validate_matrix(bad) == _validate_by_loops(bad) == ["conjugate_complement"]
+
+
+def test_validate_matrix_column_relabel_breaks_only_galois():
+    # the first two exponents trade labels; entries, balance and complement stay
+    for p, d in [(11, 10), (19, 9)]:
+        m = build_matrix(p, d, ADDITIVE)
+        first, second, *rest = m.cols
+        cols = (
+            dataclasses.replace(first, exponent=second.exponent),
+            dataclasses.replace(second, exponent=first.exponent),
+            *rest,
+        )
+        bad = dataclasses.replace(m, cols=cols)
+        assert validate_matrix(bad) == _validate_by_loops(bad) == ["galois_stability"]
+
+
+def test_validate_matrix_flags_column_set_not_closed_under_units():
+    # exponents {1, 0} at p=7: u=5 sends 1 to 5, which has no column; that
+    # alone breaks Galois stability, although all-equal entries would match
+    # whatever column a wrapped-around index picked
+    m = build_matrix(7, 6, ADDITIVE)
+    cols = tuple(dataclasses.replace(m.cols[0], exponent=e) for e in (1, 0))
+    bad = dataclasses.replace(m, cols=cols, entries=((1, 1), (1, 1)))
+    assert validate_matrix(bad) == _validate_by_loops(bad) == [
+        "row_balance", "column_balance", "conjugate_complement", "galois_stability"
+    ]
+
+
+# -- the final exact division by p^k --------------------------------------
+
+
+def test_divide_exact():
+    from stjac.cyclo import CycloElt
+    from stjac.stmatrix import _divide_exact
+
+    w = CycloElt._make(12, [6, -9, 0, 3])
+    q = _divide_exact(w, 3)
+    assert q == CycloElt._make(12, [2, -3, 0, 1])
+    assert all(type(c) is int for c in q.coeffs)
+    assert _divide_exact(w, 1) == w
+    assert _divide_exact(w, 9) is None
+    assert _divide_exact(CycloElt._make(12, [6, -9, 0, 4]), 3) is None
+    assert _divide_exact(CycloElt.zero(12), 11**5) == CycloElt.zero(12)
+
+
+def test_verify_relation_fails_when_division_leaves_remainder(field, monkeypatch):
+    from stjac import stmatrix
+
+    m = build_matrix(11, 10, ADDITIVE)
+    v = right_kernel(m).basis[0]
+    assert verify_relation(field(11), m, v, 2).ok
+    monkeypatch.setattr(stmatrix, "_divide_exact", lambda w, q: None)
+    assert verify_relation(field(11), m, v, 2).kind == "fail"
+    # the zero vector never reaches the division
+    assert verify_relation(field(11), m, [0] * 8, 2).kind == "exact"
