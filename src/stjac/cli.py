@@ -26,11 +26,17 @@ from .errors import (
     StjacError,
 )
 from .ffield import check_p_max, make_field
-from .pointcount import ADDITIVE, LINEAR, CurveSpec
+from .pointcount import ADDITIVE, FAMILIES, LINEAR, CurveSpec
 from .primes import is_prime
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts with "-" and a digit is a value such as
+        # "--c -3/5", never a flag (argparse's own rule misses fractions)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -212,42 +218,31 @@ def cmd_st0(args) -> int:
     return 0
 
 
-def _refine_entry(factor, exponent: int, check: bool, args) -> tuple[dict, bool]:
-    entry = {
-        "family": factor.family, "d": factor.d, "c": str(factor.c),
-        "genus": factor.genus, "exponent": exponent,
-    }
-    ok = True
-    sub_g = factor.genus
-    if factor.family == LINEAR and factor.d == 2 * sub_g + 1 and sub_g % 2 and sub_g >= 3:
-        refined = splitjac.split_refined(sub_g, factor.c)
-        entry["refined"] = refined.to_dict()["factors"]
-        if check:
-            for i in (0, 1):
-                if not splitjac.lockwood_check(
-                    sub_g, i, factor.c, trials=args.trials,
-                    tol=args.tol, seed=args.seed,
-                ):
-                    ok = False
-    return entry, ok
-
-
 def cmd_split(args) -> int:
     if args.g < 2:
         raise SystemExit("--g must be at least 2")
     c = _parse_c(args.c)
     fact = splitjac.split_full(args.g, c)
     entries = []
+    refined = []  # (factor, its split_refined factorization)
     all_ok = True
     for factor, exponent in fact.factors:
-        if args.refine and isinstance(factor, CurveSpec):
-            entry, ok = _refine_entry(factor, exponent, args.check, args)
-            all_ok = all_ok and ok
-        else:
-            entry = {
-                "family": factor.family, "d": factor.d, "c": str(factor.c),
-                "genus": factor.genus, "exponent": exponent,
-            }
+        entry = {
+            "family": factor.family, "d": factor.d, "c": str(factor.c),
+            "genus": factor.genus, "exponent": exponent,
+        }
+        sub_g = factor.genus
+        if args.refine and factor.family == LINEAR and sub_g % 2 and sub_g >= 3:
+            sub = splitjac.split_refined(sub_g, factor.c)
+            entry["refined"] = sub.to_dict()["factors"]
+            refined.append((factor, sub))
+            if args.check:
+                for i in (0, 1):
+                    if not splitjac.lockwood_check(
+                        sub_g, i, factor.c, trials=args.trials,
+                        tol=args.tol, seed=args.seed,
+                    ):
+                        all_ok = False
         entries.append(entry)
     if args.format == "json":
         _emit(json.dumps({
@@ -259,10 +254,7 @@ def cmd_split(args) -> int:
     else:
         lines = [fact.pretty()]
         if args.refine:
-            for (factor, exponent), entry in zip(fact.factors, entries):
-                if "refined" not in entry:
-                    continue
-                sub = splitjac.split_refined(factor.genus, factor.c)
+            for factor, sub in refined:
                 lines.append(f"  refine {factor.label()}:")
                 for f, _ in sub.factors:
                     name = f.label() if isinstance(f, CurveSpec) else f.pretty()
@@ -326,14 +318,17 @@ def cmd_sweep(args) -> int:
 
 
 def _add_curve_options(sub, with_c=True):
-    sub.add_argument("--family", choices=FAMILY_CHOICES, default=None)
+    sub.add_argument("--family", choices=FAMILIES, default=None)
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--curve", default=None, help="shorthand like x^10+c or x^9+cx")
     if with_c:
         sub.add_argument("--c", default="1", help="nonzero rational, e.g. 2 or -3/5")
 
 
-FAMILY_CHOICES = (ADDITIVE, LINEAR)
+def _add_output_options(sub, formats):
+    """--format (the first of `formats` is the default) and --out."""
+    sub.add_argument("--format", choices=formats, default=formats[0])
+    sub.add_argument("--out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,30 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pmax", type=int, default=None)
     sub.add_argument("--oracle", action="store_true",
                      help="also run the brute-force count and compare")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=None)
+    _add_output_options(sub, ("text", "json"))
     sub.set_defaults(func=cmd_count)
 
     sub = subs.add_parser("matrix", help="print the Stickelberger carry matrix")
     _add_curve_options(sub, with_c=False)
     sub.set_defaults(c="1")
     sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=None)
+    _add_output_options(sub, ("text", "json"))
     sub.set_defaults(func=cmd_matrix)
 
     sub = subs.add_parser("kernel", help="kernel basis with relation verification")
     _add_curve_options(sub)
     sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=None)
+    _add_output_options(sub, ("text", "json"))
     sub.set_defaults(func=cmd_kernel)
 
     sub = subs.add_parser("st0", help="identify the Sato-Tate identity component")
     _add_curve_options(sub)
     sub.add_argument("--num-primes", type=int, default=3)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=None)
+    _add_output_options(sub, ("text", "json"))
     sub.set_defaults(func=cmd_st0)
 
     sub = subs.add_parser("split", help="symbolic Jacobian factorization")
@@ -383,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=int, default=20)
     sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=None)
+    _add_output_options(sub, ("text", "json"))
     sub.set_defaults(func=cmd_split)
 
     sub = subs.add_parser("sweep", help="trace-of-Frobenius sweep over primes")
@@ -392,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pmin", type=int, default=3)
     sub.add_argument("--pmax", type=int, default=None)
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    sub.add_argument("--out", default=None)
+    _add_output_options(sub, ("csv", "json", "text"))
     sub.set_defaults(func=cmd_sweep)
 
     return parser

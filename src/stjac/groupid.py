@@ -17,7 +17,6 @@ vector (the cyclotomic direction), so:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .ffield import make_field
 from .intlinalg import rank
-from .pointcount import ADDITIVE, CurveSpec
+from .pointcount import CurveSpec, congruence_modulus
 from .primes import prime_range
 from .stmatrix import (
     CarryMatrix,
@@ -59,18 +58,14 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
     orientation with first entry 0 (valuation 0 at the identity embedding)
     is taken as the plus side.
     """
-    ncols = len(mat.cols)
-    columns = [mat.column(j) for j in range(ncols)]
-    degenerate = [
-        mat.cols[j].exponent
-        for j, col in enumerate(columns)
-        if len(set(col)) == 1
-    ]
+    degenerate = []
     counts: dict[tuple[int, ...], int] = {}
-    for j, col in enumerate(columns):
+    for j, c in enumerate(mat.cols):
+        col = mat.column(j)
         if len(set(col)) == 1:
-            continue
-        counts[col] = counts.get(col, 0) + 1
+            degenerate.append(c.exponent)
+        else:
+            counts[col] = counts.get(col, 0) + 1
     classes = []
     seen = set()
     for col, plus in sorted(counts.items()):
@@ -137,16 +132,11 @@ class TorusId:
         }
 
 
-def generic_modulus(family: str, d: int) -> int:
-    """p = 1 mod this makes every Tate-module character contribute."""
-    return math.lcm(2, d) if family == ADDITIVE else 2 * (d - 1)
-
-
 def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[int]:
     """First `count` primes where the contributing set is fully split."""
     if count < 1:
         raise ValueError(f"the number of primes must be at least 1, got {count}")
-    mod = generic_modulus(family, d)
+    mod = congruence_modulus(CurveSpec(family, d))
     found = []
     for p in prime_range(3, bound):
         if p % mod != 1:

@@ -152,30 +152,33 @@ def points_at_infinity(spec: CurveSpec) -> int:
     return 2 if spec.d % 2 == 0 else 1
 
 
+def twist_exponent(fld: PrimeField, a: int, cp: int) -> int:
+    """k with T^a(-c) * phi(c) = zeta^k, zeta generating the field of J(T^a, phi).
+
+    cp is c reduced mod p, and nonzero.  The twist is zeta_{p-1}^shift with
+    shift = a*dlog(-c) + ((p-1)/2)*dlog(c), a multiple of g = gcd(a, (p-1)/2),
+    and J(T^a, phi) lies in Q(zeta_{(p-1)/g}), so k = shift/g.
+    """
+    n = fld.n
+    half = n // 2
+    shift = (a * fld.dlog_of(-cp) + half * fld.dlog_of(cp)) % n
+    return shift // math.gcd(a, half)
+
+
 def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
     """Closed-form point count of the smooth projective model via Jacobi sums.
 
     Every contributing column is summed, including the quadratic column of
     even d, which contributes -1 identically.
     """
-    p, n = fld.p, fld.n
+    p = fld.p
     if not good_reduction(p, spec):
         raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
     cp = fld.reduce(spec.c)
-    contrib = contributing_ms(p, spec.d, spec.family)
-    if not contrib.entries:
-        return p + points_at_infinity(spec)
-    dlog_mc = fld.dlog_of(-cp)
-    dlog_c = fld.dlog_of(cp)
-    half = n // 2
     terms = []
-    for col in contrib.entries:
-        a = col.exponent
-        j = jacobi_sum_compact(fld, a, half)
-        g = math.gcd(a, half)
-        # T^a(-c) * phi(c) is zeta_n^shift with shift a multiple of g
-        shift = (a * dlog_mc + half * dlog_c) % n
-        terms.append(CycloElt.zeta_pow(j.n, (shift // g) % j.n) * j)
+    for col in contributing_ms(p, spec.d, spec.family).entries:
+        j = jacobi_sum_compact(fld, col.exponent, fld.n // 2)
+        terms.append(CycloElt.zeta_pow(j.n, twist_exponent(fld, col.exponent, cp)) * j)
     conductor = conductor_join([t.n for t in terms])
     total = CycloElt.zero(conductor)
     for t in terms:

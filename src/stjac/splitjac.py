@@ -55,8 +55,6 @@ class LowerGenusCurve:
                 body += f"*zeta^{t.zeta_exp}" if t.zeta_exp > 1 else "*zeta"
             if t.c_exp and self.c != 1:
                 body += f"*c^({t.c_exp})"
-            elif t.c_exp and self.c == 1:
-                pass
             if t.x_exp:
                 body += f"*x^{t.x_exp}" if t.x_exp > 1 else "*x"
             if body.startswith("1*"):
@@ -90,24 +88,20 @@ class LowerGenusCurve:
 Factor = CurveSpec | LowerGenusCurve
 
 
-def _genus_of(factor: Factor) -> int:
-    return factor.genus
-
-
 @dataclass(frozen=True)
 class IsogenyFactorization:
     source: CurveSpec
     factors: tuple[tuple[Factor, int], ...]
 
     def __post_init__(self):
-        total = sum(_genus_of(f) * e for f, e in self.factors)
+        total = self.genus_total()
         if total != self.source.genus:
             raise ValueError(
                 f"genus mismatch: source {self.source.genus}, factors {total}"
             )
 
     def genus_total(self) -> int:
-        return sum(_genus_of(f) * e for f, e in self.factors)
+        return sum(f.genus * e for f, e in self.factors)
 
     def pretty(self) -> str:
         parts = []

@@ -28,11 +28,7 @@ from .cyclo import CycloElt, conductor_join, is_root_of_unity
 from .errors import NoColumnsError, NotInKernelError
 from .ffield import PrimeField, make_field
 from .intlinalg import kernel_basis, rank, snf_invariant_factors
-from .pointcount import ADDITIVE, Contribution, contributing_ms
-
-
-def family_genus(family: str, d: int) -> int:
-    return (d - 1) // 2
+from .pointcount import ADDITIVE, Contribution, CurveSpec, contributing_ms, twist_exponent
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ def st_columns(p: int, d: int, family: str) -> StColumns:
     cols = tuple(
         e for e in contributing_ms(p, d, family).entries if e.exponent != half
     )
-    return StColumns(columns=cols, is_generic=len(cols) == 2 * family_genus(family, d))
+    return StColumns(columns=cols, is_generic=len(cols) == 2 * CurveSpec(family, d).genus)
 
 
 def carry(k: int, a: int, n: int) -> int:
@@ -70,14 +66,11 @@ class CarryMatrix:
     rows: tuple[int, ...]  # units mod p-1, ascending
     cols: tuple[Contribution, ...]
     entries: tuple[tuple[int, ...], ...]
+    is_generic: bool  # as computed by st_columns
 
     @property
     def n(self) -> int:
         return self.p - 1
-
-    @property
-    def is_generic(self) -> bool:
-        return len(self.cols) == 2 * family_genus(self.family, self.d)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -100,14 +93,18 @@ class CarryMatrix:
 def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     """Carry matrix at p; raises NoColumnsError when no character contributes."""
     n = p - 1
-    cols = st_columns(p, d, family).columns
+    stc = st_columns(p, d, family)
+    cols = stc.columns
     if not cols:
         raise NoColumnsError(f"no contributing characters for d={d} at p={p}")
     units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
     entries = tuple(
         tuple(carry(k, c.exponent, n) for c in cols) for k in units
     )
-    return CarryMatrix(p=p, d=d, family=family, rows=units, cols=cols, entries=entries)
+    return CarryMatrix(
+        p=p, d=d, family=family, rows=units, cols=cols, entries=entries,
+        is_generic=stc.is_generic,
+    )
 
 
 def _position_table(keys: np.ndarray, n: int) -> np.ndarray:
@@ -188,15 +185,11 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
     This is the exact term the point-count formula attaches to column a,
     i.e. (minus) a Frobenius eigenvalue of the curve at p.
     """
-    n = fld.n
-    half = n // 2
     cp = fld.reduce(c)
     if cp == 0:
         raise ZeroDivisionError(f"c = {c} vanishes mod {fld.p}")
-    j = jacobi_sum_compact(fld, a, half)
-    g = math.gcd(a % n, half)
-    shift = (a * fld.dlog_of(-cp) + half * fld.dlog_of(cp)) % n
-    return CycloElt.zeta_pow(j.n, (shift // g) % j.n) * j
+    j = jacobi_sum_compact(fld, a, fld.n // 2)
+    return CycloElt.zeta_pow(j.n, twist_exponent(fld, a, cp)) * j
 
 
 def _divide_exact(w: CycloElt, q: int) -> CycloElt | None:

@@ -165,6 +165,76 @@ def test_split_json(capsys):
     assert len(refined[0]["refined"]) == 3
 
 
+SPLIT_G11_TEXT = (
+    "Jac(y^2 = x^24 - 3/5) ~ Jac(y^2 = x^3 - 3/5)^2 x Jac(y^2 = x^13 - 3/5*x)"
+    " x Jac(y^2 = x^7 - 3/5*x)\n"
+    "  refine y^2 = x^7 - 3/5*x:\n"
+    "    y^2 = x^3 - 3/5*x\n"
+    "    y^2 = x^3 - 3*c^(1/3)*x\n"
+    "    y^2 = x^3 - 3*zeta*c^(1/3)*x\n"
+    "identity check: pass\n"
+)
+
+
+def _lower_genus(i):
+    return {
+        "type": "lower_genus", "g": 3, "i": i, "c": "-3/5", "genus": 1,
+        "terms": [
+            {"x_exp": 3, "coeff": 1, "zeta_exp": 0, "c_exp": "0"},
+            {"x_exp": 1, "coeff": -3, "zeta_exp": i, "c_exp": "1/3"},
+        ],
+        "exponent": 1,
+    }
+
+
+SPLIT_G11_JSON = {
+    "command": "split", "g": 11, "c": "-3/5",
+    "source": {"family": "additive", "d": 24, "c": "-3/5", "genus": 11},
+    "factors": [
+        {"family": "additive", "d": 3, "c": "-3/5", "genus": 1, "exponent": 2},
+        {"family": "linear", "d": 13, "c": "-3/5", "genus": 6, "exponent": 1},
+        {
+            "family": "linear", "d": 7, "c": "-3/5", "genus": 3, "exponent": 1,
+            "refined": [
+                {"type": "curve", "family": "linear", "d": 3, "c": "-3/5",
+                 "genus": 1, "exponent": 1},
+                _lower_genus(0),
+                _lower_genus(1),
+            ],
+        },
+    ],
+    "identity_checked": True,
+    "identity_ok": True,
+}
+
+
+def test_split_refined_output_is_pinned(capsys):
+    # one refined factor (x^7 - 3/5*x, genus 3), printed with c^(1/3)
+    code, out, err = run(capsys, "split", "--g", "11", "--c=-3/5", "--refine", "--check")
+    assert (code, out, err) == (0, SPLIT_G11_TEXT, "")
+    code, out, err = run(
+        capsys, "split", "--g", "11", "--c=-3/5", "--refine", "--check",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert out == json.dumps(SPLIT_G11_JSON, indent=2) + "\n"
+
+
+def test_negative_fraction_c_after_a_space(capsys):
+    # "--c -3/5" must read -3/5 as the value of --c, exactly as "--c=-3/5"
+    for argv in (
+        ("count", "--curve", "x^9+cx", "--p", "19"),
+        ("kernel", "--family", "linear", "--d", "7", "--p", "13", "--format", "json"),
+        ("st0", "--family", "linear", "--d", "9"),
+        ("split", "--g", "11", "--refine", "--check"),
+        ("sweep", "--family", "linear", "--d", "5", "--pmax", "200", "--format", "text"),
+    ):
+        spaced = run(capsys, *argv, "--c", "-3/5")
+        joined = run(capsys, *argv, "--c=-3/5")
+        assert spaced == joined, argv
+        assert spaced[0] == 0 and "3/5" in spaced[1], argv
+
+
 def test_sweep_csv(capsys):
     code, out, err = run(
         capsys, "sweep", "--family", "additive", "--d", "6", "--c", "1",

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stjac import _accel
 from stjac.errors import BadReductionError
+from stjac.ffield import make_field
 from stjac.pointcount import (
     ADDITIVE,
     LINEAR,
@@ -133,6 +136,28 @@ def test_formula_rational_c(field):
     for p in (7, 11, 19, 37):
         if good_reduction(p, spec):
             assert count_formula(field(p), spec) == count_bruteforce(field(p), spec)
+
+
+_PRIMES_BELOW_3000 = prime_range(3, 3000)
+
+
+@st.composite
+def _good_curve_and_prime(draw):
+    family = draw(st.sampled_from((ADDITIVE, LINEAR)))
+    d = draw(st.integers(1, 40) if family == ADDITIVE else st.sampled_from(range(3, 40, 2)))
+    num = draw(st.integers(-60, 60).filter(bool))
+    spec = curve(family, d, Fraction(num, draw(st.integers(1, 30))))
+    p = draw(st.sampled_from(_PRIMES_BELOW_3000).filter(lambda q: good_reduction(q, spec)))
+    return spec, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_good_curve_and_prime())
+def test_formula_equals_oracle_random_twists(case):
+    # the twist T^a(-c)*phi(c) is exercised with c of either sign and any denominator
+    spec, p = case
+    fld = make_field(p)
+    assert count_formula(fld, spec) == count_bruteforce(fld, spec)
 
 
 def test_empty_branch_gives_p_plus_one(field):

@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from stjac import stmatrix
 from stjac.cyclo import embed
 from stjac.errors import NoColumnsError, NotInKernelError
+from stjac.ffield import make_field
 from stjac.intlinalg import hnf_rows, matvec
-from stjac.pointcount import ADDITIVE, LINEAR
+from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve
 from stjac.primes import prime_range
 from stjac.stmatrix import (
     build_matrix,
@@ -59,6 +61,14 @@ def test_st_columns_examples():
     sc = st_columns(7, 9, ADDITIVE)
     assert [c.index for c in sc.columns] == [3, 6]
     assert not sc.is_generic
+
+
+def test_generic_exactly_when_p_is_one_mod_congruence_modulus():
+    cases = [(ADDITIVE, d) for d in range(3, 61)] + [(LINEAR, d) for d in range(3, 60, 2)]
+    for family, d in cases:
+        mod = congruence_modulus(curve(family, d))
+        for p in prime_range(3, 2000):
+            assert st_columns(p, d, family).is_generic == (p % mod == 1), (family, d, p)
 
 
 def test_quadratic_exponent_always_removed():
@@ -140,6 +150,18 @@ def test_column_magnitude_proxy(field):
         w = frobenius_factor(fld, c.exponent, 1)
         assert w * w.conj() == 19
         assert abs(abs(embed(w.lift(18), 1)) - math.sqrt(19)) < 1e-9
+
+
+def test_frobenius_factor_rejects_c_vanishing_mod_p(monkeypatch):
+    # the guard fires before any Jacobi sum is computed
+    def no_jacobi_sum(*args):
+        raise AssertionError("a Jacobi sum was computed")
+
+    monkeypatch.setattr(stmatrix, "jacobi_sum_compact", no_jacobi_sum)
+    fld = make_field(7)
+    for a in range(1, 6):
+        with pytest.raises(ZeroDivisionError, match="vanishes mod 7"):
+            frobenius_factor(fld, a, 7)
 
 
 def test_reference_kernel_lattice():
