@@ -45,9 +45,8 @@ def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     ``u`` is any integer table indexed by x in F_p (p = n + 1): the dlog
     table itself, or its residues mod some M, as int64 or int32.
     """
-    p = n + 1
-    x = np.arange(2, p, dtype=np.int64)
-    e = (a * u[x] + b * u[p + 1 - x]) % n
+    # x = 2 .. p-1 reads u[2:]; 1 - x = p-1 .. 2 reads the reversed view u[:1:-1]
+    e = (a * u[2:] + b * u[:1:-1]) % n
     return np.bincount(e, minlength=n).astype(np.int64, copy=False)
 
 

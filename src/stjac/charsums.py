@@ -96,7 +96,7 @@ def jacobi_sum_compact(fld: PrimeField, a: CharExponent, b: CharExponent) -> Cyc
 
 
 def jacobi_sum(fld: PrimeField, a: CharExponent, b: CharExponent) -> CycloElt:
-    """Exact J(T^a, T^b) as an element of Q(zeta_{p-1})."""
+    """Exact J(T^a, T^b) as an element of Z[zeta_{p-1}]."""
     return jacobi_sum_compact(fld, a, b).lift(fld.n)
 
 

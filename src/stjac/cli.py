@@ -99,6 +99,8 @@ def _primes_from_args(args) -> list[int]:
     if args.pmax is None:
         raise SystemExit("give --p or --pmax (with optional --pmin)")
     check_p_max(args.pmax)
+    if args.pmin > args.pmax:
+        raise SystemExit("p_min must not exceed p_max")
     from .primes import prime_range
 
     return prime_range(max(3, args.pmin), args.pmax)

@@ -1,17 +1,17 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Exact arithmetic in the cyclotomic integers Z[zeta_n].
 
-An element is stored by its coordinates in the power basis
+An element is stored by its int coordinates in the power basis
 1, z, ..., z^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial.
-That basis is an integral basis of Z[zeta_n], so an algebraic integer
-(every Jacobi sum, Frobenius term and product of them) has int
-coordinates and its arithmetic never leaves Python ints.  A coordinate
-is a Fraction only when it is not integral (``inv``, division by a
-scalar, ``from_rational``); one with denominator 1 is stored as its int.
+That basis is an integral basis of Z[zeta_n], so every Jacobi sum,
+Frobenius term and product of them has int coordinates, and the ring
+operations (sum, product, non-negative power, Galois action, lift) never
+leave Python ints.  There is no division: the only scalars are ints, and
+a caller that needs w / q for an int q divides the coordinates exactly.
 The representation is canonical, so equality is coefficient-wise
 equality.  Conversion between conductors goes through ``lift`` (n must
 divide the target conductor).
 
-``is_root_of_unity`` is a table lookup: the roots of unity in Q(zeta_n)
+``is_root_of_unity`` is a table lookup: the roots of unity in Z[zeta_n]
 are the +-zeta_n^k, whose coordinates are rows of ``_reduction_rows``.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .errors import NotCoprimeError
@@ -100,29 +99,21 @@ def _reduce_mod_phi(coeffs: list, n: int) -> list:
     return out
 
 
-def _canon(c) -> int | Fraction:
-    """An int stays an int; anything else is a Fraction, or its int if integral."""
-    if type(c) is int:
-        return c
-    q = Fraction(c)
-    return q.numerator if q.denominator == 1 else q
-
-
 @dataclass(frozen=True)
 class CycloElt:
-    """Element of Q(zeta_n) in the canonical power basis mod Phi_n."""
+    """Element of Z[zeta_n] in the canonical power basis mod Phi_n."""
 
     n: int
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
 
     @staticmethod
     def _make(n: int, coeffs) -> "CycloElt":
         deg = len(cyclotomic_poly(n)) - 1
-        cs = [_canon(c) for c in coeffs]
+        cs = tuple(coeffs)
         if len(cs) < deg:
-            cs += [0] * (deg - len(cs))
+            cs += (0,) * (deg - len(cs))
         assert len(cs) == deg
-        return CycloElt(n, tuple(cs))
+        return CycloElt(n, cs)
 
     @staticmethod
     def from_int_coeffs(n: int, coeffs) -> "CycloElt":
@@ -138,8 +129,8 @@ class CycloElt:
         return CycloElt._make(n, [1])
 
     @staticmethod
-    def from_rational(n: int, q) -> "CycloElt":
-        return CycloElt._make(n, [q])
+    def from_int(n: int, k: int) -> "CycloElt":
+        return CycloElt._make(n, [k])
 
     @staticmethod
     def zeta_pow(n: int, k: int) -> "CycloElt":
@@ -158,6 +149,8 @@ class CycloElt:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         self._check(other)
         return CycloElt._make(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -165,18 +158,23 @@ class CycloElt:
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         self._check(other)
         return CycloElt._make(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __neg__(self):
         return CycloElt(self.n, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CycloElt._make(self.n, [a * other for a in self.coeffs])
+        if not isinstance(other, CycloElt):
+            return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
         prod = [0] * (len(a) + len(b) - 1)
@@ -189,17 +187,9 @@ class CycloElt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / q)
-        return self * other.inv()
-
     def __pow__(self, k: int) -> "CycloElt":
         if k < 0:
-            return self.inv() ** (-k)
+            raise ValueError("negative powers leave Z[zeta]")
         result = CycloElt.one(self.n)
         base = self
         while k:
@@ -208,22 +198,6 @@ class CycloElt:
             base = base * base
             k >>= 1
         return result
-
-    def inv(self) -> "CycloElt":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        # Fraction coordinates: 1 / int would be a float in the division below
-        r0, r1 = phi_poly, _poly_trim([Fraction(c) for c in self.coeffs])
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r1 is a nonzero constant since Phi_n is irreducible over Q
-        c = r1[0]
-        return CycloElt._make(self.n, _reduce_mod_phi([x / c for x in s1], self.n))
 
     def galois(self, u: int) -> "CycloElt":
         """Image under zeta_n -> zeta_n^u, for u coprime to n."""
@@ -242,7 +216,7 @@ class CycloElt:
         return self.galois(self.n - 1)
 
     def lift(self, m: int) -> "CycloElt":
-        """The same value viewed in Q(zeta_m); requires n | m."""
+        """The same value viewed in Z[zeta_m]; requires n | m."""
         if m % self.n:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
         if m == self.n:
@@ -257,13 +231,14 @@ class CycloElt:
     # -- predicates and conversions -------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElt.from_rational(self.n, other)
-        return other
+        """An int as an element of Z[zeta_n], a CycloElt as is, else NotImplemented."""
+        if isinstance(other, int):
+            return CycloElt.from_int(self.n, other)
+        return other if isinstance(other, CycloElt) else NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElt.from_rational(self.n, other)
+        if isinstance(other, int):
+            other = CycloElt.from_int(self.n, other)
         if not isinstance(other, CycloElt):
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
@@ -277,47 +252,13 @@ class CycloElt:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def integer_value(self) -> int:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return Fraction(self.coeffs[0])
+        return self.coeffs[0]
 
     def __repr__(self):
         return f"CycloElt(n={self.n}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out) or [Fraction(0)]
-
-
-def _poly_sub(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out) or [Fraction(0)]
-
-
-def _poly_divmod_frac(num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    dn = len(den) - 1
-    q = [Fraction(0)] * max(1, len(num) - dn)
-    inv_lead = 1 / den[-1]
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn]
-        if c:
-            f = c * inv_lead
-            q[k] = f
-            for i, d in enumerate(den):
-                num[k + i] -= f * d
-    rem = _poly_trim(num[:dn]) or [Fraction(0)]
-    return _poly_trim(q) or [Fraction(0)], rem
 
 
 def embed(w: CycloElt, k: int = 1) -> complex:
@@ -345,9 +286,9 @@ def _zeta_exponents(n: int) -> dict[tuple[int, ...], int]:
 def is_root_of_unity(w: CycloElt) -> int | None:
     """Least N with w^N = 1, or None if w is not a root of unity.
 
-    The roots of unity in Q(zeta_n) are s*zeta_n^k with s = +-1, i.e.
+    The roots of unity in Z[zeta_n] are s*zeta_n^k with s = +-1, i.e.
     exp(2*pi*i*e/(2n)) with e = 2k + n*(1-s)/2, of order 2n / gcd(e, 2n).
-    Zero and non-integral elements match no entry of the table.
+    Every other element, zero included, matches no entry of the table.
     """
     n = w.n
     exponents = _zeta_exponents(n)

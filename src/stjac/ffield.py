@@ -92,7 +92,7 @@ def make_field(p: int) -> PrimeField:
 
 
 def char_eval(fld: PrimeField, a: CharExponent, x: int) -> CycloElt:
-    """Value of the character T^a at x, as an exact element of Q(zeta_{p-1}).
+    """Value of the character T^a at x, as an exact element of Z[zeta_{p-1}].
 
     Every character (the trivial one included) takes the value 0 at x = 0.
     """
@@ -100,11 +100,3 @@ def char_eval(fld: PrimeField, a: CharExponent, x: int) -> CycloElt:
     if x == 0:
         return CycloElt.zero(fld.n)
     return CycloElt.zeta_pow(fld.n, (a * fld.dlog_of(x)) % fld.n)
-
-
-def legendre(fld: PrimeField, x: int) -> int:
-    """Quadratic-character value in {-1, 0, 1} read off the dlog parity."""
-    x %= fld.p
-    if x == 0:
-        return 0
-    return -1 if fld.dlog_of(x) % 2 else 1

@@ -187,12 +187,7 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
         raise NonIntegerResultError(
             f"character sum for {spec.label()} at p={p} did not reduce to Q"
         )
-    value = total.rational_value()
-    if value.denominator != 1:
-        raise NonIntegerResultError(
-            f"character sum for {spec.label()} at p={p} is not an integer"
-        )
-    return p + points_at_infinity(spec) + int(value)
+    return p + points_at_infinity(spec) + total.integer_value()
 
 
 def count_bruteforce(fld: PrimeField, spec: CurveSpec) -> int:

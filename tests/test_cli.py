@@ -309,6 +309,15 @@ def test_sweep_workers_out_of_range_exits_1(capsys, monkeypatch):
         assert "workers must be between 1 and" in err
 
 
+def test_count_empty_prime_range_exits_1(capsys):
+    # the same range check and message as sweep
+    for cmd in ("count", "sweep"):
+        code, out, err = run(capsys, cmd, "--curve", "x^6+c", "--pmin", "20", "--pmax", "10")
+        assert code == 1, cmd
+        assert out == ""
+        assert err == "stjac: error: p_min must not exceed p_max\n"
+
+
 def test_st0_zero_primes_exits_1(capsys):
     code, out, err = run(capsys, "st0", "--curve", "x^10+c", "--num-primes", "0")
     assert code == 1

@@ -3,7 +3,7 @@ import pytest
 from stjac import _accel
 from stjac.cyclo import CycloElt
 from stjac.errors import EvenOrTooSmallError, NotPrimeError, PrimeTooLargeError
-from stjac.ffield import P_MAX, char_eval, legendre, make_field
+from stjac.ffield import P_MAX, char_eval, make_field
 from stjac.primes import prime_range
 
 
@@ -130,14 +130,11 @@ def test_quadratic_character_is_legendre(field):
             euler = pow(x, half, p)
             if x == 0:
                 assert val.is_zero()
-                assert legendre(fld, x) == 0
             elif euler == 1:
                 assert val == 1
-                assert legendre(fld, x) == 1
             else:
                 assert euler == p - 1
                 assert val == -1
-                assert legendre(fld, x) == -1
 
 
 def test_large_field_construction():

@@ -1,5 +1,10 @@
+import itertools
 import random
 
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors
+
+from stjac.groupid import generic_primes
 from stjac.intlinalg import (
     hnf_rows,
     kernel_basis,
@@ -8,6 +13,8 @@ from stjac.intlinalg import (
     snf_invariant_factors,
     xgcd,
 )
+from stjac.pointcount import ADDITIVE, LINEAR
+from stjac.stmatrix import build_matrix
 
 
 def test_xgcd():
@@ -70,3 +77,42 @@ def test_snf_matches_rank():
         n = rng.randrange(1, 5)
         mat = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
         assert len(snf_invariant_factors(mat)) == rank(mat)
+
+
+# -- sympy as an independent oracle for the lattice code ------------------
+
+
+def _sympy_factors(rows):
+    """Nonzero invariant factors, up to sign, from sympy's Smith form."""
+    return [abs(int(f)) for f in invariant_factors(Matrix(rows)) if f != 0]
+
+
+def _random_matrices(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 7)
+        yield [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
+
+
+def _carry_matrices():
+    """Carry matrices of a few st0 curves at their first generic prime."""
+    for family, d in ((ADDITIVE, 10), (ADDITIVE, 12), (ADDITIVE, 18), (LINEAR, 7), (LINEAR, 11)):
+        p = generic_primes(family, d, 1)[0]
+        yield [list(row) for row in build_matrix(p, d, family).entries]
+
+
+def test_snf_invariant_factors_match_sympy():
+    for mat in itertools.chain(_random_matrices(11, 150), _carry_matrices()):
+        assert snf_invariant_factors(mat) == _sympy_factors(mat), mat
+
+
+def test_kernel_basis_matches_sympy():
+    for mat in itertools.chain(_random_matrices(12, 150), _carry_matrices()):
+        basis = kernel_basis(mat)
+        assert len(basis) == len(mat[0]) - Matrix(mat).rank(), mat
+        for v in basis:
+            assert all(x == 0 for x in matvec(mat, v)), (mat, v)
+        if basis:
+            # saturated: the quotient Z^n / span(basis) is torsion-free
+            assert _sympy_factors(basis) == [1] * len(basis), mat
+            assert hnf_rows(basis) == basis, mat

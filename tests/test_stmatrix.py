@@ -248,36 +248,49 @@ def test_relation_torsion_orders_deterministic(field):
 
 
 def test_verify_relation_matches_full_conductor_product(field):
-    # independent route: assemble the product directly in Q(zeta_{p-1}) from
-    # full-conductor Jacobi sums, with inverses via the polynomial gcd
+    # independent route: full-conductor Jacobi sums in Z[zeta_{p-1}], with no
+    # inverse and no division.  Split the relation as P = prod_{v_a > 0}
+    # lam_a^v_a and N = prod_{v_a < 0} lam_a^(-v_a); it holds up to torsion
+    # exactly when P = zeta^k * N for one k, and zeta^k has order n/gcd(k, n).
     from stjac.charsums import jacobi_sum
-    from stjac.cyclo import CycloElt, is_root_of_unity
+    from stjac.cyclo import CycloElt
 
     cases = [
         (11, 10, ADDITIVE, 1),
         (11, 10, ADDITIVE, 2),
         (19, 9, ADDITIVE, 1),
         (13, 7, LINEAR, 3),
+        (41, 11, LINEAR, 1),
+        (37, 12, ADDITIVE, 1),
     ]
+    kinds = []
     for p, d, family, c in cases:
         fld = field(p)
         n = p - 1
         m = build_matrix(p, d, family)
         cp = fld.reduce(c)
         for v in right_kernel(m).basis:
-            w = CycloElt.one(n)
+            pos, neg = CycloElt.one(n), CycloElt.one(n)
             for col, e in zip(m.cols, v):
                 if e == 0:
                     continue
                 a = col.exponent
                 shift = (a * fld.dlog_of(-cp) + (n // 2) * fld.dlog_of(cp)) % n
                 lam = CycloElt.zeta_pow(n, shift) * jacobi_sum(fld, a, n // 2)
-                w = w * lam**e
+                if e > 0:
+                    pos = pos * lam**e
+                else:
+                    neg = neg * lam ** (-e)
+            ks = [k for k in range(n) if pos == CycloElt.zeta_pow(n, k) * neg]
+            assert len(ks) == 1, (p, d, family, v, ks)
             res = verify_relation(fld, m, v, c)
+            kinds.append(res.kind)
             if res.kind == "exact":
-                assert w == 1
+                assert ks == [0]
             else:
-                assert is_root_of_unity(w) == res.order
+                assert res.kind == "torsion" and ks[0] != 0
+                assert n // math.gcd(ks[0], n) == res.order
+    assert (kinds.count("exact"), kinds.count("torsion")) == (19, 13)
 
 
 # -- validate_matrix against the loop implementation it replaced ----------
