@@ -4,7 +4,9 @@ There is one backend, ``BACKEND = "numpy"``.  Every kernel is one O(p)
 vectorized pass; the Python-level loops are O(sqrt(p)) at most.
 
 Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a dlog value
-(< n = p - 1) fits in int32 and a product a * dlog (< n^2) fits in int64.
+(< n = p - 1) fits in int32, and a product a * dlog (< n^2) or of two
+residues mod p (< p^2 < 2^62) fits in int64.  ``step_factorials`` serves
+the Hasse-Witt trace of the sweep; the other kernels serve Jacobi sums.
 """
 
 from __future__ import annotations
@@ -42,12 +44,41 @@ def dlog_table(p: int, g: int) -> np.ndarray:
 def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     """Histogram over e of a*u(x) + b*u(1-x) mod n, x in F_p minus {0, 1}.
 
-    ``u`` is any integer table indexed by x in F_p (p = n + 1): the dlog
-    table itself, or its residues mod some M, as int64 or int32.
+    ``u`` is any nonnegative integer table indexed by x in F_p (p = n + 1):
+    the dlog table itself, or its residues mod some M (int64 or int32); a,
+    b >= 0.  The bins stop at the largest reachable key, n if it can wrap:
+    residues mod M with a = M, b = 1 give M^2 bins and no n-length array.
     """
-    # x = 2 .. p-1 reads u[2:]; 1 - x = p-1 .. 2 reads the reversed view u[:1:-1]
-    e = (a * u[2:] + b * u[:1:-1]) % n
-    return np.bincount(e, minlength=n).astype(np.int64, copy=False)
+    p, bins = n + 1, min(n, (a + b) * int(u[2:].max()) + 1)
+    chunk = max(1 << 16, bins)
+    hist = np.zeros(bins, dtype=np.int64)
+    for s in range(2, p, chunk):
+        e = min(s + chunk, p)
+        # x = s .. e-1 reads u[s:e]; 1 - x = p+1-s .. p+2-e reads a reversed view
+        keys = (a * u[s:e] + b * u[p + 2 - e : p + 2 - s][::-1]) % n
+        hist += np.bincount(keys, minlength=bins)
+    return hist
+
+
+def step_factorials(p: int, h: int, step: int) -> list[int]:
+    """(k*step)! mod p for k = 0 .. h // step, with step | h and h < p.
+
+    The factors 1..h form h // step rows of length step; each row is
+    multiplied out by halving its width in place, and the few row
+    products are chained into prefix products in Python.
+    """
+    rows = np.arange(1, h + 1, dtype=np.int64).reshape(h // step, step)
+    while rows.shape[1] > 1:
+        # column i takes column i + keep; an odd middle column waits a round
+        keep, half = (rows.shape[1] + 1) // 2, rows.shape[1] // 2
+        left = rows[:, :half]
+        left *= rows[:, keep:]
+        left %= p
+        rows = rows[:, :keep]
+    out = [1]
+    for r in rows[:, 0].tolist():
+        out.append(out[-1] * r % p)
+    return out
 
 
 def affine_count(p: int, d: int, c: int, linear: bool) -> int:

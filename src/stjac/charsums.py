@@ -51,9 +51,10 @@ def gauss_sum(fld: PrimeField, a: CharExponent) -> GaussDiagnostic:
 def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
     """Cached joint histogram of (dlog x, dlog(1-x)) mod some M with need | M.
 
-    Built on first use with one O(p) pass.  The kernel key need*u(x) + u(1-x)
-    stays below need^2, so it is injective exactly when need^2 <= n; above
-    that there is no table and the caller takes the direct pass.
+    Built on first use with one chunked O(p) pass.  The kernel key
+    need*u(x) + u(1-x) stays below need^2, so it is injective exactly when
+    need^2 <= n, and the kernel returns exactly need^2 bins; above that
+    there is no table and the caller takes the direct pass.
     """
     for m, table in fld.joint.items():
         if m % need == 0:
@@ -62,8 +63,7 @@ def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
     if need * need > n:
         return None
     red = np.remainder(fld.dlog, need, dtype=np.int32)
-    hist = _accel.char_pair_histogram(red, need, 1, n)
-    table = hist[: need * need].reshape(need, need).copy()
+    table = _accel.char_pair_histogram(red, need, 1, n).reshape(need, need)
     table.flags.writeable = False
     fld.joint[need] = table
     return table

@@ -274,9 +274,7 @@ def cmd_sweep(args) -> int:
     if args.pmax is None:
         raise SystemExit("--pmax is required for sweep")
     check_p_max(args.pmax)
-    result = pointcount.trace_sweep(
-        spec, max(3, args.pmin), args.pmax, workers=args.workers
-    )
+    result = pointcount.trace_sweep(spec, args.pmin, args.pmax, workers=args.workers)
     summary = {
         "curve": spec.label(),
         "moments": result.moments,

@@ -16,6 +16,8 @@ family, a = t(p-1)/(2(d-1)) with t odd for the linear-twist family, always
 restricted to integral a in [1, p-2].  For even d the quadratic column
 a = (p-1)/2 contributes -1 identically.  The cyclotomic sum always
 collapses to a rational integer, which is asserted.
+``trace_sweep`` reads t_p above 16g^2 from the Hasse-Witt residue instead
+(``trace_hasse_witt``), with no dlog table and no cyclotomic arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import _accel
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join
 from .errors import BadReductionError, NonIntegerResultError
-from .ffield import PrimeField, make_field
+from .ffield import PrimeField, check_p_max, make_field
 from .primes import prime_range
 
 ADDITIVE = "additive"  # y^2 = x^d + c
@@ -212,19 +214,48 @@ def congruence_modulus(spec: CurveSpec) -> int:
     return 2 * (spec.d - 1)
 
 
-def _sample(fld: PrimeField, spec: CurveSpec) -> TraceSample:
+def residue_fixes_trace(p: int, spec: CurveSpec) -> bool:
+    """True when t_p mod p determines t_p: |t_p| <= 2g*sqrt(p) < p/2 iff p > 16g^2."""
+    return p > 16 * spec.genus**2
+
+
+def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
+    """Frobenius trace t_p from the Hasse-Witt residue, for good odd primes p > 16g^2.
+
+    With h = (p-1)/2, chi(f(x)) = f(x)^h mod p, and x^k sums to -1 over F_p
+    when 0 < k and (p-1) | k, else to 0.  Expanding f^h binomially gives
+    t_p = 1 - (points at infinity) + sum_j C(h, j) c^(h-j) (mod p), j over
+    1 <= j <= h with (p-1) | d*j (additive) or (p-1) | (d-1)*j + h (linear):
+    the column exponents a <= h of ``contributing_ms``.  The residue in (-p/2,
+    p/2) is t_p (Manin 1961; Yui, J. Algebra 1978; Harvey-Sutherland 2014).
+    """
+    if not residue_fixes_trace(p, spec):
+        raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 16g^2, got p={p}")
+    if not good_reduction(p, spec):
+        raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
+    check_p_max(p)
+    h = (p - 1) // 2
+    js = [a for a in contributing_ms(p, spec.d, spec.family).exponents if a <= h]
+    total = 1 - points_at_infinity(spec)
+    if js:
+        step = math.gcd(h, *js)
+        fact = _accel.step_factorials(p, h, step)
+        cp = spec.c.numerator * pow(spec.c.denominator, -1, p) % p
+        for j in js:
+            denom = fact[j // step] * fact[(h - j) // step] % p
+            total += fact[h // step] * pow(denom, -1, p) * pow(cp, h - j, p)
+    return (total + p // 2) % p - p // 2
+
+
+def _sample(p: int, spec: CurveSpec) -> TraceSample:
     # the count is on the smooth model, so t_p is the Frobenius trace of the
     # Jacobian and |t_p| <= 2g*sqrt(p) for every d (e.g. y^2=x^6+1 at p=103
     # gives t_p = 40, just inside the genus-2 bound 40.596)
-    cnt = count_formula(fld, spec)
-    t = fld.p + 1 - cnt
-    return TraceSample(p=fld.p, count=cnt, t_p=t, x_p=t / math.sqrt(fld.p))
-
-
-def _sweep_worker(args) -> TraceSample:
-    family, d, c_str, p = args
-    spec = CurveSpec(family=family, d=d, c=Fraction(c_str))
-    return _sample(make_field(p), spec)
+    if residue_fixes_trace(p, spec):
+        t = trace_hasse_witt(p, spec)
+    else:
+        t = p + 1 - count_formula(make_field(p), spec)
+    return TraceSample(p=p, count=p + 1 - t, t_p=t, x_p=t / math.sqrt(p))
 
 
 @dataclass(frozen=True)
@@ -240,9 +271,10 @@ def trace_sweep(
 ) -> SweepResult:
     """Trace-of-Frobenius samples over all good odd primes in [p_min, p_max].
 
-    Each prime is independent; with workers > 1 the sweep fans out over a
-    process pool and the results are merged back in prime order.  workers
-    must lie in [1, os.cpu_count()].
+    A prime p > 16g^2 takes ``trace_hasse_witt``; smaller primes take
+    ``count_formula``.  Each prime is independent; with workers > 1 the
+    sweep fans out over a process pool and the results are merged back in
+    prime order.  workers must lie in [1, os.cpu_count()].
     """
     if p_min > p_max:
         raise ValueError("p_min must not exceed p_max")
@@ -251,11 +283,10 @@ def trace_sweep(
         raise ValueError(f"workers must be between 1 and {cpus}, got {workers}")
     primes = [p for p in prime_range(max(3, p_min), p_max) if good_reduction(p, spec)]
     if workers > 1 and len(primes) > 1:
-        tasks = [(spec.family, spec.d, str(spec.c), p) for p in primes]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_sweep_worker, tasks, chunksize=8))
+            samples = list(pool.map(_sample, primes, [spec] * len(primes), chunksize=8))
     else:
-        samples = [_sample(make_field(p), spec) for p in primes]
+        samples = [_sample(p, spec) for p in primes]
     xs = [s.x_p for s in samples]
     count = len(xs)
     moments = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -259,6 +260,29 @@ def test_sweep_json(capsys):
     assert code == 0
     assert payload["summary"]["classes_mod"] == 12
     assert {s["p"] for s in payload["samples"]} <= set(range(3, 61))
+
+
+def test_sweep_json_is_pinned(capsys):
+    # the Hasse-Witt path above 16g^2 = 400 prints exactly what the
+    # Jacobi-sum path printed for every prime
+    code, out, err = run(
+        capsys, "sweep", "--curve", "x^12+c", "--c", "-3/5", "--pmax", "3000",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    summary = json.loads(out)["summary"]
+    assert summary["moments"]["n_samples"] == 427
+    assert summary["class_counts"] == {"1": 99, "5": 111, "7": 108, "11": 109}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "aab88c5118e46cf809d8395a77b050f0be0bf945412a4725a1500da3ec76f59b"
+    )
+
+
+def test_sweep_range_below_3_is_empty(capsys):
+    code, out, err = run(capsys, "sweep", "--curve", "x^6+c", "--pmin", "1", "--pmax", "2")
+    assert code == 0
+    assert out == "p,count,t_p,x_p\n"
+    assert err == "# moments: mean=0 m2=0 m4=0 m6=0; classes mod 6: {}\n"
 
 
 def test_out_file(tmp_path, capsys):

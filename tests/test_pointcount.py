@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stjac import _accel
+from stjac import _accel, pointcount
 from stjac.errors import BadReductionError
 from stjac.ffield import make_field
 from stjac.pointcount import (
@@ -18,6 +18,8 @@ from stjac.pointcount import (
     curve,
     good_reduction,
     points_at_infinity,
+    residue_fixes_trace,
+    trace_hasse_witt,
     trace_sweep,
 )
 from stjac.primes import prime_range
@@ -157,7 +159,10 @@ def test_formula_equals_oracle_random_twists(case):
     # the twist T^a(-c)*phi(c) is exercised with c of either sign and any denominator
     spec, p = case
     fld = make_field(p)
-    assert count_formula(fld, spec) == count_bruteforce(fld, spec)
+    count = count_bruteforce(fld, spec)
+    assert count_formula(fld, spec) == count
+    if residue_fixes_trace(p, spec):
+        assert trace_hasse_witt(p, spec) == p + 1 - count
 
 
 def test_empty_branch_gives_p_plus_one(field):
@@ -237,6 +242,67 @@ def test_traces_add_over_split_factors(field):
 
 
 def test_trace_sweep_parallel_matches_serial():
-    serial = trace_sweep(curve(ADDITIVE, 6, 1), 3, 120, workers=1)
-    parallel = trace_sweep(curve(ADDITIVE, 6, 1), 3, 120, workers=2)
+    # 3..2000 for genus 2 puts primes on both sides of 16g^2 = 64 in the pool
+    serial = trace_sweep(curve(ADDITIVE, 6, 1), 3, 2000, workers=1)
+    parallel = trace_sweep(curve(ADDITIVE, 6, 1), 3, 2000, workers=2)
     assert serial.samples == parallel.samples
+    assert serial.samples[0].p < 64 < serial.samples[-1].p
+
+
+def test_hasse_witt_equals_both_oracles(field):
+    # a third independent count: binomials mod p, no dlog table, no Z[zeta];
+    # additive d = 1, 2 are the genus-0 line and conic (t_p = 0 at every p)
+    twists = (1, -1, 2, 3, Fraction(-3, 5), Fraction(1, 2), 7)
+    specs = [curve(ADDITIVE, d, c) for d in range(1, 25) for c in twists]
+    specs += [curve(LINEAR, d, c) for d in range(3, 20, 2) for c in twists]
+    checked = 0
+    for spec in specs:
+        for p in prime_range(16 * spec.genus**2 + 1, 1500):
+            if not good_reduction(p, spec):
+                continue
+            fld = field(p)
+            t = trace_hasse_witt(p, spec)
+            assert t == p + 1 - count_bruteforce(fld, spec), (spec, p)
+            assert t == p + 1 - count_formula(fld, spec), (spec, p)
+            checked += 1
+    assert checked == 31401
+
+
+def test_hasse_witt_boundary_at_16_g_squared(field):
+    # the first prime above 16g^2 takes the residue; the last one below it
+    # is refused, since there |t_p| may reach p/2 and the residue is ambiguous
+    for g, below, first in ((2, 61, 67), (3, 139, 149), (4, 251, 257), (5, 397, 401)):
+        assert prime_range(below + 1, 16 * g * g) == []
+        assert prime_range(16 * g * g + 1, first - 1) == []
+        for spec in (curve(ADDITIVE, 2 * g + 1, 3), curve(ADDITIVE, 2 * g + 2, -1),
+                     curve(LINEAR, 2 * g + 1, Fraction(-3, 5))):
+            assert spec.genus == g
+            assert residue_fixes_trace(first, spec)
+            assert not residue_fixes_trace(below, spec)
+            fld = field(first)
+            t = trace_hasse_witt(first, spec)
+            assert t == first + 1 - count_bruteforce(fld, spec) == first + 1 - count_formula(fld, spec)
+            with pytest.raises(ValueError, match="16g"):
+                trace_hasse_witt(below, spec)
+    with pytest.raises(BadReductionError):
+        trace_hasse_witt(401, curve(ADDITIVE, 12, 401))
+
+
+def test_trace_sweep_builds_fields_only_up_to_16_g_squared(monkeypatch):
+    built, counted = [], []
+
+    def recording(fn, log):
+        def wrapper(*args):
+            log.append(args[0] if isinstance(args[0], int) else args[0].p)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pointcount, "make_field", recording(make_field, built))
+    monkeypatch.setattr(pointcount, "count_formula", recording(count_formula, counted))
+    spec = curve(ADDITIVE, 9, 1)  # g = 4, 16g^2 = 256
+    res = trace_sweep(spec, 3, 600)
+    small = [p for p in prime_range(3, 256) if good_reduction(p, spec)]
+    assert built == counted == small
+    assert [s.p for s in res.samples if s.p > 256] == [
+        p for p in prime_range(257, 600) if good_reduction(p, spec)
+    ]
