@@ -381,3 +381,96 @@ def test_relation_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, "kernel", "--family", "additive", "--d", "10", "--p", "11")
     assert code == 2
     assert "NOT A RELATION" in out
+
+
+def _columns(indices, exponents):
+    return [{"index": i, "exponent": a} for i, a in zip(indices, exponents)]
+
+
+# stdout of `matrix --format json`, one case per family at a generic and a
+# non-generic prime; the JSON "index" is a*k/(p-1), k = d or 2(d-1)
+MATRIX_JSON = {
+    ("additive", 9, 19): {
+        "rows": [1, 5, 7, 11, 13, 17],
+        "columns": _columns(range(1, 9), range(2, 17, 2)),
+        "entries": [
+            [0, 0, 0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0, 1, 0],
+            [1, 1, 0, 0, 1, 1, 0, 0], [0, 0, 1, 1, 0, 0, 1, 1],
+            [0, 1, 0, 1, 0, 1, 0, 1], [1, 1, 1, 1, 0, 0, 0, 0],
+        ],
+        "generic": True,
+    },
+    ("additive", 9, 7): {
+        "rows": [1, 5],
+        "columns": _columns([3, 6], [2, 4]),
+        "entries": [[0, 1], [1, 0]],
+        "generic": False,
+    },
+    ("additive", 10, 11): {
+        "rows": [1, 3, 7, 9],
+        "columns": _columns([1, 2, 3, 4, 6, 7, 8, 9], [1, 2, 3, 4, 6, 7, 8, 9]),
+        "entries": [
+            [0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 1, 0, 0, 1],
+            [1, 0, 0, 1, 0, 1, 1, 0], [1, 1, 1, 1, 0, 0, 0, 0],
+        ],
+        "generic": True,
+    },
+    ("linear", 7, 13): {
+        "rows": [1, 5, 7, 11],
+        "columns": _columns([1, 3, 5, 7, 9, 11], [1, 3, 5, 7, 9, 11]),
+        "entries": [
+            [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1],
+            [1, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0],
+        ],
+        "generic": True,
+    },
+    ("linear", 7, 5): {
+        "rows": [1, 3],
+        "columns": _columns([3, 9], [1, 3]),
+        "entries": [[0, 1], [1, 0]],
+        "generic": False,
+    },
+}
+
+
+def test_matrix_json_is_pinned(capsys):
+    for (family, d, p), fields in MATRIX_JSON.items():
+        code, out, err = run(
+            capsys, "matrix", "--family", family, "--d", str(d), "--p", str(p),
+            "--format", "json",
+        )
+        expected = {
+            "p": p, "d": d, "family": family, "rows": fields["rows"],
+            "columns": fields["columns"], "entries": fields["entries"],
+            "generic": fields["generic"], "violations": [],
+        }
+        assert (code, err) == (0, ""), (family, d, p)
+        assert out == json.dumps(expected, indent=2) + "\n", (family, d, p)
+
+
+def test_kernel_json_is_pinned(capsys):
+    code, out, err = run(
+        capsys, "kernel", "--family", "linear", "--d", "11", "--p", "41",
+        "--format", "json",
+    )
+    basis = [
+        [1, 0, 0, 0, -1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, -1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, -1, 0, 0, 1, 0, -1],
+        [0, 0, 0, 1, -1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0, 0, -1],
+        [0, 0, 0, 0, 0, 0, 1, 0, 0, -1],
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, -1],
+    ]
+    kinds = [("exact", 1), ("torsion", 2), ("exact", 1), ("torsion", 2),
+             ("exact", 1), ("torsion", 2), ("torsion", 2)]
+    expected = {
+        "command": "kernel", "p": 41, "d": 11, "family": "linear", "c": "1",
+        "rank": 7, "saturated": True, "generic": True, "basis": basis,
+        "relations": [
+            {"vector": v, "kind": kind, "order": order}
+            for v, (kind, order) in zip(basis, kinds)
+        ],
+    }
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2) + "\n"
