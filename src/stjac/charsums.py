@@ -21,7 +21,6 @@ makes its own O(p) pass over the dlog table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +30,12 @@ from .errors import DegenerateCharactersError
 from .ffield import CharExponent, PrimeField
 
 
-@dataclass(frozen=True)
-class GaussDiagnostic:
+def gauss_sum(fld: PrimeField, a: CharExponent) -> complex:
     """Floating-point Gauss sum sum_x T^a(x) e^(2 pi i x / p)."""
-
-    p: int
-    a: int
-    value: complex
-
-
-def gauss_sum(fld: PrimeField, a: CharExponent) -> GaussDiagnostic:
     p, n = fld.p, fld.n
     x = np.arange(1, p)
     angles = (a % n) * fld.dlog[x] % n / n + x / p
-    value = complex(np.exp(2j * np.pi * angles).sum())
-    return GaussDiagnostic(p=p, a=a % n, value=value)
+    return complex(np.exp(2j * np.pi * angles).sum())
 
 
 def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
@@ -112,5 +102,5 @@ def gauss_jacobi_check(
             "the identity needs A, B and AB all nontrivial"
         )
     lhs = embed(jacobi_sum(fld, a, b), 1)
-    rhs = gauss_sum(fld, a).value * gauss_sum(fld, b).value / gauss_sum(fld, a + b).value
+    rhs = gauss_sum(fld, a) * gauss_sum(fld, b) / gauss_sum(fld, a + b)
     return abs(lhs - rhs) <= tol

@@ -155,7 +155,7 @@ def cmd_matrix(args) -> int:
             f"carry matrix for {spec.equation()} at p={args.p}"
             f" ({len(mat.rows)} embeddings x {len(mat.cols)} characters)",
             "rows k: " + " ".join(str(k) for k in mat.rows),
-            "column exponents a: " + " ".join(str(c.exponent) for c in mat.cols),
+            "column exponents a: " + " ".join(str(a) for a in mat.cols),
             mat.grid(),
         ]
         if not mat.is_generic:

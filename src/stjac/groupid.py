@@ -27,13 +27,12 @@ from .errors import (
 )
 from .ffield import make_field
 from .intlinalg import rank
-from .pointcount import CurveSpec, congruence_modulus
+from .pointcount import CurveSpec, is_generic_prime
 from .primes import prime_range
 from .stmatrix import (
     CarryMatrix,
     build_matrix,
     right_kernel,
-    st_columns,
     validate_matrix,
     verify_relation,
 )
@@ -60,10 +59,10 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
     """
     degenerate = []
     counts: dict[tuple[int, ...], int] = {}
-    for j, c in enumerate(mat.cols):
+    for j, a in enumerate(mat.cols):
         col = mat.column(j)
         if len(set(col)) == 1:
-            degenerate.append(c.exponent)
+            degenerate.append(a)
         else:
             counts[col] = counts.get(col, 0) + 1
     classes = []
@@ -136,12 +135,10 @@ def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[
     """First `count` primes where the contributing set is fully split."""
     if count < 1:
         raise ValueError(f"the number of primes must be at least 1, got {count}")
-    mod = congruence_modulus(CurveSpec(family, d))
+    spec = CurveSpec(family, d)
     found = []
     for p in prime_range(3, bound):
-        if p % mod != 1:
-            continue
-        if st_columns(p, d, family).is_generic:
+        if is_generic_prime(p, spec):
             found.append(p)
             if len(found) == count:
                 return found
@@ -150,7 +147,7 @@ def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[
     )
 
 
-def identify_st0(spec: CurveSpec, num_primes: int = 3, bound: int = 20000) -> TorusId:
+def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     """Identity component of the Sato-Tate group of Jac(curve).
 
     For each of the first `num_primes` generic primes: build and validate
@@ -159,7 +156,7 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3, bound: int = 20000) -> To
     (dimension, weight classes).  All primes must agree before the torus
     is named; the matrix itself never depends on c.
     """
-    primes = generic_primes(spec.family, spec.d, num_primes, bound)
+    primes = generic_primes(spec.family, spec.d, num_primes)
     results = []
     for p in primes:
         mat = build_matrix(p, spec.d, spec.family)
@@ -196,7 +193,7 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3, bound: int = 20000) -> To
     first = build_matrix(primes[0], spec.d, spec.family)
     weight_matrix = {
         "p": primes[0],
-        "exponents": [c.exponent for c in first.cols],
+        "exponents": list(first.cols),
         "weights": [list(first.column(j)) for j in range(len(first.cols))],
     }
     return TorusId(

@@ -84,54 +84,35 @@ def curve(family: str, d: int, c=1) -> CurveSpec:
     return CurveSpec(family=family, d=d, c=Fraction(c))
 
 
-@dataclass(frozen=True)
-class Contribution:
-    """One contributing column: source index (m, or odd t) and exponent a."""
+def index_modulus(family: str, d: int) -> int:
+    """k with column exponents a = i(p-1)/k: d (additive), 2(d-1) (linear).
 
-    index: int
-    exponent: int
-
-
-@dataclass(frozen=True)
-class ContributionSet:
-    family: str
-    p: int
-    d: int
-    entries: tuple[Contribution, ...]
-
-    @property
-    def exponents(self) -> list[int]:
-        return [e.exponent for e in self.entries]
-
-    def __len__(self):
-        return len(self.entries)
+    The column index i = a*k/(p-1) is what the reference tables print.
+    """
+    if family == ADDITIVE:
+        return d
+    if family == LINEAR:
+        return 2 * (d - 1)
+    raise ValueError(f"unknown family {family!r}")
 
 
-def contributing_ms(p: int, d: int, family: str) -> ContributionSet:
-    """Exact index set of characters entering the point-count formula.
+def contributing_ms(p: int, d: int, family: str) -> tuple[int, ...]:
+    """Ascending exponents a of the characters entering the point-count formula.
 
-    Additive family: all m with a = m(p-1)/d integral and in [1, p-2],
-    i.e. a runs over the multiples of (p-1)/gcd(d, p-1).  Linear twist:
-    odd t in [1, 2(d-1)-1] with 2(d-1) | t(p-1).  The [1, p-2] window is
-    what keeps small primes correct without any special-casing.
+    The exponents are a = i(p-1)/k, k = ``index_modulus``, integral and in
+    [1, p-2]: the multiples of step = (p-1)/gcd(k, p-1).  The linear twist
+    keeps only odd i, i.e. every other multiple, and none when k/gcd(k, p-1)
+    is even.  The [1, p-2] window is what keeps small primes correct without
+    any special-casing; ascending a means descending character order.
     """
     n = p - 1
-    entries = []
+    k = index_modulus(family, d)
+    e = math.gcd(k, n)
+    step = n // e
     if family == ADDITIVE:
-        e = math.gcd(d, n)
-        step = n // e
-        for j in range(1, e):
-            a = j * step
-            entries.append(Contribution(index=j * d // e, exponent=a))
-    elif family == LINEAR:
-        mod = 2 * (d - 1)
-        for t in range(1, mod, 2):
-            if (t * n) % mod == 0:
-                entries.append(Contribution(index=t, exponent=t * n // mod))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    entries.sort(key=lambda x: x.exponent)
-    return ContributionSet(family=family, p=p, d=d, entries=tuple(entries))
+        return tuple(range(step, n, step))
+    # a = j*step has index j*k/e, odd exactly when j and k/e both are
+    return tuple(range(step, n, 2 * step)) if (k // e) % 2 else ()
 
 
 def good_reduction(p: int, spec: CurveSpec) -> bool:
@@ -178,9 +159,9 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
         raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
     cp = fld.reduce(spec.c)
     terms = []
-    for col in contributing_ms(p, spec.d, spec.family).entries:
-        j = jacobi_sum_compact(fld, col.exponent, fld.n // 2)
-        terms.append(CycloElt.zeta_pow(j.n, twist_exponent(fld, col.exponent, cp)) * j)
+    for a in contributing_ms(p, spec.d, spec.family):
+        j = jacobi_sum_compact(fld, a, fld.n // 2)
+        terms.append(CycloElt.zeta_pow(j.n, twist_exponent(fld, a, cp)) * j)
     conductor = conductor_join([t.n for t in terms])
     total = CycloElt.zero(conductor)
     for t in terms:
@@ -209,9 +190,16 @@ class TraceSample:
 
 def congruence_modulus(spec: CurveSpec) -> int:
     """Modulus that controls the contributing set (splitting behaviour of p)."""
-    if spec.family == ADDITIVE:
-        return math.lcm(2, spec.d)
-    return 2 * (spec.d - 1)
+    return math.lcm(2, index_modulus(spec.family, spec.d))
+
+
+def is_generic_prime(p: int, spec: CurveSpec) -> bool:
+    """True when p = 1 mod ``congruence_modulus``.
+
+    These are exactly the primes at which all 2*genus carry columns are
+    present (``stmatrix.st_columns``).
+    """
+    return p % congruence_modulus(spec) == 1
 
 
 def residue_fixes_trace(p: int, spec: CurveSpec) -> bool:
@@ -235,7 +223,7 @@ def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
         raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
     check_p_max(p)
     h = (p - 1) // 2
-    js = [a for a in contributing_ms(p, spec.d, spec.family).exponents if a <= h]
+    js = [a for a in contributing_ms(p, spec.d, spec.family) if a <= h]
     total = 1 - points_at_infinity(spec)
     if js:
         step = math.gcd(h, *js)

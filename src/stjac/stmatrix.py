@@ -28,18 +28,17 @@ from .cyclo import CycloElt, conductor_join, is_root_of_unity
 from .errors import NoColumnsError, NotInKernelError
 from .ffield import PrimeField, make_field
 from .intlinalg import kernel_basis, rank, snf_invariant_factors
-from .pointcount import ADDITIVE, Contribution, CurveSpec, contributing_ms, twist_exponent
+from .pointcount import (
+    ADDITIVE,
+    CurveSpec,
+    contributing_ms,
+    index_modulus,
+    is_generic_prime,
+    twist_exponent,
+)
 
 
-@dataclass(frozen=True)
-class StColumns:
-    """Carry-matrix columns: contributing exponents minus the quadratic one."""
-
-    columns: tuple[Contribution, ...]
-    is_generic: bool
-
-
-def st_columns(p: int, d: int, family: str) -> StColumns:
+def st_columns(p: int, d: int, family: str) -> tuple[int, ...]:
     """Contributing exponents with a = (p-1)/2 removed.
 
     The removed column's character times phi is trivial, so its Jacobi sum
@@ -47,10 +46,7 @@ def st_columns(p: int, d: int, family: str) -> StColumns:
     when 2*genus columns remain.
     """
     half = (p - 1) // 2
-    cols = tuple(
-        e for e in contributing_ms(p, d, family).entries if e.exponent != half
-    )
-    return StColumns(columns=cols, is_generic=len(cols) == 2 * CurveSpec(family, d).genus)
+    return tuple(a for a in contributing_ms(p, d, family) if a != half)
 
 
 def carry(k: int, a: int, n: int) -> int:
@@ -64,9 +60,9 @@ class CarryMatrix:
     d: int
     family: str
     rows: tuple[int, ...]  # units mod p-1, ascending
-    cols: tuple[Contribution, ...]
+    cols: tuple[int, ...]  # exponents a, ascending
     entries: tuple[tuple[int, ...], ...]
-    is_generic: bool  # as computed by st_columns
+    is_generic: bool  # as computed by is_generic_prime
 
     @property
     def n(self) -> int:
@@ -79,12 +75,13 @@ class CarryMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
     def to_dict(self) -> dict:
+        k = index_modulus(self.family, self.d)
         return {
             "p": self.p,
             "d": self.d,
             "family": self.family,
             "rows": list(self.rows),
-            "columns": [{"index": c.index, "exponent": c.exponent} for c in self.cols],
+            "columns": [{"index": a * k // self.n, "exponent": a} for a in self.cols],
             "entries": [list(r) for r in self.entries],
             "generic": self.is_generic,
         }
@@ -93,17 +90,14 @@ class CarryMatrix:
 def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     """Carry matrix at p; raises NoColumnsError when no character contributes."""
     n = p - 1
-    stc = st_columns(p, d, family)
-    cols = stc.columns
+    cols = st_columns(p, d, family)
     if not cols:
         raise NoColumnsError(f"no contributing characters for d={d} at p={p}")
     units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
-    entries = tuple(
-        tuple(carry(k, c.exponent, n) for c in cols) for k in units
-    )
+    entries = tuple(tuple(carry(k, a, n) for a in cols) for k in units)
     return CarryMatrix(
         p=p, d=d, family=family, rows=units, cols=cols, entries=entries,
-        is_generic=stc.is_generic,
+        is_generic=is_generic_prime(p, CurveSpec(family, d)),
     )
 
 
@@ -130,7 +124,7 @@ def validate_matrix(mat: CarryMatrix) -> list[str]:
     if np.any(ent.sum(axis=0) * 2 != nrows):
         violations.append("column_balance")
     rows = np.array(mat.rows, dtype=np.int64)
-    exps = np.array([c.exponent for c in mat.cols], dtype=np.int64)
+    exps = np.array(mat.cols, dtype=np.int64)
     row_of = _position_table(rows, n)
     col_of = _position_table(exps, n)
     if np.any(ent[row_of[n - rows]] != 1 - ent):
@@ -227,18 +221,14 @@ def verify_relation(
         raise NotInKernelError(f"{v} is not in the kernel of the carry matrix")
     if not support:
         return RelationResult(kind="exact", order=1)
-    factors = {
-        col.exponent: frobenius_factor(fld, col.exponent, c)
-        for col, coeff in zip(mat.cols, v)
-        if coeff != 0
-    }
+    factors = {a: frobenius_factor(fld, a, c) for a, coeff in zip(mat.cols, v) if coeff}
     conductor = conductor_join([w.n for w in factors.values()] + [2])
     numerator = CycloElt.one(conductor)
     p_power = 0
-    for col, coeff in zip(mat.cols, v):
+    for a, coeff in zip(mat.cols, v):
         if coeff == 0:
             continue
-        w = factors[col.exponent].lift(conductor)
+        w = factors[a].lift(conductor)
         if coeff > 0:
             numerator = numerator * w**coeff
         else:

@@ -72,7 +72,7 @@ def test_criterion_01_formula_equals_oracle():
 
 def test_criterion_02_contribution_branches():
     for p in prime_range(3, 500):
-        ms = [e.index for e in contributing_ms(p, 9, ADDITIVE).entries]
+        ms = [a * 9 // (p - 1) for a in contributing_ms(p, 9, ADDITIVE)]
         if p % 9 == 1:
             assert ms == list(range(1, 9))
         elif p % 9 in (4, 7):
@@ -82,7 +82,7 @@ def test_criterion_02_contribution_branches():
             spec = curve(ADDITIVE, 9, 1)
             if good_reduction(p, spec):
                 assert count_formula(field(p), spec) == p + 1
-        ts = [e.index for e in contributing_ms(p, 7, LINEAR).entries]
+        ts = [a * 12 // (p - 1) for a in contributing_ms(p, 7, LINEAR)]
         if p % 12 == 1:
             assert len(ts) == 6
         elif p % 4 == 1:
@@ -229,8 +229,8 @@ def test_criterion_09_character_sum_properties():
         n = p - 1
         for a in range(1, n):
             g = gauss_sum(fld, a)
-            assert abs(abs(g.value) ** 2 - p) < 1e-9 * p
-            prod = g.value * gauss_sum(fld, n - a).value
+            assert abs(abs(g) ** 2 - p) < 1e-9 * p
+            prod = g * gauss_sum(fld, n - a)
             assert abs(prod - (-1) ** a * p) < 1e-9 * p
     for p in prime_range(3, 31):
         fld = field(p)

@@ -21,20 +21,20 @@ def test_gauss_sum_trivial_character(field):
     # the vanishing-at-zero convention forces g(trivial) = -1
     for p in (5, 7, 11):
         g = gauss_sum(field(p), 0)
-        assert abs(g.value - (-1)) < 1e-12
+        assert abs(g - (-1)) < 1e-12
 
 
 def test_gauss_sum_quadratic(field):
     # p = 1 mod 4: the quadratic Gauss sum is +sqrt(p)
     g = gauss_sum(field(5), 2)
-    assert abs(g.value - math.sqrt(5)) < 1e-9
+    assert abs(g - math.sqrt(5)) < 1e-9
     g = gauss_sum(field(13), 6)
-    assert abs(g.value - math.sqrt(13)) < 1e-9
+    assert abs(g - math.sqrt(13)) < 1e-9
 
 
 def test_gauss_sum_absolute_value(field):
     g = gauss_sum(field(7), 3)
-    assert abs(abs(g.value) - math.sqrt(7)) < 1e-9
+    assert abs(abs(g) - math.sqrt(7)) < 1e-9
 
 
 def test_gauss_sum_conjugate_product(field):
@@ -44,7 +44,7 @@ def test_gauss_sum_conjugate_product(field):
         fld = field(p)
         n = p - 1
         for a in range(1, n):
-            prod = gauss_sum(fld, a).value * gauss_sum(fld, n - a).value
+            prod = gauss_sum(fld, a) * gauss_sum(fld, n - a)
             expected = (-1) ** a * p
             assert abs(prod - expected) < 1e-9 * p
 
@@ -153,7 +153,7 @@ def count_columns(p, families):
     return [
         (a, half)
         for family, d in families
-        for a in contributing_ms(p, d, family).exponents
+        for a in contributing_ms(p, d, family)
     ]
 
 

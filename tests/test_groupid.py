@@ -13,6 +13,7 @@ from stjac.groupid import (
     WeightClass,
 )
 from stjac.pointcount import ADDITIVE, LINEAR, curve
+from stjac.splitjac import split_full
 from stjac.stmatrix import build_matrix
 
 
@@ -113,6 +114,26 @@ def test_genus8_anomaly_is_three_dimensional():
     assert tid.dimension == 3
     assert tid.name == "U(1) x U(1) x U(1)"
     assert sorted((cl.plus, cl.minus) for cl in tid.classes) == [(2, 2)] * 4
+
+
+def test_split_factors_bound_the_source_torus():
+    # Jac(x^(2g+2) + c) ~ prod A_i^e_i makes ST0 a subtorus of prod ST0(A_i)
+    # that maps onto each factor, so the Kani-Rosen splitting and the
+    # Jacobi-sum tori must satisfy max dim_i <= dim <= sum dim_i
+    dims = {}
+
+    def dim(spec):
+        if spec.genus == 0:  # x + c and x^2 + c have no torus
+            return 0
+        key = (spec.family, spec.d)
+        if key not in dims:
+            dims[key] = identify_st0(spec).dimension
+        return dims[key]
+
+    for g in range(2, 31):
+        parts = [dim(factor) for factor, _ in split_full(g, 1).factors]
+        whole = dim(curve(ADDITIVE, 2 * g + 2, 1))
+        assert max(parts) <= whole <= sum(parts), (g, parts, whole)
 
 
 def test_identify_cross_prime_stability_wide():

@@ -41,7 +41,7 @@ def test_curve_validation():
 def test_contributing_additive_d9_branches():
     # gcd-driven trichotomy for d = 9, checked for every odd prime < 500
     for p in prime_range(3, 500):
-        ms = [e.index for e in contributing_ms(p, 9, ADDITIVE).entries]
+        ms = [a * 9 // (p - 1) for a in contributing_ms(p, 9, ADDITIVE)]
         if p % 9 == 1:
             assert ms == list(range(1, 9))
         elif p % 9 in (4, 7):
@@ -53,7 +53,7 @@ def test_contributing_additive_d9_branches():
 
 def test_contributing_linear_d7_branches():
     for p in prime_range(3, 500):
-        ts = [e.index for e in contributing_ms(p, 7, LINEAR).entries]
+        ts = [a * 12 // (p - 1) for a in contributing_ms(p, 7, LINEAR)]
         if p % 12 == 1:
             assert ts == [1, 3, 5, 7, 9, 11]
         elif p % 4 == 1:
@@ -66,14 +66,32 @@ def test_contributing_linear_d7_branches():
 def test_contributing_exponents_in_window():
     for p in prime_range(3, 100):
         for d, family in [(9, ADDITIVE), (10, ADDITIVE), (7, LINEAR), (11, LINEAR)]:
-            for e in contributing_ms(p, d, family).entries:
-                assert 1 <= e.exponent <= p - 2
+            for a in contributing_ms(p, d, family):
+                assert 1 <= a <= p - 2
                 if family == ADDITIVE:
-                    assert (e.index * (p - 1)) % d == 0
-                    assert e.exponent == e.index * (p - 1) // d
+                    m = a * d // (p - 1)
+                    assert (m * (p - 1)) % d == 0
+                    assert a == m * (p - 1) // d
                 else:
-                    assert e.index % 2 == 1
-                    assert (e.index * (p - 1)) % (2 * (d - 1)) == 0
+                    t = a * 2 * (d - 1) // (p - 1)
+                    assert t % 2 == 1
+                    assert (t * (p - 1)) % (2 * (d - 1)) == 0
+                    assert a == t * (p - 1) // (2 * (d - 1))
+
+
+def test_contributing_ms_is_the_ascending_window_of_its_definition():
+    # a in [1, p-2] with a = i(p-1)/k integral, k = d or 2(d-1), i odd for
+    # the linear twist; listed in increasing a
+    families = [(ADDITIVE, d) for d in range(1, 41)] + [(LINEAR, d) for d in range(3, 40, 2)]
+    for p in prime_range(3, 400):
+        n = p - 1
+        for family, d in families:
+            k = d if family == ADDITIVE else 2 * (d - 1)
+            want = [
+                a for a in range(1, n)
+                if a * k % n == 0 and (family == ADDITIVE or (a * k // n) % 2 == 1)
+            ]
+            assert contributing_ms(p, d, family) == tuple(want), (family, d, p)
 
 
 def test_good_reduction():

@@ -8,7 +8,7 @@ from stjac.cyclo import embed
 from stjac.errors import NoColumnsError, NotInKernelError
 from stjac.ffield import make_field
 from stjac.intlinalg import hnf_rows, matvec
-from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve
+from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve, is_generic_prime
 from stjac.primes import prime_range
 from stjac.stmatrix import (
     build_matrix,
@@ -46,38 +46,40 @@ REF_KERNEL_11_10 = [
 
 
 def test_st_columns_examples():
+    # the reference index of exponent a is a*k/(p-1), with k = d or 2(d-1)
     sc = st_columns(11, 10, ADDITIVE)
-    assert [c.index for c in sc.columns] == [1, 2, 3, 4, 6, 7, 8, 9]
-    assert sc.is_generic
+    assert [a * 10 // (11 - 1) for a in sc] == [1, 2, 3, 4, 6, 7, 8, 9]
+    assert build_matrix(11, 10, ADDITIVE).is_generic
 
     sc = st_columns(19, 9, ADDITIVE)
-    assert [c.exponent for c in sc.columns] == [2, 4, 6, 8, 10, 12, 14, 16]
-    assert sc.is_generic
+    assert list(sc) == [2, 4, 6, 8, 10, 12, 14, 16]
+    assert build_matrix(19, 9, ADDITIVE).is_generic
 
     sc = st_columns(13, 7, LINEAR)
-    assert [c.index for c in sc.columns] == [1, 3, 5, 7, 9, 11]
-    assert len(sc.columns) == 6 and sc.is_generic
+    assert [a * 12 // (13 - 1) for a in sc] == [1, 3, 5, 7, 9, 11]
+    assert len(sc) == 6 and build_matrix(13, 7, LINEAR).is_generic
 
     sc = st_columns(7, 9, ADDITIVE)
-    assert [c.index for c in sc.columns] == [3, 6]
-    assert not sc.is_generic
+    assert [a * 9 // (7 - 1) for a in sc] == [3, 6]
+    assert not build_matrix(7, 9, ADDITIVE).is_generic
 
 
 def test_generic_exactly_when_p_is_one_mod_congruence_modulus():
     cases = [(ADDITIVE, d) for d in range(3, 61)] + [(LINEAR, d) for d in range(3, 60, 2)]
     for family, d in cases:
-        mod = congruence_modulus(curve(family, d))
+        spec = curve(family, d)
+        mod = congruence_modulus(spec)
         for p in prime_range(3, 2000):
-            assert st_columns(p, d, family).is_generic == (p % mod == 1), (family, d, p)
+            full = len(st_columns(p, d, family)) == 2 * spec.genus
+            assert full == (p % mod == 1), (family, d, p)
+            assert is_generic_prime(p, spec) == full, (family, d, p)
 
 
 def test_quadratic_exponent_always_removed():
     for p in prime_range(3, 100):
         for d in (6, 8, 10, 12):
             half = (p - 1) // 2
-            assert all(
-                c.exponent != half for c in st_columns(p, d, ADDITIVE).columns
-            )
+            assert all(a != half for a in st_columns(p, d, ADDITIVE))
 
 
 def test_reference_matrices():
@@ -131,7 +133,7 @@ def test_first_row_is_exponent_threshold():
     for p, d, family in [(19, 9, ADDITIVE), (11, 10, ADDITIVE), (13, 7, LINEAR), (37, 18, ADDITIVE)]:
         m = build_matrix(p, d, family)
         half = (p - 1) / 2
-        assert list(m.entries[0]) == [1 if c.exponent >= half else 0 for c in m.cols]
+        assert list(m.entries[0]) == [1 if a >= half else 0 for a in m.cols]
 
 
 def test_row_threshold_for_split_primes_d9():
@@ -146,8 +148,8 @@ def test_column_magnitude_proxy(field):
     # valuation 0 and 1 across conjugate embeddings
     m = build_matrix(19, 9, ADDITIVE)
     fld = field(19)
-    for c in m.cols:
-        w = frobenius_factor(fld, c.exponent, 1)
+    for a in m.cols:
+        w = frobenius_factor(fld, a, 1)
         assert w * w.conj() == 19
         assert abs(abs(embed(w.lift(18), 1)) - math.sqrt(19)) < 1e-9
 
@@ -271,10 +273,9 @@ def test_verify_relation_matches_full_conductor_product(field):
         cp = fld.reduce(c)
         for v in right_kernel(m).basis:
             pos, neg = CycloElt.one(n), CycloElt.one(n)
-            for col, e in zip(m.cols, v):
+            for a, e in zip(m.cols, v):
                 if e == 0:
                     continue
-                a = col.exponent
                 shift = (a * fld.dlog_of(-cp) + (n // 2) * fld.dlog_of(cp)) % n
                 lam = CycloElt.zeta_pow(n, shift) * jacobi_sum(fld, a, n // 2)
                 if e > 0:
@@ -312,12 +313,12 @@ def _validate_by_loops(mat):
         for j in range(ncols)
     ):
         violations.append("conjugate_complement")
-    col_of = {c.exponent: j for j, c in enumerate(mat.cols)}
+    col_of = {a: j for j, a in enumerate(mat.cols)}
     for u in mat.rows:
         u_inv = pow(u, -1, n)
         for i, k in enumerate(mat.rows):
-            for j, c in enumerate(mat.cols):
-                target = col_of.get((u_inv * c.exponent) % n)
+            for j, a in enumerate(mat.cols):
+                target = col_of.get((u_inv * a) % n)
                 if target is None or mat.entries[row_of[(k * u) % n]][target] != mat.entries[i][j]:
                     violations.append("galois_stability")
                     return violations
@@ -362,7 +363,7 @@ def test_validate_matrix_residue_swap_breaks_only_complement():
     m = build_matrix(11, 10, ADDITIVE)
     swap = {1: 7, 7: 1}
     entries = [
-        [carry(1, swap.get(k * c.exponent % 10, k * c.exponent % 10), 10) for c in m.cols]
+        [carry(1, swap.get(k * a % 10, k * a % 10), 10) for a in m.cols]
         for k in m.rows
     ]
     bad = _with_entries(m, entries)
@@ -374,12 +375,7 @@ def test_validate_matrix_column_relabel_breaks_only_galois():
     for p, d in [(11, 10), (19, 9)]:
         m = build_matrix(p, d, ADDITIVE)
         first, second, *rest = m.cols
-        cols = (
-            dataclasses.replace(first, exponent=second.exponent),
-            dataclasses.replace(second, exponent=first.exponent),
-            *rest,
-        )
-        bad = dataclasses.replace(m, cols=cols)
+        bad = dataclasses.replace(m, cols=(second, first, *rest))
         assert validate_matrix(bad) == _validate_by_loops(bad) == ["galois_stability"]
 
 
@@ -388,8 +384,7 @@ def test_validate_matrix_flags_column_set_not_closed_under_units():
     # alone breaks Galois stability, although all-equal entries would match
     # whatever column a wrapped-around index picked
     m = build_matrix(7, 6, ADDITIVE)
-    cols = tuple(dataclasses.replace(m.cols[0], exponent=e) for e in (1, 0))
-    bad = dataclasses.replace(m, cols=cols, entries=((1, 1), (1, 1)))
+    bad = dataclasses.replace(m, cols=(1, 0), entries=((1, 1), (1, 1)))
     assert validate_matrix(bad) == _validate_by_loops(bad) == [
         "row_balance", "column_balance", "conjugate_complement", "galois_stability"
     ]
