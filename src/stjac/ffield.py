@@ -10,7 +10,6 @@ the trivial character equal -1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,14 +52,18 @@ class PrimeField:
         return int(self.dlog[x])
 
     def reduce(self, c) -> int:
-        """Image of a rational in F_p (inverts the denominator mod p)."""
-        c = Fraction(c)
-        if c.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator of {c} vanishes mod {self.p}")
-        return c.numerator * pow(c.denominator, -1, self.p) % self.p
+        """Image of an int or Fraction in F_p (inverts the denominator mod p)."""
+        return reduce_mod(c, self.p)
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, generator={self.generator})"
+
+
+def reduce_mod(c, p: int) -> int:
+    """Image of an int or Fraction c in F_p (inverts the denominator mod p)."""
+    if c.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator of {c} vanishes mod {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 def smallest_primitive_root(p: int) -> int:

@@ -28,7 +28,7 @@ from .errors import (
 from .ffield import make_field
 from .intlinalg import rank
 from .pointcount import CurveSpec, is_generic_prime
-from .primes import prime_range
+from .primes import is_prime
 from .stmatrix import (
     CarryMatrix,
     build_matrix,
@@ -137,8 +137,8 @@ def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[
         raise ValueError(f"the number of primes must be at least 1, got {count}")
     spec = CurveSpec(family, d)
     found = []
-    for p in prime_range(3, bound):
-        if is_generic_prime(p, spec):
+    for p in range(3, bound + 1, 2):
+        if is_generic_prime(p, spec) and is_prime(p):
             found.append(p)
             if len(found) == count:
                 return found

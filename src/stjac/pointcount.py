@@ -32,7 +32,7 @@ from . import _accel
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join
 from .errors import BadReductionError, NonIntegerResultError
-from .ffield import PrimeField, check_p_max, make_field
+from .ffield import PrimeField, check_p_max, make_field, reduce_mod
 from .primes import prime_range
 
 ADDITIVE = "additive"  # y^2 = x^d + c
@@ -228,7 +228,7 @@ def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
     if js:
         step = math.gcd(h, *js)
         fact = _accel.step_factorials(p, h, step)
-        cp = spec.c.numerator * pow(spec.c.denominator, -1, p) % p
+        cp = reduce_mod(spec.c, p)
         for j in js:
             denom = fact[j // step] * fact[(h - j) // step] % p
             total += fact[h // step] * pow(denom, -1, p) * pow(cp, h - j, p)

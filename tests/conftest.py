@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from stjac.ffield import make_field
@@ -15,3 +18,25 @@ def field():
         return _cache[p]
 
     return get
+
+
+@contextlib.contextmanager
+def _deadline(seconds=5):
+    """Fail the block with TimeoutError once it runs `seconds` (main thread, SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """Context manager that turns a hang into a failure after a few seconds."""
+    return _deadline

@@ -63,11 +63,25 @@ def test_kernel_is_saturated_and_annihilates():
             assert all(f == 1 for f in snf_invariant_factors(basis))
 
 
-def test_snf_known_values():
+# det = -561028; a row/column pivot loop without entry control hangs on it
+_SNF_7X7 = [
+    [7, 0, -6, 0, 3, -3, -8],
+    [0, 8, -9, 6, 7, 5, 0],
+    [0, 4, 2, 0, 0, 0, 2],
+    [1, 0, -3, -4, 0, -7, 0],
+    [-7, 5, 0, 2, 7, 0, 0],
+    [0, 0, -4, -5, -5, 5, 0],
+    [6, 3, 4, 7, 4, 6, -3],
+]
+
+
+def test_snf_known_values(deadline):
     assert snf_invariant_factors([[12, 6, 4], [3, 9, 6], [2, 16, 14]]) == [1, 10, 30]
     assert snf_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert snf_invariant_factors([[2, 4], [4, 8]]) == [2]
     assert snf_invariant_factors([[6]]) == [6]
+    with deadline(1):
+        assert snf_invariant_factors(_SNF_7X7) == [1, 1, 1, 1, 1, 1, 561028]
 
 
 def test_snf_matches_rank():
@@ -87,11 +101,17 @@ def _sympy_factors(rows):
     return [abs(int(f)) for f in invariant_factors(Matrix(rows)) if f != 0]
 
 
-def _random_matrices(seed, count):
+def _random_matrices(seed, count, max_rows=5, max_cols=6, bound=6):
     rng = random.Random(seed)
     for _ in range(count):
-        m, n = rng.randrange(1, 6), rng.randrange(1, 7)
-        yield [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
+        m, n = rng.randrange(1, max_rows + 1), rng.randrange(1, max_cols + 1)
+        yield [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(m)]
+
+
+def _random_8x8(seed):
+    """Shapes up to 8x8 with entries in [-9, 9]: large enough to make an
+    elimination without entry control blow up."""
+    return _random_matrices(seed, 120, 8, 8, 9)
 
 
 def _carry_matrices():
@@ -101,14 +121,17 @@ def _carry_matrices():
         yield [list(row) for row in build_matrix(p, d, family).entries]
 
 
-def test_snf_invariant_factors_match_sympy():
-    for mat in itertools.chain(_random_matrices(11, 150), _carry_matrices()):
-        assert snf_invariant_factors(mat) == _sympy_factors(mat), mat
+def test_snf_invariant_factors_match_sympy(deadline):
+    for mat in itertools.chain(_random_matrices(11, 150), _random_8x8(21), _carry_matrices()):
+        with deadline():
+            factors = snf_invariant_factors(mat)
+        assert factors == _sympy_factors(mat), mat
 
 
-def test_kernel_basis_matches_sympy():
-    for mat in itertools.chain(_random_matrices(12, 150), _carry_matrices()):
-        basis = kernel_basis(mat)
+def test_kernel_basis_matches_sympy(deadline):
+    for mat in itertools.chain(_random_matrices(12, 150), _random_8x8(22), _carry_matrices()):
+        with deadline():
+            basis = kernel_basis(mat)
         assert len(basis) == len(mat[0]) - Matrix(mat).rank(), mat
         for v in basis:
             assert all(x == 0 for x in matvec(mat, v)), (mat, v)
