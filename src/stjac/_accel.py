@@ -1,12 +1,12 @@
-"""Hot numeric kernels, written as whole-array numpy passes.
+"""Hot numeric kernels.
 
-There is one backend, ``BACKEND = "numpy"``.  Every kernel is one O(p)
-vectorized pass; the Python-level loops are O(sqrt(p)) at most.
-
-Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a dlog value
-(< n = p - 1) fits in int32, and a product a * dlog (< n^2) or of two
-residues mod p (< p^2 < 2^62) fits in int64.  ``step_factorials`` serves
-the Hasse-Witt trace of the sweep; the other kernels serve Jacobi sums.
+There is one backend, ``BACKEND = "numpy"``.  The Jacobi-sum and counting
+kernels are whole-array passes, O(p) each, with Python-level loops of
+O(sqrt(p)) at most.  Range: the callers keep p <= ``ffield.P_MAX`` =
+2^31 - 1, so a dlog value (< n = p - 1) fits in int32, and a product
+a * dlog (< n^2) or of two residues mod p (< p^2 < 2^62) fits in int64.
+``prefix_factorials`` serves the Hasse-Witt traces of a sweep on Python
+ints: one remainder tree for all the factorials of all the primes.
 """
 
 from __future__ import annotations
@@ -60,25 +60,77 @@ def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return hist
 
 
-def step_factorials(p: int, h: int, step: int) -> list[int]:
-    """(k*step)! mod p for k = 0 .. h // step, with step | h and h < p.
+def prefix_factorials(xs: list[int], ms: list[int]) -> list[int]:
+    """[x_i! mod m_i] for ascending xs >= 0 and moduli m_i >= 1.
 
-    The factors 1..h form h // step rows of length step; each row is
-    multiplied out by halving its width in place, and the few row
-    products are chained into prefix products in Python.
+    One accumulating remainder tree (Costa-Gerbicz-Harvey 2014): leaf i
+    holds m_i and A_i = prod of t over x_{i-1} < t <= x_i, so x_i! is
+    A_1...A_i.  Walking down from the root, each node carries the product
+    of the A left of it modulo the product of its own moduli; a right child
+    takes v * A_left mod M_right.  Every modulus divides the root modulus,
+    so a leaf whose A would be wider than it is folded modulo it: a narrow
+    window of large x does not pay for the exact (x_1)!.
     """
-    rows = np.arange(1, h + 1, dtype=np.int64).reshape(h // step, step)
-    while rows.shape[1] > 1:
-        # column i takes column i + keep; an odd middle column waits a round
-        keep, half = (rows.shape[1] + 1) // 2, rows.shape[1] // 2
-        left = rows[:, :half]
-        left *= rows[:, keep:]
-        left %= p
-        rows = rows[:, :keep]
-    out = [1]
-    for r in rows[:, 0].tolist():
-        out.append(out[-1] * r % p)
-    return out
+    if not xs:
+        return []
+    mods = _product_levels(ms)
+    cap = math.prod(mods[-1])
+    leaves, prev = [], 0
+    for x in xs:
+        leaves.append(_interval_product(prev, x, cap))
+        prev = x
+    prods = _product_levels(leaves)
+    vals = [1]
+    while mods:
+        # the (at most two) nodes of the top level are the root's children
+        mod, prod = mods.pop(), prods.pop()
+        down = []
+        for i, v in enumerate(vals):
+            down.append(v % mod[2 * i])
+            if 2 * i + 1 < len(mod):
+                down.append(v * prod[2 * i] % mod[2 * i + 1])
+        vals = down
+    return [v * a % m for v, a, m in zip(vals, prod, mod)]
+
+
+def _product_levels(values: list[int]) -> list[list[int]]:
+    """Product-tree levels, leaves first, up to a level of at most two nodes.
+
+    Node i of a level is the product of nodes 2i and 2i + 1 below it; an
+    odd last node moves up alone.
+    """
+    levels = [values]
+    while len(values) > 2:
+        up = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        if len(values) % 2:
+            up.append(values[-1])
+        levels.append(up)
+        values = up
+    return levels
+
+
+def _interval_product(lo: int, hi: int, cap: int) -> int:
+    """prod of t over lo < t <= hi; folded modulo cap in chunks when the
+    exact product would be wider than the cap."""
+    width = hi.bit_length()
+    bits = cap.bit_length()
+    if (hi - lo) * width <= bits:
+        return _range_product(lo, hi)
+    # chunks as wide as the cap, but at least 2^10 bits: the cap of one
+    # prime is a few hundred bits, and narrow chunks cost a Python step each
+    chunk = max(bits, 1 << 10) // width
+    acc = 1
+    for s in range(lo, hi, chunk):
+        acc = acc * _range_product(s, min(s + chunk, hi)) % cap
+    return acc
+
+
+def _range_product(lo: int, hi: int) -> int:
+    """prod of t over lo < t <= hi, split in halves so the operands stay balanced."""
+    if hi - lo <= 32:
+        return math.prod(range(lo + 1, hi + 1))
+    mid = (lo + hi) // 2
+    return _range_product(lo, mid) * _range_product(mid, hi)
 
 
 def affine_count(p: int, d: int, c: int, linear: bool) -> int:

@@ -17,7 +17,9 @@ restricted to integral a in [1, p-2].  For even d the quadratic column
 a = (p-1)/2 contributes -1 identically.  The cyclotomic sum always
 collapses to a rational integer, which is asserted.
 ``trace_sweep`` reads t_p above 16g^2 from the Hasse-Witt residue instead
-(``trace_hasse_witt``), with no dlog table and no cyclotomic arithmetic.
+(``hasse_witt_traces``): binomials mod p, with every factorial of the sweep
+taken from one accumulating remainder tree, no dlog table and no
+cyclotomic arithmetic.
 """
 
 from __future__ import annotations
@@ -207,8 +209,8 @@ def residue_fixes_trace(p: int, spec: CurveSpec) -> bool:
     return p > 16 * spec.genus**2
 
 
-def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
-    """Frobenius trace t_p from the Hasse-Witt residue, for good odd primes p > 16g^2.
+def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
+    """Frobenius traces t_p from the Hasse-Witt residue, for good odd primes p > 16g^2.
 
     With h = (p-1)/2, chi(f(x)) = f(x)^h mod p, and x^k sums to -1 over F_p
     when 0 < k and (p-1) | k, else to 0.  Expanding f^h binomially gives
@@ -216,34 +218,54 @@ def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
     1 <= j <= h with (p-1) | d*j (additive) or (p-1) | (d-1)*j + h (linear):
     the column exponents a <= h of ``contributing_ms``.  The residue in (-p/2,
     p/2) is t_p (Manin 1961; Yui, J. Algebra 1978; Harvey-Sutherland 2014).
+    Every x! mod p for x in {h, j, h - j} over all the primes comes from one
+    ``_accel.prefix_factorials`` call.
     """
-    if not residue_fixes_trace(p, spec):
-        raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 16g^2, got p={p}")
-    if not good_reduction(p, spec):
-        raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
-    check_p_max(p)
-    h = (p - 1) // 2
-    js = [a for a in contributing_ms(p, spec.d, spec.family) if a <= h]
-    total = 1 - points_at_infinity(spec)
-    if js:
-        step = math.gcd(h, *js)
-        fact = _accel.step_factorials(p, h, step)
-        cp = reduce_mod(spec.c, p)
-        for j in js:
-            denom = fact[j // step] * fact[(h - j) // step] % p
-            total += fact[h // step] * pow(denom, -1, p) * pow(cp, h - j, p)
-    return (total + p // 2) % p - p // 2
+    # one request per distinct x > 0 at each p, as x << 40 | request index,
+    # so one sort of plain ints puts every request in ascending x
+    keys, mods, terms = [], [], []
+    for p in primes:
+        if not residue_fixes_trace(p, spec):
+            raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 16g^2, got p={p}")
+        if not good_reduction(p, spec):
+            raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
+        check_p_max(p)
+        h = (p - 1) // 2
+        js = [a for a in contributing_ms(p, spec.d, spec.family) if a <= h]
+        terms.append(js)
+        for x in _factorial_args(h, js):
+            keys.append(x << 40 | len(mods))
+            mods.append(p)
+    keys.sort()
+    low = (1 << 40) - 1
+    fact = [0] * len(mods)
+    values = _accel.prefix_factorials([k >> 40 for k in keys], [mods[k & low] for k in keys])
+    for k, f in zip(keys, values):
+        fact[k & low] = f
+    base = 1 - points_at_infinity(spec)
+    traces, values = [], iter(fact)
+    for p, js in zip(primes, terms):
+        h = (p - 1) // 2
+        # zip stops at the last x of p before it takes a value of the next prime
+        f = {0: 1, **dict(zip(_factorial_args(h, js), values))}
+        total = base
+        if js:
+            cp = reduce_mod(spec.c, p)
+            for j in js:
+                denom = f[j] * f[h - j] % p
+                total += f[h] * pow(denom, -1, p) * pow(cp, h - j, p)
+        traces.append((total + p // 2) % p - p // 2)
+    return traces
 
 
-def _sample(p: int, spec: CurveSpec) -> TraceSample:
-    # the count is on the smooth model, so t_p is the Frobenius trace of the
-    # Jacobian and |t_p| <= 2g*sqrt(p) for every d (e.g. y^2=x^6+1 at p=103
-    # gives t_p = 40, just inside the genus-2 bound 40.596)
-    if residue_fixes_trace(p, spec):
-        t = trace_hasse_witt(p, spec)
-    else:
-        t = p + 1 - count_formula(make_field(p), spec)
-    return TraceSample(p=p, count=p + 1 - t, t_p=t, x_p=t / math.sqrt(p))
+def _factorial_args(h: int, js: list[int]) -> list[int]:
+    """The x > 0 whose x! mod p the binomials C(h, j) need, ascending."""
+    return sorted({h, *js, *(h - j for j in js)} - {0}) if js else []
+
+
+def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
+    """t_p at one good odd prime p > 16g^2; see ``hasse_witt_traces``."""
+    return hasse_witt_traces([p], spec)[0]
 
 
 @dataclass(frozen=True)
@@ -259,10 +281,10 @@ def trace_sweep(
 ) -> SweepResult:
     """Trace-of-Frobenius samples over all good odd primes in [p_min, p_max].
 
-    A prime p > 16g^2 takes ``trace_hasse_witt``; smaller primes take
-    ``count_formula``.  Each prime is independent; with workers > 1 the
-    sweep fans out over a process pool and the results are merged back in
-    prime order.  workers must lie in [1, os.cpu_count()].
+    Primes p <= 16g^2 take ``count_formula``; the others take one
+    ``hasse_witt_traces`` batch.  With workers > 1 each worker of a process
+    pool takes one contiguous block of those primes.  workers must lie in
+    [1, os.cpu_count()].
     """
     if p_min > p_max:
         raise ValueError("p_min must not exceed p_max")
@@ -270,11 +292,24 @@ def trace_sweep(
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must be between 1 and {cpus}, got {workers}")
     primes = [p for p in prime_range(max(3, p_min), p_max) if good_reduction(p, spec)]
-    if workers > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_sample, primes, [spec] * len(primes), chunksize=8))
+    small = [p for p in primes if not residue_fixes_trace(p, spec)]
+    large = primes[len(small):]
+    traces = [p + 1 - count_formula(make_field(p), spec) for p in small]
+    if workers > 1 and len(large) > 1:
+        size = -(-len(large) // workers)
+        blocks = [large[i:i + size] for i in range(0, len(large), size)]
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            for batch in pool.map(hasse_witt_traces, blocks, [spec] * len(blocks)):
+                traces += batch
     else:
-        samples = [_sample(p, spec) for p in primes]
+        traces += hasse_witt_traces(large, spec)
+    # the count is on the smooth model, so t_p is the Frobenius trace of the
+    # Jacobian and |t_p| <= 2g*sqrt(p) for every d (e.g. y^2=x^6+1 at p=103
+    # gives t_p = 40, just inside the genus-2 bound 40.596)
+    samples = [
+        TraceSample(p=p, count=p + 1 - t, t_p=t, x_p=t / math.sqrt(p))
+        for p, t in zip(primes, traces)
+    ]
     xs = [s.x_p for s in samples]
     count = len(xs)
     moments = {

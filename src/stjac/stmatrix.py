@@ -129,13 +129,35 @@ def validate_matrix(mat: CarryMatrix) -> list[str]:
     col_of = _position_table(exps, n)
     if np.any(ent[row_of[n - rows]] != 1 - ent):
         violations.append("conjugate_complement")
-    for u in mat.rows:
-        # entry(k*u, a/u) = entry(k, a): unit u moves row k*u and column a/u
+    for u in (1, *_unit_generators(mat.rows, n)):
+        # entry(k*u, a/u) = entry(k, a): unit u moves row k*u and column a/u.
+        # This is a group action, so a table (and a column set) fixed by a
+        # generating set of units is fixed by every unit; u = 1 checks each
+        # column against the column its label names.
         cols_u = col_of[pow(u, -1, n) * exps % n]
         if np.any(cols_u < 0) or np.any(ent[np.ix_(row_of[rows * u % n], cols_u)] != ent):
             violations.append("galois_stability")
             break
     return violations
+
+
+def _unit_generators(units: tuple[int, ...], n: int) -> list[int]:
+    """Units that generate the group the given units generate mod n.
+
+    Each unit outside the span of the earlier generators becomes one, so
+    there are at most log2(len(units)) of them.
+    """
+    span, gens = {1}, []
+    for u in units:
+        if u in span:
+            continue
+        gens.append(u)
+        grown, power = set(span), u
+        while power not in span:
+            grown.update(s * power % n for s in span)
+            power = power * u % n
+        span = grown
+    return gens
 
 
 @dataclass(frozen=True)

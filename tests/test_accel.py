@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from stjac import _accel
-from stjac._accel import affine_count, char_pair_histogram, dlog_table, step_factorials
+from stjac._accel import affine_count, char_pair_histogram, dlog_table, prefix_factorials
 
 
 def test_numpy_dlog_table_correct():
@@ -31,12 +31,30 @@ def test_residue_histogram_is_chunked_into_need_squared_bins():
     assert hist.tolist() == np.bincount(keys, minlength=need * need).tolist()
 
 
-def test_step_factorials_match_math_factorial():
-    for p, h, step in [(3, 1, 1), (23, 11, 11), (101, 50, 5), (757, 378, 63),
-                       (757, 378, 54), (1009, 504, 7)]:
-        assert step_factorials(p, h, step) == [
-            math.factorial(k * step) % p for k in range(h // step + 1)
-        ], (p, step)
+def test_prefix_factorials_match_math_factorial():
+    def reference(xs, ms):
+        return [math.factorial(x) % m for x, m in zip(xs, ms)]
+
+    cases = [
+        ([], []),
+        ([0], [7]),  # x = 0
+        ([0, 0, 5, 5, 5], [3, 7, 11, 13, 7]),  # repeated x
+        ([1, 4, 9, 16, 25, 36], [101] * 6),  # one modulus at several x
+        # moduli from different primes interleaved in ascending x
+        ([2, 3, 5, 8, 13, 21, 34, 55, 89], [757, 1009, 757, 3, 1009, 757, 2**31 - 1, 3, 1009]),
+        ([0, 1, 1, 2], [1, 1, 2, 2]),
+    ]
+    for xs, ms in cases:
+        assert prefix_factorials(xs, ms) == reference(xs, ms), (xs, ms)
+    # a sweep-like request list: x in {h, j, h - j} for every p < 2000, and a
+    # narrow window of large x whose leaf products exceed the root modulus
+    for ps, ks in [(range(3, 2000, 2), (3, 4, 6)), (range(20011, 20111, 2), (2, 5))]:
+        pairs = sorted(
+            (x, p) for p in ps for k in ks
+            for x in {(p - 1) // 2, (p - 1) // k // 2, (p - 1) // 2 - (p - 1) // k // 2}
+        )
+        xs, ms = [x for x, _ in pairs], [p for _, p in pairs]
+        assert prefix_factorials(xs, ms) == reference(xs, ms)
 
 
 def test_numpy_affine_count_tiny():

@@ -17,6 +17,7 @@ from stjac.pointcount import (
     count_formula,
     curve,
     good_reduction,
+    hasse_witt_traces,
     points_at_infinity,
     residue_fixes_trace,
     trace_hasse_witt,
@@ -208,11 +209,14 @@ def test_trace_sweep_matches_oracle(field):
 
 def test_trace_sweep_weil_bound():
     # counts are on the smooth model, so |t_p| <= 2g*sqrt(p) for every d
+    # genus 0 (the line and the conic, where h - j = 0 occurs) forces t_p = 0
     for spec, pmax in [
         (curve(ADDITIVE, 9, 1), 400),
         (curve(LINEAR, 7, 1), 400),
         (curve(ADDITIVE, 6, 1), 400),
         (curve(ADDITIVE, 10, 2), 400),
+        (curve(ADDITIVE, 1, 3), 400),
+        (curve(ADDITIVE, 2, Fraction(-3, 5)), 400),
     ]:
         g = spec.genus
         for s in trace_sweep(spec, 3, pmax).samples:
@@ -267,19 +271,33 @@ def test_trace_sweep_parallel_matches_serial():
     assert serial.samples[0].p < 64 < serial.samples[-1].p
 
 
+def test_trace_sweep_narrow_window_of_large_primes(deadline):
+    # one window near 10^6: every factorial leaf is folded modulo the product
+    # of the window's moduli; exact leaves (about (p/2)! each) take several s
+    spec = curve(ADDITIVE, 12, 3)
+    with deadline(2):
+        samples = trace_sweep(spec, 10**6, 10**6 + 200).samples
+    assert [s.p for s in samples] == [
+        p for p in prime_range(10**6, 10**6 + 200) if good_reduction(p, spec)
+    ]
+    for s in samples:
+        assert s.count == count_formula(make_field(s.p), spec), s.p
+
+
 def test_hasse_witt_equals_both_oracles(field):
     # a third independent count: binomials mod p, no dlog table, no Z[zeta];
     # additive d = 1, 2 are the genus-0 line and conic (t_p = 0 at every p)
     twists = (1, -1, 2, 3, Fraction(-3, 5), Fraction(1, 2), 7)
     specs = [curve(ADDITIVE, d, c) for d in range(1, 25) for c in twists]
     specs += [curve(LINEAR, d, c) for d in range(3, 20, 2) for c in twists]
+    # each spec's primes also go through one batch, i.e. one remainder tree
     checked = 0
     for spec in specs:
-        for p in prime_range(16 * spec.genus**2 + 1, 1500):
-            if not good_reduction(p, spec):
-                continue
+        primes = [p for p in prime_range(16 * spec.genus**2 + 1, 1500) if good_reduction(p, spec)]
+        for p, batched in zip(primes, hasse_witt_traces(primes, spec), strict=True):
             fld = field(p)
             t = trace_hasse_witt(p, spec)
+            assert t == batched, (spec, p)
             assert t == p + 1 - count_bruteforce(fld, spec), (spec, p)
             assert t == p + 1 - count_formula(fld, spec), (spec, p)
             checked += 1

@@ -390,6 +390,19 @@ def test_validate_matrix_flags_column_set_not_closed_under_units():
     ]
 
 
+def test_validate_matrix_checks_every_generator_of_a_non_cyclic_group():
+    # (Z/16)^* = <3> x <5>: flipping the cells of one orbit of u = 3 leaves
+    # the table fixed by 3, and only a unit outside <3> sees the break
+    m = build_matrix(17, 8, ADDITIVE)
+    entries = [list(r) for r in m.entries]
+    for i in range(4):
+        u = pow(3, i, 16)
+        entries[m.rows.index(u)][m.cols.index(2 * pow(u, -1, 16) % 16)] ^= 1
+    bad = _with_entries(m, entries)
+    assert validate_matrix(bad) == _validate_by_loops(bad)
+    assert "galois_stability" in validate_matrix(bad)
+
+
 # -- the final exact division by p^k --------------------------------------
 
 
