@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 from stjac.cli import main
@@ -476,3 +477,113 @@ def test_kernel_json_is_pinned(capsys):
     }
     assert (code, err) == (0, "")
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+# (p, count) of y^2 = x^6 + 1/7 for p <= 60; the bad prime 7 (it divides
+# the denominator of c) is skipped
+COUNT_X6_C17 = [
+    (5, 6), (11, 12), (13, 26), (17, 18), (19, 4), (23, 24), (29, 30),
+    (31, 28), (37, 28), (41, 42), (43, 62), (47, 48), (53, 54), (59, 60),
+]
+
+
+def test_count_range_with_oracle_is_pinned(capsys):
+    argv = ("count", "--curve", "x^6+c", "--c", "1/7", "--pmax", "60", "--oracle")
+    rows = [
+        {"p": p, "count": n, "t_p": p + 1 - n, "x_p": (p + 1 - n) / math.sqrt(p),
+         "oracle": n, "match": True}
+        for p, n in COUNT_X6_C17
+    ]
+    text = "".join(
+        f"p={r['p']}  count={r['count']}  t_p={r['t_p']}  x_p={r['x_p']:.6f}"
+        f"  oracle={r['count']}  ok\n"
+        for r in rows
+    )
+    assert run(capsys, *argv) == (0, "curve: y^2 = x^6 + 1/7\n" + text, "")
+    expected = {
+        "command": "count", "family": "additive", "d": 6, "c": "1/7",
+        "results": rows, "all_match": True,
+    }
+    assert run(capsys, *argv, "--format", "json") == (
+        0, json.dumps(expected, indent=2) + "\n", ""
+    )
+
+
+ST0_X12_TEXT = (
+    "ST0 of Jac(y^2 = x^12 + 1) = U(1)_3 x U(1)_2\n"
+    "dimension: 2\n"
+    "primes used: 13, 37, 61\n"
+    "  weight [0, 0, 1, 1]: 3 plus / 3 minus\n"
+    "  weight [0, 1, 0, 1]: 2 plus / 2 minus\n"
+)
+
+ST0_LINEAR_D9_JSON = {
+    "name": "U(1)_2 x U(1)_2",
+    "dimension": 2,
+    "classes": [
+        {"weight": [0, 0, 0, 0, 1, 1, 1, 1], "plus": 2, "minus": 2},
+        {"weight": [0, 1, 1, 0, 1, 0, 0, 1], "plus": 2, "minus": 2},
+    ],
+    "primes_used": [17, 97, 113],
+}
+
+
+def test_st0_output_is_pinned(capsys):
+    assert run(capsys, "st0", "--curve", "x^12+c") == (0, ST0_X12_TEXT, "")
+    assert run(
+        capsys, "st0", "--family", "linear", "--d", "9", "--c=-3/5", "--format", "json"
+    ) == (0, json.dumps(ST0_LINEAR_D9_JSON, indent=2) + "\n", "")
+
+
+MATRIX_D10_P11_TEXT = (
+    "carry matrix for y^2 = x^10 + c at p=11 (4 embeddings x 8 characters)\n"
+    "rows k: 1 3 7 9\n"
+    "column exponents a: 1 2 3 4 6 7 8 9\n"
+    "0 0 0 0 1 1 1 1\n"
+    "0 1 1 0 1 0 0 1\n"
+    "1 0 0 1 0 1 1 0\n"
+    "1 1 1 1 0 0 0 0\n"
+    "structure checks: all pass\n"
+)
+
+KERNEL_LINEAR_D11_P41_TEXT = (
+    "kernel of the carry matrix at p=41 for y^2 = x^11 + c*x: rank 7, saturated=True\n"
+    "  [1, 0, 0, 0, -1, 0, 0, 0, 0, 0]  ->  exact relation\n"
+    "  [0, 1, 0, 0, -1, 0, 0, 0, 0, 0]  ->  relation up to torsion (order 2)\n"
+    "  [0, 0, 1, 0, -1, 0, 0, 1, 0, -1]  ->  exact relation\n"
+    "  [0, 0, 0, 1, -1, 0, 0, 0, 0, 0]  ->  relation up to torsion (order 2)\n"
+    "  [0, 0, 0, 0, 0, 1, 0, 0, 0, -1]  ->  exact relation\n"
+    "  [0, 0, 0, 0, 0, 0, 1, 0, 0, -1]  ->  relation up to torsion (order 2)\n"
+    "  [0, 0, 0, 0, 0, 0, 0, 0, 1, -1]  ->  relation up to torsion (order 2)\n"
+)
+
+
+def test_matrix_and_kernel_text_is_pinned(capsys):
+    assert run(capsys, "matrix", "--family", "additive", "--d", "10", "--p", "11") == (
+        0, MATRIX_D10_P11_TEXT, ""
+    )
+    assert run(capsys, "kernel", "--family", "linear", "--d", "11", "--p", "41") == (
+        0, KERNEL_LINEAR_D11_P41_TEXT, ""
+    )
+
+
+def test_sweep_csv_and_text_are_pinned(capsys):
+    argv = ("sweep", "--curve", "x^9+cx", "--pmax", "500")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert (len(lines), lines[:3], lines[-1]) == (
+        95, ["p,count,t_p,x_p", "3,4,0,0", "5,6,0,0"], "499,500,0,0"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "025c7a94a20adad0acb27e5eed0e38efe694b9d425bbf33e85bd4fb2d9df3bf3"
+    )
+    assert err == (
+        "# moments: mean=-0.12917 m2=1.58887 m4=44.2235 m6=1569.34; classes mod 16:"
+        " {'1': 11, '3': 13, '5': 13, '7': 12, '9': 9, '11': 12, '13': 11, '15': 13}\n"
+    )
+    assert run(capsys, *argv, "--format", "text") == (0, (
+        "sweep of y^2 = x^9 + x, 94 good primes\n"
+        "moments of x_p: mean=-0.129170 m2=1.588873 m4=44.223544 m6=1569.344451\n"
+        "primes per class mod 16: 1: 11, 3: 13, 5: 13, 7: 12, 9: 9, 11: 12, 13: 11, 15: 13\n"
+    ), "")
