@@ -17,17 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import groupid, pointcount, splitjac, stmatrix
-from .errors import (
-    BadReductionError,
-    EvenOrTooSmallError,
-    NoColumnsError,
-    NotPrimeError,
-    PrimeTooLargeError,
-    StjacError,
-)
-from .ffield import check_p_max, make_field
+from .errors import InputError, StjacError
+from .ffield import make_field
 from .pointcount import ADDITIVE, FAMILIES, LINEAR, CurveSpec
-from .primes import is_prime
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,10 +38,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_c(text: str) -> Fraction:
     try:
-        c = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"invalid c: {text!r} ({exc})") from None
-    return c
 
 
 _CURVE_RE = re.compile(r"^(?:y\^2\s*=\s*)?x\^?(\d+)\s*\+\s*c(x?)$")
@@ -72,10 +63,7 @@ def _build_spec(args) -> CurveSpec:
         family, d = _parse_curve_shorthand(args.curve)
     if family is None or d is None:
         raise SystemExit("specify --family and --d (or --curve)")
-    try:
-        return CurveSpec(family=family, d=d, c=_parse_c(args.c))
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    return CurveSpec(family=family, d=d, c=_parse_c(args.c))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -86,35 +74,20 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _check_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise SystemExit(f"p must be an odd prime, got {p}")
-    check_p_max(p)
+# Each cmd_* returns (JSON payload, text lines, exit code); main renders one.
 
 
-def _primes_from_args(args) -> list[int]:
-    if args.p is not None:
-        _check_prime(args.p)
-        return [args.p]
-    if args.pmax is None:
-        raise SystemExit("give --p or --pmax (with optional --pmin)")
-    check_p_max(args.pmax)
-    if args.pmin > args.pmax:
-        raise SystemExit("p_min must not exceed p_max")
-    from .primes import prime_range
-
-    return prime_range(max(3, args.pmin), args.pmax)
-
-
-def cmd_count(args) -> int:
+def cmd_count(args):
     spec = _build_spec(args)
+    if args.p is not None:
+        primes = [args.p]
+    elif args.pmax is not None:
+        primes = pointcount.good_primes(spec, args.pmin, args.pmax)
+    else:
+        raise SystemExit("give --p or --pmax (with optional --pmin)")
     rows = []
     all_match = True
-    for p in _primes_from_args(args):
-        if not pointcount.good_reduction(p, spec):
-            if args.p is not None:
-                raise SystemExit(f"p={p} is a prime of bad reduction for {spec.label()}")
-            continue
+    for p in primes:
         fld = make_field(p)
         cnt = pointcount.count_formula(fld, spec)
         row = {"p": p, "count": cnt, "t_p": p + 1 - cnt,
@@ -125,119 +98,99 @@ def cmd_count(args) -> int:
             row["match"] = oracle == cnt
             all_match = all_match and row["match"]
         rows.append(row)
-    if args.format == "json":
-        _emit(json.dumps({
-            "command": "count", "family": spec.family, "d": spec.d,
-            "c": str(spec.c), "results": rows, "all_match": all_match,
-        }, indent=2), args.out)
-    else:
-        lines = [f"curve: {spec.label()}"]
-        for row in rows:
-            line = f"p={row['p']}  count={row['count']}  t_p={row['t_p']}  x_p={row['x_p']:.6f}"
-            if args.oracle:
-                line += f"  oracle={row['oracle']}  {'ok' if row['match'] else 'MISMATCH'}"
-            lines.append(line)
-        _emit("\n".join(lines), args.out)
-    return 0 if all_match else 2
+    payload = {
+        "command": "count", "family": spec.family, "d": spec.d,
+        "c": str(spec.c), "results": rows, "all_match": all_match,
+    }
+    lines = [f"curve: {spec.label()}"]
+    for row in rows:
+        line = f"p={row['p']}  count={row['count']}  t_p={row['t_p']}  x_p={row['x_p']:.6f}"
+        if args.oracle:
+            line += f"  oracle={row['oracle']}  {'ok' if row['match'] else 'MISMATCH'}"
+        lines.append(line)
+    return payload, lines, 0 if all_match else 2
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args):
     spec = _build_spec(args)
-    _check_prime(args.p)
     mat = stmatrix.build_matrix(args.p, spec.d, spec.family)
     violations = stmatrix.validate_matrix(mat)
-    if args.format == "json":
-        payload = mat.to_dict()
-        payload["violations"] = violations
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [
-            f"carry matrix for {spec.equation()} at p={args.p}"
-            f" ({len(mat.rows)} embeddings x {len(mat.cols)} characters)",
-            "rows k: " + " ".join(str(k) for k in mat.rows),
-            "column exponents a: " + " ".join(str(a) for a in mat.cols),
-            mat.grid(),
-        ]
-        if not mat.is_generic:
-            lines.append("warning: non-generic prime (fewer than 2g columns)")
-        lines.append(
-            "structure checks: all pass" if not violations
-            else f"structure checks FAILED: {', '.join(violations)}"
-        )
-        _emit("\n".join(lines), args.out)
-    return 2 if violations else 0
+    payload = {**mat.to_dict(), "violations": violations}
+    lines = [
+        f"carry matrix for {spec.equation()} at p={args.p}"
+        f" ({len(mat.rows)} embeddings x {len(mat.cols)} characters)",
+        "rows k: " + " ".join(str(k) for k in mat.rows),
+        "column exponents a: " + " ".join(str(a) for a in mat.cols),
+        mat.grid(),
+    ]
+    if not mat.is_generic:
+        lines.append("warning: non-generic prime (fewer than 2g columns)")
+    lines.append(
+        "structure checks: all pass" if not violations
+        else f"structure checks FAILED: {', '.join(violations)}"
+    )
+    return payload, lines, 2 if violations else 0
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args):
     spec = _build_spec(args)
-    _check_prime(args.p)
     mat, kern, relations = stmatrix.relation_report(
         args.p, spec.d, spec.family, spec.c
     )
-    ok = all(r.ok for r in relations)
-    if args.format == "json":
-        _emit(json.dumps({
-            "command": "kernel", "p": args.p, "d": spec.d, "family": spec.family,
-            "c": str(spec.c), "rank": kern.rank, "saturated": kern.saturated,
-            "generic": mat.is_generic, "basis": kern.to_list(),
-            "relations": [
-                {"vector": list(v), "kind": r.kind, "order": r.order}
-                for v, r in zip(kern.basis, relations)
-            ],
-        }, indent=2), args.out)
-    else:
-        lines = [
-            f"kernel of the carry matrix at p={args.p} for {spec.equation()}:"
-            f" rank {kern.rank}, saturated={kern.saturated}"
-        ]
-        for v, r in zip(kern.basis, relations):
-            tag = {"exact": "exact relation",
-                   "torsion": f"relation up to torsion (order {r.order})",
-                   "fail": "NOT A RELATION"}[r.kind]
-            lines.append(f"  {list(v)}  ->  {tag}")
-        if not mat.is_generic:
-            lines.append("warning: non-generic prime (fewer than 2g columns)")
-        _emit("\n".join(lines), args.out)
-    return 0 if ok else 2
+    payload = {
+        "command": "kernel", "p": args.p, "d": spec.d, "family": spec.family,
+        "c": str(spec.c), "rank": kern.rank, "saturated": kern.saturated,
+        "generic": mat.is_generic, "basis": kern.to_list(),
+        "relations": [
+            {"vector": list(v), "kind": r.kind, "order": r.order}
+            for v, r in zip(kern.basis, relations)
+        ],
+    }
+    lines = [
+        f"kernel of the carry matrix at p={args.p} for {spec.equation()}:"
+        f" rank {kern.rank}, saturated={kern.saturated}"
+    ]
+    for v, r in zip(kern.basis, relations):
+        tag = {"exact": "exact relation",
+               "torsion": f"relation up to torsion (order {r.order})",
+               "fail": "NOT A RELATION"}[r.kind]
+        lines.append(f"  {list(v)}  ->  {tag}")
+    if not mat.is_generic:
+        lines.append("warning: non-generic prime (fewer than 2g columns)")
+    return payload, lines, 0 if all(r.ok for r in relations) else 2
 
 
-def cmd_st0(args) -> int:
+def cmd_st0(args):
     spec = _build_spec(args)
     tid = groupid.identify_st0(spec, num_primes=args.num_primes)
-    if args.format == "json":
-        _emit(json.dumps(tid.to_dict(), indent=2), args.out)
-    else:
-        lines = [
-            f"ST0 of Jac({spec.label()}) = {tid.name}",
-            f"dimension: {tid.dimension}",
-            f"primes used: {', '.join(str(p) for p in tid.primes_used)}",
-        ]
-        for cl in tid.classes:
-            lines.append(
-                f"  weight {list(cl.weight)}: {cl.plus} plus / {cl.minus} minus"
-            )
-        _emit("\n".join(lines), args.out)
-    return 0
+    lines = [
+        f"ST0 of Jac({spec.label()}) = {tid.name}",
+        f"dimension: {tid.dimension}",
+        f"primes used: {', '.join(str(p) for p in tid.primes_used)}",
+    ]
+    for cl in tid.classes:
+        lines.append(
+            f"  weight {list(cl.weight)}: {cl.plus} plus / {cl.minus} minus"
+        )
+    return tid.to_dict(), lines, 0
 
 
-def cmd_split(args) -> int:
-    if args.g < 2:
-        raise SystemExit("--g must be at least 2")
+def cmd_split(args):
     c = _parse_c(args.c)
     fact = splitjac.split_full(args.g, c)
     entries = []
-    refined = []  # (factor, its split_refined factorization)
+    lines = [fact.pretty()]
     all_ok = True
     for factor, exponent in fact.factors:
-        entry = {
-            "family": factor.family, "d": factor.d, "c": str(factor.c),
-            "genus": factor.genus, "exponent": exponent,
-        }
+        entry = {**factor.to_dict(), "exponent": exponent}
         sub_g = factor.genus
         if args.refine and factor.family == LINEAR and sub_g % 2 and sub_g >= 3:
             sub = splitjac.split_refined(sub_g, factor.c)
             entry["refined"] = sub.to_dict()["factors"]
-            refined.append((factor, sub))
+            lines.append(f"  refine {factor.label()}:")
+            for f, _ in sub.factors:
+                name = f.label() if isinstance(f, CurveSpec) else f.pretty()
+                lines.append(f"    {name}")
             if args.check:
                 for i in (0, 1):
                     if not splitjac.lockwood_check(
@@ -246,75 +199,54 @@ def cmd_split(args) -> int:
                     ):
                         all_ok = False
         entries.append(entry)
-    if args.format == "json":
-        _emit(json.dumps({
-            "command": "split", "g": args.g, "c": str(c),
-            "source": fact.to_dict()["source"], "factors": entries,
-            "identity_checked": bool(args.refine and args.check),
-            "identity_ok": all_ok,
-        }, indent=2), args.out)
-    else:
-        lines = [fact.pretty()]
-        if args.refine:
-            for factor, sub in refined:
-                lines.append(f"  refine {factor.label()}:")
-                for f, _ in sub.factors:
-                    name = f.label() if isinstance(f, CurveSpec) else f.pretty()
-                    lines.append(f"    {name}")
-            if args.check:
-                lines.append(
-                    "identity check: pass" if all_ok else "identity check: FAIL"
-                )
-        _emit("\n".join(lines), args.out)
-    return 0 if all_ok else 2
+    if args.refine and args.check:
+        lines.append("identity check: pass" if all_ok else "identity check: FAIL")
+    payload = {
+        "command": "split", "g": args.g, "c": str(c),
+        "source": fact.source.to_dict(), "factors": entries,
+        "identity_checked": bool(args.refine and args.check),
+        "identity_ok": all_ok,
+    }
+    return payload, lines, 0 if all_ok else 2
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     spec = _build_spec(args)
-    if args.pmax is None:
-        raise SystemExit("--pmax is required for sweep")
-    check_p_max(args.pmax)
     result = pointcount.trace_sweep(spec, args.pmin, args.pmax, workers=args.workers)
+    m = result.moments
     summary = {
         "curve": spec.label(),
-        "moments": result.moments,
+        "moments": m,
         "class_counts": {str(k): v for k, v in sorted(result.class_counts.items())},
         "classes_mod": pointcount.congruence_modulus(spec),
     }
-    if args.format == "json":
-        _emit(json.dumps({
-            "command": "sweep",
-            "samples": [
-                {"p": s.p, "count": s.count, "t_p": s.t_p, "x_p": s.x_p}
-                for s in result.samples
-            ],
-            "summary": summary,
-        }, indent=2), args.out)
-    elif args.format == "text":
-        lines = [f"sweep of {spec.label()}, {len(result.samples)} good primes"]
-        m = result.moments
-        lines.append(
+    payload = {
+        "command": "sweep",
+        "samples": [
+            {"p": s.p, "count": s.count, "t_p": s.t_p, "x_p": s.x_p}
+            for s in result.samples
+        ],
+        "summary": summary,
+    }
+    if args.format == "text":
+        lines = [
+            f"sweep of {spec.label()}, {len(result.samples)} good primes",
             f"moments of x_p: mean={m['mean']:.6f} m2={m['m2']:.6f}"
-            f" m4={m['m4']:.6f} m6={m['m6']:.6f}"
-        )
-        lines.append(
+            f" m4={m['m4']:.6f} m6={m['m6']:.6f}",
             f"primes per class mod {summary['classes_mod']}: "
-            + ", ".join(f"{k}: {v}" for k, v in summary["class_counts"].items())
-        )
-        _emit("\n".join(lines), args.out)
+            + ", ".join(f"{k}: {v}" for k, v in summary["class_counts"].items()),
+        ]
     else:
-        rows = ["p,count,t_p,x_p"]
-        for s in result.samples:
-            rows.append(f"{s.p},{s.count},{s.t_p},{s.x_p:.12g}")
-        _emit("\n".join(rows), args.out)
+        lines = ["p,count,t_p,x_p"]
+        lines += [f"{s.p},{s.count},{s.t_p},{s.x_p:.12g}" for s in result.samples]
+    if args.format == "csv":
         print(
-            f"# moments: mean={result.moments['mean']:.6g}"
-            f" m2={result.moments['m2']:.6g} m4={result.moments['m4']:.6g}"
-            f" m6={result.moments['m6']:.6g}; classes mod"
+            f"# moments: mean={m['mean']:.6g} m2={m['m2']:.6g} m4={m['m4']:.6g}"
+            f" m6={m['m6']:.6g}; classes mod"
             f" {summary['classes_mod']}: {summary['class_counts']}",
             file=sys.stderr,
         )
-    return 0
+    return payload, lines, 0
 
 
 def _add_curve_options(sub, with_c=True):
@@ -380,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sweep", help="trace-of-Frobenius sweep over primes")
     _add_curve_options(sub)
     sub.add_argument("--pmin", type=int, default=3)
-    sub.add_argument("--pmax", type=int, default=None)
+    sub.add_argument("--pmax", type=int, required=True)
     sub.add_argument("--workers", type=int, default=1)
     _add_output_options(sub, ("csv", "json", "text"))
     sub.set_defaults(func=cmd_sweep)
@@ -392,21 +324,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        payload, lines, code = args.func(args)
+        text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
+        _emit(text, args.out)
+        return code
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(f"stjac: error: {exc.code}", file=sys.stderr)
             return 1
         return exc.code if exc.code is not None else 0
-    except (
-        NotPrimeError, EvenOrTooSmallError, PrimeTooLargeError,
-        NoColumnsError, BadReductionError,
-    ) as exc:
-        print(f"stjac: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except StjacError as exc:
         print(f"stjac: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InputError) else 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"stjac: error: {exc}", file=sys.stderr)
         return 1

@@ -23,46 +23,32 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import NotCoprimeError
-from .primes import divisors, euler_phi
-
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact polynomial division over Z (den monic up to sign of lead 1)."""
-    num = list(num)
-    q = [0] * max(1, len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        f = c // lead
-        q[k] = f
-        for i, d in enumerate(den):
-            num[k + i] -= f * d
-    return _poly_trim(q), _poly_trim(num)
+from .primes import divisors, euler_phi, mobius
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, computed as
-    (x^n - 1) / prod(Phi_d for proper divisors d of n)."""
+    """Coefficients of Phi_n, ascending degree.
+
+    For n > 1, Phi_n = prod over d | n of (1 - x^d)^mu(n/d), taken as a
+    power series truncated at degree phi(n): each factor is one in-place
+    pass that multiplies by (1 - x^d) or divides by it.
+    """
     if n < 1:
         raise ValueError("conductor must be >= 1")
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in divisors(n)[:-1]:
-        num, rem = _poly_divmod_int(num, list(cyclotomic_poly(d)))
-        assert not rem
-    return tuple(num)
+    deg = euler_phi(n)
+    c = [1] + [0] * deg
+    for d in divisors(n):
+        mu = mobius(n // d)
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu == -1:
+            for i in range(d, deg + 1):
+                c[i] += c[i - d]
+    return tuple(c)
 
 
 @lru_cache(maxsize=None)

@@ -1,31 +1,40 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An ``InputError`` means the caller asked for something outside the
+supported range (the CLI exits 1).  Any other ``StjacError`` means the
+mathematics failed a consistency check (the CLI exits 2).
+"""
 
 
 class StjacError(Exception):
     """Base class for all stjac-specific errors."""
 
 
-class NotPrimeError(StjacError):
+class InputError(StjacError):
+    """Base class for inputs outside the supported range."""
+
+
+class NotPrimeError(InputError):
     """The given modulus is not a prime number."""
 
 
-class EvenOrTooSmallError(StjacError):
+class EvenOrTooSmallError(InputError):
     """The given prime must be odd and at least 3."""
 
 
-class PrimeTooLargeError(StjacError):
+class PrimeTooLargeError(InputError):
     """The given prime exceeds the supported bound ffield.P_MAX."""
 
 
-class NotCoprimeError(StjacError):
+class NotCoprimeError(InputError):
     """An embedding index must be coprime to the conductor."""
 
 
-class DegenerateCharactersError(StjacError):
+class DegenerateCharactersError(InputError):
     """A Gauss/Jacobi identity check needs all involved characters nontrivial."""
 
 
-class BadReductionError(StjacError):
+class BadReductionError(InputError):
     """The prime divides 2*d*c, so the reduced curve is not usable here."""
 
 
@@ -33,11 +42,11 @@ class NonIntegerResultError(StjacError):
     """A cyclotomic sum that must be a rational integer failed to reduce to one."""
 
 
-class NoColumnsError(StjacError):
+class NoColumnsError(InputError):
     """No characters contribute at this prime, so there is no matrix to build."""
 
 
-class NotInKernelError(StjacError):
+class NotInKernelError(InputError):
     """The vector to verify is not in the kernel of the carry matrix."""
 
 
@@ -49,13 +58,13 @@ class RelationVerificationError(StjacError):
     """A kernel vector failed the exact character-relation check."""
 
 
-class NoGenericPrimeError(StjacError):
+class NoGenericPrimeError(InputError):
     """Could not find enough fully split primes below the search bound."""
 
 
-class OddInputError(StjacError):
+class OddInputError(InputError):
     """This splitting step applies to even genus only."""
 
 
-class EvenInputError(StjacError):
+class EvenInputError(InputError):
     """This splitting step applies to odd genus (at least 3) only."""

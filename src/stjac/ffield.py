@@ -81,13 +81,18 @@ def check_p_max(p: int) -> None:
         raise PrimeTooLargeError(f"p must be at most P_MAX = 2^31 - 1, got {p}")
 
 
-def make_field(p: int) -> PrimeField:
-    """Build the field data for an odd prime p (dense table, desk scale)."""
+def check_prime(p: int) -> None:
+    """Reject any p that is not an odd prime <= P_MAX, before any work of size p."""
     if p < 3 or p % 2 == 0:
         raise EvenOrTooSmallError(f"p must be an odd prime >= 3, got {p}")
     check_p_max(p)
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise NotPrimeError(f"p must be an odd prime, got {p}")
+
+
+def make_field(p: int) -> PrimeField:
+    """Build the field data for an odd prime p (dense table, desk scale)."""
+    check_prime(p)
     g = smallest_primitive_root(p)
     table = _accel.dlog_table(p, g)
     table.flags.writeable = False

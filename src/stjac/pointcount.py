@@ -34,7 +34,7 @@ from . import _accel
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join
 from .errors import BadReductionError, NonIntegerResultError
-from .ffield import PrimeField, check_p_max, make_field, reduce_mod
+from .ffield import PrimeField, check_p_max, check_prime, make_field, reduce_mod
 from .primes import prime_range
 
 ADDITIVE = "additive"  # y^2 = x^d + c
@@ -81,6 +81,9 @@ class CurveSpec:
             tail = f"{c}"
         return f"y^2 = {head} + {tail}".replace("+ -", "- ")
 
+    def to_dict(self) -> dict:
+        return {"family": self.family, "d": self.d, "c": str(self.c), "genus": self.genus}
+
 
 def curve(family: str, d: int, c=1) -> CurveSpec:
     return CurveSpec(family=family, d=d, c=Fraction(c))
@@ -126,6 +129,17 @@ def good_reduction(p: int, spec: CurveSpec) -> bool:
     """
     degree = spec.d if spec.family == ADDITIVE else spec.d - 1
     return (2 * degree * spec.c.numerator * spec.c.denominator) % p != 0
+
+
+def good_primes(spec: CurveSpec, p_min: int, p_max: int) -> list[int]:
+    """Odd primes of good reduction in [p_min, p_max], ascending.
+
+    p_max is checked against P_MAX before the sieve is allocated.
+    """
+    check_p_max(p_max)
+    if p_min > p_max:
+        raise ValueError("p_min must not exceed p_max")
+    return [p for p in prime_range(max(3, p_min), p_max) if good_reduction(p, spec)]
 
 
 def points_at_infinity(spec: CurveSpec) -> int:
@@ -212,6 +226,9 @@ def residue_fixes_trace(p: int, spec: CurveSpec) -> bool:
 def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     """Frobenius traces t_p from the Hasse-Witt residue, for good odd primes p > 16g^2.
 
+    ``primes`` must be odd primes, as a sieve gives them: primality is not
+    tested here (``trace_hasse_witt`` tests its one p).
+
     With h = (p-1)/2, chi(f(x)) = f(x)^h mod p, and x^k sums to -1 over F_p
     when 0 < k and (p-1) | k, else to 0.  Expanding f^h binomially gives
     t_p = 1 - (points at infinity) + sum_j C(h, j) c^(h-j) (mod p), j over
@@ -265,6 +282,7 @@ def _factorial_args(h: int, js: list[int]) -> list[int]:
 
 def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
     """t_p at one good odd prime p > 16g^2; see ``hasse_witt_traces``."""
+    check_prime(p)
     return hasse_witt_traces([p], spec)[0]
 
 
@@ -279,19 +297,17 @@ class SweepResult:
 def trace_sweep(
     spec: CurveSpec, p_min: int, p_max: int, workers: int = 1
 ) -> SweepResult:
-    """Trace-of-Frobenius samples over all good odd primes in [p_min, p_max].
+    """Trace-of-Frobenius samples over ``good_primes(spec, p_min, p_max)``.
 
     Primes p <= 16g^2 take ``count_formula``; the others take one
     ``hasse_witt_traces`` batch.  With workers > 1 each worker of a process
     pool takes one contiguous block of those primes.  workers must lie in
     [1, os.cpu_count()].
     """
-    if p_min > p_max:
-        raise ValueError("p_min must not exceed p_max")
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must be between 1 and {cpus}, got {workers}")
-    primes = [p for p in prime_range(max(3, p_min), p_max) if good_reduction(p, spec)]
+    primes = good_primes(spec, p_min, p_max)
     small = [p for p in primes if not residue_fixes_trace(p, spec)]
     large = primes[len(small):]
     traces = [p + 1 - count_formula(make_field(p), spec) for p in small]

@@ -82,6 +82,12 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def mobius(n: int) -> int:
+    """Moebius function: 0 unless n >= 1 is squarefree, else (-1)^(number of primes)."""
+    f = factorize(n)
+    return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+
 def v2(n: int) -> int:
     """2-adic valuation of a nonzero integer."""
     if n == 0:

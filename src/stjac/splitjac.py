@@ -113,28 +113,9 @@ class IsogenyFactorization:
     def to_dict(self) -> dict:
         out = []
         for f, e in self.factors:
-            entry = (
-                {
-                    "type": "curve",
-                    "family": f.family,
-                    "d": f.d,
-                    "c": str(f.c),
-                    "genus": f.genus,
-                }
-                if isinstance(f, CurveSpec)
-                else f.to_dict()
-            )
-            entry["exponent"] = e
-            out.append(entry)
-        return {
-            "source": {
-                "family": self.source.family,
-                "d": self.source.d,
-                "c": str(self.source.c),
-                "genus": self.source.genus,
-            },
-            "factors": out,
-        }
+            entry = {"type": "curve", **f.to_dict()} if isinstance(f, CurveSpec) else f.to_dict()
+            out.append({**entry, "exponent": e})
+        return {"source": self.source.to_dict(), "factors": out}
 
 
 def split_even(g: int, c=Fraction(1)) -> IsogenyFactorization:

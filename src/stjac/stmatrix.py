@@ -26,7 +26,7 @@ import numpy as np
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join, is_root_of_unity
 from .errors import NoColumnsError, NotInKernelError
-from .ffield import PrimeField, make_field
+from .ffield import PrimeField, check_prime, make_field
 from .intlinalg import kernel_basis, rank, snf_invariant_factors
 from .pointcount import (
     ADDITIVE,
@@ -88,7 +88,8 @@ class CarryMatrix:
 
 
 def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
-    """Carry matrix at p; raises NoColumnsError when no character contributes."""
+    """Carry matrix at the odd prime p; NoColumnsError when no character contributes."""
+    check_prime(p)
     n = p - 1
     cols = st_columns(p, d, family)
     if not cols:

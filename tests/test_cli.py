@@ -350,6 +350,11 @@ def test_st0_zero_primes_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "at least 1" in err
+    # too few generic primes below the search bound is an input error too
+    for argv in (("--curve", "x^10+c", "--num-primes", "600"), ("--curve", "x^10007+c")):
+        code, out, err = run(capsys, "st0", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("stjac: NoGenericPrimeError: only "), argv
 
 
 def test_split_zero_trials_exits_1(capsys):

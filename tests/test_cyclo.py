@@ -23,6 +23,10 @@ def test_cyclotomic_poly_degree_and_product():
 
     for n in range(1, 50):
         assert len(cyclotomic_poly(n)) - 1 == euler_phi(n)
+    # the coefficients themselves, against sympy
+    for n in range(1, 200):
+        ref = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X).all_coeffs()[::-1]
+        assert list(cyclotomic_poly(n)) == ref, n
     # prod over d | n of Phi_d = x^n - 1
     for n in (6, 10, 18, 30):
         prod = [1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stjac import _accel, pointcount
-from stjac.errors import BadReductionError
+from stjac.errors import BadReductionError, NotPrimeError
 from stjac.ffield import make_field
 from stjac.pointcount import (
     ADDITIVE,
@@ -322,6 +322,16 @@ def test_hasse_witt_boundary_at_16_g_squared(field):
                 trace_hasse_witt(below, spec)
     with pytest.raises(BadReductionError):
         trace_hasse_witt(401, curve(ADDITIVE, 12, 401))
+
+
+def test_trace_hasse_witt_rejects_composite_p():
+    # 1001 = 7 * 11 * 13 once gave t_p = 0; 10000009 = 23 * 434783 hit a
+    # non-invertible factorial inside pow
+    spec = curve(ADDITIVE, 9, 1)
+    for p in (1001, 10000009):
+        assert good_reduction(p, spec) and residue_fixes_trace(p, spec)
+        with pytest.raises(NotPrimeError, match="odd prime"):
+            trace_hasse_witt(p, spec)
 
 
 def test_trace_sweep_builds_fields_only_up_to_16_g_squared(monkeypatch):

@@ -1,4 +1,4 @@
-from stjac.primes import divisors, euler_phi, factorize, is_prime, prime_range, v2
+from stjac.primes import divisors, euler_phi, factorize, is_prime, mobius, prime_range, v2
 
 
 def test_is_prime_small():
@@ -38,6 +38,9 @@ def test_divisors_and_phi():
         import math
 
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        # the Moebius function sums to 0 over the divisors of every n > 1
+        assert sum(mobius(k) for k in divisors(n)) == (n == 1)
+    assert [mobius(n) for n in (1, 2, 6, 12, 30)] == [1, -1, 1, 0, -1]
 
 
 def test_v2():

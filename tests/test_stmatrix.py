@@ -5,7 +5,7 @@ import pytest
 
 from stjac import stmatrix
 from stjac.cyclo import embed
-from stjac.errors import NoColumnsError, NotInKernelError
+from stjac.errors import EvenOrTooSmallError, NoColumnsError, NotInKernelError, NotPrimeError
 from stjac.ffield import make_field
 from stjac.intlinalg import hnf_rows, matvec
 from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve, is_generic_prime
@@ -103,6 +103,15 @@ def test_no_columns_raises():
         build_matrix(5, 9, ADDITIVE)
     with pytest.raises(NoColumnsError):
         build_matrix(7, 7, LINEAR)
+
+
+def test_build_matrix_rejects_p_that_is_not_an_odd_prime():
+    # 21 = 3 * 7 once gave a 12 x 8 table that validate_matrix passed
+    for p in (21, 15, 9):
+        with pytest.raises(NotPrimeError, match="odd prime"):
+            build_matrix(p, 10, ADDITIVE)
+    with pytest.raises(EvenOrTooSmallError):
+        build_matrix(22, 10, ADDITIVE)
 
 
 def test_validate_matrix_passes_everywhere():
