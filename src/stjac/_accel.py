@@ -41,15 +41,15 @@ def dlog_table(p: int, g: int) -> np.ndarray:
     return dlog
 
 
-def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int, bins: int) -> np.ndarray:
     """Histogram over e of a*u(x) + b*u(1-x) mod n, x in F_p minus {0, 1}.
 
     ``u`` is any nonnegative integer table indexed by x in F_p (p = n + 1):
     the dlog table itself, or its residues mod some M (int64 or int32); a,
-    b >= 0.  The bins stop at the largest reachable key, n if it can wrap:
-    residues mod M with a = M, b = 1 give M^2 bins and no n-length array.
+    b >= 0.  ``bins`` must exceed every key: n for the dlog table, M^2 for
+    residues mod M with a = M, b = 1 (then no n-length array is built).
     """
-    p, bins = n + 1, min(n, (a + b) * int(u[2:].max()) + 1)
+    p = n + 1
     chunk = max(1 << 16, bins)
     hist = np.zeros(bins, dtype=np.int64)
     for s in range(2, p, chunk):

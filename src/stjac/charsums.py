@@ -53,7 +53,8 @@ def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
     if need * need > n:
         return None
     red = np.remainder(fld.dlog, need, dtype=np.int32)
-    table = _accel.char_pair_histogram(red, need, 1, n).reshape(need, need)
+    table = _accel.char_pair_histogram(red, need, 1, n, need * need)
+    table = table.reshape(need, need)
     table.flags.writeable = False
     fld.joint[need] = table
     return table
@@ -73,7 +74,7 @@ def jacobi_sum_compact(fld: PrimeField, a: CharExponent, b: CharExponent) -> Cyc
     need = math.lcm(2, n // math.gcd(a, n), n // math.gcd(b, n))
     table = _joint_table(fld, need)
     if table is None:
-        hist = _accel.char_pair_histogram(fld.dlog, a, b, n)
+        hist = _accel.char_pair_histogram(fld.dlog, a, b, n, n)
         compact = hist[::g] if g > 1 else hist
     else:
         i = np.arange(len(table), dtype=np.int64)

@@ -51,10 +51,6 @@ class PrimeField:
             raise ZeroDivisionError("discrete log of 0")
         return int(self.dlog[x])
 
-    def reduce(self, c) -> int:
-        """Image of an int or Fraction in F_p (inverts the denominator mod p)."""
-        return reduce_mod(c, self.p)
-
     def __repr__(self):
         return f"PrimeField(p={self.p}, generator={self.generator})"
 

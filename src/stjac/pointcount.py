@@ -173,7 +173,7 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
     p = fld.p
     if not good_reduction(p, spec):
         raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
-    cp = fld.reduce(spec.c)
+    cp = reduce_mod(spec.c, fld.p)
     terms = []
     for a in contributing_ms(p, spec.d, spec.family):
         j = jacobi_sum_compact(fld, a, fld.n // 2)
@@ -191,7 +191,7 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
 
 def count_bruteforce(fld: PrimeField, spec: CurveSpec) -> int:
     """Oracle: direct enumeration of affine solutions, plus the points at infinity."""
-    cp = fld.reduce(spec.c)
+    cp = reduce_mod(spec.c, fld.p)
     affine = _accel.affine_count(fld.p, spec.d, cp, spec.family == LINEAR)
     return affine + points_at_infinity(spec)
 

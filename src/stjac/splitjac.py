@@ -8,9 +8,7 @@ and that identity is asserted on every constructed factorization.
 
 from __future__ import annotations
 
-import cmath
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,58 +219,29 @@ def split_refined(g: int, c=Fraction(1)) -> IsogenyFactorization:
     )
 
 
-def lockwood_rhs(g: int, i: int, c, x: complex, coeffs=None) -> complex:
-    """Numeric value of sum_k coeff_k zeta^(ik) c^(k/g) x^(2k+1) (x^2 + zeta^i c^(1/g))^(g-2k).
+def lockwood_check(curve: LowerGenusCurve) -> bool:
+    """Exact check of the binomial identity behind a lower-genus curve.
 
-    `coeffs` overrides the bracket coefficients (used to confirm that the
-    check really distinguishes wrong coefficients).
+    With gamma = zeta^i c^(1/g), the curve reads y^2 = F(x) with
+    F(x) = sum_k coeff_k gamma^k x^(g-2k), and the identity is
+        x^(2g+1) + c*x = sum_k coeff_k gamma^k x^(2k+1) (x^2 + gamma)^(g-2k),
+    i.e. F(x + gamma/x) = x^g + (gamma/x)^g: F is the Dickson polynomial
+    D_g(x, gamma) (Lidl-Mullen-Niederreiter, Dickson Polynomials, 1993).
+    So term k must carry x^(g-2k), zeta^(ik) and c^(k/g).  After dividing
+    by x both sides are homogeneous of degree g in (x^2, gamma), and
+    gamma^g = c, so t = x^2/gamma turns the identity into
+        sum_k coeff_k t^k (t+1)^(g-2k) = t^g + 1
+    in Z[t].  That integer identity proves the curve identity for every i
+    and every c; it is checked with ints only.
     """
-    zeta = cmath.exp(2j * cmath.pi / g)
-    croot = complex(c) ** (1.0 / g)  # principal branch
-    zi = zeta**i
-    total = 0j
-    for k in range((g - 1) // 2 + 1):
-        coeff = coeffs[k] if coeffs is not None else (-1) ** k * bracket_coeff(g, k)
-        total += (
-            coeff
-            * zi**k
-            * croot**k
-            * x ** (2 * k + 1)
-            * (x * x + zi * croot) ** (g - 2 * k)
-        )
-    return total
-
-
-def lockwood_check(
-    g: int,
-    i: int,
-    c=Fraction(1),
-    trials: int = 20,
-    tol: float = 1e-9,
-    seed: int = 0,
-    coeffs=None,
-) -> bool:
-    """Check x^(2g+1) + c*x against its binomial-bracket expansion at random points.
-
-    Uses a fixed primitive g-th root of unity and the principal branch of
-    c^(1/g).  Sample moduli stay in [0.6, 0.85] so the two sides are
-    well-conditioned and a unit perturbation of any single coefficient is
-    detected at tolerance 1e-9.
-    """
-    if g < 3 or g % 2 == 0:
-        raise EvenInputError(f"needs odd g >= 3, got {g}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = random.Random(seed)
-    cf = complex(c)
-    for _ in range(trials):
-        r = 0.6 + 0.25 * rng.random()
-        theta = 2 * math.pi * rng.random()
-        x = r * cmath.exp(1j * theta)
-        lhs = x ** (2 * g + 1) + cf * x
-        rhs = lockwood_rhs(g, i, c, x, coeffs=coeffs)
-        if abs(lhs - rhs) > tol:
+    g, i = curve.g, curve.i
+    if len(curve.terms) != curve.genus + 1:
+        return False
+    total = [0] * (g + 1)
+    for k, term in enumerate(curve.terms):
+        m = g - 2 * k
+        if (term.x_exp, term.zeta_exp, term.c_exp) != (m, i * k % g, Fraction(k, g)):
             return False
-    return True
+        for j in range(m + 1):
+            total[k + j] += term.coeff * math.comb(m, j)
+    return total == [1] + [0] * (g - 1) + [1]

@@ -26,7 +26,7 @@ import numpy as np
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join, is_root_of_unity
 from .errors import NoColumnsError, NotInKernelError
-from .ffield import PrimeField, check_prime, make_field
+from .ffield import PrimeField, check_prime, make_field, reduce_mod
 from .intlinalg import kernel_basis, rank, snf_invariant_factors
 from .pointcount import (
     ADDITIVE,
@@ -202,7 +202,7 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
     This is the exact term the point-count formula attaches to column a,
     i.e. (minus) a Frobenius eigenvalue of the curve at p.
     """
-    cp = fld.reduce(c)
+    cp = reduce_mod(c, fld.p)
     if cp == 0:
         raise ZeroDivisionError(f"c = {c} vanishes mod {fld.p}")
     j = jacobi_sum_compact(fld, a, fld.n // 2)

@@ -16,7 +16,9 @@ def test_numpy_dlog_table_correct():
 
 def test_numpy_histogram_counts_all_pairs():
     table = dlog_table(11, 2)
-    hist = char_pair_histogram(table, 1, 5, 10)
+    hist = char_pair_histogram(table, 1, 5, 10, 10)
+    keys = (table[2:] + 5 * table[:1:-1]) % 10
+    assert hist.tolist() == np.bincount(keys, minlength=10).tolist()
     assert hist.sum() == 9  # x runs over F_11 minus {0, 1}
     assert hist.min() >= 0
 
@@ -26,7 +28,7 @@ def test_residue_histogram_is_chunked_into_need_squared_bins():
     p, need = 131113, 6
     red = np.remainder(dlog_table(p, 5), need, dtype=np.int32)
     keys = (need * red[2:] + red[:1:-1]) % (p - 1)
-    hist = char_pair_histogram(red, need, 1, p - 1)
+    hist = char_pair_histogram(red, need, 1, p - 1, need * need)
     assert hist.shape == (need * need,)
     assert hist.tolist() == np.bincount(keys, minlength=need * need).tolist()
 

@@ -136,7 +136,7 @@ def direct_jacobi(fld, a, b):
     a %= n
     b %= n
     g = math.gcd(a, b, n)
-    hist = _accel.char_pair_histogram(fld.dlog, a, b, n)
+    hist = _accel.char_pair_histogram(fld.dlog, a, b, n, n)
     return CycloElt.from_int_coeffs(n // g, hist[::g].tolist())
 
 
@@ -217,4 +217,4 @@ def test_count_formula_makes_one_histogram_pass(monkeypatch):
     fld = make_field(2161)  # 2161 = 1 mod 720: all 23 columns contribute
     assert len(contributing_ms(fld.p, 24, ADDITIVE)) == 23
     assert pointcount.count_formula(fld, spec) == pointcount.count_bruteforce(fld, spec)
-    assert calls == [(24, 1, fld.n)]
+    assert calls == [(24, 1, fld.n, 24 * 24)]

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 from stjac.cli import main
 
@@ -222,6 +224,52 @@ def test_split_refined_output_is_pinned(capsys):
     assert out == json.dumps(SPLIT_G11_JSON, indent=2) + "\n"
 
 
+def test_split_check_passes_at_large_genus(capsys):
+    # g = 45 and 81 refine genus-23 and genus-41 factors, where a float64
+    # evaluation of the identity cancels away
+    for g in ("45", "81"):
+        code, out, err = run(capsys, "split", "--g", g, "--refine", "--check")
+        assert (code, err) == (0, ""), g
+        assert out.endswith("identity check: pass\n"), g
+
+
+SPLIT_G3_TEXT = (
+    "Jac(y^2 = x^8 + 1) ~ Jac(y^2 = x + 1)^2 x Jac(y^2 = x^5 + x)"
+    " x Jac(y^2 = x^3 + x)\n"
+)
+
+SPLIT_G3_JSON = {
+    "command": "split", "g": 3, "c": "1",
+    "source": {"family": "additive", "d": 8, "c": "1", "genus": 3},
+    "factors": [
+        {"family": "additive", "d": 1, "c": "1", "genus": 0, "exponent": 2},
+        {"family": "linear", "d": 5, "c": "1", "genus": 2, "exponent": 1},
+        {"family": "linear", "d": 3, "c": "1", "genus": 1, "exponent": 1},
+    ],
+    "identity_checked": False,
+    "identity_ok": True,
+}
+
+
+def test_split_with_nothing_to_refine_checks_nothing(capsys):
+    # no factor of g = 3 is a linear twist of odd genus >= 3, so --check
+    # has no identity to verify and must not report one
+    code, out, err = run(capsys, "split", "--g", "3", "--refine", "--check")
+    assert (code, out, err) == (0, SPLIT_G3_TEXT, "")
+    code, out, err = run(
+        capsys, "split", "--g", "3", "--refine", "--check", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out == json.dumps(SPLIT_G3_JSON, indent=2) + "\n"
+
+
+def test_split_has_no_float_check_options(capsys):
+    for flag in ("--trials", "--tol", "--seed"):
+        code, out, err = run(capsys, "split", "--g", "5", "--refine", "--check", flag, "1")
+        assert (code, out) == (1, ""), flag
+        assert f"unrecognized arguments: {flag} 1" in err, flag
+
+
 def test_negative_fraction_c_after_a_space(capsys):
     # "--c -3/5" must read -3/5 as the value of --c, exactly as "--c=-3/5"
     for argv in (
@@ -298,6 +346,26 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["p"] == 11
 
 
+def _readme_usage():
+    """The commands of README's CLI usage block, each split into argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+def test_readme_usage_block_runs(tmp_path, monkeypatch, capsys):
+    # a flag that is deleted but still documented fails here
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_usage()
+    assert len(commands) >= 7 and {argv[0] for argv in commands} == {
+        "count", "matrix", "kernel", "st0", "split", "sweep"
+    }
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert (tmp_path / "traces.csv").read_text().startswith("p,count,t_p,x_p\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "count")[0] == 1
@@ -355,15 +423,6 @@ def test_st0_zero_primes_exits_1(capsys):
         code, out, err = run(capsys, "st0", *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("stjac: NoGenericPrimeError: only "), argv
-
-
-def test_split_zero_trials_exits_1(capsys):
-    code, out, err = run(
-        capsys, "split", "--g", "5", "--refine", "--check", "--trials", "0"
-    )
-    assert code == 1
-    assert "identity check: pass" not in out
-    assert "trials must be at least 1" in err
 
 
 def test_oracle_mismatch_exits_2(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stjac import _accel, pointcount
 from stjac.errors import BadReductionError, NotPrimeError
-from stjac.ffield import make_field
+from stjac.ffield import make_field, reduce_mod
 from stjac.pointcount import (
     ADDITIVE,
     LINEAR,
@@ -129,7 +129,7 @@ def test_bruteforce_matches_naive_enumeration(field):
         (19, curve(LINEAR, 7, Fraction(3, 5)), 1),
     ]:
         fld = field(p)
-        cp = fld.reduce(spec.c)
+        cp = reduce_mod(spec.c, p)
         naive = 0
         for x in range(p):
             fx = (pow(x, spec.d, p) + cp * (x if spec.family == LINEAR else 1)) % p

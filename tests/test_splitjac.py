@@ -1,13 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from stjac.cyclo import CycloElt
 from stjac.errors import EvenInputError, OddInputError
 from stjac.pointcount import ADDITIVE, LINEAR, CurveSpec
 from stjac.splitjac import (
+    CurveTerm,
     bracket_coeff,
     lockwood_check,
-    lockwood_rhs,
     lower_genus_curve,
     split_by_recursion,
     split_even,
@@ -99,7 +101,7 @@ def test_lower_genus_curve_structure():
 def test_lower_genus_zeta_exponents_follow_binomial_formula():
     # the k-th term carries zeta^(ik); for g = 5 and 9 that differs from a
     # naive reading of small tables (which show zeta^i resp. zeta^(5i) on
-    # the last term), and the numeric identity check below adjudicates
+    # the last term), and the exact identity check below adjudicates
     assert [t.zeta_exp for t in lower_genus_curve(5, 1).terms] == [0, 1, 2]
     assert [t.zeta_exp for t in lower_genus_curve(9, 1).terms] == [0, 1, 2, 3, 4]
     assert [t.zeta_exp for t in lower_genus_curve(11, 1).terms] == [0, 1, 2, 3, 4, 5]
@@ -109,23 +111,68 @@ def test_lockwood_identity_all_small_genera():
     for g in (3, 5, 7, 9, 11):
         for i in (0, 1):
             for c in (1, 2):
-                assert lockwood_check(g, i, c, trials=20, tol=1e-9)
+                assert lockwood_check(lower_genus_curve(g, i, c))
+
+
+def test_lockwood_identity_every_odd_genus_to_201(deadline):
+    # large g is where a float64 evaluation of the identity cancels away
+    with deadline():
+        for g in range(3, 202, 2):
+            for i in (0, 1):
+                for c in (1, Fraction(-3, 5)):
+                    assert lockwood_check(lower_genus_curve(g, i, c)), (g, i, c)
+
+
+def _with_term(curve, k, **changes):
+    """`curve` with its k-th term changed (dataclasses.replace on both)."""
+    bad = dataclasses.replace(curve.terms[k], **changes)
+    return dataclasses.replace(curve, terms=curve.terms[:k] + (bad,) + curve.terms[k + 1 :])
 
 
 def test_lockwood_detects_any_coefficient_perturbation():
-    for g in (3, 5, 9):
-        base = [(-1) ** k * bracket_coeff(g, k) for k in range((g - 1) // 2 + 1)]
-        for k in range(len(base)):
-            bad = list(base)
-            bad[k] += 1
-            assert not lockwood_check(g, 0, 1, coeffs=bad)
-            assert not lockwood_check(g, 1, 2, coeffs=bad)
+    for g in (3, 5, 9, 41):
+        for i in (0, 1):
+            curve = lower_genus_curve(g, i, 2)
+            for k, term in enumerate(curve.terms):
+                for coeff in (term.coeff + 1, term.coeff - 1):
+                    assert not lockwood_check(_with_term(curve, k, coeff=coeff)), (g, i, k)
+
+
+def test_lockwood_detects_any_exponent_change():
+    for g in (3, 5, 9, 41):
+        for i in (0, 1):
+            curve = lower_genus_curve(g, i, 2)
+            for k, term in enumerate(curve.terms):
+                for changes in (
+                    {"zeta_exp": (term.zeta_exp + 1) % g},
+                    {"c_exp": term.c_exp + Fraction(1, g)},
+                    {"x_exp": term.x_exp + 2},
+                ):
+                    assert not lockwood_check(_with_term(curve, k, **changes)), (g, i, k)
+            # a missing term, or an extra one that continues the pattern
+            # (x^-1 has no place in Z[t]), is not the curve either
+            assert not lockwood_check(dataclasses.replace(curve, terms=curve.terms[:-1]))
+            k = len(curve.terms)
+            extra = CurveTerm(x_exp=g - 2 * k, coeff=1, zeta_exp=i * k % g, c_exp=Fraction(k, g))
+            assert not lockwood_check(dataclasses.replace(curve, terms=curve.terms + (extra,)))
 
 
 def test_lockwood_rhs_agrees_at_a_point():
-    x = 0.7 + 0.1j
-    lhs = x**7 + 2 * x
-    assert abs(lockwood_rhs(3, 0, 2, x) - lhs) < 1e-12
+    # an oracle independent of the reduction to Z[t]: with c = r^g the
+    # identity holds in Z[zeta_g] at every integer x, term by term as built
+    for g in (3, 5, 9):
+        for i in (0, 1):
+            for r in (1, 2, -3):
+                curve = lower_genus_curve(g, i, r**g)
+                gamma = CycloElt.zeta_pow(g, i) * r
+                for x in (2, -5):
+                    rhs = CycloElt.zero(g)
+                    for t in curve.terms:
+                        # coeff zeta^(ik) c^(k/g) x^(2k+1) (x^2 + gamma)^(g-2k)
+                        scale = t.coeff * r ** int(t.c_exp * g) * x ** (g + 1 - t.x_exp)
+                        power = (gamma + x * x) ** t.x_exp
+                        rhs = rhs + CycloElt.zeta_pow(g, t.zeta_exp) * power * scale
+                    assert rhs == CycloElt.from_int(g, x ** (2 * g + 1) + r**g * x)
 
 
 def test_split_refined():
