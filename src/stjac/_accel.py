@@ -1,10 +1,11 @@
 """Hot numeric kernels.
 
 There is one backend, ``BACKEND = "numpy"``.  The Jacobi-sum and counting
-kernels are whole-array passes, O(p) each, with Python-level loops of
-O(sqrt(p)) at most.  Range: the callers keep p <= ``ffield.P_MAX`` =
-2^31 - 1, so a dlog value (< n = p - 1) fits in int32, and a product
-a * dlog (< n^2) or of two residues mod p (< p^2 < 2^62) fits in int64.
+kernels are whole-array passes, O(p) each, in chunks of about 2^16
+elements.  Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a
+dlog table (residues mod m | p - 1) needs at most int32, and the kernels
+form every product a * dlog (< n^2, n = p - 1) and every product of two
+residues mod p (< p^2 < 2^62) in int64.
 ``prefix_factorials`` serves the Hasse-Witt traces of a sweep on Python
 ints: one remainder tree for all the factorials of all the primes.
 """
@@ -17,46 +18,74 @@ import numpy as np
 
 BACKEND = "numpy"
 
+# elements per chunk of the O(p) passes
+_CHUNK = 1 << 16
 
-def dlog_table(p: int, g: int) -> np.ndarray:
-    """dlog[x] = e with g^e = x mod p for units x; dlog[0] = -1.
 
-    Baby-step blocks keep the Python-level loop at O(sqrt(p)).
+def dlog_table(p: int, g: int, m: int) -> np.ndarray:
+    """r[x] = (dlog x) mod m for units x, with g^(dlog x) = x mod p; r[0] = -1.
+
+    m must divide p - 1; m = p - 1 gives the full table.  The dtype is the
+    smallest signed one that holds m - 1.  The powers g^e come in chunks of
+    about 2^16 whose length is a multiple of m when m is that small, so the
+    label e mod m of column j of every chunk is j mod m.
     """
-    dlog = np.full(p, -1, dtype=np.int64)
-    block_len = max(1, math.isqrt(p - 1))
-    block = np.empty(block_len, dtype=np.int64)
-    v = 1
-    for i in range(block_len):
-        block[i] = v
-        v = (v * g) % p
-    stride = v  # g^block_len
-    offsets = np.arange(block_len, dtype=np.int64)
+    n = p - 1
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if m - 1 <= np.iinfo(t).max)
+    r = np.full(p, -1, dtype=dtype)
+    chunk = min(n, m * -(-_CHUNK // m)) if m <= _CHUNK else _CHUNK
+    # powers[j] = g^j mod p for j < chunk, by doubling; products stay < p^2 < 2^62
+    powers = np.empty(chunk, dtype=np.int64)
+    powers[0] = 1
+    k, gk = 1, g % p
+    while k < chunk:
+        t = min(k, chunk - k)
+        np.multiply(powers[:t], gk, out=powers[k : k + t])
+        powers[k : k + t] %= p
+        k += t
+        gk = gk * gk % p
+    labels = (np.arange(chunk) % m).astype(dtype) if m <= _CHUNK else None
+    stride = pow(g, chunk, p)
     acc = 1
-    for start in range(0, p - 1, block_len):
-        count = min(block_len, p - 1 - start)
-        values = (acc * block[:count]) % p
-        dlog[values] = start + offsets[:count]
-        acc = (acc * stride) % p
-    return dlog
+    for start in range(0, n, chunk):
+        count = min(chunk, n - start)
+        values = powers[:count] * acc
+        # x - (x // p) * p: numpy divides by a scalar without a hardware
+        # division per element, which x % p does not
+        values -= values // p * p
+        if labels is None:
+            r[values] = np.arange(start, start + count) % m
+        else:
+            r[values] = labels[:count]
+        acc = acc * stride % p
+    return r
 
 
 def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int, bins: int) -> np.ndarray:
     """Histogram over e of a*u(x) + b*u(1-x) mod n, x in F_p minus {0, 1}.
 
-    ``u`` is any nonnegative integer table indexed by x in F_p (p = n + 1):
-    the dlog table itself, or its residues mod some M (int64 or int32); a,
-    b >= 0.  ``bins`` must exceed every key: n for the dlog table, M^2 for
-    residues mod M with a = M, b = 1 (then no n-length array is built).
+    ``u`` is a table of ``dlog_table`` (p = n + 1): the full one, or the
+    residues mod some M; a, b >= 0.  ``bins`` must exceed every key: n for
+    the full table, M^2 for residues mod M with a = M, b = 1 (then no
+    n-length array is built).  The keys are int64, so a*u(x) (< n^2 < 2^62)
+    cannot wrap; they are reduced mod n only when the dtype of u lets them
+    reach n.  There is at least one chunk, since p >= 3.
     """
     p = n + 1
-    chunk = max(1 << 16, bins)
-    hist = np.zeros(bins, dtype=np.int64)
+    # entries of u are below 2^(bits - 1); keys below n need no reduction
+    reduce = (a + b) << (8 * u.itemsize - 1) > n
+    chunk = max(_CHUNK, bins)
+    hist = 0
     for s in range(2, p, chunk):
         e = min(s + chunk, p)
         # x = s .. e-1 reads u[s:e]; 1 - x = p+1-s .. p+2-e reads a reversed view
-        keys = (a * u[s:e] + b * u[p + 2 - e : p + 2 - s][::-1]) % n
-        hist += np.bincount(keys, minlength=bins)
+        keys = u[s:e].astype(np.int64)
+        keys *= a
+        rev = u[p + 2 - e : p + 2 - s][::-1]
+        keys += rev if b == 1 else b * rev.astype(np.int64)
+        if reduce:
+            keys %= n
+        hist = hist + np.bincount(keys, minlength=bins)
     return hist
 
 

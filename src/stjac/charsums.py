@@ -13,9 +13,11 @@ same value to the full conductor p-1.
 Its histogram comes from one O(p) pass per field, not per character: the
 first call builds the joint table of (dlog x, dlog(1-x)) mod M, with M the
 lcm of 2 and both character orders, caches it on the field, and every later
-call whose orders divide M folds it in O(M^2).  A table exists only when
-M^2 <= p - 1 (small p, or characters of large order); otherwise the call
-makes its own O(p) pass over the dlog table.
+call whose orders divide M folds it in O(M^2).  That pass reads only the
+field's table of dlog residues mod M (one byte per x for M <= 128), never
+the full dlog table.  A joint table exists only when M^2 <= p - 1;
+otherwise (small p, or characters of large order) the call makes its own
+O(p) pass over the full dlog table.
 """
 
 from __future__ import annotations
@@ -34,17 +36,18 @@ def gauss_sum(fld: PrimeField, a: CharExponent) -> complex:
     """Floating-point Gauss sum sum_x T^a(x) e^(2 pi i x / p)."""
     p, n = fld.p, fld.n
     x = np.arange(1, p)
-    angles = (a % n) * fld.dlog[x] % n / n + x / p
+    angles = (a % n) * fld.dlog[1:].astype(np.int64) % n / n + x / p
     return complex(np.exp(2j * np.pi * angles).sum())
 
 
 def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
     """Cached joint histogram of (dlog x, dlog(1-x)) mod some M with need | M.
 
-    Built on first use with one chunked O(p) pass.  The kernel key
-    need*u(x) + u(1-x) stays below need^2, so it is injective exactly when
-    need^2 <= n, and the kernel returns exactly need^2 bins; above that
-    there is no table and the caller takes the direct pass.
+    Built on first use with one chunked O(p) pass over the field's dlog
+    residues mod need (no full table).  The kernel key need*u(x) + u(1-x)
+    stays below need^2, so it is injective exactly when need^2 <= n, and the
+    kernel returns exactly need^2 bins; above that there is no table and the
+    caller takes the direct pass over the full table.
     """
     for m, table in fld.joint.items():
         if m % need == 0:
@@ -52,8 +55,7 @@ def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
     n = fld.n
     if need * need > n:
         return None
-    red = np.remainder(fld.dlog, need, dtype=np.int32)
-    table = _accel.char_pair_histogram(red, need, 1, n, need * need)
+    table = _accel.char_pair_histogram(fld.dlog_mod(need), need, 1, n, need * need)
     table = table.reshape(need, need)
     table.flags.writeable = False
     fld.joint[need] = table
@@ -94,7 +96,11 @@ def jacobi_sum(fld: PrimeField, a: CharExponent, b: CharExponent) -> CycloElt:
 def gauss_jacobi_check(
     fld: PrimeField, a: CharExponent, b: CharExponent, tol: float = 1e-6
 ) -> bool:
-    """Numeric check of J(A, B) = g(A) g(B) / g(AB) at the identity embedding."""
+    """Numeric check of J(A, B) = g(A) g(B) / g(AB) at the identity embedding.
+
+    J is embedded from its compact field, zeta_{(p-1)/g} -> e^(2 pi i g/(p-1)),
+    which is the identity embedding of Z[zeta_{p-1}] restricted to it.
+    """
     n = fld.n
     a %= n
     b %= n
@@ -102,6 +108,6 @@ def gauss_jacobi_check(
         raise DegenerateCharactersError(
             "the identity needs A, B and AB all nontrivial"
         )
-    lhs = embed(jacobi_sum(fld, a, b), 1)
+    lhs = embed(jacobi_sum_compact(fld, a, b), 1)
     rhs = gauss_sum(fld, a) * gauss_sum(fld, b) / gauss_sum(fld, a + b)
     return abs(lhs - rhs) <= tol

@@ -4,7 +4,9 @@ The generator is always the smallest primitive root of p, so every table,
 matrix and kernel built downstream is deterministic.  Characters are the
 maps T^a : x -> zeta_{p-1}^(a * dlog x), extended by zero at x = 0 for
 every a including a = 0; that convention is what makes the Gauss sum of
-the trivial character equal -1.
+the trivial character equal -1.  Discrete logs are read from tables of
+dlog x mod m, each built on first use, so a field holds only the residues
+that its callers asked for.
 """
 
 from __future__ import annotations
@@ -29,21 +31,45 @@ P_MAX = 2**31 - 1
 
 @dataclass(frozen=True, eq=False)
 class PrimeField:
-    """Odd prime p with its smallest primitive root and dense dlog table.
+    """Odd prime p with its smallest primitive root and cached dlog residues.
 
+    ``residues`` caches read-only tables m -> dlog x mod m (``dlog_mod``),
+    each built on first use; the full table ``dlog`` is the entry m = p - 1.
     ``joint`` caches joint histograms for the Jacobi sums: M -> the M x M
     table of #{x in F_p minus {0, 1} : dlog x = i, dlog(1-x) = s (mod M)}.
     """
 
     p: int
     generator: int
-    dlog: np.ndarray = field(repr=False)
+    residues: dict = field(default_factory=dict, repr=False)
     joint: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         """Order p - 1 of the character group."""
         return self.p - 1
+
+    @property
+    def dlog(self) -> np.ndarray:
+        """Full table: dlog[x] = e with generator^e = x for units x; dlog[0] = -1."""
+        return self.dlog_mod(self.n)
+
+    def dlog_mod(self, m: int) -> np.ndarray:
+        """Read-only table of dlog x mod m for a divisor m of p - 1; entry 0 is -1."""
+        table = self.residues.get(m)
+        if table is None:
+            table = _accel.dlog_table(self.p, self.generator, m)
+            table.flags.writeable = False
+            self.residues[m] = table
+        return table
+
+    def dlog_residues(self, m: int) -> np.ndarray:
+        """A table of dlog x mod some multiple of m (m | p - 1): any cached
+        one, else the table mod m, built here."""
+        for k, table in self.residues.items():
+            if k % m == 0:
+                return table
+        return self.dlog_mod(m)
 
     def dlog_of(self, x: int) -> int:
         x %= self.p
@@ -87,12 +113,9 @@ def check_prime(p: int) -> None:
 
 
 def make_field(p: int) -> PrimeField:
-    """Build the field data for an odd prime p (dense table, desk scale)."""
+    """Field data for an odd prime p: its generator; no table is built yet."""
     check_prime(p)
-    g = smallest_primitive_root(p)
-    table = _accel.dlog_table(p, g)
-    table.flags.writeable = False
-    return PrimeField(p=p, generator=g, dlog=table)
+    return PrimeField(p=p, generator=smallest_primitive_root(p))
 
 
 def char_eval(fld: PrimeField, a: CharExponent, x: int) -> CycloElt:

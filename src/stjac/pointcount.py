@@ -156,11 +156,15 @@ def twist_exponent(fld: PrimeField, a: int, cp: int) -> int:
 
     cp is c reduced mod p, and nonzero.  The twist is zeta_{p-1}^shift with
     shift = a*dlog(-c) + ((p-1)/2)*dlog(c), a multiple of g = gcd(a, (p-1)/2),
-    and J(T^a, phi) lies in Q(zeta_{(p-1)/g}), so k = shift/g.
+    and J(T^a, phi) lies in Q(zeta_{(p-1)/g}), so k = shift/g.  Mod p - 1,
+    a*dlog(-c) depends only on dlog(-c) mod ord T^a and the second term only
+    on the parity of dlog(c), so both logs are read modulo any multiple of
+    lcm(2, ord T^a): from whichever cached table of the field serves it.
     """
     n = fld.n
     half = n // 2
-    shift = (a * fld.dlog_of(-cp) + half * fld.dlog_of(cp)) % n
+    r = fld.dlog_residues(math.lcm(2, n // math.gcd(a, n)))
+    shift = (a * int(r[fld.p - cp]) + half * int(r[cp])) % n
     return shift // math.gcd(a, half)
 
 

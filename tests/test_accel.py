@@ -4,18 +4,37 @@ import numpy as np
 
 from stjac import _accel
 from stjac._accel import affine_count, char_pair_histogram, dlog_table, prefix_factorials
+from stjac.ffield import smallest_primitive_root
 
 
 def test_numpy_dlog_table_correct():
     for p, g in [(11, 2), (19, 2), (7, 3), (1009, 11)]:
-        table = dlog_table(p, g)
+        table = dlog_table(p, g, p - 1)
         assert table[0] == -1
         for x in range(1, p):
             assert pow(g, int(table[x]), p) == x
 
 
+def test_dlog_residues_match_the_full_table_mod_every_divisor():
+    # p = 131113 > 2 * 2^16: the chunks of the large moduli cross boundaries
+    for p in (3, 5, 7, 11, 1009, 131113):
+        g = smallest_primitive_root(p)
+        full = np.full(p, -1, dtype=np.int64)  # g^e enumerated one by one
+        x = 1
+        for e in range(p - 1):
+            full[x] = e
+            x = x * g % p
+        assert np.array_equal(dlog_table(p, g, p - 1), full)
+        for m in (m for m in range(1, p) if (p - 1) % m == 0):
+            r = dlog_table(p, g, m)
+            assert r[0] == -1
+            assert np.array_equal(r[1:], full[1:] % m), (p, m)
+            smallest = next(t for t in (np.int8, np.int16, np.int32) if m - 1 <= np.iinfo(t).max)
+            assert r.dtype == smallest, (p, m, r.dtype)
+
+
 def test_numpy_histogram_counts_all_pairs():
-    table = dlog_table(11, 2)
+    table = dlog_table(11, 2, 10)
     hist = char_pair_histogram(table, 1, 5, 10, 10)
     keys = (table[2:] + 5 * table[:1:-1]) % 10
     assert hist.tolist() == np.bincount(keys, minlength=10).tolist()
@@ -26,8 +45,8 @@ def test_numpy_histogram_counts_all_pairs():
 def test_residue_histogram_is_chunked_into_need_squared_bins():
     # p > 2 * 2^16 spans three chunks; the reference is one unchunked pass
     p, need = 131113, 6
-    red = np.remainder(dlog_table(p, 5), need, dtype=np.int32)
-    keys = (need * red[2:] + red[:1:-1]) % (p - 1)
+    red = dlog_table(p, 5, need)
+    keys = (need * red[2:].astype(np.int64) + red[:1:-1]) % (p - 1)
     hist = char_pair_histogram(red, need, 1, p - 1, need * need)
     assert hist.shape == (need * need,)
     assert hist.tolist() == np.bincount(keys, minlength=need * need).tolist()
@@ -68,6 +87,6 @@ def test_numpy_affine_count_tiny():
 
 def test_dispatch_names_bound():
     assert _accel.BACKEND == "numpy"
-    table = _accel.dlog_table(13, 2)
+    table = _accel.dlog_table(13, 2, 12)
     assert pow(2, int(table[5]), 13) == 5
     assert _accel.affine_count(5, 3, 1, False) == 5

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,3 +219,41 @@ def test_count_formula_makes_one_histogram_pass(monkeypatch):
     assert len(contributing_ms(fld.p, 24, ADDITIVE)) == 23
     assert pointcount.count_formula(fld, spec) == pointcount.count_bruteforce(fld, spec)
     assert calls == [(24, 1, fld.n, 24 * 24)]
+
+
+def test_count_formula_builds_only_small_residue_tables(monkeypatch):
+    # x^24+3 at p = 1 mod 24 needs dlog mod 24 only: an int8 table, no full one
+    kernel = _accel.dlog_table
+
+    def no_full_table(p, g, m):
+        if m == p - 1:
+            raise AssertionError(f"full dlog table requested at p={p}")
+        return kernel(p, g, m)
+
+    monkeypatch.setattr(_accel, "dlog_table", no_full_table)
+    spec = pointcount.curve(ADDITIVE, 24, 3)
+    p = 1000081
+    tracemalloc.start()
+    try:
+        fld = make_field(p)
+        count = pointcount.count_formula(fld, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(fld.residues) == [24]
+    assert peak <= 4 * p, peak
+    assert count == pointcount.count_bruteforce(fld, spec)
+
+
+def test_direct_pass_does_not_wrap_above_46341():
+    # the full table is int32 here, and a*dlog x passes 2^31 for p > 46341;
+    # need^2 > n for these pairs, so they take the direct pass
+    fld = make_field(50021)
+    n = fld.n  # 50020 = 4 * 5 * 41 * 61
+    assert fld.dlog.dtype == np.int32
+    for a, b in [(61 * 819, 61 * 811), (61 * 3, n - 61), (41 * 1219, 41 * 3)]:
+        assert math.lcm(2, n // math.gcd(a, n), n // math.gcd(b, n)) ** 2 > n
+        assert a * (n - 1) >= 2**31 or b * (n - 1) >= 2**31
+        assert gauss_jacobi_check(fld, a, b)
+        assert_matches_direct(fld, [(a, b)])
+    assert not fld.joint

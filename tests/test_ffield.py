@@ -17,17 +17,14 @@ def test_make_field_validation():
 
 
 def test_make_field_rejects_p_above_p_max(monkeypatch):
-    # the bound is checked before the 8p-byte dlog table is allocated
-    class TableRequested(Exception):
-        pass
-
-    def no_table(p, g):
-        raise TableRequested(p)
+    # nothing of size p is built before the bound check, nor by make_field at all
+    def no_table(p, g, m):
+        raise AssertionError(f"dlog table requested for p={p}, m={m}")
 
     monkeypatch.setattr(_accel, "dlog_table", no_table)
     assert P_MAX == 2**31 - 1
-    with pytest.raises(TableRequested):
-        make_field(P_MAX)  # a prime, and still in range
+    fld = make_field(P_MAX)  # a prime, and still in range
+    assert (fld.p, fld.residues) == (P_MAX, {})
     for p in (2**31 + 11, 2**61 - 1):  # primes above the bound
         with pytest.raises(PrimeTooLargeError):
             make_field(p)
