@@ -174,15 +174,16 @@ class CycloElt:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "CycloElt":
+        """Left-to-right square-and-multiply: bit_length + popcount - 2 products."""
         if k < 0:
             raise ValueError("negative powers leave Z[zeta]")
-        result = CycloElt.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return CycloElt.one(self.n)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def galois(self, u: int) -> "CycloElt":

@@ -37,12 +37,15 @@ class PrimeField:
     each built on first use; the full table ``dlog`` is the entry m = p - 1.
     ``joint`` caches joint histograms for the Jacobi sums: M -> the M x M
     table of #{x in F_p minus {0, 1} : dlog x = i, dlog(1-x) = s (mod M)}.
+    ``terms`` caches the Frobenius terms of the relation checks: (a, c) ->
+    (w, conj(w)) with w = T^a(-c) * phi(c) * J(T^a, phi) and w * conj(w) = p.
     """
 
     p: int
     generator: int
     residues: dict = field(default_factory=dict, repr=False)
     joint: dict = field(default_factory=dict, repr=False)
+    terms: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:

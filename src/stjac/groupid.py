@@ -86,10 +86,12 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
 
 
 def torus_dimension(mat: CarryMatrix) -> int:
-    """Rank of the column lattice together with the all-ones vector, minus 1."""
-    cols = [list(mat.column(j)) for j in range(len(mat.cols))]
-    ones = [1] * len(mat.rows)
-    return rank(cols + [ones]) - 1
+    """Rank of the column lattice together with the all-ones vector, minus 1.
+
+    That is the rank of the transpose: the distinct rows, each extended by
+    one entry 1 (a repeated row adds nothing to a rank).
+    """
+    return rank([(*row, 1) for row in mat.distinct_rows]) - 1
 
 
 def torus_name(classes: list[WeightClass], dimension: int) -> str:

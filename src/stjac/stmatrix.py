@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join, is_root_of_unity
-from .errors import NoColumnsError, NotInKernelError
+from .errors import NoColumnsError, NotInKernelError, RelationVerificationError, StjacError
 from .ffield import PrimeField, check_prime, make_field, reduce_mod
 from .intlinalg import kernel_basis, rank, snf_invariant_factors
 from .pointcount import (
@@ -70,6 +71,16 @@ class CarryMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
+
+    @cached_property
+    def distinct_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows without repeats, in order of first appearance.
+
+        A row depends only on k mod the congruence modulus, so there are
+        far fewer distinct rows than units mod p-1; a kernel, a rank and a
+        set of row equations depend only on the set of rows.
+        """
+        return tuple(dict.fromkeys(self.entries))
 
     def grid(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -174,11 +185,14 @@ class KernelLattice:
 
 
 def right_kernel(mat: CarryMatrix) -> KernelLattice:
-    rows = [list(r) for r in mat.entries]
+    rows = mat.distinct_rows
     basis = kernel_basis(rows)
     sat = all(f == 1 for f in snf_invariant_factors(basis)) if basis else True
     expected = len(mat.cols) - rank(rows)
-    assert len(basis) == expected
+    if len(basis) != expected:
+        raise StjacError(
+            f"kernel rank {len(basis)} at p={mat.p} is not columns - rank = {expected}"
+        )
     return KernelLattice(
         basis=tuple(tuple(v) for v in basis), rank=len(basis), saturated=sat
     )
@@ -209,6 +223,25 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
     return CycloElt.zeta_pow(j.n, twist_exponent(fld, a, cp)) * j
 
 
+def _frobenius_pair(fld: PrimeField, a: int, c) -> tuple[CycloElt, CycloElt]:
+    """(w, conj(w)) for w = frobenius_factor(fld, a, c), built once per field.
+
+    The pair is cached in ``fld.terms`` under (a, c), after checking
+    w * conj(w) = p, the identity that lets ``verify_relation`` invert w
+    without a division in Z[zeta].
+    """
+    pair = fld.terms.get((a, c))
+    if pair is None:
+        w = frobenius_factor(fld, a, c)
+        wbar = w.conj()
+        if w * wbar != fld.p:
+            raise RelationVerificationError(
+                f"the term of column {a} at p={fld.p} has w * conj(w) != p"
+            )
+        pair = fld.terms[(a, c)] = (w, wbar)
+    return pair
+
+
 def _divide_exact(w: CycloElt, q: int) -> CycloElt | None:
     """w / q when q divides every coordinate of w, else None."""
     quotients = []
@@ -232,34 +265,24 @@ def verify_relation(
     says should never happen on genuine kernel vectors.
 
     Inverses never need a polynomial gcd: every factor satisfies
-    w * conj(w) = p, so w^-1 = conj(w)/p.  The whole product stays in
-    Z[zeta] and is divided by p^k once at the end; a remainder there means
-    W is not an algebraic integer, hence not a root of unity.
+    w * conj(w) = p (checked once per term, see ``_frobenius_pair``), so
+    w^-1 = conj(w)/p.  The whole product stays in Z[zeta] and is divided by
+    p^k once at the end; a remainder there means W is not an algebraic
+    integer, hence not a root of unity.
     """
     v = [int(x) for x in v]
     if len(v) != len(mat.cols):
         raise NotInKernelError("vector length does not match the column count")
     support = [(j, x) for j, x in enumerate(v) if x]
-    if any(sum(row[j] * x for j, x in support) for row in mat.entries):
+    if any(sum(row[j] * x for j, x in support) for row in mat.distinct_rows):
         raise NotInKernelError(f"{v} is not in the kernel of the carry matrix")
     if not support:
         return RelationResult(kind="exact", order=1)
-    factors = {a: frobenius_factor(fld, a, c) for a, coeff in zip(mat.cols, v) if coeff}
-    conductor = conductor_join([w.n for w in factors.values()] + [2])
-    numerator = CycloElt.one(conductor)
-    p_power = 0
-    for a, coeff in zip(mat.cols, v):
-        if coeff == 0:
-            continue
-        w = factors[a].lift(conductor)
-        if coeff > 0:
-            numerator = numerator * w**coeff
-        else:
-            wbar = w.conj()
-            assert w * wbar == fld.p
-            numerator = numerator * wbar ** (-coeff)
-            p_power += -coeff
-    value = _divide_exact(numerator, fld.p**p_power)
+    terms = [(_frobenius_pair(fld, mat.cols[j], c), x) for j, x in support]
+    conductor = conductor_join([w.n for (w, _), _ in terms] + [2])
+    factors = [(w**x if x > 0 else wbar**-x).lift(conductor) for (w, wbar), x in terms]
+    p_power = sum(-x for _, x in support if x < 0)
+    value = _divide_exact(math.prod(factors[1:], start=factors[0]), fld.p**p_power)
     if value is None:
         return RelationResult(kind="fail", order=None)
     if value == 1:

@@ -262,3 +262,25 @@ def test_canonical_int_coordinates():
     with pytest.raises(ValueError):
         CycloElt.zeta(6).integer_value()
     assert repr(CycloElt.zeta(5)) == "CycloElt(n=5, coeffs=['0', '1', '0', '0'])"
+
+
+@pytest.mark.parametrize("n", [3, 8, 40, 80])
+def test_pow_is_repeated_product_with_fewest_products(n, monkeypatch):
+    w = 2 - CycloElt.zeta(n) + 3 * CycloElt.zeta_pow(n, n - 1)
+    powers = [CycloElt.one(n)]
+    for _ in range(9):
+        powers.append(powers[-1] * w)
+    real_mul = CycloElt.__mul__
+    products = []
+
+    def counted(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(CycloElt, "__mul__", counted)
+    for k in range(10):
+        products.clear()
+        assert w**k == powers[k], k
+        assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+    with pytest.raises(ValueError):
+        w**-1

@@ -1,13 +1,26 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from stjac import stmatrix
 from stjac.cyclo import embed
-from stjac.errors import EvenOrTooSmallError, NoColumnsError, NotInKernelError, NotPrimeError
+from stjac.errors import (
+    EvenOrTooSmallError,
+    NoColumnsError,
+    NotInKernelError,
+    NotPrimeError,
+    RelationVerificationError,
+    StjacError,
+)
 from stjac.ffield import make_field, reduce_mod
-from stjac.intlinalg import hnf_rows, matvec
+from stjac.groupid import generic_primes, identify_st0, torus_dimension
+from stjac.intlinalg import hnf_rows, kernel_basis, matvec, rank
 from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve, is_generic_prime
 from stjac.primes import prime_range
 from stjac.stmatrix import (
@@ -439,3 +452,136 @@ def test_verify_relation_fails_when_division_leaves_remainder(field, monkeypatch
     assert verify_relation(field(11), m, v, 2).kind == "fail"
     # the zero vector never reaches the division
     assert verify_relation(field(11), m, [0] * 8, 2).kind == "exact"
+
+
+# -- each exact operation once --------------------------------------------
+
+ST0_POOL = [(ADDITIVE, d) for d in (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 36, 40)] + [
+    (LINEAR, d) for d in (5, 7, 9, 11, 13)
+]
+
+
+def _count_frobenius_factor(monkeypatch):
+    calls = []
+    real = stmatrix.frobenius_factor
+
+    def counted(fld, a, c):
+        calls.append((fld.p, a, c))
+        return real(fld, a, c)
+
+    monkeypatch.setattr(stmatrix, "frobenius_factor", counted)
+    return calls
+
+
+def test_each_frobenius_term_is_built_once_per_field_and_twist(monkeypatch):
+    calls = _count_frobenius_factor(monkeypatch)
+    for p in generic_primes(ADDITIVE, 40, 3):
+        calls.clear()
+        mat, kern, results = stmatrix.relation_report(p, 40, ADDITIVE)
+        assert all(r.ok for r in results)
+        support = {j for v in kern.basis for j, x in enumerate(v) if x}
+        assert sorted(calls) == sorted((p, mat.cols[j], Fraction(1)) for j in support)
+
+    mat = build_matrix(11, 10, ADDITIVE)
+    basis = right_kernel(mat).basis
+    fld = make_field(11)
+    support = {mat.cols[j] for v in basis for j, x in enumerate(v) if x}
+    for c, built in ((1, support), (2, support), (1, set())):
+        calls.clear()
+        for v in basis:
+            verify_relation(fld, mat, v, c)
+        assert sorted(calls) == sorted((11, a, c) for a in built), c
+
+
+def test_twist_vanishing_mod_p_still_fails_inside_frobenius_factor(monkeypatch):
+    calls = _count_frobenius_factor(monkeypatch)
+    with pytest.raises(ZeroDivisionError, match="vanishes mod 7") as info:
+        identify_st0(curve(ADDITIVE, 6, 7))
+    assert info.traceback[-1].name == "frobenius_factor"
+    assert len(calls) == 1
+    fld = make_field(7)
+    mat = build_matrix(7, 6, ADDITIVE)
+    with pytest.raises(ZeroDivisionError):
+        verify_relation(fld, mat, right_kernel(mat).basis[0], 7)
+    assert fld.terms == {}
+
+
+def test_term_check_raises_a_typed_error(monkeypatch):
+    real = stmatrix.frobenius_factor
+    monkeypatch.setattr(stmatrix, "frobenius_factor", lambda fld, a, c: 2 * real(fld, a, c))
+    mat = build_matrix(11, 10, ADDITIVE)
+    fld = make_field(11)
+    with pytest.raises(RelationVerificationError, match="w \\* conj\\(w\\) != p"):
+        verify_relation(fld, mat, right_kernel(mat).basis[0], 1)
+    assert fld.terms == {}
+
+
+def test_kernel_rank_check_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(stmatrix, "rank", lambda rows: rank(rows) + 1)
+    with pytest.raises(StjacError, match="kernel rank"):
+        right_kernel(build_matrix(11, 10, ADDITIVE))
+
+
+def test_term_check_fires_under_python_O():
+    script = """
+import sys
+from stjac import stmatrix
+from stjac.errors import RelationVerificationError
+if __debug__:
+    sys.exit("not running under -O")
+real = stmatrix.frobenius_factor
+stmatrix.frobenius_factor = lambda fld, a, c: 2 * real(fld, a, c)
+mat = stmatrix.build_matrix(11, 10, "additive")
+try:
+    stmatrix.verify_relation(stmatrix.make_field(11), mat, stmatrix.right_kernel(mat).basis[0], 1)
+except RelationVerificationError:
+    sys.exit(0)
+sys.exit("the w * conj(w) = p check did not fire")
+"""
+    src = str(Path(stmatrix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _pool_matrices():
+    """Every st0 pool curve at its 3 generic primes and at each non-generic
+    prime below 400 where some character contributes."""
+    for family, d in ST0_POOL:
+        spec = curve(family, d)
+        for p in generic_primes(family, d, 3):
+            yield build_matrix(p, d, family)
+        for p in prime_range(3, 399):
+            if not is_generic_prime(p, spec) and st_columns(p, d, family):
+                yield build_matrix(p, d, family)
+
+
+def _breaking_vectors(mat):
+    """Per distinct row r, a vector that solves every row equation except
+    those of r and its complement 1 - r, where such a vector exists."""
+    rows = mat.distinct_rows
+    n = len(mat.cols)
+    for r in rows:
+        others = [s for s in rows if s != r and s != tuple(1 - e for e in r)]
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        candidates = kernel_basis(others) if others else units
+        yield from [b for b in candidates if sum(x * y for x, y in zip(r, b))][:1]
+
+
+def test_distinct_rows_match_the_all_rows_oracle():
+    broken = 0
+    for mat in _pool_matrices():
+        rows = [list(r) for r in mat.entries]
+        assert right_kernel(mat).basis == tuple(tuple(v) for v in kernel_basis(rows))
+        cols = [list(mat.column(j)) for j in range(len(mat.cols))]
+        assert torus_dimension(mat) == rank(cols + [[1] * len(mat.rows)]) - 1
+        fld = make_field(mat.p)
+        for v in _breaking_vectors(mat):
+            assert any(matvec(mat.entries, v))
+            with pytest.raises(NotInKernelError):
+                verify_relation(fld, mat, v, 1)
+            broken += 1
+    assert broken > 1000
