@@ -2,7 +2,11 @@
 
 There is one backend, ``BACKEND = "numpy"``.  The Jacobi-sum and counting
 kernels are whole-array passes, O(p) each, in chunks of about 2^16
-elements.  Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a
+elements.  The two passes of a point count visit half of F_p each: from
+p = 4096 the dlog table walks g^e for e < (p-1)/2 and fills dlog(-x) =
+dlog x + (p-1)/2, and the joint table of (dlog x, dlog(1-x)) is symmetric
+under x -> 1 - x.
+Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a
 dlog table (residues mod m | p - 1) needs at most int32, and the kernels
 form every product a * dlog (< n^2, n = p - 1) and every product of two
 residues mod p (< p^2 < 2^62) in int64.
@@ -20,45 +24,97 @@ BACKEND = "numpy"
 
 # elements per chunk of the O(p) passes
 _CHUNK = 1 << 16
+# below this p a dlog table costs numpy calls more than elements, and the
+# walk over all of F_p beats the half walk plus the pass that fills -x
+_HALF_WALK_MIN_P = 1 << 12
 
 
 def dlog_table(p: int, g: int, m: int) -> np.ndarray:
     """r[x] = (dlog x) mod m for units x, with g^(dlog x) = x mod p; r[0] = -1.
 
     m must divide p - 1; m = p - 1 gives the full table.  The dtype is the
-    smallest signed one that holds m - 1.  The powers g^e come in chunks of
-    about 2^16 whose length is a multiple of m when m is that small, so the
-    label e mod m of column j of every chunk is j mod m.
+    smallest signed one that holds m - 1.  With h = (p - 1) / 2, g^h = -1,
+    so dlog(p - x) = dlog x + h: from p = ``_HALF_WALK_MIN_P`` on, the walk
+    visits only e < h, which writes exactly one entry of each pair
+    (y, p - y), and ``_fill_negatives`` writes the other.  The powers g^e
+    come in chunks of about 2^16 whose length is a multiple of m when m is
+    that small, so the label e mod m of column j of every chunk is j mod m.
     """
-    n = p - 1
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if m - 1 <= np.iinfo(t).max)
+    h = (p - 1) // 2
+    stop = h if p >= _HALF_WALK_MIN_P else p - 1
+    dtype = np.min_scalar_type(-m)  # the smallest signed type that holds m - 1
     r = np.full(p, -1, dtype=dtype)
-    chunk = min(n, m * -(-_CHUNK // m)) if m <= _CHUNK else _CHUNK
+    chunk = min(stop, m * -(-_CHUNK // m) if m <= _CHUNK else _CHUNK)
     # powers[j] = g^j mod p for j < chunk, by doubling; products stay < p^2 < 2^62
     powers = np.empty(chunk, dtype=np.int64)
     powers[0] = 1
     k, gk = 1, g % p
     while k < chunk:
         t = min(k, chunk - k)
-        np.multiply(powers[:t], gk, out=powers[k : k + t])
-        powers[k : k + t] %= p
+        block = powers[k : k + t]
+        np.multiply(powers[:t], gk, out=block)
+        _reduce(block, p)
         k += t
         gk = gk * gk % p
-    labels = (np.arange(chunk) % m).astype(dtype) if m <= _CHUNK else None
+    labels = np.tile(np.arange(m, dtype=dtype), -(-chunk // m)) if m <= _CHUNK else None
     stride = pow(g, chunk, p)
-    acc = 1
-    for start in range(0, n, chunk):
-        count = min(chunk, n - start)
-        values = powers[:count] * acc
-        # x - (x // p) * p: numpy divides by a scalar without a hardware
-        # division per element, which x % p does not
-        values -= values // p * p
+    for start in range(0, stop, chunk):
+        count = min(chunk, stop - start)
+        values = powers[:count]
+        if start:  # g^(start + j) = g^(start - chunk + j) * g^chunk, in place
+            values *= stride
+            _reduce(values, p)
         if labels is None:
             r[values] = np.arange(start, start + count) % m
         else:
             r[values] = labels[:count]
-        acc = acc * stride % p
+    if stop == h:
+        _fill_negatives(r, m)
     return r
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x %= p in place for x >= 0.  On long arrays x - (x // p) * p is
+    faster: numpy divides by a scalar without a hardware division per
+    element, which x % p does not; on short ones its two extra calls cost more."""
+    if len(x) < 512:
+        x %= p
+    else:
+        x -= x // p * p
+
+
+def _fill_negatives(r: np.ndarray, m: int) -> None:
+    """Set the unwritten entry of each pair (y, p - y) to the other one + s
+    mod m, s = h mod m, h = (p - 1) / 2.
+
+    Exactly one entry of each pair holds a residue w, the other the -1
+    sentinel.  In the unsigned view of the same width the sentinel is all
+    ones and w < 2^(bits - 1), so w = lo & hi, and w + s <= 2m - 2 fits.
+    The p - y half runs backwards; one reversed copy per chunk keeps the
+    arithmetic on contiguous arrays.
+    """
+    p = len(r)
+    h = (p - 1) // 2
+    s = h % m
+    u = r.view(r.dtype.str.replace("i", "u"))
+    for a in range(1, h + 1, _CHUNK):
+        b = min(a + _CHUNK, h + 1)
+        lo = u[a:b]  # y = a .. b-1
+        hi_view = u[p + 1 - b : p + 1 - a][::-1]  # p - y
+        hi = hi_view.copy()
+        w = lo & hi
+        if s == 0:
+            lo[...] = w
+            hi_view[...] = w
+            continue
+        t = w + s
+        np.minimum(t, t - m, out=t)  # mod m: below m, t - m wraps above t
+        # the sentinel side takes t; the written side keeps w < t | ~w
+        keep_lo = t | (hi ^ w)
+        t |= lo ^ w
+        np.minimum(lo, keep_lo, out=lo)
+        np.minimum(hi, t, out=hi)
+        hi_view[...] = hi
 
 
 def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int, bins: int) -> np.ndarray:
@@ -66,18 +122,26 @@ def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int, bins: int) -> np.
 
     ``u`` is a table of ``dlog_table`` (p = n + 1): the full one, or the
     residues mod some M; a, b >= 0.  ``bins`` must exceed every key: n for
-    the full table, M^2 for residues mod M with a = M, b = 1 (then no
-    n-length array is built).  The keys are int64, so a*u(x) (< n^2 < 2^62)
-    cannot wrap; they are reduced mod n only when the dtype of u lets them
-    reach n.  There is at least one chunk, since p >= 3.
+    the full table, M^2 for residues mod M with a = M, b = 1 (the pair
+    code; then no n-length array is built).  The keys are int64, so a*u(x)
+    (< n^2 < 2^62) cannot wrap; they are reduced mod n only when the dtype
+    of u lets them reach n.
+
+    The pair code with M^2 < n gives the joint table H[i][j] = #{x : u(x)
+    = i, u(1-x) = j}, which x -> 1 - x maps to its transpose: that pass
+    reads x = 2 .. (p-1)/2 only, adds the transpose and counts the fixed
+    point x = 1/2 = (p+1)/2 once.  Every other call reads all of F_p.
     """
     p = n + 1
+    pair_code = b == 1 and a * a == bins < n
     # entries of u are below 2^(bits - 1); keys below n need no reduction
-    reduce = (a + b) << (8 * u.itemsize - 1) > n
+    reduce = not pair_code and (a + b) << (8 * u.itemsize - 1) > n
+    # the pair code stops before x = (p+1)/2 = 1/2, its own image under x -> 1 - x
+    end = (p + 1) // 2 if pair_code else p
     chunk = max(_CHUNK, bins)
-    hist = 0
-    for s in range(2, p, chunk):
-        e = min(s + chunk, p)
+    hist = np.zeros(bins, dtype=np.int64)
+    for s in range(2, end, chunk):
+        e = min(s + chunk, end)
         # x = s .. e-1 reads u[s:e]; 1 - x = p+1-s .. p+2-e reads a reversed view
         keys = u[s:e].astype(np.int64)
         keys *= a
@@ -85,7 +149,11 @@ def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int, bins: int) -> np.
         keys += rev if b == 1 else b * rev.astype(np.int64)
         if reduce:
             keys %= n
-        hist = hist + np.bincount(keys, minlength=bins)
+        hist += np.bincount(keys, minlength=bins)
+    if pair_code:
+        half = hist.reshape(a, a)
+        hist = (half + half.T).ravel()
+        hist[(a + 1) * int(u[end])] += 1
     return hist
 
 

@@ -15,9 +15,10 @@ first call builds the joint table of (dlog x, dlog(1-x)) mod M, with M the
 lcm of 2 and both character orders, caches it on the field, and every later
 call whose orders divide M folds it in O(M^2).  That pass reads only the
 field's table of dlog residues mod M (one byte per x for M <= 128), never
-the full dlog table.  A joint table exists only when M^2 <= p - 1;
-otherwise (small p, or characters of large order) the call makes its own
-O(p) pass over the full dlog table.
+the full dlog table; the joint table is symmetric under x -> 1 - x, so
+when M^2 < p - 1 it reads only x <= (p-1)/2.  A joint table exists only
+when M^2 <= p - 1; otherwise (small p, or characters of large order) the
+call makes its own O(p) pass over the full dlog table.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ def gauss_sum(fld: PrimeField, a: CharExponent) -> complex:
 def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
     """Cached joint histogram of (dlog x, dlog(1-x)) mod some M with need | M.
 
-    Built on first use with one chunked O(p) pass over the field's dlog
-    residues mod need (no full table).  The kernel key need*u(x) + u(1-x)
-    stays below need^2, so it is injective exactly when need^2 <= n, and the
-    kernel returns exactly need^2 bins; above that there is no table and the
-    caller takes the direct pass over the full table.
+    Built on first use with one chunked pass over the field's dlog residues
+    mod need (no full table).  x -> 1 - x maps the table to its transpose,
+    so when need^2 < n the kernel reads only x <= (p-1)/2, adds the
+    transpose and counts the fixed point x = 1/2 once.  The kernel key
+    need*u(x) + u(1-x) stays below need^2, so it is injective exactly when
+    need^2 <= n, and the kernel returns exactly need^2 bins; above that
+    there is no table and the caller takes the direct pass over the full
+    table.
     """
     for m, table in fld.joint.items():
         if m % need == 0:

@@ -103,8 +103,18 @@ class CycloElt:
 
     @staticmethod
     def from_int_coeffs(n: int, coeffs) -> "CycloElt":
-        """Build from an integer coefficient list of any degree (reduced here)."""
-        return CycloElt._make(n, _reduce_mod_phi([int(c) for c in coeffs], n))
+        """Build from an integer coefficient list of any degree (reduced here).
+
+        Exponents fold mod n first (x^n = 1), so the reduction mod Phi_n
+        sees degree < n, which ``_reduction_rows`` covers.
+        """
+        cs = [int(c) for c in coeffs]
+        if len(cs) > n:
+            folded = cs[:n]
+            for k in range(n, len(cs)):
+                folded[k % n] += cs[k]
+            cs = folded
+        return CycloElt._make(n, _reduce_mod_phi(cs, n))
 
     @staticmethod
     def zero(n: int) -> "CycloElt":

@@ -3,8 +3,15 @@ import math
 import numpy as np
 
 from stjac import _accel
-from stjac._accel import affine_count, char_pair_histogram, dlog_table, prefix_factorials
+from stjac._accel import (
+    _HALF_WALK_MIN_P,
+    affine_count,
+    char_pair_histogram,
+    dlog_table,
+    prefix_factorials,
+)
 from stjac.ffield import smallest_primitive_root
+from stjac.primes import prime_range
 
 
 def test_numpy_dlog_table_correct():
@@ -16,8 +23,12 @@ def test_numpy_dlog_table_correct():
 
 
 def test_dlog_residues_match_the_full_table_mod_every_divisor():
-    # p = 131113 > 2 * 2^16: the chunks of the large moduli cross boundaries
-    for p in (3, 5, 7, 11, 1009, 131113):
+    # p = 131113 > 2 * 2^16: the chunks of the large moduli cross boundaries.
+    # 19, 4099 and 131071 are 3 mod 4: h = (p-1)/2 is odd, so the entries of
+    # -x take a shift h mod m != 0 for every even m; the walk stops at h
+    # from 4099 on, and at 131071 the chunks of the pass that fills -x cross h
+    assert 1009 < _HALF_WALK_MIN_P <= 4099
+    for p in (3, 5, 7, 11, 19, 1009, 4099, 131071, 131113):
         g = smallest_primitive_root(p)
         full = np.full(p, -1, dtype=np.int64)  # g^e enumerated one by one
         x = 1
@@ -50,6 +61,24 @@ def test_residue_histogram_is_chunked_into_need_squared_bins():
     hist = char_pair_histogram(red, need, 1, p - 1, need * need)
     assert hist.shape == (need * need,)
     assert hist.tolist() == np.bincount(keys, minlength=need * need).tolist()
+
+
+def test_pair_code_histogram_matches_the_brute_force_joint_table():
+    # every prime < 3000 and every M | p - 1 with M^2 <= p - 1: the pass over
+    # x <= (p-1)/2 plus its transpose and x = 1/2 against all of F_p
+    for p in prime_range(3, 3000):
+        g = smallest_primitive_root(p)
+        x = np.arange(2, p)
+        for m in (m for m in range(1, p) if (p - 1) % m == 0 and m * m <= p - 1):
+            u = dlog_table(p, g, m)
+            ref = np.zeros((m, m), dtype=np.int64)
+            np.add.at(ref, (u[x], u[(1 - x) % p]), 1)
+            hist = char_pair_histogram(u, m, 1, p - 1, m * m)
+            assert hist.shape == (m * m,), (p, m)
+            table = hist.reshape(m, m)
+            assert np.array_equal(table, ref), (p, m)
+            assert np.array_equal(table, table.T), (p, m)
+            assert table.sum() == p - 2, (p, m)
 
 
 def test_prefix_factorials_match_math_factorial():

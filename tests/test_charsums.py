@@ -241,7 +241,7 @@ def test_count_formula_builds_only_small_residue_tables(monkeypatch):
     finally:
         tracemalloc.stop()
     assert list(fld.residues) == [24]
-    assert peak <= 4 * p, peak
+    assert peak <= 3 * p, peak
     assert count == pointcount.count_bruteforce(fld, spec)
 
 

@@ -253,6 +253,17 @@ def test_galois_and_lift_have_int_coords_and_match_sympy(a, u, step):
     )
 
 
+def test_from_int_coeffs_reduces_any_degree_like_sympy():
+    # degree 3n - 1 for every n <= 60: _reduction_rows(n) stops at
+    # max(n - 1, 2*phi(n) - 2), which degree 3 at n = 3, 9 at n = 5 and 12
+    # at n = 12 already pass
+    rng = random.Random(15)
+    for n in range(1, 61):
+        coeffs = [rng.randrange(-9, 10) for _ in range(3 * n)]
+        expr = sympy.Poly(coeffs[::-1], _X).as_expr()
+        assert list(CycloElt.from_int_coeffs(n, coeffs).coeffs) == _sympy_coords(expr, n), n
+
+
 def test_canonical_int_coordinates():
     assert type(CycloElt.from_int(10, 2).coeffs[0]) is int
     assert CycloElt.from_int(10, 2) == 2 and CycloElt.from_int(10, 2) == CycloElt.one(10) * 2

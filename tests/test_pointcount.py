@@ -159,6 +159,18 @@ def test_formula_rational_c(field):
             assert count_formula(field(p), spec) == count_bruteforce(field(p), spec)
 
 
+def test_formula_equals_oracle_on_the_benchmark_curves_near_a_million():
+    # p = 1000081 = 1 mod 720 splits every curve; linear d = 9 reads dlog
+    # mod 16 and (p-1)/2 = 8 mod 16, so the entries of -x take a shift
+    fld = make_field(1000081)
+    curves = [(ADDITIVE, d) for d in (9, 10, 12, 18, 24)] + [(LINEAR, d) for d in (7, 9)]
+    for family, d in curves:
+        for c in (1, Fraction(-3, 5)):
+            spec = curve(family, d, c)
+            assert count_formula(fld, spec) == count_bruteforce(fld, spec), (family, d, c)
+    assert 16 in fld.residues and (fld.p - 1) // 2 % 16 == 8
+
+
 _PRIMES_BELOW_3000 = prime_range(3, 3000)
 
 
