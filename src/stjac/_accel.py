@@ -64,10 +64,11 @@ def dlog_table(p: int, g: int, m: int) -> np.ndarray:
         if start:  # g^(start + j) = g^(start - chunk + j) * g^chunk, in place
             values *= stride
             _reduce(values, p)
-        if labels is None:
-            r[values] = np.arange(start, start + count) % m
-        else:
+        if labels is not None:
             r[values] = labels[:count]
+        else:  # every e below the stop is its own residue when m >= stop
+            e = np.arange(start, start + count)
+            r[values] = e if m >= stop else e % m
     if stop == h:
         _fill_negatives(r, m)
     return r

@@ -157,16 +157,29 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     finite-order relation (with the curve's own twist by c), and extract
     (dimension, weight classes).  All primes must agree before the torus
     is named; the matrix itself never depends on c.
+
+    The kernel and the dimension depend only on the set of distinct rows
+    (HNF bases are canonical).  A row depends only on its unit mod the
+    congruence modulus, so every generic prime gives the same set, and
+    both are computed once per distinct row set: once per curve.  Each
+    prime still validates its own matrix and checks every kernel vector
+    exactly in its own field, where ``verify_relation`` derives each
+    Frobenius term from its Galois-orbit representative and checks
+    w * conj(w) = p on every term.
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     results = []
+    lattices: dict[frozenset, tuple] = {}  # distinct rows -> (kernel, dimension)
     for p in primes:
         mat = build_matrix(p, spec.d, spec.family)
         bad = validate_matrix(mat)
         if bad:
             raise StjacError(f"carry matrix at p={p} failed checks: {bad}")
         fld = make_field(p)
-        kern = right_kernel(mat)
+        rows = frozenset(mat.distinct_rows)
+        if rows not in lattices:
+            lattices[rows] = (right_kernel(mat), torus_dimension(mat))
+        kern, dim = lattices[rows]
         for vec in kern.basis:
             res = verify_relation(fld, mat, vec, spec.c)
             if not res.ok:
@@ -176,7 +189,6 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
         classes, degenerate = weight_classes(mat)
         if degenerate:
             raise StjacError(f"degenerate columns {degenerate} at p={p}")
-        dim = torus_dimension(mat)
         if not 1 <= dim <= spec.genus:
             raise StjacError(f"dimension {dim} out of range at p={p}")
         results.append((p, classes, dim, torus_name(classes, dim)))

@@ -13,6 +13,12 @@ identity component of the Sato-Tate group; kernel vectors of the matrix
 are candidate multiplicative relations among the Frobenius characters and
 are confirmed exactly in Q(zeta_{p-1}) (in practice inside the much
 smaller subfield actually containing the Jacobi sums).
+
+A relation check builds the Frobenius term w_a of a column from the term
+of its Galois-orbit representative, sigma_u(w_g) = w_a with g = gcd(a, p-1),
+and checks w * conj(w) = p on every term it caches.  A kernel depends only
+on the set of distinct rows, so a caller that meets the same row set at
+several primes (``groupid.identify_st0``) computes it once.
 """
 
 from __future__ import annotations
@@ -226,14 +232,27 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
 def _frobenius_pair(fld: PrimeField, a: int, c) -> tuple[CycloElt, CycloElt]:
     """(w, conj(w)) for w = frobenius_factor(fld, a, c), built once per field.
 
-    The pair is cached in ``fld.terms`` under (a, c), after checking
-    w * conj(w) = p, the identity that lets ``verify_relation`` invert w
-    without a division in Z[zeta].
+    Only the representative g = gcd(a, p-1) of a's Galois orbit calls
+    ``frobenius_factor``.  For a unit u = a/g mod (p-1)/g, sigma_u maps
+    T^g to T^a, fixes phi (u is odd) and phi(c) = +-1, so sigma_u(w_g) = w_a;
+    w_a and w_g share the conductor (p-1)/gcd(g, (p-1)/2).  Every pair,
+    derived ones included, is cached in ``fld.terms`` under (a, c) after
+    checking w * conj(w) = p, the identity that lets ``verify_relation``
+    invert w without a division in Z[zeta].
     """
     pair = fld.terms.get((a, c))
     if pair is None:
-        w = frobenius_factor(fld, a, c)
-        wbar = w.conj()
+        n = fld.n
+        g = math.gcd(a, n)
+        if g == a:
+            w = frobenius_factor(fld, a, c)
+            wbar = w.conj()
+        else:
+            u = a // g
+            while math.gcd(u, n) != 1:
+                u += n // g
+            w_g, wbar_g = _frobenius_pair(fld, g, c)
+            w, wbar = w_g.galois(u % w_g.n), wbar_g.galois(u % w_g.n)
         if w * wbar != fld.p:
             raise RelationVerificationError(
                 f"the term of column {a} at p={fld.p} has w * conj(w) != p"

@@ -22,6 +22,16 @@ def test_numpy_dlog_table_correct():
             assert pow(g, int(table[x]), p) == x
 
 
+def _enumerated_dlog(p, g):
+    """dlog x for every unit x, from g^e enumerated one by one; -1 at 0."""
+    full = [-1] * p
+    x = 1
+    for e in range(p - 1):
+        full[x] = e
+        x = x * g % p
+    return np.array(full, dtype=np.int64)
+
+
 def test_dlog_residues_match_the_full_table_mod_every_divisor():
     # p = 131113 > 2 * 2^16: the chunks of the large moduli cross boundaries.
     # 19, 4099 and 131071 are 3 mod 4: h = (p-1)/2 is odd, so the entries of
@@ -30,11 +40,7 @@ def test_dlog_residues_match_the_full_table_mod_every_divisor():
     assert 1009 < _HALF_WALK_MIN_P <= 4099
     for p in (3, 5, 7, 11, 19, 1009, 4099, 131071, 131113):
         g = smallest_primitive_root(p)
-        full = np.full(p, -1, dtype=np.int64)  # g^e enumerated one by one
-        x = 1
-        for e in range(p - 1):
-            full[x] = e
-            x = x * g % p
+        full = _enumerated_dlog(p, g)
         assert np.array_equal(dlog_table(p, g, p - 1), full)
         for m in (m for m in range(1, p) if (p - 1) % m == 0):
             r = dlog_table(p, g, m)
@@ -42,6 +48,20 @@ def test_dlog_residues_match_the_full_table_mod_every_divisor():
             assert np.array_equal(r[1:], full[1:] % m), (p, m)
             smallest = next(t for t in (np.int8, np.int16, np.int32) if m - 1 <= np.iinfo(t).max)
             assert r.dtype == smallest, (p, m, r.dtype)
+
+
+def test_large_moduli_near_a_million_match_the_enumerated_table():
+    # m > 2^16 labels each power by e itself, reduced mod m only when m is
+    # below the walk's stop h = (p-1)/2: (p-1)/3 and (p-1)/5 are, p-1 and
+    # (p-1)/2 are not
+    for p in (1000081, 1188721):
+        g = smallest_primitive_root(p)
+        full = _enumerated_dlog(p, g)
+        for m in (p - 1, (p - 1) // 2, (p - 1) // 3, (p - 1) // 5):
+            r = dlog_table(p, g, m)
+            assert r.dtype == np.int32, (p, m)
+            assert r[0] == -1
+            assert np.array_equal(r[1:], full[1:] % m), (p, m)
 
 
 def test_numpy_histogram_counts_all_pairs():

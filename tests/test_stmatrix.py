@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stjac import stmatrix
+from stjac import groupid, stmatrix
 from stjac.cyclo import embed
 from stjac.errors import (
     EvenOrTooSmallError,
@@ -474,19 +474,24 @@ def _count_frobenius_factor(monkeypatch):
 
 
 def test_each_frobenius_term_is_built_once_per_field_and_twist(monkeypatch):
+    # only the orbit representative gcd(a, p-1) of a support column builds its
+    # term; every other column's term is a Galois image of it
     calls = _count_frobenius_factor(monkeypatch)
     for p in generic_primes(ADDITIVE, 40, 3):
         calls.clear()
         mat, kern, results = stmatrix.relation_report(p, 40, ADDITIVE)
         assert all(r.ok for r in results)
-        support = {j for v in kern.basis for j, x in enumerate(v) if x}
-        assert sorted(calls) == sorted((p, mat.cols[j], Fraction(1)) for j in support)
+        support = {mat.cols[j] for v in kern.basis for j, x in enumerate(v) if x}
+        reps = {math.gcd(a, p - 1) for a in support}
+        assert len(reps) < len(support)
+        assert sorted(calls) == sorted((p, g, Fraction(1)) for g in reps)
 
     mat = build_matrix(11, 10, ADDITIVE)
     basis = right_kernel(mat).basis
     fld = make_field(11)
     support = {mat.cols[j] for v in basis for j, x in enumerate(v) if x}
-    for c, built in ((1, support), (2, support), (1, set())):
+    reps = {math.gcd(a, 10) for a in support}
+    for c, built in ((1, reps), (2, reps), (1, set())):
         calls.clear()
         for v in basis:
             verify_relation(fld, mat, v, c)
@@ -557,6 +562,42 @@ def _pool_matrices():
         for p in prime_range(3, 399):
             if not is_generic_prime(p, spec) and st_columns(p, d, family):
                 yield build_matrix(p, d, family)
+
+
+def test_derived_terms_equal_the_directly_built_ones():
+    # sigma_u(w_g) = w_a with u = a/g a unit: the Galois image of the orbit
+    # representative's pair must be the term frobenius_factor builds for a
+    pairs = derived = 0
+    for family, d in ST0_POOL:
+        primes = set(generic_primes(family, d, 3)) | set(prime_range(3, 399))
+        for p in sorted(primes):
+            cols = st_columns(p, d, family)
+            for c in (Fraction(1), Fraction(-3, 5), Fraction(2)):
+                if not cols or c.numerator % p == 0 or c.denominator % p == 0:
+                    continue
+                fld, fresh = make_field(p), make_field(p)
+                for a in cols:
+                    w = frobenius_factor(fresh, a, c)
+                    assert stmatrix._frobenius_pair(fld, a, c) == (w, w.conj()), (p, a, c)
+                    pairs += 1
+                    derived += math.gcd(a, p - 1) != a
+    assert (pairs, derived) == (11682, 7911)
+
+
+def test_identify_st0_computes_one_kernel_per_curve(monkeypatch):
+    kernels = []
+
+    def counted(mat):
+        kernels.append(right_kernel(mat))
+        return kernels[-1]
+
+    monkeypatch.setattr(groupid, "right_kernel", counted)
+    for family, d in ST0_POOL:
+        kernels.clear()
+        identify_st0(curve(family, d))
+        assert len(kernels) == 1, (family, d)
+        for p in generic_primes(family, d, 3):
+            assert right_kernel(build_matrix(p, d, family)) == kernels[0], (family, d, p)
 
 
 def _breaking_vectors(mat):
