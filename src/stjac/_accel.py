@@ -12,6 +12,7 @@ form every product a * dlog (< n^2, n = p - 1) and every product of two
 residues mod p (< p^2 < 2^62) in int64.
 ``prefix_factorials`` serves the Hasse-Witt traces of a sweep on Python
 ints: one remainder tree for all the factorials of all the primes.
+``pow_mod`` is the elementwise power with which the traces combine them.
 """
 
 from __future__ import annotations
@@ -189,6 +190,20 @@ def prefix_factorials(xs: list[int], ms: list[int]) -> list[int]:
                 down.append(v * prod[2 * i] % mod[2 * i + 1])
         vals = down
     return [v * a % m for v, a, m in zip(vals, prod, mod)]
+
+
+def pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod m elementwise, by square-and-multiply over the bits of exp.
+
+    int64 arrays with 0 <= base < mod <= 2^31 and exp >= 0, so every
+    product of two residues stays below 2^62.
+    """
+    result = np.ones_like(base)
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        if bit:
+            base = base * base % mod
+        result = np.where(exp >> bit & 1, result * base % mod, result)
+    return result
 
 
 def _product_levels(values: list[int]) -> list[list[int]]:

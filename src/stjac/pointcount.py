@@ -17,23 +17,28 @@ restricted to integral a in [1, p-2].  For even d the quadratic column
 a = (p-1)/2 contributes -1 identically.  The cyclotomic sum always
 collapses to a rational integer, which is asserted.
 ``trace_sweep`` reads t_p above 16g^2 from the Hasse-Witt residue instead
-(``hasse_witt_traces``): binomials mod p, with every factorial of the sweep
-taken from one accumulating remainder tree, no dlog table and no
-cyclotomic arithmetic.
+(``hasse_witt_traces``): binomials mod p, assembled one residue class of
+p - 1 at a time in int64 arrays, with every factorial of the sweep taken
+from one accumulating remainder tree (the trivial term C(h, h) = 1 takes
+none), no dlog table and no cyclotomic arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import _accel
 from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, conductor_join
-from .errors import BadReductionError, NonIntegerResultError
+from .errors import BadReductionError, NonIntegerResultError, NotPrimeError
 from .ffield import PrimeField, check_p_max, check_prime, make_field, reduce_mod
 from .primes import prime_range
 
@@ -127,8 +132,13 @@ def good_reduction(p: int, spec: CurveSpec) -> bool:
     Linear twist: x^d + c*x factors as x*(x^(d-1) + c), which is separable
     unless p | 2*(d-1)*c; p | d is harmless there.
     """
+    return _bad_reduction_product(spec) % p != 0
+
+
+def _bad_reduction_product(spec: CurveSpec) -> int:
+    """2 * degree * num(c) * den(c): the primes of bad reduction are its divisors."""
     degree = spec.d if spec.family == ADDITIVE else spec.d - 1
-    return (2 * degree * spec.c.numerator * spec.c.denominator) % p != 0
+    return 2 * degree * spec.c.numerator * spec.c.denominator
 
 
 def good_primes(spec: CurveSpec, p_min: int, p_max: int) -> list[int]:
@@ -139,7 +149,8 @@ def good_primes(spec: CurveSpec, p_min: int, p_max: int) -> list[int]:
     check_p_max(p_max)
     if p_min > p_max:
         raise ValueError("p_min must not exceed p_max")
-    return [p for p in prime_range(max(3, p_min), p_max) if good_reduction(p, spec)]
+    bad = _bad_reduction_product(spec)
+    return [p for p in prime_range(max(3, p_min), p_max) if bad % p]
 
 
 def points_at_infinity(spec: CurveSpec) -> int:
@@ -227,11 +238,16 @@ def residue_fixes_trace(p: int, spec: CurveSpec) -> bool:
     return p > 16 * spec.genus**2
 
 
+_HALF = Fraction(1, 2)
+
+
 def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     """Frobenius traces t_p from the Hasse-Witt residue, for good odd primes p > 16g^2.
 
-    ``primes`` must be odd primes, as a sieve gives them: primality is not
-    tested here (``trace_hasse_witt`` tests its one p).
+    ``primes`` must be odd primes, as a sieve gives them, in any order and
+    with repeats allowed: primality is not tested here (``trace_hasse_witt``
+    tests its one p).  Each p is checked once, in input order: p > 16g^2
+    (ValueError), good reduction (``BadReductionError``), p <= P_MAX.
 
     With h = (p-1)/2, chi(f(x)) = f(x)^h mod p, and x^k sums to -1 over F_p
     when 0 < k and (p-1) | k, else to 0.  Expanding f^h binomially gives
@@ -239,55 +255,91 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     1 <= j <= h with (p-1) | d*j (additive) or (p-1) | (d-1)*j + h (linear):
     the column exponents a <= h of ``contributing_ms``.  The residue in (-p/2,
     p/2) is t_p (Manin 1961; Yui, J. Algebra 1978; Harvey-Sutherland 2014).
-    Every x! mod p for x in {h, j, h - j} over all the primes comes from one
-    ``_accel.prefix_factorials`` call.
+
+    The primes are taken one residue class at a time: every p with
+    gcd(k, p-1) = e, k = ``index_modulus``, has its j at the same fractions
+    m/e of p - 1, so each distinct nonzero x in {h, j, h - j} is one int64
+    array over the class.  The term j = h is C(h, h) c^0 = 1 and requests no
+    factorial, so neither does a class whose only j is h.  Every x! mod p of
+    the batch comes from one ``_accel.prefix_factorials`` call, and the
+    binomial sum is a few int64 passes (p < 2^31, so a product of two
+    residues is below 2^62) with checked inverses by Fermat (``_inverses``).
     """
-    # one request per distinct x > 0 at each p, as x << 40 | request index,
-    # so one sort of plain ints puts every request in ascending x
-    keys, mods, terms = [], [], []
+    bound, bad = 16 * spec.genus**2, _bad_reduction_product(spec)
     for p in primes:
-        if not residue_fixes_trace(p, spec):
+        if p <= bound:
             raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 16g^2, got p={p}")
-        if not good_reduction(p, spec):
+        if bad % p == 0:
             raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
         check_p_max(p)
-        h = (p - 1) // 2
-        js = [a for a in contributing_ms(p, spec.d, spec.family) if a <= h]
-        terms.append(js)
-        for x in _factorial_args(h, js):
-            keys.append(x << 40 | len(mods))
-            mods.append(p)
-    keys.sort()
-    low = (1 << 40) - 1
-    fact = [0] * len(mods)
-    values = _accel.prefix_factorials([k >> 40 for k in keys], [mods[k & low] for k in keys])
-    for k, f in zip(keys, values):
-        fact[k & low] = f
-    base = 1 - points_at_infinity(spec)
-    traces, values = [], iter(fact)
-    for p, js in zip(primes, terms):
-        h = (p - 1) // 2
-        # zip stops at the last x of p before it takes a value of the next prime
-        f = {0: 1, **dict(zip(_factorial_args(h, js), values))}
-        total = base
-        if js:
-            cp = reduce_mod(spec.c, p)
-            for j in js:
-                denom = f[j] * f[h - j] % p
-                total += f[h] * pow(denom, -1, p) * pow(cp, h - j, p)
-        traces.append((total + p // 2) % p - p // 2)
-    return traces
+    ps = np.array(primes, dtype=np.int64)
+    n = ps - 1
+    total = np.full(len(ps), 1 - points_at_infinity(spec), dtype=np.int64)
+    # requests: one block of (x, p) over a class per fraction of p - 1;
+    # terms: (primes, block positions of h, j and h - j) per j < h
+    xs, mods, terms, size = [], [], [], 0
+    classes = np.gcd(n, index_modulus(spec.family, spec.d))
+    for e in set(classes.tolist()):
+        idx = np.flatnonzero(classes == e)
+        p = primes[idx[0]]
+        step = (p - 1) // e
+        ms = [a // step for a in contributing_ms(p, spec.d, spec.family) if 2 * a <= p - 1]
+        js = [Fraction(m, e) for m in ms if 2 * m < e]
+        total[idx] += len(ms) - len(js)  # the term j = h
+        if not js:
+            continue
+        at = {}
+        for f in {_HALF, *js, *(_HALF - j for j in js)}:
+            at[f] = np.arange(size, size + len(idx))
+            xs.append(n[idx] * f.numerator // f.denominator)
+            mods.append(ps[idx])
+            size += len(idx)
+        terms += [(idx, at[_HALF], at[j], at[_HALF - j]) for j in js]
+    if terms:
+        x, xmod = np.concatenate(xs), np.concatenate(mods)
+        order = np.argsort(x, kind="stable")
+        fact = np.empty_like(x)
+        fact[order] = _accel.prefix_factorials(x[order].tolist(), xmod[order].tolist())
+        owner, at_h, at_j, at_hj = (np.concatenate(t) for t in zip(*terms))
+        num = np.array([spec.c.numerator % p for p in primes], dtype=np.int64)
+        den = np.array([spec.c.denominator % p for p in primes], dtype=np.int64)
+        cp = (num * _inverses(den, ps) % ps)[owner]
+        m = ps[owner]
+        binom = fact[at_h] * _inverses(fact[at_j] * fact[at_hj] % m, m) % m
+        np.add.at(total, owner, binom * _accel.pow_mod(cp, x[at_hj], m) % m)
+    return ((total + ps // 2) % ps - ps // 2).tolist()
 
 
-def _factorial_args(h: int, js: list[int]) -> list[int]:
-    """The x > 0 whose x! mod p the binomials C(h, j) need, ascending."""
-    return sorted({h, *js, *(h - j for j in js)} - {0}) if js else []
+def _inverses(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """a^-1 mod m elementwise, as a^(m-2) (Fermat).
+
+    Each inverse is checked: a failed check means that m is not prime (a
+    factor of m divides a, or Fermat's little theorem fails), and raises
+    NotPrimeError rather than give a wrong trace.
+    """
+    inv = _accel.pow_mod(a, mods - 2, mods)
+    failed = a * inv % mods != 1
+    if failed.any():
+        raise NotPrimeError(f"p must be an odd prime, got {int(mods[failed].min())}")
+    return inv
 
 
 def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
     """t_p at one good odd prime p > 16g^2; see ``hasse_witt_traces``."""
     check_prime(p)
     return hasse_witt_traces([p], spec)[0]
+
+
+def _blocks_of_equal_sum(primes: list[int], count: int) -> list[list[int]]:
+    """At most ``count`` nonempty contiguous blocks of ascending primes with
+    about equal sums of p.
+
+    A prime's share of the remainder tree grows with p, so blocks of equal
+    count would leave the block of the largest primes the slowest.
+    """
+    cum = list(itertools.accumulate(primes))
+    cuts = [bisect.bisect_left(cum, cum[-1] * i // count) for i in range(1, count)]
+    return [b for b in (primes[s:t] for s, t in itertools.pairwise([0, *cuts, len(primes)])) if b]
 
 
 @dataclass(frozen=True)
@@ -305,7 +357,8 @@ def trace_sweep(
 
     Primes p <= 16g^2 take ``count_formula``; the others take one
     ``hasse_witt_traces`` batch.  With workers > 1 each worker of a process
-    pool takes one contiguous block of those primes.  workers must lie in
+    pool takes one contiguous block of those primes, the blocks cut at
+    about equal sums of p (``_blocks_of_equal_sum``).  workers must lie in
     [1, os.cpu_count()].
     """
     cpus = os.cpu_count() or 1
@@ -316,8 +369,7 @@ def trace_sweep(
     large = primes[len(small):]
     traces = [p + 1 - count_formula(make_field(p), spec) for p in small]
     if workers > 1 and len(large) > 1:
-        size = -(-len(large) // workers)
-        blocks = [large[i:i + size] for i in range(0, len(large), size)]
+        blocks = _blocks_of_equal_sum(large, workers)
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             for batch in pool.map(hasse_witt_traces, blocks, [spec] * len(blocks)):
                 traces += batch

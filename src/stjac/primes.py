@@ -35,15 +35,29 @@ def is_prime(n: int) -> bool:
 
 
 def prime_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
-    if hi < 2 or hi < lo:
+    """All primes p with lo <= p <= hi, ascending.
+
+    A segmented sieve: one bool per integer of [lo, hi], struck out by the
+    base primes up to sqrt(hi), so a narrow window of large primes costs
+    about sqrt(hi) and not hi.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = np.ones(hi + 1, dtype=bool)
+    seg = np.ones(hi - lo + 1, dtype=bool)
+    for q in _base_primes(math.isqrt(hi)):
+        seg[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    return (np.flatnonzero(seg) + lo).tolist()
+
+
+def _base_primes(n: int) -> list[int]:
+    """The primes up to n, by the plain sieve of one bool per integer."""
+    sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
-    for q in range(2, math.isqrt(hi) + 1):
+    for q in range(2, math.isqrt(n) + 1):
         if sieve[q]:
             sieve[q * q :: q] = False
-    return [int(p) for p in np.nonzero(sieve)[0] if p >= lo]
+    return np.flatnonzero(sieve).tolist()
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -8,6 +8,7 @@ from stjac._accel import (
     affine_count,
     char_pair_histogram,
     dlog_table,
+    pow_mod,
     prefix_factorials,
 )
 from stjac.ffield import smallest_primitive_root
@@ -125,6 +126,18 @@ def test_prefix_factorials_match_math_factorial():
         )
         xs, ms = [x for x, _ in pairs], [p for _, p in pairs]
         assert prefix_factorials(xs, ms) == reference(xs, ms)
+
+
+def test_pow_mod_matches_python_pow():
+    rng = np.random.default_rng(7)
+    mods = np.array([3, 5, 7, 1009, 65537, 2**31 - 1] * 50, dtype=np.int64)
+    base = rng.integers(0, mods)
+    exp = rng.integers(0, 2**31, size=len(mods))
+    exp[:6] = 0
+    got = pow_mod(base, exp, mods)
+    assert got.tolist() == [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mods)]
+    empty = np.array([], dtype=np.int64)
+    assert pow_mod(empty, empty, empty).tolist() == []
 
 
 def test_numpy_affine_count_tiny():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stjac import _accel, pointcount
-from stjac.errors import BadReductionError, NotPrimeError
+from stjac.errors import BadReductionError, NotPrimeError, PrimeTooLargeError
 from stjac.ffield import make_field, reduce_mod
 from stjac.pointcount import (
     ADDITIVE,
@@ -364,3 +364,110 @@ def test_trace_sweep_builds_fields_only_up_to_16_g_squared(monkeypatch):
     assert [s.p for s in res.samples if s.p > 256] == [
         p for p in prime_range(257, 600) if good_reduction(p, spec)
     ]
+
+
+_TWISTS = (1, -1, 2, 3, Fraction(-3, 5), Fraction(1, 2), 7)
+
+
+def _binomial_js(p, spec):
+    """The j in [1, h] with (p-1) | d*j (additive) or (p-1) | (d-1)*j + h (linear),
+    solved as congruences, independently of ``contributing_ms``."""
+    n, h = p - 1, (p - 1) // 2
+    if spec.family == ADDITIVE:
+        step = n // math.gcd(spec.d, n)
+        return list(range(step, h + 1, step))
+    g = math.gcd(spec.d - 1, n)
+    if h % g:
+        return []
+    mod = n // g
+    j0 = -(h // g) * pow((spec.d - 1) // g, -1, mod) % mod
+    return list(range(j0 or mod, h + 1, mod))
+
+
+def _hasse_witt_reference(p, spec):
+    """t_p from 1 - (points at infinity) + sum_j C(h, j) c^(h-j) mod p, in exact ints."""
+    h = (p - 1) // 2
+    cp = reduce_mod(spec.c, p)
+    total = 1 - points_at_infinity(spec)
+    total += sum(math.comb(h, j) * pow(cp, h - j, p) for j in _binomial_js(p, spec))
+    return (total + p // 2) % p - p // 2
+
+
+def test_hasse_witt_equals_binomial_reference():
+    specs = [curve(ADDITIVE, d, c) for d in range(1, 25) for c in _TWISTS]
+    specs += [curve(LINEAR, d, c) for d in range(3, 20, 2) for c in _TWISTS]
+    checked = 0
+    for spec in specs:
+        primes = [p for p in _PRIMES_BELOW_3000 if p > 16 * spec.genus**2 and good_reduction(p, spec)]
+        assert hasse_witt_traces(primes, spec) == [_hasse_witt_reference(p, spec) for p in primes], spec
+        checked += len(primes)
+    assert checked == 74570
+
+
+def test_hasse_witt_any_order_and_repeats():
+    for spec in (curve(ADDITIVE, 9, 1), curve(ADDITIVE, 12, Fraction(-3, 5)), curve(LINEAR, 7, 2)):
+        primes = [p for p in prime_range(16 * spec.genus**2 + 1, 2000) if good_reduction(p, spec)]
+        expected = dict(zip(primes, hasse_witt_traces(primes, spec)))
+        shuffled = primes[::-1][::2] + primes[::3] + primes[1::2] + primes[:5]
+        assert hasse_witt_traces(shuffled, spec) == [expected[p] for p in shuffled]
+        assert hasse_witt_traces([], spec) == []
+
+
+def _recording_tree(monkeypatch):
+    """Replace the remainder tree by one that logs its request count per call."""
+    calls, tree = [], _accel.prefix_factorials
+
+    def recording(xs, ms):
+        calls.append(len(xs))
+        return tree(xs, ms)
+
+    monkeypatch.setattr(_accel, "prefix_factorials", recording)
+    return calls
+
+
+def test_hasse_witt_trivial_term_makes_no_tree_request(monkeypatch):
+    # p = 5 mod 6 gives gcd(6, p - 1) = 2: the only j is h, C(h, h) = 1
+    calls = _recording_tree(monkeypatch)
+    spec = curve(ADDITIVE, 6, 1)
+    primes = [p for p in prime_range(65, 5000) if p % 6 == 5]
+    assert hasse_witt_traces(primes, spec) == [0] * len(primes)
+    assert sum(calls) == 0
+
+
+def test_hasse_witt_requests_each_distinct_factorial_once(monkeypatch):
+    # per prime, the distinct nonzero x in {h, j, h - j} over the j < h
+    calls = _recording_tree(monkeypatch)
+    for spec in (curve(ADDITIVE, 12, 1), curve(ADDITIVE, 8, 3), curve(LINEAR, 9, -1), curve(LINEAR, 5, 1)):
+        primes = [p for p in prime_range(16 * spec.genus**2 + 1, 3000) if good_reduction(p, spec)]
+        calls.clear()
+        hasse_witt_traces(primes, spec)
+        expected = 0
+        for p in primes:
+            h = (p - 1) // 2
+            js = [j for j in _binomial_js(p, spec) if j < h]
+            expected += len({h, *js, *(h - j for j in js)}) if js else 0
+        assert calls == [expected], spec
+
+
+def test_hasse_witt_errors_keep_type_message_and_input_order():
+    spec = curve(ADDITIVE, 11, 1)  # g = 5, 16g^2 = 400
+    with pytest.raises(ValueError, match=r"^the Hasse-Witt residue fixes t_p only for p > 16g\^2, got p=397$"):
+        hasse_witt_traces([401, 397, 2**31 + 11], spec)
+    with pytest.raises(PrimeTooLargeError, match=r"^p must be at most P_MAX = 2\^31 - 1, got 2147483659$"):
+        hasse_witt_traces([401, 2**31 + 11, 397], spec)
+    with pytest.raises(BadReductionError, match=r"^409 divides 2\*d\*c for y\^2 = x\^11 \+ 409$"):
+        hasse_witt_traces([409, 397], curve(ADDITIVE, 11, 409))
+    # 415 = 5 * 83 = 1 mod 9: 5 divides the factorials, no inverse exists
+    with pytest.raises(NotPrimeError, match=r"^p must be an odd prime, got 415$"):
+        hasse_witt_traces([257, 415], curve(ADDITIVE, 9, 1))
+
+
+def test_sweep_blocks_cut_at_equal_sums_of_p():
+    # a prime's tree work grows with p: blocks of equal count took 0.75 s and
+    # 1.94 s for this range, blocks of equal sum about 1.3 s and 1.5 s
+    spec = curve(ADDITIVE, 9, 1)
+    large = [p for p in pointcount.good_primes(spec, 257, 300000) if residue_fixes_trace(p, spec)]
+    low, high = pointcount._blocks_of_equal_sum(large, 2)
+    assert low + high == large
+    assert 0.6 * 300000 < high[0] < 0.8 * 300000
+    assert pointcount._blocks_of_equal_sum([3, 5], 4) == [[3], [5]]

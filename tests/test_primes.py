@@ -1,3 +1,8 @@
+import math
+import tracemalloc
+
+import numpy as np
+
 from stjac.primes import divisors, euler_phi, factorize, is_prime, mobius, prime_range, v2
 
 
@@ -16,6 +21,41 @@ def test_is_prime_larger():
 def test_prime_range_matches_is_prime():
     assert prime_range(3, 100) == [n for n in range(3, 101) if is_prime(n)]
     assert prime_range(10, 10) == []
+
+
+def _full_sieve(lo, hi):
+    """Reference: one bool per integer up to hi."""
+    if hi < 2 or hi < lo:
+        return []
+    sieve = np.ones(hi + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(hi) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return [int(p) for p in np.nonzero(sieve)[0] if p >= lo]
+
+
+def test_segmented_prime_range_matches_full_sieve():
+    ranges = [(0, 0), (-5, 1), (-5, 2), (2, 2), (2, 3), (4, 4), (17, 17), (18, 18), (5, 3),
+              (1, 50), (3, 10**5), (49, 49), (48, 53), (10**6, 10**6 + 1000),
+              (10**7 - 500, 10**7 + 500), (10**7, 10**7)]
+    for lo, hi in ranges:
+        assert prime_range(lo, hi) == _full_sieve(lo, hi), (lo, hi)
+    assert all(type(p) is int for p in prime_range(3, 100))
+
+
+def test_prime_range_window_costs_the_window(deadline):
+    # the full sieve allocated one bool per integer up to hi (1 GB here)
+    tracemalloc.start()
+    try:
+        with deadline(2):
+            window = prime_range(10**9, 10**9 + 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert window == [n for n in range(10**9, 10**9 + 1001) if is_prime(n)]
+    assert len(window) == 49
+    assert peak <= 1 << 20
 
 
 def test_factorize_roundtrip():
