@@ -11,8 +11,9 @@ The representation is canonical, so equality is coefficient-wise
 equality.  Conversion between conductors goes through ``lift`` (n must
 divide the target conductor).
 
-``is_root_of_unity`` is a table lookup: the roots of unity in Z[zeta_n]
-are the +-zeta_n^k, whose coordinates are rows of ``_reduction_rows``.
+Every coordinate list enters the ring through ``_reduce_mod_phi``, long
+division by the monic Phi_n over its nonzero terms, so no conductor keeps
+more than those terms cached.  ``is_root_of_unity`` needs no table either.
 """
 
 from __future__ import annotations
@@ -52,37 +53,32 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer rows giving x^k mod Phi_n for k = 0 .. max(n-1, 2*phi-2)."""
-    phi_poly = cyclotomic_poly(n)
-    deg = len(phi_poly) - 1
-    top = max(n - 1, 2 * deg - 2)
-    rows = []
-    row = [0] * deg
-    row[0] = 1
-    for _ in range(top + 1):
-        rows.append(tuple(row))
-        carry = row[deg - 1]
-        row = [0] + row[: deg - 1]
-        if carry:
-            for i in range(deg):
-                row[i] -= carry * phi_poly[i]
-    return tuple(rows)
+def _phi_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (i, c) of Phi_n below its leading x^phi(n)."""
+    return tuple((i, c) for i, c in enumerate(cyclotomic_poly(n)[:-1]) if c)
 
 
-def _reduce_mod_phi(coeffs: list, n: int) -> list:
-    """Reduce an arbitrary-degree coefficient list into the power basis."""
-    rows = _reduction_rows(n)
+def _reduce_mod_phi(cs: list[int], n: int) -> tuple[int, ...]:
+    """The phi(n) power-basis coordinates of sum cs[k] x^k (cs is consumed).
+
+    Exponents fold mod x^n - 1 first; then long division by the monic
+    Phi_n, from the top coefficient down, subtracts c * x^(k - phi) * Phi_n
+    over Phi_n's nonzero terms only.
+    """
     deg = len(cyclotomic_poly(n)) - 1
-    out = list(coeffs[:deg]) + [0] * max(0, deg - len(coeffs))
-    for k in range(deg, len(coeffs)):
-        c = coeffs[k]
+    if len(cs) > n:
+        for k in range(n, len(cs)):
+            cs[k % n] += cs[k]
+        del cs[n:]
+    cs.extend([0] * (deg - len(cs)))
+    terms = _phi_terms(n)
+    for k in range(len(cs) - 1, deg - 1, -1):
+        c = cs[k]
         if c:
-            row = rows[k]
-            for i in range(deg):
-                if row[i]:
-                    out[i] = out[i] + c * row[i]
-    return out
+            base = k - deg
+            for i, t in terms:
+                cs[base + i] -= c * t
+    return tuple(cs[:deg])
 
 
 @dataclass(frozen=True)
@@ -93,45 +89,26 @@ class CycloElt:
     coeffs: tuple[int, ...]
 
     @staticmethod
-    def _make(n: int, coeffs) -> "CycloElt":
-        deg = len(cyclotomic_poly(n)) - 1
-        cs = tuple(coeffs)
-        if len(cs) < deg:
-            cs += (0,) * (deg - len(cs))
-        assert len(cs) == deg
-        return CycloElt(n, cs)
-
-    @staticmethod
     def from_int_coeffs(n: int, coeffs) -> "CycloElt":
-        """Build from an integer coefficient list of any degree (reduced here).
-
-        Exponents fold mod n first (x^n = 1), so the reduction mod Phi_n
-        sees degree < n, which ``_reduction_rows`` covers.
-        """
-        cs = [int(c) for c in coeffs]
-        if len(cs) > n:
-            folded = cs[:n]
-            for k in range(n, len(cs)):
-                folded[k % n] += cs[k]
-            cs = folded
-        return CycloElt._make(n, _reduce_mod_phi(cs, n))
+        """Build from an integer coefficient list of any degree (reduced here)."""
+        return CycloElt(n, _reduce_mod_phi([int(c) for c in coeffs], n))
 
     @staticmethod
     def zero(n: int) -> "CycloElt":
-        return CycloElt._make(n, [])
+        return CycloElt(n, _reduce_mod_phi([], n))
 
     @staticmethod
     def one(n: int) -> "CycloElt":
-        return CycloElt._make(n, [1])
+        return CycloElt(n, _reduce_mod_phi([1], n))
 
     @staticmethod
     def from_int(n: int, k: int) -> "CycloElt":
-        return CycloElt._make(n, [k])
+        return CycloElt(n, _reduce_mod_phi([k], n))
 
     @staticmethod
     def zeta_pow(n: int, k: int) -> "CycloElt":
         """zeta_n^k as an exact element."""
-        return CycloElt._make(n, _reduction_rows(n)[k % n])
+        return CycloElt(n, _reduce_mod_phi([0] * (k % n) + [1], n))
 
     @staticmethod
     def zeta(n: int) -> "CycloElt":
@@ -148,7 +125,7 @@ class CycloElt:
         if other is NotImplemented:
             return other
         self._check(other)
-        return CycloElt._make(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycloElt(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -157,7 +134,7 @@ class CycloElt:
         if other is NotImplemented:
             return other
         self._check(other)
-        return CycloElt._make(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycloElt(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -168,7 +145,7 @@ class CycloElt:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycloElt._make(self.n, [a * other for a in self.coeffs])
+            return CycloElt(self.n, tuple(a * other for a in self.coeffs))
         if not isinstance(other, CycloElt):
             return NotImplemented
         self._check(other)
@@ -179,7 +156,7 @@ class CycloElt:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return CycloElt._make(self.n, _reduce_mod_phi(prod, self.n))
+        return CycloElt(self.n, _reduce_mod_phi(prod, self.n))
 
     __rmul__ = __mul__
 
@@ -204,7 +181,7 @@ class CycloElt:
         for i, c in enumerate(self.coeffs):
             if c:
                 scattered[(i * u) % self.n] += c
-        return CycloElt._make(self.n, _reduce_mod_phi(scattered, self.n))
+        return CycloElt(self.n, _reduce_mod_phi(scattered, self.n))
 
     def conj(self) -> "CycloElt":
         """Complex conjugation zeta -> zeta^(-1)."""
@@ -223,7 +200,7 @@ class CycloElt:
         for i, c in enumerate(self.coeffs):
             if c:
                 scattered[i * step] = c
-        return CycloElt._make(m, _reduce_mod_phi(scattered, m))
+        return CycloElt(m, _reduce_mod_phi(scattered, m))
 
     # -- predicates and conversions -------------------------------------
 
@@ -273,31 +250,27 @@ def embed(w: CycloElt, k: int = 1) -> complex:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _zeta_exponents(n: int) -> dict[tuple[int, ...], int]:
-    """Coordinates of zeta_n^k -> k, for 0 <= k < n."""
-    rows = _reduction_rows(n)
-    return {rows[k]: k for k in range(n)}
-
-
 def is_root_of_unity(w: CycloElt) -> int | None:
     """Least N with w^N = 1, or None if w is not a root of unity.
 
     The roots of unity in Z[zeta_n] are s*zeta_n^k with s = +-1, i.e.
     exp(2*pi*i*e/(2n)) with e = 2k + n*(1-s)/2, of order 2n / gcd(e, 2n).
-    Every other element, zero included, matches no entry of the table.
+    For k < phi(n) the coordinates of s*zeta_n^k are s at position k and
+    0 elsewhere.  Multiplying by zeta_n^phi(n) fewer than n/phi(n) times
+    moves any k below phi(n), and since that is a unit, a non-root never
+    takes that shape.
     """
-    n = w.n
-    exponents = _zeta_exponents(n)
-    k = exponents.get(w.coeffs)
-    if k is not None:
-        e = 2 * k
-    else:
-        k = exponents.get(tuple(-c for c in w.coeffs))
-        if k is None:
-            return None
-        e = 2 * k + n
-    return 2 * n // math.gcd(e, 2 * n)
+    n, cs = w.n, w.coeffs
+    phi = len(cs)
+    for shift in range(0, n, phi):
+        if shift:
+            cs = _reduce_mod_phi([0] * phi + list(cs), n)
+        support = [i for i, c in enumerate(cs) if c]
+        if len(support) == 1 and cs[support[0]] in (1, -1):
+            k = (support[0] - shift) % n
+            e = 2 * k + (0 if cs[support[0]] == 1 else n)
+            return 2 * n // math.gcd(e, 2 * n)
+    return None
 
 
 def conductor_join(values: list[int]) -> int:

@@ -80,7 +80,7 @@ def test_conj_is_ring_involution():
     rng = random.Random(2)
     n = 12
     elts = [
-        CycloElt._make(n, [rng.randrange(-3, 4) for _ in range(euler_phi(n))])
+        CycloElt.from_int_coeffs(n, [rng.randrange(-3, 4) for _ in range(euler_phi(n))])
         for _ in range(6)
     ]
     for w in elts:
@@ -103,8 +103,8 @@ def test_embed_respects_ring_ops():
     rng = random.Random(3)
     n = 18
     for _ in range(10):
-        w = CycloElt._make(n, [rng.randrange(-2, 3) for _ in range(euler_phi(n))])
-        v = CycloElt._make(n, [rng.randrange(-2, 3) for _ in range(euler_phi(n))])
+        w = CycloElt.from_int_coeffs(n, [rng.randrange(-2, 3) for _ in range(euler_phi(n))])
+        v = CycloElt.from_int_coeffs(n, [rng.randrange(-2, 3) for _ in range(euler_phi(n))])
         for k in (1, 5, 7):
             assert abs(embed(w * v, k) - embed(w, k) * embed(v, k)) < 1e-9
             assert abs(embed(w + v, k) - (embed(w, k) + embed(v, k))) < 1e-9
@@ -151,7 +151,7 @@ def test_root_of_unity_exhaustive_small_conductor():
                 assert bound % order == 0
 
 
-# -- root-of-unity table against the exponentiation it replaced ----------
+# -- is_root_of_unity against exponentiation -----------------------------
 
 
 def _order_by_exponentiation(w):
@@ -174,7 +174,8 @@ def _order_by_exponentiation(w):
 
 
 def test_root_of_unity_table_matches_exponentiation():
-    for n in range(1, 61):
+    # 105: Phi_105 has a coefficient -2
+    for n in (*range(1, 61), 105):
         for k in range(n):
             z = CycloElt.zeta_pow(n, k)
             for w in (z, -z):
@@ -183,19 +184,19 @@ def test_root_of_unity_table_matches_exponentiation():
 
 def test_root_of_unity_table_rejects_non_roots():
     rng = random.Random(4)
-    for n in range(1, 61):
+    for n in (*range(1, 61), 105):
         assert is_root_of_unity(CycloElt.zero(n)) is None
         assert is_root_of_unity(CycloElt.from_int(n, 2)) is None
         if n not in (1, 2, 3):
             assert is_root_of_unity(CycloElt.one(n) + CycloElt.zeta(n)) is None
         for _ in range(3):
-            w = CycloElt._make(n, [rng.randrange(-2, 3) for _ in range(euler_phi(n))])
+            w = CycloElt.from_int_coeffs(n, [rng.randrange(-2, 3) for _ in range(euler_phi(n))])
             assert is_root_of_unity(w) == _order_by_exponentiation(w), (n, w)
 
 
 # -- Z[zeta] representation: int coordinates, checked against sympy -------
 
-_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30)
+_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30, 105)
 
 
 @st.composite
@@ -204,8 +205,8 @@ def _int_elements(draw, pair=False):
     coeffs = st.lists(
         st.integers(-6, 6), min_size=euler_phi(n), max_size=euler_phi(n)
     )
-    a = CycloElt._make(n, draw(coeffs))
-    return (a, CycloElt._make(n, draw(coeffs))) if pair else a
+    a = CycloElt.from_int_coeffs(n, draw(coeffs))
+    return (a, CycloElt.from_int_coeffs(n, draw(coeffs))) if pair else a
 
 
 _X = sympy.Symbol("x")
@@ -254,11 +255,10 @@ def test_galois_and_lift_have_int_coords_and_match_sympy(a, u, step):
 
 
 def test_from_int_coeffs_reduces_any_degree_like_sympy():
-    # degree 3n - 1 for every n <= 60: _reduction_rows(n) stops at
-    # max(n - 1, 2*phi(n) - 2), which degree 3 at n = 3, 9 at n = 5 and 12
-    # at n = 12 already pass
+    # degree 3n - 1, so every input folds mod x^n - 1 before the division;
+    # Phi_105 has a coefficient -2 and Phi_385 one of magnitude 3
     rng = random.Random(15)
-    for n in range(1, 61):
+    for n in (*range(1, 61), 105, 385):
         coeffs = [rng.randrange(-9, 10) for _ in range(3 * n)]
         expr = sympy.Poly(coeffs[::-1], _X).as_expr()
         assert list(CycloElt.from_int_coeffs(n, coeffs).coeffs) == _sympy_coords(expr, n), n
@@ -295,3 +295,23 @@ def test_pow_is_repeated_product_with_fewest_products(n, monkeypatch):
         assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
     with pytest.raises(ValueError):
         w**-1
+
+
+def test_memory_stays_linear_in_the_conductor(deadline):
+    import math
+    import tracemalloc
+
+    n = 4620  # phi = 960; Phi_n has 343 nonzero terms
+    tracemalloc.start()
+    try:
+        with deadline(10):
+            root = CycloElt.zeta_pow(n, 31337)
+            order = is_root_of_unity(root)
+            non_root = CycloElt.from_int_coeffs(n, [0] * (n - 1) + [3])
+            non_order = is_root_of_unity(non_root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == n // math.gcd(31337 % n, n)
+    assert non_order is None
+    assert peak <= 64 * n, peak

@@ -432,13 +432,13 @@ def test_divide_exact():
     from stjac.cyclo import CycloElt
     from stjac.stmatrix import _divide_exact
 
-    w = CycloElt._make(12, [6, -9, 0, 3])
+    w = CycloElt.from_int_coeffs(12, [6, -9, 0, 3])
     q = _divide_exact(w, 3)
-    assert q == CycloElt._make(12, [2, -3, 0, 1])
+    assert q == CycloElt.from_int_coeffs(12, [2, -3, 0, 1])
     assert all(type(c) is int for c in q.coeffs)
     assert _divide_exact(w, 1) == w
     assert _divide_exact(w, 9) is None
-    assert _divide_exact(CycloElt._make(12, [6, -9, 0, 4]), 3) is None
+    assert _divide_exact(CycloElt.from_int_coeffs(12, [6, -9, 0, 4]), 3) is None
     assert _divide_exact(CycloElt.zero(12), 11**5) == CycloElt.zero(12)
 
 
