@@ -2,14 +2,16 @@
 
 There is one backend, ``BACKEND = "numpy"``.  The Jacobi-sum and counting
 kernels are whole-array passes, O(p) each, in chunks of about 2^16
-elements.  The two passes of a point count visit half of F_p each: from
-p = 4096 the dlog table walks g^e for e < (p-1)/2 and fills dlog(-x) =
-dlog x + (p-1)/2, and the joint table of (dlog x, dlog(1-x)) is symmetric
-under x -> 1 - x.
+elements.  From p = 4096 the dlog table walks g^e for e < (p-1)/2 and
+fills dlog(-x) = dlog x + (p-1)/2.  The histogram pass of a point count
+builds the M x M joint table of (dlog x, dlog(1-x)) mod M when
+M^2 <= p - 1, reading half of F_p (the table is symmetric under
+x -> 1 - x), and otherwise the M x 2 table of (dlog x mod M, parity of
+dlog(1-x)) over all of F_p.
 Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a
 dlog table (residues mod m | p - 1) needs at most int32, and the kernels
-form every product a * dlog (< n^2, n = p - 1) and every product of two
-residues mod p (< p^2 < 2^62) in int64.
+form every histogram key (< 2(p - 1)) and every product of two residues
+mod p (< p^2 < 2^62) in int64.
 ``prefix_factorials`` serves the Hasse-Witt traces of a sweep on Python
 ints: one remainder tree for all the factorials of all the primes.
 ``pow_mod`` is the elementwise power with which the traces combine them.
@@ -119,43 +121,37 @@ def _fill_negatives(r: np.ndarray, m: int) -> None:
         hi_view[...] = hi
 
 
-def char_pair_histogram(u: np.ndarray, a: int, b: int, n: int, bins: int) -> np.ndarray:
-    """Histogram over e of a*u(x) + b*u(1-x) mod n, x in F_p minus {0, 1}.
+def char_pair_histogram(u: np.ndarray, m: int, k: int, n: int) -> np.ndarray:
+    """Histogram of k*u(x) + (u(1-x) mod k) over x in F_p minus {0, 1}, p = n + 1.
 
-    ``u`` is a table of ``dlog_table`` (p = n + 1): the full one, or the
-    residues mod some M; a, b >= 0.  ``bins`` must exceed every key: n for
-    the full table, M^2 for residues mod M with a = M, b = 1 (the pair
-    code; then no n-length array is built).  The keys are int64, so a*u(x)
-    (< n^2 < 2^62) cannot wrap; they are reduced mod n only when the dtype
-    of u lets them reach n.
-
-    The pair code with M^2 < n gives the joint table H[i][j] = #{x : u(x)
-    = i, u(1-x) = j}, which x -> 1 - x maps to its transpose: that pass
-    reads x = 2 .. (p-1)/2 only, adds the transpose and counts the fixed
-    point x = 1/2 = (p+1)/2 once.  Every other call reads all of F_p.
+    ``u`` is the table of dlog x mod m of ``dlog_table`` (m | n), and k is
+    m or 2; the m*k bins read as an m x k table.  k = m gives the joint
+    table H[i][j] = #{x : u(x) = i, u(1-x) = j}, which x -> 1 - x maps to
+    its transpose: that pass reads x = 2 .. (p-1)/2 only, adds the
+    transpose and counts the fixed point x = 1/2 = (p+1)/2 once.  k = 2
+    gives H[i][s] = #{x : u(x) = i, u(1-x) = s mod 2} (for even m, s is
+    the parity of dlog(1-x)), which has no such symmetry, so that pass
+    reads all of F_p.  Keys are int64.
     """
     p = n + 1
-    pair_code = b == 1 and a * a == bins < n
-    # entries of u are below 2^(bits - 1); keys below n need no reduction
-    reduce = not pair_code and (a + b) << (8 * u.itemsize - 1) > n
-    # the pair code stops before x = (p+1)/2 = 1/2, its own image under x -> 1 - x
-    end = (p + 1) // 2 if pair_code else p
+    joint = k == m
+    # the joint pass stops before x = (p+1)/2 = 1/2, its own image under x -> 1 - x
+    end = (p + 1) // 2 if joint else p
+    bins = m * k
     chunk = max(_CHUNK, bins)
     hist = np.zeros(bins, dtype=np.int64)
     for s in range(2, end, chunk):
         e = min(s + chunk, end)
         # x = s .. e-1 reads u[s:e]; 1 - x = p+1-s .. p+2-e reads a reversed view
         keys = u[s:e].astype(np.int64)
-        keys *= a
+        keys *= k
         rev = u[p + 2 - e : p + 2 - s][::-1]
-        keys += rev if b == 1 else b * rev.astype(np.int64)
-        if reduce:
-            keys %= n
+        keys += rev if joint else rev & 1
         hist += np.bincount(keys, minlength=bins)
-    if pair_code:
-        half = hist.reshape(a, a)
+    if joint:
+        half = hist.reshape(m, m)
         hist = (half + half.T).ravel()
-        hist[(a + 1) * int(u[end])] += 1
+        hist[(m + 1) * int(u[end])] += 1
     return hist
 
 

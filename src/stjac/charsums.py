@@ -2,23 +2,16 @@
 
 Gauss sums live in Q(zeta_{p(p-1)}) and are only ever needed here as
 numerical cross-checks, so they stay complex doubles.  Jacobi sums lie in
-Z[zeta_{p-1}] and are computed exactly from the defining character sum
-J(A, B) = sum_x A(x) B(1-x), never from Gauss-sum quotients.
+Z[zeta_{p-1}] and are computed exactly from character sums, never from
+Gauss-sum quotients.
 
-``jacobi_sum_compact`` returns the value in the smallest cyclotomic field
-containing it (conductor (p-1)/gcd(a, b, p-1)), which is what keeps the
-point-count and relation-check pipelines cheap; ``jacobi_sum`` lifts the
-same value to the full conductor p-1.
-
-Its histogram comes from one O(p) pass per field, not per character: the
-first call builds the joint table of (dlog x, dlog(1-x)) mod M, with M the
-lcm of 2 and both character orders, caches it on the field, and every later
-call whose orders divide M folds it in O(M^2).  That pass reads only the
-field's table of dlog residues mod M (one byte per x for M <= 128), never
-the full dlog table; the joint table is symmetric under x -> 1 - x, so
-when M^2 < p - 1 it reads only x <= (p-1)/2.  A joint table exists only
-when M^2 <= p - 1; otherwise (small p, or characters of large order) the
-call makes its own O(p) pass over the full dlog table.
+The pipeline only ever asks for J(T^a, phi), phi the quadratic character.
+``jacobi_sum_compact(fld, a)`` folds it in O(M) from one cached vector per
+field (``_phi_profile``, one O(p) pass over the dlog residues mod M), into
+its smallest cyclotomic field, of conductor M = lcm(2, ord T^a).
+``jacobi_sum(fld, a, b)``, the general J(T^a, T^b) lifted to conductor
+p - 1, is computed independently from the defining sum J(A, B) =
+sum_x A(x) B(1-x) over the full dlog table: the reference for the tests.
 """
 
 from __future__ import annotations
@@ -41,60 +34,67 @@ def gauss_sum(fld: PrimeField, a: CharExponent) -> complex:
     return complex(np.exp(2j * np.pi * angles).sum())
 
 
-def _joint_table(fld: PrimeField, need: int) -> np.ndarray | None:
-    """Cached joint histogram of (dlog x, dlog(1-x)) mod some M with need | M.
+def _phi_profile(fld: PrimeField, need: int) -> np.ndarray:
+    """Cached D over dlog x mod some even M with need | M: D[i] = sum of
+    phi(1 - x) over the x in F_p minus {0, 1} with dlog x = i (mod M).
 
-    Built on first use with one chunked pass over the field's dlog residues
-    mod need (no full table).  x -> 1 - x maps the table to its transpose,
-    so when need^2 < n the kernel reads only x <= (p-1)/2, adds the
-    transpose and counts the fixed point x = 1/2 once.  The kernel key
-    need*u(x) + u(1-x) stays below need^2, so it is injective exactly when
-    need^2 <= n, and the kernel returns exactly need^2 bins; above that
-    there is no table and the caller takes the direct pass over the full
-    table.
+    M is even, so phi(1 - x) = (-1)^(dlog(1-x) mod M) and J(T^a, phi) =
+    sum_i D[i] zeta_{p-1}^(a*i).  Built on first use by one
+    ``_accel.char_pair_histogram`` pass over the dlog residues mod need
+    (one byte per x for need <= 128): the need x need joint table of
+    (dlog x, dlog(1-x)) when need^2 <= p - 1, else the need x 2 table of
+    (dlog x, parity of dlog(1-x)); D is that table against the signs
+    (-1)^j of its columns.
     """
-    for m, table in fld.joint.items():
+    for m, profile in fld.joint.items():
         if m % need == 0:
-            return table
+            return profile
     n = fld.n
-    if need * need > n:
-        return None
-    table = _accel.char_pair_histogram(fld.dlog_mod(need), need, 1, n, need * need)
-    table = table.reshape(need, need)
-    table.flags.writeable = False
-    fld.joint[need] = table
-    return table
+    k = need if need * need <= n else 2
+    table = _accel.char_pair_histogram(fld.dlog_mod(need), need, k, n)
+    profile = table.reshape(need, k) @ (1 - 2 * (np.arange(k) % 2))
+    profile.flags.writeable = False
+    fld.joint[need] = profile
+    return profile
 
 
-def jacobi_sum_compact(fld: PrimeField, a: CharExponent, b: CharExponent) -> CycloElt:
-    """J(T^a, T^b) in its minimal cyclotomic field.
+def jacobi_sum_compact(fld: PrimeField, a: CharExponent) -> CycloElt:
+    """J(T^a, phi) in its minimal cyclotomic field, of conductor
+    (p-1)/gcd(a, (p-1)/2) = lcm(2, ord T^a).
 
-    T^a(x) T^b(1-x) depends only on dlog x and dlog(1-x) modulo any M that
-    both orders n/gcd(a, n) and n/gcd(b, n) divide, so the histogram over
-    e = a*i + b*s (mod n) is a fold of the field's cached M x M joint table.
+    T^a(x) depends only on dlog x mod ord T^a, so the cached D folds to
+    that period, and its entry i is the coefficient of zeta_{p-1}^(a*i).
+    """
+    n = fld.n
+    a %= n
+    order = n // math.gcd(a, n)
+    profile = _phi_profile(fld, math.lcm(2, order))
+    g = math.gcd(a, n // 2)
+    coeffs = np.zeros(n // g, dtype=np.int64)
+    coeffs[a * np.arange(order) % n // g] = profile.reshape(-1, order).sum(axis=0)
+    return CycloElt.from_int_coeffs(n // g, coeffs.tolist())
+
+
+def _defining_sum(fld: PrimeField, a: CharExponent, b: CharExponent) -> CycloElt:
+    """J(T^a, T^b) from the defining sum, in Z[zeta_N], N = (p-1)/gcd(a, b, p-1).
+
+    The histogram of a*dlog x + b*dlog(1-x) mod p - 1 over x in F_p minus
+    {0, 1}, with the full table widened to int64 so that a*dlog x
+    (< (p-1)^2) cannot wrap.
     """
     n = fld.n
     a %= n
     b %= n
     g = math.gcd(a, b, n)
-    need = math.lcm(2, n // math.gcd(a, n), n // math.gcd(b, n))
-    table = _joint_table(fld, need)
-    if table is None:
-        hist = _accel.char_pair_histogram(fld.dlog, a, b, n, n)
-        compact = hist[::g] if g > 1 else hist
-    else:
-        i = np.arange(len(table), dtype=np.int64)
-        idx = ((a * i[:, None] + b * i[None, :]) % n) // g
-        # float64 weights sum exactly: every bin total is at most p < 2^53
-        compact = np.bincount(
-            idx.ravel(), weights=table.ravel(), minlength=n // g
-        ).astype(np.int64)
-    return CycloElt.from_int_coeffs(n // g, compact.tolist())
+    u = fld.dlog.astype(np.int64)
+    x = np.arange(2, fld.p)
+    keys = (a * u[x] + b * u[fld.p + 1 - x]) % n
+    return CycloElt.from_int_coeffs(n // g, np.bincount(keys // g, minlength=n // g).tolist())
 
 
 def jacobi_sum(fld: PrimeField, a: CharExponent, b: CharExponent) -> CycloElt:
-    """Exact J(T^a, T^b) as an element of Z[zeta_{p-1}]."""
-    return jacobi_sum_compact(fld, a, b).lift(fld.n)
+    """Exact J(T^a, T^b) as an element of Z[zeta_{p-1}], from the defining sum."""
+    return _defining_sum(fld, a, b).lift(fld.n)
 
 
 def gauss_jacobi_check(
@@ -112,6 +112,6 @@ def gauss_jacobi_check(
         raise DegenerateCharactersError(
             "the identity needs A, B and AB all nontrivial"
         )
-    lhs = embed(jacobi_sum_compact(fld, a, b), 1)
+    lhs = embed(_defining_sum(fld, a, b), 1)
     rhs = gauss_sum(fld, a) * gauss_sum(fld, b) / gauss_sum(fld, a + b)
     return abs(lhs - rhs) <= tol

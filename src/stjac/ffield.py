@@ -25,7 +25,7 @@ from .primes import factorize, is_prime
 CharExponent = int
 
 # Largest supported prime: dlog values (< p - 1) then fit in int32 and every
-# product a * dlog (< (p - 1)^2) in int64, which the kernels rely on.
+# product a * dlog (< (p - 1)^2) in int64, which the character sums rely on.
 P_MAX = 2**31 - 1
 
 
@@ -35,8 +35,10 @@ class PrimeField:
 
     ``residues`` caches read-only tables m -> dlog x mod m (``dlog_mod``),
     each built on first use; the full table ``dlog`` is the entry m = p - 1.
-    ``joint`` caches joint histograms for the Jacobi sums: M -> the M x M
-    table of #{x in F_p minus {0, 1} : dlog x = i, dlog(1-x) = s (mod M)}.
+    ``joint`` caches the profiles of the Jacobi sums J(T^a, phi): M -> the
+    length-M vector D[i] = sum of phi(1 - x) over the x in F_p minus {0, 1}
+    with dlog x = i (mod M), M even; it serves every a with
+    lcm(2, ord T^a) | M.
     ``terms`` caches the Frobenius terms of the relation checks: (a, c) ->
     (w, conj(w)) with w = T^a(-c) * phi(c) * J(T^a, phi) and w * conj(w) = p.
     """

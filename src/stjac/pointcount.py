@@ -32,6 +32,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,7 +192,7 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
     cp = reduce_mod(spec.c, fld.p)
     terms = []
     for a in contributing_ms(p, spec.d, spec.family):
-        j = jacobi_sum_compact(fld, a, fld.n // 2)
+        j = jacobi_sum_compact(fld, a)
         terms.append(CycloElt.zeta_pow(j.n, twist_exponent(fld, a, cp)) * j)
     conductor = conductor_join([t.n for t in terms])
     total = CycloElt.zero(conductor)
@@ -211,8 +212,9 @@ def count_bruteforce(fld: PrimeField, spec: CurveSpec) -> int:
     return affine + points_at_infinity(spec)
 
 
-@dataclass(frozen=True)
-class TraceSample:
+class TraceSample(NamedTuple):
+    """One prime of a sweep: the smooth-model count, t_p and t_p / sqrt(p)."""
+
     p: int
     count: int
     t_p: int
@@ -378,10 +380,7 @@ def trace_sweep(
     # the count is on the smooth model, so t_p is the Frobenius trace of the
     # Jacobian and |t_p| <= 2g*sqrt(p) for every d (e.g. y^2=x^6+1 at p=103
     # gives t_p = 40, just inside the genus-2 bound 40.596)
-    samples = [
-        TraceSample(p=p, count=p + 1 - t, t_p=t, x_p=t / math.sqrt(p))
-        for p, t in zip(primes, traces)
-    ]
+    samples = [TraceSample(p, p + 1 - t, t, t / math.sqrt(p)) for p, t in zip(primes, traces)]
     xs = [s.x_p for s in samples]
     count = len(xs)
     moments = {

@@ -225,7 +225,7 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
     cp = reduce_mod(c, fld.p)
     if cp == 0:
         raise ZeroDivisionError(f"c = {c} vanishes mod {fld.p}")
-    j = jacobi_sum_compact(fld, a, fld.n // 2)
+    j = jacobi_sum_compact(fld, a)
     return CycloElt.zeta_pow(j.n, twist_exponent(fld, a, cp)) * j
 
 

@@ -65,41 +65,53 @@ def test_large_moduli_near_a_million_match_the_enumerated_table():
             assert np.array_equal(r[1:], full[1:] % m), (p, m)
 
 
+def _enumerated_pair_histogram(u, m, k):
+    """#{x : u(x) = i, u(1-x) mod k = j} over x in F_p minus {0, 1}, by np.add.at."""
+    p = len(u)
+    x = np.arange(2, p)
+    ref = np.zeros((m, k), dtype=np.int64)
+    np.add.at(ref, (u[x], u[(1 - x) % p] % k), 1)
+    return ref
+
+
 def test_numpy_histogram_counts_all_pairs():
+    # both shapes at p = 11: the 10 x 10 joint table and the 10 x 2 table
     table = dlog_table(11, 2, 10)
-    hist = char_pair_histogram(table, 1, 5, 10, 10)
-    keys = (table[2:] + 5 * table[:1:-1]) % 10
-    assert hist.tolist() == np.bincount(keys, minlength=10).tolist()
-    assert hist.sum() == 9  # x runs over F_11 minus {0, 1}
-    assert hist.min() >= 0
+    for k in (10, 2):
+        hist = char_pair_histogram(table, 10, k, 10)
+        assert hist.shape == (10 * k,)
+        assert np.array_equal(hist.reshape(10, k), _enumerated_pair_histogram(table, 10, k))
+        assert hist.sum() == 9  # x runs over F_11 minus {0, 1}
+        assert hist.min() >= 0
 
 
 def test_residue_histogram_is_chunked_into_need_squared_bins():
-    # p > 2 * 2^16 spans three chunks; the reference is one unchunked pass
+    # p > 2 * 2^16 spans three chunks (two for the half-range joint pass);
+    # the reference is one unchunked enumeration
     p, need = 131113, 6
     red = dlog_table(p, 5, need)
-    keys = (need * red[2:].astype(np.int64) + red[:1:-1]) % (p - 1)
-    hist = char_pair_histogram(red, need, 1, p - 1, need * need)
-    assert hist.shape == (need * need,)
-    assert hist.tolist() == np.bincount(keys, minlength=need * need).tolist()
+    for k in (need, 2):
+        hist = char_pair_histogram(red, need, k, p - 1)
+        assert hist.shape == (need * k,)
+        assert np.array_equal(hist.reshape(need, k), _enumerated_pair_histogram(red, need, k)), k
 
 
 def test_pair_code_histogram_matches_the_brute_force_joint_table():
-    # every prime < 3000 and every M | p - 1 with M^2 <= p - 1: the pass over
-    # x <= (p-1)/2 plus its transpose and x = 1/2 against all of F_p
+    # every prime < 3000 and every m | p - 1: the m x 2 table, and with
+    # m^2 <= p - 1 the m x m table (the pass over x <= (p-1)/2 plus its
+    # transpose and x = 1/2), each against all of F_p enumerated
     for p in prime_range(3, 3000):
         g = smallest_primitive_root(p)
-        x = np.arange(2, p)
-        for m in (m for m in range(1, p) if (p - 1) % m == 0 and m * m <= p - 1):
+        for m in (m for m in range(1, p) if (p - 1) % m == 0):
             u = dlog_table(p, g, m)
-            ref = np.zeros((m, m), dtype=np.int64)
-            np.add.at(ref, (u[x], u[(1 - x) % p]), 1)
-            hist = char_pair_histogram(u, m, 1, p - 1, m * m)
-            assert hist.shape == (m * m,), (p, m)
-            table = hist.reshape(m, m)
-            assert np.array_equal(table, ref), (p, m)
-            assert np.array_equal(table, table.T), (p, m)
-            assert table.sum() == p - 2, (p, m)
+            for k in (m, 2) if m * m <= p - 1 else (2,):
+                hist = char_pair_histogram(u, m, k, p - 1)
+                assert hist.shape == (m * k,), (p, m, k)
+                table = hist.reshape(m, k)
+                assert np.array_equal(table, _enumerated_pair_histogram(u, m, k)), (p, m, k)
+                assert table.sum() == p - 2, (p, m, k)
+                if k == m:
+                    assert np.array_equal(table, table.T), (p, m)
 
 
 def test_prefix_factorials_match_math_factorial():

@@ -1,10 +1,11 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stjac import _accel, pointcount
+from stjac import _accel, groupid, pointcount
 from stjac.charsums import (
     gauss_jacobi_check,
     gauss_sum,
@@ -103,7 +104,8 @@ def test_jacobi_compact_agrees_with_full(field):
         fld = field(p)
         n = p - 1
         for a in range(n):
-            compact = jacobi_sum_compact(fld, a, n // 2)
+            compact = jacobi_sum_compact(fld, a)
+            assert compact == direct_jacobi(fld, a, n // 2)
             assert compact.lift(n) == jacobi_sum(fld, a, n // 2)
             assert n % compact.n == 0
 
@@ -128,44 +130,50 @@ def test_gauss_jacobi_degenerate(field):
         gauss_jacobi_check(field(7), 2, 4)
 
 
-# -- the cached joint table against the direct per-column histogram ---------
+# -- the cached phi profile against the defining sum ------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def _dlog_pairs(fld):
+    """(dlog x, dlog(1-x)) over x in F_p minus {0, 1}, from the full table in int64."""
+    u = fld.dlog.astype(np.int64)
+    x = np.arange(2, fld.p)
+    return u[x], u[(1 - x) % fld.p]
 
 
 def direct_jacobi(fld, a, b):
-    """J(T^a, T^b) from its own O(p) histogram pass, folded to the compact field."""
+    """J(T^a, T^b) from the defining sum, folded to the compact field of
+    conductor (p-1)/gcd(a, b, p-1)."""
     n = fld.n
     a %= n
     b %= n
     g = math.gcd(a, b, n)
-    hist = _accel.char_pair_histogram(fld.dlog, a, b, n, n)
+    u, v = _dlog_pairs(fld)
+    hist = np.bincount((a * u + b * v) % n, minlength=n)
     return CycloElt.from_int_coeffs(n // g, hist[::g].tolist())
 
 
-def assert_matches_direct(fld, pairs):
-    for a, b in pairs:
-        got = jacobi_sum_compact(fld, a, b)
-        want = direct_jacobi(fld, a, b)
-        assert (got.n, got.coeffs) == (want.n, want.coeffs), (fld.p, a, b)
+def assert_matches_direct(fld, exps):
+    for a in exps:
+        got = jacobi_sum_compact(fld, a)
+        want = direct_jacobi(fld, a, fld.n // 2)
+        assert (got.n, got.coeffs) == (want.n, want.coeffs), (fld.p, a)
 
 
 def count_columns(p, families):
-    """(a, (p-1)/2) for every contributing column of the given families, in order."""
-    half = (p - 1) // 2
-    return [
-        (a, half)
-        for family, d in families
-        for a in contributing_ms(p, d, family)
-    ]
+    """Every contributing column exponent a of the given families, in order."""
+    return [a for family, d in families for a in contributing_ms(p, d, family)]
 
 
 def test_joint_table_is_the_joint_histogram():
+    # D[i] = sum of phi(1 - x) = (-1)^dlog(1-x) over the x with dlog x = i mod 24
     fld = make_field(2161)
-    jacobi_sum_compact(fld, fld.n // 24, fld.n // 2)
+    jacobi_sum_compact(fld, fld.n // 24)
     assert list(fld.joint) == [24]
     x = np.arange(2, fld.p)
-    u, v = fld.dlog[x] % 24, fld.dlog[(1 - x) % fld.p] % 24
-    want = np.zeros((24, 24), dtype=np.int64)
-    np.add.at(want, (u, v), 1)
+    u, v = fld.dlog[x] % 24, fld.dlog[(1 - x) % fld.p]
+    want = np.zeros(24, dtype=np.int64)
+    np.add.at(want, u, 1 - 2 * (v % 2))
     assert np.array_equal(fld.joint[24], want)
     assert not fld.joint[24].flags.writeable
 
@@ -173,12 +181,14 @@ def test_joint_table_is_the_joint_histogram():
 def test_cached_jacobi_equals_direct_on_every_column_below_4000():
     families = [(ADDITIVE, d) for d in range(1, 41)]
     families += [(LINEAR, d) for d in range(3, 40, 2)]
-    folded = 0
+    square = narrow = 0
     for p in prime_range(3, 4000):
         fld = make_field(p)
         assert_matches_direct(fld, sorted(set(count_columns(p, families))))
-        folded += bool(fld.joint)
-    assert folded > 400  # most of these primes go through a table
+        square += any(m * m <= fld.n for m in fld.joint)
+        narrow += any(m * m > fld.n for m in fld.joint)
+    # most of these primes go through an M x M table, many through an M x 2 one
+    assert square > 400 and narrow > 200, (square, narrow)
 
 
 def test_cached_jacobi_equals_direct_near_a_million():
@@ -193,16 +203,19 @@ def test_cached_jacobi_equals_direct_on_arbitrary_pairs():
     for p in prime_range(3, 400):
         fld = make_field(p)
         n = fld.n
-        # every exponent of small order (the table path) ...
+        # every exponent of small order (the M x M shape) ...
         small = sorted({
             j * (n // k) for k in range(1, math.isqrt(n) + 1) if n % k == 0
             for j in range(k)
         })
-        # ... and an even spread of the rest (mostly the direct path)
+        # ... and an even spread of the rest (mostly the M x 2 shape)
         spread = list(range(0, n, max(1, n // 12)))
         exps = sorted(set(small + spread))
-        assert_matches_direct(fld, [(a, b) for a in exps for b in exps[::3]])
-        assert_matches_direct(fld, [(a, b) for a in (-1, n + 3) for b in (-n // 2, 2 * n)])
+        assert_matches_direct(fld, exps + [-1, n + 3, -n // 2, 2 * n])
+        # the general pair J(T^a, T^b) is the defining sum lifted to p - 1
+        pairs = [(a, b) for a in exps for b in exps[::3]] + [(-1, 2 * n), (n + 3, -n // 2)]
+        for a, b in pairs:
+            assert jacobi_sum(fld, a, b) == direct_jacobi(fld, a, b).lift(n), (p, a, b)
 
 
 def test_count_formula_makes_one_histogram_pass(monkeypatch):
@@ -218,7 +231,7 @@ def test_count_formula_makes_one_histogram_pass(monkeypatch):
     fld = make_field(2161)  # 2161 = 1 mod 720: all 23 columns contribute
     assert len(contributing_ms(fld.p, 24, ADDITIVE)) == 23
     assert pointcount.count_formula(fld, spec) == pointcount.count_bruteforce(fld, spec)
-    assert calls == [(24, 1, fld.n, 24 * 24)]
+    assert calls == [(24, 24, fld.n)]
 
 
 def test_count_formula_builds_only_small_residue_tables(monkeypatch):
@@ -245,9 +258,44 @@ def test_count_formula_builds_only_small_residue_tables(monkeypatch):
     assert count == pointcount.count_bruteforce(fld, spec)
 
 
-def test_direct_pass_does_not_wrap_above_46341():
+def test_pipeline_builds_no_full_table_beyond_its_characters(monkeypatch):
+    # count_formula, frobenius_factor (through identify_st0) and trace_sweep
+    # read dlog x mod lcm(2, ord T^a) only; the full table (m = p - 1) is
+    # built only where it is that residue table, i.e. where p - 1 divides
+    # the curve's congruence modulus (x^6 + 1 at p = 7)
+    kernel = _accel.dlog_table
+
+    def guarded(p, g, m):
+        if m == p - 1 and pointcount.congruence_modulus(spec) % m:
+            raise AssertionError(f"full dlog table requested at p={p} for {spec.label()}")
+        return kernel(p, g, m)
+
+    monkeypatch.setattr(_accel, "dlog_table", guarded)
+    st0_pool = [(ADDITIVE, d) for d in (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 36, 40)]
+    st0_pool += [(LINEAR, d) for d in (5, 7, 9, 11, 13)]
+    count_pool = [(ADDITIVE, d) for d in (9, 10, 12, 18, 24)] + [(LINEAR, 7), (LINEAR, 9)]
+    cases = [(pointcount.curve(*fd, 1), groupid.identify_st0) for fd in st0_pool]
+    cases.append((pointcount.curve(ADDITIVE, 12, 1), lambda s: pointcount.trace_sweep(s, 3, 400)))
+    cases += [
+        (pointcount.curve(*fd, 1), lambda s: pointcount.count_formula(make_field(1000081), s))
+        for fd in count_pool
+    ]
+    for spec, task in cases:
+        task(spec)
+
+
+def test_direct_pass_does_not_wrap_above_46341(monkeypatch):
     # the full table is int32 here, and a*dlog x passes 2^31 for p > 46341;
-    # need^2 > n for these pairs, so they take the direct pass
+    # the defining sums widen it first.  M^2 > n for these a, so the compact
+    # sums take the M x 2 shape
+    shapes = []
+    kernel = _accel.char_pair_histogram
+
+    def recorded(u, m, k, n):
+        shapes.append((m, k))
+        return kernel(u, m, k, n)
+
+    monkeypatch.setattr(_accel, "char_pair_histogram", recorded)
     fld = make_field(50021)
     n = fld.n  # 50020 = 4 * 5 * 41 * 61
     assert fld.dlog.dtype == np.int32
@@ -255,5 +303,5 @@ def test_direct_pass_does_not_wrap_above_46341():
         assert math.lcm(2, n // math.gcd(a, n), n // math.gcd(b, n)) ** 2 > n
         assert a * (n - 1) >= 2**31 or b * (n - 1) >= 2**31
         assert gauss_jacobi_check(fld, a, b)
-        assert_matches_direct(fld, [(a, b)])
-    assert not fld.joint
+        assert_matches_direct(fld, [a, b])
+    assert shapes == [(820, 2), (1220, 2)]

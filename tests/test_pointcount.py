@@ -171,13 +171,25 @@ def test_formula_equals_oracle_on_the_benchmark_curves_near_a_million():
     assert 16 in fld.residues and (fld.p - 1) // 2 % 16 == 8
 
 
+@pytest.mark.parametrize("family, d", [(ADDITIVE, 1000), (ADDITIVE, 2000), (LINEAR, 1001)])
+def test_formula_equals_oracle_for_large_d_near_a_million(deadline, family, d):
+    # p = 1008001 = 1 mod 2000 splits all three; one cached profile serves
+    # every column: from a 1000 x 1000 joint table for x^1000 + 1
+    # (M^2 <= p - 1), from a 2000 x 2 table for x^2000 + 1 and x^1001 + x
+    fld = make_field(1008001)
+    spec = curve(family, d, 1)
+    with deadline(8):
+        assert count_formula(fld, spec) == count_bruteforce(fld, spec)
+    assert list(fld.joint) == [pointcount.congruence_modulus(spec)]
+
+
 _PRIMES_BELOW_3000 = prime_range(3, 3000)
 
 
 @st.composite
 def _good_curve_and_prime(draw):
     family = draw(st.sampled_from((ADDITIVE, LINEAR)))
-    d = draw(st.integers(1, 40) if family == ADDITIVE else st.sampled_from(range(3, 40, 2)))
+    d = draw(st.integers(1, 400) if family == ADDITIVE else st.sampled_from(range(3, 400, 2)))
     num = draw(st.integers(-60, 60).filter(bool))
     spec = curve(family, d, Fraction(num, draw(st.integers(1, 30))))
     p = draw(st.sampled_from(_PRIMES_BELOW_3000).filter(lambda q: good_reduction(q, spec)))
