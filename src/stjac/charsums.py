@@ -6,9 +6,11 @@ Z[zeta_{p-1}] and are computed exactly from character sums, never from
 Gauss-sum quotients.
 
 The pipeline only ever asks for J(T^a, phi), phi the quadratic character.
-``jacobi_sum_compact(fld, a)`` folds it in O(M) from one cached vector per
-field (``_phi_profile``, one O(p) pass over the dlog residues mod M), into
-its smallest cyclotomic field, of conductor M = lcm(2, ord T^a).
+``jacobi_sum_compact(fld, a, shift)`` folds it in O(M) from one cached
+vector per field (``_phi_profile``, one O(p) pass over the dlog residues
+mod M), into its smallest cyclotomic field, of conductor M = lcm(2, ord T^a),
+already multiplied by zeta_M^shift: the twist of a Frobenius term is an
+offset in the same scatter, not a product.
 ``jacobi_sum(fld, a, b)``, the general J(T^a, T^b) lifted to conductor
 p - 1, is computed independently from the defining sum J(A, B) =
 sum_x A(x) B(1-x) over the full dlog table: the reference for the tests.
@@ -58,21 +60,26 @@ def _phi_profile(fld: PrimeField, need: int) -> np.ndarray:
     return profile
 
 
-def jacobi_sum_compact(fld: PrimeField, a: CharExponent) -> CycloElt:
-    """J(T^a, phi) in its minimal cyclotomic field, of conductor
-    (p-1)/gcd(a, (p-1)/2) = lcm(2, ord T^a).
+def jacobi_sum_compact(fld: PrimeField, a: CharExponent, shift: int = 0) -> CycloElt:
+    """zeta_N^shift * J(T^a, phi) in the minimal cyclotomic field of
+    J(T^a, phi), of conductor N = (p-1)/gcd(a, (p-1)/2) = lcm(2, ord T^a).
 
     T^a(x) depends only on dlog x mod ord T^a, so the cached D folds to
-    that period, and its entry i is the coefficient of zeta_{p-1}^(a*i).
+    that period, and its entry i is the coefficient of zeta_{p-1}^(a*i),
+    that is of zeta_N^(a*i/g) with g = gcd(a, (p-1)/2).  The factor
+    zeta_N^shift (a Frobenius twist, see ``pointcount.twist_exponent``)
+    only moves each entry to exponent a*i/g + shift mod N.
     """
     n = fld.n
     a %= n
     order = n // math.gcd(a, n)
     profile = _phi_profile(fld, math.lcm(2, order))
     g = math.gcd(a, n // 2)
-    coeffs = np.zeros(n // g, dtype=np.int64)
-    coeffs[a * np.arange(order) % n // g] = profile.reshape(-1, order).sum(axis=0)
-    return CycloElt.from_int_coeffs(n // g, coeffs.tolist())
+    conductor = n // g
+    coeffs = np.zeros(conductor, dtype=np.int64)
+    exps = (a * np.arange(order) % n // g + shift) % conductor
+    coeffs[exps] = profile.reshape(-1, order).sum(axis=0)
+    return CycloElt.from_int_coeffs(conductor, coeffs.tolist())
 
 
 def _defining_sum(fld: PrimeField, a: CharExponent, b: CharExponent) -> CycloElt:

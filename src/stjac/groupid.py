@@ -13,6 +13,10 @@ vector (the cyclotomic direction), so:
     embedded diagonally in k conjugate blocks) whenever the class
     representatives form a basis of the weight lattice; otherwise the
     torus is reported abstractly as U(1) x ... x U(1).
+
+All of this depends only on the set of distinct carry rows (HNF bases are
+canonical), which every generic prime shares, so ``identify_st0`` names
+the torus once, from its first prime; the other primes are evidence.
 """
 
 from __future__ import annotations
@@ -152,68 +156,47 @@ def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[
 def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     """Identity component of the Sato-Tate group of Jac(curve).
 
-    For each of the first `num_primes` generic primes: build and validate
-    the carry matrix, confirm every kernel basis vector as an exact or
-    finite-order relation (with the curve's own twist by c), and extract
-    (dimension, weight classes).  All primes must agree before the torus
-    is named; the matrix itself never depends on c.
-
-    The kernel and the dimension depend only on the set of distinct rows
-    (HNF bases are canonical).  A row depends only on its unit mod the
-    congruence modulus, so every generic prime gives the same set, and
-    both are computed once per distinct row set: once per curve.  Each
-    prime still validates its own matrix and checks every kernel vector
-    exactly in its own field, where ``verify_relation`` derives each
-    Frobenius term from its Galois-orbit representative and checks
-    w * conj(w) = p on every term.
+    Each of the first `num_primes` generic primes builds and validates its
+    carry matrix (which never depends on c) and confirms every kernel
+    basis vector as an exact or finite-order relation, twisted by c, in
+    its own field (see ``verify_relation``).  The kernel comes from the
+    first prime, and every later prime must reproduce that prime's set of
+    distinct rows (else InconsistentAcrossPrimesError).
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
-    results = []
-    lattices: dict[frozenset, tuple] = {}  # distinct rows -> (kernel, dimension)
     for p in primes:
         mat = build_matrix(p, spec.d, spec.family)
         bad = validate_matrix(mat)
         if bad:
             raise StjacError(f"carry matrix at p={p} failed checks: {bad}")
+        if p == primes[0]:
+            rows, kern = set(mat.distinct_rows), right_kernel(mat)
+        elif set(mat.distinct_rows) != rows:
+            raise InconsistentAcrossPrimesError(
+                f"prime {p} gives other carry rows than prime {primes[0]}"
+            )
         fld = make_field(p)
-        rows = frozenset(mat.distinct_rows)
-        if rows not in lattices:
-            lattices[rows] = (right_kernel(mat), torus_dimension(mat))
-        kern, dim = lattices[rows]
         for vec in kern.basis:
-            res = verify_relation(fld, mat, vec, spec.c)
-            if not res.ok:
+            if not verify_relation(fld, mat, vec, spec.c).ok:
                 raise RelationVerificationError(
                     f"kernel vector {vec} failed exact verification at p={p}"
                 )
-        classes, degenerate = weight_classes(mat)
-        if degenerate:
-            raise StjacError(f"degenerate columns {degenerate} at p={p}")
-        if not 1 <= dim <= spec.genus:
-            raise StjacError(f"dimension {dim} out of range at p={p}")
-        results.append((p, classes, dim, torus_name(classes, dim)))
-    _, classes0, dim0, name0 = results[0]
-    for p, classes, dim, name in results[1:]:
-        same = (
-            dim == dim0
-            and name == name0
-            and sorted((cl.plus, cl.minus) for cl in classes)
-            == sorted((cl.plus, cl.minus) for cl in classes0)
-        )
-        if not same:
-            raise InconsistentAcrossPrimesError(
-                f"prime {p} gives ({dim}, {name}), expected ({dim0}, {name0})"
-            )
     first = build_matrix(primes[0], spec.d, spec.family)
+    classes, degenerate = weight_classes(first)
+    if degenerate:
+        raise StjacError(f"degenerate columns {degenerate} at p={primes[0]}")
+    dim = torus_dimension(first)
+    if not 1 <= dim <= spec.genus:
+        raise StjacError(f"dimension {dim} out of range at p={primes[0]}")
     weight_matrix = {
         "p": primes[0],
         "exponents": list(first.cols),
         "weights": [list(first.column(j)) for j in range(len(first.cols))],
     }
     return TorusId(
-        name=name0,
-        dimension=dim0,
-        classes=tuple(classes0),
+        name=torus_name(classes, dim),
+        dimension=dim,
+        classes=tuple(classes),
         weight_matrix=weight_matrix,
         primes_used=tuple(primes),
     )

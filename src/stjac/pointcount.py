@@ -190,10 +190,10 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
     if not good_reduction(p, spec):
         raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
     cp = reduce_mod(spec.c, fld.p)
-    terms = []
-    for a in contributing_ms(p, spec.d, spec.family):
-        j = jacobi_sum_compact(fld, a)
-        terms.append(CycloElt.zeta_pow(j.n, twist_exponent(fld, a, cp)) * j)
+    terms = [
+        jacobi_sum_compact(fld, a, twist_exponent(fld, a, cp))
+        for a in contributing_ms(p, spec.d, spec.family)
+    ]
     conductor = conductor_join([t.n for t in terms])
     total = CycloElt.zero(conductor)
     for t in terms:
@@ -267,9 +267,9 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     binomial sum is a few int64 passes (p < 2^31, so a product of two
     residues is below 2^62) with checked inverses by Fermat (``_inverses``).
     """
-    bound, bad = 16 * spec.genus**2, _bad_reduction_product(spec)
+    bad = _bad_reduction_product(spec)
     for p in primes:
-        if p <= bound:
+        if not residue_fixes_trace(p, spec):
             raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 16g^2, got p={p}")
         if bad % p == 0:
             raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")

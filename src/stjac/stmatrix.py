@@ -16,9 +16,10 @@ smaller subfield actually containing the Jacobi sums).
 
 A relation check builds the Frobenius term w_a of a column from the term
 of its Galois-orbit representative, sigma_u(w_g) = w_a with g = gcd(a, p-1),
-and checks w * conj(w) = p on every term it caches.  A kernel depends only
-on the set of distinct rows, so a caller that meets the same row set at
-several primes (``groupid.identify_st0``) computes it once.
+and checks w * conj(w) = p on every term it caches; the representative's
+term is one twisted scatter, ``jacobi_sum_compact(fld, g, k)``.  A kernel
+depends only on the set of distinct rows, which every generic prime
+shares, so ``groupid.identify_st0`` computes it once, at its first prime.
 """
 
 from __future__ import annotations
@@ -220,13 +221,13 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
     """T^a(-c) * phi(c) * J(T^a, phi), in its minimal cyclotomic field.
 
     This is the exact term the point-count formula attaches to column a,
-    i.e. (minus) a Frobenius eigenvalue of the curve at p.
+    i.e. (minus) a Frobenius eigenvalue of the curve at p; the twist is
+    zeta^k with k = ``twist_exponent``, an offset in the scatter of J.
     """
     cp = reduce_mod(c, fld.p)
     if cp == 0:
         raise ZeroDivisionError(f"c = {c} vanishes mod {fld.p}")
-    j = jacobi_sum_compact(fld, a)
-    return CycloElt.zeta_pow(j.n, twist_exponent(fld, a, cp)) * j
+    return jacobi_sum_compact(fld, a, twist_exponent(fld, a, cp))
 
 
 def _frobenius_pair(fld: PrimeField, a: int, c) -> tuple[CycloElt, CycloElt]:

@@ -218,6 +218,23 @@ def test_cached_jacobi_equals_direct_on_arbitrary_pairs():
             assert jacobi_sum(fld, a, b) == direct_jacobi(fld, a, b).lift(n), (p, a, b)
 
 
+def test_shifted_scatter_is_the_zeta_power_product():
+    # every shift in [-N, 2N) below p = 50 and at the count pool's columns
+    # near 10^6; in between, one shift per a that walks over the same range
+    # (every shift at every p < 300 is millions of products of up to 0.9 ms)
+    cases = [(make_field(p), range(1, p - 1)) for p in prime_range(3, 300)]
+    pool = [(ADDITIVE, d) for d in (9, 10, 12, 18, 24)] + [(LINEAR, 7), (LINEAR, 9)]
+    cases.append((make_field(1000081), sorted(set(count_columns(1000081, pool)))))
+    for fld, exps in cases:
+        for a in exps:
+            base = jacobi_sum_compact(fld, a)
+            n = base.n
+            every = fld.p < 50 or fld.p > 300
+            for k in range(-n, 2 * n) if every else [7919 * a % (3 * n) - n]:
+                want = CycloElt.zeta_pow(n, k) * base
+                assert jacobi_sum_compact(fld, a, k) == want, (fld.p, a, k)
+
+
 def test_count_formula_makes_one_histogram_pass(monkeypatch):
     calls = []
     kernel = _accel.char_pair_histogram

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from stjac.errors import NoGenericPrimeError
+from stjac import groupid
+from stjac.cli import main
+from stjac.errors import InconsistentAcrossPrimesError, NoGenericPrimeError
 from stjac.groupid import (
     TorusId,
     generic_primes,
@@ -137,6 +139,8 @@ def test_split_factors_bound_the_source_torus():
 
 
 def test_identify_cross_prime_stability_wide():
+    # identify_st0 names the torus from its first prime only; each generic
+    # prime's own classes, dimension and name must give the same answer
     for family, ds in (
         (ADDITIVE, range(3, 25)),
         (LINEAR, (3, 5, 7, 9, 11, 13)),
@@ -144,6 +148,30 @@ def test_identify_cross_prime_stability_wide():
         for d in ds:
             tid = identify_st0(curve(family, d, 1))
             assert len(tid.primes_used) == 3
+            want = sorted((cl.plus, cl.minus) for cl in tid.classes)
+            for p in tid.primes_used:
+                mat = build_matrix(p, d, family)
+                classes, degenerate = weight_classes(mat)
+                dim = torus_dimension(mat)
+                assert degenerate == [], (family, d, p)
+                assert sorted((cl.plus, cl.minus) for cl in classes) == want, (family, d, p)
+                assert dim == tid.dimension, (family, d, p)
+                assert torus_name(classes, dim) == tid.name, (family, d, p)
+
+
+def test_rows_that_differ_across_primes_raise_and_exit_2(monkeypatch, capsys):
+    # x^10+c uses the primes 11, 31, 41; at 31 hand back the genuine (and
+    # valid) carry matrix of x^5+c, whose distinct rows differ
+    def build(p, d, family=ADDITIVE):
+        return build_matrix(p, 5 if p == 31 else d, family)
+
+    monkeypatch.setattr(groupid, "build_matrix", build)
+    with pytest.raises(InconsistentAcrossPrimesError, match="prime 31"):
+        identify_st0(curve(ADDITIVE, 10, 1))
+    assert main(["st0", "--curve", "x^10+c"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stjac: InconsistentAcrossPrimesError: prime 31 ")
 
 
 def test_identify_regression_anchors():
