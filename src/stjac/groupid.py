@@ -122,7 +122,6 @@ class TorusId:
     name: str
     dimension: int
     classes: tuple[WeightClass, ...]
-    weight_matrix: dict
     primes_used: tuple[int, ...]
 
     def to_dict(self) -> dict:
@@ -188,15 +187,9 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     dim = torus_dimension(first)
     if not 1 <= dim <= spec.genus:
         raise StjacError(f"dimension {dim} out of range at p={primes[0]}")
-    weight_matrix = {
-        "p": primes[0],
-        "exponents": list(first.cols),
-        "weights": [list(first.column(j)) for j in range(len(first.cols))],
-    }
     return TorusId(
         name=torus_name(classes, dim),
         dimension=dim,
         classes=tuple(classes),
-        weight_matrix=weight_matrix,
         primes_used=tuple(primes),
     )

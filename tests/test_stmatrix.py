@@ -3,13 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from stjac import groupid, stmatrix
-from stjac.cyclo import embed
+from stjac.cyclo import CycloElt, embed
 from stjac.errors import (
     EvenOrTooSmallError,
     NoColumnsError,
@@ -22,16 +24,21 @@ from stjac.ffield import make_field, reduce_mod
 from stjac.groupid import generic_primes, identify_st0, torus_dimension
 from stjac.intlinalg import hnf_rows, kernel_basis, matvec, rank
 from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve, is_generic_prime
-from stjac.primes import prime_range
+from stjac.primes import is_prime, prime_range
 from stjac.stmatrix import (
+    SPLIT_PRIME_BOUND,
     build_matrix,
     carry,
     frobenius_factor,
     right_kernel,
+    split_prime,
+    split_primes,
     st_columns,
     validate_matrix,
     verify_relation,
 )
+
+import oracles
 
 REF_MATRIX_11_10 = [
     [0, 0, 0, 0, 1, 1, 1, 1],
@@ -109,6 +116,24 @@ def test_carry_rule_direct():
     m = build_matrix(7, 6, ADDITIVE)
     assert [list(r) for r in m.entries] == [[0, 0, 1, 1], [1, 1, 0, 0]]
     assert [carry(1, a, 6) for a in (1, 2, 4, 5)] == [0, 0, 1, 1]
+
+
+def test_build_matrix_equals_the_carry_loop():
+    cases = [(ADDITIVE, d) for d in range(3, 61)] + [(LINEAR, d) for d in range(3, 42, 2)]
+    built = 0
+    for family, d in cases:
+        spec = curve(family, d)
+        for p in prime_range(3, 1999):
+            if not is_generic_prime(p, spec):
+                continue
+            m, n = build_matrix(p, d, family), p - 1
+            units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
+            assert m.rows == units, (family, d, p)
+            loop = tuple(tuple(carry(k, a, n) for a in m.cols) for k in units)
+            assert m.entries == loop, (family, d, p)
+            assert {type(e) for row in m.entries for e in row} == {int}
+            built += 1
+    assert built == 2228
 
 
 def test_no_columns_raises():
@@ -238,6 +263,21 @@ def test_verify_relation_never_fails_on_kernel(field):
                     assert res.ok, (d, p, c, v)
 
 
+def test_unbalanced_vector_fails_before_any_term_is_built(monkeypatch):
+    # sum(v) != 0 gives |W| = p^(sum(v)/2) != 1, and the norm bound behind
+    # the residue decision needs sum(v) = 0; with every row zeroed, every
+    # vector is in the kernel
+    m = build_matrix(11, 10, ADDITIVE)
+    zeroed = dataclasses.replace(m, entries=tuple((0,) * 8 for _ in m.rows))
+
+    def no_term(*args):
+        raise AssertionError("a Frobenius term was built")
+
+    monkeypatch.setattr(stmatrix, "frobenius_factor", no_term)
+    for v in ([1, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, -1], [0, 2, -1, 0, 0, 0, 0, 0]):
+        assert verify_relation(make_field(11), zeroed, v, 1).kind == "fail", v
+
+
 def test_verify_relation_rejects_non_kernel(field):
     m = build_matrix(11, 10, ADDITIVE)
     with pytest.raises(NotInKernelError):
@@ -314,6 +354,174 @@ def test_verify_relation_matches_full_conductor_product(field):
                 assert res.kind == "torsion" and ks[0] != 0
                 assert n // math.gcd(ks[0], n) == res.order
     assert (kinds.count("exact"), kinds.count("torsion")) == (19, 13)
+
+
+# -- the residue decision against the Z[zeta] product oracle ---------------
+
+C_VALUES = tuple(Fraction(c) for c in ("1", "2", "3", "5", "-1", "1/2", "-3/5"))
+
+
+def _pool_cases():
+    """(matrix, kernel basis) of every st0 pool curve at its 3 generic primes."""
+    for family, d in ST0_POOL:
+        for p in generic_primes(family, d, 3):
+            mat = build_matrix(p, d, family)
+            yield mat, right_kernel(mat).basis
+
+
+def test_verify_relation_matches_the_zeta_oracle_on_the_pool():
+    checks, kinds = 0, set()
+    for mat, basis in _pool_cases():
+        for c in C_VALUES:
+            if c.numerator % mat.p == 0:
+                continue
+            fld, ref = make_field(mat.p), make_field(mat.p)
+            for v in basis:
+                got = verify_relation(fld, mat, v, c)
+                assert got == oracles.verify_relation(ref, mat, v, c), (mat.p, mat.d, c, v)
+                kinds.add(got.kind)
+                checks += 1
+    assert checks == 3906 and kinds == {"exact", "torsion"}
+
+
+@pytest.mark.parametrize("tamper", ["conj", "zeta"])
+def test_tampered_representative_terms_break_the_relation(monkeypatch, tamper):
+    # conj(w_g) and zeta * w_g both keep w * conj(w) = p, so only the
+    # relations themselves can tell: conj(w_g) / w_g is no root of unity
+    # (every relation through g fails), zeta * w_g moves W by a root of
+    # unity (orders change); the oracle must see the same
+    real = frobenius_factor
+    changed = 0
+    for mat, basis in _pool_cases():
+        g = max(math.gcd(a, mat.p - 1) for a in mat.cols)
+
+        def tampered(fld, a, c, g=g):
+            w = real(fld, a, c)
+            if a != g:
+                return w
+            return w.conj() if tamper == "conj" else w * CycloElt.zeta(w.n)
+
+        monkeypatch.setattr(stmatrix, "frobenius_factor", real)
+        honest = [verify_relation(make_field(mat.p), mat, v, 2) for v in basis]
+        monkeypatch.setattr(stmatrix, "frobenius_factor", tampered)
+        fld, ref = make_field(mat.p), make_field(mat.p)
+        for v, before in zip(basis, honest):
+            got = verify_relation(fld, mat, v, 2)
+            assert got == oracles.verify_relation(ref, mat, v, 2), (mat.p, mat.d, v)
+            assert got.ok == (tamper == "zeta" or got == before)
+            changed += got != before
+    assert changed == {"conj": 93, "zeta": 113}[tamper]
+
+
+def test_relation_whose_bound_needs_two_split_primes():
+    # a vector with k = 4 at p = 281 needs prod l > 2 * 281^4 > 2^32
+    p, d = 281, 40
+    mat = build_matrix(p, d, ADDITIVE)
+    basis = right_kernel(mat).basis
+    top = split_prime(40, 0)[0]
+    several = 0
+    for scale in (1, 2, 3):
+        for v in basis:
+            w = [scale * x for x in v]
+            k = sum(-x for x in w if x < 0)
+            fld, ref = make_field(p), make_field(p)
+            got = verify_relation(fld, mat, w, 3)
+            assert got == oracles.verify_relation(ref, mat, w, 3), (scale, v)
+            (terms,) = fld.terms.values()
+            assert terms.primes == [
+                (*entry, terms.primes[i][3]) for i, entry in enumerate(split_primes(40, p, k))
+            ]
+            assert (len(terms.primes) >= 2) == (2 * p**k >= top), (scale, v)
+            several += len(terms.primes) >= 2
+    assert several >= 10
+    assert len(split_primes(40, p, 12)) == 4  # 2 * 281^12 is about 2^98.6
+
+
+def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
+    # residues that are right wherever the identity embedding at the first
+    # split prime reads them, and wrong everywhere else, must still fail
+    p, d = 281, 40
+    mat = build_matrix(p, d, ADDITIVE)
+    real = stmatrix._evaluate
+    for v in right_kernel(mat).basis:
+        for scale, spoil in ((1, "embeddings"), (4, "second prime")):
+            w = [scale * x for x in v]
+            honest = verify_relation(make_field(p), mat, w, 3)
+            assert honest.ok
+            fld = make_field(p)
+            terms = stmatrix._relation_terms(fld, mat, 3)
+            read = {slot + (u if x > 0 else -u) % terms.L
+                    for (slot, u), x in zip(terms.columns, w) if x}
+            first = split_prime(terms.L, 0)[0]
+
+            def spoiled(reps, L, ell, powers, read=read, spoil=spoil, first=first):
+                values = real(reps, L, ell, powers)
+                if spoil == "embeddings":
+                    return [y if i in read else 2 * y % ell for i, y in enumerate(values)]
+                return values if ell == first else [2 * y % ell for y in values]
+
+            monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
+            assert verify_relation(fld, mat, w, 3).kind == "fail", (v, spoil)
+            monkeypatch.setattr(stmatrix, "_evaluate", real)
+
+
+@pytest.mark.parametrize("L", [2, 6, 10, 40, 120, 420, 1266, 4620])
+def test_split_primes_are_split_prime_and_cover_the_bound(L):
+    p = next(q for q in prime_range(3, 10**5) if q % L == 1)
+    first, second = split_prime(L, 0)[0], split_prime(L, 1)[0]
+    # at p = second, k = 1: first alone exceeds p but not 2p
+    for p, k in [(p, 1), (p, 3), (p, 9), (first, 1), (first, 4), (second, 1)]:
+        primes = [ell for ell, _, _ in split_primes(L, p, k)]
+        assert len(set(primes)) == len(primes)
+        for ell in primes:
+            assert ell != p and ell % L == 1 and ell < SPLIT_PRIME_BOUND
+            assert is_prime(ell) and sympy.isprime(ell)
+        assert math.prod(primes) > 2 * p**k >= math.prod(primes[:-1])
+    # the top split prime itself is skipped when it is p
+    assert first not in [ell for ell, _, _ in split_primes(L, first, 3)]
+
+
+@pytest.mark.parametrize("L", [2, 6, 10, 40, 120, 420, 1266, 4620])
+def test_split_prime_root_has_exact_order_L(L):
+    previous = SPLIT_PRIME_BOUND
+    for i in range(3):
+        ell, powers, exponent_of = split_prime(L, i)
+        assert ell < previous
+        previous = ell
+        r = powers[1]
+        assert sympy.n_order(r, ell) == L
+        assert list(powers) == [pow(r, e, ell) for e in range(L)]
+        assert exponent_of == {x: e for e, x in enumerate(powers)}
+
+
+def test_relation_check_memory_stays_linear_in_the_conductor(deadline):
+    # x^420 + 3 at p = 421: L = 420, 418 columns in 22 Galois orbits.  Two
+    # equal carry columns give the kernel vector e_i - e_j with no HNF.  The
+    # check holds O(orbits * L) residues per split prime; one phi(L) x L
+    # table per orbit would be 96 times that.
+    p, d = 421, 420
+    mat = build_matrix(p, d, ADDITIVE)
+    seen = {}
+    for j in range(len(mat.cols)):
+        i = seen.setdefault(mat.column(j), j)
+        if i != j:
+            break
+    v = [0] * len(mat.cols)
+    v[i], v[j] = 1, -1
+    orbits = len({math.gcd(a, p - 1) for a in mat.cols})
+    assert orbits == 22
+    fld = make_field(p)
+    fld.dlog_mod(p - 1)
+    tracemalloc.start()
+    try:
+        with deadline(10):
+            res = verify_relation(fld, mat, v, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == oracles.verify_relation(make_field(p), mat, v, 3)
+    assert res.ok
+    assert peak <= 256 * orbits * 420, peak
 
 
 # -- validate_matrix against the loop implementation it replaced ----------
@@ -425,33 +633,36 @@ def test_validate_matrix_checks_every_generator_of_a_non_cyclic_group():
     assert "galois_stability" in validate_matrix(bad)
 
 
-# -- the final exact division by p^k --------------------------------------
+# -- the oracle's exact division by p^k, and tampered residues -----------
 
 
 def test_divide_exact():
     from stjac.cyclo import CycloElt
-    from stjac.stmatrix import _divide_exact
 
     w = CycloElt.from_int_coeffs(12, [6, -9, 0, 3])
-    q = _divide_exact(w, 3)
+    q = oracles._divide_exact(w, 3)
     assert q == CycloElt.from_int_coeffs(12, [2, -3, 0, 1])
     assert all(type(c) is int for c in q.coeffs)
-    assert _divide_exact(w, 1) == w
-    assert _divide_exact(w, 9) is None
-    assert _divide_exact(CycloElt.from_int_coeffs(12, [6, -9, 0, 4]), 3) is None
-    assert _divide_exact(CycloElt.zero(12), 11**5) == CycloElt.zero(12)
+    assert oracles._divide_exact(w, 1) == w
+    assert oracles._divide_exact(w, 9) is None
+    assert oracles._divide_exact(CycloElt.from_int_coeffs(12, [6, -9, 0, 4]), 3) is None
+    assert oracles._divide_exact(CycloElt.zero(12), 11**5) == CycloElt.zero(12)
 
 
-def test_verify_relation_fails_when_division_leaves_remainder(field, monkeypatch):
-    from stjac import stmatrix
-
+def test_verify_relation_fails_when_a_residue_is_tampered(monkeypatch):
     m = build_matrix(11, 10, ADDITIVE)
     v = right_kernel(m).basis[0]
-    assert verify_relation(field(11), m, v, 2).ok
-    monkeypatch.setattr(stmatrix, "_divide_exact", lambda w, q: None)
-    assert verify_relation(field(11), m, v, 2).kind == "fail"
-    # the zero vector never reaches the division
-    assert verify_relation(field(11), m, [0] * 8, 2).kind == "exact"
+    assert verify_relation(make_field(11), m, v, 2).ok
+    real = stmatrix._evaluate
+    monkeypatch.setattr(
+        stmatrix, "_evaluate", lambda reps, L, ell, powers: [
+            (y + 1) % ell for y in real(reps, L, ell, powers)
+        ]
+    )
+    fld = make_field(11)
+    assert verify_relation(fld, m, v, 2).kind == "fail"
+    # the zero vector never reaches the residues
+    assert verify_relation(fld, m, [0] * 8, 2).kind == "exact"
 
 
 # -- each exact operation once --------------------------------------------
@@ -564,9 +775,16 @@ def _pool_matrices():
                 yield build_matrix(p, d, family)
 
 
+def _embedded(w, L, ell, powers, e):
+    """w at zeta_L -> r^e mod l, summed term by term (powers[i] = r^i)."""
+    step = L // w.n
+    return sum(cf * powers[e * i * step % L] for i, cf in enumerate(w.coeffs)) % ell
+
+
 def test_derived_terms_equal_the_directly_built_ones():
-    # sigma_u(w_g) = w_a with u = a/g a unit: the Galois image of the orbit
-    # representative's pair must be the term frobenius_factor builds for a
+    # sigma_u(w_g) = w_a with u = a/g a unit: the residues a column reads off
+    # its orbit representative's table must be the residues of the term
+    # frobenius_factor builds for a, and of its conjugate, at every embedding
     pairs = derived = 0
     for family, d in ST0_POOL:
         primes = set(generic_primes(family, d, 3)) | set(prime_range(3, 399))
@@ -575,10 +793,17 @@ def test_derived_terms_equal_the_directly_built_ones():
             for c in (Fraction(1), Fraction(-3, 5), Fraction(2)):
                 if not cols or c.numerator % p == 0 or c.denominator % p == 0:
                     continue
-                fld, fresh = make_field(p), make_field(p)
-                for a in cols:
+                mat, fresh = build_matrix(p, d, family), make_field(p)
+                terms = stmatrix._relation_terms(make_field(p), mat, c)
+                terms.powers_of_p(1)
+                ell, powers, _, table = terms.primes[0]
+                for a, (slot, u) in zip(cols, terms.columns):
                     w = frobenius_factor(fresh, a, c)
-                    assert stmatrix._frobenius_pair(fld, a, c) == (w, w.conj()), (p, a, c)
+                    for e in terms.units:
+                        assert table[slot + e * u % terms.L] == _embedded(
+                            w, terms.L, ell, powers, e), (p, a, c, e)
+                        assert table[slot + -e * u % terms.L] == _embedded(
+                            w.conj(), terms.L, ell, powers, e), (p, a, c, e)
                     pairs += 1
                     derived += math.gcd(a, p - 1) != a
     assert (pairs, derived) == (11682, 7911)
