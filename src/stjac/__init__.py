@@ -1,9 +1,8 @@
 """Exact Jacobi-sum point counts and Sato-Tate identity components for
 the trinomial hyperelliptic families y^2 = x^d + c and y^2 = x^d + c*x."""
 
-from .charsums import gauss_jacobi_check, gauss_sum, jacobi_sum
-from .cyclo import CycloElt, cyclotomic_poly, embed, is_root_of_unity
-from .ffield import PrimeField, char_eval, make_field
+from .cyclo import CycloElt, cyclotomic_poly, is_root_of_unity
+from .ffield import PrimeField, make_field
 from .groupid import TorusId, identify_st0, torus_dimension, weight_classes
 from .pointcount import (
     ADDITIVE,
@@ -44,19 +43,14 @@ __all__ = [
     "PrimeField",
     "TorusId",
     "build_matrix",
-    "char_eval",
     "contributing_ms",
     "count_bruteforce",
     "count_formula",
     "curve",
     "cyclotomic_poly",
-    "embed",
-    "gauss_jacobi_check",
-    "gauss_sum",
     "good_reduction",
     "identify_st0",
     "is_root_of_unity",
-    "jacobi_sum",
     "lockwood_check",
     "lower_genus_curve",
     "make_field",

@@ -4,8 +4,8 @@ An element is stored by its int coordinates in the power basis
 1, z, ..., z^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial.
 That basis is an integral basis of Z[zeta_n], so every Jacobi sum,
 Frobenius term and product of them has int coordinates, and the ring
-operations (sum, product, non-negative power, Galois action, lift) never
-leave Python ints.  There is no division: the only scalars are ints, and
+operations (sum, product, Galois action, lift) never leave Python ints;
+there are no powers.  There is no division: the only scalars are ints, and
 a caller that needs w / q for an int q divides the coordinates exactly.
 The representation is canonical, so equality is coefficient-wise
 equality.  Conversion between conductors goes through ``lift`` (n must
@@ -18,10 +18,9 @@ more than those terms cached.  ``is_root_of_unity`` needs no table either.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import NotCoprimeError
 from .primes import divisors, euler_phi, mobius
@@ -98,10 +97,6 @@ class CycloElt:
         return CycloElt(n, _reduce_mod_phi([], n))
 
     @staticmethod
-    def one(n: int) -> "CycloElt":
-        return CycloElt(n, _reduce_mod_phi([1], n))
-
-    @staticmethod
     def from_int(n: int, k: int) -> "CycloElt":
         return CycloElt(n, _reduce_mod_phi([k], n))
 
@@ -110,10 +105,6 @@ class CycloElt:
         """zeta_n^k as an exact element."""
         return CycloElt(n, _reduce_mod_phi([0] * (k % n) + [1], n))
 
-    @staticmethod
-    def zeta(n: int) -> "CycloElt":
-        return CycloElt.zeta_pow(n, 1)
-
     # -- ring structure -------------------------------------------------
 
     def _check(self, other: "CycloElt") -> None:
@@ -121,27 +112,14 @@ class CycloElt:
             raise ValueError(f"conductor mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if isinstance(other, int):
+            other = CycloElt.from_int(self.n, other)
+        elif not isinstance(other, CycloElt):
+            return NotImplemented
         self._check(other)
         return CycloElt(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        self._check(other)
-        return CycloElt(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else other - self
-
-    def __neg__(self):
-        return CycloElt(self.n, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -159,19 +137,6 @@ class CycloElt:
         return CycloElt(self.n, _reduce_mod_phi(prod, self.n))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CycloElt":
-        """Left-to-right square-and-multiply: bit_length + popcount - 2 products."""
-        if k < 0:
-            raise ValueError("negative powers leave Z[zeta]")
-        if k == 0:
-            return CycloElt.one(self.n)
-        result = self
-        for bit in bin(k)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
 
     def galois(self, u: int) -> "CycloElt":
         """Image under zeta_n -> zeta_n^u, for u coprime to n."""
@@ -204,12 +169,6 @@ class CycloElt:
 
     # -- predicates and conversions -------------------------------------
 
-    def _coerce(self, other):
-        """An int as an element of Z[zeta_n], a CycloElt as is, else NotImplemented."""
-        if isinstance(other, int):
-            return CycloElt.from_int(self.n, other)
-        return other if isinstance(other, CycloElt) else NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = CycloElt.from_int(self.n, other)
@@ -219,9 +178,6 @@ class CycloElt:
 
     def __hash__(self):
         return hash((self.n, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -233,21 +189,6 @@ class CycloElt:
 
     def __repr__(self):
         return f"CycloElt(n={self.n}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def embed(w: CycloElt, k: int = 1) -> complex:
-    """Floating-point image of w under zeta_n -> exp(2*pi*i*k/n).
-
-    Diagnostic only; k must be coprime to the conductor so the image is a
-    primitive root of unity.
-    """
-    if math.gcd(k, w.n) != 1:
-        raise NotCoprimeError(f"embedding index {k} not coprime to {w.n}")
-    z = cmath.exp(2j * cmath.pi * k / w.n)
-    acc = 0j
-    for c in reversed(w.coeffs):
-        acc = acc * z + complex(c)
-    return acc
 
 
 def is_root_of_unity(w: CycloElt) -> int | None:
@@ -271,18 +212,3 @@ def is_root_of_unity(w: CycloElt) -> int | None:
             e = 2 * k + (0 if cs[support[0]] == 1 else n)
             return 2 * n // math.gcd(e, 2 * n)
     return None
-
-
-def conductor_join(values: list[int]) -> int:
-    """lcm of a list of conductors (at least 1)."""
-    return reduce(math.lcm, values, 1)
-
-
-__all__ = [
-    "CycloElt",
-    "cyclotomic_poly",
-    "embed",
-    "is_root_of_unity",
-    "conductor_join",
-    "euler_phi",
-]

@@ -27,11 +27,7 @@ class PrimeTooLargeError(InputError):
 
 
 class NotCoprimeError(InputError):
-    """An embedding index must be coprime to the conductor."""
-
-
-class DegenerateCharactersError(InputError):
-    """A Gauss/Jacobi identity check needs all involved characters nontrivial."""
+    """A Galois or embedding index must be coprime to the conductor."""
 
 
 class BadReductionError(InputError):

@@ -3,10 +3,10 @@
 The generator is always the smallest primitive root of p, so every table,
 matrix and kernel built downstream is deterministic.  Characters are the
 maps T^a : x -> zeta_{p-1}^(a * dlog x), extended by zero at x = 0 for
-every a including a = 0; that convention is what makes the Gauss sum of
-the trivial character equal -1.  Discrete logs are read from tables of
-dlog x mod m, each built on first use, so a field holds only the residues
-that its callers asked for.
+every a including a = 0; a character is handled through its exponent a
+only, and nothing here computes in Z[zeta].  Discrete logs are read from
+tables of dlog x mod m, each built on first use, so a field holds only the
+residues that its callers asked for.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .cyclo import CycloElt
 from .errors import EvenOrTooSmallError, NotPrimeError, PrimeTooLargeError
 from .primes import factorize, is_prime
 
@@ -34,7 +33,7 @@ class PrimeField:
     """Odd prime p with its smallest primitive root and cached dlog residues.
 
     ``residues`` caches read-only tables m -> dlog x mod m (``dlog_mod``),
-    each built on first use; the full table ``dlog`` is the entry m = p - 1.
+    each built on first use; the full table is the entry m = p - 1.
     ``joint`` caches the profiles of the Jacobi sums J(T^a, phi): M -> the
     length-M vector D[i] = sum of phi(1 - x) over the x in F_p minus {0, 1}
     with dlog x = i (mod M), M even; it serves every a with
@@ -56,11 +55,6 @@ class PrimeField:
         """Order p - 1 of the character group."""
         return self.p - 1
 
-    @property
-    def dlog(self) -> np.ndarray:
-        """Full table: dlog[x] = e with generator^e = x for units x; dlog[0] = -1."""
-        return self.dlog_mod(self.n)
-
     def dlog_mod(self, m: int) -> np.ndarray:
         """Read-only table of dlog x mod m for a divisor m of p - 1; entry 0 is -1."""
         table = self.residues.get(m)
@@ -77,12 +71,6 @@ class PrimeField:
             if k % m == 0:
                 return table
         return self.dlog_mod(m)
-
-    def dlog_of(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("discrete log of 0")
-        return int(self.dlog[x])
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, generator={self.generator})"
@@ -124,13 +112,3 @@ def make_field(p: int) -> PrimeField:
     check_prime(p)
     return PrimeField(p=p, generator=smallest_primitive_root(p))
 
-
-def char_eval(fld: PrimeField, a: CharExponent, x: int) -> CycloElt:
-    """Value of the character T^a at x, as an exact element of Z[zeta_{p-1}].
-
-    Every character (the trivial one included) takes the value 0 at x = 0.
-    """
-    x %= fld.p
-    if x == 0:
-        return CycloElt.zero(fld.n)
-    return CycloElt.zeta_pow(fld.n, (a * fld.dlog_of(x)) % fld.n)

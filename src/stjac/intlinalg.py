@@ -103,7 +103,3 @@ def snf_invariant_factors(rows) -> list[int]:
             g = math.gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] * factors[j] // g
     return factors
-
-
-def matvec(rows, v) -> list[int]:
-    return [sum(int(x) * int(y) for x, y in zip(row, v)) for row in rows]

@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _accel
-from .charsums import jacobi_sum_compact
-from .cyclo import CycloElt, conductor_join
+from .charsums import conductor, jacobi_sum_compact
+from .cyclo import CycloElt
 from .errors import BadReductionError, NonIntegerResultError, NotPrimeError
 from .ffield import PrimeField, check_p_max, check_prime, make_field, reduce_mod
 from .primes import prime_range
@@ -168,16 +168,17 @@ def twist_exponent(fld: PrimeField, a: int, cp: int) -> int:
 
     cp is c reduced mod p, and nonzero.  The twist is zeta_{p-1}^shift with
     shift = a*dlog(-c) + ((p-1)/2)*dlog(c), a multiple of g = gcd(a, (p-1)/2),
-    and J(T^a, phi) lies in Q(zeta_{(p-1)/g}), so k = shift/g.  Mod p - 1,
-    a*dlog(-c) depends only on dlog(-c) mod ord T^a and the second term only
-    on the parity of dlog(c), so both logs are read modulo any multiple of
-    lcm(2, ord T^a): from whichever cached table of the field serves it.
+    and J(T^a, phi) lies in Q(zeta_N), N = (p-1)/g = ``conductor(fld, a)``,
+    so k = shift/g.  Mod p - 1, a*dlog(-c) depends only on dlog(-c) mod
+    ord T^a and the second term only on the parity of dlog(c), so both logs
+    are read modulo any multiple of N = lcm(2, ord T^a): from whichever
+    cached table of the field serves it.
     """
     n = fld.n
-    half = n // 2
-    r = fld.dlog_residues(math.lcm(2, n // math.gcd(a, n)))
-    shift = (a * int(r[fld.p - cp]) + half * int(r[cp])) % n
-    return shift // math.gcd(a, half)
+    N = conductor(fld, a)
+    r = fld.dlog_residues(N)
+    shift = (a * int(r[fld.p - cp]) + n // 2 * int(r[cp])) % n
+    return shift // (n // N)
 
 
 def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
@@ -194,10 +195,10 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
         jacobi_sum_compact(fld, a, twist_exponent(fld, a, cp))
         for a in contributing_ms(p, spec.d, spec.family)
     ]
-    conductor = conductor_join([t.n for t in terms])
-    total = CycloElt.zero(conductor)
+    L = math.lcm(*(t.n for t in terms))
+    total = CycloElt.zero(L)
     for t in terms:
-        total = total + t.lift(conductor)
+        total = total + t.lift(L)
     if not total.is_rational():
         raise NonIntegerResultError(
             f"character sum for {spec.label()} at p={p} did not reduce to Q"

@@ -162,22 +162,6 @@ def split_full(g: int, c=Fraction(1)) -> IsogenyFactorization:
     )
 
 
-def split_by_recursion(g: int, c=Fraction(1)) -> IsogenyFactorization:
-    """Same splitting obtained by recursing the even/odd lemmas directly."""
-    if g < 2:
-        raise ValueError("needs g >= 2")
-    c = Fraction(c)
-    linear: list[Factor] = []
-    cur = g
-    while cur % 2:
-        linear.append(CurveSpec(LINEAR, cur + 2, c))
-        cur = (cur - 1) // 2
-    factors = [(CurveSpec(ADDITIVE, cur + 1, c), 2)] + [(f, 1) for f in linear]
-    return IsogenyFactorization(
-        source=CurveSpec(ADDITIVE, 2 * g + 2, c), factors=tuple(factors)
-    )
-
-
 def bracket_coeff(g: int, k: int) -> int:
     """C(g-k, k) + C(g-k-1, k-1), with C(r, -1) = 0."""
     second = math.comb(g - k - 1, k - 1) if k >= 1 else 0

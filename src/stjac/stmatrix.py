@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsums import jacobi_sum_compact
+from .charsums import conductor, jacobi_sum_compact
 from .cyclo import CycloElt, is_root_of_unity
 from .errors import NoColumnsError, NotInKernelError, RelationVerificationError, StjacError
 from .ffield import PrimeField, check_prime, make_field, reduce_mod, smallest_primitive_root
@@ -57,11 +57,6 @@ def st_columns(p: int, d: int, family: str) -> tuple[int, ...]:
     """
     half = (p - 1) // 2
     return tuple(a for a in contributing_ms(p, d, family) if a != half)
-
-
-def carry(k: int, a: int, n: int) -> int:
-    """1 iff the angles of T^a and phi at embedding k sum to at least 2*pi."""
-    return 1 if (k * a) % n + (k * (n // 2)) % n >= n else 0
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     if not cols:
         raise NoColumnsError(f"no contributing characters for d={d} at p={p}")
     k = np.flatnonzero(np.gcd(np.arange(n), n) == 1)[:, None]
-    # ``carry`` over units x columns in one broadcast; k * a < n^2 < 2^62
+    # the carry rule over units x columns in one broadcast; k * a < n^2 < 2^62
     carries = (k * np.array(cols, dtype=np.int64) % n + k * (n // 2) % n >= n).astype(np.int64)
     return CarryMatrix(
         p=p, d=d, family=family, rows=tuple(k[:, 0].tolist()), cols=cols,
@@ -343,7 +338,7 @@ def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
     if terms is not None:
         return terms
     n = fld.n
-    L = math.lcm(2, *(n // math.gcd(a, n // 2) for a in mat.cols))
+    L = math.lcm(2, *(conductor(fld, a) for a in mat.cols))
     orbit = [math.gcd(a, n) for a in mat.cols]
     reps = {}
     for g in sorted(set(orbit)):

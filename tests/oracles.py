@@ -1,24 +1,156 @@
 """Independent reference implementations that the tests compare the library against.
 
-``verify_relation`` decides a kernel relation by the product itself: it
-multiplies the Frobenius terms in Z[zeta], divides by p^k once and asks
-``is_root_of_unity``.  The library decides the same question by residues
-modulo split primes (``stjac.stmatrix.verify_relation``); the two share
-only ``frobenius_factor``, read through the ``stmatrix`` module so that a
-test that patches it patches both.
+* ``direct_jacobi``: J(T^a, T^b) from the defining sum over the full dlog
+  table, in its compact field, the one defining-sum reference; the general
+  pair in Z[zeta_{p-1}] is ``direct_jacobi(...).lift(p - 1)``.
+* ``char_eval``: T^a(x) as an exact element of Z[zeta_{p-1}].
+* ``gauss_sum``, ``embed``, ``gauss_jacobi_check``: floating-point Gauss
+  sums and complex embeddings, for J(A, B) = g(A) g(B) / g(AB).
+* ``carry``: the scalar rule that ``stmatrix.build_matrix`` broadcasts.
+* ``split_by_recursion``: ``splitjac.split_full`` by recursing the lemmas.
+* ``power``: w^k in Z[zeta] by square-and-multiply.
+* ``verify_relation`` decides a kernel relation by the product itself: it
+  multiplies the Frobenius terms in Z[zeta], divides by p^k once and asks
+  ``is_root_of_unity``.  The library decides the same question by residues
+  modulo split primes (``stjac.stmatrix.verify_relation``); the two share
+  only ``frobenius_factor``, read through the ``stmatrix`` module so that a
+  test that patches it patches both.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import weakref
 from fractions import Fraction
 
+import numpy as np
+
 from stjac import stmatrix
-from stjac.cyclo import CycloElt, conductor_join, is_root_of_unity
-from stjac.errors import NotInKernelError, RelationVerificationError
+from stjac.cyclo import CycloElt, is_root_of_unity
+from stjac.errors import NotCoprimeError, NotInKernelError, RelationVerificationError
 from stjac.ffield import PrimeField
+from stjac.pointcount import ADDITIVE, LINEAR, CurveSpec
+from stjac.splitjac import Factor, IsogenyFactorization
 from stjac.stmatrix import CarryMatrix, RelationResult
+
+# -- character sums --------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def _dlog_pairs(fld):
+    """(dlog x, dlog(1-x)) over x in F_p minus {0, 1}, from the full table in int64."""
+    u = fld.dlog_mod(fld.n).astype(np.int64)
+    x = np.arange(2, fld.p)
+    return u[x], u[(1 - x) % fld.p]
+
+
+def direct_jacobi(fld: PrimeField, a: int, b: int) -> CycloElt:
+    """J(T^a, T^b) from the defining sum, folded to the compact field of
+    conductor (p-1)/gcd(a, b, p-1)."""
+    n = fld.n
+    a %= n
+    b %= n
+    g = math.gcd(a, b, n)
+    u, v = _dlog_pairs(fld)
+    hist = np.bincount((a * u + b * v) % n, minlength=n)
+    return CycloElt.from_int_coeffs(n // g, hist[::g].tolist())
+
+
+def char_eval(fld: PrimeField, a: int, x: int) -> CycloElt:
+    """Value of the character T^a at x, as an exact element of Z[zeta_{p-1}].
+
+    Every character (the trivial one included) takes the value 0 at x = 0.
+    """
+    x %= fld.p
+    if x == 0:
+        return CycloElt.zero(fld.n)
+    return CycloElt.zeta_pow(fld.n, a * int(fld.dlog_mod(fld.n)[x]) % fld.n)
+
+
+def gauss_sum(fld: PrimeField, a: int) -> complex:
+    """Floating-point Gauss sum sum_x T^a(x) e^(2 pi i x / p)."""
+    p, n = fld.p, fld.n
+    x = np.arange(1, p)
+    angles = (a % n) * fld.dlog_mod(n)[1:].astype(np.int64) % n / n + x / p
+    return complex(np.exp(2j * np.pi * angles).sum())
+
+
+def embed(w: CycloElt, k: int = 1) -> complex:
+    """Floating-point image of w under zeta_n -> exp(2*pi*i*k/n).
+
+    k must be coprime to the conductor so the image is a primitive root of
+    unity.
+    """
+    if math.gcd(k, w.n) != 1:
+        raise NotCoprimeError(f"embedding index {k} not coprime to {w.n}")
+    z = cmath.exp(2j * cmath.pi * k / w.n)
+    acc = 0j
+    for c in reversed(w.coeffs):
+        acc = acc * z + complex(c)
+    return acc
+
+
+def gauss_jacobi_check(
+    fld: PrimeField, a: int, b: int, tol: float = 1e-6, value: CycloElt | None = None
+) -> bool:
+    """Numeric check of J(A, B) = g(A) g(B) / g(AB) at the identity embedding.
+
+    J is ``value`` when given, else ``direct_jacobi(fld, a, b)``.  It is
+    embedded from its own conductor N | p-1, zeta_N -> e^(2 pi i/N), which is
+    the identity embedding of Z[zeta_{p-1}] restricted to Z[zeta_N].
+    """
+    n = fld.n
+    a %= n
+    b %= n
+    if a == 0 or b == 0 or (a + b) % n == 0:
+        raise ValueError("the identity needs A, B and AB all nontrivial")
+    lhs = embed(direct_jacobi(fld, a, b) if value is None else value, 1)
+    rhs = gauss_sum(fld, a) * gauss_sum(fld, b) / gauss_sum(fld, a + b)
+    return abs(lhs - rhs) <= tol
+
+
+# -- carry matrices and splittings -------------------------------------------
+
+
+def carry(k: int, a: int, n: int) -> int:
+    """1 iff the angles of T^a and phi at embedding k sum to at least 2*pi."""
+    return 1 if (k * a) % n + (k * (n // 2)) % n >= n else 0
+
+
+def split_by_recursion(g: int, c=Fraction(1)) -> IsogenyFactorization:
+    """The splitting of ``splitjac.split_full``, by recursing the even/odd lemmas."""
+    if g < 2:
+        raise ValueError("needs g >= 2")
+    c = Fraction(c)
+    linear: list[Factor] = []
+    cur = g
+    while cur % 2:
+        linear.append(CurveSpec(LINEAR, cur + 2, c))
+        cur = (cur - 1) // 2
+    factors = [(CurveSpec(ADDITIVE, cur + 1, c), 2)] + [(f, 1) for f in linear]
+    return IsogenyFactorization(
+        source=CurveSpec(ADDITIVE, 2 * g + 2, c), factors=tuple(factors)
+    )
+
+
+# -- relations in Z[zeta] ----------------------------------------------------
+
+
+def power(w: CycloElt, k: int) -> CycloElt:
+    """w^k for an int k >= 0, by left-to-right square-and-multiply."""
+    if k < 0:
+        raise ValueError("negative powers leave Z[zeta]")
+    if k == 0:
+        return CycloElt.from_int(w.n, 1)
+    result = w
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * w
+    return result
+
 
 # field -> {(a, c): (w, conj(w))}, dropped with the field
 _PAIRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -87,8 +219,10 @@ def verify_relation(
     if not support:
         return RelationResult(kind="exact", order=1)
     terms = [(_frobenius_pair(fld, mat.cols[j], c), x) for j, x in support]
-    conductor = conductor_join([w.n for (w, _), _ in terms] + [2])
-    factors = [(w**x if x > 0 else wbar**-x).lift(conductor) for (w, wbar), x in terms]
+    conductor = math.lcm(2, *(w.n for (w, _), _ in terms))
+    factors = [
+        (power(w, x) if x > 0 else power(wbar, -x)).lift(conductor) for (w, wbar), x in terms
+    ]
     p_power = sum(-x for _, x in support if x < 0)
     value = _divide_exact(math.prod(factors[1:], start=factors[0]), fld.p**p_power)
     if value is None:

@@ -3,8 +3,10 @@ import pytest
 from stjac import _accel
 from stjac.cyclo import CycloElt
 from stjac.errors import EvenOrTooSmallError, NotPrimeError, PrimeTooLargeError
-from stjac.ffield import P_MAX, char_eval, make_field, reduce_mod
+from stjac.ffield import P_MAX, make_field, reduce_mod
 from stjac.primes import prime_range
+
+from oracles import char_eval
 
 
 def test_make_field_validation():
@@ -37,7 +39,7 @@ def test_smallest_generator_examples(field):
     assert field(11).generator == 2
     assert field(19).generator == 2
     assert field(3).generator == 2
-    assert field(3).dlog.tolist() == [-1, 0, 1]
+    assert field(3).dlog_mod(2).tolist() == [-1, 0, 1]
     assert field(7).generator == 3
     assert field(41).generator == 6
 
@@ -56,16 +58,17 @@ def test_generator_is_smallest_primitive_root(field):
 def test_dlog_is_bijective_and_correct(field):
     for p in (11, 19, 97, 1009):
         fld = field(p)
-        assert fld.dlog[0] == -1
-        exps = sorted(int(e) for e in fld.dlog[1:])
+        dlog = fld.dlog_mod(fld.n)
+        assert dlog[0] == -1
+        exps = sorted(int(e) for e in dlog[1:])
         assert exps == list(range(p - 1))
         for x in (1, 2, p - 1, p // 2):
-            assert pow(fld.generator, fld.dlog_of(x), p) == x % p
+            assert pow(fld.generator, int(dlog[x]), p) == x % p
 
 
 def test_field_table_immutable(field):
     with pytest.raises(ValueError):
-        field(11).dlog[3] = 0
+        field(11).dlog_mod(10)[3] = 0
 
 
 def test_reduce_rational():
@@ -82,8 +85,8 @@ def test_char_eval_examples(field):
     assert char_eval(fld, 0, 7) == 1
     # -1 is an odd power of the generator, so the quadratic character sees -1
     assert char_eval(fld, 5, 10) == -1
-    assert char_eval(fld, 3, 0).is_zero()
-    assert char_eval(fld, 0, 0).is_zero()
+    assert char_eval(fld, 3, 0) == 0
+    assert char_eval(fld, 0, 0) == 0
 
 
 def test_char_multiplicativity_exhaustive(field):
@@ -91,11 +94,12 @@ def test_char_multiplicativity_exhaustive(field):
     for p in prime_range(3, 50):
         fld = field(p)
         n = p - 1
+        dlog = fld.dlog_mod(n).tolist()
         for a in range(n):
             for x in range(1, p):
                 for y in range(1, p):
-                    lhs = (a * (fld.dlog_of(x) + fld.dlog_of(y))) % n
-                    rhs = (a * fld.dlog_of(x * y % p)) % n
+                    lhs = (a * (dlog[x] + dlog[y])) % n
+                    rhs = (a * dlog[x * y % p]) % n
                     assert lhs == rhs
     for p in (3, 5, 7, 11):
         fld = field(p)
@@ -125,7 +129,7 @@ def test_quadratic_character_is_legendre(field):
             val = char_eval(fld, half, x)
             euler = pow(x, half, p)
             if x == 0:
-                assert val.is_zero()
+                assert val == 0
             elif euler == 1:
                 assert val == 1
             else:
@@ -135,5 +139,6 @@ def test_quadratic_character_is_legendre(field):
 
 def test_large_field_construction():
     fld = make_field(999983)
-    assert fld.dlog.shape == (999983,)
-    assert pow(fld.generator, int(fld.dlog[123456]), 999983) == 123456
+    dlog = fld.dlog_mod(fld.n)
+    assert dlog.shape == (999983,)
+    assert pow(fld.generator, int(dlog[123456]), 999983) == 123456
