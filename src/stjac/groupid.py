@@ -22,6 +22,7 @@ the torus once, from its first prime; the other primes are evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     InconsistentAcrossPrimesError,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .ffield import make_field
 from .intlinalg import rank
-from .pointcount import CurveSpec, is_generic_prime
+from .pointcount import CurveSpec, congruence_modulus
 from .primes import is_prime
 from .stmatrix import (
     CarryMatrix,
@@ -58,33 +59,27 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
     constant columns (weight 0 or the cyclotomic weight itself); those
     carry no torus data and are reported separately.  Complementary
     columns are *equal* modulo the all-ones vector up to sign, and the
-    orientation with first entry 0 (valuation 0 at the identity embedding)
-    is taken as the plus side.
+    orientation with first entry 0 (valuation 0 at the identity embedding
+    k = 1) is taken as the plus side: a class counts the columns equal to
+    its plus weight as plus and their complements as minus.  StjacError
+    names the smallest plus weight whose counts differ.
     """
     degenerate = []
     counts: dict[tuple[int, ...], int] = {}
-    for j, a in enumerate(mat.cols):
-        col = mat.column(j)
+    for a, col in zip(mat.cols, zip(*mat.entries)):
         if len(set(col)) == 1:
             degenerate.append(a)
         else:
             counts[col] = counts.get(col, 0) + 1
     classes = []
-    seen = set()
-    for col, plus in sorted(counts.items()):
-        if col in seen:
-            continue
-        comp = tuple(1 - e for e in col)
-        if col[0] != 0:
-            col, comp = comp, col
-            plus = counts.get(col, 0)
-        minus = counts.get(comp, 0)
-        seen.update({col, comp})
+    plus_sides = {col if col[0] == 0 else tuple(1 - e for e in col) for col in counts}
+    for weight in sorted(plus_sides):
+        plus, minus = counts.get(weight, 0), counts.get(tuple(1 - e for e in weight), 0)
         if plus != minus:
             raise StjacError(
-                f"unpaired weight class {col}: plus={plus}, minus={minus}"
+                f"unpaired weight class {weight}: plus={plus}, minus={minus}"
             )
-        classes.append(WeightClass(weight=col, plus=plus, minus=minus))
+        classes.append(WeightClass(weight=weight, plus=plus, minus=minus))
     classes.sort(key=lambda cl: (-cl.plus, cl.weight))
     return classes, degenerate
 
@@ -137,19 +132,17 @@ class TorusId:
 
 
 def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[int]:
-    """First `count` primes where the contributing set is fully split."""
+    """First `count` primes where the contributing set is fully split: the
+    primes p = 1 + j*M up to `bound`, M = ``congruence_modulus``, in order."""
     if count < 1:
         raise ValueError(f"the number of primes must be at least 1, got {count}")
-    spec = CurveSpec(family, d)
-    found = []
-    for p in range(3, bound + 1, 2):
-        if is_generic_prime(p, spec) and is_prime(p):
-            found.append(p)
-            if len(found) == count:
-                return found
-    raise NoGenericPrimeError(
-        f"only {len(found)} generic primes below {bound} for d={d} ({family})"
-    )
+    m = congruence_modulus(CurveSpec(family, d))
+    found = list(islice(filter(is_prime, range(m + 1, bound + 1, m)), count))
+    if len(found) < count:
+        raise NoGenericPrimeError(
+            f"only {len(found)} generic primes below {bound} for d={d} ({family})"
+        )
+    return found
 
 
 def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:

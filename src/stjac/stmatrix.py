@@ -7,12 +7,15 @@ exponents a with the exponent (p-1)/2 removed, and
 
     entry(k, a) = 1  iff  (k*a mod p-1) + (k*(p-1)/2 mod p-1) >= p-1,
 
-i.e. iff adding the two character angles wraps past a full turn.  The
-column lattice modulo the all-ones vector is the character lattice of the
-identity component of the Sato-Tate group; kernel vectors of the matrix
-are candidate multiplicative relations among the Frobenius characters and
-are confirmed exactly, by residues modulo split primes l = 1 (mod L),
-L the even conductor of the Jacobi sums (see ``verify_relation``).
+i.e. iff adding the two character angles wraps past a full turn.  Units k
+mod n = p-1 are odd, so k*n/2 = n/2 (mod n): the entry is [k*a mod n >= n/2],
+a function of k*a mod n alone, and ``validate_matrix`` reads its Galois
+check off that key.  The column lattice modulo the all-ones vector is the
+character lattice of the identity component of the Sato-Tate group; kernel
+vectors of the matrix are candidate multiplicative relations among the
+Frobenius characters and are confirmed exactly, by residues modulo split
+primes l = 1 (mod L), L the even conductor of the Jacobi sums (see
+``verify_relation``).
 
 A relation check reads the Frobenius term w_a of a column from the term
 of its Galois-orbit representative, sigma_u(w_g) = w_a with g = gcd(a, p-1):
@@ -73,9 +76,6 @@ class CarryMatrix:
     def n(self) -> int:
         return self.p - 1
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     @cached_property
     def _row_array(self) -> np.ndarray:
         """``distinct_rows`` as an int64 array, for kernel-membership products."""
@@ -108,7 +108,10 @@ class CarryMatrix:
 
 
 def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
-    """Carry matrix at the odd prime p; NoColumnsError when no character contributes."""
+    """Carry matrix at the odd prime p; NoColumnsError when no character contributes.
+
+    Each unit k is odd, so the carry rule reduces to k*a mod n >= n/2.
+    """
     check_prime(p)
     n = p - 1
     cols = st_columns(p, d, family)
@@ -116,7 +119,7 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
         raise NoColumnsError(f"no contributing characters for d={d} at p={p}")
     k = np.flatnonzero(np.gcd(np.arange(n), n) == 1)[:, None]
     # the carry rule over units x columns in one broadcast; k * a < n^2 < 2^62
-    carries = (k * np.array(cols, dtype=np.int64) % n + k * (n // 2) % n >= n).astype(np.int64)
+    carries = (k * np.array(cols, dtype=np.int64) % n >= n // 2).astype(np.int64)
     return CarryMatrix(
         p=p, d=d, family=family, rows=tuple(k[:, 0].tolist()), cols=cols,
         entries=tuple(map(tuple, carries.tolist())),
@@ -124,19 +127,16 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     )
 
 
-def _position_table(keys: np.ndarray, n: int) -> np.ndarray:
-    """pos[x] = index of x in ``keys`` (distinct residues mod n), else -1."""
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[keys] = np.arange(len(keys))
-    return pos
-
-
 def validate_matrix(mat: CarryMatrix) -> list[str]:
     """Names of violated structural checks (expected empty).
 
     Checks: every row and column is half zeros / half ones; conjugate rows
     k and p-1-k are complementary; the simultaneous Galois action on rows
-    and columns fixes the table.
+    and columns fixes the table.  A unit u moves cell (k, a) to (k*u, a/u),
+    which keeps k*a mod n, and the rows are all the units, so any two cells
+    with equal k*a are related by such a move.  So the table is stable
+    exactly when every k*a is a column exponent and scattering the entries
+    at key k*a and gathering them back gives the same table.
     """
     violations = []
     n = mat.n
@@ -148,39 +148,15 @@ def validate_matrix(mat: CarryMatrix) -> list[str]:
         violations.append("column_balance")
     rows = np.array(mat.rows, dtype=np.int64)
     exps = np.array(mat.cols, dtype=np.int64)
-    row_of = _position_table(rows, n)
-    col_of = _position_table(exps, n)
-    if np.any(ent[row_of[n - rows]] != 1 - ent):
+    # the rows ascend through the units mod n, so row n-k is row k from the end
+    if np.any(ent[::-1] != 1 - ent):
         violations.append("conjugate_complement")
-    for u in (1, *_unit_generators(mat.rows, n)):
-        # entry(k*u, a/u) = entry(k, a): unit u moves row k*u and column a/u.
-        # This is a group action, so a table (and a column set) fixed by a
-        # generating set of units is fixed by every unit; u = 1 checks each
-        # column against the column its label names.
-        cols_u = col_of[pow(u, -1, n) * exps % n]
-        if np.any(cols_u < 0) or np.any(ent[np.ix_(row_of[rows * u % n], cols_u)] != ent):
-            violations.append("galois_stability")
-            break
+    keys = rows[:, None] * exps % n
+    by_key = np.zeros(n, dtype=np.int8)
+    by_key[keys] = ent
+    if not np.isin(keys, exps).all() or np.any(by_key[keys] != ent):
+        violations.append("galois_stability")
     return violations
-
-
-def _unit_generators(units: tuple[int, ...], n: int) -> list[int]:
-    """Units that generate the group the given units generate mod n.
-
-    Each unit outside the span of the earlier generators becomes one, so
-    there are at most log2(len(units)) of them.
-    """
-    span, gens = {1}, []
-    for u in units:
-        if u in span:
-            continue
-        gens.append(u)
-        grown, power = set(span), u
-        while power not in span:
-            grown.update(s * power % n for s in span)
-            power = power * u % n
-        span = grown
-    return gens
 
 
 @dataclass(frozen=True)

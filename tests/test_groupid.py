@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from stjac import groupid
 from stjac.cli import main
-from stjac.errors import InconsistentAcrossPrimesError, NoGenericPrimeError
+from stjac.errors import InconsistentAcrossPrimesError, NoGenericPrimeError, StjacError
 from stjac.groupid import (
     TorusId,
     generic_primes,
@@ -14,7 +15,8 @@ from stjac.groupid import (
     weight_classes,
     WeightClass,
 )
-from stjac.pointcount import ADDITIVE, LINEAR, curve
+from stjac.pointcount import ADDITIVE, LINEAR, CurveSpec, curve, is_generic_prime
+from stjac.primes import is_prime
 from stjac.splitjac import split_full
 from stjac.stmatrix import build_matrix
 
@@ -47,6 +49,16 @@ def test_weight_classes_cover_all_columns():
         assert sum(cl.plus + cl.minus for cl in classes) + len(degenerate) == len(m.cols)
 
 
+def test_weight_classes_name_the_unpaired_class():
+    # dropping the last column (a minus side, first entry 1) leaves its
+    # class with one plus column too many
+    m = build_matrix(31, 10, ADDITIVE)
+    bad = dataclasses.replace(m, cols=m.cols[:-1], entries=tuple(r[:-1] for r in m.entries))
+    with pytest.raises(StjacError) as exc:
+        weight_classes(bad)
+    assert str(exc.value) == "unpaired weight class (0, 1, 0, 0, 1, 1, 0, 1): plus=2, minus=1"
+
+
 def test_torus_dimension_reference_cases():
     assert torus_dimension(build_matrix(11, 10, ADDITIVE)) == 2
     assert torus_dimension(build_matrix(19, 9, ADDITIVE)) == 3
@@ -69,6 +81,31 @@ def test_generic_primes():
     assert generic_primes(LINEAR, 7, 3) == [13, 37, 61]
     with pytest.raises(NoGenericPrimeError):
         generic_primes(ADDITIVE, 9, 3, bound=30)
+
+
+def test_generic_primes_equal_the_odd_number_scan():
+    for family, ds in ((ADDITIVE, range(1, 61)), (LINEAR, range(3, 42, 2))):
+        for d in ds:
+            spec = CurveSpec(family, d)
+            scan = [p for p in range(3, 20001, 2) if is_generic_prime(p, spec) and is_prime(p)]
+            for count in range(1, 6):
+                if len(scan) >= count:
+                    assert generic_primes(family, d, count) == scan[:count], (family, d, count)
+                else:
+                    with pytest.raises(NoGenericPrimeError):
+                        generic_primes(family, d, count)
+
+
+def test_generic_primes_stop_at_the_last_prime_asked_for(monkeypatch):
+    tested = []
+
+    def counting_is_prime(p):
+        tested.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(groupid, "is_prime", counting_is_prime)
+    assert generic_primes(ADDITIVE, 6, 3) == [7, 13, 19]
+    assert tested == [7, 13, 19]
 
 
 def test_identify_reference_values():

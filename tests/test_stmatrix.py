@@ -501,8 +501,8 @@ def test_relation_check_memory_stays_linear_in_the_conductor(deadline):
     p, d = 421, 420
     mat = build_matrix(p, d, ADDITIVE)
     seen = {}
-    for j in range(len(mat.cols)):
-        i = seen.setdefault(mat.column(j), j)
+    for j, col in enumerate(zip(*mat.entries)):
+        i = seen.setdefault(col, j)
         if i != j:
             break
     v = [0] * len(mat.cols)
@@ -558,9 +558,14 @@ def _with_entries(mat, entries):
     return dataclasses.replace(mat, entries=tuple(tuple(r) for r in entries))
 
 
-@pytest.mark.parametrize("p,d", [(11, 10), (19, 9)])
-def test_validate_matrix_matches_loops_on_every_bit_flip(p, d):
-    m = build_matrix(p, d, ADDITIVE)
+@pytest.mark.parametrize(
+    "p,d,family",
+    [(11, 10, ADDITIVE), (19, 9, ADDITIVE), (17, 8, ADDITIVE), (41, 10, ADDITIVE), (29, 7, LINEAR)],
+    # (Z/16)^*, (Z/40)^* and (Z/28)^* are not cyclic
+    ids=["11-10", "19-9", "17-8", "41-10", "29-7-linear"],
+)
+def test_validate_matrix_matches_loops_on_every_bit_flip(p, d, family):
+    m = build_matrix(p, d, family)
     assert validate_matrix(m) == _validate_by_loops(m) == []
     seen = set()
     for i in range(len(m.rows)):
@@ -630,6 +635,40 @@ def test_validate_matrix_checks_every_generator_of_a_non_cyclic_group():
     bad = _with_entries(m, entries)
     assert validate_matrix(bad) == _validate_by_loops(bad)
     assert "galois_stability" in validate_matrix(bad)
+
+
+def test_validate_matrix_matches_loops_on_orbit_flips_and_relabels(deadline):
+    # flipping the cells of one orbit of a cyclic group <u> of units leaves
+    # the table fixed by u, and by every unit exactly when <u> is all of
+    # them; swapping two column labels moves entries between unit orbits
+    checked = stable = 0
+    with deadline(30):
+        for p in prime_range(3, 100):
+            n = p - 1
+            for family, ds in ((ADDITIVE, range(3, 13)), (LINEAR, range(3, 10, 2))):
+                for d in ds:
+                    try:
+                        m = build_matrix(p, d, family)
+                    except NoColumnsError:
+                        continue
+                    tables = []
+                    for u in m.rows:
+                        entries = [list(r) for r in m.entries]
+                        for v in {pow(u, e, n) for e in range(n)}:
+                            entries[m.rows.index(v)][m.cols.index(m.cols[0] * pow(v, -1, n) % n)] ^= 1
+                        tables.append(_with_entries(m, entries))
+                    for i in range(len(m.cols)):
+                        for j in range(i + 1, len(m.cols)):
+                            cols = list(m.cols)
+                            cols[i], cols[j] = cols[j], cols[i]
+                            tables.append(dataclasses.replace(m, cols=tuple(cols)))
+                    for bad in tables:
+                        got = validate_matrix(bad)
+                        assert got == _validate_by_loops(bad), (p, d, family, bad)
+                        stable += "galois_stability" not in got
+                        checked += 1
+    assert checked > 2000
+    assert 0 < stable < checked
 
 
 # -- the oracle's exact division by p^k, and tampered residues -----------
@@ -839,7 +878,7 @@ def test_distinct_rows_match_the_all_rows_oracle():
     for mat in _pool_matrices():
         rows = [list(r) for r in mat.entries]
         assert right_kernel(mat).basis == tuple(tuple(v) for v in kernel_basis(rows))
-        cols = [list(mat.column(j)) for j in range(len(mat.cols))]
+        cols = [list(col) for col in zip(*mat.entries)]
         assert torus_dimension(mat) == rank(cols + [[1] * len(mat.rows)]) - 1
         fld = make_field(mat.p)
         for v in _breaking_vectors(mat):
