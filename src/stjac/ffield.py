@@ -38,10 +38,10 @@ class PrimeField:
     length-M vector D[i] = sum of phi(1 - x) over the x in F_p minus {0, 1}
     with dlog x = i (mod M), M even; it serves every a with
     lcm(2, ord T^a) | M.
-    ``terms`` caches the Frobenius terms of the relation checks, per twist c
-    and column set: (c, cols) -> the orbit representatives
-    w = T^g(-c) * phi(c) * J(T^g, phi), each with w * conj(w) = p, and their
-    residues mod the split primes used so far (``stmatrix._relation_terms``).
+    ``terms`` caches the relation checks' Frobenius terms per twist c and
+    column set: (c, cols) -> w_a = T^a(-c) * phi(c) * J(T^a, phi) for each
+    column a, as a Galois image of its orbit representative, and one
+    residue per column per split prime used (``stmatrix._relation_terms``).
     """
 
     p: int

@@ -17,11 +17,12 @@ Frobenius characters and are confirmed exactly, by residues modulo split
 primes l = 1 (mod L), L the even conductor of the Jacobi sums (see
 ``verify_relation``).
 
-A relation check reads the Frobenius term w_a of a column from the term
-of its Galois-orbit representative, sigma_u(w_g) = w_a with g = gcd(a, p-1):
-only w_g is built, as one twisted scatter ``jacobi_sum_compact(fld, g, k)``,
-checked against w * conj(w) = p in Z[zeta] and evaluated mod each split
-prime, once per field and twist.  A kernel depends only on the set of
+A relation check reads w_a at the embedding zeta -> r^k mod a split prime
+as the residue of column k*a mod p-1 at zeta -> r, since sigma_k(w_a) =
+w_(k*a); each residue comes from the Galois-orbit representative w_g,
+g = gcd(a, p-1), the only term built (one twisted scatter
+``jacobi_sum_compact(fld, g, shift)``, checked against w * conj(w) = p in
+Z[zeta]), once per field and twist.  A kernel depends only on the set of
 distinct rows, which every generic prime shares, so
 ``groupid.identify_st0`` computes it once, at its first prime.
 """
@@ -29,15 +30,17 @@ distinct rows, which every generic prime shares, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .charsums import conductor, jacobi_sum_compact
 from .cyclo import CycloElt, is_root_of_unity
-from .errors import NoColumnsError, NotInKernelError, RelationVerificationError, StjacError
+from .errors import (
+    InputError, NoColumnsError, NotInKernelError, RelationVerificationError, StjacError)
 from .ffield import PrimeField, check_prime, make_field, reduce_mod, smallest_primitive_root
 from .intlinalg import kernel_basis, rank, snf_invariant_factors
 from .pointcount import (
@@ -48,7 +51,7 @@ from .pointcount import (
     is_generic_prime,
     twist_exponent,
 )
-from .primes import is_prime
+from .primes import euler_phi, is_prime
 
 
 def st_columns(p: int, d: int, family: str) -> tuple[int, ...]:
@@ -213,6 +216,8 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
 # Split primes stay below 2^31, so a product of two residues fits in int64.
 SPLIT_PRIME_BOUND = 2**31
 
+_split_ladder: dict[int, list[int]] = {}  # L -> its split primes found so far
+
 
 @lru_cache(maxsize=256)
 def split_prime(L: int, i: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
@@ -220,16 +225,18 @@ def split_prime(L: int, i: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
     with the powers r^e mod l (e < L) of an r of exact order L and the
     exponent e of each power.
 
-    r = h^((l-1)/L) for the smallest primitive root h of l.  Each entry
-    holds O(L) numbers and the cache keeps at most 256 of them.
+    l is found by walking down from the lowest split prime already found
+    for L.  r = h^((l-1)/L) for the smallest primitive root h of l.  Each
+    entry holds O(L) numbers and the cache keeps at most 256 of them.
     """
-    j = (SPLIT_PRIME_BOUND - 2) // L if i == 0 else split_prime(L, i - 1)[0] // L - 1
-    while j > 0 and not is_prime(j * L + 1):
-        j -= 1
-    if j == 0:
+    found = _split_ladder.setdefault(L, [])
+    top = found[-1] // L - 1 if found else (SPLIT_PRIME_BOUND - 2) // L
+    walk = (j * L + 1 for j in range(top, 0, -1) if is_prime(j * L + 1))
+    found.extend(islice(walk, max(0, i + 1 - len(found))))
+    if len(found) <= i:
         raise StjacError(f"too few primes = 1 mod {L} below 2^31")
-    ell = j * L + 1
-    r = pow(smallest_primitive_root(ell), j, ell)
+    ell = found[i]
+    r = pow(smallest_primitive_root(ell), ell // L, ell)
     powers = [1] * L
     for e in range(1, L):
         powers[e] = powers[e - 1] * r % ell
@@ -250,51 +257,38 @@ def split_primes(L: int, p: int, k: int) -> list[tuple[int, tuple[int, ...], dic
     return out
 
 
-def _evaluate(reps: list[CycloElt], L: int, ell: int, powers: tuple[int, ...]) -> list[int]:
-    """Every w in reps at zeta_L -> r^e mod l, e < L, one block of L per w.
+def _evaluate(points: list[tuple[CycloElt, int]], L: int, ell: int, powers: tuple) -> list[int]:
+    """sigma_u(w) at zeta_L -> r mod l for each point (w, u), that is w at
+    zeta_N -> r^(u*L/N), N = w.n dividing L.
 
-    zeta_N (N = w.n divides L) goes to r^(e*L/N); Horner's rule over the
-    coordinates, reduced mod l first, keeps every step below l^2 < 2^62.
+    Horner's rule over the coordinates, reduced mod l first, keeps every
+    step below l^2 < 2^62.
     """
-    phi = max(len(w.coeffs) for w in reps)
-    coeffs = np.zeros((phi, len(reps), 1), dtype=np.int64)
-    for q, w in enumerate(reps):
-        coeffs[: len(w.coeffs), q, 0] = [cf % ell for cf in w.coeffs]
-    steps = np.array([L // w.n for w in reps])[:, None]
-    x = np.array(powers, dtype=np.int64)[np.arange(L) * steps % L]
+    phi = max(len(w.coeffs) for w, _ in points)
+    coeffs = np.zeros((phi, len(points)), dtype=np.int64)
+    for j, (w, _) in enumerate(points):
+        coeffs[: len(w.coeffs), j] = [cf % ell for cf in w.coeffs]
+    x = np.array([powers[u * (L // w.n) % L] for w, u in points], dtype=np.int64)
     value = np.zeros_like(x)
     for cf in coeffs[::-1]:
         value = (value * x + cf) % ell
-    return value.reshape(-1).tolist()
+    return value.tolist()
 
 
+@dataclass
 class _RelationTerms:
     """The Frobenius terms of one field, twist and column set, mod split primes.
 
-    Only the representatives w_g, g = gcd(a, p-1), are built (``reps``).
-    ``primes`` holds, per split prime l in use, ``split_prime``'s entry and
-    a table of every representative at zeta_L -> r^e mod l, e < L.  Column
-    j = (slot, u) takes its value at the embedding of a unit v mod L from
-    position slot + (v*u mod L) of a table, its conjugate's from
-    slot + (-v*u mod L).  Primes are added when a vector's p^k asks.
+    Column j's term sigma_u(w_g), g = gcd(a_j, p-1), is its point (w_g, u)
+    in ``points``; ``embeddings`` holds one unit k mod p-1 per unit class
+    mod L, ascending (k = 1 first); ``tables`` maps each split prime l in
+    use to {a: w_a at zeta_L -> r mod l}, filled when a p^k first needs l.
     """
 
-    def __init__(self, p: int, L: int, reps: list[CycloElt], columns: list[tuple[int, int]]):
-        self.p, self.L, self.reps, self.columns = p, L, reps, columns
-        self.units = [u for u in range(1, L) if math.gcd(u, L) == 1]
-        self.primes: list[tuple[int, tuple[int, ...], dict[int, int], list[int]]] = []
-        self.by_k: dict[int, list[int]] = {}
-
-    def powers_of_p(self, k: int) -> list[int]:
-        """p^k mod l_i for the first split primes l_i, which multiply past 2 p^k."""
-        p_k = self.by_k.get(k)
-        if p_k is None:
-            primes = split_primes(self.L, self.p, k)
-            for ell, powers, exponent_of in primes[len(self.primes) :]:
-                table = _evaluate(self.reps, self.L, ell, powers)
-                self.primes.append((ell, powers, exponent_of, table))
-            p_k = self.by_k[k] = [pow(self.p, k, ell) for ell, _, _ in primes]
-        return p_k
+    L: int
+    embeddings: list[int]
+    points: list[tuple[CycloElt, int]]
+    tables: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
@@ -302,11 +296,12 @@ def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
 
     L = lcm(2, conductors of all columns); column a's conductor
     (p-1)/gcd(a, (p-1)/2) is that of its representative g = gcd(a, p-1).
-    For a unit u = a/g mod (p-1)/g, sigma_u maps T^g to T^a and fixes phi
-    and phi(c) = +-1, so sigma_u(w_g) = w_a: at the embedding
-    zeta_L -> r^v, w_a takes w_g's value at r^(v*u) and conj(w_a) that at
-    r^(-v*u).  Each representative is checked against w * conj(w) = p in
-    Z[zeta]; sigma_u commutes with complex conjugation, so every derived
+    For a unit k mod p-1, sigma_k maps T^a to T^(k*a) and fixes phi and
+    phi(c) = +-1, so sigma_k(w_a) = w_(k*a): w_a at zeta_L -> r^k is
+    column k*a mod p-1 at zeta_L -> r, conj(w_a) = w_(-a) is column -k*a,
+    and the columns must be closed under the units (else InputError).  Only
+    the representatives w_g are built, each checked against w * conj(w) = p
+    in Z[zeta]; sigma_u commutes with complex conjugation, so every derived
     term inherits the identity.  Nothing is cached unless all of it holds.
     """
     key = (c, mat.cols)
@@ -314,24 +309,21 @@ def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
     if terms is not None:
         return terms
     n = fld.n
-    L = math.lcm(2, *(conductor(fld, a) for a in mat.cols))
     orbit = [math.gcd(a, n) for a in mat.cols]
+    if any(orbit.count(g) != euler_phi(n // g) for g in set(orbit)):
+        raise InputError(f"the columns at p={fld.p} are not closed under the units mod {n}")
+    L = math.lcm(2, *(conductor(fld, a) for a in mat.cols))
     reps = {}
     for g in sorted(set(orbit)):
-        w = frobenius_factor(fld, g, c)
+        w = reps[g] = frobenius_factor(fld, g, c)
         if w * w.conj() != fld.p:
             raise RelationVerificationError(
                 f"the term of column {g} at p={fld.p} has w * conj(w) != p"
             )
-        reps[g] = w
-    slot = {g: q * L for q, g in enumerate(reps)}
-    columns = []
-    for a, g in zip(mat.cols, orbit):
-        u = a // g
-        while math.gcd(u, n) != 1:
-            u += n // g
-        columns.append((slot[g], u % L))
-    terms = fld.terms[key] = _RelationTerms(fld.p, L, list(reps.values()), columns)
+    # an odd lift u of a/g mod (p-1)/g acts on w_g's field as a unit mod p-1
+    points = [(reps[g], a // g + n // g * (a // g % 2 == 0)) for a, g in zip(mat.cols, orbit)]
+    embeddings = sorted({k % L: k for k in reversed(mat.rows)}.values())
+    terms = fld.terms[key] = _RelationTerms(L, embeddings, points)
     return terms
 
 
@@ -366,35 +358,39 @@ def verify_relation(
 
     t = 0 is exact; otherwise W is torsion of order L / gcd(t, L).
     """
+    if fld.p != mat.p:
+        raise InputError(f"a field of p={fld.p} cannot check a carry matrix at p={mat.p}")
     v = [int(x) for x in v]
     if len(v) != len(mat.cols):
         raise NotInKernelError("vector length does not match the column count")
     wide = np.int64 if sum(map(abs, v)) < 2**63 else object
     if (mat._row_array @ np.array(v, dtype=wide)).any():
         raise NotInKernelError(f"{v} is not in the kernel of the carry matrix")
-    support = [(j, e) for j, e in enumerate(v) if e]
+    support = [(mat.cols[j], e) for j, e in enumerate(v) if e]
     if not support:
         return RelationResult(kind="exact", order=1)
     if sum(v):
         return RelationResult(kind="fail", order=None)
     terms = _relation_terms(fld, mat, c)
-    L, units = terms.L, terms.units
-    p_k = terms.powers_of_p(sum(-e for _, e in support if e < 0))
+    L, n, ks = terms.L, fld.n, terms.embeddings
+    k = sum(-e for _, e in support if e < 0)
     t = None
-    for (ell, powers, exponent_of, table), q in zip(terms.primes, p_k):
-        x = None
-        for j, e in support:
-            slot, u = terms.columns[j]
-            u = u if e > 0 else -u
-            y = [table[slot + w * u % L] for w in units]
+    for ell, powers, exponent_of in split_primes(L, fld.p, k):
+        if ell not in terms.tables:
+            terms.tables[ell] = dict(zip(mat.cols, _evaluate(terms.points, L, ell, powers)))
+        table, x = terms.tables[ell], None
+        for a, e in support:
+            a = a if e > 0 else -a
+            y = [table[u * a % n] for u in ks]
             if abs(e) > 1:
                 y = [pow(z, abs(e), ell) for z in y]
             x = y if x is None else [xi * yi % ell for xi, yi in zip(x, y)]
+        q = pow(fld.p, k, ell)
         if t is None:
             t = exponent_of.get(x[0] * pow(q, -1, ell) % ell)
             if t is None:
                 return RelationResult(kind="fail", order=None)
-        if x != [powers[w * t % L] * q % ell for w in units]:
+        if x != [powers[u * t % L] * q % ell for u in ks]:
             return RelationResult(kind="fail", order=None)
     if t == 0:
         return RelationResult(kind="exact", order=1)

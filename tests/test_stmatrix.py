@@ -15,6 +15,7 @@ from stjac import groupid, stmatrix
 from stjac.cyclo import CycloElt
 from stjac.errors import (
     EvenOrTooSmallError,
+    InputError,
     NoColumnsError,
     NotInKernelError,
     NotPrimeError,
@@ -427,11 +428,9 @@ def test_relation_whose_bound_needs_two_split_primes():
             got = verify_relation(fld, mat, w, 3)
             assert got == oracles.verify_relation(ref, mat, w, 3), (scale, v)
             (terms,) = fld.terms.values()
-            assert terms.primes == [
-                (*entry, terms.primes[i][3]) for i, entry in enumerate(split_primes(40, p, k))
-            ]
-            assert (len(terms.primes) >= 2) == (2 * p**k >= top), (scale, v)
-            several += len(terms.primes) >= 2
+            assert list(terms.tables) == [ell for ell, _, _ in split_primes(40, p, k)]
+            assert (len(terms.tables) >= 2) == (2 * p**k >= top), (scale, v)
+            several += len(terms.tables) >= 2
     assert several >= 10
     assert len(split_primes(40, p, 12)) == 4  # 2 * 281^12 is about 2^98.6
 
@@ -448,20 +447,91 @@ def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
             honest = verify_relation(make_field(p), mat, w, 3)
             assert honest.ok
             fld = make_field(p)
-            terms = stmatrix._relation_terms(fld, mat, 3)
-            read = {slot + (u if x > 0 else -u) % terms.L
-                    for (slot, u), x in zip(terms.columns, w) if x}
-            first = split_prime(terms.L, 0)[0]
+            first = split_prime(stmatrix._relation_terms(fld, mat, 3).L, 0)[0]
+            # embedding 1 reads w_a at key a and conj(w_a) = w_-a at key -a
+            read = {a if x > 0 else -a % (p - 1) for a, x in zip(mat.cols, w) if x}
 
-            def spoiled(reps, L, ell, powers, read=read, spoil=spoil, first=first):
-                values = real(reps, L, ell, powers)
+            def spoiled(points, L, ell, powers, read=read, spoil=spoil, first=first):
+                values = real(points, L, ell, powers)
                 if spoil == "embeddings":
-                    return [y if i in read else 2 * y % ell for i, y in enumerate(values)]
+                    return [y if a in read else 2 * y % ell for a, y in zip(mat.cols, values)]
                 return values if ell == first else [2 * y % ell for y in values]
 
             monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
             assert verify_relation(fld, mat, w, 3).kind == "fail", (v, spoil)
             monkeypatch.setattr(stmatrix, "_evaluate", real)
+
+
+def test_each_split_prime_evaluates_one_residue_per_column(monkeypatch):
+    # per field and twist, _evaluate runs once per split prime in use and is
+    # asked for exactly one residue per column, whatever the vectors need
+    real, asked = stmatrix._evaluate, []
+
+    def counted(points, L, ell, powers):
+        asked.append((ell, len(points)))
+        return real(points, L, ell, powers)
+
+    monkeypatch.setattr(stmatrix, "_evaluate", counted)
+    cases = several = 0
+    for mat, basis in _pool_cases():
+        for c in (Fraction(1), Fraction(2)):
+            fld = make_field(mat.p)
+            asked.clear()
+            for scale in (1, 3):
+                for v in basis:
+                    assert verify_relation(fld, mat, [scale * x for x in v], c).ok
+            (terms,) = fld.terms.values()
+            assert sorted(asked) == sorted((ell, len(mat.cols)) for ell in terms.tables)
+            cases += 1
+            several += len(asked) >= 2
+    assert cases == 108 and several > 0
+
+
+def test_cold_split_prime_far_down_needs_no_recursion(monkeypatch, deadline):
+    # l_1200 for L = 40 comes from one walk down, with no call per earlier
+    # prime, and equals the 1200th step of a sequential walk from the top
+    monkeypatch.setattr(stmatrix, "_split_ladder", {})
+    split_prime.cache_clear()
+    with deadline(20):
+        cold = split_prime(40, 1200)
+    ells, j = [], (SPLIT_PRIME_BOUND - 2) // 40
+    while len(ells) <= 1200:
+        if is_prime(j * 40 + 1):
+            ells.append(j * 40 + 1)
+        j -= 1
+    monkeypatch.setattr(stmatrix, "_split_ladder", {})
+    split_prime.cache_clear()
+    walk = [split_prime(40, i) for i in range(1201)]
+    assert [entry[0] for entry in walk] == ells
+    assert cold == walk[-1]
+
+
+def test_verify_relation_rejects_a_field_of_another_prime(monkeypatch):
+    calls = _count_frobenius_factor(monkeypatch)
+    m = build_matrix(11, 10, ADDITIVE)
+    v = right_kernel(m).basis[0]
+    for q in (31, 13):
+        fld = make_field(q)
+        with pytest.raises(InputError, match=f"p={q} cannot check a carry matrix at p=11"):
+            verify_relation(fld, m, v, 2)
+        assert fld.terms == {}
+    assert calls == []
+    assert verify_relation(make_field(11), m, v, 2).ok
+
+
+def test_verify_relation_rejects_columns_not_closed_under_the_units(monkeypatch):
+    # columns 1, 3, 7 without 9 are not one Galois orbit mod 10: the check
+    # would read a key that no column has
+    calls = _count_frobenius_factor(monkeypatch)
+    m = build_matrix(11, 10, ADDITIVE)
+    bad = dataclasses.replace(m, cols=m.cols[:-2], entries=tuple(r[:-2] for r in m.entries))
+    assert bad.cols == (1, 2, 3, 4, 6, 7)
+    v = [0, -1, 1, 0, 0, 0]
+    fld = make_field(11)
+    with pytest.raises(InputError, match="not closed under the units mod 10"):
+        verify_relation(fld, bad, v, 2)
+    assert fld.terms == {} and calls == []
+    assert verify_relation(fld, m, v + [0, 0], 2).ok
 
 
 @pytest.mark.parametrize("L", [2, 6, 10, 40, 120, 420, 1266, 4620])
@@ -496,8 +566,9 @@ def test_split_prime_root_has_exact_order_L(L):
 def test_relation_check_memory_stays_linear_in_the_conductor(deadline):
     # x^420 + 3 at p = 421: L = 420, 418 columns in 22 Galois orbits.  Two
     # equal carry columns give the kernel vector e_i - e_j with no HNF.  The
-    # check holds O(orbits * L) residues per split prime; one phi(L) x L
-    # table per orbit would be 96 times that.
+    # check holds one residue per column per split prime, within the
+    # O(orbits * L) bound below; one phi(L) x L table per orbit would be 96
+    # times that bound.
     p, d = 421, 420
     mat = build_matrix(p, d, ADDITIVE)
     seen = {}
@@ -691,8 +762,8 @@ def test_verify_relation_fails_when_a_residue_is_tampered(monkeypatch):
     assert verify_relation(make_field(11), m, v, 2).ok
     real = stmatrix._evaluate
     monkeypatch.setattr(
-        stmatrix, "_evaluate", lambda reps, L, ell, powers: [
-            (y + 1) % ell for y in real(reps, L, ell, powers)
+        stmatrix, "_evaluate", lambda points, L, ell, powers: [
+            (y + 1) % ell for y in real(points, L, ell, powers)
         ]
     )
     fld = make_field(11)
@@ -818,9 +889,10 @@ def _embedded(w, L, ell, powers, e):
 
 
 def test_derived_terms_equal_the_directly_built_ones():
-    # sigma_u(w_g) = w_a with u = a/g a unit: the residues a column reads off
-    # its orbit representative's table must be the residues of the term
-    # frobenius_factor builds for a, and of its conjugate, at every embedding
+    # sigma_k(w_a) = w_(k*a): the residues a check reads at keys k*a and
+    # -k*a of a table built from the orbit representatives must be those of
+    # the term frobenius_factor builds for a, and of its conjugate, at the
+    # embedding zeta_L -> r^k, for every embedding k
     pairs = derived = 0
     for family, d in ST0_POOL:
         primes = set(generic_primes(family, d, 3)) | set(prime_range(3, 399))
@@ -831,15 +903,15 @@ def test_derived_terms_equal_the_directly_built_ones():
                     continue
                 mat, fresh = build_matrix(p, d, family), make_field(p)
                 terms = stmatrix._relation_terms(make_field(p), mat, c)
-                terms.powers_of_p(1)
-                ell, powers, _, table = terms.primes[0]
-                for a, (slot, u) in zip(cols, terms.columns):
+                L, n = terms.L, p - 1
+                ell, powers, _ = split_prime(L, 0)
+                table = dict(zip(cols, stmatrix._evaluate(terms.points, L, ell, powers)))
+                for a in cols:
                     w = frobenius_factor(fresh, a, c)
-                    for e in terms.units:
-                        assert table[slot + e * u % terms.L] == _embedded(
-                            w, terms.L, ell, powers, e), (p, a, c, e)
-                        assert table[slot + -e * u % terms.L] == _embedded(
-                            w.conj(), terms.L, ell, powers, e), (p, a, c, e)
+                    for k in terms.embeddings:
+                        assert table[k * a % n] == _embedded(w, L, ell, powers, k), (p, a, c, k)
+                        assert table[-k * a % n] == _embedded(
+                            w.conj(), L, ell, powers, k), (p, a, c, k)
                     pairs += 1
                     derived += math.gcd(a, p - 1) != a
     assert (pairs, derived) == (11682, 7911)
