@@ -8,6 +8,8 @@
   sums and complex embeddings, for J(A, B) = g(A) g(B) / g(AB).
 * ``carry``: the scalar rule that ``stmatrix.build_matrix`` broadcasts.
 * ``split_by_recursion``: ``splitjac.split_full`` by recursing the lemmas.
+* ``kernel_basis``: the saturated kernel read off one HNF of [A^T | I],
+  with no grouping of columns and no modular elimination.
 * ``power``: w^k in Z[zeta] by square-and-multiply.
 * ``verify_relation`` decides a kernel relation by the product itself: it
   multiplies the Frobenius terms in Z[zeta], divides by p^k once and asks
@@ -31,6 +33,7 @@ from stjac import stmatrix
 from stjac.cyclo import CycloElt, is_root_of_unity
 from stjac.errors import NotCoprimeError, NotInKernelError, RelationVerificationError
 from stjac.ffield import PrimeField
+from stjac.intlinalg import hnf_rows
 from stjac.pointcount import ADDITIVE, LINEAR, CurveSpec
 from stjac.splitjac import Factor, IsogenyFactorization
 from stjac.stmatrix import CarryMatrix, RelationResult
@@ -133,6 +136,25 @@ def split_by_recursion(g: int, c=Fraction(1)) -> IsogenyFactorization:
     return IsogenyFactorization(
         source=CurveSpec(ADDITIVE, 2 * g + 2, c), factors=tuple(factors)
     )
+
+
+# -- lattices ----------------------------------------------------------------
+
+
+def kernel_basis(rows) -> list[list[int]]:
+    """Canonical (HNF) basis of the saturated right kernel {v : rows @ v = 0}.
+
+    The rows of [rows^T | I_n] span {(rows @ u, u) : u in Z^n}, so the rows
+    of its HNF whose first m entries vanish span exactly the integer kernel,
+    i.e. Z^n / kernel is torsion-free.  With that prefix dropped they are
+    already the HNF of the kernel.  Its entries grow in the elimination:
+    it takes about 1 s on the carry rows of x^300 at p = 601 and did not
+    finish in 15 minutes on those of x^420 at p = 421.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[int(row[j]) for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return [h[m:] for h in hnf_rows(aug) if not any(h[:m])]
 
 
 # -- relations in Z[zeta] ----------------------------------------------------

@@ -1,9 +1,13 @@
 import itertools
 import random
 
+import pytest
+
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+import oracles
+from stjac import intlinalg
 from stjac.groupid import generic_primes
 from stjac.intlinalg import (
     hnf_rows,
@@ -78,6 +82,8 @@ def test_snf_known_values(deadline):
     assert snf_invariant_factors([[12, 6, 4], [3, 9, 6], [2, 16, 14]]) == [1, 10, 30]
     assert snf_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert snf_invariant_factors([[2, 4], [4, 8]]) == [2]
+    assert snf_invariant_factors([[2, 1]]) == [1]
+    assert snf_invariant_factors([[4, 2], [0, 2]]) == [2, 4]
     assert snf_invariant_factors([[6]]) == [6]
     with deadline(1):
         assert snf_invariant_factors(_SNF_7X7) == [1, 1, 1, 1, 1, 1, 561028]
@@ -113,6 +119,17 @@ def _random_8x8(seed):
     return _random_matrices(seed, 120, 8, 8, 9)
 
 
+def _with_repeats(seed, count=120):
+    """8 x 8 matrices, entries in [-9, 9], with some columns repeated or zero."""
+    rng = random.Random(seed)
+    for mat in _random_matrices(seed, count, 8, 8, 9):
+        cols = [list(col) for col in zip(*mat)]
+        for _ in range(rng.randrange(1, 4)):
+            j = rng.randrange(len(cols))
+            cols[j] = [0] * len(mat) if rng.random() < 0.3 else list(rng.choice(cols))
+        yield [list(row) for row in zip(*cols)]
+
+
 def _carry_matrices():
     """Carry matrices of a few st0 curves at their first generic prime."""
     for family, d in ((ADDITIVE, 10), (ADDITIVE, 12), (ADDITIVE, 18), (LINEAR, 7), (LINEAR, 11)):
@@ -120,17 +137,42 @@ def _carry_matrices():
         yield [list(row) for row in build_matrix(p, d, family).entries]
 
 
+def _rank_deficient(seed, count):
+    """Products of random 6 x k and k x 7 matrices, k < 6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randrange(1, 6)
+        left = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(6)]
+        right = [[rng.randrange(-4, 5) for _ in range(7)] for _ in range(k)]
+        yield [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def _unit_pivots(rows):
+    return all(next(x for x in row if x) == 1 for row in hnf_rows(rows))
+
+
 def test_snf_invariant_factors_match_sympy(deadline):
-    for mat in itertools.chain(_random_matrices(11, 150), _random_8x8(21), _carry_matrices()):
+    # both exits: HNF pivots all 1 (kernels), and not ([[2, 1]] has pivot 2, factor 1)
+    unit = [[[1, 1]], [[1, 2, 3], [0, 1, 4]]] + [kernel_basis(m) for m in _carry_matrices()]
+    other = [[[2, 1]], [[2, 0], [0, 3]], [[2, 4], [4, 8]], _SNF_7X7, [[4, 2], [0, 2]]]
+    deficient = list(_rank_deficient(31, 40))
+    assert all(map(_unit_pivots, unit)) and not any(map(_unit_pivots, other))
+    assert not all(map(_unit_pivots, deficient))
+    for mat in itertools.chain(
+        _random_matrices(11, 150), _random_8x8(21), _carry_matrices(), unit, other, deficient
+    ):
         with deadline():
             factors = snf_invariant_factors(mat)
         assert factors == _sympy_factors(mat), mat
 
 
 def test_kernel_basis_matches_sympy(deadline):
-    for mat in itertools.chain(_random_matrices(12, 150), _random_8x8(22), _carry_matrices()):
+    for mat in itertools.chain(
+        _random_matrices(12, 150), _random_8x8(22), _with_repeats(23), _carry_matrices()
+    ):
         with deadline():
             basis = kernel_basis(mat)
+        assert rank(mat) == Matrix(mat).rank(), mat
         assert len(basis) == len(mat[0]) - Matrix(mat).rank(), mat
         for v in basis:
             assert not any(sum(x * y for x, y in zip(row, v)) for row in mat), (mat, v)
@@ -138,3 +180,57 @@ def test_kernel_basis_matches_sympy(deadline):
             # saturated: the quotient Z^n / span(basis) is torsion-free
             assert _sympy_factors(basis) == [1] * len(basis), mat
             assert hnf_rows(basis) == basis, mat
+
+
+def _first_prime_matrices():
+    """Distinct carry rows at the first generic prime of every additive
+    d <= 60 and every linear d <= 41."""
+    for family, ds in ((ADDITIVE, range(3, 61)), (LINEAR, range(3, 42, 2))):
+        for d in ds:
+            p = generic_primes(family, d, 1)[0]
+            yield (family, d, p), build_matrix(p, d, family).distinct_rows
+
+
+def test_kernel_basis_equals_the_augmented_hnf_oracle():
+    cases = 0
+    for case, rows in _first_prime_matrices():
+        assert kernel_basis(rows) == oracles.kernel_basis(rows), case
+        cases += 1
+    assert cases == 58 + 20
+    for mat in itertools.chain(_with_repeats(24), _random_matrices(25, 150)):
+        assert kernel_basis(mat) == oracles.kernel_basis(mat), mat
+
+
+@pytest.mark.parametrize("family, d, p", [(LINEAR, 211, 421), (ADDITIVE, 300, 601)])
+def test_large_carry_kernels(deadline, family, d, p):
+    # [A^T | I] elimination takes about a minute on linear x^211 + 3x
+    mat = build_matrix(p, d, family)
+    rows = mat.distinct_rows
+    with deadline(20):
+        basis = kernel_basis(rows)
+        assert len(basis) == len(mat.cols) - rank(rows)
+        assert set(snf_invariant_factors(basis)) == {1}
+        assert hnf_rows(basis) == basis
+    for row in rows:
+        assert not any(sum(x * y for x, y in zip(row, v)) for v in basis)
+
+
+def test_kernel_over_several_primes_and_unlucky_ones(monkeypatch, deadline):
+    calls = []
+    rref = intlinalg._rref_mod
+    monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))
+    ell = 2**31 - 1  # the first modulus
+    rng = random.Random(26)
+    big = [[rng.randrange(-10**6, 10**6) for _ in range(6)] for _ in range(5)]
+    with deadline():
+        # rank drops modulo ell; the next prime has one pivot more
+        assert kernel_basis([[ell, 0]]) == [[0, 1]]
+        # same rank modulo ell, with a later pivot; the next prime's is earlier
+        assert kernel_basis([[1, ell]]) == [[ell, -1]]
+        # the entry -ell needs three primes before it reconstructs
+        calls.clear()
+        assert kernel_basis([[ell, 1]]) == [[1, -ell]]
+        assert len(calls) == 3
+        calls.clear()
+        assert kernel_basis(big) == oracles.kernel_basis(big)
+        assert len(calls) > 1
