@@ -16,7 +16,8 @@ vector (the cyclotomic direction), so:
 
 All of this depends only on the set of distinct carry rows (HNF bases are
 canonical), which every generic prime shares, so ``identify_st0`` names
-the torus once, from its first prime; the other primes are evidence.
+the torus once, from its first prime; the other primes are evidence.  The
+ranks are ``intlinalg.rank``: modular elimination, certified exactly.
 """
 
 from __future__ import annotations
@@ -149,11 +150,12 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     """Identity component of the Sato-Tate group of Jac(curve).
 
     Each of the first `num_primes` generic primes builds and validates its
-    carry matrix (which never depends on c) and confirms every kernel
-    basis vector as an exact or finite-order relation, twisted by c, in
-    its own field (see ``verify_relation``).  The kernel comes from the
-    first prime, and every later prime must reproduce that prime's set of
-    distinct rows (else InconsistentAcrossPrimesError).
+    carry matrix (which never depends on c) and confirms the kernel
+    lattice, every basis vector an exact or finite-order relation twisted
+    by c, in its own field with one batched ``verify_relation`` call.  The
+    kernel comes from the first prime, and every later prime must
+    reproduce that prime's set of distinct rows (else
+    InconsistentAcrossPrimesError).
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     for p in primes:
@@ -167,12 +169,10 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
             raise InconsistentAcrossPrimesError(
                 f"prime {p} gives other carry rows than prime {primes[0]}"
             )
-        fld = make_field(p)
-        for vec in kern.basis:
-            if not verify_relation(fld, mat, vec, spec.c).ok:
-                raise RelationVerificationError(
-                    f"kernel vector {vec} failed exact verification at p={p}"
-                )
+        if kern.basis and not verify_relation(make_field(p), mat, kern.basis, spec.c).ok:
+            raise RelationVerificationError(
+                f"the kernel lattice of rank {kern.rank} failed exact verification at p={p}"
+            )
     first = build_matrix(primes[0], spec.d, spec.family)
     classes, degenerate = weight_classes(first)
     if degenerate:

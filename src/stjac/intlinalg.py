@@ -1,27 +1,36 @@
-"""Exact integer linear algebra on small dense matrices, in Python ints.
+"""Exact integer linear algebra on dense matrices, in Python ints and, modulo
+primes below 2^31, in int64 arrays.
 
-``hnf_rows`` is the one elimination without a modulus.  A rank runs it on
-the distinct columns of the matrix, a Smith form on its input, and a
-kernel only on a basis already in echelon form, so no transformation
-matrix is carried along.  A kernel groups equal columns, takes the kernel
-of the distinct columns from a reduced row echelon form modulo primes
-(rational reconstruction, then an exact check over Z), saturates it by
-congruences modulo the common denominator and lifts it back; a Smith form
-splits off the unit pivots of an HNF and works modulo the product of the
-others (Domich-Kannan-Trotter 1987).
+``hnf_rows`` is the one elimination without a modulus, and it only sees
+echelon bases: a Smith form starts from it, and a kernel puts its lifted
+echelon basis in canonical form with it, so no transformation matrix is
+carried along and no entry grows.  Everything else eliminates modulo
+primes l < 2^31 (``_rref_mod``).  A kernel groups equal columns, takes the
+kernel of the distinct columns from a reduced row echelon form modulo
+primes (rational reconstruction, then an exact check over Z), saturates it
+by congruences modulo the common denominator and lifts it back.  A rank is
+certified the same way on the transpose: rank_l <= rank_Q, and the kernel
+vectors, checked exactly, prove equality.  A Smith form splits off the unit
+pivots of an HNF and works modulo the product of the others
+(Domich-Kannan-Trotter 1987).
 
-Measured on a 2-core Xeon under CPython 3.11, the saturated kernel of the
-distinct carry rows takes 0.6 ms for x^40 at p = 41 (16 x 38), 0.06 s for
-x^300 at p = 601 (80 x 298) and 0.26 s for x^420 at p = 421 (96 x 418).
-One HNF of [A^T | I] (``tests/oracles.py``) takes about 1 s on x^300 and
-did not finish in 15 minutes on x^420.
+Measured on a 2-core Xeon under CPython 3.11 and numpy 2.4, the saturated
+kernel of the distinct carry rows takes 0.8 ms for x^40 at p = 41 (16 x 38),
+0.03 s for x^300 at p = 601 (80 x 298), 0.16 s for x^420 at p = 421
+(96 x 418), 0.28 s for x^600 at p = 601 (160 x 598) and 1.5 s for x^840 at
+p = 2521 (192 x 838); their ranks take 0.4 ms, 0.01 s, 0.02 s, 0.05 s and
+0.09 s.  One HNF of [A^T | I] (``tests/oracles.py``) takes about 1 s on
+x^300 and did not finish in 15 minutes on x^420; the HNF rank
+(``tests/oracles.py``) did not finish in 17 minutes on x^600.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import count
+from itertools import chain, count
+
+import numpy as np
 
 from .primes import is_prime
 
@@ -127,12 +136,6 @@ def _echelon_mod(rows, d: int) -> list[list[int]]:
     return echelon
 
 
-def rank(rows) -> int:
-    """Rank over Q, from the HNF of the distinct columns (a repeated column
-    adds nothing to a rank)."""
-    return len(hnf_rows(zip(*dict.fromkeys(zip(*rows)))))
-
-
 @cache
 def _prime(i: int) -> int:
     """The i-th prime below 2^31, from the top (i = 0 gives 2^31 - 1)."""
@@ -142,8 +145,43 @@ def _prime(i: int) -> int:
     return ell
 
 
+# below this many entries an RREF runs on Python lists: an array operation
+# costs about a microsecond whatever its size, about ten per pivot
+_NUMPY_MIN_ENTRIES = 100
+
+
 def _rref_mod(mat, ell: int) -> tuple[list[int], list[list[int]]]:
-    """Pivot columns and rows of the reduced row echelon form of mat mod ell."""
+    """Pivot columns and rows of the reduced row echelon form of mat mod ell.
+
+    From ``_NUMPY_MIN_ENTRIES`` entries on, one int64 array takes one
+    whole-array update per pivot: entries stay below ell < 2^31, so a
+    product of two is below 2^62.
+    """
+    if len(mat) * len(mat[0]) < _NUMPY_MIN_ENTRIES:
+        return _rref_mod_lists(mat, ell)
+    a = np.array([[x % ell for x in row] for row in mat], dtype=np.int64)
+    pivots = []
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        if r == len(a):
+            break
+        below = a[r:, col].nonzero()[0]
+        if not len(below):
+            continue
+        piv = r + below[0]
+        top = a[piv] * pow(int(a[piv, col]), -1, ell) % ell
+        a[piv] = a[r]
+        f = a[:, col, None].copy()
+        f[r] = 0
+        a -= f * top
+        a %= ell
+        a[r] = top
+        pivots.append(col)
+    return pivots, a[: len(pivots)].tolist()
+
+
+def _rref_mod_lists(mat, ell: int) -> tuple[list[int], list[list[int]]]:
+    """``_rref_mod`` on Python lists."""
     mat = [[x % ell for x in row] for row in mat]
     pivots = []
     for col in range(len(mat[0])):
@@ -210,8 +248,18 @@ def _rational_kernel(mat) -> tuple[list[int], list[int], list[list[int]]]:
             ]
             modulus *= ell
         kernel = _reconstruct(q, pivots, residues, modulus)
-        if kernel is not None and not any(map(any, _times(kernel[2], list(zip(*mat))))):
+        if kernel is not None and _annihilates(mat, kernel[2]):
             return kernel
+
+
+def _annihilates(mat, vectors) -> bool:
+    """mat @ v = 0 over Z for every v: one int64 product when no sum of
+    products can reach 2^63, else one over Python ints."""
+    if not vectors:
+        return True
+    top = max(map(abs, chain.from_iterable(mat))) * max(map(abs, chain.from_iterable(vectors)))
+    dtype = np.int64 if top * len(mat[0]) < 2**63 else object
+    return not (np.array(mat, dtype=dtype) @ np.array(vectors, dtype=dtype).T).any()
 
 
 def _reconstruct(q, pivots, residues, modulus):
@@ -236,6 +284,25 @@ def _reconstruct(q, pivots, residues, modulus):
         dens.append(den)
         nums.append(vec)
     return free, dens, nums
+
+
+def rank(rows) -> int:
+    """Rank over Q, certified: the number of distinct rows minus the number
+    of kernel vectors ``_rational_kernel`` returns for the transpose.
+
+    A repeated row or column adds nothing to a rank, so the transpose is
+    taken of the distinct rows and columns: its rows are the distinct
+    columns, its columns the distinct rows.  Its rank modulo l is at most
+    its rank over Q, and the q - rank_l kernel vectors, independent (each
+    is 1 at its own free column) and checked exactly over Z, prove the
+    reverse.  ``kernel_basis`` eliminates the distinct columns of the rows
+    instead, so a count of its vectors can be checked against this rank.
+    """
+    rows = list(dict.fromkeys(map(tuple, rows)))
+    if not rows or not rows[0]:
+        return 0
+    free, _, _ = _rational_kernel([list(map(int, col)) for col in dict.fromkeys(zip(*rows))])
+    return len(rows) - len(free)
 
 
 def _saturated_kernel(mat) -> list[list[int]]:

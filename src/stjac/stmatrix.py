@@ -24,16 +24,21 @@ g = gcd(a, p-1), the only term built (one twisted scatter
 ``jacobi_sum_compact(fld, g, shift)``, checked against w * conj(w) = p in
 Z[zeta]), once per field and twist.  A kernel depends only on the set of
 distinct rows, which every generic prime shares, so
-``groupid.identify_st0`` computes it once, at its first prime.
+``groupid.identify_st0`` computes it once, at its first prime, and checks
+the whole kernel lattice in each field with one ``verify_relation`` call:
+one membership product and one numpy pass per split prime for all its
+vectors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -157,7 +162,9 @@ def validate_matrix(mat: CarryMatrix) -> list[str]:
     keys = rows[:, None] * exps % n
     by_key = np.zeros(n, dtype=np.int8)
     by_key[keys] = ent
-    if not np.isin(keys, exps).all() or np.any(by_key[keys] != ent):
+    is_column = np.zeros(n, dtype=bool)
+    is_column[exps] = True
+    if not is_column[keys].all() or np.any(by_key[keys] != ent):
         violations.append("galois_stability")
     return violations
 
@@ -190,7 +197,8 @@ def right_kernel(mat: CarryMatrix) -> KernelLattice:
 
 @dataclass(frozen=True)
 class RelationResult:
-    """Outcome of the exact product check on one kernel vector."""
+    """Outcome of the exact product check on one kernel vector, or on the
+    lattice a batch of them spans (see ``verify_relation``)."""
 
     kind: str  # "exact" | "torsion" | "fail"
     order: int | None = None
@@ -282,7 +290,8 @@ class _RelationTerms:
     Column j's term sigma_u(w_g), g = gcd(a_j, p-1), is its point (w_g, u)
     in ``points``; ``embeddings`` holds one unit k mod p-1 per unit class
     mod L, ascending (k = 1 first); ``tables`` maps each split prime l in
-    use to {a: w_a at zeta_L -> r mod l}, filled when a p^k first needs l.
+    use to an int64 array over the keys mod p-1 holding w_a at zeta_L -> r
+    mod l at each column a (0 elsewhere), filled when a p^k first needs l.
     """
 
     L: int
@@ -330,7 +339,8 @@ def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
 def verify_relation(
     fld: PrimeField, mat: CarryMatrix, v, c=Fraction(1)
 ) -> RelationResult:
-    """Classify a kernel vector as an exact or finite-order character relation.
+    """Classify a kernel vector as an exact or finite-order character relation,
+    or, for a 2-D v, the lattice its rows span.
 
     Decides whether W = prod_a w_a^(v_a), w_a = T^a(-c) * phi(c) * J(T^a, phi),
     is 1 (exact relation) or a root of unity of some least order N
@@ -357,44 +367,116 @@ def verify_relation(
         < (prod l)^phi(L); hence N(Y) = 0, Y = 0 and W = zeta_L^t.
 
     t = 0 is exact; otherwise W is torsion of order L / gcd(t, L).
+
+    The rows of a 2-D v are decided together: one membership product, the
+    split primes taken once, for the largest k among them, and one numpy
+    pass per split prime (``_relation_exponents``).  Each row is checked
+    at every embedding of the first split primes whose product passes its
+    own 2 p^k, so the argument above holds row by row; a prime more would
+    only strengthen the bound.  The verdict is for the lattice the rows
+    span: "fail" if any row fails (or is unbalanced), "exact" if every row
+    is, else "torsion" of order L / gcd(L, t_1, ..., t_m), that of the
+    cyclic group of the W's.  A row outside the kernel of the carry matrix
+    raises NotInKernelError.
     """
     if fld.p != mat.p:
         raise InputError(f"a field of p={fld.p} cannot check a carry matrix at p={mat.p}")
-    v = [int(x) for x in v]
-    if len(v) != len(mat.cols):
+    v = list(v)
+    batch = bool(v) and hasattr(v[0], "__len__")
+    rows = [[int(x) for x in row] for row in v] if batch else [[int(x) for x in v]]
+    if any(len(row) != len(mat.cols) for row in rows):
         raise NotInKernelError("vector length does not match the column count")
-    wide = np.int64 if sum(map(abs, v)) < 2**63 else object
-    if (mat._row_array @ np.array(v, dtype=wide)).any():
-        raise NotInKernelError(f"{v} is not in the kernel of the carry matrix")
-    support = [(mat.cols[j], e) for j, e in enumerate(v) if e]
-    if not support:
+    wide = np.int64 if max(sum(map(abs, row)) for row in rows) < 2**63 else object
+    residual = mat._row_array @ np.array(rows, dtype=wide).T
+    if residual.any():
+        bad = rows[(residual != 0).any(axis=0).argmax()]
+        raise NotInKernelError(f"{bad} is not in the kernel of the carry matrix")
+    rows = [row for row in rows if any(row)]
+    if not rows:
         return RelationResult(kind="exact", order=1)
-    if sum(v):
+    if any(map(sum, rows)):
         return RelationResult(kind="fail", order=None)
     terms = _relation_terms(fld, mat, c)
-    L, n, ks = terms.L, fld.n, terms.embeddings
-    k = sum(-e for _, e in support if e < 0)
-    t = None
-    for ell, powers, exponent_of in split_primes(L, fld.p, k):
-        if ell not in terms.tables:
-            terms.tables[ell] = dict(zip(mat.cols, _evaluate(terms.points, L, ell, powers)))
-        table, x = terms.tables[ell], None
-        for a, e in support:
-            a = a if e > 0 else -a
-            y = [table[u * a % n] for u in ks]
-            if abs(e) > 1:
-                y = [pow(z, abs(e), ell) for z in y]
-            x = y if x is None else [xi * yi % ell for xi, yi in zip(x, y)]
-        q = pow(fld.p, k, ell)
-        if t is None:
-            t = exponent_of.get(x[0] * pow(q, -1, ell) % ell)
-            if t is None:
-                return RelationResult(kind="fail", order=None)
-        if x != [powers[u * t % L] * q % ell for u in ks]:
-            return RelationResult(kind="fail", order=None)
-    if t == 0:
+    ts = _relation_exponents(fld, mat, terms, rows)
+    if ts is None:
+        return RelationResult(kind="fail", order=None)
+    g = math.gcd(terms.L, *ts)
+    if g == terms.L:
         return RelationResult(kind="exact", order=1)
-    return RelationResult(kind="torsion", order=is_root_of_unity(CycloElt.zeta_pow(L, t)))
+    return RelationResult(kind="torsion", order=is_root_of_unity(CycloElt.zeta_pow(terms.L, g)))
+
+
+def _relation_exponents(
+    fld: PrimeField, mat: CarryMatrix, terms: _RelationTerms, rows: list[list[int]]
+) -> list[int] | None:
+    """The exponent t of each balanced nonzero kernel vector, W = zeta_L^t, or
+    None if some vector is no relation (see ``verify_relation``).
+
+    The split primes are taken once, for the largest k; each vector is
+    checked at the prefix of them that passes its own 2 p^k, the primes a
+    check of that vector alone would use.  A factor w^|e| is the product
+    of the w^(2^b) over the set bits b of |e|, so each vector becomes a
+    list of entries (+-a mod n, b), longest list first.  At each split
+    prime one numpy pass builds X at every embedding u for the vectors
+    still checked there: position i of every entry list long enough
+    gathers its residues at key +-u*a mod n from the table squared b
+    times, and multiplies them in.  The work arrays are vectors x
+    embeddings, whatever the support sizes.
+    """
+    L, n, p = terms.L, fld.n, fld.p
+    ks = np.array(terms.embeddings, dtype=np.int64)
+    neg = [sum(-e for e in row if e < 0) for row in rows]
+    primes = split_primes(L, p, max(neg))
+    bounds = list(accumulate((ell for ell, _, _ in primes), operator.mul))
+    need = [bisect_right(bounds, 2 * p**k) + 1 for k in neg]
+    entries = [
+        [((a if e > 0 else -a) % n, abs(e)) for a, e in zip(mat.cols, row) if e] for row in rows
+    ]
+    levels = max(e for ent in entries for _, e in ent).bit_length()
+    if levels > 1:
+        entries = [
+            [(key, b) for key, e in ent for b in range(levels) if e >> b & 1] for ent in entries
+        ]
+    order = sorted(range(len(rows)), key=lambda i: len(entries[i]), reverse=True)
+    # spread[key] holds key * u mod n for the embeddings u
+    spread = np.arange(n, dtype=np.int64)[:, None] * ks % n
+    exponent = {}
+    for j, (ell, powers, exponent_of) in enumerate(primes):
+        table = terms.tables.get(ell)
+        if table is None:
+            table = terms.tables[ell] = np.zeros(n, dtype=np.int64)
+            table[list(mat.cols)] = _evaluate(terms.points, L, ell, powers)
+        squares = [table]
+        for _ in range(1, levels):
+            squares.append(squares[-1] * squares[-1] % ell)
+        flat = np.concatenate(squares) if levels > 1 else table
+        # the vectors checked here, still longest first: each position's
+        # live vectors are a prefix
+        act = [i for i in order if need[i] > j]
+        lens = [len(entries[i]) for i in act]
+        live = len(act)
+        for pos in range(lens[0]):
+            while lens[live - 1] <= pos:
+                live -= 1
+            keys = spread[[entries[i][pos][0] for i in act[:live]]]
+            if levels > 1:
+                level = [entries[i][pos][1] * n for i in act[:live]]
+                keys += np.array(level, dtype=np.int64)[:, None]
+            if pos:
+                x[:live] = x[:live] * flat[keys] % ell
+            else:
+                x = flat[keys]
+        q = {k: pow(p, k, ell) for k in {neg[i] for i in act}}
+        if not j:
+            for i, x0 in zip(act, x[:, 0].tolist()):
+                exponent[i] = exponent_of.get(x0 * pow(q[neg[i]], -1, ell) % ell)
+            if None in exponent.values():
+                return None
+        ts = np.array([exponent[i] for i in act], dtype=np.int64)[:, None]
+        qs = np.array([q[neg[i]] for i in act], dtype=np.int64)[:, None]
+        if not (x == np.array(powers, dtype=np.int64)[ts * ks % L] * qs % ell).all():
+            return None
+    return list(exponent.values())
 
 
 def relation_report(

@@ -10,6 +10,8 @@
 * ``split_by_recursion``: ``splitjac.split_full`` by recursing the lemmas.
 * ``kernel_basis``: the saturated kernel read off one HNF of [A^T | I],
   with no grouping of columns and no modular elimination.
+* ``rank``: the rank over Q as the number of rows of one HNF, with no
+  modulus.
 * ``power``: w^k in Z[zeta] by square-and-multiply.
 * ``verify_relation`` decides a kernel relation by the product itself: it
   multiplies the Frobenius terms in Z[zeta], divides by p^k once and asks
@@ -155,6 +157,13 @@ def kernel_basis(rows) -> list[list[int]]:
     n = len(rows[0]) if m else 0
     aug = [[int(row[j]) for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
     return [h[m:] for h in hnf_rows(aug) if not any(h[:m])]
+
+
+def rank(rows) -> int:
+    """Rank over Q: the HNF of the distinct columns has one row per unit of
+    rank (a repeated column adds nothing).  Its entries grow: it did not
+    finish in 17 minutes on the carry rows of x^600 at p = 601."""
+    return len(hnf_rows(zip(*dict.fromkeys(zip(*rows)))))
 
 
 # -- relations in Z[zeta] ----------------------------------------------------

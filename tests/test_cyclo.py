@@ -313,3 +313,31 @@ def test_memory_stays_linear_in_the_conductor(deadline):
     assert order == n // math.gcd(31337 % n, n)
     assert non_order is None
     assert peak <= 64 * n, peak
+
+
+def test_non_root_needs_one_long_division(monkeypatch):
+    # n = 4620, phi = 960: the shape search may take up to
+    # ceil(n / phi) - 1 = 4 long divisions; w * conj(w) = 1 decides a
+    # non-root with one, and a root still gets its order
+    import math
+
+    from stjac import cyclo
+
+    n = 4620
+    real, calls = cyclo._reduce_mod_phi, []
+    monkeypatch.setattr(cyclo, "_reduce_mod_phi", lambda cs, m: calls.append(m) or real(cs, m))
+    root = CycloElt.zeta_pow(n, 31337)
+    non_root = CycloElt.from_int_coeffs(n, [0] * (n - 1) + [3])
+    unit_non_root = 1 + CycloElt.zeta_pow(n, 1) + CycloElt.zeta_pow(n, 7)
+    calls.clear()
+    assert is_root_of_unity(non_root) is None
+    assert is_root_of_unity(unit_non_root) is None
+    assert calls == [n, n]
+    calls.clear()
+    assert is_root_of_unity(root) == n // math.gcd(31337 % n, n)
+    assert 1 < len(calls) <= -(-n // 960)
+    # already of the shape -zeta^5: no division at all
+    shaped = -1 * CycloElt.zeta_pow(n, 5)
+    calls.clear()
+    assert is_root_of_unity(shaped) == 2 * n // math.gcd(10 + n, 2 * n)
+    assert calls == []

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -233,3 +234,30 @@ def test_torus_id_serializes():
         set(cl) == {"weight", "plus", "minus"} for cl in payload["classes"]
     )
     assert isinstance(tid, TorusId)
+
+
+# identify_st0(curve(family, d, 3)).to_dict() recorded before the relation
+# checks were batched and the ranks became modular: dimension, primes used,
+# class count and the SHA-256 of json.dumps(to_dict(), sort_keys=True)
+LARGE_ST0 = {
+    (ADDITIVE, 420): (
+        48, [421, 2521, 3361], 101,
+        "161a077d6ac78b18510472ec3007fc83fa2e40222f4e7524967d3e65ca852a58",
+    ),
+    (LINEAR, 211): (
+        24, [421, 2521, 3361], 49,
+        "b7b855d9dffdf345c88a91c8b45b432c71679994d9c3cfcff22a8d896accb324",
+    ),
+}
+
+
+@pytest.mark.parametrize("family, d", sorted(LARGE_ST0))
+def test_large_curves_keep_their_torus(deadline, family, d):
+    # about 1 s each; the unbatched checks and the HNF ranks took 3.2 s
+    # and 1.2 s
+    dim, primes, classes, digest = LARGE_ST0[family, d]
+    with deadline(20):
+        doc = identify_st0(curve(family, d, 3)).to_dict()
+    assert doc["name"] == " x ".join(["U(1)"] * dim) and doc["dimension"] == dim
+    assert doc["primes_used"] == primes and len(doc["classes"]) == classes
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest

@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -234,3 +235,79 @@ def test_kernel_over_several_primes_and_unlucky_ones(monkeypatch, deadline):
         calls.clear()
         assert kernel_basis(big) == oracles.kernel_basis(big)
         assert len(calls) > 1
+
+
+# -- the certified modular rank --------------------------------------------
+
+
+@st.composite
+def _rank_inputs(draw):
+    """Integer matrices up to 7 x 7: entries up to 10^12, products of
+    narrower factors (rank below both sizes) and repeated rows and columns."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([1, 9, 10**12]))
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(m, n)))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rows.append(list(rows[0]))
+        rows = [row + [row[-1]] for row in rows]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_inputs())
+def test_rank_matches_the_hnf_oracle_and_sympy(rows):
+    assert rank(rows) == oracles.rank(rows) == Matrix(rows).rank()
+
+
+def test_rank_survives_primes_where_it_drops(monkeypatch):
+    # each matrix loses rank modulo the first elimination primes; the
+    # reconstructed kernel then fails its exact check and a later prime,
+    # with more pivots, gives the rank over Q
+    calls = []
+    rref = intlinalg._rref_mod
+    monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))
+    l0, l1, l2 = (intlinalg._prime(i) for i in range(3))
+    assert l0 == 2**31 - 1
+    for rows, primes in [
+        ([[1, 0], [0, l0]], 2),
+        ([[l0, 0], [0, l0 * l1]], 3),
+        ([[1, 1, 0], [1, 1 + l0 * l1, 0], [0, 0, l0 * l1 * l2]], 4),
+        ([[2, 4], [1, 2]], 1),
+        ([[l0, l0], [l0, l0]], 2),
+    ]:
+        calls.clear()
+        assert rank(rows) == oracles.rank(rows) == Matrix(rows).rank(), rows
+        assert len(calls) == primes, (rows, calls)
+
+
+def test_both_eliminations_give_one_rref():
+    # _rref_mod keeps small matrices in lists and large ones in an int64
+    # array: both sides of the cut agree with each other and with sympy
+    rng = random.Random(28)
+    ell = intlinalg._prime(0)
+    shapes = [(3, 4), (9, 11), (10, 10), (12, 20), (25, 9), (6, 40)]
+    for m, n in shapes:
+        for k in (1, min(m, n) // 2 + 1, min(m, n)):
+            left = [[rng.randrange(-5, 6) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+            got = intlinalg._rref_mod(rows, ell)
+            assert got == intlinalg._rref_mod_lists(rows, ell), (m, n, k)
+            assert len(got[0]) == Matrix(rows).rank(), (m, n, k)
+    assert {m * n >= intlinalg._NUMPY_MIN_ENTRIES for m, n in shapes} == {True, False}
+
+
+def test_rank_of_large_carry_matrices_is_quick(deadline):
+    # the unmodular HNF did not finish in 17 minutes on the rows of x^600
+    for d, p, r in [(600, 601, 81), (420, 421, 49)]:
+        rows = build_matrix(p, d, ADDITIVE).distinct_rows
+        with deadline(10):
+            assert rank(rows) == r
+            assert rank([(*row, 1) for row in rows]) == r

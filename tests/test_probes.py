@@ -1,0 +1,42 @@
+"""tools/probes.py: its JSON schema on one tiny probe, a cap it cannot meet,
+and a probe that raises."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "probes.py"
+
+
+def _probe(*args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_probe_json_schema(tmp_path):
+    out = tmp_path / "probes.json"
+    doc = _probe("--only", "st0:additive:6:3", "--cap", "60", "--out", str(out))
+    assert json.loads(out.read_text()) == doc
+    assert set(doc) == {"python", "machine", "cap_s", "probes"} and doc["cap_s"] == 60
+    (probe,) = doc["probes"]
+    assert set(probe) == {"probe", "cap_s", "status", "wall_s", "result", "peak_rss_mb"}
+    assert probe["probe"] == "st0:additive:6:3" and probe["status"] == "ok"
+    result = probe["result"]
+    assert set(result) == {"seconds", "dimension", "classes", "primes_used"}
+    assert result["dimension"] == 1 and result["primes_used"] == [7, 13, 19]
+    assert 0 < result["seconds"] < probe["wall_s"] < 60
+    assert 10 < probe["peak_rss_mb"] < 1000
+
+
+def test_probe_past_its_cap_and_a_failing_probe_are_values():
+    doc = _probe("--only", "st0:additive:6:3", "st0:additive:1:3", "--cap", "0.01")
+    late, bad = doc["probes"]
+    assert late["status"] == "timeout" and late["wall_s"] == 0.01 and late["result"] is None
+    assert bad["status"] in ("timeout", "error")
+    doc = _probe("--only", "st0:additive:1:3", "--cap", "60")
+    (bad,) = doc["probes"]
+    assert bad["status"] == "error" and "Error" in bad["error"] and bad["result"] is None

@@ -29,6 +29,7 @@ from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve, is_gen
 from stjac.primes import is_prime, prime_range
 from stjac.stmatrix import (
     SPLIT_PRIME_BOUND,
+    RelationResult,
     build_matrix,
     frobenius_factor,
     right_kernel,
@@ -845,6 +846,15 @@ def test_kernel_rank_check_raises_a_typed_error(monkeypatch):
         right_kernel(build_matrix(11, 10, ADDITIVE))
 
 
+def test_kernel_that_drops_a_vector_fails_the_rank_check(monkeypatch):
+    # the rank the count is checked against comes from another elimination
+    # than the kernel's, so a short kernel cannot agree with it
+    monkeypatch.setattr(stmatrix, "kernel_basis", lambda rows: kernel_basis(rows)[:-1])
+    for p, d, family in [(11, 10, ADDITIVE), (41, 40, ADDITIVE), (13, 7, LINEAR)]:
+        with pytest.raises(StjacError, match="kernel rank"):
+            right_kernel(build_matrix(p, d, family))
+
+
 def test_term_check_fires_under_python_O():
     script = """
 import sys
@@ -951,7 +961,7 @@ def test_distinct_rows_match_the_all_rows_oracle():
         rows = [list(r) for r in mat.entries]
         assert right_kernel(mat).basis == tuple(tuple(v) for v in oracles.kernel_basis(rows))
         cols = [list(col) for col in zip(*mat.entries)]
-        assert torus_dimension(mat) == rank(cols + [[1] * len(mat.rows)]) - 1
+        assert torus_dimension(mat) == oracles.rank(cols + [[1] * len(mat.rows)]) - 1
         fld = make_field(mat.p)
         for v in _breaking_vectors(mat):
             assert (np.array(mat.entries) @ v).any()
@@ -959,3 +969,144 @@ def test_distinct_rows_match_the_all_rows_oracle():
                 verify_relation(fld, mat, v, 1)
             broken += 1
     assert broken > 1000
+
+
+# -- one batched relation pass per field ----------------------------------
+
+C_BATCH = tuple(Fraction(c) for c in ("1", "2", "-1", "-3/5"))
+
+
+def _fold(results):
+    """The lattice verdict that per-vector results add up to."""
+    if not all(r.ok for r in results):
+        return RelationResult(kind="fail", order=None)
+    order = math.lcm(*(r.order for r in results))
+    return RelationResult(kind="exact", order=1) if order == 1 else RelationResult("torsion", order)
+
+
+def test_lattice_verdict_is_the_fold_of_the_vector_verdicts():
+    # additive d <= 60 and linear d <= 41 at their 3 generic primes: the
+    # batch equals "every vector ok, order the lcm of the orders"
+    checked, kinds = 0, set()
+    for family, ds in ((ADDITIVE, range(3, 61)), (LINEAR, range(3, 42, 2))):
+        for d in ds:
+            primes = generic_primes(family, d, 3)
+            basis = right_kernel(build_matrix(primes[0], d, family)).basis
+            for p in primes if basis else ():
+                mat = build_matrix(p, d, family)
+                for c in C_BATCH:
+                    if c.numerator % p == 0 or c.denominator % p == 0:
+                        continue
+                    fld = make_field(p)
+                    per = [verify_relation(fld, mat, v, c) for v in basis]
+                    got = verify_relation(make_field(p), mat, basis, c)
+                    assert got == _fold(per), (family, d, p, c)
+                    kinds.add(got.kind)
+                    checked += 1
+    assert checked == 900 and kinds == {"exact", "torsion"}
+
+
+def test_batch_with_an_unbalanced_vector_fails_before_any_term_is_built(monkeypatch):
+    m = build_matrix(11, 10, ADDITIVE)
+    zeroed = dataclasses.replace(m, entries=tuple((0,) * 8 for _ in m.rows))
+
+    def no_term(*args):
+        raise AssertionError("a Frobenius term was built")
+
+    monkeypatch.setattr(stmatrix, "frobenius_factor", no_term)
+    batch = [[0, -1, 1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, -1], [0] * 8]
+    assert verify_relation(make_field(11), zeroed, batch, 2).kind == "fail"
+
+
+def test_batch_with_one_tampered_residue_fails(monkeypatch):
+    # one spoiled residue reaches every vector that reads its key at some
+    # embedding: the batch fails, and so does the fold of the vectors,
+    # while some vectors on their own still pass
+    p, d = 41, 40
+    mat = build_matrix(p, d, ADDITIVE)
+    basis = right_kernel(mat).basis
+    real = stmatrix._evaluate
+    for j in range(len(mat.cols)):
+
+        def spoiled(points, L, ell, powers, j=j):
+            values = real(points, L, ell, powers)
+            values[j] = 2 * values[j] % ell
+            return values
+
+        monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
+        fld = make_field(p)
+        per = [verify_relation(fld, mat, v, 3) for v in basis]
+        assert verify_relation(make_field(p), mat, basis, 3).kind == "fail", j
+        assert _fold(per).kind == "fail" and any(r.ok for r in per), j
+
+
+def test_batch_with_one_non_kernel_row_raises():
+    m = build_matrix(11, 10, ADDITIVE)
+    basis = [list(v) for v in right_kernel(m).basis]
+    fld = make_field(11)
+    stray = [1, 0, 0, 0, 0, 0, 0, 0]
+    with pytest.raises(NotInKernelError, match=r"\[1, 0, 0, 0, 0, 0, 0, 0\] is not in the kernel"):
+        verify_relation(fld, m, basis[:2] + [stray] + basis[2:], 2)
+    with pytest.raises(NotInKernelError, match="vector length"):
+        verify_relation(fld, m, basis + [[1, -1]], 2)
+    assert fld.terms == {}
+    assert verify_relation(fld, m, np.array(basis), 2) == verify_relation(fld, m, basis, 2)
+
+
+def test_batch_checks_each_vector_at_the_split_primes_it_needs(monkeypatch):
+    # k = 4 at p = 281 needs two split primes, k = 1 needs one: the batch
+    # takes the primes of the largest k, and spoiling the second one fails
+    # exactly the batches that hold a vector needing it
+    p, d = 281, 40
+    mat = build_matrix(p, d, ADDITIVE)
+    basis = right_kernel(mat).basis
+    L = stmatrix._relation_terms(make_field(p), mat, 3).L
+    top = split_prime(L, 0)[0]
+    k = [sum(-x for x in v if x < 0) for v in basis]
+    light = [v for v, kv in zip(basis, k) if 2 * p**kv < top]
+    heavy = [[4 * x for x in v] for v in basis[:3]]
+    assert light and 2 * p ** (4 * max(k[:3])) >= top
+    fld = make_field(p)
+    assert verify_relation(fld, mat, light + heavy, 3).ok
+    (terms,) = fld.terms.values()
+    kmax = max(sum(-x for x in v if x < 0) for v in heavy)
+    assert list(terms.tables) == [ell for ell, _, _ in split_primes(L, p, kmax)]
+    real = stmatrix._evaluate
+
+    def second_spoiled(points, L, ell, powers):
+        values = real(points, L, ell, powers)
+        return values if ell == top else [2 * y % ell for y in values]
+
+    monkeypatch.setattr(stmatrix, "_evaluate", second_spoiled)
+    assert verify_relation(make_field(p), mat, light, 3).ok
+    assert verify_relation(make_field(p), mat, light + heavy, 3).kind == "fail"
+
+
+def test_batch_powers_match_the_vector_checks():
+    # |e| with several set bits reads the squared tables: scaled vectors
+    # and their sums against the per-vector results
+    for p, d, family in [(41, 40, ADDITIVE), (61, 30, ADDITIVE), (41, 11, LINEAR)]:
+        mat = build_matrix(p, d, family)
+        basis = right_kernel(mat).basis
+        mixed = [[s * x for x in v] for s, v in zip((1, 2, 3, 5, 7, 6), basis)]
+        mixed.append([x + 3 * y for x, y in zip(basis[0], basis[-1])])
+        fld = make_field(p)
+        per = [verify_relation(fld, mat, v, Fraction(-3, 5)) for v in mixed]
+        assert verify_relation(make_field(p), mat, mixed, Fraction(-3, 5)) == _fold(per)
+
+
+def test_identify_st0_checks_each_field_in_one_call(monkeypatch):
+    calls = []
+    real = groupid.verify_relation
+
+    def counted(fld, mat, v, c):
+        calls.append((fld.p, v))
+        return real(fld, mat, v, c)
+
+    monkeypatch.setattr(groupid, "verify_relation", counted)
+    for family, d in [(ADDITIVE, 40), (LINEAR, 13), (ADDITIVE, 6)]:
+        calls.clear()
+        identify_st0(curve(family, d, 2))
+        primes = generic_primes(family, d, 3)
+        basis = right_kernel(build_matrix(primes[0], d, family)).basis
+        assert calls == [(p, basis) for p in primes]

@@ -1,0 +1,115 @@
+"""Asymptotic probes of stjac, each in a fresh process under a wall-clock cap.
+
+    python tools/probes.py                          # the default probes, JSON on stdout
+    python tools/probes.py --cap 60 --out probes.json
+    python tools/probes.py --only st0:additive:6:3  # one probe
+
+A probe is named st0:FAMILY:D:C, ``identify_st0`` of y^2 = x^D + C
+(additive) or y^2 = x^D + C*x (linear), with stjac imported from the
+``src`` next to this script.  Each probe runs as the only child of a fresh
+measuring process, which waits for it and reads its peak resident set from
+``resource.getrusage(RUSAGE_CHILDREN)`` and its wall time.  A probe still
+running at the cap is killed and recorded with status "timeout" and the
+cap as its time: a value, not an error.  ``wall_s`` counts the start of
+the interpreter and the import; ``result.seconds`` is the probed call.
+
+The default probes are the large-degree walls of the st0 path: x^420,
+x^600 and x^840 (congruence modulus 420, 600, 840) and the linear x^211
+and x^421 (moduli 420 and 840).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEFAULT = (
+    "st0:additive:420:3",
+    "st0:additive:600:3",
+    "st0:additive:840:3",
+    "st0:linear:211:3",
+    "st0:linear:421:3",
+)
+
+
+def run_probe(name: str) -> dict:
+    """Run one probe in this process and return a summary of its answer."""
+    kind, family, d, c = name.split(":")
+    if kind != "st0":
+        raise ValueError(f"unknown probe kind {kind!r} in {name!r}")
+    sys.path.insert(0, str(SRC))
+    from fractions import Fraction
+
+    from stjac.groupid import identify_st0
+    from stjac.pointcount import curve
+
+    spec = curve(family, int(d), Fraction(c))
+    start = time.perf_counter()
+    tid = identify_st0(spec)
+    return {"seconds": time.perf_counter() - start, "dimension": tid.dimension,
+            "classes": len(tid.classes), "primes_used": list(tid.primes_used)}
+
+
+def measure(name: str, cap: float) -> dict:
+    """Run one probe as the only child of this process, under the cap."""
+    start = time.perf_counter()
+    record = {"probe": name, "cap_s": cap}
+    try:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--run", name],
+            capture_output=True, text=True, timeout=cap,
+        )
+    except subprocess.TimeoutExpired:
+        record.update(status="timeout", wall_s=cap, result=None)
+    else:
+        wall = time.perf_counter() - start
+        if proc.returncode:
+            error = (proc.stderr.strip().splitlines() or ["exit %d" % proc.returncode])[-1]
+            record.update(status="error", wall_s=wall, result=None, error=error)
+        else:
+            record.update(status="ok", wall_s=wall, result=json.loads(proc.stdout))
+    # ru_maxrss is in kilobytes on Linux
+    record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    return record
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", nargs="+", default=list(DEFAULT), metavar="PROBE")
+    ap.add_argument("--cap", type=float, default=60.0, help="seconds per probe")
+    ap.add_argument("--out", default=None, help="also write the JSON here")
+    ap.add_argument("--run", default=None, help=argparse.SUPPRESS)
+    ap.add_argument("--measure", default=None, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.run:
+        print(json.dumps(run_probe(args.run)))
+        return 0
+    if args.measure:
+        print(json.dumps(measure(args.measure, args.cap)))
+        return 0
+    probes = []
+    for name in args.only:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--measure", name, "--cap", str(args.cap)],
+            capture_output=True, text=True, check=True,
+        )
+        probes.append(json.loads(proc.stdout))
+        print(json.dumps(probes[-1]), file=sys.stderr)
+    doc = {"python": platform.python_version(), "machine": platform.machine(),
+           "cap_s": args.cap, "probes": probes}
+    text = json.dumps(doc, indent=2)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
