@@ -16,11 +16,14 @@ family, a = t(p-1)/(2(d-1)) with t odd for the linear-twist family, always
 restricted to integral a in [1, p-2].  For even d the quadratic column
 a = (p-1)/2 contributes -1 identically.  The cyclotomic sum always
 collapses to a rational integer, which is asserted.
-``trace_sweep`` reads t_p above 16g^2 from the Hasse-Witt residue instead
-(``hasse_witt_traces``): binomials mod p, assembled one residue class of
-p - 1 at a time in int64 arrays, with every factorial of the sweep taken
-from one accumulating remainder tree (the trivial term C(h, h) = 1 takes
-none), no dlog table and no cyclotomic arithmetic.
+``trace_sweep`` reads t_p above 4g^2 from the Hasse-Witt residue t_p mod p
+and the parity of t_p instead (``hasse_witt_traces``): above 4g^2 the Weil
+bound puts t_p in (-p, p), where the two values of the residue differ in
+parity, and the parity follows from the number of roots of f in F_p.  The
+residue is a sum of binomials mod p, assembled one residue class of p - 1
+at a time in int64 arrays, with every factorial of the sweep taken from
+one accumulating remainder tree (the trivial term C(h, h) = 1 takes none),
+no dlog table and no cyclotomic arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from . import _accel
 from .charsums import conductor, jacobi_sum_compact
 from .cyclo import CycloElt
 from .errors import BadReductionError, NonIntegerResultError, NotPrimeError
-from .ffield import PrimeField, check_p_max, check_prime, make_field, reduce_mod
+from .ffield import P_MAX, PrimeField, check_p_max, check_prime, make_field, reduce_mod
 from .primes import prime_range
 
 ADDITIVE = "additive"  # y^2 = x^d + c
@@ -138,8 +141,13 @@ def good_reduction(p: int, spec: CurveSpec) -> bool:
 
 def _bad_reduction_product(spec: CurveSpec) -> int:
     """2 * degree * num(c) * den(c): the primes of bad reduction are its divisors."""
+    return math.prod(_bad_reduction_factors(spec))
+
+
+def _bad_reduction_factors(spec: CurveSpec) -> tuple[int, int, int]:
+    """2 * degree, num(c) and den(c), the factors of ``_bad_reduction_product``."""
     degree = spec.d if spec.family == ADDITIVE else spec.d - 1
-    return 2 * degree * spec.c.numerator * spec.c.denominator
+    return 2 * degree, spec.c.numerator, spec.c.denominator
 
 
 def good_primes(spec: CurveSpec, p_min: int, p_max: int) -> list[int]:
@@ -237,27 +245,50 @@ def is_generic_prime(p: int, spec: CurveSpec) -> bool:
 
 
 def residue_fixes_trace(p: int, spec: CurveSpec) -> bool:
-    """True when t_p mod p determines t_p: |t_p| <= 2g*sqrt(p) < p/2 iff p > 16g^2."""
-    return p > 16 * spec.genus**2
+    """True when t_p mod p and the parity of t_p determine t_p: p > 4g^2.
+
+    There |t_p| <= 2g*sqrt(p) < p, so t_p lies in (-p, p), where t_p mod p
+    leaves two candidates s and s - p; p is odd, so they differ in parity.
+    """
+    return p > _residue_bound(spec)
+
+
+def _residue_bound(spec: CurveSpec) -> int:
+    return 4 * spec.genus**2
 
 
 _HALF = Fraction(1, 2)
 
 
 def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
-    """Frobenius traces t_p from the Hasse-Witt residue, for good odd primes p > 16g^2.
+    """Frobenius traces t_p from the Hasse-Witt residue and the parity of t_p,
+    for good odd primes p > 4g^2.
 
     ``primes`` must be odd primes, as a sieve gives them, in any order and
     with repeats allowed: primality is not tested here (``trace_hasse_witt``
-    tests its one p).  Each p is checked once, in input order: p > 16g^2
-    (ValueError), good reduction (``BadReductionError``), p <= P_MAX.
+    tests its one p).  The primes are checked in arrays, and the first p in
+    input order that fails a check raises, its checks taken in the order
+    p > 4g^2 (ValueError), good reduction (``BadReductionError``),
+    p <= P_MAX (``_check_residue_primes``).
 
     With h = (p-1)/2, chi(f(x)) = f(x)^h mod p, and x^k sums to -1 over F_p
     when 0 < k and (p-1) | k, else to 0.  Expanding f^h binomially gives
     t_p = 1 - (points at infinity) + sum_j C(h, j) c^(h-j) (mod p), j over
     1 <= j <= h with (p-1) | d*j (additive) or (p-1) | (d-1)*j + h (linear):
-    the column exponents a <= h of ``contributing_ms``.  The residue in (-p/2,
-    p/2) is t_p (Manin 1961; Yui, J. Algebra 1978; Harvey-Sutherland 2014).
+    the column exponents a <= h of ``contributing_ms`` (Manin 1961; Yui,
+    J. Algebra 1978; Harvey-Sutherland 2014).
+
+    The parity of t_p lifts that residue to one mod 2p.  The affine points
+    with y != 0 come in pairs (x, +-y), so #C~(F_p) = r + (points at
+    infinity) (mod 2), r the number of roots of f in F_p, and p + 1 is
+    even, so t_p = r + (points at infinity) (mod 2).  For the linear family
+    (the root 0, the roots of x^(d-1) = -c in pairs +-x, one point at
+    infinity) and for even d (roots in pairs +-x, two points at infinity)
+    t_p is even.  For odd additive d, x^d = -c has e = gcd(d, p-1) roots,
+    e odd, when (-c)^((p-1)/e) = 1 and none otherwise, so
+    t_p = 1 + [(-c)^((p-1)/e) = 1] (mod 2), even whenever e = 1.  With s the
+    residue in [0, p), t_p is whichever of s and s - p has that parity
+    (``residue_fixes_trace``).
 
     The primes are taken one residue class at a time: every p with
     gcd(k, p-1) = e, k = ``index_modulus``, has its j at the same fractions
@@ -268,14 +299,7 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     binomial sum is a few int64 passes (p < 2^31, so a product of two
     residues is below 2^62) with checked inverses by Fermat (``_inverses``).
     """
-    bad = _bad_reduction_product(spec)
-    for p in primes:
-        if not residue_fixes_trace(p, spec):
-            raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 16g^2, got p={p}")
-        if bad % p == 0:
-            raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
-        check_p_max(p)
-    ps = np.array(primes, dtype=np.int64)
+    ps, num, den = _check_residue_primes(primes, spec)
     n = ps - 1
     total = np.full(len(ps), 1 - points_at_infinity(spec), dtype=np.int64)
     # requests: one block of (x, p) over a class per fraction of p - 1;
@@ -298,19 +322,66 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
             mods.append(ps[idx])
             size += len(idx)
         terms += [(idx, at[_HALF], at[j], at[_HALF - j]) for j in js]
+    # odd additive d: the primes whose parity asks whether -c is an e-th power
+    odd = np.flatnonzero(classes > 1) if spec.family == ADDITIVE and spec.d % 2 else []
+    if terms or len(odd):
+        cp = num * _inverses(den, ps) % ps
     if terms:
         x, xmod = np.concatenate(xs), np.concatenate(mods)
         order = np.argsort(x, kind="stable")
         fact = np.empty_like(x)
         fact[order] = _accel.prefix_factorials(x[order].tolist(), xmod[order].tolist())
         owner, at_h, at_j, at_hj = (np.concatenate(t) for t in zip(*terms))
-        num = np.array([spec.c.numerator % p for p in primes], dtype=np.int64)
-        den = np.array([spec.c.denominator % p for p in primes], dtype=np.int64)
-        cp = (num * _inverses(den, ps) % ps)[owner]
         m = ps[owner]
         binom = fact[at_h] * _inverses(fact[at_j] * fact[at_hj] % m, m) % m
-        np.add.at(total, owner, binom * _accel.pow_mod(cp, x[at_hj], m) % m)
-    return ((total + ps // 2) % ps - ps // 2).tolist()
+        np.add.at(total, owner, binom * _accel.pow_mod(cp[owner], x[at_hj], m) % m)
+    parity = np.zeros(len(ps), dtype=np.int64)
+    if len(odd):
+        m = ps[odd]
+        parity[odd] = _accel.pow_mod(-cp[odd] % m, n[odd] // classes[odd], m) != 1
+    s = total % ps
+    return np.where(s % 2 == parity, s, s - ps).tolist()
+
+
+def _check_residue_primes(
+    primes: list[int], spec: CurveSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primes as an int64 array, with c's numerator and denominator mod
+    each, once every p passes the checks of ``hasse_witt_traces``.
+
+    The checks run in arrays; the first offending p in input order is then
+    checked alone, in order.  A p above P_MAX does not fit the arrays, so
+    then every p is checked alone, in input order, up to the one that raises.
+    """
+    if max(primes, default=0) > P_MAX:
+        for p in primes:
+            _check_residue_prime(p, spec)
+    ps = np.array(primes, dtype=np.int64)
+    failed = ps <= _residue_bound(spec)
+    # a p that fails the bound is reduced mod 1 instead: p = 0 divides nothing
+    mods = np.where(failed, 1, ps)
+    double_degree, numerator, denominator = _bad_reduction_factors(spec)
+    num, den = _residues(numerator, mods), _residues(denominator, mods)
+    failed |= _residues(double_degree, mods) * num % mods * den % mods == 0
+    if failed.any():
+        _check_residue_prime(primes[failed.argmax()], spec)
+    return ps, num, den
+
+
+def _check_residue_prime(p: int, spec: CurveSpec) -> None:
+    if not residue_fixes_trace(p, spec):
+        raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 4g^2, got p={p}")
+    if not good_reduction(p, spec):
+        raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
+    check_p_max(p)
+
+
+def _residues(x: int, ps: np.ndarray) -> np.ndarray:
+    """x mod p for each p of an int64 array, in [0, p); through Python ints
+    when |x| reaches 2^62, which int64 cannot hold."""
+    if abs(x) < 2**62:
+        return x % ps
+    return np.array([x % p for p in ps.tolist()], dtype=np.int64)
 
 
 def _inverses(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
@@ -328,7 +399,7 @@ def _inverses(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
 
 
 def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
-    """t_p at one good odd prime p > 16g^2; see ``hasse_witt_traces``."""
+    """t_p at one good odd prime p > 4g^2; see ``hasse_witt_traces``."""
     check_prime(p)
     return hasse_witt_traces([p], spec)[0]
 
@@ -358,7 +429,7 @@ def trace_sweep(
 ) -> SweepResult:
     """Trace-of-Frobenius samples over ``good_primes(spec, p_min, p_max)``.
 
-    Primes p <= 16g^2 take ``count_formula``; the others take one
+    Primes p <= 4g^2 take ``count_formula``; the others take one
     ``hasse_witt_traces`` batch.  With workers > 1 each worker of a process
     pool takes one contiguous block of those primes, the blocks cut at
     about equal sums of p (``_blocks_of_equal_sum``).  workers must lie in
@@ -368,8 +439,8 @@ def trace_sweep(
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must be between 1 and {cpus}, got {workers}")
     primes = good_primes(spec, p_min, p_max)
-    small = [p for p in primes if not residue_fixes_trace(p, spec)]
-    large = primes[len(small):]
+    cut = bisect.bisect_right(primes, _residue_bound(spec))
+    small, large = primes[:cut], primes[cut:]
     traces = [p + 1 - count_formula(make_field(p), spec) for p in small]
     if workers > 1 and len(large) > 1:
         blocks = _blocks_of_equal_sum(large, workers)

@@ -269,13 +269,17 @@ def _evaluate(points: list[tuple[CycloElt, int]], L: int, ell: int, powers: tupl
     """sigma_u(w) at zeta_L -> r mod l for each point (w, u), that is w at
     zeta_N -> r^(u*L/N), N = w.n dividing L.
 
-    Horner's rule over the coordinates, reduced mod l first, keeps every
-    step below l^2 < 2^62.
+    The points share a few orbit representatives w: each one's coordinates
+    are reduced mod l once and gathered per point.  Horner's rule over the
+    reduced coordinates keeps every step below l^2 < 2^62.
     """
-    phi = max(len(w.coeffs) for w, _ in points)
-    coeffs = np.zeros((phi, len(points)), dtype=np.int64)
-    for j, (w, _) in enumerate(points):
-        coeffs[: len(w.coeffs), j] = [cf % ell for cf in w.coeffs]
+    reps = {id(w): w for w, _ in points}
+    slot = {key: i for i, key in enumerate(reps)}
+    phi = max(len(w.coeffs) for w in reps.values())
+    table = np.zeros((phi, len(reps)), dtype=np.int64)
+    for i, w in enumerate(reps.values()):
+        table[: len(w.coeffs), i] = [cf % ell for cf in w.coeffs]
+    coeffs = table[:, [slot[id(w)] for w, _ in points]]
     x = np.array([powers[u * (L // w.n) % L] for w, u in points], dtype=np.int64)
     value = np.zeros_like(x)
     for cf in coeffs[::-1]:

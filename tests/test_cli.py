@@ -312,8 +312,9 @@ def test_sweep_json(capsys):
 
 
 def test_sweep_json_is_pinned(capsys):
-    # the Hasse-Witt path above 16g^2 = 400 prints exactly what the
-    # Jacobi-sum path printed for every prime
+    # the Hasse-Witt path above 4g^2 = 100 (the residue mod p, lifted by
+    # the parity of t_p) prints exactly what the Jacobi-sum path printed for
+    # every prime
     code, out, err = run(
         capsys, "sweep", "--curve", "x^12+c", "--c", "-3/5", "--pmax", "3000",
         "--format", "json",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -288,11 +289,11 @@ def test_traces_add_over_split_factors(field):
 
 
 def test_trace_sweep_parallel_matches_serial():
-    # 3..2000 for genus 2 puts primes on both sides of 16g^2 = 64 in the pool
+    # 3..2000 for genus 2 puts primes on both sides of 4g^2 = 16 in the pool
     serial = trace_sweep(curve(ADDITIVE, 6, 1), 3, 2000, workers=1)
     parallel = trace_sweep(curve(ADDITIVE, 6, 1), 3, 2000, workers=2)
     assert serial.samples == parallel.samples
-    assert serial.samples[0].p < 64 < serial.samples[-1].p
+    assert serial.samples[0].p < 16 < serial.samples[-1].p
 
 
 def test_trace_sweep_narrow_window_of_large_primes(deadline):
@@ -328,12 +329,13 @@ def test_hasse_witt_equals_both_oracles(field):
     assert checked == 31401
 
 
-def test_hasse_witt_boundary_at_16_g_squared(field):
-    # the first prime above 16g^2 takes the residue; the last one below it
-    # is refused, since there |t_p| may reach p/2 and the residue is ambiguous
-    for g, below, first in ((2, 61, 67), (3, 139, 149), (4, 251, 257), (5, 397, 401)):
-        assert prime_range(below + 1, 16 * g * g) == []
-        assert prime_range(16 * g * g + 1, first - 1) == []
+def test_hasse_witt_boundary_at_4_g_squared(field):
+    # the first prime above 4g^2 takes the residue and its parity; the last
+    # one below it is refused, since there |t_p| may reach p and even the
+    # residue mod 2p is ambiguous
+    for g, below, first in ((2, 13, 17), (3, 31, 37), (4, 61, 67), (5, 97, 101)):
+        assert prime_range(below + 1, 4 * g * g) == []
+        assert prime_range(4 * g * g + 1, first - 1) == []
         for spec in (curve(ADDITIVE, 2 * g + 1, 3), curve(ADDITIVE, 2 * g + 2, -1),
                      curve(LINEAR, 2 * g + 1, Fraction(-3, 5))):
             assert spec.genus == g
@@ -342,7 +344,7 @@ def test_hasse_witt_boundary_at_16_g_squared(field):
             fld = field(first)
             t = trace_hasse_witt(first, spec)
             assert t == first + 1 - count_bruteforce(fld, spec) == first + 1 - count_formula(fld, spec)
-            with pytest.raises(ValueError, match="16g"):
+            with pytest.raises(ValueError, match="4g"):
                 trace_hasse_witt(below, spec)
     with pytest.raises(BadReductionError):
         trace_hasse_witt(401, curve(ADDITIVE, 12, 401))
@@ -358,7 +360,7 @@ def test_trace_hasse_witt_rejects_composite_p():
             trace_hasse_witt(p, spec)
 
 
-def test_trace_sweep_builds_fields_only_up_to_16_g_squared(monkeypatch):
+def test_trace_sweep_builds_fields_only_up_to_4_g_squared(monkeypatch):
     built, counted = [], []
 
     def recording(fn, log):
@@ -369,12 +371,12 @@ def test_trace_sweep_builds_fields_only_up_to_16_g_squared(monkeypatch):
 
     monkeypatch.setattr(pointcount, "make_field", recording(make_field, built))
     monkeypatch.setattr(pointcount, "count_formula", recording(count_formula, counted))
-    spec = curve(ADDITIVE, 9, 1)  # g = 4, 16g^2 = 256
+    spec = curve(ADDITIVE, 9, 1)  # g = 4, 4g^2 = 64
     res = trace_sweep(spec, 3, 600)
-    small = [p for p in prime_range(3, 256) if good_reduction(p, spec)]
-    assert built == counted == small
-    assert [s.p for s in res.samples if s.p > 256] == [
-        p for p in prime_range(257, 600) if good_reduction(p, spec)
+    small = [p for p in prime_range(3, 64) if good_reduction(p, spec)]
+    assert built == counted == small and small[-1] == 61
+    assert [s.p for s in res.samples if s.p > 64] == [
+        p for p in prime_range(65, 600) if good_reduction(p, spec)
     ]
 
 
@@ -462,16 +464,74 @@ def test_hasse_witt_requests_each_distinct_factorial_once(monkeypatch):
 
 
 def test_hasse_witt_errors_keep_type_message_and_input_order():
-    spec = curve(ADDITIVE, 11, 1)  # g = 5, 16g^2 = 400
-    with pytest.raises(ValueError, match=r"^the Hasse-Witt residue fixes t_p only for p > 16g\^2, got p=397$"):
-        hasse_witt_traces([401, 397, 2**31 + 11], spec)
+    spec = curve(ADDITIVE, 11, 1)  # g = 5, 4g^2 = 100
+    with pytest.raises(ValueError, match=r"^the Hasse-Witt residue fixes t_p only for p > 4g\^2, got p=97$"):
+        hasse_witt_traces([101, 97, 2**31 + 11], spec)
     with pytest.raises(PrimeTooLargeError, match=r"^p must be at most P_MAX = 2\^31 - 1, got 2147483659$"):
-        hasse_witt_traces([401, 2**31 + 11, 397], spec)
+        hasse_witt_traces([101, 2**31 + 11, 97], spec)
     with pytest.raises(BadReductionError, match=r"^409 divides 2\*d\*c for y\^2 = x\^11 \+ 409$"):
-        hasse_witt_traces([409, 397], curve(ADDITIVE, 11, 409))
+        hasse_witt_traces([409, 97], curve(ADDITIVE, 11, 409))
     # 415 = 5 * 83 = 1 mod 9: 5 divides the factorials, no inverse exists
     with pytest.raises(NotPrimeError, match=r"^p must be an odd prime, got 415$"):
         hasse_witt_traces([257, 415], curve(ADDITIVE, 9, 1))
+
+
+def test_hasse_witt_stays_exact_for_wide_c():
+    # num(c) and den(c) past 2^62 are reduced through Python ints
+    for c in (2**70 + 1, Fraction(3, 2**65 + 1), -(3**45)):
+        spec = curve(ADDITIVE, 9, c)
+        primes = [p for p in prime_range(65, 400) if good_reduction(p, spec)]
+        assert hasse_witt_traces(primes, spec) == [
+            p + 1 - count_bruteforce(make_field(p), spec) for p in primes
+        ]
+
+
+def test_hasse_witt_array_checks_raise_what_a_loop_in_input_order_raises():
+    # the reference checks one p at a time, in input order, in the order
+    # bound, reduction, P_MAX; lists mix good primes with each offence,
+    # c and p past int64 included
+    def first_error(primes, spec):
+        for p in primes:
+            if p <= 4 * spec.genus**2:
+                return ValueError, f"the Hasse-Witt residue fixes t_p only for p > 4g^2, got p={p}"
+            if not good_reduction(p, spec):
+                return BadReductionError, f"{p} divides 2*d*c for {spec.label()}"
+            if p > 2**31 - 1:
+                return PrimeTooLargeError, f"p must be at most P_MAX = 2^31 - 1, got {p}"
+        return None
+
+    rng = random.Random(27)
+    pool = [37, 97, 101, 103, 107, 109, 113, 2**31 + 11, 2**64 + 13]
+    for c in (1, 107, Fraction(-3, 113), 109 * 2**80, Fraction(1, 103 * 2**70)):
+        spec = curve(ADDITIVE, 11, c)
+        for _ in range(60):
+            primes = rng.choices(pool, k=rng.randint(1, 5))
+            expected = first_error(primes, spec)
+            if expected is None:
+                assert len(hasse_witt_traces(primes, spec)) == len(primes)
+                continue
+            with pytest.raises(expected[0]) as err:
+                hasse_witt_traces(primes, spec)
+            assert str(err.value) == expected[1], primes
+
+
+def test_hasse_witt_lifts_the_residue_by_parity_above_4_g_squared(field):
+    # in (4g^2, 16g^2] |t_p| may pass p/2, so the residue mod p alone is
+    # ambiguous; its parity picks t_p.  c = -2^d makes -c a d-th power, so
+    # for odd additive d every e = gcd(d, p-1) > 1 gives an even t_p
+    twists = (1, 2, 3, 5, -1, Fraction(1, 2), Fraction(-3, 5))  # the benchmark's C_VALUES
+    specs = [curve(ADDITIVE, d, c) for d in range(1, 15) for c in (*twists, -(2**d))]
+    specs += [curve(LINEAR, d, c) for d in range(3, 14, 2) for c in (*twists, -(2**d))]
+    checked = past_half = odd = 0
+    for spec in specs:
+        g = spec.genus
+        primes = [p for p in prime_range(4 * g * g + 1, 16 * g * g) if good_reduction(p, spec)]
+        for p, t in zip(primes, hasse_witt_traces(primes, spec), strict=True):
+            assert t == p + 1 - count_bruteforce(field(p), spec), (spec, p)
+            checked += 1
+            past_half += 2 * abs(t) > p
+            odd += t % 2
+    assert (checked, past_half, odd) == (4770, 49, 151)
 
 
 def test_sweep_blocks_cut_at_equal_sums_of_p():

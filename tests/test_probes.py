@@ -1,10 +1,13 @@
-"""tools/probes.py: its JSON schema on one tiny probe, a cap it cannot meet,
-and a probe that raises."""
+"""tools/probes.py: its JSON schema on one tiny st0 probe and one tiny sweep
+probe, a cap it cannot meet, and a probe that raises."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from stjac.pointcount import curve, good_primes, trace_sweep
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "probes.py"
 
@@ -30,6 +33,21 @@ def test_probe_json_schema(tmp_path):
     assert result["dimension"] == 1 and result["primes_used"] == [7, 13, 19]
     assert 0 < result["seconds"] < probe["wall_s"] < 60
     assert 10 < probe["peak_rss_mb"] < 1000
+
+
+def test_sweep_probe_json_schema():
+    doc = _probe("--only", "sweep:additive:9:1:2000", "--cap", "60")
+    (probe,) = doc["probes"]
+    assert set(probe) == {"probe", "cap_s", "status", "wall_s", "result", "peak_rss_mb"}
+    assert probe["probe"] == "sweep:additive:9:1:2000" and probe["status"] == "ok"
+    result = probe["result"]
+    assert set(result) == {"seconds", "moments", "samples_sha256"}
+    assert 0 < result["seconds"] < probe["wall_s"] < 60
+    spec = curve("additive", 9, 1)
+    assert result["moments"]["n_samples"] == len(good_primes(spec, 3, 2000)) == 301
+    pairs = [[s.p, s.t_p] for s in trace_sweep(spec, 3, 2000).samples]
+    digest = hashlib.sha256(json.dumps(pairs, separators=(",", ":")).encode()).hexdigest()
+    assert result["samples_sha256"] == digest
 
 
 def test_probe_past_its_cap_and_a_failing_probe_are_values():

@@ -5,22 +5,28 @@
     python tools/probes.py --only st0:additive:6:3  # one probe
 
 A probe is named st0:FAMILY:D:C, ``identify_st0`` of y^2 = x^D + C
-(additive) or y^2 = x^D + C*x (linear), with stjac imported from the
-``src`` next to this script.  Each probe runs as the only child of a fresh
-measuring process, which waits for it and reads its peak resident set from
-``resource.getrusage(RUSAGE_CHILDREN)`` and its wall time.  A probe still
-running at the cap is killed and recorded with status "timeout" and the
-cap as its time: a value, not an error.  ``wall_s`` counts the start of
+(additive) or y^2 = x^D + C*x (linear), or sweep:FAMILY:D:C:HI,
+``trace_sweep`` of that curve over the primes in [3, HI] in one process,
+with stjac imported from the ``src`` next to this script.  Each probe runs
+as the only child of a fresh measuring process, which waits for it and
+reads its peak resident set from ``resource.getrusage(RUSAGE_CHILDREN)``
+and its wall time.  A probe still running at the cap is killed and
+recorded with status "timeout" and the cap as its time: a value, not an
+error.  ``wall_s`` counts the start of
 the interpreter and the import; ``result.seconds`` is the probed call.
 
 The default probes are the large-degree walls of the st0 path: x^420,
 x^600 and x^840 (congruence modulus 420, 600, 840) and the linear x^211
-and x^421 (moduli 420 and 840).
+and x^421 (moduli 420 and 840); and the sweep of x^9+1 to 10^5, 3*10^5
+and 10^6, where the top of the remainder tree grows quadratically.  A
+sweep's result holds its moments and the SHA-256 of its (p, t_p) pairs,
+so two checkouts can be compared by answer as well as by time.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import resource
@@ -36,22 +42,31 @@ DEFAULT = (
     "st0:additive:840:3",
     "st0:linear:211:3",
     "st0:linear:421:3",
+    "sweep:additive:9:1:100000",
+    "sweep:additive:9:1:300000",
+    "sweep:additive:9:1:1000000",
 )
 
 
 def run_probe(name: str) -> dict:
     """Run one probe in this process and return a summary of its answer."""
-    kind, family, d, c = name.split(":")
-    if kind != "st0":
+    kind, family, d, c, *hi = name.split(":")
+    if (kind, len(hi)) not in (("st0", 0), ("sweep", 1)):
         raise ValueError(f"unknown probe kind {kind!r} in {name!r}")
     sys.path.insert(0, str(SRC))
     from fractions import Fraction
 
     from stjac.groupid import identify_st0
-    from stjac.pointcount import curve
+    from stjac.pointcount import curve, trace_sweep
 
     spec = curve(family, int(d), Fraction(c))
     start = time.perf_counter()
+    if kind == "sweep":
+        res = trace_sweep(spec, 3, int(hi[0]))
+        seconds = time.perf_counter() - start
+        pairs = json.dumps([[s.p, s.t_p] for s in res.samples], separators=(",", ":"))
+        return {"seconds": seconds, "moments": res.moments,
+                "samples_sha256": hashlib.sha256(pairs.encode()).hexdigest()}
     tid = identify_st0(spec)
     return {"seconds": time.perf_counter() - start, "dimension": tid.dimension,
             "classes": len(tid.classes), "primes_used": list(tid.primes_used)}
