@@ -12,13 +12,15 @@ Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a
 dlog table (residues mod m | p - 1) needs at most int32, and the kernels
 form every histogram key (< 2(p - 1)) and every product of two residues
 mod p (< p^2 < 2^62) in int64.
-``prefix_factorials`` serves the Hasse-Witt traces of a sweep on Python
-ints: one remainder tree for all the factorials of all the primes.
+``prefix_factorials`` serves the Hasse-Witt traces of a sweep: one
+remainder tree on Python ints for all the factorials of all the primes,
+whose leaves are bundles of nearby requests that finish in int64.
 ``pow_mod`` is the elementwise power with which the traces combine them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +32,11 @@ _CHUNK = 1 << 16
 # below this p a dlog table costs numpy calls more than elements, and the
 # walk over all of F_p beats the half walk plus the pass that fills -x
 _HALF_WALK_MIN_P = 1 << 12
+# leaves of the remainder tree: bundles of at most _BUNDLE requests within
+# _BUNDLE_WIDTH of the bundle's first x, finished in int64 below _NARROW
+_BUNDLE = 16
+_BUNDLE_WIDTH = 64
+_NARROW = 1 << 31
 
 
 def dlog_table(p: int, g: int, m: int) -> np.ndarray:
@@ -155,8 +162,109 @@ def char_pair_histogram(u: np.ndarray, m: int, k: int, n: int) -> np.ndarray:
     return hist
 
 
-def prefix_factorials(xs: list[int], ms: list[int]) -> list[int]:
-    """[x_i! mod m_i] for ascending xs >= 0 and moduli m_i >= 1.
+def prefix_factorials(
+    xs: list[int] | np.ndarray, ms: list[int] | np.ndarray
+) -> list[int] | np.ndarray:
+    """[x_i! mod m_i] for ascending xs in [0, 2^62) and moduli m_i >= 1.
+
+    xs and ms are lists of ints or int64 arrays, and the answer has the type
+    of ms.  The requests are cut into bundles (``_bundle_starts``): at most
+    ``_BUNDLE`` consecutive requests whose x lie within ``_BUNDLE_WIDTH`` of
+    the bundle's first x.  One accumulating remainder tree over the bundles
+    (``_tree_factorials``) gives V_b = (x_b)! mod M_b, x_b the first x of
+    bundle b and M_b the product of its moduli.  Each request then finishes
+    in int64 (``_finish``): V_b mod m_i from V_b's 32-bit words, times the at
+    most ``_BUNDLE_WIDTH`` integers of (x_b, x_i].  A request with
+    m_i >= 2^31 is a bundle of its own, and V_b is its answer.
+    """
+    arrays = isinstance(ms, np.ndarray)
+    if not len(xs):
+        return ms[:0].copy() if arrays else []
+    ml = ms.tolist() if arrays else ms
+    x = np.asarray(xs, dtype=np.int64)
+    starts, wide = _bundle_starts(x, ml)
+    bounds = [*starts, len(ml)]
+    vals = _tree_factorials(
+        x[starts].tolist(), [math.prod(ml[s:t]) for s, t in itertools.pairwise(bounds)]
+    )
+    bundle = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    first = x[starts][bundle]
+    if wide is None:
+        out = _finish(vals, bundle, first, x, np.asarray(ms, dtype=np.int64))
+        return out if arrays else out.tolist()
+    out = [vals[b] for b in bundle.tolist()]
+    narrow = np.flatnonzero(~wide)
+    if len(narrow):
+        m = np.array([ml[i] for i in narrow.tolist()], dtype=np.int64)
+        # a wide bundle's value is already its answer, and would only widen the word table
+        vals = [0 if w else v for v, w in zip(vals, wide[starts])]
+        fin = _finish(vals, bundle[narrow], first[narrow], x[narrow], m)
+        for i, v in zip(narrow.tolist(), fin.tolist()):
+            out[i] = v
+    return np.array(out, dtype=np.int64) if arrays else out
+
+
+def _bundle_starts(x: np.ndarray, ms: list[int]) -> tuple[list[int], np.ndarray | None]:
+    """First request of each bundle, greedily in x order, and the mask of the
+    wide requests (m >= 2^31), or None when there is none.
+
+    A bundle ends after ``_BUNDLE`` requests, before the first x more than
+    ``_BUNDLE_WIDTH`` past its first x, and around a wide request.
+    """
+    n = len(ms)
+    i = np.arange(n)
+    nxt = np.minimum(i + _BUNDLE, np.searchsorted(x, x + _BUNDLE_WIDTH, side="right"))
+    wide = None
+    if max(ms) >= _NARROW:
+        wide = np.array([m >= _NARROW for m in ms])
+        at = np.flatnonzero(wide)
+        nxt = np.minimum(nxt, np.append(at, n)[np.searchsorted(at, i, side="right")])
+        nxt[at] = at + 1
+    nxt = nxt.tolist()
+    starts, s = [], 0
+    while s < n:
+        starts.append(s)
+        s = nxt[s]
+    return starts, wide
+
+
+def _finish(
+    vals: list[int], bundle: np.ndarray, first: np.ndarray, x: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """vals[bundle_i] * prod of t over first_i < t <= x_i, mod m_i, in int64.
+
+    m_i < 2^31 and x_i - first_i <= ``_BUNDLE_WIDTH``.  V mod m is a Horner
+    pass over V's 32-bit words, high to low: r -> r * (2^32 mod m) + w, below
+    2^62 + 2^32, then mod m.  The gap products multiply by
+    (first mod m) + k < 2^31 + ``_BUNDLE_WIDTH``, over the requests sorted by
+    gap, longest first, so step k touches only those whose gap is at least k.
+    """
+    words = -(-max(v.bit_length() for v in vals) // 32) or 1
+    table = np.frombuffer(
+        b"".join(v.to_bytes(4 * words, "little") for v in vals), dtype="<u4"
+    ).reshape(-1, words)[bundle].astype(np.int64)
+    shift = (1 << 32) % m
+    r = table[:, -1] % m
+    for k in range(words - 2, -1, -1):
+        r = (r * shift + table[:, k]) % m
+    gap = x - first
+    order = np.argsort(gap, kind="stable")[::-1]
+    gap = gap[order]
+    if gap[0] == 0:
+        return r
+    counts = np.searchsorted(-gap, -np.arange(1, gap[0] + 1), side="right").tolist()
+    acc, mod = r[order], m[order]
+    base = first[order] % mod
+    for k, c in enumerate(counts, 1):
+        f = base[:c] + k
+        f *= acc[:c]
+        np.remainder(f, mod[:c], out=acc[:c])
+    r[order] = acc
+    return r
+
+
+def _tree_factorials(xs: list[int], ms: list[int]) -> list[int]:
+    """[x_i! mod m_i] for ascending xs >= 0, on Python ints.
 
     One accumulating remainder tree (Costa-Gerbicz-Harvey 2014): leaf i
     holds m_i and A_i = prod of t over x_{i-1} < t <= x_i, so x_i! is
@@ -166,8 +274,6 @@ def prefix_factorials(xs: list[int], ms: list[int]) -> list[int]:
     so a leaf whose A would be wider than it is folded modulo it: a narrow
     window of large x does not pay for the exact (x_1)!.
     """
-    if not xs:
-        return []
     mods = _product_levels(ms)
     cap = math.prod(mods[-1])
     leaves, prev = [], 0
@@ -183,7 +289,10 @@ def prefix_factorials(xs: list[int], ms: list[int]) -> list[int]:
         for i, v in enumerate(vals):
             down.append(v % mod[2 * i])
             if 2 * i + 1 < len(mod):
-                down.append(v * prod[2 * i] % mod[2 * i + 1])
+                # reduce both factors first: v is as wide as both moduli, and
+                # the A of a subtree is wider than a modulus
+                right = mod[2 * i + 1]
+                down.append(v % right * (prod[2 * i] % right) % right)
         vals = down
     return [v * a % m for v, a, m in zip(vals, prod, mod)]
 

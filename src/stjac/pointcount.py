@@ -22,8 +22,10 @@ bound puts t_p in (-p, p), where the two values of the residue differ in
 parity, and the parity follows from the number of roots of f in F_p.  The
 residue is a sum of binomials mod p, assembled one residue class of p - 1
 at a time in int64 arrays, with every factorial of the sweep taken from
-one accumulating remainder tree (the trivial term C(h, h) = 1 takes none),
-no dlog table and no cyclotomic arithmetic.
+one accumulating remainder tree over bundles of nearby requests (the
+trivial term C(h, h) = 1 takes none), every power from one vectorised
+square-and-multiply, no dlog table and no cyclotomic arithmetic.  The
+samples, moments and class counts are read off int64 columns.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import bisect
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -295,9 +296,13 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     m/e of p - 1, so each distinct nonzero x in {h, j, h - j} is one int64
     array over the class.  The term j = h is C(h, h) c^0 = 1 and requests no
     factorial, so neither does a class whose only j is h.  Every x! mod p of
-    the batch comes from one ``_accel.prefix_factorials`` call, and the
-    binomial sum is a few int64 passes (p < 2^31, so a product of two
-    residues is below 2^62) with checked inverses by Fermat (``_inverses``).
+    the batch comes from one ``_accel.prefix_factorials`` call on int64
+    arrays, and every power from one ``_accel.pow_mod`` call: the inverses
+    of j!(h-j)! by Fermat, each checked (``_check_inverses``), c^(h-j) and
+    the parity power, with c = num/den read as num^k den^(p-1-k) (p prime,
+    den a unit), so that no power waits for the inverse of den; an integer c
+    takes no power of den.  The binomial sum is a few int64 passes (p < 2^31,
+    so a product of two residues is below 2^62).
     """
     ps, num, den = _check_residue_primes(primes, spec)
     n = ps - 1
@@ -324,21 +329,44 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
         terms += [(idx, at[_HALF], at[j], at[_HALF - j]) for j in js]
     # odd additive d: the primes whose parity asks whether -c is an e-th power
     odd = np.flatnonzero(classes > 1) if spec.family == ADDITIVE and spec.d % 2 else []
-    if terms or len(odd):
-        cp = num * _inverses(den, ps) % ps
+    # one pow_mod for the batch, c = num/den: the Fermat inverses, c^(h-j) as
+    # num^(h-j) * den^(p-1-(h-j)) and (-c)^k = 1 as (-num)^k = den^k.  An
+    # integer c takes no power of den (a missing one reads as 1), and den's
+    # own inverse serves only its check
+    with_den = spec.c.denominator != 1
+    blocks = {}
     if terms:
         x, xmod = np.concatenate(xs), np.concatenate(mods)
         order = np.argsort(x, kind="stable")
         fact = np.empty_like(x)
-        fact[order] = _accel.prefix_factorials(x[order].tolist(), xmod[order].tolist())
+        fact[order] = _accel.prefix_factorials(x[order], xmod[order])
         owner, at_h, at_j, at_hj = (np.concatenate(t) for t in zip(*terms))
         m = ps[owner]
-        binom = fact[at_h] * _inverses(fact[at_j] * fact[at_hj] % m, m) % m
-        np.add.at(total, owner, binom * _accel.pow_mod(cp[owner], x[at_hj], m) % m)
+        denom = fact[at_j] * fact[at_hj] % m
+        blocks["inv"] = (denom, m - 2, m)
+        blocks["num"] = (num[owner], x[at_hj], m)
+        if with_den:
+            blocks["den"] = (den[owner], n[owner] - x[at_hj], m)
+    if len(odd):
+        mo, k = ps[odd], n[odd] // classes[odd]
+        blocks["odd"] = (-num[odd] % mo, k, mo)
+        if with_den:
+            blocks["odd_den"] = (den[odd], k, mo)
+    if blocks and with_den:
+        blocks["den_inv"] = (den, n - 1, ps)
+    if blocks:
+        cuts = np.cumsum([len(base) for base, _, _ in blocks.values()])[:-1]
+        power = _accel.pow_mod(*map(np.concatenate, zip(*blocks.values())))
+        powers = dict(zip(blocks, np.split(power, cuts)))
+    if "den_inv" in blocks:
+        _check_inverses(den, powers["den_inv"], ps)
+    if terms:
+        _check_inverses(denom, powers["inv"], m)
+        cpow = powers["num"] * powers.get("den", 1) % m
+        np.add.at(total, owner, fact[at_h] * powers["inv"] % m * cpow % m)
     parity = np.zeros(len(ps), dtype=np.int64)
     if len(odd):
-        m = ps[odd]
-        parity[odd] = _accel.pow_mod(-cp[odd] % m, n[odd] // classes[odd], m) != 1
+        parity[odd] = powers["odd"] != powers.get("odd_den", 1)
     s = total % ps
     return np.where(s % 2 == parity, s, s - ps).tolist()
 
@@ -384,18 +412,16 @@ def _residues(x: int, ps: np.ndarray) -> np.ndarray:
     return np.array([x % p for p in ps.tolist()], dtype=np.int64)
 
 
-def _inverses(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """a^-1 mod m elementwise, as a^(m-2) (Fermat).
+def _check_inverses(a: np.ndarray, inv: np.ndarray, mods: np.ndarray) -> None:
+    """Check inv = a^(m-2) as a^-1 mod m elementwise (Fermat).
 
-    Each inverse is checked: a failed check means that m is not prime (a
-    factor of m divides a, or Fermat's little theorem fails), and raises
-    NotPrimeError rather than give a wrong trace.
+    A failed check means that m is not prime (a factor of m divides a, or
+    Fermat's little theorem fails), and raises NotPrimeError rather than
+    give a wrong trace.
     """
-    inv = _accel.pow_mod(a, mods - 2, mods)
     failed = a * inv % mods != 1
     if failed.any():
         raise NotPrimeError(f"p must be an odd prime, got {int(mods[failed].min())}")
-    return inv
 
 
 def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
@@ -432,8 +458,8 @@ def trace_sweep(
     Primes p <= 4g^2 take ``count_formula``; the others take one
     ``hasse_witt_traces`` batch.  With workers > 1 each worker of a process
     pool takes one contiguous block of those primes, the blocks cut at
-    about equal sums of p (``_blocks_of_equal_sum``).  workers must lie in
-    [1, os.cpu_count()].
+    about equal sums of p (``_blocks_of_equal_sum``); the pool is imported
+    only then.  workers must lie in [1, os.cpu_count()].
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -443,6 +469,8 @@ def trace_sweep(
     small, large = primes[:cut], primes[cut:]
     traces = [p + 1 - count_formula(make_field(p), spec) for p in small]
     if workers > 1 and len(large) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         blocks = _blocks_of_equal_sum(large, workers)
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             for batch in pool.map(hasse_witt_traces, blocks, [spec] * len(blocks)):
@@ -451,25 +479,27 @@ def trace_sweep(
         traces += hasse_witt_traces(large, spec)
     # the count is on the smooth model, so t_p is the Frobenius trace of the
     # Jacobian and |t_p| <= 2g*sqrt(p) for every d (e.g. y^2=x^6+1 at p=103
-    # gives t_p = 40, just inside the genus-2 bound 40.596)
-    samples = [TraceSample(p, p + 1 - t, t, t / math.sqrt(p)) for p, t in zip(primes, traces)]
-    xs = [s.x_p for s in samples]
+    # gives t_p = 40, just inside the genus-2 bound 40.596).  The columns are
+    # int64 arrays: x_p = t_p / sqrt(p) is one correctly rounded division by a
+    # correctly rounded square root, as in Python, and the moments are the
+    # same C pow summed in the same order.
+    ps, ts = np.array(primes, dtype=np.int64), np.array(traces, dtype=np.int64)
+    xs = (ts / np.sqrt(ps)).tolist()
     count = len(xs)
     moments = {
         "n_samples": count,
         "mean": sum(xs) / count if count else 0.0,
-        "m2": sum(x**2 for x in xs) / count if count else 0.0,
-        "m4": sum(x**4 for x in xs) / count if count else 0.0,
-        "m6": sum(x**6 for x in xs) / count if count else 0.0,
+        **{f"m{k}": sum(map(pow, xs, itertools.repeat(k))) / count if count else 0.0
+           for k in (2, 4, 6)},
     }
-    mod = congruence_modulus(spec)
-    class_counts: dict[int, int] = {}
-    for s in samples:
-        cls = s.p % mod
-        class_counts[cls] = class_counts.get(cls, 0) + 1
+    # classes in order of their first prime, as a dict filled along the sweep
+    classes, first, sizes = np.unique(
+        ps % congruence_modulus(spec), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
     return SweepResult(
         spec=spec,
-        samples=tuple(samples),
+        samples=tuple(map(TraceSample._make, zip(primes, (ps + 1 - ts).tolist(), traces, xs))),
         moments=moments,
-        class_counts=class_counts,
+        class_counts=dict(zip(classes[order].tolist(), sizes[order].tolist())),
     )

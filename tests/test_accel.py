@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stjac import _accel
 from stjac._accel import (
@@ -140,6 +142,49 @@ def test_prefix_factorials_match_math_factorial():
         assert prefix_factorials(xs, ms) == reference(xs, ms)
 
 
+def _factorials(xs, ms):
+    return [math.factorial(x) % m for x, m in zip(xs, ms)]
+
+
+def test_prefix_factorials_at_the_bundle_edges():
+    # K - 1, K and K + 1 requests whose last x lies W - 1, W and W + 1 past
+    # the first, with repeated x, x = 0, moduli 1, composite and 2^31 - 1, and
+    # once with a modulus >= 2^31 in the middle, which is a bundle of its own
+    K, W = _accel._BUNDLE, _accel._BUNDLE_WIDTH
+    moduli = [1, 2**31 - 1, 12, 1009, 4096, 2**31 - 1, 7, 30030]
+    for count in (K - 1, K, K + 1, 2 * K + 1):
+        for gap in (W - 1, W, W + 1):
+            for first in (0, 5, 3000):
+                xs = [first + i * gap // (count - 1) for i in range(count)]
+                xs[1] = xs[0]  # a repeated x
+                ms = [moduli[i % len(moduli)] for i in range(count)]
+                assert prefix_factorials(xs, ms) == _factorials(xs, ms), (count, gap, first)
+                got = prefix_factorials(np.array(xs), np.array(ms))
+                assert got.dtype == np.int64 and got.tolist() == _factorials(xs, ms)
+                ms[count // 2] = 2**61 - 1
+                assert prefix_factorials(xs, ms) == _factorials(xs, ms), (count, gap, first)
+                got = prefix_factorials(np.array(xs), np.array(ms))
+                assert got.dtype == np.int64 and got.tolist() == _factorials(xs, ms)
+    empty = np.array([], dtype=np.int64)
+    assert prefix_factorials(empty, empty).tolist() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 600),
+            st.sampled_from([1, 2, 6, 12, 97, 1009, 2**31 - 1, 2**31, 2**61 - 1, 2**89 - 1]),
+        ),
+        max_size=80,
+    )
+)
+def test_prefix_factorials_property(requests):
+    requests.sort(key=lambda r: r[0])
+    xs, ms = [x for x, _ in requests], [m for _, m in requests]
+    assert prefix_factorials(xs, ms) == _factorials(xs, ms)
+
+
 def test_pow_mod_matches_python_pow():
     rng = np.random.default_rng(7)
     mods = np.array([3, 5, 7, 1009, 65537, 2**31 - 1] * 50, dtype=np.int64)
@@ -150,6 +195,15 @@ def test_pow_mod_matches_python_pow():
     assert got.tolist() == [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mods)]
     empty = np.array([], dtype=np.int64)
     assert pow_mod(empty, empty, empty).tolist() == []
+    # one call over mixed exponent widths, as a batch of the sweep makes it:
+    # 0, 1, small exponents, p - 2 (Fermat inverses) and wide ones side by side
+    p = np.array([3, 5, 1009, 20011, 2**31 - 1], dtype=np.int64)
+    ps = np.tile(p, 6)
+    exp = np.concatenate([0 * p, 0 * p + 1, 0 * p + 7, p - 2, p // 2, p - 1])
+    base = rng.integers(1, ps)
+    got = pow_mod(base, exp, ps)
+    assert got.tolist() == [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, ps)]
+    assert (got[15:20] * base[15:20] % ps[15:20]).tolist() == [1] * 5
 
 
 def test_numpy_affine_count_tiny():

@@ -1,6 +1,9 @@
 """The public names of the package and the import boundaries between its modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stjac
@@ -38,3 +41,18 @@ def test_no_module_imports_cmath_and_ffield_imports_nothing_from_cyclo():
         (module, name) for module, name in _imports(SRC / "ffield.py")
         if module.endswith("cyclo") or name == "cyclo"
     ]
+
+
+def test_import_loads_no_process_pool():
+    # trace_sweep imports the pool only when it starts one (workers > 1)
+    script = (
+        "import sys, stjac; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

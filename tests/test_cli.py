@@ -5,6 +5,8 @@ import os
 import shlex
 from pathlib import Path
 
+import pytest
+
 from stjac.cli import main
 
 
@@ -389,12 +391,13 @@ def test_prime_above_p_max_exits_1(capsys):
 
 
 def test_sweep_workers_out_of_range_exits_1(capsys, monkeypatch):
-    from stjac import pointcount
+    # trace_sweep imports the pool only when it starts one, from concurrent.futures
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(pointcount, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for workers in (0, -1, (os.cpu_count() or 1) + 1):
         code, out, err = run(
             capsys, "sweep", "--curve", "x^6+c", "--pmax", "50",
@@ -403,6 +406,12 @@ def test_sweep_workers_out_of_range_exits_1(capsys, monkeypatch):
         assert code == 1, workers
         assert out == ""
         assert "workers must be between 1 and" in err
+    cpus = os.cpu_count() or 1
+    if cpus > 1:  # a valid count reaches the patched pool, so the patch is where it is looked up
+        from stjac.pointcount import curve, trace_sweep
+
+        with pytest.raises(AssertionError, match="a process pool was started"):
+            trace_sweep(curve("additive", 6, 1), 3, 500, workers=cpus)
 
 
 def test_count_empty_prime_range_exits_1(capsys):

@@ -232,6 +232,35 @@ def test_trace_sweep_matches_oracle(field):
         assert abs(s.x_p - s.t_p / math.sqrt(s.p)) < 1e-15
 
 
+def test_trace_sweep_samples_and_moments_are_the_python_floats():
+    # the sweep builds its samples from arrays; every x_p must be bitwise
+    # t_p / sqrt(p), the moments the same Python sums of x**k in p order and
+    # the classes in order of first appearance, over the benchmark's sweep
+    # pool on [3, 2*10^4] at one twist
+    pool = [curve(ADDITIVE, d, 3) for d in (6, 9, 10, 12)] + [curve(LINEAR, d, 3) for d in (5, 7)]
+    for spec in pool:
+        res = trace_sweep(spec, 3, 20000)
+        xs = []
+        for s in res.samples:
+            assert type(s.p) is type(s.count) is type(s.t_p) is int and type(s.x_p) is float
+            assert s.x_p.hex() == (s.t_p / math.sqrt(s.p)).hex(), (spec, s)
+            xs.append(s.x_p)
+        n = len(xs)
+        assert res.moments == {
+            "n_samples": n,
+            "mean": sum(xs) / n,
+            "m2": sum(x**2 for x in xs) / n,
+            "m4": sum(x**4 for x in xs) / n,
+            "m6": sum(x**6 for x in xs) / n,
+        }, spec
+        assert list(res.moments) == ["n_samples", "mean", "m2", "m4", "m6"]
+        mod = pointcount.congruence_modulus(spec)
+        classes = {}
+        for s in res.samples:
+            classes[s.p % mod] = classes.get(s.p % mod, 0) + 1
+        assert list(res.class_counts.items()) == list(classes.items()), spec
+
+
 def test_trace_sweep_weil_bound():
     # counts are on the smooth model, so |t_p| <= 2g*sqrt(p) for every d
     # genus 0 (the line and the conic, where h - j = 0 occurs) forces t_p = 0
@@ -358,6 +387,16 @@ def test_trace_hasse_witt_rejects_composite_p():
         assert good_reduction(p, spec) and residue_fixes_trace(p, spec)
         with pytest.raises(NotPrimeError, match="odd prime"):
             trace_hasse_witt(p, spec)
+
+
+def test_hasse_witt_checks_the_inverse_of_den_c_only_for_a_fraction():
+    # 1001 = 7 * 11 * 13 has gcd(9, 1000) = 1: no binomial term, so only the
+    # Fermat check of den(c)'s inverse, made for every p of a batch with a
+    # term (103 has one), sees it; an integer c has no such check
+    primes = [101, 1001, 103]
+    with pytest.raises(NotPrimeError, match="got 1001$"):
+        hasse_witt_traces(primes, curve(ADDITIVE, 9, Fraction(1, 2)))
+    assert len(hasse_witt_traces(primes, curve(ADDITIVE, 9, 1))) == 3
 
 
 def test_trace_sweep_builds_fields_only_up_to_4_g_squared(monkeypatch):

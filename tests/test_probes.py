@@ -1,5 +1,5 @@
-"""tools/probes.py: its JSON schema on one tiny st0 probe and one tiny sweep
-probe, a cap it cannot meet, and a probe that raises."""
+"""tools/probes.py: its JSON schema on one tiny probe of each kind (st0,
+sweep, count, kernel), a cap it cannot meet, and a probe that raises."""
 
 import hashlib
 import json
@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from stjac.pointcount import curve, good_primes, trace_sweep
+from stjac.ffield import make_field
+from stjac.pointcount import count_formula, curve, good_primes, trace_sweep
+from stjac.stmatrix import relation_report
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "probes.py"
 
@@ -48,6 +50,26 @@ def test_sweep_probe_json_schema():
     pairs = [[s.p, s.t_p] for s in trace_sweep(spec, 3, 2000).samples]
     digest = hashlib.sha256(json.dumps(pairs, separators=(",", ":")).encode()).hexdigest()
     assert result["samples_sha256"] == digest
+
+
+def test_count_and_kernel_probe_json_schema():
+    doc = _probe("--only", "count:linear:7:2:97", "kernel:additive:12:13", "--cap", "60")
+    count, kernel = doc["probes"]
+    for probe in (count, kernel):
+        assert set(probe) == {"probe", "cap_s", "status", "wall_s", "result", "peak_rss_mb"}
+        assert probe["status"] == "ok" and 0 < probe["result"]["seconds"] < probe["wall_s"] < 60
+    assert count["probe"] == "count:linear:7:2:97"
+    expected = count_formula(make_field(97), curve("linear", 7, 2))
+    assert count["result"] == {"seconds": count["result"]["seconds"], "count": expected,
+                               "t_p": 98 - expected}
+    assert kernel["probe"] == "kernel:additive:12:13"
+    mat, kern, relations = relation_report(13, 12, "additive")
+    kinds = [r.kind for r in relations]
+    assert kernel["result"] == {
+        "seconds": kernel["result"]["seconds"], "rank": kern.rank, "saturated": kern.saturated,
+        "columns": len(mat.cols), "relations": {k: kinds.count(k) for k in set(kinds)},
+    }
+    assert kern.rank > 0
 
 
 def test_probe_past_its_cap_and_a_failing_probe_are_values():

@@ -4,23 +4,34 @@
     python tools/probes.py --cap 60 --out probes.json
     python tools/probes.py --only st0:additive:6:3  # one probe
 
-A probe is named st0:FAMILY:D:C, ``identify_st0`` of y^2 = x^D + C
-(additive) or y^2 = x^D + C*x (linear), or sweep:FAMILY:D:C:HI,
-``trace_sweep`` of that curve over the primes in [3, HI] in one process,
-with stjac imported from the ``src`` next to this script.  Each probe runs
-as the only child of a fresh measuring process, which waits for it and
-reads its peak resident set from ``resource.getrusage(RUSAGE_CHILDREN)``
-and its wall time.  A probe still running at the cap is killed and
-recorded with status "timeout" and the cap as its time: a value, not an
-error.  ``wall_s`` counts the start of
+A probe is named KIND:FAMILY:D:..., with stjac imported from the ``src``
+next to this script:
+- st0:FAMILY:D:C, ``identify_st0`` of y^2 = x^D + C (additive) or
+  y^2 = x^D + C*x (linear);
+- sweep:FAMILY:D:C:HI, ``trace_sweep`` of that curve over the primes in
+  [3, HI] in one process;
+- count:FAMILY:D:C:P, ``count_formula`` of that curve at the prime P,
+  field included;
+- kernel:FAMILY:D:P, ``relation_report`` at P for c = 1, as ``stjac kernel``
+  runs it: carry matrix, saturated kernel and the check of each relation.
+
+Each probe runs as the only child of a fresh measuring process, which
+waits for it and reads its peak resident set from
+``resource.getrusage(RUSAGE_CHILDREN)`` and its wall time.  A probe still
+running at the cap is killed and recorded with status "timeout" and the
+cap as its time: a value, not an error.  ``wall_s`` counts the start of
 the interpreter and the import; ``result.seconds`` is the probed call.
 
-The default probes are the large-degree walls of the st0 path: x^420,
-x^600 and x^840 (congruence modulus 420, 600, 840) and the linear x^211
-and x^421 (moduli 420 and 840); and the sweep of x^9+1 to 10^5, 3*10^5
-and 10^6, where the top of the remainder tree grows quadratically.  A
-sweep's result holds its moments and the SHA-256 of its (p, t_p) pairs,
-so two checkouts can be compared by answer as well as by time.
+The default probes are the large-degree walls: st0 of x^420, x^600 and
+x^840 (congruence modulus 420, 600, 840) and of the linear x^211 and x^421
+(moduli 420 and 840); the kernel of x^420 at p = 421; the counts of
+x^397+1 at p = 2383 and x^2000+3 at p = 1008001, where the count sums
+hundreds of Jacobi sums, and of x^12+3 at 50000017, the first good prime
+from 5*10^7, where the O(p) passes dominate; and the sweep of x^9+1 to
+10^5, 3*10^5 and 10^6, where the top of the remainder tree grows
+quadratically.  A sweep's result holds its moments and the SHA-256 of its
+(p, t_p) pairs, so two checkouts can be compared by answer as well as by
+time.
 """
 
 from __future__ import annotations
@@ -42,27 +53,48 @@ DEFAULT = (
     "st0:additive:840:3",
     "st0:linear:211:3",
     "st0:linear:421:3",
+    "kernel:additive:420:421",
+    "count:additive:397:1:2383",
+    "count:additive:2000:3:1008001",
+    "count:additive:12:3:50000017",
     "sweep:additive:9:1:100000",
     "sweep:additive:9:1:300000",
     "sweep:additive:9:1:1000000",
 )
 
 
+# the fields after KIND of each probe kind
+FIELDS = {"st0": 3, "sweep": 4, "count": 4, "kernel": 3}
+
+
 def run_probe(name: str) -> dict:
     """Run one probe in this process and return a summary of its answer."""
-    kind, family, d, c, *hi = name.split(":")
-    if (kind, len(hi)) not in (("st0", 0), ("sweep", 1)):
+    kind, *fields = name.split(":")
+    if FIELDS.get(kind) != len(fields):
         raise ValueError(f"unknown probe kind {kind!r} in {name!r}")
     sys.path.insert(0, str(SRC))
     from fractions import Fraction
 
+    from stjac.ffield import make_field
     from stjac.groupid import identify_st0
-    from stjac.pointcount import curve, trace_sweep
+    from stjac.pointcount import count_formula, curve, trace_sweep
+    from stjac.stmatrix import relation_report
 
-    spec = curve(family, int(d), Fraction(c))
+    family, d = fields[0], int(fields[1])
     start = time.perf_counter()
+    if kind == "kernel":
+        mat, kern, relations = relation_report(int(fields[2]), d, family)
+        kinds = [r.kind for r in relations]
+        return {"seconds": time.perf_counter() - start, "rank": kern.rank,
+                "saturated": kern.saturated, "columns": len(mat.cols),
+                "relations": {k: kinds.count(k) for k in sorted(set(kinds))}}
+    spec = curve(family, d, Fraction(fields[2]))
+    if kind == "count":
+        p = int(fields[3])
+        count = count_formula(make_field(p), spec)
+        return {"seconds": time.perf_counter() - start, "count": count, "t_p": p + 1 - count}
     if kind == "sweep":
-        res = trace_sweep(spec, 3, int(hi[0]))
+        res = trace_sweep(spec, 3, int(fields[3]))
         seconds = time.perf_counter() - start
         pairs = json.dumps([[s.p, s.t_p] for s in res.samples], separators=(",", ":"))
         return {"seconds": seconds, "moments": res.moments,
