@@ -20,12 +20,15 @@ collapses to a rational integer, which is asserted.
 and the parity of t_p instead (``hasse_witt_traces``): above 4g^2 the Weil
 bound puts t_p in (-p, p), where the two values of the residue differ in
 parity, and the parity follows from the number of roots of f in F_p.  The
-residue is a sum of binomials mod p, assembled one residue class of p - 1
-at a time in int64 arrays, with every factorial of the sweep taken from
-one accumulating remainder tree over bundles of nearby requests (the
-trivial term C(h, h) = 1 takes none), every power from one vectorised
-square-and-multiply, no dlog table and no cyclotomic arithmetic.  The
-samples, moments and class counts are read off int64 columns.
+residue is a sum of binomials C(h, j) mod p, h = (p-1)/2, each read by
+duplication as C(-1/2, r) = (-1)^r (2r)! / (4^r (r!)^2), r = min(j, h-j),
+so that the terms j and h - j share it.  The sum is assembled one residue
+class of p - 1 at a time in int64 arrays, with every r! and (2r)! of the
+sweep taken from one accumulating remainder tree over bundles of nearby
+requests (the trivial term C(h, h) = 1 takes none), every power from one
+vectorised square-and-multiply, no dlog table and no cyclotomic
+arithmetic.  The samples, moments and class counts are read off int64
+columns.
 """
 
 from __future__ import annotations
@@ -280,9 +283,9 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     J. Algebra 1978; Harvey-Sutherland 2014).
 
     The parity of t_p lifts that residue to one mod 2p.  The affine points
-    with y != 0 come in pairs (x, +-y), so #C~(F_p) = r + (points at
-    infinity) (mod 2), r the number of roots of f in F_p, and p + 1 is
-    even, so t_p = r + (points at infinity) (mod 2).  For the linear family
+    with y != 0 come in pairs (x, +-y), so #C~(F_p) = z + (points at
+    infinity) (mod 2), z the number of roots of f in F_p, and p + 1 is
+    even, so t_p = z + (points at infinity) (mod 2).  For the linear family
     (the root 0, the roots of x^(d-1) = -c in pairs +-x, one point at
     infinity) and for even d (roots in pairs +-x, two points at infinity)
     t_p is even.  For odd additive d, x^d = -c has e = gcd(d, p-1) roots,
@@ -291,25 +294,36 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     residue in [0, p), t_p is whichever of s and s - p has that parity
     (``residue_fixes_trace``).
 
+    The binomials come by duplication.  C(h, j) = C(h, h-j), so the terms j
+    and h - j share C(h, r), r = min(j, h-j) <= h/2.  And 2h = p - 1, so
+    h = -1/2 (mod p) and
+        C(h, r) = C(-1/2, r) = (-1)^r (2r)! / (4^r (r!)^2) (mod p):
+    each binomial asks for r! and (2r)!, both at most h, and one Fermat
+    inverse of (r!)^2.  Its 4^-r needs no power of its own: by Fermat
+    4^h = 2^(p-1) = 1, so 4^-r c^(h-j) is (4c)^(h-j) when r = j and
+    (c/4)^(h-j) when r = h - j, 1/4 = ((p+1)/2)^2, and the factor joins the
+    base of c's power.
+
     The primes are taken one residue class at a time: every p with
     gcd(k, p-1) = e, k = ``index_modulus``, has its j at the same fractions
-    m/e of p - 1, so each distinct nonzero x in {h, j, h - j} is one int64
-    array over the class.  The term j = h is C(h, h) c^0 = 1 and requests no
-    factorial, so neither does a class whose only j is h.  Every x! mod p of
-    the batch comes from one ``_accel.prefix_factorials`` call on int64
-    arrays, and every power from one ``_accel.pow_mod`` call: the inverses
-    of j!(h-j)! by Fermat, each checked (``_check_inverses``), c^(h-j) and
-    the parity power, with c = num/den read as num^k den^(p-1-k) (p prime,
-    den a unit), so that no power waits for the inverse of den; an integer c
-    takes no power of den.  The binomial sum is a few int64 passes (p < 2^31,
-    so a product of two residues is below 2^62).
+    m/e of p - 1, so each distinct x in {r, 2r} is one int64 array over the
+    class.  The term j = h is C(h, h) c^0 = 1 and requests no factorial, so
+    neither does a class whose only j is h.  Every x! mod p of the batch
+    comes from one ``_accel.prefix_factorials`` call on int64 arrays, and
+    every power from one ``_accel.pow_mod`` call: the inverses of (r!)^2 by
+    Fermat, each checked (``_check_inverses``), (4^+-1 c)^(h-j) and the
+    parity power, with c = num/den read as num^k den^(p-1-k) (p prime, den
+    a unit), so that no power waits for the inverse of den; an integer c
+    takes no power of den.  The binomial sum is a few int64 passes
+    (p < 2^31, so a product of two residues is below 2^62).
     """
     ps, num, den = _check_residue_primes(primes, spec)
     n = ps - 1
     total = np.full(len(ps), 1 - points_at_infinity(spec), dtype=np.int64)
     # requests: one block of (x, p) over a class per fraction of p - 1;
-    # terms: (primes, block positions of h, j and h - j) per j < h
-    xs, mods, terms, size = [], [], [], 0
+    # binomials: block positions of r and 2r per distinct r;
+    # terms: (primes, block positions of r, h - j) per j < h
+    xs, mods, binomials, terms, size = [], [], [], [], 0
     classes = np.gcd(n, index_modulus(spec.family, spec.d))
     for e in set(classes.tolist()):
         idx = np.flatnonzero(classes == e)
@@ -320,19 +334,21 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
         total[idx] += len(ms) - len(js)  # the term j = h
         if not js:
             continue
+        rs = {min(j, _HALF - j) for j in js}
         at = {}
-        for f in {_HALF, *js, *(_HALF - j for j in js)}:
+        for f in rs | {2 * r for r in rs}:
             at[f] = np.arange(size, size + len(idx))
-            xs.append(n[idx] * f.numerator // f.denominator)
+            xs.append(_part(n[idx], f))
             mods.append(ps[idx])
             size += len(idx)
-        terms += [(idx, at[_HALF], at[j], at[_HALF - j]) for j in js]
+        binomials += [(at[r], at[2 * r]) for r in rs]
+        terms += [(idx, at[min(j, _HALF - j)], _part(n[idx], _HALF - j)) for j in js]
     # odd additive d: the primes whose parity asks whether -c is an e-th power
     odd = np.flatnonzero(classes > 1) if spec.family == ADDITIVE and spec.d % 2 else []
-    # one pow_mod for the batch, c = num/den: the Fermat inverses, c^(h-j) as
-    # num^(h-j) * den^(p-1-(h-j)) and (-c)^k = 1 as (-num)^k = den^k.  An
-    # integer c takes no power of den (a missing one reads as 1), and den's
-    # own inverse serves only its check
+    # one pow_mod for the batch, c = num/den: the Fermat inverses,
+    # (4^+-1 c)^(h-j) as (4^+-1 num)^(h-j) * den^(p-1-(h-j)) and (-c)^k = 1 as
+    # (-num)^k = den^k.  An integer c takes no power of den (a missing one
+    # reads as 1), and den's own inverse serves only its check
     with_den = spec.c.denominator != 1
     blocks = {}
     if terms:
@@ -340,13 +356,17 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
         order = np.argsort(x, kind="stable")
         fact = np.empty_like(x)
         fact[order] = _accel.prefix_factorials(x[order], xmod[order])
-        owner, at_h, at_j, at_hj = (np.concatenate(t) for t in zip(*terms))
+        at_r, at_2r = (np.concatenate(b) for b in zip(*binomials))
+        mr = xmod[at_r]
+        square = fact[at_r] * fact[at_r] % mr
+        blocks["inv"] = (square, mr - 2, mr)
+        owner, at_t, hj = (np.concatenate(t) for t in zip(*terms))
         m = ps[owner]
-        denom = fact[at_j] * fact[at_hj] % m
-        blocks["inv"] = (denom, m - 2, m)
-        blocks["num"] = (num[owner], x[at_hj], m)
+        # 4^-r c^(h-j): (c/4)^(h-j) where r = h - j, else (4c)^(h-j)
+        half = (m + 1) // 2
+        blocks["num"] = (num[owner] * np.where(x[at_t] == hj, half * half % m, 4) % m, hj, m)
         if with_den:
-            blocks["den"] = (den[owner], n[owner] - x[at_hj], m)
+            blocks["den"] = (den[owner], n[owner] - hj, m)
     if len(odd):
         mo, k = ps[odd], n[odd] // classes[odd]
         blocks["odd"] = (-num[odd] % mo, k, mo)
@@ -361,14 +381,23 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     if "den_inv" in blocks:
         _check_inverses(den, powers["den_inv"], ps)
     if terms:
-        _check_inverses(denom, powers["inv"], m)
+        _check_inverses(square, powers["inv"], mr)
+        # C(h, r) at the block position of r, with the sign (-1)^r
+        binom = np.empty_like(x)
+        b = fact[at_2r] * powers["inv"] % mr
+        binom[at_r] = np.where(x[at_r] % 2, mr - b, b)
         cpow = powers["num"] * powers.get("den", 1) % m
-        np.add.at(total, owner, fact[at_h] * powers["inv"] % m * cpow % m)
+        np.add.at(total, owner, binom[at_t] * cpow % m)
     parity = np.zeros(len(ps), dtype=np.int64)
     if len(odd):
         parity[odd] = powers["odd"] != powers.get("odd_den", 1)
     s = total % ps
     return np.where(s % 2 == parity, s, s - ps).tolist()
+
+
+def _part(n: np.ndarray, f: Fraction) -> np.ndarray:
+    """n * f for a fraction f whose denominator divides every n."""
+    return n * f.numerator // f.denominator
 
 
 def _check_residue_primes(

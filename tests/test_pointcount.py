@@ -467,11 +467,11 @@ def test_hasse_witt_any_order_and_repeats():
 
 
 def _recording_tree(monkeypatch):
-    """Replace the remainder tree by one that logs its request count per call."""
+    """Replace the remainder tree by one that logs its (x, p) requests per call."""
     calls, tree = [], _accel.prefix_factorials
 
     def recording(xs, ms):
-        calls.append(len(xs))
+        calls.append(list(zip(xs.tolist(), ms.tolist())))
         return tree(xs, ms)
 
     monkeypatch.setattr(_accel, "prefix_factorials", recording)
@@ -484,22 +484,31 @@ def test_hasse_witt_trivial_term_makes_no_tree_request(monkeypatch):
     spec = curve(ADDITIVE, 6, 1)
     primes = [p for p in prime_range(65, 5000) if p % 6 == 5]
     assert hasse_witt_traces(primes, spec) == [0] * len(primes)
-    assert sum(calls) == 0
+    assert sum(map(len, calls)) == 0
 
 
 def test_hasse_witt_requests_each_distinct_factorial_once(monkeypatch):
-    # per prime, the distinct nonzero x in {h, j, h - j} over the j < h
+    # per prime, exactly the distinct x in {r, 2r}, r = min(j, h - j) over
+    # the j < h: C(h, j) = C(h, r) = (-1)^r (2r)! / (4^r (r!)^2) mod p
     calls = _recording_tree(monkeypatch)
-    for spec in (curve(ADDITIVE, 12, 1), curve(ADDITIVE, 8, 3), curve(LINEAR, 9, -1), curve(LINEAR, 5, 1)):
+    specs = (curve(ADDITIVE, 12, 1), curve(ADDITIVE, 8, 3), curve(ADDITIVE, 9, 1),
+             curve(LINEAR, 9, -1), curve(LINEAR, 5, 1))
+    for spec in specs:
         primes = [p for p in prime_range(16 * spec.genus**2 + 1, 3000) if good_reduction(p, spec)]
         calls.clear()
         hasse_witt_traces(primes, spec)
-        expected = 0
+        expected = []
         for p in primes:
             h = (p - 1) // 2
-            js = [j for j in _binomial_js(p, spec) if j < h]
-            expected += len({h, *js, *(h - j for j in js)}) if js else 0
-        assert calls == [expected], spec
+            rs = {min(j, h - j) for j in _binomial_js(p, spec) if j < h}
+            expected += [(x, p) for x in rs | {2 * r for r in rs}]
+        (requests,) = calls
+        assert sorted(requests) == sorted(expected), spec
+        assert all(0 < x <= (p - 1) // 2 for x, p in requests), spec
+    # x^9 + 1 in the class e = 9: the j = 2mh/9, m = 1..4, asked for 9
+    # factorials in {h, j, h - j} and ask for 6 in {r, 2r}
+    hasse_witt_traces([1999, 2017], curve(ADDITIVE, 9, 1))
+    assert [sum(q == p for _, q in calls[-1]) for p in (1999, 2017)] == [6, 6]
 
 
 def test_hasse_witt_errors_keep_type_message_and_input_order():
@@ -513,6 +522,10 @@ def test_hasse_witt_errors_keep_type_message_and_input_order():
     # 415 = 5 * 83 = 1 mod 9: 5 divides the factorials, no inverse exists
     with pytest.raises(NotPrimeError, match=r"^p must be an odd prime, got 415$"):
         hasse_witt_traces([257, 415], curve(ADDITIVE, 9, 1))
+    # 33 = 3 * 11 = 1 mod 8: linear x^5 + x has j = 4 and h - j = 12, one
+    # shared binomial C(16, 4), and 3 divides (4!)^2
+    with pytest.raises(NotPrimeError, match=r"^p must be an odd prime, got 33$"):
+        hasse_witt_traces([41, 33], curve(LINEAR, 5, 1))
 
 
 def test_hasse_witt_stays_exact_for_wide_c():
