@@ -16,10 +16,11 @@ family, a = t(p-1)/(2(d-1)) with t odd for the linear-twist family, always
 restricted to integral a in [1, p-2].  For even d the quadratic column
 a = (p-1)/2 contributes -1 identically.  The cyclotomic sum always
 collapses to a rational integer, which is asserted.
-``trace_sweep`` reads t_p above 4g^2 from the Hasse-Witt residue t_p mod p
-and the parity of t_p instead (``hasse_witt_traces``): above 4g^2 the Weil
-bound puts t_p in (-p, p), where the two values of the residue differ in
-parity, and the parity follows from the number of roots of f in F_p.  The
+``trace_sweep`` reads t_p from the Hasse-Witt residue t_p mod p and the
+parity of t_p instead (``hasse_witt_traces``), at every good prime: the
+parity follows from the number of roots of f in F_p, and t_p mod 2p fixes
+t_p in its interval of 2p + 1 integers but at the two ends, where the
+quadratic character of c picks.  The
 residue is a sum of binomials C(h, j) mod p, h = (p-1)/2, each read by
 duplication as C(-1/2, r) = (-1)^r (2r)! / (4^r (r!)^2), r = min(j, h-j),
 so that the terms j and h - j share it.  The sum is assembled one residue
@@ -47,6 +48,7 @@ from . import _accel
 from .charsums import conductor, jacobi_sum_compact
 from .cyclo import CycloElt
 from .errors import BadReductionError, NonIntegerResultError, NotPrimeError
+# make_field is not called here; perfbench's tracer rebinds pointcount.make_field
 from .ffield import P_MAX, PrimeField, check_p_max, check_prime, make_field, reduce_mod
 from .primes import prime_range
 
@@ -248,32 +250,19 @@ def is_generic_prime(p: int, spec: CurveSpec) -> bool:
     return p % congruence_modulus(spec) == 1
 
 
-def residue_fixes_trace(p: int, spec: CurveSpec) -> bool:
-    """True when t_p mod p and the parity of t_p determine t_p: p > 4g^2.
-
-    There |t_p| <= 2g*sqrt(p) < p, so t_p lies in (-p, p), where t_p mod p
-    leaves two candidates s and s - p; p is odd, so they differ in parity.
-    """
-    return p > _residue_bound(spec)
-
-
-def _residue_bound(spec: CurveSpec) -> int:
-    return 4 * spec.genus**2
-
-
 _HALF = Fraction(1, 2)
 
 
 def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     """Frobenius traces t_p from the Hasse-Witt residue and the parity of t_p,
-    for good odd primes p > 4g^2.
+    for good odd primes p.
 
     ``primes`` must be odd primes, as a sieve gives them, in any order and
     with repeats allowed: primality is not tested here (``trace_hasse_witt``
     tests its one p).  The primes are checked in arrays, and the first p in
     input order that fails a check raises, its checks taken in the order
-    p > 4g^2 (ValueError), good reduction (``BadReductionError``),
-    p <= P_MAX (``_check_residue_primes``).
+    good reduction (``BadReductionError``), p <= P_MAX
+    (``_check_residue_primes``).
 
     With h = (p-1)/2, chi(f(x)) = f(x)^h mod p, and x^k sums to -1 over F_p
     when 0 < k and (p-1) | k, else to 0.  Expanding f^h binomially gives
@@ -291,8 +280,17 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     t_p is even.  For odd additive d, x^d = -c has e = gcd(d, p-1) roots,
     e odd, when (-c)^((p-1)/e) = 1 and none otherwise, so
     t_p = 1 + [(-c)^((p-1)/e) = 1] (mod 2), even whenever e = 1.  With s the
-    residue in [0, p), t_p is whichever of s and s - p has that parity
-    (``residue_fixes_trace``).
+    residue in [0, p), t0 is whichever of s and s - p has that parity.
+
+    That fixes t_p but in one class, at every good p and with no Weil
+    bound.  Each x gives 0, 1 or 2 affine points, so t_p lies in
+    [top - 2p, top], top = p + 1 - (points at infinity): its 2p + 1
+    integers hold t0 and each class mod 2p once but that of top twice, and
+    t_p = t0 unless t0 = top (mod 2p).  An end means no affine point (top)
+    or two at every x (top - 2p).  x = 0 gives one point for the linear
+    family, so it never meets an end; for the additive family it gives two
+    when c is a square, phi(c) = (num*den)^h = 1 mod p, and none otherwise
+    (x^6 + 1 at p = 7 gives -8, x^6 + 5 at p = 7 gives 6).
 
     The binomials come by duplication.  C(h, j) = C(h, h-j), so the terms j
     and h - j share C(h, r), r = min(j, h-j) <= h/2.  And 2h = p - 1, so
@@ -392,7 +390,14 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     if len(odd):
         parity[odd] = powers["odd"] != powers.get("odd_den", 1)
     s = total % ps
-    return np.where(s % 2 == parity, s, s - ps).tolist()
+    t = np.where(s % 2 == parity, s, s - ps)
+    # the ends of [top - 2p, top], never met by the linear family: phi(c) picks
+    top = ps + 1 - points_at_infinity(spec)
+    ends = np.flatnonzero((top - t) % (2 * ps) == 0)
+    m = ps[ends]
+    is_square = _accel.pow_mod(num[ends] * den[ends] % m, n[ends] // 2, m) == 1
+    t[ends] = top[ends] - 2 * m * is_square
+    return t.tolist()
 
 
 def _part(n: np.ndarray, f: Fraction) -> np.ndarray:
@@ -414,20 +419,15 @@ def _check_residue_primes(
         for p in primes:
             _check_residue_prime(p, spec)
     ps = np.array(primes, dtype=np.int64)
-    failed = ps <= _residue_bound(spec)
-    # a p that fails the bound is reduced mod 1 instead: p = 0 divides nothing
-    mods = np.where(failed, 1, ps)
     double_degree, numerator, denominator = _bad_reduction_factors(spec)
-    num, den = _residues(numerator, mods), _residues(denominator, mods)
-    failed |= _residues(double_degree, mods) * num % mods * den % mods == 0
+    num, den = _residues(numerator, ps), _residues(denominator, ps)
+    failed = _residues(double_degree, ps) * num % ps * den % ps == 0
     if failed.any():
         _check_residue_prime(primes[failed.argmax()], spec)
     return ps, num, den
 
 
 def _check_residue_prime(p: int, spec: CurveSpec) -> None:
-    if not residue_fixes_trace(p, spec):
-        raise ValueError(f"the Hasse-Witt residue fixes t_p only for p > 4g^2, got p={p}")
     if not good_reduction(p, spec):
         raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
     check_p_max(p)
@@ -454,7 +454,7 @@ def _check_inverses(a: np.ndarray, inv: np.ndarray, mods: np.ndarray) -> None:
 
 
 def trace_hasse_witt(p: int, spec: CurveSpec) -> int:
-    """t_p at one good odd prime p > 4g^2; see ``hasse_witt_traces``."""
+    """t_p at one good odd prime p; see ``hasse_witt_traces``."""
     check_prime(p)
     return hasse_witt_traces([p], spec)[0]
 
@@ -484,9 +484,9 @@ def trace_sweep(
 ) -> SweepResult:
     """Trace-of-Frobenius samples over ``good_primes(spec, p_min, p_max)``.
 
-    Primes p <= 4g^2 take ``count_formula``; the others take one
-    ``hasse_witt_traces`` batch.  With workers > 1 each worker of a process
-    pool takes one contiguous block of those primes, the blocks cut at
+    The primes take one ``hasse_witt_traces`` batch, which needs no field
+    and no Weil bound.  With workers > 1 each worker of a process pool
+    takes one contiguous block of the primes, the blocks cut at
     about equal sums of p (``_blocks_of_equal_sum``); the pool is imported
     only then.  workers must lie in [1, os.cpu_count()].
     """
@@ -494,18 +494,15 @@ def trace_sweep(
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must be between 1 and {cpus}, got {workers}")
     primes = good_primes(spec, p_min, p_max)
-    cut = bisect.bisect_right(primes, _residue_bound(spec))
-    small, large = primes[:cut], primes[cut:]
-    traces = [p + 1 - count_formula(make_field(p), spec) for p in small]
-    if workers > 1 and len(large) > 1:
+    if workers > 1 and len(primes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        blocks = _blocks_of_equal_sum(large, workers)
+        blocks = _blocks_of_equal_sum(primes, workers)
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            for batch in pool.map(hasse_witt_traces, blocks, [spec] * len(blocks)):
-                traces += batch
+            batches = pool.map(hasse_witt_traces, blocks, [spec] * len(blocks))
+            traces = list(itertools.chain.from_iterable(batches))
     else:
-        traces += hasse_witt_traces(large, spec)
+        traces = hasse_witt_traces(primes, spec)
     # the count is on the smooth model, so t_p is the Frobenius trace of the
     # Jacobian and |t_p| <= 2g*sqrt(p) for every d (e.g. y^2=x^6+1 at p=103
     # gives t_p = 40, just inside the genus-2 bound 40.596).  The columns are

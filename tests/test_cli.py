@@ -314,9 +314,9 @@ def test_sweep_json(capsys):
 
 
 def test_sweep_json_is_pinned(capsys):
-    # the Hasse-Witt path above 4g^2 = 100 (the residue mod p, lifted by
-    # the parity of t_p) prints exactly what the Jacobi-sum path printed for
-    # every prime
+    # the Hasse-Witt path (the residue mod p, lifted by the parity of t_p,
+    # phi(c) at the ends: t_p = 6 at p = 7) prints exactly what the
+    # Jacobi-sum path printed for every prime, those below 4g^2 = 100 too
     code, out, err = run(
         capsys, "sweep", "--curve", "x^12+c", "--c", "-3/5", "--pmax", "3000",
         "--format", "json",

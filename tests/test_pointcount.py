@@ -20,7 +20,6 @@ from stjac.pointcount import (
     good_reduction,
     hasse_witt_traces,
     points_at_infinity,
-    residue_fixes_trace,
     trace_hasse_witt,
     trace_sweep,
 )
@@ -205,8 +204,7 @@ def test_formula_equals_oracle_random_twists(case):
     fld = make_field(p)
     count = count_bruteforce(fld, spec)
     assert count_formula(fld, spec) == count
-    if residue_fixes_trace(p, spec):
-        assert trace_hasse_witt(p, spec) == p + 1 - count
+    assert trace_hasse_witt(p, spec) == p + 1 - count
 
 
 def test_empty_branch_gives_p_plus_one(field):
@@ -318,7 +316,8 @@ def test_traces_add_over_split_factors(field):
 
 
 def test_trace_sweep_parallel_matches_serial():
-    # 3..2000 for genus 2 puts primes on both sides of 4g^2 = 16 in the pool
+    # 3..2000 for genus 2 starts where t_p may sit at an end of its range:
+    # x^6 + 1 at p = 7 has t_p = -8
     serial = trace_sweep(curve(ADDITIVE, 6, 1), 3, 2000, workers=1)
     parallel = trace_sweep(curve(ADDITIVE, 6, 1), 3, 2000, workers=2)
     assert serial.samples == parallel.samples
@@ -359,22 +358,19 @@ def test_hasse_witt_equals_both_oracles(field):
 
 
 def test_hasse_witt_boundary_at_4_g_squared(field):
-    # the first prime above 4g^2 takes the residue and its parity; the last
-    # one below it is refused, since there |t_p| may reach p and even the
-    # residue mod 2p is ambiguous
+    # the Weil bound plays no part: the last prime below 4g^2 and the first
+    # one above it both take the residue and its parity, and agree with the
+    # two counts
     for g, below, first in ((2, 13, 17), (3, 31, 37), (4, 61, 67), (5, 97, 101)):
         assert prime_range(below + 1, 4 * g * g) == []
         assert prime_range(4 * g * g + 1, first - 1) == []
         for spec in (curve(ADDITIVE, 2 * g + 1, 3), curve(ADDITIVE, 2 * g + 2, -1),
                      curve(LINEAR, 2 * g + 1, Fraction(-3, 5))):
             assert spec.genus == g
-            assert residue_fixes_trace(first, spec)
-            assert not residue_fixes_trace(below, spec)
-            fld = field(first)
-            t = trace_hasse_witt(first, spec)
-            assert t == first + 1 - count_bruteforce(fld, spec) == first + 1 - count_formula(fld, spec)
-            with pytest.raises(ValueError, match="4g"):
-                trace_hasse_witt(below, spec)
+            for p in (below, first):
+                fld = field(p)
+                t = trace_hasse_witt(p, spec)
+                assert t == p + 1 - count_bruteforce(fld, spec) == p + 1 - count_formula(fld, spec)
     with pytest.raises(BadReductionError):
         trace_hasse_witt(401, curve(ADDITIVE, 12, 401))
 
@@ -384,7 +380,7 @@ def test_trace_hasse_witt_rejects_composite_p():
     # non-invertible factorial inside pow
     spec = curve(ADDITIVE, 9, 1)
     for p in (1001, 10000009):
-        assert good_reduction(p, spec) and residue_fixes_trace(p, spec)
+        assert good_reduction(p, spec)
         with pytest.raises(NotPrimeError, match="odd prime"):
             trace_hasse_witt(p, spec)
 
@@ -399,7 +395,7 @@ def test_hasse_witt_checks_the_inverse_of_den_c_only_for_a_fraction():
     assert len(hasse_witt_traces(primes, curve(ADDITIVE, 9, 1))) == 3
 
 
-def test_trace_sweep_builds_fields_only_up_to_4_g_squared(monkeypatch):
+def test_trace_sweep_builds_no_field_and_calls_no_count_formula(monkeypatch):
     built, counted = [], []
 
     def recording(fn, log):
@@ -410,13 +406,12 @@ def test_trace_sweep_builds_fields_only_up_to_4_g_squared(monkeypatch):
 
     monkeypatch.setattr(pointcount, "make_field", recording(make_field, built))
     monkeypatch.setattr(pointcount, "count_formula", recording(count_formula, counted))
-    spec = curve(ADDITIVE, 9, 1)  # g = 4, 4g^2 = 64
+    spec = curve(ADDITIVE, 9, 1)  # g = 4: the primes below 4g^2 = 64 are swept too
     res = trace_sweep(spec, 3, 600)
-    small = [p for p in prime_range(3, 64) if good_reduction(p, spec)]
-    assert built == counted == small and small[-1] == 61
-    assert [s.p for s in res.samples if s.p > 64] == [
-        p for p in prime_range(65, 600) if good_reduction(p, spec)
-    ]
+    assert built == counted == []
+    primes = [p for p in prime_range(3, 600) if good_reduction(p, spec)]
+    assert [s.p for s in res.samples] == primes and primes[0] == 5
+    assert [s.count for s in res.samples] == [count_bruteforce(make_field(p), spec) for p in primes]
 
 
 _TWISTS = (1, -1, 2, 3, Fraction(-3, 5), Fraction(1, 2), 7)
@@ -512,8 +507,8 @@ def test_hasse_witt_requests_each_distinct_factorial_once(monkeypatch):
 
 
 def test_hasse_witt_errors_keep_type_message_and_input_order():
-    spec = curve(ADDITIVE, 11, 1)  # g = 5, 4g^2 = 100
-    with pytest.raises(ValueError, match=r"^the Hasse-Witt residue fixes t_p only for p > 4g\^2, got p=97$"):
+    spec = curve(ADDITIVE, 11, 1)  # g = 5, 4g^2 = 100: 97 is a good prime like 101
+    with pytest.raises(PrimeTooLargeError, match=r"^p must be at most P_MAX = 2\^31 - 1, got 2147483659$"):
         hasse_witt_traces([101, 97, 2**31 + 11], spec)
     with pytest.raises(PrimeTooLargeError, match=r"^p must be at most P_MAX = 2\^31 - 1, got 2147483659$"):
         hasse_witt_traces([101, 2**31 + 11, 97], spec)
@@ -540,12 +535,10 @@ def test_hasse_witt_stays_exact_for_wide_c():
 
 def test_hasse_witt_array_checks_raise_what_a_loop_in_input_order_raises():
     # the reference checks one p at a time, in input order, in the order
-    # bound, reduction, P_MAX; lists mix good primes with each offence,
-    # c and p past int64 included
+    # reduction, P_MAX; lists mix good primes (37 and 97 below 4g^2 = 100
+    # among them) with each offence, c and p past int64 included
     def first_error(primes, spec):
         for p in primes:
-            if p <= 4 * spec.genus**2:
-                return ValueError, f"the Hasse-Witt residue fixes t_p only for p > 4g^2, got p={p}"
             if not good_reduction(p, spec):
                 return BadReductionError, f"{p} divides 2*d*c for {spec.label()}"
             if p > 2**31 - 1:
@@ -567,31 +560,44 @@ def test_hasse_witt_array_checks_raise_what_a_loop_in_input_order_raises():
             assert str(err.value) == expected[1], primes
 
 
-def test_hasse_witt_lifts_the_residue_by_parity_above_4_g_squared(field):
-    # in (4g^2, 16g^2] |t_p| may pass p/2, so the residue mod p alone is
-    # ambiguous; its parity picks t_p.  c = -2^d makes -c a d-th power, so
-    # for odd additive d every e = gcd(d, p-1) > 1 gives an even t_p
+def test_hasse_witt_lifts_the_residue_by_parity_at_every_good_prime(field):
+    # from p = 3 on: below 16g^2 |t_p| may pass p/2, and below 4g^2 even p,
+    # so the residue mod p alone is ambiguous; its parity fixes t_p mod 2p,
+    # and where t_p mod 2p is the class of both ends of [top - 2p, top],
+    # top = p + 1 - (points at infinity), phi(c) picks.  c = -2^d makes -c
+    # a d-th power, so for odd additive d every e = gcd(d, p-1) > 1 gives
+    # an even t_p
     twists = (1, 2, 3, 5, -1, Fraction(1, 2), Fraction(-3, 5))  # the benchmark's C_VALUES
     specs = [curve(ADDITIVE, d, c) for d in range(1, 15) for c in (*twists, -(2**d))]
     specs += [curve(LINEAR, d, c) for d in range(3, 14, 2) for c in (*twists, -(2**d))]
-    checked = past_half = odd = 0
+    checked = past_half = odd = below = 0
+    ends = []
     for spec in specs:
         g = spec.genus
-        primes = [p for p in prime_range(4 * g * g + 1, 16 * g * g) if good_reduction(p, spec)]
+        primes = [p for p in prime_range(3, 16 * g * g) if good_reduction(p, spec)]
         for p, t in zip(primes, hasse_witt_traces(primes, spec), strict=True):
             assert t == p + 1 - count_bruteforce(field(p), spec), (spec, p)
             checked += 1
             past_half += 2 * abs(t) > p
             odd += t % 2
-    assert (checked, past_half, odd) == (4770, 49, 151)
+            below += p <= 4 * g * g
+            top = p + 1 - points_at_infinity(spec)
+            if (top - t) % (2 * p) == 0:
+                ends.append(t == top)
+    assert (checked, past_half, odd, below) == (6778, 164, 218, 2008)
+    assert (len(ends), sum(ends)) == (23, 15)  # 15 at the top, 8 at the bottom
+    # phi(c) = 1 picks the bottom, phi(c) = -1 the top
+    assert hasse_witt_traces([7], curve(ADDITIVE, 6, 1)) == [-8]
+    assert hasse_witt_traces([7], curve(ADDITIVE, 6, 5)) == [6]
+    assert hasse_witt_traces([19], curve(ADDITIVE, 9, 5)) == [-19]
 
 
 def test_sweep_blocks_cut_at_equal_sums_of_p():
     # a prime's tree work grows with p: blocks of equal count took 0.75 s and
     # 1.94 s for this range, blocks of equal sum about 1.3 s and 1.5 s
     spec = curve(ADDITIVE, 9, 1)
-    large = [p for p in pointcount.good_primes(spec, 257, 300000) if residue_fixes_trace(p, spec)]
-    low, high = pointcount._blocks_of_equal_sum(large, 2)
-    assert low + high == large
+    primes = pointcount.good_primes(spec, 257, 300000)
+    low, high = pointcount._blocks_of_equal_sum(primes, 2)
+    assert low + high == primes
     assert 0.6 * 300000 < high[0] < 0.8 * 300000
     assert pointcount._blocks_of_equal_sum([3, 5], 4) == [[3], [5]]

@@ -33,7 +33,10 @@ x^397+1 at p = 2383 and x^2000+3 at p = 1008001, where the count sums
 hundreds of Jacobi sums, and of x^12+3 at 50000017, the first good prime
 from 5*10^7, where the O(p) passes dominate; and the sweep of x^9+1 to
 10^5, 3*10^5 and 10^6, where the top of the remainder tree grows
-quadratically.  A sweep's result holds its moments and the SHA-256 of its
+quadratically; and the sweeps of the genus-200 x^401+1 and the genus-100
+linear x^201+x to 160000, where every prime of the first and about 30 % of
+the second lie at or below 4g^2: there the Weil bound leaves the residue
+of t_p mod p ambiguous, and the interval of the point count fixes t_p.  A sweep's result holds its moments and the SHA-256 of its
 (p, t_p) pairs, so two checkouts can be compared by answer as well as by
 time.
 """
@@ -64,6 +67,8 @@ DEFAULT = (
     "sweep:additive:9:1:100000",
     "sweep:additive:9:1:300000",
     "sweep:additive:9:1:1000000",
+    "sweep:additive:401:1:160000",
+    "sweep:linear:201:1:160000",
 )
 
 
