@@ -2,8 +2,8 @@
 
 There is one backend, ``BACKEND = "numpy"``.  The Jacobi-sum and counting
 kernels are whole-array passes, O(p) each, in chunks of about 2^16
-elements.  From p = 4096 the dlog table walks g^e for e < (p-1)/2 and
-fills dlog(-x) = dlog x + (p-1)/2.  The histogram pass of a point count
+elements.  The dlog table walks g^e for e < (p-1)/2 and fills
+dlog(-x) = dlog x + (p-1)/2.  The histogram pass of a point count
 builds the M x M joint table of (dlog x, dlog(1-x)) mod M when
 M^2 <= p - 1, reading half of F_p (the table is symmetric under
 x -> 1 - x), and otherwise the M x 2 table of (dlog x mod M, parity of
@@ -14,7 +14,8 @@ form every histogram key (< 2(p - 1)) and every product of two residues
 mod p (< p^2 < 2^62) in int64.
 ``prefix_factorials`` serves the Hasse-Witt traces of a sweep: one
 remainder tree on Python ints for all the factorials of all the primes,
-whose leaves are bundles of nearby requests that finish in int64.
+whose leaves are bundles of nearby requests that finish in int64: every
+modulus is below 2^31.
 ``pow_mod`` is the elementwise power with which the traces combine them.
 """
 
@@ -29,14 +30,10 @@ BACKEND = "numpy"
 
 # elements per chunk of the O(p) passes
 _CHUNK = 1 << 16
-# below this p a dlog table costs numpy calls more than elements, and the
-# walk over all of F_p beats the half walk plus the pass that fills -x
-_HALF_WALK_MIN_P = 1 << 12
 # leaves of the remainder tree: bundles of at most _BUNDLE requests within
-# _BUNDLE_WIDTH of the bundle's first x, finished in int64 below _NARROW
+# _BUNDLE_WIDTH of the bundle's first x, finished in int64
 _BUNDLE = 16
 _BUNDLE_WIDTH = 64
-_NARROW = 1 << 31
 
 
 def dlog_table(p: int, g: int, m: int) -> np.ndarray:
@@ -44,17 +41,16 @@ def dlog_table(p: int, g: int, m: int) -> np.ndarray:
 
     m must divide p - 1; m = p - 1 gives the full table.  The dtype is the
     smallest signed one that holds m - 1.  With h = (p - 1) / 2, g^h = -1,
-    so dlog(p - x) = dlog x + h: from p = ``_HALF_WALK_MIN_P`` on, the walk
-    visits only e < h, which writes exactly one entry of each pair
-    (y, p - y), and ``_fill_negatives`` writes the other.  The powers g^e
-    come in chunks of about 2^16 whose length is a multiple of m when m is
-    that small, so the label e mod m of column j of every chunk is j mod m.
+    so dlog(p - x) = dlog x + h: the walk visits only e < h, which writes
+    exactly one entry of each pair (y, p - y), and ``_fill_negatives``
+    writes the other.  The powers g^e come in chunks of about 2^16 whose
+    length is a multiple of m when m is that small, so the label e mod m of
+    column j of every chunk is j mod m.
     """
     h = (p - 1) // 2
-    stop = h if p >= _HALF_WALK_MIN_P else p - 1
     dtype = np.min_scalar_type(-m)  # the smallest signed type that holds m - 1
     r = np.full(p, -1, dtype=dtype)
-    chunk = min(stop, m * -(-_CHUNK // m) if m <= _CHUNK else _CHUNK)
+    chunk = min(h, m * -(-_CHUNK // m) if m <= _CHUNK else _CHUNK)
     # powers[j] = g^j mod p for j < chunk, by doubling; products stay < p^2 < 2^62
     powers = np.empty(chunk, dtype=np.int64)
     powers[0] = 1
@@ -68,30 +64,25 @@ def dlog_table(p: int, g: int, m: int) -> np.ndarray:
         gk = gk * gk % p
     labels = np.tile(np.arange(m, dtype=dtype), -(-chunk // m)) if m <= _CHUNK else None
     stride = pow(g, chunk, p)
-    for start in range(0, stop, chunk):
-        count = min(chunk, stop - start)
+    for start in range(0, h, chunk):
+        count = min(chunk, h - start)
         values = powers[:count]
         if start:  # g^(start + j) = g^(start - chunk + j) * g^chunk, in place
             values *= stride
             _reduce(values, p)
         if labels is not None:
             r[values] = labels[:count]
-        else:  # every e below the stop is its own residue when m >= stop
+        else:  # every e below h is its own residue when m >= h
             e = np.arange(start, start + count)
-            r[values] = e if m >= stop else e % m
-    if stop == h:
-        _fill_negatives(r, m)
+            r[values] = e if m >= h else e % m
+    _fill_negatives(r, m)
     return r
 
 
 def _reduce(x: np.ndarray, p: int) -> None:
-    """x %= p in place for x >= 0.  On long arrays x - (x // p) * p is
-    faster: numpy divides by a scalar without a hardware division per
-    element, which x % p does not; on short ones its two extra calls cost more."""
-    if len(x) < 512:
-        x %= p
-    else:
-        x -= x // p * p
+    """x %= p in place for x >= 0, as x - (x // p) * p: numpy divides by a
+    scalar without a hardware division per element, which x % p does not."""
+    x -= x // p * p
 
 
 def _fill_negatives(r: np.ndarray, m: int) -> None:
@@ -162,70 +153,46 @@ def char_pair_histogram(u: np.ndarray, m: int, k: int, n: int) -> np.ndarray:
     return hist
 
 
-def prefix_factorials(
-    xs: list[int] | np.ndarray, ms: list[int] | np.ndarray
-) -> list[int] | np.ndarray:
-    """[x_i! mod m_i] for ascending xs in [0, 2^62) and moduli m_i >= 1.
+def prefix_factorials(xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """[x_i! mod m_i] for int64 arrays of ascending xs in [0, 2^62) and
+    moduli 1 <= m_i < 2^31, as an int64 array.
 
-    xs and ms are lists of ints or int64 arrays, and the answer has the type
-    of ms.  The requests are cut into bundles (``_bundle_starts``): at most
+    The requests are cut into bundles (``_bundle_starts``): at most
     ``_BUNDLE`` consecutive requests whose x lie within ``_BUNDLE_WIDTH`` of
     the bundle's first x.  One accumulating remainder tree over the bundles
     (``_tree_factorials``) gives V_b = (x_b)! mod M_b, x_b the first x of
     bundle b and M_b the product of its moduli.  Each request then finishes
     in int64 (``_finish``): V_b mod m_i from V_b's 32-bit words, times the at
-    most ``_BUNDLE_WIDTH`` integers of (x_b, x_i].  A request with
-    m_i >= 2^31 is a bundle of its own, and V_b is its answer.
+    most ``_BUNDLE_WIDTH`` integers of (x_b, x_i].  A modulus of 2^31 or
+    more raises ValueError.
     """
-    arrays = isinstance(ms, np.ndarray)
     if not len(xs):
-        return ms[:0].copy() if arrays else []
-    ml = ms.tolist() if arrays else ms
-    x = np.asarray(xs, dtype=np.int64)
-    starts, wide = _bundle_starts(x, ml)
-    bounds = [*starts, len(ml)]
+        return ms[:0].copy()
+    if ms.max() >= 1 << 31:
+        raise ValueError(f"moduli must be below 2^31, got {ms.max()}")
+    starts = _bundle_starts(xs)
+    bounds = [*starts, len(ms)]
+    ml = ms.tolist()
     vals = _tree_factorials(
-        x[starts].tolist(), [math.prod(ml[s:t]) for s, t in itertools.pairwise(bounds)]
+        xs[starts].tolist(), [math.prod(ml[s:t]) for s, t in itertools.pairwise(bounds)]
     )
     bundle = np.repeat(np.arange(len(starts)), np.diff(bounds))
-    first = x[starts][bundle]
-    if wide is None:
-        out = _finish(vals, bundle, first, x, np.asarray(ms, dtype=np.int64))
-        return out if arrays else out.tolist()
-    out = [vals[b] for b in bundle.tolist()]
-    narrow = np.flatnonzero(~wide)
-    if len(narrow):
-        m = np.array([ml[i] for i in narrow.tolist()], dtype=np.int64)
-        # a wide bundle's value is already its answer, and would only widen the word table
-        vals = [0 if w else v for v, w in zip(vals, wide[starts])]
-        fin = _finish(vals, bundle[narrow], first[narrow], x[narrow], m)
-        for i, v in zip(narrow.tolist(), fin.tolist()):
-            out[i] = v
-    return np.array(out, dtype=np.int64) if arrays else out
+    return _finish(vals, bundle, xs[starts][bundle], xs, ms)
 
 
-def _bundle_starts(x: np.ndarray, ms: list[int]) -> tuple[list[int], np.ndarray | None]:
-    """First request of each bundle, greedily in x order, and the mask of the
-    wide requests (m >= 2^31), or None when there is none.
+def _bundle_starts(x: np.ndarray) -> list[int]:
+    """First request of each bundle, greedily in x order.
 
-    A bundle ends after ``_BUNDLE`` requests, before the first x more than
-    ``_BUNDLE_WIDTH`` past its first x, and around a wide request.
+    A bundle ends after ``_BUNDLE`` requests and before the first x more
+    than ``_BUNDLE_WIDTH`` past its first x.
     """
-    n = len(ms)
-    i = np.arange(n)
-    nxt = np.minimum(i + _BUNDLE, np.searchsorted(x, x + _BUNDLE_WIDTH, side="right"))
-    wide = None
-    if max(ms) >= _NARROW:
-        wide = np.array([m >= _NARROW for m in ms])
-        at = np.flatnonzero(wide)
-        nxt = np.minimum(nxt, np.append(at, n)[np.searchsorted(at, i, side="right")])
-        nxt[at] = at + 1
-    nxt = nxt.tolist()
+    i = np.arange(len(x))
+    nxt = np.minimum(i + _BUNDLE, np.searchsorted(x, x + _BUNDLE_WIDTH, side="right")).tolist()
     starts, s = [], 0
-    while s < n:
+    while s < len(nxt):
         starts.append(s)
         s = nxt[s]
-    return starts, wide
+    return starts
 
 
 def _finish(

@@ -145,20 +145,12 @@ def _prime(i: int) -> int:
     return ell
 
 
-# below this many entries an RREF runs on Python lists: an array operation
-# costs about a microsecond whatever its size, about ten per pivot
-_NUMPY_MIN_ENTRIES = 100
-
-
 def _rref_mod(mat, ell: int) -> tuple[list[int], list[list[int]]]:
     """Pivot columns and rows of the reduced row echelon form of mat mod ell.
 
-    From ``_NUMPY_MIN_ENTRIES`` entries on, one int64 array takes one
-    whole-array update per pivot: entries stay below ell < 2^31, so a
-    product of two is below 2^62.
+    One int64 array takes one whole-array update per pivot: entries stay
+    below ell < 2^31, so a product of two is below 2^62.
     """
-    if len(mat) * len(mat[0]) < _NUMPY_MIN_ENTRIES:
-        return _rref_mod_lists(mat, ell)
     a = np.array([[x % ell for x in row] for row in mat], dtype=np.int64)
     pivots = []
     for col in range(a.shape[1]):
@@ -171,36 +163,12 @@ def _rref_mod(mat, ell: int) -> tuple[list[int], list[list[int]]]:
         piv = r + below[0]
         top = a[piv] * pow(int(a[piv, col]), -1, ell) % ell
         a[piv] = a[r]
-        f = a[:, col, None].copy()
-        f[r] = 0
-        a -= f * top
+        # row r needs no zero factor: top overwrites it below
+        a -= a[:, col, None] * top
         a %= ell
         a[r] = top
         pivots.append(col)
     return pivots, a[: len(pivots)].tolist()
-
-
-def _rref_mod_lists(mat, ell: int) -> tuple[list[int], list[list[int]]]:
-    """``_rref_mod`` on Python lists."""
-    mat = [[x % ell for x in row] for row in mat]
-    pivots = []
-    for col in range(len(mat[0])):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        inv = pow(mat[piv][col], -1, ell)
-        top = [x * inv % ell for x in mat[piv]]
-        mat[piv] = mat[r]
-        mat[r] = top
-        for i, row in enumerate(mat):
-            f = row[col]
-            if f and i != r:
-                # top is zero left of col: it has no earlier pivot, and no earlier
-                # column had a pivot candidate
-                mat[i] = row[:col] + [(x - f * y) % ell for x, y in zip(row[col:], top[col:])]
-        pivots.append(col)
-    return pivots, mat[: len(pivots)]
 
 
 def _rational(x: int, m: int) -> tuple[int, int] | None:

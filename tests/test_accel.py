@@ -1,12 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stjac import _accel
 from stjac._accel import (
-    _HALF_WALK_MIN_P,
     affine_count,
     char_pair_histogram,
     dlog_table,
@@ -37,10 +37,9 @@ def _enumerated_dlog(p, g):
 
 def test_dlog_residues_match_the_full_table_mod_every_divisor():
     # p = 131113 > 2 * 2^16: the chunks of the large moduli cross boundaries.
-    # 19, 4099 and 131071 are 3 mod 4: h = (p-1)/2 is odd, so the entries of
-    # -x take a shift h mod m != 0 for every even m; the walk stops at h
-    # from 4099 on, and at 131071 the chunks of the pass that fills -x cross h
-    assert 1009 < _HALF_WALK_MIN_P <= 4099
+    # 3, 7, 11, 19, 4099 and 131071 are 3 mod 4: h = (p-1)/2 is odd, so the
+    # entries of -x take a shift h mod m != 0 for every even m; the walk
+    # stops at h, and at 131071 the chunks of the pass that fills -x cross h
     for p in (3, 5, 7, 11, 19, 1009, 4099, 131071, 131113):
         g = smallest_primitive_root(p)
         full = _enumerated_dlog(p, g)
@@ -116,10 +115,17 @@ def test_pair_code_histogram_matches_the_brute_force_joint_table():
                     assert np.array_equal(table, table.T), (p, m)
 
 
-def test_prefix_factorials_match_math_factorial():
-    def reference(xs, ms):
-        return [math.factorial(x) % m for x, m in zip(xs, ms)]
+def _factorials(xs, ms):
+    return [math.factorial(x) % m for x, m in zip(xs, ms)]
 
+
+def _prefix_factorials(xs, ms):
+    got = prefix_factorials(np.array(xs, dtype=np.int64), np.array(ms, dtype=np.int64))
+    assert got.dtype == np.int64
+    return got.tolist()
+
+
+def test_prefix_factorials_match_math_factorial():
     cases = [
         ([], []),
         ([0], [7]),  # x = 0
@@ -130,7 +136,7 @@ def test_prefix_factorials_match_math_factorial():
         ([0, 1, 1, 2], [1, 1, 2, 2]),
     ]
     for xs, ms in cases:
-        assert prefix_factorials(xs, ms) == reference(xs, ms), (xs, ms)
+        assert _prefix_factorials(xs, ms) == _factorials(xs, ms), (xs, ms)
     # a sweep-like request list: x in {h, j, h - j} for every p < 2000, and a
     # narrow window of large x whose leaf products exceed the root modulus
     for ps, ks in [(range(3, 2000, 2), (3, 4, 6)), (range(20011, 20111, 2), (2, 5))]:
@@ -139,17 +145,14 @@ def test_prefix_factorials_match_math_factorial():
             for x in {(p - 1) // 2, (p - 1) // k // 2, (p - 1) // 2 - (p - 1) // k // 2}
         )
         xs, ms = [x for x, _ in pairs], [p for _, p in pairs]
-        assert prefix_factorials(xs, ms) == reference(xs, ms)
-
-
-def _factorials(xs, ms):
-    return [math.factorial(x) % m for x, m in zip(xs, ms)]
+        assert _prefix_factorials(xs, ms) == _factorials(xs, ms)
 
 
 def test_prefix_factorials_at_the_bundle_edges():
     # K - 1, K and K + 1 requests whose last x lies W - 1, W and W + 1 past
-    # the first, with repeated x, x = 0, moduli 1, composite and 2^31 - 1, and
-    # once with a modulus >= 2^31 in the middle, which is a bundle of its own
+    # the first, with repeated x, x = 0, moduli 1, composite and 2^31 - 1;
+    # a modulus of 2^31 or more in the middle raises, since the bundles
+    # finish in int64, where a product of two residues must stay below 2^62
     K, W = _accel._BUNDLE, _accel._BUNDLE_WIDTH
     moduli = [1, 2**31 - 1, 12, 1009, 4096, 2**31 - 1, 7, 30030]
     for count in (K - 1, K, K + 1, 2 * K + 1):
@@ -158,15 +161,11 @@ def test_prefix_factorials_at_the_bundle_edges():
                 xs = [first + i * gap // (count - 1) for i in range(count)]
                 xs[1] = xs[0]  # a repeated x
                 ms = [moduli[i % len(moduli)] for i in range(count)]
-                assert prefix_factorials(xs, ms) == _factorials(xs, ms), (count, gap, first)
-                got = prefix_factorials(np.array(xs), np.array(ms))
-                assert got.dtype == np.int64 and got.tolist() == _factorials(xs, ms)
-                ms[count // 2] = 2**61 - 1
-                assert prefix_factorials(xs, ms) == _factorials(xs, ms), (count, gap, first)
-                got = prefix_factorials(np.array(xs), np.array(ms))
-                assert got.dtype == np.int64 and got.tolist() == _factorials(xs, ms)
-    empty = np.array([], dtype=np.int64)
-    assert prefix_factorials(empty, empty).tolist() == []
+                assert _prefix_factorials(xs, ms) == _factorials(xs, ms), (count, gap, first)
+                for wide in (2**31, 2**61 - 1):
+                    ms[count // 2] = wide
+                    with pytest.raises(ValueError, match=f"got {wide}$"):
+                        _prefix_factorials(xs, ms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,7 +173,7 @@ def test_prefix_factorials_at_the_bundle_edges():
     st.lists(
         st.tuples(
             st.integers(0, 600),
-            st.sampled_from([1, 2, 6, 12, 97, 1009, 2**31 - 1, 2**31, 2**61 - 1, 2**89 - 1]),
+            st.sampled_from([1, 2, 6, 12, 97, 1009, 65536, 2**31 - 2, 2**31 - 1]),
         ),
         max_size=80,
     )
@@ -182,7 +181,7 @@ def test_prefix_factorials_at_the_bundle_edges():
 def test_prefix_factorials_property(requests):
     requests.sort(key=lambda r: r[0])
     xs, ms = [x for x, _ in requests], [m for _, m in requests]
-    assert prefix_factorials(xs, ms) == _factorials(xs, ms)
+    assert _prefix_factorials(xs, ms) == _factorials(xs, ms)
 
 
 def test_pow_mod_matches_python_pow():

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import GF, ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 import oracles
 from stjac import intlinalg
@@ -287,21 +288,21 @@ def test_rank_survives_primes_where_it_drops(monkeypatch):
         assert len(calls) == primes, (rows, calls)
 
 
-def test_both_eliminations_give_one_rref():
-    # _rref_mod keeps small matrices in lists and large ones in an int64
-    # array: both sides of the cut agree with each other and with sympy
+def test_rref_mod_matches_sympy_over_gf_ell():
+    # one int64 elimination at every size, small matrices included, against
+    # sympy's RREF over GF(l) with its entries normalised to [0, l)
     rng = random.Random(28)
     ell = intlinalg._prime(0)
-    shapes = [(3, 4), (9, 11), (10, 10), (12, 20), (25, 9), (6, 40)]
-    for m, n in shapes:
+    gf = GF(ell)
+    for m, n in [(3, 4), (9, 11), (10, 10), (12, 20), (25, 9), (6, 40)]:
         for k in (1, min(m, n) // 2 + 1, min(m, n)):
             left = [[rng.randrange(-5, 6) for _ in range(k)] for _ in range(m)]
             right = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(k)]
             rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
-            got = intlinalg._rref_mod(rows, ell)
-            assert got == intlinalg._rref_mod_lists(rows, ell), (m, n, k)
-            assert len(got[0]) == Matrix(rows).rank(), (m, n, k)
-    assert {m * n >= intlinalg._NUMPY_MIN_ENTRIES for m, n in shapes} == {True, False}
+            red, pivots = DomainMatrix.from_list(rows, ZZ).convert_to(gf).rref()
+            expected = [[gf.to_int(x) % ell for x in row] for row in red.to_list()[: len(pivots)]]
+            assert intlinalg._rref_mod(rows, ell) == (list(pivots), expected), (m, n, k)
+            assert len(pivots) == Matrix(rows).rank(), (m, n, k)
 
 
 def test_rank_of_large_carry_matrices_is_quick(deadline):

@@ -346,7 +346,7 @@ def test_hasse_witt_equals_both_oracles(field):
     # each spec's primes also go through one batch, i.e. one remainder tree
     checked = 0
     for spec in specs:
-        primes = [p for p in prime_range(16 * spec.genus**2 + 1, 1500) if good_reduction(p, spec)]
+        primes = [p for p in prime_range(3, 1500) if good_reduction(p, spec)]
         for p, batched in zip(primes, hasse_witt_traces(primes, spec), strict=True):
             fld = field(p)
             t = trace_hasse_witt(p, spec)
@@ -354,7 +354,7 @@ def test_hasse_witt_equals_both_oracles(field):
             assert t == p + 1 - count_bruteforce(fld, spec), (spec, p)
             assert t == p + 1 - count_formula(fld, spec), (spec, p)
             checked += 1
-    assert checked == 31401
+    assert checked == 54695
 
 
 def test_hasse_witt_boundary_at_4_g_squared(field):
@@ -433,7 +433,8 @@ def _binomial_js(p, spec):
 
 
 def _hasse_witt_reference(p, spec):
-    """t_p from 1 - (points at infinity) + sum_j C(h, j) c^(h-j) mod p, in exact ints."""
+    """t_p mod p, folded into (-p/2, p/2), from 1 - (points at infinity) +
+    sum_j C(h, j) c^(h-j) mod p, in exact ints."""
     h = (p - 1) // 2
     cp = reduce_mod(spec.c, p)
     total = 1 - points_at_infinity(spec)
@@ -446,15 +447,17 @@ def test_hasse_witt_equals_binomial_reference():
     specs += [curve(LINEAR, d, c) for d in range(3, 20, 2) for c in _TWISTS]
     checked = 0
     for spec in specs:
-        primes = [p for p in _PRIMES_BELOW_3000 if p > 16 * spec.genus**2 and good_reduction(p, spec)]
-        assert hasse_witt_traces(primes, spec) == [_hasse_witt_reference(p, spec) for p in primes], spec
+        primes = [p for p in _PRIMES_BELOW_3000 if good_reduction(p, spec)]
+        # below 16g^2, t_p may lie outside the reference's (-p/2, p/2)
+        got = [t % p for t, p in zip(hasse_witt_traces(primes, spec), primes, strict=True)]
+        assert got == [_hasse_witt_reference(p, spec) % p for p in primes], spec
         checked += len(primes)
-    assert checked == 74570
+    assert checked == 98816
 
 
 def test_hasse_witt_any_order_and_repeats():
     for spec in (curve(ADDITIVE, 9, 1), curve(ADDITIVE, 12, Fraction(-3, 5)), curve(LINEAR, 7, 2)):
-        primes = [p for p in prime_range(16 * spec.genus**2 + 1, 2000) if good_reduction(p, spec)]
+        primes = [p for p in prime_range(3, 2000) if good_reduction(p, spec)]
         expected = dict(zip(primes, hasse_witt_traces(primes, spec)))
         shuffled = primes[::-1][::2] + primes[::3] + primes[1::2] + primes[:5]
         assert hasse_witt_traces(shuffled, spec) == [expected[p] for p in shuffled]
@@ -489,7 +492,7 @@ def test_hasse_witt_requests_each_distinct_factorial_once(monkeypatch):
     specs = (curve(ADDITIVE, 12, 1), curve(ADDITIVE, 8, 3), curve(ADDITIVE, 9, 1),
              curve(LINEAR, 9, -1), curve(LINEAR, 5, 1))
     for spec in specs:
-        primes = [p for p in prime_range(16 * spec.genus**2 + 1, 3000) if good_reduction(p, spec)]
+        primes = [p for p in prime_range(3, 3000) if good_reduction(p, spec)]
         calls.clear()
         hasse_witt_traces(primes, spec)
         expected = []
