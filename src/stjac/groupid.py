@@ -23,6 +23,7 @@ ranks are ``intlinalg.rank``: modular elimination, certified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .errors import (
@@ -85,11 +86,15 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
     return classes, degenerate
 
 
+@lru_cache(maxsize=256)
 def torus_dimension(mat: CarryMatrix) -> int:
     """Rank of the column lattice together with the all-ones vector, minus 1.
 
     That is the rank of the transpose: the distinct rows, each extended by
-    one entry 1 (a repeated row adds nothing to a rank).
+    one entry 1 (a repeated row adds nothing to a rank).  Memoized for the
+    last 256 matrices, keyed by the frozen matrix itself (equal matrices
+    share an entry, an altered copy gets its own); the matrix never depends
+    on the twist c.
     """
     return rank([(*row, 1) for row in mat.distinct_rows]) - 1
 
@@ -156,6 +161,14 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     kernel comes from the first prime, and every later prime must
     reproduce that prime's set of distinct rows (else
     InconsistentAcrossPrimesError).
+
+    Nothing of the matrices depends on c, so ``build_matrix``, its
+    validation (``CarryMatrix.violations``) and ``torus_dimension`` are
+    memoized per process (the last 256 entries each): a process that scans
+    the twists of one (d, family) builds, validates and ranks each matrix
+    once, and the rebuild of the first prime's matrix below is a cache
+    hit.  The fields, Frobenius terms, kernel and relation checks are
+    computed on every call, so a one-shot call gains only that hit.
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     for p in primes:

@@ -86,8 +86,11 @@ class CarryMatrix:
 
     @cached_property
     def _row_array(self) -> np.ndarray:
-        """``distinct_rows`` as an int64 array, for kernel-membership products."""
-        return np.array(self.distinct_rows, dtype=np.int64)
+        """``distinct_rows`` as a read-only int64 array, for kernel-membership
+        products; a memoized matrix shares it with every caller."""
+        rows = np.array(self.distinct_rows, dtype=np.int64)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def distinct_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -98,6 +101,40 @@ class CarryMatrix:
         set of row equations depend only on the set of rows.
         """
         return tuple(dict.fromkeys(self.entries))
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Names of violated structural checks (expected empty).
+
+        Checks: every row and column is half zeros / half ones; conjugate rows
+        k and p-1-k are complementary; the simultaneous Galois action on rows
+        and columns fixes the table.  A unit u moves cell (k, a) to (k*u, a/u),
+        which keeps k*a mod n, and the rows are all the units, so any two cells
+        with equal k*a are related by such a move.  So the table is stable
+        exactly when every k*a is a column exponent and scattering the entries
+        at key k*a and gathering them back gives the same table.
+        """
+        violations = []
+        n = self.n
+        ent = np.array(self.entries, dtype=np.int8).reshape(len(self.rows), len(self.cols))
+        nrows, ncols = ent.shape
+        if np.any(ent.sum(axis=1) * 2 != ncols):
+            violations.append("row_balance")
+        if np.any(ent.sum(axis=0) * 2 != nrows):
+            violations.append("column_balance")
+        rows = np.array(self.rows, dtype=np.int64)
+        exps = np.array(self.cols, dtype=np.int64)
+        # the rows ascend through the units mod n, so row n-k is row k from the end
+        if np.any(ent[::-1] != 1 - ent):
+            violations.append("conjugate_complement")
+        keys = rows[:, None] * exps % n
+        by_key = np.zeros(n, dtype=np.int8)
+        by_key[keys] = ent
+        is_column = np.zeros(n, dtype=bool)
+        is_column[exps] = True
+        if not is_column[keys].all() or np.any(by_key[keys] != ent):
+            violations.append("galois_stability")
+        return tuple(violations)
 
     def grid(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -115,10 +152,21 @@ class CarryMatrix:
         }
 
 
+@lru_cache(maxsize=256, typed=True)
 def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     """Carry matrix at the odd prime p; NoColumnsError when no character contributes.
 
     Each unit k is odd, so the carry rule reduces to k*a mod n >= n/2.
+
+    Memoized: the last 256 (p, d, family) calls share one frozen matrix,
+    with its ``violations``, ``distinct_rows`` and read-only row array.  A
+    matrix never depends on the twist c, so a process that scans the twists
+    of a curve builds each matrix once (the 18 st0-curves curves need 54
+    entries); a one-shot ``stjac st0`` gains nothing.  ``typed`` keeps 11.0
+    from hitting the entry of 11, so such a call is still rejected.  An
+    entry holds one reference per unit mod p-1 and each distinct row once:
+    256 matrices at p < 2000 take about 5 MB, and x^840+3 peaks at about
+    85 MB either way.
     """
     check_prime(p)
     n = p - 1
@@ -128,45 +176,22 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     k = np.flatnonzero(np.gcd(np.arange(n), n) == 1)[:, None]
     # the carry rule over units x columns in one broadcast; k * a < n^2 < 2^62
     carries = (k * np.array(cols, dtype=np.int64) % n >= n // 2).astype(np.int64)
+    # equal rows share one tuple, so a memoized matrix holds its distinct rows once
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     return CarryMatrix(
         p=p, d=d, family=family, rows=tuple(k[:, 0].tolist()), cols=cols,
-        entries=tuple(map(tuple, carries.tolist())),
+        entries=tuple(shared.setdefault(r, r) for r in map(tuple, carries.tolist())),
         is_generic=is_generic_prime(p, CurveSpec(family, d)),
     )
 
 
 def validate_matrix(mat: CarryMatrix) -> list[str]:
-    """Names of violated structural checks (expected empty).
+    """Names of violated structural checks (expected empty), as a new list.
 
-    Checks: every row and column is half zeros / half ones; conjugate rows
-    k and p-1-k are complementary; the simultaneous Galois action on rows
-    and columns fixes the table.  A unit u moves cell (k, a) to (k*u, a/u),
-    which keeps k*a mod n, and the rows are all the units, so any two cells
-    with equal k*a are related by such a move.  So the table is stable
-    exactly when every k*a is a column exponent and scattering the entries
-    at key k*a and gathering them back gives the same table.
+    The checks run once per matrix (``CarryMatrix.violations``), so a
+    matrix that ``build_matrix`` memoized is validated once per process.
     """
-    violations = []
-    n = mat.n
-    ent = np.array(mat.entries, dtype=np.int8).reshape(len(mat.rows), len(mat.cols))
-    nrows, ncols = ent.shape
-    if np.any(ent.sum(axis=1) * 2 != ncols):
-        violations.append("row_balance")
-    if np.any(ent.sum(axis=0) * 2 != nrows):
-        violations.append("column_balance")
-    rows = np.array(mat.rows, dtype=np.int64)
-    exps = np.array(mat.cols, dtype=np.int64)
-    # the rows ascend through the units mod n, so row n-k is row k from the end
-    if np.any(ent[::-1] != 1 - ent):
-        violations.append("conjugate_complement")
-    keys = rows[:, None] * exps % n
-    by_key = np.zeros(n, dtype=np.int8)
-    by_key[keys] = ent
-    is_column = np.zeros(n, dtype=bool)
-    is_column[exps] = True
-    if not is_column[keys].all() or np.any(by_key[keys] != ent):
-        violations.append("galois_stability")
-    return violations
+    return list(mat.violations)
 
 
 @dataclass(frozen=True)

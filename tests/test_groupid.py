@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,8 @@ from stjac.pointcount import ADDITIVE, LINEAR, CurveSpec, curve, is_generic_prim
 from stjac.primes import is_prime
 from stjac.splitjac import split_full
 from stjac.stmatrix import build_matrix
+
+import oracles
 
 
 def test_weight_classes_reference_cases():
@@ -64,6 +67,40 @@ def test_torus_dimension_reference_cases():
     assert torus_dimension(build_matrix(11, 10, ADDITIVE)) == 2
     assert torus_dimension(build_matrix(19, 9, ADDITIVE)) == 3
     assert torus_dimension(build_matrix(7, 6, ADDITIVE)) == 1
+
+
+def test_torus_dimension_is_memoized_and_an_altered_copy_gets_its_own():
+    assert torus_dimension.cache_info().maxsize == 256
+    m = build_matrix(11, 10, ADDITIVE)
+    assert torus_dimension(m) == 2
+    hits = torus_dimension.cache_info().hits
+    assert torus_dimension(m) == 2 and torus_dimension.cache_info().hits == hits + 1
+    entries = [list(r) for r in m.entries]
+    entries[0][0] ^= 1
+    bad = dataclasses.replace(m, entries=tuple(tuple(r) for r in entries))
+    assert torus_dimension(bad) == oracles.rank([(*row, 1) for row in bad.entries]) - 1 == 3
+    assert torus_dimension(m) == 2
+
+
+# the st0-curves pool and the benchmark's C_VALUES
+ST0_POOL = [(ADDITIVE, d) for d in (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 36, 40)] + [
+    (LINEAR, d) for d in (5, 7, 9, 11, 13)
+]
+C_VALUES = tuple(Fraction(c) for c in ("1", "2", "3", "5", "-1", "1/2", "-3/5"))
+
+
+def test_identify_st0_is_the_same_cold_and_warm_on_the_pool():
+    cold = {}
+    for family, d in ST0_POOL:
+        for c in C_VALUES:
+            build_matrix.cache_clear()
+            torus_dimension.cache_clear()
+            cold[family, d, c] = identify_st0(curve(family, d, c)).to_dict()
+    # the first pass builds the 3 matrices of each curve, the second builds none
+    for _ in range(2):
+        warm = {key: identify_st0(curve(*key)).to_dict() for key in cold}
+        assert warm == cold
+        assert build_matrix.cache_info().misses == 3 * len(ST0_POOL) == 54
 
 
 def test_torus_name_grammar():

@@ -1,12 +1,14 @@
 """tools/probes.py: its JSON schema on one tiny probe of each kind (st0,
 sweep, count, kernel), the best of its repeated runs, a cap it cannot
-meet, and a probe that raises."""
+meet, a probe that raises, and an A/A pairing of one probe with --base."""
 
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from stjac.ffield import make_field
 from stjac.pointcount import count_formula, curve, good_primes, trace_sweep
@@ -91,3 +93,25 @@ def test_probe_past_its_cap_and_a_failing_probe_are_values():
     (bad,) = doc["probes"]
     assert bad["status"] == "error" and "Error" in bad["error"] and bad["result"] is None
     assert [r["status"] for r in bad["runs"]] == ["error"]
+
+
+@pytest.mark.skipif(not (SCRIPT.parents[1] / ".git").exists(), reason="--base needs a git checkout")
+def test_base_pairs_agree_on_the_same_commit():
+    doc = _probe("--only", "st0:additive:6:3", "--base", "HEAD", "--cap", "60")
+    assert doc["base"] == "HEAD"
+    (probe,) = doc["probes"]
+    assert set(probe) == {"probe", "cap_s", "pairs", "base", "change", "ratios", "median_ratio",
+                          "favour_change", "same_answers"}
+    assert probe["pairs"] == 3 and probe["same_answers"] is True
+    base, change = probe["base"], probe["change"]
+    for side in (base, change):
+        assert set(side) == KEYS and side["status"] == "ok" and len(side["runs"]) == 3
+        assert side["result"]["seconds"] == min(r["seconds"] for r in side["runs"])
+        assert 10 < side["peak_rss_mb"] < 1000
+    answer = {k: v for k, v in change["result"].items() if k != "seconds"}
+    assert answer == {k: v for k, v in base["result"].items() if k != "seconds"}
+    assert answer == {"dimension": 1, "classes": 1, "primes_used": [7, 13, 19]}
+    ratios = [c["seconds"] / b["seconds"] for b, c in zip(base["runs"], change["runs"])]
+    assert probe["ratios"] == ratios
+    assert probe["median_ratio"] == sorted(ratios)[1]
+    assert probe["favour_change"] == sum(r < 1 for r in ratios)

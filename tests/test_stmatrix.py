@@ -155,6 +155,57 @@ def test_build_matrix_rejects_p_that_is_not_an_odd_prime():
         build_matrix(22, 10, ADDITIVE)
 
 
+def test_build_matrix_is_memoized_per_p_d_and_family():
+    assert build_matrix.cache_info().maxsize == 256
+    m = build_matrix(11, 10, ADDITIVE)
+    assert build_matrix(11, 10, ADDITIVE) is m
+    assert build_matrix(13, 7, LINEAR) is build_matrix(13, 7, LINEAR) is not m
+    assert build_matrix(31, 10, ADDITIVE).entries != m.entries
+    # equal rows share one tuple
+    assert all(m.entries[m.entries.index(row)] is row for row in m.entries)
+    # a float p is its own key, so it is still rejected after 11 is cached
+    with pytest.raises(TypeError):
+        build_matrix(11.0, 10, ADDITIVE)
+
+
+def test_validate_matrix_returns_a_new_list_each_call():
+    m = build_matrix(19, 9, ADDITIVE)
+    first = validate_matrix(m)
+    first.append("row_balance")
+    second = validate_matrix(m)
+    assert second == [] and second is not first and m.violations == ()
+
+
+def test_altered_copy_of_a_memoized_matrix_reports_its_own_violations():
+    m = build_matrix(11, 10, ADDITIVE)
+    assert validate_matrix(m) == []
+    entries = [list(r) for r in m.entries]
+    entries[0][0] ^= 1
+    bad = dataclasses.replace(m, entries=tuple(tuple(r) for r in entries))
+    assert validate_matrix(bad) == _validate_by_loops(bad) != []
+    assert validate_matrix(m) == [] and build_matrix(11, 10, ADDITIVE) is m
+
+
+def test_row_array_of_a_memoized_matrix_is_read_only():
+    m = build_matrix(11, 10, ADDITIVE)
+    with pytest.raises(ValueError, match="read-only"):
+        m._row_array[0, 0] = 1
+    assert m._row_array.tolist() == [list(r) for r in m.distinct_rows]
+
+
+def test_identify_st0_builds_each_matrix_once_across_twists():
+    # three primes make four calls (the first prime's matrix is read twice)
+    # and three builds; every later twist of the curve only hits the cache
+    build_matrix.cache_clear()
+    torus_dimension.cache_clear()
+    identify_st0(curve(ADDITIVE, 10, 1))
+    assert (build_matrix.cache_info().hits, build_matrix.cache_info().misses) == (1, 3)
+    for c in C_VALUES[1:]:
+        identify_st0(curve(ADDITIVE, 10, c))
+    assert (build_matrix.cache_info().hits, build_matrix.cache_info().misses) == (25, 3)
+    assert (torus_dimension.cache_info().hits, torus_dimension.cache_info().misses) == (6, 1)
+
+
 def test_validate_matrix_passes_everywhere():
     cases = [(11, 10, ADDITIVE), (19, 9, ADDITIVE), (13, 7, LINEAR), (17, 8, ADDITIVE)]
     for p, d, family in cases:

@@ -3,6 +3,7 @@
     python tools/probes.py                          # the default probes, JSON on stdout
     python tools/probes.py --cap 60 --out probes.json
     python tools/probes.py --only st0:additive:6:3  # one probe
+    python tools/probes.py --base HEAD~1 --only st0:additive:420:3
 
 A probe is named KIND:FAMILY:D:..., with stjac imported from the ``src``
 next to this script:
@@ -39,17 +40,30 @@ the second lie at or below 4g^2: there the Weil bound leaves the residue
 of t_p mod p ambiguous, and the interval of the point count fixes t_p.  A sweep's result holds its moments and the SHA-256 of its
 (p, t_p) pairs, so two checkouts can be compared by answer as well as by
 time.
+
+With ``--base REV`` each probe is paired: REV's ``src`` is exported with
+``git archive`` into a temporary directory, and the repeats alternate
+between REV and the working tree's ``src`` (REV first in the first,
+third, ... pair), each run in a fresh process, so drift of the machine
+falls on both sides.  The record holds each side's fastest run and
+largest peak RSS, the ratio change/base of each pair's seconds, their
+median, how many pairs favour the change, and whether both sides gave
+the same answers.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import platform
 import resource
+import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -78,12 +92,13 @@ REPEATS = 3  # runs of each probe, each in a fresh process
 FIELDS = {"st0": 3, "sweep": 4, "count": 4, "kernel": 3}
 
 
-def run_probe(name: str) -> dict:
-    """Run one probe in this process and return a summary of its answer."""
+def run_probe(name: str, src: Path = SRC) -> dict:
+    """Run one probe in this process, with stjac from ``src``, and return a
+    summary of its answer."""
     kind, *fields = name.split(":")
     if FIELDS.get(kind) != len(fields):
         raise ValueError(f"unknown probe kind {kind!r} in {name!r}")
-    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(src))
     from fractions import Fraction
 
     from stjac.ffield import make_field
@@ -91,6 +106,9 @@ def run_probe(name: str) -> dict:
     from stjac.pointcount import count_formula, curve, trace_sweep
     from stjac.stmatrix import relation_report
 
+    import stjac
+    if Path(stjac.__file__).parents[1] != src.resolve():
+        raise RuntimeError(f"stjac came from {stjac.__file__}, not from {src}")
     family, d = fields[0], int(fields[1])
     start = time.perf_counter()
     if kind == "kernel":
@@ -115,13 +133,13 @@ def run_probe(name: str) -> dict:
             "classes": len(tid.classes), "primes_used": list(tid.primes_used)}
 
 
-def measure(name: str, cap: float) -> dict:
+def measure(name: str, cap: float, src: Path = SRC) -> dict:
     """Run one probe as the only child of this process, under the cap."""
     start = time.perf_counter()
     record = {"probe": name, "cap_s": cap}
     try:
         proc = subprocess.run(
-            [sys.executable, __file__, "--run", name],
+            [sys.executable, __file__, "--run", name, "--src", str(src)],
             capture_output=True, text=True, timeout=cap,
         )
     except subprocess.TimeoutExpired:
@@ -138,16 +156,18 @@ def measure(name: str, cap: float) -> dict:
     return record
 
 
-def repeat(name: str, cap: float) -> dict:
-    """Measure one probe up to REPEATS times, each in a fresh measuring
-    process, until a run is not ok; report the fastest when all are."""
-    records = []
-    while len(records) < REPEATS and all(r["status"] == "ok" for r in records):
-        proc = subprocess.run(
-            [sys.executable, __file__, "--measure", name, "--cap", str(cap)],
-            capture_output=True, text=True, check=True,
-        )
-        records.append(json.loads(proc.stdout))
+def measure_fresh(name: str, cap: float, src: Path = SRC) -> dict:
+    """``measure`` in a fresh measuring process, so that the peak RSS of its
+    children is this run's alone."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--measure", name, "--cap", str(cap), "--src", str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def summarize(records: list[dict]) -> dict:
+    """The record of the fastest run when every run is ok, else the last."""
     runs = [{"status": r["status"], "wall_s": r["wall_s"],
              "seconds": r["result"]["seconds"] if r["result"] else None} for r in records]
     if records[-1]["status"] != "ok":
@@ -157,26 +177,78 @@ def repeat(name: str, cap: float) -> dict:
             "peak_rss_mb": max(r["peak_rss_mb"] for r in records), "runs": runs}
 
 
+def repeat(name: str, cap: float) -> dict:
+    """Measure one probe up to REPEATS times, each in a fresh measuring
+    process, until a run is not ok; report the fastest when all are."""
+    records = []
+    while len(records) < REPEATS and all(r["status"] == "ok" for r in records):
+        records.append(measure_fresh(name, cap))
+    return summarize(records)
+
+
+def paired(name: str, cap: float, base: Path) -> dict:
+    """Alternate up to REPEATS pairs of runs of one probe between the
+    ``src`` at ``base`` and this tree's, until a run is not ok."""
+    sides = {"base": [], "change": []}
+    srcs = {"base": base, "change": SRC}
+    for i in range(REPEATS):
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            sides[side].append(measure_fresh(name, cap, srcs[side]))
+        if any(r[-1]["status"] != "ok" for r in sides.values()):
+            break
+    base_runs, change_runs = sides["base"], sides["change"]
+    ratios = [c["result"]["seconds"] / b["result"]["seconds"]
+              for b, c in zip(base_runs, change_runs) if b["result"] and c["result"]]
+    answers = [{k: v for k, v in (r["result"] or {}).items() if k != "seconds"}
+               for r in base_runs + change_runs]
+    return {
+        "probe": name, "cap_s": cap, "pairs": len(base_runs),
+        "base": summarize(base_runs), "change": summarize(change_runs),
+        "ratios": ratios, "median_ratio": statistics.median(ratios) if ratios else None,
+        "favour_change": sum(r < 1 for r in ratios),
+        "same_answers": all(a == answers[0] for a in answers),
+    }
+
+
+def export_src(rev: str, dest: str) -> Path:
+    """Write REV's ``src`` into dest with ``git archive``; return its path."""
+    repo = SRC.parent
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=tar", rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return Path(dest) / "src"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", nargs="+", default=list(DEFAULT), metavar="PROBE")
     ap.add_argument("--cap", type=float, default=60.0, help="seconds per run of a probe")
     ap.add_argument("--out", default=None, help="also write the JSON here")
+    ap.add_argument("--base", default=None, metavar="REV",
+                    help="pair each probe's runs between REV's src and this tree's")
     ap.add_argument("--run", default=None, help=argparse.SUPPRESS)
     ap.add_argument("--measure", default=None, help=argparse.SUPPRESS)
+    ap.add_argument("--src", type=Path, default=SRC, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run:
-        print(json.dumps(run_probe(args.run)))
+        print(json.dumps(run_probe(args.run, args.src)))
         return 0
     if args.measure:
-        print(json.dumps(measure(args.measure, args.cap)))
+        print(json.dumps(measure(args.measure, args.cap, args.src)))
         return 0
     probes = []
-    for name in args.only:
-        probes.append(repeat(name, args.cap))
-        print(json.dumps(probes[-1]), file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="probes-base-") as tmp:
+        base = export_src(args.base, tmp) if args.base else None
+        for name in args.only:
+            probes.append(paired(name, args.cap, base) if base else repeat(name, args.cap))
+            print(json.dumps(probes[-1]), file=sys.stderr)
     doc = {"python": platform.python_version(), "machine": platform.machine(),
            "cap_s": args.cap, "probes": probes}
+    if args.base:
+        doc["base"] = args.base
     text = json.dumps(doc, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
