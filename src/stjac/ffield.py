@@ -42,6 +42,14 @@ class PrimeField:
     column set: (c, cols) -> w_a = T^a(-c) * phi(c) * J(T^a, phi) for each
     column a, as a Galois image of its orbit representative, and one
     residue per column per split prime used (``stmatrix._relation_terms``).
+
+    The generator, ``residues`` and ``joint`` depend on p alone, the terms
+    also on c.  So ``groupid.identify_st0`` keeps one field per generic
+    prime for the process and checks each call in a view of it,
+    ``dataclasses.replace(shared, terms={})``, which shares the generator
+    and both table caches and starts with no terms: a twist scan builds
+    each table once, while the terms, keyed by c, which has no bound, are
+    built on every call.  ``make_field`` itself builds a fresh field.
     """
 
     p: int

@@ -22,7 +22,7 @@ ranks are ``intlinalg.rank``: modular elimination, certified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -32,7 +32,7 @@ from .errors import (
     RelationVerificationError,
     StjacError,
 )
-from .ffield import make_field
+from .ffield import PrimeField, make_field
 from .intlinalg import rank
 from .pointcount import CurveSpec, congruence_modulus
 from .primes import is_prime
@@ -65,7 +65,15 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
     k = 1) is taken as the plus side: a class counts the columns equal to
     its plus weight as plus and their complements as minus.  StjacError
     names the smallest plus weight whose counts differ.
+
+    Memoized per matrix, like ``torus_dimension``; each call gets new lists.
     """
+    classes, degenerate = _weight_classes(mat)
+    return list(classes), list(degenerate)
+
+
+@lru_cache(maxsize=256)
+def _weight_classes(mat: CarryMatrix) -> tuple[tuple[WeightClass, ...], tuple[int, ...]]:
     degenerate = []
     counts: dict[tuple[int, ...], int] = {}
     for a, col in zip(mat.cols, zip(*mat.entries)):
@@ -83,7 +91,7 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
             )
         classes.append(WeightClass(weight=weight, plus=plus, minus=minus))
     classes.sort(key=lambda cl: (-cl.plus, cl.weight))
-    return classes, degenerate
+    return tuple(classes), tuple(degenerate)
 
 
 @lru_cache(maxsize=256)
@@ -106,7 +114,13 @@ def torus_name(classes: list[WeightClass], dimension: int) -> str:
     lattice basis of the weight lattice, which (since every column is a
     signed representative modulo the cyclotomic direction) happens exactly
     when the representatives are independent and match the dimension.
+    Memoized per (classes, dimension) for the last 256 pairs.
     """
+    return _torus_name(tuple(classes), dimension)
+
+
+@lru_cache(maxsize=256)
+def _torus_name(classes: tuple[WeightClass, ...], dimension: int) -> str:
     if classes and len(classes) == dimension:
         reps = [list(cl.weight) for cl in classes]
         ones = [1] * len(classes[0].weight)
@@ -139,16 +153,31 @@ class TorusId:
 
 def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[int]:
     """First `count` primes where the contributing set is fully split: the
-    primes p = 1 + j*M up to `bound`, M = ``congruence_modulus``, in order."""
+    primes p = 1 + j*M up to `bound`, M = ``congruence_modulus``, in order.
+
+    Memoized per arguments for the last 256 calls; each call gets a new list.
+    """
+    return list(_generic_primes(family, d, count, bound))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _generic_primes(family: str, d: int, count: int, bound: int) -> tuple[int, ...]:
     if count < 1:
         raise ValueError(f"the number of primes must be at least 1, got {count}")
     m = congruence_modulus(CurveSpec(family, d))
-    found = list(islice(filter(is_prime, range(m + 1, bound + 1, m)), count))
+    found = tuple(islice(filter(is_prime, range(m + 1, bound + 1, m)), count))
     if len(found) < count:
         raise NoGenericPrimeError(
             f"only {len(found)} generic primes below {bound} for d={d} ({family})"
         )
     return found
+
+
+@lru_cache(maxsize=256)
+def _shared_field(p: int) -> PrimeField:
+    """One field per prime for the process: its generator and the dlog and
+    Jacobi-profile tables it builds depend on p alone."""
+    return make_field(p)
 
 
 def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
@@ -162,13 +191,19 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     reproduce that prime's set of distinct rows (else
     InconsistentAcrossPrimesError).
 
-    Nothing of the matrices depends on c, so ``build_matrix``, its
-    validation (``CarryMatrix.violations``) and ``torus_dimension`` are
-    memoized per process (the last 256 entries each): a process that scans
-    the twists of one (d, family) builds, validates and ranks each matrix
-    once, and the rebuild of the first prime's matrix below is a cache
-    hit.  The fields, Frobenius terms, kernel and relation checks are
-    computed on every call, so a one-shot call gains only that hit.
+    Only the twist T^a(-c) * phi(c) of each Frobenius term depends on c,
+    so everything keyed by p or by the matrix is memoized per process, the
+    last 256 entries of each: ``generic_primes``; ``build_matrix``, its
+    validation (``CarryMatrix.violations``), ``torus_dimension``,
+    ``weight_classes`` and ``torus_name``; the field of each prime, whose
+    dlog and Jacobi-profile tables each call reads through a view with its
+    own terms (see ``PrimeField``); and the twist-independent part of each
+    relation check (``stmatrix._relation_plan``).  A process that scans the
+    twists of one (d, family) does that work once, and the rebuild of the
+    first prime's matrix below is a cache hit.  The Frobenius terms, their
+    residues and the w * conj(w) = p check are keyed by c, which has no
+    bound, so they are computed on every call, and so is the kernel.
+    A one-shot call gains only the hit.
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     for p in primes:
@@ -182,7 +217,11 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
             raise InconsistentAcrossPrimesError(
                 f"prime {p} gives other carry rows than prime {primes[0]}"
             )
-        if kern.basis and not verify_relation(make_field(p), mat, kern.basis, spec.c).ok:
+        if not kern.basis:
+            continue
+        # a view of the shared field with its own Frobenius terms, which depend on c
+        fld = replace(_shared_field(p), terms={})
+        if not verify_relation(fld, mat, kern.basis, spec.c).ok:
             raise RelationVerificationError(
                 f"the kernel lattice of rank {kern.rank} failed exact verification at p={p}"
             )

@@ -27,22 +27,24 @@ distinct rows, which every generic prime shares, so
 ``groupid.identify_st0`` computes it once, at its first prime, and checks
 the whole kernel lattice in each field with one ``verify_relation`` call:
 one membership product and one numpy pass per split prime for all its
-vectors.
+vectors.  Everything of that call but the twisted terms and their residues
+depends only on the matrix and the vectors, and is memoized per process
+(``CarryMatrix._orbits``, ``_relation_plan``).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, takewhile
 
 import numpy as np
 
-from .charsums import conductor, jacobi_sum_compact
+from .charsums import jacobi_sum_compact
 from .cyclo import CycloElt, is_root_of_unity
 from .errors import (
     InputError, NoColumnsError, NotInKernelError, RelationVerificationError, StjacError)
@@ -70,6 +72,34 @@ def st_columns(p: int, d: int, family: str) -> tuple[int, ...]:
     return tuple(a for a in contributing_ms(p, d, family) if a != half)
 
 
+def _read_only(values) -> np.ndarray:
+    """An int64 array of values that no caller can write: memoized data is
+    shared by every caller."""
+    array = np.array(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class _ColumnOrbits:
+    """The Galois data of a matrix's columns that a relation check reads
+    (``CarryMatrix._orbits``); no field or twist changes it.
+
+    L is the even conductor of all columns.  ``reps`` lists the orbit
+    representatives g = gcd(a, p-1), ascending, and ``lifts`` holds, per
+    column a, its g and an odd lift u of a/g mod (p-1)/g, which acts on the
+    field of w_g as a unit mod p-1.  ``embeddings`` holds one unit k mod p-1
+    per unit class mod L, ascending (k = 1 first), and ``ks`` the same as a
+    read-only int64 array.
+    """
+
+    L: int
+    reps: tuple[int, ...]
+    lifts: tuple[tuple[int, int], ...]
+    embeddings: tuple[int, ...]
+    ks: np.ndarray
+
+
 @dataclass(frozen=True)
 class CarryMatrix:
     p: int
@@ -88,9 +118,7 @@ class CarryMatrix:
     def _row_array(self) -> np.ndarray:
         """``distinct_rows`` as a read-only int64 array, for kernel-membership
         products; a memoized matrix shares it with every caller."""
-        rows = np.array(self.distinct_rows, dtype=np.int64)
-        rows.flags.writeable = False
-        return rows
+        return _read_only(self.distinct_rows)
 
     @cached_property
     def distinct_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -101,6 +129,26 @@ class CarryMatrix:
         set of row equations depend only on the set of rows.
         """
         return tuple(dict.fromkeys(self.entries))
+
+    @cached_property
+    def _orbits(self) -> _ColumnOrbits:
+        """The columns' ``_ColumnOrbits``, built once per matrix; InputError
+        unless the columns are closed under the units mod p-1.
+
+        Column a's conductor (p-1)/gcd(a, (p-1)/2) (``charsums.conductor``)
+        is that of its representative g, and the lcm of all of them is
+        L = (p-1)/gcd((p-1)/2, every column), which is even.
+        """
+        n = self.n
+        orbit = [math.gcd(a, n) for a in self.cols]
+        if any(orbit.count(g) != euler_phi(n // g) for g in set(orbit)):
+            raise InputError(f"the columns at p={self.p} are not closed under the units mod {n}")
+        L = n // math.gcd(n // 2, *self.cols)
+        embeddings = tuple(sorted({k % L: k for k in reversed(self.rows)}.values()))
+        return _ColumnOrbits(
+            L=L, reps=tuple(sorted(set(orbit))), embeddings=embeddings, ks=_read_only(embeddings),
+            lifts=tuple((g, a // g + n // g * (a // g % 2 == 0)) for a, g in zip(self.cols, orbit)),
+        )
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -317,52 +365,129 @@ class _RelationTerms:
     """The Frobenius terms of one field, twist and column set, mod split primes.
 
     Column j's term sigma_u(w_g), g = gcd(a_j, p-1), is its point (w_g, u)
-    in ``points``; ``embeddings`` holds one unit k mod p-1 per unit class
-    mod L, ascending (k = 1 first); ``tables`` maps each split prime l in
-    use to an int64 array over the keys mod p-1 holding w_a at zeta_L -> r
-    mod l at each column a (0 elsewhere), filled when a p^k first needs l.
+    in ``points``; L and ``embeddings`` are the matrix's (``_ColumnOrbits``);
+    ``tables`` maps each split prime l in use to an int64 array over the
+    keys mod p-1 holding w_a at zeta_L -> r mod l at each column a (0
+    elsewhere), filled when a p^k first needs l.
     """
 
     L: int
-    embeddings: list[int]
+    embeddings: tuple[int, ...]
     points: list[tuple[CycloElt, int]]
-    tables: dict[int, dict[int, int]] = field(default_factory=dict)
+    tables: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
     """The cached ``_RelationTerms`` of (fld, c, mat.cols), built on first use.
 
-    L = lcm(2, conductors of all columns); column a's conductor
-    (p-1)/gcd(a, (p-1)/2) is that of its representative g = gcd(a, p-1).
-    For a unit k mod p-1, sigma_k maps T^a to T^(k*a) and fixes phi and
-    phi(c) = +-1, so sigma_k(w_a) = w_(k*a): w_a at zeta_L -> r^k is
-    column k*a mod p-1 at zeta_L -> r, conj(w_a) = w_(-a) is column -k*a,
-    and the columns must be closed under the units (else InputError).  Only
-    the representatives w_g are built, each checked against w * conj(w) = p
-    in Z[zeta]; sigma_u commutes with complex conjugation, so every derived
+    L = lcm(2, conductors of all columns).  For a unit k mod p-1, sigma_k
+    maps T^a to T^(k*a) and fixes phi and phi(c) = +-1, so sigma_k(w_a) =
+    w_(k*a): w_a at zeta_L -> r^k is column k*a mod p-1 at zeta_L -> r,
+    conj(w_a) = w_(-a) is column -k*a, and the columns must be closed under
+    the units (``CarryMatrix._orbits``, else InputError).  Only the
+    representatives w_g are built, each checked against w * conj(w) = p in
+    Z[zeta]; sigma_u commutes with complex conjugation, so every derived
     term inherits the identity.  Nothing is cached unless all of it holds.
+    The terms are the only part of a relation check that depends on c, so
+    they are built for every field they are asked of, while the column
+    orbits are kept with the matrix.
     """
     key = (c, mat.cols)
     terms = fld.terms.get(key)
     if terms is not None:
         return terms
-    n = fld.n
-    orbit = [math.gcd(a, n) for a in mat.cols]
-    if any(orbit.count(g) != euler_phi(n // g) for g in set(orbit)):
-        raise InputError(f"the columns at p={fld.p} are not closed under the units mod {n}")
-    L = math.lcm(2, *(conductor(fld, a) for a in mat.cols))
+    orbits = mat._orbits
     reps = {}
-    for g in sorted(set(orbit)):
+    for g in orbits.reps:
         w = reps[g] = frobenius_factor(fld, g, c)
         if w * w.conj() != fld.p:
             raise RelationVerificationError(
                 f"the term of column {g} at p={fld.p} has w * conj(w) != p"
             )
-    # an odd lift u of a/g mod (p-1)/g acts on w_g's field as a unit mod p-1
-    points = [(reps[g], a // g + n // g * (a // g % 2 == 0)) for a, g in zip(mat.cols, orbit)]
-    embeddings = sorted({k % L: k for k in reversed(mat.rows)}.values())
-    terms = fld.terms[key] = _RelationTerms(L, embeddings, points)
+    points = [(reps[g], u) for g, u in orbits.lifts]
+    terms = fld.terms[key] = _RelationTerms(orbits.L, orbits.embeddings, points)
     return terms
+
+
+@dataclass(frozen=True, eq=False)
+class _RelationPlan:
+    """The part of a batched relation check that only the matrix and the
+    vectors fix (``_relation_plan``); no field or twist changes it.
+
+    ``verdict`` is set when no term is needed: "exact" for no nonzero
+    vector, "fail" for an unbalanced one.  Otherwise ``primes`` are the
+    split primes for the largest k, and the nonzero vectors are taken
+    longest entry list first (see ``_relation_exponents``): ``neg`` and
+    ``need`` hold, in that order, each vector's k and the number of split
+    primes its bound needs, ``keys[pos]`` the key +-a mod p-1 of entry pos
+    of each vector with more than pos entries, and ``bits[pos]`` the bit b
+    of those entries times p-1 (None when every |e| is 1, ``levels`` = 1;
+    else b < ``levels``).  That is O(vectors x positions) integers.
+    """
+
+    verdict: RelationResult | None = None
+    primes: tuple = ()
+    neg: tuple[int, ...] = ()
+    need: np.ndarray | None = None
+    keys: tuple[np.ndarray, ...] = ()
+    bits: tuple[np.ndarray, ...] | None = None
+    levels: int = 1
+
+
+@lru_cache(maxsize=256)
+def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _RelationPlan:
+    """The ``_RelationPlan`` of a batch of vectors, memoized per (matrix,
+    rows) for the last 256 pairs: a process that checks one kernel in many
+    fields or twists runs the kernel-membership product, the split-prime
+    walk and the entry lists once.
+
+    Raises NotInKernelError for a vector of the wrong length or outside the
+    kernel of the carry matrix, and InputError for columns that are not
+    closed under the units.  A factor w^|e| is the product of the w^(2^b)
+    over the set bits b of |e|, so each vector becomes a list of entries
+    (+-a mod n, b).  The plan keeps no array over the embeddings: those
+    would hold vectors x positions x embeddings keys.
+    """
+    if any(len(row) != len(mat.cols) for row in rows):
+        raise NotInKernelError("vector length does not match the column count")
+    wide = np.int64 if max(sum(map(abs, row)) for row in rows) < 2**63 else object
+    residual = mat._row_array @ np.array(rows, dtype=wide).T
+    if residual.any():
+        bad = rows[(residual != 0).any(axis=0).argmax()]
+        raise NotInKernelError(f"{list(bad)} is not in the kernel of the carry matrix")
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        return _RelationPlan(verdict=RelationResult(kind="exact", order=1))
+    if any(map(sum, rows)):
+        return _RelationPlan(verdict=RelationResult(kind="fail", order=None))
+    n, p, L = mat.n, mat.p, mat._orbits.L
+    neg = [sum(-e for e in row if e < 0) for row in rows]
+    primes = split_primes(L, p, max(neg))
+    bounds = list(accumulate((ell for ell, _, _ in primes), operator.mul))
+    need = [bisect_right(bounds, 2 * p**k) + 1 for k in neg]
+    entries = [
+        [((a if e > 0 else -a) % n, abs(e)) for a, e in zip(mat.cols, row) if e] for row in rows
+    ]
+    levels = max(e for ent in entries for _, e in ent).bit_length()
+    if levels > 1:
+        entries = [
+            [(key, b) for key, e in ent for b in range(levels) if e >> b & 1] for ent in entries
+        ]
+    order = sorted(range(len(rows)), key=lambda i: len(entries[i]), reverse=True)
+    entries = [entries[i] for i in order]
+    # longest first, so the vectors with an entry at pos are a prefix
+    columns = [
+        [ent[pos] for ent in takewhile(lambda ent: len(ent) > pos, entries)]
+        for pos in range(len(entries[0]))
+    ]
+    keys = tuple(_read_only([key for key, _ in col]) for col in columns)
+    bits = None
+    if levels > 1:
+        bits = tuple(_read_only([b * n for _, b in col]) for col in columns)
+    return _RelationPlan(
+        primes=tuple(primes), neg=tuple(neg[i] for i in order),
+        need=_read_only([need[i] for i in order]), keys=keys, bits=bits, levels=levels,
+    )
 
 
 def verify_relation(
@@ -398,8 +523,9 @@ def verify_relation(
     t = 0 is exact; otherwise W is torsion of order L / gcd(t, L).
 
     The rows of a 2-D v are decided together: one membership product, the
-    split primes taken once, for the largest k among them, and one numpy
-    pass per split prime (``_relation_exponents``).  Each row is checked
+    split primes taken once, for the largest k among them (both memoized
+    per matrix and rows, ``_relation_plan``), and one numpy pass per split
+    prime (``_relation_exponents``).  Each row is checked
     at every embedding of the first split primes whose product passes its
     own 2 p^k, so the argument above holds row by row; a prime more would
     only strengthen the bound.  The verdict is for the lattice the rows
@@ -412,21 +538,17 @@ def verify_relation(
         raise InputError(f"a field of p={fld.p} cannot check a carry matrix at p={mat.p}")
     v = list(v)
     batch = bool(v) and hasattr(v[0], "__len__")
-    rows = [[int(x) for x in row] for row in v] if batch else [[int(x) for x in v]]
-    if any(len(row) != len(mat.cols) for row in rows):
-        raise NotInKernelError("vector length does not match the column count")
-    wide = np.int64 if max(sum(map(abs, row)) for row in rows) < 2**63 else object
-    residual = mat._row_array @ np.array(rows, dtype=wide).T
-    if residual.any():
-        bad = rows[(residual != 0).any(axis=0).argmax()]
-        raise NotInKernelError(f"{bad} is not in the kernel of the carry matrix")
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return RelationResult(kind="exact", order=1)
-    if any(map(sum, rows)):
-        return RelationResult(kind="fail", order=None)
+    # a row that is already a tuple of ints (a KernelLattice basis) is kept,
+    # so the memoized plans of one kernel in several fields share its rows
+    rows = tuple(
+        row if type(row) is tuple and set(map(type, row)) <= {int} else tuple(map(int, row))
+        for row in (v if batch else [v])
+    )
+    plan = _relation_plan(mat, rows)
+    if plan.verdict is not None:
+        return plan.verdict
     terms = _relation_terms(fld, mat, c)
-    ts = _relation_exponents(fld, mat, terms, rows)
+    ts = _relation_exponents(fld, mat, terms, plan)
     if ts is None:
         return RelationResult(kind="fail", order=None)
     g = math.gcd(terms.L, *ts)
@@ -436,41 +558,27 @@ def verify_relation(
 
 
 def _relation_exponents(
-    fld: PrimeField, mat: CarryMatrix, terms: _RelationTerms, rows: list[list[int]]
+    fld: PrimeField, mat: CarryMatrix, terms: _RelationTerms, plan: _RelationPlan
 ) -> list[int] | None:
-    """The exponent t of each balanced nonzero kernel vector, W = zeta_L^t, or
-    None if some vector is no relation (see ``verify_relation``).
+    """The exponent t of each vector of the plan, W = zeta_L^t, or None if
+    some vector is no relation (see ``verify_relation``).
 
-    The split primes are taken once, for the largest k; each vector is
-    checked at the prefix of them that passes its own 2 p^k, the primes a
-    check of that vector alone would use.  A factor w^|e| is the product
-    of the w^(2^b) over the set bits b of |e|, so each vector becomes a
-    list of entries (+-a mod n, b), longest list first.  At each split
-    prime one numpy pass builds X at every embedding u for the vectors
-    still checked there: position i of every entry list long enough
-    gathers its residues at key +-u*a mod n from the table squared b
-    times, and multiplies them in.  The work arrays are vectors x
-    embeddings, whatever the support sizes.
+    Each vector is checked at the prefix of the plan's split primes that
+    passes its own 2 p^k, the primes a check of that vector alone would
+    use.  At each split prime one numpy pass builds X at every embedding u
+    for the vectors still checked there: position i of every entry list
+    long enough gathers its residues at key +-u*a mod n from the table
+    squared b times, and multiplies them in.  The work arrays are vectors
+    x embeddings, whatever the support sizes; the residue tables are the
+    only per-field, per-twist input.
     """
     L, n, p = terms.L, fld.n, fld.p
-    ks = np.array(terms.embeddings, dtype=np.int64)
-    neg = [sum(-e for e in row if e < 0) for row in rows]
-    primes = split_primes(L, p, max(neg))
-    bounds = list(accumulate((ell for ell, _, _ in primes), operator.mul))
-    need = [bisect_right(bounds, 2 * p**k) + 1 for k in neg]
-    entries = [
-        [((a if e > 0 else -a) % n, abs(e)) for a, e in zip(mat.cols, row) if e] for row in rows
-    ]
-    levels = max(e for ent in entries for _, e in ent).bit_length()
-    if levels > 1:
-        entries = [
-            [(key, b) for key, e in ent for b in range(levels) if e >> b & 1] for ent in entries
-        ]
-    order = sorted(range(len(rows)), key=lambda i: len(entries[i]), reverse=True)
+    ks = mat._orbits.ks
+    levels = plan.levels
     # spread[key] holds key * u mod n for the embeddings u
     spread = np.arange(n, dtype=np.int64)[:, None] * ks % n
-    exponent = {}
-    for j, (ell, powers, exponent_of) in enumerate(primes):
+    ts = None
+    for j, (ell, powers, exponent_of) in enumerate(plan.primes):
         table = terms.tables.get(ell)
         if table is None:
             table = terms.tables[ell] = np.zeros(n, dtype=np.int64)
@@ -479,33 +587,34 @@ def _relation_exponents(
         for _ in range(1, levels):
             squares.append(squares[-1] * squares[-1] % ell)
         flat = np.concatenate(squares) if levels > 1 else table
-        # the vectors checked here, still longest first: each position's
-        # live vectors are a prefix
-        act = [i for i in order if need[i] > j]
-        lens = [len(entries[i]) for i in act]
-        live = len(act)
-        for pos in range(lens[0]):
-            while lens[live - 1] <= pos:
-                live -= 1
-            keys = spread[[entries[i][pos][0] for i in act[:live]]]
-            if levels > 1:
-                level = [entries[i][pos][1] * n for i in act[:live]]
-                keys += np.array(level, dtype=np.int64)[:, None]
+        # the vectors checked here, still longest first: at each position
+        # the ones with an entry there are a prefix of them
+        act = np.flatnonzero(plan.need > j)
+        every = len(act) == len(plan.need)
+        for pos, keys in enumerate(plan.keys):
+            live = len(keys) if every else int(np.searchsorted(act, len(keys)))
+            if not live:
+                break
+            at = slice(None) if every else act[:live]
+            gathered = spread[keys[at]]
+            if plan.bits is not None:
+                gathered += plan.bits[pos][at][:, None]
             if pos:
-                x[:live] = x[:live] * flat[keys] % ell
+                x[:live] = x[:live] * flat[gathered] % ell
             else:
-                x = flat[keys]
-        q = {k: pow(p, k, ell) for k in {neg[i] for i in act}}
+                x = flat[gathered]
+        negs = [plan.neg[i] for i in act.tolist()]
+        q = {k: pow(p, k, ell) for k in set(negs)}
         if not j:
-            for i, x0 in zip(act, x[:, 0].tolist()):
-                exponent[i] = exponent_of.get(x0 * pow(q[neg[i]], -1, ell) % ell)
-            if None in exponent.values():
+            inverse = {k: pow(qk, -1, ell) for k, qk in q.items()}
+            exps = [exponent_of.get(x0 * inverse[k] % ell) for x0, k in zip(x[:, 0].tolist(), negs)]
+            if None in exps:
                 return None
-        ts = np.array([exponent[i] for i in act], dtype=np.int64)[:, None]
-        qs = np.array([q[neg[i]] for i in act], dtype=np.int64)[:, None]
-        if not (x == np.array(powers, dtype=np.int64)[ts * ks % L] * qs % ell).all():
+            ts = np.array(exps, dtype=np.int64)
+        qs = np.array([q[k] for k in negs], dtype=np.int64)[:, None]
+        if not (x == np.array(powers, dtype=np.int64)[ts[act, None] * ks % L] * qs % ell).all():
             return None
-    return list(exponent.values())
+    return ts.tolist()
 
 
 def relation_report(

@@ -1,13 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from stjac import groupid
+from stjac import _accel, groupid, stmatrix
 from stjac.cli import main
-from stjac.errors import InconsistentAcrossPrimesError, NoGenericPrimeError, StjacError
+from stjac.errors import (
+    InconsistentAcrossPrimesError,
+    NoGenericPrimeError,
+    RelationVerificationError,
+    StjacError,
+)
 from stjac.groupid import (
     TorusId,
     generic_primes,
@@ -89,18 +95,96 @@ ST0_POOL = [(ADDITIVE, d) for d in (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 36,
 C_VALUES = tuple(Fraction(c) for c in ("1", "2", "3", "5", "-1", "1/2", "-3/5"))
 
 
+def _clear_st0_memos():
+    """Empty every per-process memo that identify_st0 reads."""
+    for memo in (build_matrix, torus_dimension, stmatrix._relation_plan, groupid._shared_field,
+                 groupid._generic_primes, groupid._weight_classes, groupid._torus_name):
+        memo.cache_clear()
+
+
 def test_identify_st0_is_the_same_cold_and_warm_on_the_pool():
     cold = {}
     for family, d in ST0_POOL:
         for c in C_VALUES:
-            build_matrix.cache_clear()
-            torus_dimension.cache_clear()
+            _clear_st0_memos()
             cold[family, d, c] = identify_st0(curve(family, d, c)).to_dict()
     # the first pass builds the 3 matrices of each curve, the second builds none
     for _ in range(2):
         warm = {key: identify_st0(curve(*key)).to_dict() for key in cold}
         assert warm == cold
         assert build_matrix.cache_info().misses == 3 * len(ST0_POOL) == 54
+
+
+def test_twist_scan_builds_each_table_once_and_every_term_per_call(monkeypatch):
+    # the dlog tables hang on the shared field of each generic prime; the
+    # Frobenius terms depend on c and are built again on every call, also
+    # when the same twist comes back
+    tables, terms = [], []
+    real_table, real_term = _accel.dlog_table, stmatrix.frobenius_factor
+
+    def table(p, g, m):
+        tables.append(p)
+        return real_table(p, g, m)
+
+    def term(fld, a, c):
+        terms.append((fld.p, a, c))
+        return real_term(fld, a, c)
+
+    monkeypatch.setattr(_accel, "dlog_table", table)
+    monkeypatch.setattr(stmatrix, "frobenius_factor", term)
+    _clear_st0_memos()
+    primes = generic_primes(ADDITIVE, 40, 3)
+    reps = {p: {math.gcd(a, p - 1) for a in build_matrix(p, 40, ADDITIVE).cols} for p in primes}
+    for c in C_VALUES + C_VALUES[:2]:
+        terms.clear()
+        identify_st0(curve(ADDITIVE, 40, c))
+        assert sorted(terms) == sorted((p, g, c) for p in primes for g in reps[p]), c
+    assert tables == primes
+    for p in primes:
+        assert list(groupid._shared_field(p).residues) == [40]
+        assert groupid._shared_field(p).terms == {}
+
+
+def test_tampered_terms_on_a_warm_call_still_fail(monkeypatch):
+    spec = curve(ADDITIVE, 40, 2)
+    warm = identify_st0(spec)
+    assert identify_st0(spec) == warm
+    real = stmatrix.frobenius_factor
+    monkeypatch.setattr(stmatrix, "frobenius_factor", lambda fld, a, c: 2 * real(fld, a, c))
+    with pytest.raises(RelationVerificationError, match=r"w \* conj\(w\) != p"):
+        identify_st0(spec)
+
+    # conj(w_g) keeps w * conj(w) = p, so only the relations can tell: on
+    # the orbit of the units (g = gcd of the columns) it maps each w_a to w_-a
+    def conjugated(fld, a, c):
+        g = math.gcd(fld.p - 1, *build_matrix(fld.p, 40, ADDITIVE).cols)
+        return real(fld, a, c).conj() if a == g else real(fld, a, c)
+
+    monkeypatch.setattr(stmatrix, "frobenius_factor", conjugated)
+    with pytest.raises(RelationVerificationError, match="failed exact verification at p=41"):
+        identify_st0(spec)
+    monkeypatch.setattr(stmatrix, "frobenius_factor", real)
+    assert identify_st0(spec) == warm
+
+
+def test_naming_memos_return_new_lists():
+    m = build_matrix(11, 10, ADDITIVE)
+    first, second = weight_classes(m), weight_classes(m)
+    assert first == second and first[0] is not second[0] and first[1] is not second[1]
+    first[0].clear()
+    first[1].append(7)
+    assert weight_classes(m) == second and second[1] == []
+    hits = groupid._weight_classes.cache_info().hits
+    weight_classes(m)
+    assert groupid._weight_classes.cache_info().hits == hits + 1
+    assert torus_name(second[0], 2) == torus_name(tuple(second[0]), 2) == "U(1)_2 x U(1)_2"
+    primes = generic_primes(ADDITIVE, 10, 3)
+    assert primes is not generic_primes(ADDITIVE, 10, 3)
+    primes.append(61)
+    assert generic_primes(ADDITIVE, 10, 3) == [11, 31, 41]
+    # typed: a float degree is still rejected once the int one is memoized
+    with pytest.raises(TypeError):
+        generic_primes(ADDITIVE, 10.0, 3)
 
 
 def test_torus_name_grammar():

@@ -1,6 +1,7 @@
 """tools/probes.py: its JSON schema on one tiny probe of each kind (st0,
-sweep, count, kernel), the best of its repeated runs, a cap it cannot
-meet, a probe that raises, and an A/A pairing of one probe with --base."""
+st0scan, sweep, count, kernel), the best of its repeated runs, a cap it
+cannot meet, a probe that raises, and an A/A pairing of one probe with
+--base."""
 
 import hashlib
 import json
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from stjac.ffield import make_field
+from stjac.groupid import identify_st0
 from stjac.pointcount import count_formula, curve, good_primes, trace_sweep
 from stjac.stmatrix import relation_report
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "probes.py"
-KEYS = {"probe", "cap_s", "status", "wall_s", "result", "peak_rss_mb", "runs"}
+KEYS = {"probe", "cap_s", "status", "wall_s", "cpu_s", "result", "peak_rss_mb", "runs"}
+RUN_KEYS = {"status", "wall_s", "cpu_s", "seconds"}
 
 
 def _probe(*args):
@@ -36,15 +39,32 @@ def test_probe_json_schema(tmp_path):
     assert probe["probe"] == "st0:additive:6:3" and probe["status"] == "ok"
     # three runs, each in a fresh process; the record is the fastest
     runs = probe["runs"]
-    assert len(runs) == 3 and all(set(r) == {"status", "wall_s", "seconds"} for r in runs)
+    assert len(runs) == 3 and all(set(r) == RUN_KEYS for r in runs)
     assert all(r["status"] == "ok" and 0 < r["seconds"] < r["wall_s"] for r in runs)
+    # the child's CPU time includes its start and import, as its wall time does
+    assert all(r["seconds"] < r["cpu_s"] for r in runs)
     assert probe["result"]["seconds"] == min(r["seconds"] for r in runs)
     assert probe["wall_s"] == min(r["wall_s"] for r in runs)
+    assert probe["cpu_s"] == min(r["cpu_s"] for r in runs)
     result = probe["result"]
     assert set(result) == {"seconds", "dimension", "classes", "primes_used"}
     assert result["dimension"] == 1 and result["primes_used"] == [7, 13, 19]
     assert 0 < result["seconds"] < probe["wall_s"] < 60
     assert 10 < probe["peak_rss_mb"] < 1000
+
+
+def test_st0scan_probe_json_schema():
+    doc = _probe("--only", "st0scan:additive:10", "--cap", "60")
+    (probe,) = doc["probes"]
+    assert set(probe) == KEYS and len(probe["runs"]) == 3
+    assert all(set(r) == RUN_KEYS for r in probe["runs"])
+    assert probe["probe"] == "st0scan:additive:10" and probe["status"] == "ok"
+    result = probe["result"]
+    assert set(result) == {"seconds", "twists", "dimension", "classes", "primes_used"}
+    assert 0 < result["seconds"] < probe["wall_s"] < 60
+    tid = identify_st0(curve("additive", 10, 1))
+    assert result == {"seconds": result["seconds"], "twists": 7, "dimension": tid.dimension,
+                      "classes": len(tid.classes), "primes_used": [11, 31, 41]}
 
 
 def test_sweep_probe_json_schema():
@@ -87,7 +107,8 @@ def test_probe_past_its_cap_and_a_failing_probe_are_values():
     doc = _probe("--only", "st0:additive:6:3", "st0:additive:1:3", "--cap", "0.01")
     late, bad = doc["probes"]
     assert late["status"] == "timeout" and late["wall_s"] == 0.01 and late["result"] is None
-    assert late["runs"] == [{"status": "timeout", "wall_s": 0.01, "seconds": None}]
+    assert late["runs"] == [{"status": "timeout", "wall_s": 0.01, "cpu_s": late["cpu_s"],
+                             "seconds": None}]
     assert bad["status"] in ("timeout", "error") and len(bad["runs"]) == 1
     doc = _probe("--only", "st0:additive:1:3", "--cap", "60")
     (bad,) = doc["probes"]
@@ -101,7 +122,8 @@ def test_base_pairs_agree_on_the_same_commit():
     assert doc["base"] == "HEAD"
     (probe,) = doc["probes"]
     assert set(probe) == {"probe", "cap_s", "pairs", "base", "change", "ratios", "median_ratio",
-                          "favour_change", "same_answers"}
+                          "favour_change", "cpu_ratios", "median_cpu_ratio",
+                          "favour_change_cpu", "same_answers"}
     assert probe["pairs"] == 3 and probe["same_answers"] is True
     base, change = probe["base"], probe["change"]
     for side in (base, change):
@@ -115,3 +137,7 @@ def test_base_pairs_agree_on_the_same_commit():
     assert probe["ratios"] == ratios
     assert probe["median_ratio"] == sorted(ratios)[1]
     assert probe["favour_change"] == sum(r < 1 for r in ratios)
+    cpu = [c["cpu_s"] / b["cpu_s"] for b, c in zip(base["runs"], change["runs"])]
+    assert probe["cpu_ratios"] == cpu
+    assert probe["median_cpu_ratio"] == sorted(cpu)[1]
+    assert probe["favour_change_cpu"] == sum(r < 1 for r in cpu)

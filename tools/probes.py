@@ -4,11 +4,15 @@
     python tools/probes.py --cap 60 --out probes.json
     python tools/probes.py --only st0:additive:6:3  # one probe
     python tools/probes.py --base HEAD~1 --only st0:additive:420:3
+    python tools/probes.py --base HEAD~1 --only st0scan:additive:40
 
 A probe is named KIND:FAMILY:D:..., with stjac imported from the ``src``
 next to this script:
 - st0:FAMILY:D:C, ``identify_st0`` of y^2 = x^D + C (additive) or
   y^2 = x^D + C*x (linear);
+- st0scan:FAMILY:D, ``identify_st0`` of that curve for each of the
+  TWISTS = 1, 2, 3, 5, -1, 1/2, -3/5 in turn, in one process: what a
+  process that scans the twists of a curve reuses;
 - sweep:FAMILY:D:C:HI, ``trace_sweep`` of that curve over the primes in
   [3, HI] in one process;
 - count:FAMILY:D:C:P, ``count_formula`` of that curve at the prime P,
@@ -17,15 +21,17 @@ next to this script:
   runs it: carry matrix, saturated kernel and the check of each relation.
 
 Each probe runs REPEATS = 3 times, each time as the only child of a fresh
-measuring process, which waits for it and reads its peak resident set
-from ``resource.getrusage(RUSAGE_CHILDREN)`` and its wall time.  ``runs``
-records every run's status, wall time and seconds.  When every run is ok
-the record reports the fastest: its result, so ``result.seconds`` is the
-minimum, the least wall time and the largest peak.  A run still going at
+measuring process, which waits for it and reads its peak resident set and
+its CPU time (ru_utime + ru_stime) from ``resource.getrusage(RUSAGE_CHILDREN)``,
+and its wall time.  ``runs`` records every run's status, wall time, CPU
+time and seconds.  When every run is ok the record reports the fastest:
+its result, so ``result.seconds`` is the minimum, the least wall time, the
+least CPU time and the largest peak.  A run still going at
 the cap is killed and ends the repeats; the probe is then recorded with
 status "timeout" and the cap as its time: a value, not an error.  A run
-that fails ends them too, with status "error".  ``wall_s`` counts the start
-of the interpreter and the import; ``result.seconds`` is the probed call.
+that fails ends them too, with status "error".  ``wall_s`` and ``cpu_s``
+count the start of the interpreter and the import; ``result.seconds`` is
+the probed call.
 
 The default probes are the large-degree walls: st0 of x^420, x^600 and
 x^840 (congruence modulus 420, 600, 840) and of the linear x^211 and x^421
@@ -47,8 +53,9 @@ between REV and the working tree's ``src`` (REV first in the first,
 third, ... pair), each run in a fresh process, so drift of the machine
 falls on both sides.  The record holds each side's fastest run and
 largest peak RSS, the ratio change/base of each pair's seconds, their
-median, how many pairs favour the change, and whether both sides gave
-the same answers.
+median and how many pairs favour the change, the same three for each
+pair's CPU time (``cpu_ratios``, ``median_cpu_ratio``,
+``favour_change_cpu``), and whether both sides gave the same answers.
 """
 
 from __future__ import annotations
@@ -89,7 +96,10 @@ DEFAULT = (
 REPEATS = 3  # runs of each probe, each in a fresh process
 
 # the fields after KIND of each probe kind
-FIELDS = {"st0": 3, "sweep": 4, "count": 4, "kernel": 3}
+FIELDS = {"st0": 3, "st0scan": 2, "sweep": 4, "count": 4, "kernel": 3}
+
+# the twists of an st0scan probe, in order
+TWISTS = ("1", "2", "3", "5", "-1", "1/2", "-3/5")
 
 
 def run_probe(name: str, src: Path = SRC) -> dict:
@@ -111,6 +121,13 @@ def run_probe(name: str, src: Path = SRC) -> dict:
         raise RuntimeError(f"stjac came from {stjac.__file__}, not from {src}")
     family, d = fields[0], int(fields[1])
     start = time.perf_counter()
+    if kind == "st0scan":
+        tids = [identify_st0(curve(family, d, Fraction(c))) for c in TWISTS]
+        seconds = time.perf_counter() - start
+        if any(tid != tids[0] for tid in tids):
+            raise RuntimeError(f"the twists of {name} name different tori")
+        return {"seconds": seconds, "twists": len(tids), "dimension": tids[0].dimension,
+                "classes": len(tids[0].classes), "primes_used": list(tids[0].primes_used)}
     if kind == "kernel":
         mat, kern, relations = relation_report(int(fields[2]), d, family)
         kinds = [r.kind for r in relations]
@@ -151,8 +168,10 @@ def measure(name: str, cap: float, src: Path = SRC) -> dict:
             record.update(status="error", wall_s=wall, result=None, error=error)
         else:
             record.update(status="ok", wall_s=wall, result=json.loads(proc.stdout))
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     # ru_maxrss is in kilobytes on Linux
-    record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    record["peak_rss_mb"] = usage.ru_maxrss / 1024
+    record["cpu_s"] = usage.ru_utime + usage.ru_stime
     return record
 
 
@@ -168,12 +187,13 @@ def measure_fresh(name: str, cap: float, src: Path = SRC) -> dict:
 
 def summarize(records: list[dict]) -> dict:
     """The record of the fastest run when every run is ok, else the last."""
-    runs = [{"status": r["status"], "wall_s": r["wall_s"],
+    runs = [{"status": r["status"], "wall_s": r["wall_s"], "cpu_s": r["cpu_s"],
              "seconds": r["result"]["seconds"] if r["result"] else None} for r in records]
     if records[-1]["status"] != "ok":
         return {**records[-1], "runs": runs}
     best = min(records, key=lambda r: r["result"]["seconds"])
     return {**best, "wall_s": min(r["wall_s"] for r in records),
+            "cpu_s": min(r["cpu_s"] for r in records),
             "peak_rss_mb": max(r["peak_rss_mb"] for r in records), "runs": runs}
 
 
@@ -197,8 +217,9 @@ def paired(name: str, cap: float, base: Path) -> dict:
         if any(r[-1]["status"] != "ok" for r in sides.values()):
             break
     base_runs, change_runs = sides["base"], sides["change"]
-    ratios = [c["result"]["seconds"] / b["result"]["seconds"]
-              for b, c in zip(base_runs, change_runs) if b["result"] and c["result"]]
+    ok = [(b, c) for b, c in zip(base_runs, change_runs) if b["result"] and c["result"]]
+    ratios = [c["result"]["seconds"] / b["result"]["seconds"] for b, c in ok]
+    cpu_ratios = [c["cpu_s"] / b["cpu_s"] for b, c in ok]
     answers = [{k: v for k, v in (r["result"] or {}).items() if k != "seconds"}
                for r in base_runs + change_runs]
     return {
@@ -206,6 +227,9 @@ def paired(name: str, cap: float, base: Path) -> dict:
         "base": summarize(base_runs), "change": summarize(change_runs),
         "ratios": ratios, "median_ratio": statistics.median(ratios) if ratios else None,
         "favour_change": sum(r < 1 for r in ratios),
+        "cpu_ratios": cpu_ratios,
+        "median_cpu_ratio": statistics.median(cpu_ratios) if cpu_ratios else None,
+        "favour_change_cpu": sum(r < 1 for r in cpu_ratios),
         "same_answers": all(a == answers[0] for a in answers),
     }
 
