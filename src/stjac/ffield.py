@@ -38,25 +38,18 @@ class PrimeField:
     length-M vector D[i] = sum of phi(1 - x) over the x in F_p minus {0, 1}
     with dlog x = i (mod M), M even; it serves every a with
     lcm(2, ord T^a) | M.
-    ``terms`` caches the relation checks' Frobenius terms per twist c and
-    column set: (c, cols) -> w_a = T^a(-c) * phi(c) * J(T^a, phi) for each
-    column a, as a Galois image of its orbit representative, and one
-    residue per column per split prime used (``stmatrix._relation_terms``).
 
-    The generator, ``residues`` and ``joint`` depend on p alone, the terms
-    also on c.  So ``groupid.identify_st0`` keeps one field per generic
-    prime for the process and checks each call in a view of it,
-    ``dataclasses.replace(shared, terms={})``, which shares the generator
-    and both table caches and starts with no terms: a twist scan builds
-    each table once, while the terms, keyed by c, which has no bound, are
-    built on every call.  ``make_field`` itself builds a fresh field.
+    A field holds only data that depends on p alone, so
+    ``groupid.identify_st0`` shares one field per generic prime across the
+    process: a twist scan builds each table once.  The Frobenius terms of
+    a relation check, keyed by c, are built per check and kept in no
+    field.  ``make_field`` itself builds a fresh field.
     """
 
     p: int
     generator: int
     residues: dict = field(default_factory=dict, repr=False)
     joint: dict = field(default_factory=dict, repr=False)
-    terms: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:

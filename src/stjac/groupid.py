@@ -22,7 +22,7 @@ ranks are ``intlinalg.rank``: modular elimination, certified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -195,15 +195,15 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     so everything keyed by p or by the matrix is memoized per process, the
     last 256 entries of each: ``generic_primes``; ``build_matrix``, its
     validation (``CarryMatrix.violations``), ``torus_dimension``,
-    ``weight_classes`` and ``torus_name``; the field of each prime, whose
-    dlog and Jacobi-profile tables each call reads through a view with its
-    own terms (see ``PrimeField``); and the twist-independent part of each
-    relation check (``stmatrix._relation_plan``).  A process that scans the
-    twists of one (d, family) does that work once, and the rebuild of the
-    first prime's matrix below is a cache hit.  The Frobenius terms, their
-    residues and the w * conj(w) = p check are keyed by c, which has no
-    bound, so they are computed on every call, and so is the kernel.
-    A one-shot call gains only the hit.
+    ``weight_classes`` and ``torus_name``; the field of each prime, with
+    its dlog and Jacobi-profile tables (``_shared_field``); and the
+    twist-independent part of each relation check
+    (``stmatrix._relation_plan``).  A process that scans the twists of one
+    (d, family) does that work once, and the rebuild of the first prime's
+    matrix below is a cache hit.  The Frobenius terms, their residues and
+    the w * conj(w) = p check are keyed by c, which has no bound, so they
+    are computed on every call, and so is the kernel.  A one-shot call
+    gains only the hit.
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     for p in primes:
@@ -219,9 +219,7 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
             )
         if not kern.basis:
             continue
-        # a view of the shared field with its own Frobenius terms, which depend on c
-        fld = replace(_shared_field(p), terms={})
-        if not verify_relation(fld, mat, kern.basis, spec.c).ok:
+        if not verify_relation(_shared_field(p), mat, kern.basis, spec.c).ok:
             raise RelationVerificationError(
                 f"the kernel lattice of rank {kern.rank} failed exact verification at p={p}"
             )

@@ -27,12 +27,12 @@ x^300 and did not finish in 15 minutes on x^420; the HNF rank
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import partial
 from itertools import chain, count
 
 import numpy as np
 
-from .primes import is_prime
+from .primes import ladder_prime
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -136,15 +136,6 @@ def _echelon_mod(rows, d: int) -> list[list[int]]:
     return echelon
 
 
-@cache
-def _prime(i: int) -> int:
-    """The i-th prime below 2^31, from the top (i = 0 gives 2^31 - 1)."""
-    ell = _prime(i - 1) - 1 if i else 2**31 - 1
-    while not is_prime(ell):
-        ell -= 1
-    return ell
-
-
 def _rref_mod(mat, ell: int) -> tuple[list[int], list[list[int]]]:
     """Pivot columns and rows of the reduced row echelon form of mat mod ell.
 
@@ -201,7 +192,7 @@ def _rational_kernel(mat) -> tuple[list[int], list[int], list[list[int]]]:
     q = len(mat[0])
     flipped = [row[::-1] for row in mat]
     best = None
-    for ell in map(_prime, count()):
+    for ell in map(partial(ladder_prime, 2), count()):
         pivots, red = _rref_mod(flipped, ell)
         key = (-len(pivots), pivots)
         if best is None or key < best:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Ladder primes stay below 2^31, so a product of two residues fits in int64.
+SPLIT_PRIME_BOUND = 2**31
+
+_ladders: dict[int, list[int]] = {}  # L -> the primes of its ladder found so far
 
 
 def is_prime(n: int) -> bool:
@@ -32,6 +38,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def ladder_prime(L: int, i: int) -> int | None:
+    """The i-th prime l = 1 (mod L) below 2^31, counting down from the top
+    (for L = 2, the i-th odd prime below 2^31), or None if there are fewer.
+
+    Each L keeps one ladder per process, walked down from its lowest prime
+    found so far, so a cold call far down is one walk and no recursion.
+    """
+    found = _ladders.setdefault(L, [])
+    top = found[-1] // L - 1 if found else (SPLIT_PRIME_BOUND - 2) // L
+    walk = (j * L + 1 for j in range(top, 0, -1) if is_prime(j * L + 1))
+    found.extend(islice(walk, max(0, i + 1 - len(found))))
+    return found[i] if i < len(found) else None
 
 
 def prime_range(lo: int, hi: int) -> list[int]:

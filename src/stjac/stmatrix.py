@@ -22,14 +22,17 @@ as the residue of column k*a mod p-1 at zeta -> r, since sigma_k(w_a) =
 w_(k*a); each residue comes from the Galois-orbit representative w_g,
 g = gcd(a, p-1), the only term built (one twisted scatter
 ``jacobi_sum_compact(fld, g, shift)``, checked against w * conj(w) = p in
-Z[zeta]), once per field and twist.  A kernel depends only on the set of
-distinct rows, which every generic prime shares, so
-``groupid.identify_st0`` computes it once, at its first prime, and checks
-the whole kernel lattice in each field with one ``verify_relation`` call:
-one membership product and one numpy pass per split prime for all its
-vectors.  Everything of that call but the twisted terms and their residues
-depends only on the matrix and the vectors, and is memoized per process
-(``CarryMatrix._orbits``, ``_relation_plan``).
+Z[zeta]), once per check.  One pass decides a batch of vectors, each on
+its own (``_relation_exponents``): one membership product and one numpy
+pass per split prime for all of them.  A kernel depends only on the set
+of distinct rows, which every generic prime shares, so
+``groupid.identify_st0`` computes it once, at its first prime, and folds
+the pass over the whole kernel into one lattice verdict per field
+(``verify_relation``); ``relation_report`` (``stjac kernel``) runs the
+same pass over a basis and keeps each vector's verdict.  Everything of a
+pass but the twisted terms and their residues depends only on the matrix
+and the vectors, and is memoized per process (``CarryMatrix._orbits``,
+``_relation_plan``).
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice, takewhile
+from itertools import accumulate, takewhile
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from .pointcount import (
     is_generic_prime,
     twist_exponent,
 )
-from .primes import euler_phi, is_prime
+from .primes import euler_phi, ladder_prime
 
 
 def st_columns(p: int, d: int, family: str) -> tuple[int, ...]:
@@ -88,15 +91,14 @@ class _ColumnOrbits:
     L is the even conductor of all columns.  ``reps`` lists the orbit
     representatives g = gcd(a, p-1), ascending, and ``lifts`` holds, per
     column a, its g and an odd lift u of a/g mod (p-1)/g, which acts on the
-    field of w_g as a unit mod p-1.  ``embeddings`` holds one unit k mod p-1
-    per unit class mod L, ascending (k = 1 first), and ``ks`` the same as a
-    read-only int64 array.
+    field of w_g as a unit mod p-1.  ``ks`` holds one unit k mod p-1 per
+    unit class mod L, ascending (k = 1 first), as a read-only int64 array:
+    the embeddings zeta_L -> r^k that a check reads.
     """
 
     L: int
     reps: tuple[int, ...]
     lifts: tuple[tuple[int, int], ...]
-    embeddings: tuple[int, ...]
     ks: np.ndarray
 
 
@@ -144,9 +146,9 @@ class CarryMatrix:
         if any(orbit.count(g) != euler_phi(n // g) for g in set(orbit)):
             raise InputError(f"the columns at p={self.p} are not closed under the units mod {n}")
         L = n // math.gcd(n // 2, *self.cols)
-        embeddings = tuple(sorted({k % L: k for k in reversed(self.rows)}.values()))
         return _ColumnOrbits(
-            L=L, reps=tuple(sorted(set(orbit))), embeddings=embeddings, ks=_read_only(embeddings),
+            L=L, reps=tuple(sorted(set(orbit))),
+            ks=_read_only(sorted({k % L: k for k in reversed(self.rows)}.values())),
             lifts=tuple((g, a // g + n // g * (a // g % 2 == 0)) for a, g in zip(self.cols, orbit)),
         )
 
@@ -294,29 +296,18 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
     return jacobi_sum_compact(fld, a, twist_exponent(fld, a, cp))
 
 
-# Split primes stay below 2^31, so a product of two residues fits in int64.
-SPLIT_PRIME_BOUND = 2**31
-
-_split_ladder: dict[int, list[int]] = {}  # L -> its split primes found so far
-
-
 @lru_cache(maxsize=256)
 def split_prime(L: int, i: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
-    """The i-th prime l = 1 (mod L) below 2^31, counting down from the top,
-    with the powers r^e mod l (e < L) of an r of exact order L and the
-    exponent e of each power.
+    """The i-th prime l = 1 (mod L) below 2^31, counting down from the top
+    (``primes.ladder_prime``), with the powers r^e mod l (e < L) of an r of
+    exact order L and the exponent e of each power.
 
-    l is found by walking down from the lowest split prime already found
-    for L.  r = h^((l-1)/L) for the smallest primitive root h of l.  Each
-    entry holds O(L) numbers and the cache keeps at most 256 of them.
+    r = h^((l-1)/L) for the smallest primitive root h of l.  Each entry
+    holds O(L) numbers and the cache keeps at most 256 of them.
     """
-    found = _split_ladder.setdefault(L, [])
-    top = found[-1] // L - 1 if found else (SPLIT_PRIME_BOUND - 2) // L
-    walk = (j * L + 1 for j in range(top, 0, -1) if is_prime(j * L + 1))
-    found.extend(islice(walk, max(0, i + 1 - len(found))))
-    if len(found) <= i:
+    ell = ladder_prime(L, i)
+    if ell is None:
         raise StjacError(f"too few primes = 1 mod {L} below 2^31")
-    ell = found[i]
     r = pow(smallest_primitive_root(ell), ell // L, ell)
     powers = [1] * L
     for e in range(1, L):
@@ -360,42 +351,18 @@ def _evaluate(points: list[tuple[CycloElt, int]], L: int, ell: int, powers: tupl
     return value.tolist()
 
 
-@dataclass
-class _RelationTerms:
-    """The Frobenius terms of one field, twist and column set, mod split primes.
+def _term_points(fld: PrimeField, mat: CarryMatrix, c) -> list[tuple[CycloElt, int]]:
+    """Column j's Frobenius term, in field fld and twist c, as its point
+    (w_g, u) for ``_evaluate``: the term is sigma_u(w_g), g = gcd(a_j, p-1).
 
-    Column j's term sigma_u(w_g), g = gcd(a_j, p-1), is its point (w_g, u)
-    in ``points``; L and ``embeddings`` are the matrix's (``_ColumnOrbits``);
-    ``tables`` maps each split prime l in use to an int64 array over the
-    keys mod p-1 holding w_a at zeta_L -> r mod l at each column a (0
-    elsewhere), filled when a p^k first needs l.
+    For a unit k mod p-1, sigma_k maps T^a to T^(k*a) and fixes phi and
+    phi(c) = +-1, so sigma_k(w_a) = w_(k*a): w_a at zeta_L -> r^k is column
+    k*a mod p-1 at zeta_L -> r, conj(w_a) = w_(-a) is column -k*a, and the
+    columns must be closed under the units (``CarryMatrix._orbits``, else
+    InputError).  Only the representatives w_g are built, each checked
+    against w * conj(w) = p in Z[zeta]; sigma_u commutes with complex
+    conjugation, so every derived term inherits the identity.
     """
-
-    L: int
-    embeddings: tuple[int, ...]
-    points: list[tuple[CycloElt, int]]
-    tables: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
-    """The cached ``_RelationTerms`` of (fld, c, mat.cols), built on first use.
-
-    L = lcm(2, conductors of all columns).  For a unit k mod p-1, sigma_k
-    maps T^a to T^(k*a) and fixes phi and phi(c) = +-1, so sigma_k(w_a) =
-    w_(k*a): w_a at zeta_L -> r^k is column k*a mod p-1 at zeta_L -> r,
-    conj(w_a) = w_(-a) is column -k*a, and the columns must be closed under
-    the units (``CarryMatrix._orbits``, else InputError).  Only the
-    representatives w_g are built, each checked against w * conj(w) = p in
-    Z[zeta]; sigma_u commutes with complex conjugation, so every derived
-    term inherits the identity.  Nothing is cached unless all of it holds.
-    The terms are the only part of a relation check that depends on c, so
-    they are built for every field they are asked of, while the column
-    orbits are kept with the matrix.
-    """
-    key = (c, mat.cols)
-    terms = fld.terms.get(key)
-    if terms is not None:
-        return terms
     orbits = mat._orbits
     reps = {}
     for g in orbits.reps:
@@ -404,28 +371,30 @@ def _relation_terms(fld: PrimeField, mat: CarryMatrix, c) -> _RelationTerms:
             raise RelationVerificationError(
                 f"the term of column {g} at p={fld.p} has w * conj(w) != p"
             )
-    points = [(reps[g], u) for g, u in orbits.lifts]
-    terms = fld.terms[key] = _RelationTerms(orbits.L, orbits.embeddings, points)
-    return terms
+    return [(reps[g], u) for g, u in orbits.lifts]
 
 
 @dataclass(frozen=True, eq=False)
 class _RelationPlan:
     """The part of a batched relation check that only the matrix and the
-    vectors fix (``_relation_plan``); no field or twist changes it.
+    rows fix (``_relation_plan``); no field or twist changes it.
 
-    ``verdict`` is set when no term is needed: "exact" for no nonzero
-    vector, "fail" for an unbalanced one.  Otherwise ``primes`` are the
-    split primes for the largest k, and the nonzero vectors are taken
-    longest entry list first (see ``_relation_exponents``): ``neg`` and
-    ``need`` hold, in that order, each vector's k and the number of split
-    primes its bound needs, ``keys[pos]`` the key +-a mod p-1 of entry pos
-    of each vector with more than pos entries, and ``bits[pos]`` the bit b
-    of those entries times p-1 (None when every |e| is 1, ``levels`` = 1;
-    else b < ``levels``).  That is O(vectors x positions) integers.
+    ``start`` holds each row's exponent t before any term is read: None
+    for an unbalanced row, else 0.  ``index`` lists the rows to check, the
+    nonzero balanced ones, longest entry list first (see
+    ``_relation_exponents``), L is the even conductor of the columns (1
+    when no row is checked) and ``primes`` the split primes for the
+    largest k.  In the order of ``index``, ``neg`` and ``need`` hold each
+    row's k and the number of split primes its bound needs, ``keys[pos]``
+    the key +-a mod p-1 of entry pos of each row with more than pos
+    entries, and ``bits[pos]`` the bit b of those entries times p-1 (None
+    when every |e| is 1, ``levels`` = 1; else b < ``levels``).  That is
+    O(rows x positions) integers.
     """
 
-    verdict: RelationResult | None = None
+    start: tuple[int | None, ...]
+    index: tuple[int, ...] = ()
+    L: int = 1
     primes: tuple = ()
     neg: tuple[int, ...] = ()
     need: np.ndarray | None = None
@@ -436,17 +405,17 @@ class _RelationPlan:
 
 @lru_cache(maxsize=256)
 def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _RelationPlan:
-    """The ``_RelationPlan`` of a batch of vectors, memoized per (matrix,
-    rows) for the last 256 pairs: a process that checks one kernel in many
+    """The ``_RelationPlan`` of a batch of rows, memoized per (matrix, rows)
+    for the last 256 pairs: a process that checks one kernel in many
     fields or twists runs the kernel-membership product, the split-prime
     walk and the entry lists once.
 
-    Raises NotInKernelError for a vector of the wrong length or outside the
+    Raises NotInKernelError for a row of the wrong length or outside the
     kernel of the carry matrix, and InputError for columns that are not
     closed under the units.  A factor w^|e| is the product of the w^(2^b)
-    over the set bits b of |e|, so each vector becomes a list of entries
+    over the set bits b of |e|, so each row becomes a list of entries
     (+-a mod n, b).  The plan keeps no array over the embeddings: those
-    would hold vectors x positions x embeddings keys.
+    would hold rows x positions x embeddings keys.
     """
     if any(len(row) != len(mat.cols) for row in rows):
         raise NotInKernelError("vector length does not match the column count")
@@ -455,27 +424,27 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     if residual.any():
         bad = rows[(residual != 0).any(axis=0).argmax()]
         raise NotInKernelError(f"{list(bad)} is not in the kernel of the carry matrix")
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return _RelationPlan(verdict=RelationResult(kind="exact", order=1))
-    if any(map(sum, rows)):
-        return _RelationPlan(verdict=RelationResult(kind="fail", order=None))
+    start = tuple(None if sum(row) else 0 for row in rows)
+    index = [i for i, row in enumerate(rows) if any(row) and not sum(row)]
+    if not index:
+        return _RelationPlan(start=start)
     n, p, L = mat.n, mat.p, mat._orbits.L
-    neg = [sum(-e for e in row if e < 0) for row in rows]
+    neg = [sum(-e for e in rows[i] if e < 0) for i in index]
     primes = split_primes(L, p, max(neg))
     bounds = list(accumulate((ell for ell, _, _ in primes), operator.mul))
     need = [bisect_right(bounds, 2 * p**k) + 1 for k in neg]
     entries = [
-        [((a if e > 0 else -a) % n, abs(e)) for a, e in zip(mat.cols, row) if e] for row in rows
+        [((a if e > 0 else -a) % n, abs(e)) for a, e in zip(mat.cols, rows[i]) if e]
+        for i in index
     ]
     levels = max(e for ent in entries for _, e in ent).bit_length()
     if levels > 1:
         entries = [
             [(key, b) for key, e in ent for b in range(levels) if e >> b & 1] for ent in entries
         ]
-    order = sorted(range(len(rows)), key=lambda i: len(entries[i]), reverse=True)
+    order = sorted(range(len(index)), key=lambda i: len(entries[i]), reverse=True)
     entries = [entries[i] for i in order]
-    # longest first, so the vectors with an entry at pos are a prefix
+    # longest first, so the rows with an entry at pos are a prefix
     columns = [
         [ent[pos] for ent in takewhile(lambda ent: len(ent) > pos, entries)]
         for pos in range(len(entries[0]))
@@ -485,8 +454,9 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     if levels > 1:
         bits = tuple(_read_only([b * n for _, b in col]) for col in columns)
     return _RelationPlan(
-        primes=tuple(primes), neg=tuple(neg[i] for i in order),
-        need=_read_only([need[i] for i in order]), keys=keys, bits=bits, levels=levels,
+        start=start, index=tuple(index[i] for i in order), L=L, primes=tuple(primes),
+        neg=tuple(neg[i] for i in order), need=_read_only([need[i] for i in order]),
+        keys=keys, bits=bits, levels=levels,
     )
 
 
@@ -505,7 +475,7 @@ def verify_relation(
     The decision is exact but runs in F_l, for primes l = 1 (mod L), L the
     even conductor of all columns (``split_prime``), where Z[zeta_L] maps
     onto F_l in phi(L) ways, zeta_L -> r^u for the units u mod L.  Every
-    term satisfies w * conj(w) = p (see ``_relation_terms``), so
+    term satisfies w * conj(w) = p (see ``_term_points``), so
     X = prod w^(v+) * conj(w)^(v-) = W * p^k, k = sum of the negative
     parts of v, lies in Z[zeta_L].  The zero vector is exact; sum(v) != 0
     makes |W| = p^(sum(v)/2) != 1, a failure.  Otherwise:
@@ -522,17 +492,18 @@ def verify_relation(
 
     t = 0 is exact; otherwise W is torsion of order L / gcd(t, L).
 
-    The rows of a 2-D v are decided together: one membership product, the
-    split primes taken once, for the largest k among them (both memoized
-    per matrix and rows, ``_relation_plan``), and one numpy pass per split
-    prime (``_relation_exponents``).  Each row is checked
-    at every embedding of the first split primes whose product passes its
-    own 2 p^k, so the argument above holds row by row; a prime more would
-    only strengthen the bound.  The verdict is for the lattice the rows
-    span: "fail" if any row fails (or is unbalanced), "exact" if every row
-    is, else "torsion" of order L / gcd(L, t_1, ..., t_m), that of the
-    cyclic group of the W's.  A row outside the kernel of the carry matrix
-    raises NotInKernelError.
+    Every row of v is decided in one pass (``_relation_exponents``), which
+    ``relation_report`` shares: the membership product and the split
+    primes, for the largest k, are memoized per matrix and rows
+    (``_relation_plan``), and each split prime takes one numpy pass for
+    all rows.  Each row is checked at every embedding of the first split
+    primes whose product passes its own 2 p^k, so the argument above holds
+    row by row; a prime more would only strengthen the bound.  The verdict
+    is for the lattice the rows span: "fail" if any row fails (an
+    unbalanced row before any term is built), "exact" if every row is,
+    else "torsion" of order L / gcd(L, t_1, ..., t_m), that of the cyclic
+    group of the W's.  A row outside the kernel of the carry matrix raises
+    NotInKernelError.
     """
     if fld.p != mat.p:
         raise InputError(f"a field of p={fld.p} cannot check a carry matrix at p={mat.p}")
@@ -545,51 +516,61 @@ def verify_relation(
         for row in (v if batch else [v])
     )
     plan = _relation_plan(mat, rows)
-    if plan.verdict is not None:
-        return plan.verdict
-    terms = _relation_terms(fld, mat, c)
-    ts = _relation_exponents(fld, mat, terms, plan)
-    if ts is None:
+    if None in plan.start:
         return RelationResult(kind="fail", order=None)
-    g = math.gcd(terms.L, *ts)
-    if g == terms.L:
+    return _verdict(plan.L, _relation_exponents(fld, mat, plan, c))
+
+
+def _verdict(L: int, ts: list[int | None]) -> RelationResult:
+    """The verdict on rows with exponents ts, W = zeta_L^t for each: "fail"
+    if some row has none, else that of the cyclic group of the W's."""
+    if None in ts:
+        return RelationResult(kind="fail", order=None)
+    g = math.gcd(L, *ts)
+    if g == L:
         return RelationResult(kind="exact", order=1)
-    return RelationResult(kind="torsion", order=is_root_of_unity(CycloElt.zeta_pow(terms.L, g)))
+    return RelationResult(kind="torsion", order=is_root_of_unity(CycloElt.zeta_pow(L, g)))
 
 
 def _relation_exponents(
-    fld: PrimeField, mat: CarryMatrix, terms: _RelationTerms, plan: _RelationPlan
-) -> list[int] | None:
-    """The exponent t of each vector of the plan, W = zeta_L^t, or None if
-    some vector is no relation (see ``verify_relation``).
+    fld: PrimeField, mat: CarryMatrix, plan: _RelationPlan, c
+) -> list[int | None]:
+    """The exponent t of each row of the plan, W = zeta_L^t, in input
+    order, or None for a row that is no relation (see ``verify_relation``);
+    a row that fails is marked, and the others are still checked.
 
-    Each vector is checked at the prefix of the plan's split primes that
-    passes its own 2 p^k, the primes a check of that vector alone would
-    use.  At each split prime one numpy pass builds X at every embedding u
-    for the vectors still checked there: position i of every entry list
-    long enough gathers its residues at key +-u*a mod n from the table
-    squared b times, and multiplies them in.  The work arrays are vectors
-    x embeddings, whatever the support sizes; the residue tables are the
-    only per-field, per-twist input.
+    Each row is checked at the prefix of the plan's split primes that
+    passes its own 2 p^k, the primes a check of that row alone would use.
+    At each split prime one ``_evaluate`` gives the residue of every
+    column, and one numpy pass builds X at every embedding u for the rows
+    still checked there: position i of every entry list long enough
+    gathers its residues at key +-u*a mod n from the table squared b
+    times, and multiplies them in.  The work arrays are rows x embeddings,
+    whatever the support sizes; the terms and their residues are the only
+    input that depends on the field and the twist, and a pass with no row
+    to check builds none.
     """
-    L, n, p = terms.L, fld.n, fld.p
-    ks = mat._orbits.ks
-    levels = plan.levels
+    ts = list(plan.start)
+    if not plan.index:
+        return ts
+    points = _term_points(fld, mat, c)
+    L, n, p, ks, levels = plan.L, fld.n, fld.p, mat._orbits.ks, plan.levels
     # spread[key] holds key * u mod n for the embeddings u
     spread = np.arange(n, dtype=np.int64)[:, None] * ks % n
-    ts = None
+    ok = np.ones(len(plan.index), dtype=bool)
+    found = np.zeros(len(plan.index), dtype=np.int64)
     for j, (ell, powers, exponent_of) in enumerate(plan.primes):
-        table = terms.tables.get(ell)
-        if table is None:
-            table = terms.tables[ell] = np.zeros(n, dtype=np.int64)
-            table[list(mat.cols)] = _evaluate(terms.points, L, ell, powers)
+        # the rows checked here, still longest first: at each position the
+        # ones with an entry there are a prefix of them
+        act = np.flatnonzero(ok & (plan.need > j))
+        if not len(act):
+            break
+        table = np.zeros(n, dtype=np.int64)
+        table[list(mat.cols)] = _evaluate(points, L, ell, powers)
         squares = [table]
         for _ in range(1, levels):
             squares.append(squares[-1] * squares[-1] % ell)
         flat = np.concatenate(squares) if levels > 1 else table
-        # the vectors checked here, still longest first: at each position
-        # the ones with an entry there are a prefix of them
-        act = np.flatnonzero(plan.need > j)
         every = len(act) == len(plan.need)
         for pos, keys in enumerate(plan.keys):
             live = len(keys) if every else int(np.searchsorted(act, len(keys)))
@@ -608,21 +589,30 @@ def _relation_exponents(
         if not j:
             inverse = {k: pow(qk, -1, ell) for k, qk in q.items()}
             exps = [exponent_of.get(x0 * inverse[k] % ell) for x0, k in zip(x[:, 0].tolist(), negs)]
-            if None in exps:
-                return None
-            ts = np.array(exps, dtype=np.int64)
+            ok[:] = [e is not None for e in exps]
+            found[:] = [e or 0 for e in exps]
         qs = np.array([q[k] for k in negs], dtype=np.int64)[:, None]
-        if not (x == np.array(powers, dtype=np.int64)[ts[act, None] * ks % L] * qs % ell).all():
-            return None
-    return ts.tolist()
+        ok[act] &= (
+            x == np.array(powers, dtype=np.int64)[found[act, None] * ks % L] * qs % ell
+        ).all(axis=1)
+    for i, t, good in zip(plan.index, found.tolist(), ok.tolist()):
+        ts[i] = t if good else None
+    return ts
 
 
 def relation_report(
     p: int, d: int, family: str, c=Fraction(1)
 ) -> tuple[CarryMatrix, KernelLattice, list[RelationResult]]:
-    """Matrix, kernel and per-basis-vector relation classification at p."""
+    """Matrix, kernel and per-basis-vector relation classification at p.
+
+    The whole basis takes one relation pass (``_relation_exponents``), as
+    in ``verify_relation``; each vector's verdict is read from its own
+    exponent, so it is the one ``verify_relation`` gives that vector alone.
+    """
     mat = build_matrix(p, d, family)
     kern = right_kernel(mat)
-    fld = make_field(p)
-    results = [verify_relation(fld, mat, vec, c) for vec in kern.basis]
-    return mat, kern, results
+    if not kern.basis:
+        return mat, kern, []
+    plan = _relation_plan(mat, kern.basis)
+    ts = _relation_exponents(make_field(p), mat, plan, c)
+    return mat, kern, [_verdict(plan.L, [t]) for t in ts]

@@ -449,12 +449,17 @@ def test_oracle_mismatch_exits_2(capsys, monkeypatch):
 
 
 def test_relation_failure_exits_2(capsys, monkeypatch):
-    from stjac import cli
-    from stjac.stmatrix import RelationResult
+    # one tampered residue (column a = 1 at every split prime) is no relation
+    from stjac import stmatrix
 
-    monkeypatch.setattr(
-        cli.stmatrix, "verify_relation", lambda *a, **k: RelationResult("fail", None)
-    )
+    real = stmatrix._evaluate
+
+    def spoiled(points, L, ell, powers):
+        values = real(points, L, ell, powers)
+        values[0] = 2 * values[0] % ell
+        return values
+
+    monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
     code, out, _ = run(capsys, "kernel", "--family", "additive", "--d", "10", "--p", "11")
     assert code == 2
     assert "NOT A RELATION" in out

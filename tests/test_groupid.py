@@ -14,6 +14,7 @@ from stjac.errors import (
     RelationVerificationError,
     StjacError,
 )
+from stjac.ffield import PrimeField
 from stjac.groupid import (
     TorusId,
     generic_primes,
@@ -142,7 +143,9 @@ def test_twist_scan_builds_each_table_once_and_every_term_per_call(monkeypatch):
     assert tables == primes
     for p in primes:
         assert list(groupid._shared_field(p).residues) == [40]
-        assert groupid._shared_field(p).terms == {}
+    # a field holds only what depends on p, so nothing keyed by c stays on it
+    names = [f.name for f in dataclasses.fields(PrimeField)]
+    assert names == ["p", "generator", "residues", "joint"]
 
 
 def test_tampered_terms_on_a_warm_call_still_fail(monkeypatch):

@@ -19,6 +19,7 @@ from stjac.intlinalg import (
     xgcd,
 )
 from stjac.pointcount import ADDITIVE, LINEAR
+from stjac.primes import is_prime, ladder_prime
 from stjac.stmatrix import build_matrix
 
 
@@ -274,7 +275,7 @@ def test_rank_survives_primes_where_it_drops(monkeypatch):
     calls = []
     rref = intlinalg._rref_mod
     monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))
-    l0, l1, l2 = (intlinalg._prime(i) for i in range(3))
+    l0, l1, l2 = (ladder_prime(2, i) for i in range(3))
     assert l0 == 2**31 - 1
     for rows, primes in [
         ([[1, 0], [0, l0]], 2),
@@ -288,11 +289,26 @@ def test_rank_survives_primes_where_it_drops(monkeypatch):
         assert len(calls) == primes, (rows, calls)
 
 
+def test_cold_elimination_prime_far_down_needs_no_recursion(monkeypatch, deadline):
+    # the elimination primes are the ladder of L = 2: the 3000th, asked for
+    # cold, comes from one walk down and equals a sequential walk from the top
+    monkeypatch.setattr("stjac.primes._ladders", {})
+    with deadline(20):
+        cold = ladder_prime(2, 3000)
+    ells, ell = [], 2**31 - 1
+    while len(ells) <= 3000:
+        if is_prime(ell):
+            ells.append(ell)
+        ell -= 2
+    assert cold == ells[-1]
+    assert [ladder_prime(2, i) for i in range(3001)] == ells
+
+
 def test_rref_mod_matches_sympy_over_gf_ell():
     # one int64 elimination at every size, small matrices included, against
     # sympy's RREF over GF(l) with its entries normalised to [0, l)
     rng = random.Random(28)
-    ell = intlinalg._prime(0)
+    ell = ladder_prime(2, 0)
     gf = GF(ell)
     for m, n in [(3, 4), (9, 11), (10, 10), (12, 20), (25, 9), (6, 40)]:
         for k in (1, min(m, n) // 2 + 1, min(m, n)):

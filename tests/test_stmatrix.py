@@ -12,6 +12,7 @@ import pytest
 import sympy
 
 from stjac import groupid, stmatrix
+from stjac.cli import main
 from stjac.cyclo import CycloElt
 from stjac.errors import (
     EvenOrTooSmallError,
@@ -26,9 +27,8 @@ from stjac.ffield import make_field, reduce_mod
 from stjac.groupid import generic_primes, identify_st0, torus_dimension
 from stjac.intlinalg import hnf_rows, kernel_basis, rank
 from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve, is_generic_prime
-from stjac.primes import is_prime, prime_range
+from stjac.primes import SPLIT_PRIME_BOUND, is_prime, prime_range
 from stjac.stmatrix import (
-    SPLIT_PRIME_BOUND,
     RelationResult,
     build_matrix,
     frobenius_factor,
@@ -465,24 +465,37 @@ def test_tampered_representative_terms_break_the_relation(monkeypatch, tamper):
     assert changed == {"conj": 93, "zeta": 113}[tamper]
 
 
-def test_relation_whose_bound_needs_two_split_primes():
+def _record_evaluate(monkeypatch):
+    """The (l, number of residues) of every ``_evaluate`` call from now on."""
+    real, asked = stmatrix._evaluate, []
+
+    def counted(points, L, ell, powers):
+        asked.append((ell, len(points)))
+        return real(points, L, ell, powers)
+
+    monkeypatch.setattr(stmatrix, "_evaluate", counted)
+    return asked
+
+
+def test_relation_whose_bound_needs_two_split_primes(monkeypatch):
     # a vector with k = 4 at p = 281 needs prod l > 2 * 281^4 > 2^32
     p, d = 281, 40
     mat = build_matrix(p, d, ADDITIVE)
     basis = right_kernel(mat).basis
     top = split_prime(40, 0)[0]
+    asked = _record_evaluate(monkeypatch)
     several = 0
     for scale in (1, 2, 3):
         for v in basis:
             w = [scale * x for x in v]
             k = sum(-x for x in w if x < 0)
-            fld, ref = make_field(p), make_field(p)
-            got = verify_relation(fld, mat, w, 3)
-            assert got == oracles.verify_relation(ref, mat, w, 3), (scale, v)
-            (terms,) = fld.terms.values()
-            assert list(terms.tables) == [ell for ell, _, _ in split_primes(40, p, k)]
-            assert (len(terms.tables) >= 2) == (2 * p**k >= top), (scale, v)
-            several += len(terms.tables) >= 2
+            asked.clear()
+            got = verify_relation(make_field(p), mat, w, 3)
+            used = [ell for ell, _ in asked]
+            assert got == oracles.verify_relation(make_field(p), mat, w, 3), (scale, v)
+            assert used == [ell for ell, _, _ in split_primes(40, p, k)]
+            assert (len(used) >= 2) == (2 * p**k >= top), (scale, v)
+            several += len(used) >= 2
     assert several >= 10
     assert len(split_primes(40, p, 12)) == 4  # 2 * 281^12 is about 2^98.6
 
@@ -499,7 +512,7 @@ def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
             honest = verify_relation(make_field(p), mat, w, 3)
             assert honest.ok
             fld = make_field(p)
-            first = split_prime(stmatrix._relation_terms(fld, mat, 3).L, 0)[0]
+            first = split_prime(mat._orbits.L, 0)[0]
             # embedding 1 reads w_a at key a and conj(w_a) = w_-a at key -a
             read = {a if x > 0 else -a % (p - 1) for a, x in zip(mat.cols, w) if x}
 
@@ -515,34 +528,28 @@ def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
 
 
 def test_each_split_prime_evaluates_one_residue_per_column(monkeypatch):
-    # per field and twist, _evaluate runs once per split prime in use and is
+    # per relation pass, _evaluate runs once per split prime in use and is
     # asked for exactly one residue per column, whatever the vectors need
-    real, asked = stmatrix._evaluate, []
-
-    def counted(points, L, ell, powers):
-        asked.append((ell, len(points)))
-        return real(points, L, ell, powers)
-
-    monkeypatch.setattr(stmatrix, "_evaluate", counted)
+    asked = _record_evaluate(monkeypatch)
     cases = several = 0
     for mat, basis in _pool_cases():
         for c in (Fraction(1), Fraction(2)):
-            fld = make_field(mat.p)
-            asked.clear()
             for scale in (1, 3):
-                for v in basis:
-                    assert verify_relation(fld, mat, [scale * x for x in v], c).ok
-            (terms,) = fld.terms.values()
-            assert sorted(asked) == sorted((ell, len(mat.cols)) for ell in terms.tables)
+                batch = [[scale * x for x in v] for v in basis]
+                k = max(sum(-x for x in v if x < 0) for v in batch)
+                asked.clear()
+                assert verify_relation(make_field(mat.p), mat, batch, c).ok
+                used = split_primes(mat._orbits.L, mat.p, k)
+                assert asked == [(ell, len(mat.cols)) for ell, _, _ in used]
+                several += len(asked) >= 2
             cases += 1
-            several += len(asked) >= 2
     assert cases == 108 and several > 0
 
 
 def test_cold_split_prime_far_down_needs_no_recursion(monkeypatch, deadline):
     # l_1200 for L = 40 comes from one walk down, with no call per earlier
     # prime, and equals the 1200th step of a sequential walk from the top
-    monkeypatch.setattr(stmatrix, "_split_ladder", {})
+    monkeypatch.setattr("stjac.primes._ladders", {})
     split_prime.cache_clear()
     with deadline(20):
         cold = split_prime(40, 1200)
@@ -551,7 +558,7 @@ def test_cold_split_prime_far_down_needs_no_recursion(monkeypatch, deadline):
         if is_prime(j * 40 + 1):
             ells.append(j * 40 + 1)
         j -= 1
-    monkeypatch.setattr(stmatrix, "_split_ladder", {})
+    monkeypatch.setattr("stjac.primes._ladders", {})
     split_prime.cache_clear()
     walk = [split_prime(40, i) for i in range(1201)]
     assert [entry[0] for entry in walk] == ells
@@ -566,7 +573,6 @@ def test_verify_relation_rejects_a_field_of_another_prime(monkeypatch):
         fld = make_field(q)
         with pytest.raises(InputError, match=f"p={q} cannot check a carry matrix at p=11"):
             verify_relation(fld, m, v, 2)
-        assert fld.terms == {}
     assert calls == []
     assert verify_relation(make_field(11), m, v, 2).ok
 
@@ -582,7 +588,7 @@ def test_verify_relation_rejects_columns_not_closed_under_the_units(monkeypatch)
     fld = make_field(11)
     with pytest.raises(InputError, match="not closed under the units mod 10"):
         verify_relation(fld, bad, v, 2)
-    assert fld.terms == {} and calls == []
+    assert calls == []
     assert verify_relation(fld, m, v + [0, 0], 2).ok
 
 
@@ -843,9 +849,10 @@ def _count_frobenius_factor(monkeypatch):
     return calls
 
 
-def test_each_frobenius_term_is_built_once_per_field_and_twist(monkeypatch):
+def test_each_frobenius_term_is_built_once_per_relation_pass(monkeypatch):
     # only the orbit representative gcd(a, p-1) of a support column builds its
-    # term; every other column's term is a Galois image of it
+    # term; every other column's term is a Galois image of it.  No term is
+    # kept: each pass, also with a twist seen before, builds its own
     calls = _count_frobenius_factor(monkeypatch)
     for p in generic_primes(ADDITIVE, 40, 3):
         calls.clear()
@@ -861,11 +868,10 @@ def test_each_frobenius_term_is_built_once_per_field_and_twist(monkeypatch):
     fld = make_field(11)
     support = {mat.cols[j] for v in basis for j, x in enumerate(v) if x}
     reps = {math.gcd(a, 10) for a in support}
-    for c, built in ((1, reps), (2, reps), (1, set())):
+    for c in (1, 2, 1):
         calls.clear()
-        for v in basis:
-            verify_relation(fld, mat, v, c)
-        assert sorted(calls) == sorted((11, a, c) for a in built), c
+        assert verify_relation(fld, mat, basis, c).ok
+        assert sorted(calls) == sorted((11, a, c) for a in reps), c
 
 
 def test_twist_vanishing_mod_p_still_fails_inside_frobenius_factor(monkeypatch):
@@ -876,9 +882,11 @@ def test_twist_vanishing_mod_p_still_fails_inside_frobenius_factor(monkeypatch):
     assert len(calls) == 1
     fld = make_field(7)
     mat = build_matrix(7, 6, ADDITIVE)
-    with pytest.raises(ZeroDivisionError):
-        verify_relation(fld, mat, right_kernel(mat).basis[0], 7)
-    assert fld.terms == {}
+    # nothing is kept from a check that raised: the next one raises again
+    for tries in (2, 3):
+        with pytest.raises(ZeroDivisionError):
+            verify_relation(fld, mat, right_kernel(mat).basis[0], 7)
+        assert len(calls) == tries
 
 
 def test_term_check_raises_a_typed_error(monkeypatch):
@@ -886,9 +894,10 @@ def test_term_check_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(stmatrix, "frobenius_factor", lambda fld, a, c: 2 * real(fld, a, c))
     mat = build_matrix(11, 10, ADDITIVE)
     fld = make_field(11)
-    with pytest.raises(RelationVerificationError, match="w \\* conj\\(w\\) != p"):
-        verify_relation(fld, mat, right_kernel(mat).basis[0], 1)
-    assert fld.terms == {}
+    # nothing is kept from a check that raised: the next one raises again
+    for _ in range(2):
+        with pytest.raises(RelationVerificationError, match="w \\* conj\\(w\\) != p"):
+            verify_relation(fld, mat, right_kernel(mat).basis[0], 1)
 
 
 def test_kernel_rank_check_raises_a_typed_error(monkeypatch):
@@ -963,13 +972,13 @@ def test_derived_terms_equal_the_directly_built_ones():
                 if not cols or c.numerator % p == 0 or c.denominator % p == 0:
                     continue
                 mat, fresh = build_matrix(p, d, family), make_field(p)
-                terms = stmatrix._relation_terms(make_field(p), mat, c)
-                L, n = terms.L, p - 1
+                points = stmatrix._term_points(make_field(p), mat, c)
+                L, n = mat._orbits.L, p - 1
                 ell, powers, _ = split_prime(L, 0)
-                table = dict(zip(cols, stmatrix._evaluate(terms.points, L, ell, powers)))
+                table = dict(zip(cols, stmatrix._evaluate(points, L, ell, powers)))
                 for a in cols:
                     w = frobenius_factor(fresh, a, c)
-                    for k in terms.embeddings:
+                    for k in mat._orbits.ks.tolist():
                         assert table[k * a % n] == _embedded(w, L, ell, powers, k), (p, a, c, k)
                         assert table[-k * a % n] == _embedded(
                             w.conj(), L, ell, powers, k), (p, a, c, k)
@@ -1035,9 +1044,19 @@ def _fold(results):
     return RelationResult(kind="exact", order=1) if order == 1 else RelationResult("torsion", order)
 
 
+def _row_verdicts(mat, rows, c):
+    """Each row's verdict from one relation pass, as ``relation_report``
+    reads them."""
+    plan = stmatrix._relation_plan(mat, rows)
+    ts = stmatrix._relation_exponents(make_field(mat.p), mat, plan, c)
+    return [stmatrix._verdict(plan.L, [t]) for t in ts]
+
+
 def test_lattice_verdict_is_the_fold_of_the_vector_verdicts():
     # additive d <= 60 and linear d <= 41 at their 3 generic primes: the
-    # batch equals "every vector ok, order the lcm of the orders"
+    # batch equals "every vector ok, order the lcm of the orders", folded
+    # from the per-vector verdicts of one pass; on every 30th case those
+    # equal the calls on each vector alone
     checked, kinds = 0, set()
     for family, ds in ((ADDITIVE, range(3, 61)), (LINEAR, range(3, 42, 2))):
         for d in ds:
@@ -1048,13 +1067,68 @@ def test_lattice_verdict_is_the_fold_of_the_vector_verdicts():
                 for c in C_BATCH:
                     if c.numerator % p == 0 or c.denominator % p == 0:
                         continue
-                    fld = make_field(p)
-                    per = [verify_relation(fld, mat, v, c) for v in basis]
+                    per = _row_verdicts(mat, basis, c)
+                    if checked % 30 == 0:
+                        assert per == [verify_relation(make_field(p), mat, v, c) for v in basis]
                     got = verify_relation(make_field(p), mat, basis, c)
                     assert got == _fold(per), (family, d, p, c)
                     kinds.add(got.kind)
                     checked += 1
     assert checked == 900 and kinds == {"exact", "torsion"}
+
+
+def test_relation_report_reads_each_vector_from_one_pass(monkeypatch, capsys):
+    # relation_report runs one pass over the basis and gives each vector
+    # the verdict of verify_relation on it alone
+    passes = []
+    real_pass = stmatrix._relation_exponents
+
+    def counted(fld, mat, plan, c):
+        passes.append(fld.p)
+        return real_pass(fld, mat, plan, c)
+
+    monkeypatch.setattr(stmatrix, "_relation_exponents", counted)
+    reports = 0
+    for family, d in ST0_POOL:
+        for p in generic_primes(family, d, 2):
+            mat = build_matrix(p, d, family)
+            basis = right_kernel(mat).basis
+            for c in C_VALUES:
+                if c.numerator % p == 0:
+                    continue
+                passes.clear()
+                _, _, got = stmatrix.relation_report(p, d, family, c)
+                assert passes == [p]
+                assert got == [verify_relation(make_field(p), mat, v, c) for v in basis]
+                reports += 1
+    assert reports == 252
+
+    # the residues of one Galois orbit of columns, read by one basis vector
+    # alone: only that vector's row fails, and `stjac kernel` exits 2
+    p, d, n = 41, 40, 40
+    mat = build_matrix(p, d, ADDITIVE)
+    basis = right_kernel(mat).basis
+    readers = {
+        g: [i for i, v in enumerate(basis) if any(x and math.gcd(a, n) == g for a, x in zip(mat.cols, v))]
+        for g in {math.gcd(a, n) for a in mat.cols}
+    }
+    g, (lone,) = next((g, rows) for g, rows in sorted(readers.items()) if len(rows) == 1)
+    honest = stmatrix.relation_report(p, d, ADDITIVE, 3)[2]
+    real = stmatrix._evaluate
+
+    def spoiled(points, L, ell, powers):
+        values = real(points, L, ell, powers)
+        return [2 * y % ell if math.gcd(a, n) == g else y for a, y in zip(mat.cols, values)]
+
+    monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
+    passes.clear()
+    got = stmatrix.relation_report(p, d, ADDITIVE, 3)[2]
+    assert passes == [p]
+    assert got == [RelationResult("fail") if i == lone else r for i, r in enumerate(honest)]
+    assert verify_relation(make_field(p), mat, basis, 3).kind == "fail"
+    capsys.readouterr()
+    assert main(["kernel", "--family", "additive", "--d", "40", "--p", "41", "--c", "3"]) == 2
+    assert capsys.readouterr().out.count("NOT A RELATION") == 1
 
 
 def test_batch_with_an_unbalanced_vector_fails_before_any_term_is_built(monkeypatch):
@@ -1091,7 +1165,8 @@ def test_batch_with_one_tampered_residue_fails(monkeypatch):
         assert _fold(per).kind == "fail" and any(r.ok for r in per), j
 
 
-def test_batch_with_one_non_kernel_row_raises():
+def test_batch_with_one_non_kernel_row_raises(monkeypatch):
+    calls = _count_frobenius_factor(monkeypatch)
     m = build_matrix(11, 10, ADDITIVE)
     basis = [list(v) for v in right_kernel(m).basis]
     fld = make_field(11)
@@ -1100,7 +1175,7 @@ def test_batch_with_one_non_kernel_row_raises():
         verify_relation(fld, m, basis[:2] + [stray] + basis[2:], 2)
     with pytest.raises(NotInKernelError, match="vector length"):
         verify_relation(fld, m, basis + [[1, -1]], 2)
-    assert fld.terms == {}
+    assert calls == []
     assert verify_relation(fld, m, np.array(basis), 2) == verify_relation(fld, m, basis, 2)
 
 
@@ -1111,18 +1186,17 @@ def test_batch_checks_each_vector_at_the_split_primes_it_needs(monkeypatch):
     p, d = 281, 40
     mat = build_matrix(p, d, ADDITIVE)
     basis = right_kernel(mat).basis
-    L = stmatrix._relation_terms(make_field(p), mat, 3).L
+    L = mat._orbits.L
     top = split_prime(L, 0)[0]
     k = [sum(-x for x in v if x < 0) for v in basis]
     light = [v for v, kv in zip(basis, k) if 2 * p**kv < top]
     heavy = [[4 * x for x in v] for v in basis[:3]]
     assert light and 2 * p ** (4 * max(k[:3])) >= top
-    fld = make_field(p)
-    assert verify_relation(fld, mat, light + heavy, 3).ok
-    (terms,) = fld.terms.values()
-    kmax = max(sum(-x for x in v if x < 0) for v in heavy)
-    assert list(terms.tables) == [ell for ell, _, _ in split_primes(L, p, kmax)]
     real = stmatrix._evaluate
+    asked = _record_evaluate(monkeypatch)
+    assert verify_relation(make_field(p), mat, light + heavy, 3).ok
+    kmax = max(sum(-x for x in v if x < 0) for v in heavy)
+    assert [ell for ell, _ in asked] == [ell for ell, _, _ in split_primes(L, p, kmax)]
 
     def second_spoiled(points, L, ell, powers):
         values = real(points, L, ell, powers)

@@ -35,7 +35,8 @@ the probed call.
 
 The default probes are the large-degree walls: st0 of x^420, x^600 and
 x^840 (congruence modulus 420, 600, 840) and of the linear x^211 and x^421
-(moduli 420 and 840); the kernel of x^420 at p = 421; the counts of
+(moduli 420 and 840); the kernels of x^420 at p = 421 and of the linear
+x^421 at p = 2521, where k reaches 127; the counts of
 x^397+1 at p = 2383 and x^2000+3 at p = 1008001, where the count sums
 hundreds of Jacobi sums, and of x^12+3 at 50000017, the first good prime
 from 5*10^7, where the O(p) passes dominate; and the sweep of x^9+1 to
@@ -82,6 +83,7 @@ DEFAULT = (
     "st0:linear:211:3",
     "st0:linear:421:3",
     "kernel:additive:420:421",
+    "kernel:linear:421:2521",
     "count:additive:397:1:2383",
     "count:additive:2000:3:1008001",
     "count:additive:12:3:50000017",
