@@ -198,12 +198,16 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     ``weight_classes`` and ``torus_name``; the field of each prime, with
     its dlog and Jacobi-profile tables (``_shared_field``); and the
     twist-independent part of each relation check
-    (``stmatrix._relation_plan``).  A process that scans the twists of one
-    (d, family) does that work once, and the rebuild of the first prime's
-    matrix below is a cache hit.  The Frobenius terms, their residues and
-    the w * conj(w) = p check are keyed by c, which has no bound, so they
-    are computed on every call, and so is the kernel.  A one-shot call
-    gains only the hit.
+    (``stmatrix._relation_plan``, with the column orbits and split primes
+    it reads); and the modular eliminations behind the kernel and its rank
+    (``intlinalg._rational_kernel``).  A process that scans the twists of
+    one (d, family) does that work once, and the rebuild of the first
+    prime's matrix below is a cache hit.  The Frobenius terms, their
+    residues and the w * conj(w) = p check are keyed by c, which has no
+    bound, so they are computed on every call.  So is ``right_kernel``:
+    its lift, HNF, Smith-form saturation check and rank comparison run
+    per call, on memoized eliminations.  A one-shot call gains only the
+    hit.
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     for p in primes:

@@ -31,8 +31,14 @@ the pass over the whole kernel into one lattice verdict per field
 (``verify_relation``); ``relation_report`` (``stjac kernel``) runs the
 same pass over a basis and keeps each vector's verdict.  Everything of a
 pass but the twisted terms and their residues depends only on the matrix
-and the vectors, and is memoized per process (``CarryMatrix._orbits``,
-``_relation_plan``).
+and the vectors, and is memoized per process: the matrix's hash, its
+column orbits with each column's representative slot and embedding
+exponent (``CarryMatrix._orbits``), the plan of each batch with the
+orbits its rows touch (``_relation_plan``) and the split primes with
+their powers (``split_prime``).  A pass builds the terms of the touched
+orbits only, and checks each against w * conj(w) = p, on every call.
+The eliminations behind ``right_kernel`` are memoized per matrix
+(``intlinalg``); its lift, saturation and rank comparison run per call.
 """
 
 from __future__ import annotations
@@ -89,16 +95,21 @@ class _ColumnOrbits:
     (``CarryMatrix._orbits``); no field or twist changes it.
 
     L is the even conductor of all columns.  ``reps`` lists the orbit
-    representatives g = gcd(a, p-1), ascending, and ``lifts`` holds, per
-    column a, its g and an odd lift u of a/g mod (p-1)/g, which acts on the
-    field of w_g as a unit mod p-1.  ``ks`` holds one unit k mod p-1 per
-    unit class mod L, ascending (k = 1 first), as a read-only int64 array:
-    the embeddings zeta_L -> r^k that a check reads.
+    representatives g = gcd(a, p-1), ascending.  Column a's term is
+    sigma_u(w_g), u an odd lift of a/g mod (p-1)/g (a unit mod p-1), so at
+    zeta_L -> r it is w_g at zeta_N -> r^(u*L/N), N = (p-1)/gcd(g, (p-1)/2)
+    the conductor of w_g: per column, ``slot`` holds the index of g in
+    ``reps`` and ``exponent`` u*L/N mod L.  ``columns`` holds the exponents
+    a, and ``ks`` one unit k mod p-1 per unit class mod L, ascending (k = 1
+    first): the embeddings zeta_L -> r^k that a check reads.  The arrays
+    are read-only int64.
     """
 
     L: int
     reps: tuple[int, ...]
-    lifts: tuple[tuple[int, int], ...]
+    slot: np.ndarray
+    exponent: np.ndarray
+    columns: np.ndarray
     ks: np.ndarray
 
 
@@ -115,6 +126,20 @@ class CarryMatrix:
     @property
     def n(self) -> int:
         return self.p - 1
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, taken once: every memo keyed by a matrix
+        would otherwise rehash each row of its entries on each lookup."""
+        return hash((self.p, self.d, self.family, self.rows, self.cols, self.entries,
+                     self.is_generic))
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process, so a copy made by pickle takes its own
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
     @cached_property
     def _row_array(self) -> np.ndarray:
@@ -146,10 +171,15 @@ class CarryMatrix:
         if any(orbit.count(g) != euler_phi(n // g) for g in set(orbit)):
             raise InputError(f"the columns at p={self.p} are not closed under the units mod {n}")
         L = n // math.gcd(n // 2, *self.cols)
+        reps = tuple(sorted(set(orbit)))
+        lifts = [a // g + n // g * (a // g % 2 == 0) for a, g in zip(self.cols, orbit)]
         return _ColumnOrbits(
-            L=L, reps=tuple(sorted(set(orbit))),
+            L=L, reps=reps,
+            slot=_read_only([reps.index(g) for g in orbit]),
+            exponent=_read_only([
+                u * (L * math.gcd(g, n // 2) // n) % L for u, g in zip(lifts, orbit)]),
+            columns=_read_only(self.cols),
             ks=_read_only(sorted({k % L: k for k in reversed(self.rows)}.values())),
-            lifts=tuple((g, a // g + n // g * (a // g % 2 == 0)) for a, g in zip(self.cols, orbit)),
         )
 
     @cached_property
@@ -257,6 +287,18 @@ class KernelLattice:
 
 
 def right_kernel(mat: CarryMatrix) -> KernelLattice:
+    """The saturated right kernel of the distinct rows, with its rank
+    checked against columns - rank (StjacError when they differ).
+
+    The rank comes from the transpose, an elimination of its own, so a
+    kernel that lost a vector cannot agree with it.  Both eliminations are
+    memoized per matrix (``intlinalg._rational_kernel``), but this call is
+    not: each one lifts and saturates the kernel (``kernel_basis``, with
+    ``hnf_rows``), checks the Smith form (``snf_invariant_factors``) and
+    compares the counts.  The traced test of ``perfbench`` expects those
+    three calls on a warm rerun, so a kernel memoized per matrix waits for
+    a change to the benchmark (ROADMAP item 1).
+    """
     rows = mat.distinct_rows
     basis = kernel_basis(rows)
     sat = all(f == 1 for f in snf_invariant_factors(basis)) if basis else True
@@ -297,10 +339,11 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
 
 
 @lru_cache(maxsize=256)
-def split_prime(L: int, i: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
+def split_prime(L: int, i: int) -> tuple[int, np.ndarray, dict[int, int]]:
     """The i-th prime l = 1 (mod L) below 2^31, counting down from the top
     (``primes.ladder_prime``), with the powers r^e mod l (e < L) of an r of
-    exact order L and the exponent e of each power.
+    exact order L, as a read-only int64 array, and the exponent e of each
+    power.
 
     r = h^((l-1)/L) for the smallest primitive root h of l.  Each entry
     holds O(L) numbers and the cache keeps at most 256 of them.
@@ -312,10 +355,10 @@ def split_prime(L: int, i: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
     powers = [1] * L
     for e in range(1, L):
         powers[e] = powers[e - 1] * r % ell
-    return ell, tuple(powers), {x: e for e, x in enumerate(powers)}
+    return ell, _read_only(powers), {x: e for e, x in enumerate(powers)}
 
 
-def split_primes(L: int, p: int, k: int) -> list[tuple[int, tuple[int, ...], dict[int, int]]]:
+def split_primes(L: int, p: int, k: int) -> list[tuple[int, np.ndarray, dict[int, int]]]:
     """The first ``split_prime`` entries for L, skipping l = p, whose
     primes multiply to more than 2 p^k."""
     bound, product, out = 2 * p**k, 1, []
@@ -329,49 +372,55 @@ def split_primes(L: int, p: int, k: int) -> list[tuple[int, tuple[int, ...], dic
     return out
 
 
-def _evaluate(points: list[tuple[CycloElt, int]], L: int, ell: int, powers: tuple) -> list[int]:
-    """sigma_u(w) at zeta_L -> r mod l for each point (w, u), that is w at
-    zeta_N -> r^(u*L/N), N = w.n dividing L.
+def _evaluate(
+    terms: list[CycloElt | None], orbits: _ColumnOrbits, ell: int, powers: np.ndarray
+) -> np.ndarray:
+    """The residue of every column's term at zeta_L -> r mod l, in column
+    order, from the terms w_g at the orbit representatives (None where no
+    row reads the orbit; its columns get 0).
 
-    The points share a few orbit representatives w: each one's coordinates
-    are reduced mod l once and gathered per point.  Horner's rule over the
-    reduced coordinates keeps every step below l^2 < 2^62.
+    Column a's term sigma_u(w_g) is w_g at zeta_N -> r^(u*L/N): the
+    representatives' coordinates are reduced mod l once and gathered per
+    column by ``orbits.slot``, and each column's point r^(u*L/N) is read
+    off ``powers`` at ``orbits.exponent``, with no Python step per column.
+    Horner's rule over the reduced coordinates keeps every step below
+    l^2 < 2^62.
     """
-    reps = {id(w): w for w, _ in points}
-    slot = {key: i for i, key in enumerate(reps)}
-    phi = max(len(w.coeffs) for w in reps.values())
-    table = np.zeros((phi, len(reps)), dtype=np.int64)
-    for i, w in enumerate(reps.values()):
-        table[: len(w.coeffs), i] = [cf % ell for cf in w.coeffs]
-    coeffs = table[:, [slot[id(w)] for w, _ in points]]
-    x = np.array([powers[u * (L // w.n) % L] for w, u in points], dtype=np.int64)
+    phi = max(len(w.coeffs) for w in terms if w is not None)
+    table = np.zeros((phi, len(terms)), dtype=np.int64)
+    for i, w in enumerate(terms):
+        if w is not None:
+            table[: len(w.coeffs), i] = [cf % ell for cf in w.coeffs]
+    x = powers[orbits.exponent]
     value = np.zeros_like(x)
-    for cf in coeffs[::-1]:
+    for cf in table[::-1, orbits.slot]:
         value = (value * x + cf) % ell
-    return value.tolist()
+    return value
 
 
-def _term_points(fld: PrimeField, mat: CarryMatrix, c) -> list[tuple[CycloElt, int]]:
-    """Column j's Frobenius term, in field fld and twist c, as its point
-    (w_g, u) for ``_evaluate``: the term is sigma_u(w_g), g = gcd(a_j, p-1).
+def _orbit_terms(fld: PrimeField, mat: CarryMatrix, slots, c) -> list[CycloElt | None]:
+    """The Frobenius term w_g, in field fld and twist c, of each orbit
+    representative g = ``mat._orbits.reps[i]`` for i in slots, None at the
+    others: ``_evaluate`` derives every column's term from these.
 
     For a unit k mod p-1, sigma_k maps T^a to T^(k*a) and fixes phi and
     phi(c) = +-1, so sigma_k(w_a) = w_(k*a): w_a at zeta_L -> r^k is column
     k*a mod p-1 at zeta_L -> r, conj(w_a) = w_(-a) is column -k*a, and the
     columns must be closed under the units (``CarryMatrix._orbits``, else
-    InputError).  Only the representatives w_g are built, each checked
-    against w * conj(w) = p in Z[zeta]; sigma_u commutes with complex
-    conjugation, so every derived term inherits the identity.
+    InputError).  k*a and a share their orbit, so a row reads only the
+    orbits of its own columns.  Each term built is checked against
+    w * conj(w) = p in Z[zeta]; sigma_u commutes with complex conjugation,
+    so every derived term inherits the identity.
     """
-    orbits = mat._orbits
-    reps = {}
-    for g in orbits.reps:
-        w = reps[g] = frobenius_factor(fld, g, c)
+    reps = mat._orbits.reps
+    terms: list[CycloElt | None] = [None] * len(reps)
+    for i in slots:
+        w = terms[i] = frobenius_factor(fld, reps[i], c)
         if w * w.conj() != fld.p:
             raise RelationVerificationError(
-                f"the term of column {g} at p={fld.p} has w * conj(w) != p"
+                f"the term of column {reps[i]} at p={fld.p} has w * conj(w) != p"
             )
-    return [(reps[g], u) for g, u in orbits.lifts]
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,8 +432,10 @@ class _RelationPlan:
     for an unbalanced row, else 0.  ``index`` lists the rows to check, the
     nonzero balanced ones, longest entry list first (see
     ``_relation_exponents``), L is the even conductor of the columns (1
-    when no row is checked) and ``primes`` the split primes for the
-    largest k.  In the order of ``index``, ``neg`` and ``need`` hold each
+    when no row is checked), ``slots`` the indices into
+    ``CarryMatrix._orbits.reps`` of the orbits those rows touch (the only
+    terms a pass builds) and ``primes`` the split primes for the largest
+    k.  In the order of ``index``, ``neg`` and ``need`` hold each
     row's k and the number of split primes its bound needs, ``keys[pos]``
     the key +-a mod p-1 of entry pos of each row with more than pos
     entries, and ``bits[pos]`` the bit b of those entries times p-1 (None
@@ -395,6 +446,7 @@ class _RelationPlan:
     start: tuple[int | None, ...]
     index: tuple[int, ...] = ()
     L: int = 1
+    slots: tuple[int, ...] = ()
     primes: tuple = ()
     neg: tuple[int, ...] = ()
     need: np.ndarray | None = None
@@ -420,7 +472,8 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     if any(len(row) != len(mat.cols) for row in rows):
         raise NotInKernelError("vector length does not match the column count")
     wide = np.int64 if max(sum(map(abs, row)) for row in rows) < 2**63 else object
-    residual = mat._row_array @ np.array(rows, dtype=wide).T
+    vectors = np.array(rows, dtype=wide)
+    residual = mat._row_array @ vectors.T
     if residual.any():
         bad = rows[(residual != 0).any(axis=0).argmax()]
         raise NotInKernelError(f"{list(bad)} is not in the kernel of the carry matrix")
@@ -428,7 +481,9 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     index = [i for i, row in enumerate(rows) if any(row) and not sum(row)]
     if not index:
         return _RelationPlan(start=start)
-    n, p, L = mat.n, mat.p, mat._orbits.L
+    n, p, orbits = mat.n, mat.p, mat._orbits
+    L = orbits.L
+    slots = sorted(set(orbits.slot[(vectors[index] != 0).any(axis=0)].tolist()))
     neg = [sum(-e for e in rows[i] if e < 0) for i in index]
     primes = split_primes(L, p, max(neg))
     bounds = list(accumulate((ell for ell, _, _ in primes), operator.mul))
@@ -454,7 +509,8 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     if levels > 1:
         bits = tuple(_read_only([b * n for _, b in col]) for col in columns)
     return _RelationPlan(
-        start=start, index=tuple(index[i] for i in order), L=L, primes=tuple(primes),
+        start=start, index=tuple(index[i] for i in order), L=L,
+        slots=tuple(slots), primes=tuple(primes),
         neg=tuple(neg[i] for i in order), need=_read_only([need[i] for i in order]),
         keys=keys, bits=bits, levels=levels,
     )
@@ -475,7 +531,7 @@ def verify_relation(
     The decision is exact but runs in F_l, for primes l = 1 (mod L), L the
     even conductor of all columns (``split_prime``), where Z[zeta_L] maps
     onto F_l in phi(L) ways, zeta_L -> r^u for the units u mod L.  Every
-    term satisfies w * conj(w) = p (see ``_term_points``), so
+    term satisfies w * conj(w) = p (see ``_orbit_terms``), so
     X = prod w^(v+) * conj(w)^(v-) = W * p^k, k = sum of the negative
     parts of v, lies in Z[zeta_L].  The zero vector is exact; sum(v) != 0
     makes |W| = p^(sum(v)/2) != 1, a failure.  Otherwise:
@@ -553,8 +609,9 @@ def _relation_exponents(
     ts = list(plan.start)
     if not plan.index:
         return ts
-    points = _term_points(fld, mat, c)
-    L, n, p, ks, levels = plan.L, fld.n, fld.p, mat._orbits.ks, plan.levels
+    orbits = mat._orbits
+    terms = _orbit_terms(fld, mat, plan.slots, c)
+    L, n, p, ks, levels = plan.L, fld.n, fld.p, orbits.ks, plan.levels
     # spread[key] holds key * u mod n for the embeddings u
     spread = np.arange(n, dtype=np.int64)[:, None] * ks % n
     ok = np.ones(len(plan.index), dtype=bool)
@@ -566,7 +623,7 @@ def _relation_exponents(
         if not len(act):
             break
         table = np.zeros(n, dtype=np.int64)
-        table[list(mat.cols)] = _evaluate(points, L, ell, powers)
+        table[orbits.columns] = _evaluate(terms, orbits, ell, powers)
         squares = [table]
         for _ in range(1, levels):
             squares.append(squares[-1] * squares[-1] % ell)
@@ -593,7 +650,7 @@ def _relation_exponents(
             found[:] = [e or 0 for e in exps]
         qs = np.array([q[k] for k in negs], dtype=np.int64)[:, None]
         ok[act] &= (
-            x == np.array(powers, dtype=np.int64)[found[act, None] * ks % L] * qs % ell
+            x == powers[found[act, None] * ks % L] * qs % ell
         ).all(axis=1)
     for i, t, good in zip(plan.index, found.tolist(), ok.tolist()):
         ts[i] = t if good else None

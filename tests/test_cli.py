@@ -454,8 +454,8 @@ def test_relation_failure_exits_2(capsys, monkeypatch):
 
     real = stmatrix._evaluate
 
-    def spoiled(points, L, ell, powers):
-        values = real(points, L, ell, powers)
+    def spoiled(terms, orbits, ell, powers):
+        values = real(terms, orbits, ell, powers)
         values[0] = 2 * values[0] % ell
         return values
 

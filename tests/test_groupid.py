@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stjac import _accel, groupid, stmatrix
+from stjac import _accel, groupid, intlinalg, stmatrix
 from stjac.cli import main
 from stjac.errors import (
     InconsistentAcrossPrimesError,
@@ -98,8 +98,9 @@ C_VALUES = tuple(Fraction(c) for c in ("1", "2", "3", "5", "-1", "1/2", "-3/5"))
 
 def _clear_st0_memos():
     """Empty every per-process memo that identify_st0 reads."""
-    for memo in (build_matrix, torus_dimension, stmatrix._relation_plan, groupid._shared_field,
-                 groupid._generic_primes, groupid._weight_classes, groupid._torus_name):
+    for memo in (build_matrix, torus_dimension, stmatrix._relation_plan, stmatrix.split_prime,
+                 intlinalg._rational_kernel, groupid._shared_field, groupid._generic_primes,
+                 groupid._weight_classes, groupid._torus_name):
         memo.cache_clear()
 
 

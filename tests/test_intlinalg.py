@@ -219,6 +219,8 @@ def test_large_carry_kernels(deadline, family, d, p):
 
 
 def test_kernel_over_several_primes_and_unlucky_ones(monkeypatch, deadline):
+    # the count of eliminations starts from an empty memo
+    intlinalg._rational_kernel.cache_clear()
     calls = []
     rref = intlinalg._rref_mod
     monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))
@@ -271,7 +273,9 @@ def test_rank_matches_the_hnf_oracle_and_sympy(rows):
 def test_rank_survives_primes_where_it_drops(monkeypatch):
     # each matrix loses rank modulo the first elimination primes; the
     # reconstructed kernel then fails its exact check and a later prime,
-    # with more pivots, gives the rank over Q
+    # with more pivots, gives the rank over Q; the count of eliminations
+    # starts from an empty memo
+    intlinalg._rational_kernel.cache_clear()
     calls = []
     rref = intlinalg._rref_mod
     monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))

@@ -343,18 +343,20 @@ def test_hasse_witt_equals_both_oracles(field):
     twists = (1, -1, 2, 3, Fraction(-3, 5), Fraction(1, 2), 7)
     specs = [curve(ADDITIVE, d, c) for d in range(1, 25) for c in twists]
     specs += [curve(LINEAR, d, c) for d in range(3, 20, 2) for c in twists]
-    # each spec's primes also go through one batch, i.e. one remainder tree
-    checked = 0
+    # each spec's primes go through one batch, i.e. one remainder tree, and
+    # the one-prime path agrees with it below 300 and at the largest prime
+    checked = single = 0
     for spec in specs:
         primes = [p for p in prime_range(3, 1500) if good_reduction(p, spec)]
-        for p, batched in zip(primes, hasse_witt_traces(primes, spec), strict=True):
+        for p, t in zip(primes, hasse_witt_traces(primes, spec), strict=True):
             fld = field(p)
-            t = trace_hasse_witt(p, spec)
-            assert t == batched, (spec, p)
+            if p < 300 or p == primes[-1]:
+                assert t == trace_hasse_witt(p, spec), (spec, p)
+                single += 1
             assert t == p + 1 - count_bruteforce(fld, spec), (spec, p)
             assert t == p + 1 - count_formula(fld, spec), (spec, p)
             checked += 1
-    assert checked == 54695
+    assert (checked, single) == (54695, 14039)
 
 
 def test_hasse_witt_boundary_at_4_g_squared(field):

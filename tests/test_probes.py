@@ -60,10 +60,15 @@ def test_st0scan_probe_json_schema():
     assert all(set(r) == RUN_KEYS for r in probe["runs"])
     assert probe["probe"] == "st0scan:additive:10" and probe["status"] == "ok"
     result = probe["result"]
-    assert set(result) == {"seconds", "twists", "dimension", "classes", "primes_used"}
+    assert set(result) == {"seconds", "first_s", "rest_s", "twists", "dimension", "classes",
+                           "primes_used"}
     assert 0 < result["seconds"] < probe["wall_s"] < 60
+    # the first (cold) twist is timed apart from the six warm ones
+    assert 0 < result["first_s"] and 0 < result["rest_s"]
+    assert result["first_s"] + result["rest_s"] == pytest.approx(result["seconds"])
     tid = identify_st0(curve("additive", 10, 1))
-    assert result == {"seconds": result["seconds"], "twists": 7, "dimension": tid.dimension,
+    times = {k: result[k] for k in ("seconds", "first_s", "rest_s")}
+    assert result == {**times, "twists": 7, "dimension": tid.dimension,
                       "classes": len(tid.classes), "primes_used": [11, 31, 41]}
 
 

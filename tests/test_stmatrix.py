@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
-from stjac import groupid, stmatrix
+from stjac import groupid, intlinalg, stmatrix
 from stjac.cli import main
 from stjac.cyclo import CycloElt
 from stjac.errors import (
@@ -469,9 +470,10 @@ def _record_evaluate(monkeypatch):
     """The (l, number of residues) of every ``_evaluate`` call from now on."""
     real, asked = stmatrix._evaluate, []
 
-    def counted(points, L, ell, powers):
-        asked.append((ell, len(points)))
-        return real(points, L, ell, powers)
+    def counted(terms, orbits, ell, powers):
+        values = real(terms, orbits, ell, powers)
+        asked.append((ell, len(values)))
+        return values
 
     monkeypatch.setattr(stmatrix, "_evaluate", counted)
     return asked
@@ -516,8 +518,8 @@ def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
             # embedding 1 reads w_a at key a and conj(w_a) = w_-a at key -a
             read = {a if x > 0 else -a % (p - 1) for a, x in zip(mat.cols, w) if x}
 
-            def spoiled(points, L, ell, powers, read=read, spoil=spoil, first=first):
-                values = real(points, L, ell, powers)
+            def spoiled(terms, orbits, ell, powers, read=read, spoil=spoil, first=first):
+                values = real(terms, orbits, ell, powers)
                 if spoil == "embeddings":
                     return [y if a in read else 2 * y % ell for a, y in zip(mat.cols, values)]
                 return values if ell == first else [2 * y % ell for y in values]
@@ -562,7 +564,8 @@ def test_cold_split_prime_far_down_needs_no_recursion(monkeypatch, deadline):
     split_prime.cache_clear()
     walk = [split_prime(40, i) for i in range(1201)]
     assert [entry[0] for entry in walk] == ells
-    assert cold == walk[-1]
+    assert cold[0] == walk[-1][0] and cold[2] == walk[-1][2]
+    assert cold[1].tolist() == walk[-1][1].tolist()
 
 
 def test_verify_relation_rejects_a_field_of_another_prime(monkeypatch):
@@ -615,9 +618,10 @@ def test_split_prime_root_has_exact_order_L(L):
         ell, powers, exponent_of = split_prime(L, i)
         assert ell < previous
         previous = ell
-        r = powers[1]
+        r = int(powers[1])
         assert sympy.n_order(r, ell) == L
-        assert list(powers) == [pow(r, e, ell) for e in range(L)]
+        assert powers.tolist() == [pow(r, e, ell) for e in range(L)]
+        assert powers.dtype == np.int64 and not powers.flags.writeable
         assert exponent_of == {x: e for e, x in enumerate(powers)}
 
 
@@ -820,8 +824,8 @@ def test_verify_relation_fails_when_a_residue_is_tampered(monkeypatch):
     assert verify_relation(make_field(11), m, v, 2).ok
     real = stmatrix._evaluate
     monkeypatch.setattr(
-        stmatrix, "_evaluate", lambda points, L, ell, powers: [
-            (y + 1) % ell for y in real(points, L, ell, powers)
+        stmatrix, "_evaluate", lambda terms, orbits, ell, powers: [
+            (y + 1) % ell for y in real(terms, orbits, ell, powers)
         ]
     )
     fld = make_field(11)
@@ -874,6 +878,31 @@ def test_each_frobenius_term_is_built_once_per_relation_pass(monkeypatch):
         assert sorted(calls) == sorted((11, a, c) for a in reps), c
 
 
+def test_a_pass_builds_only_the_orbits_its_rows_touch(monkeypatch):
+    # a lone vector builds the representatives of its own columns' orbits;
+    # every pool kernel touches all of them (174 over the 54 matrices), so
+    # st0 builds the same terms as before
+    calls = _count_frobenius_factor(monkeypatch)
+    mat = build_matrix(41, 40, ADDITIVE)
+    basis = right_kernel(mat).basis
+    fld = make_field(41)
+    fewer = 0
+    for v in basis:
+        calls.clear()
+        assert verify_relation(fld, mat, v, 3).ok
+        touched = {math.gcd(a, 40) for a, x in zip(mat.cols, v) if x}
+        assert sorted(calls) == sorted((41, g, 3) for g in touched), v
+        fewer += len(touched) < len(mat._orbits.reps)
+    assert fewer == len(basis)
+    calls.clear()
+    assert verify_relation(fld, mat, basis, 3).ok
+    assert sorted(g for _, g, _ in calls) == list(mat._orbits.reps)
+    slots = [(stmatrix._relation_plan(mat, basis).slots, len(mat._orbits.reps))
+             for mat, basis in _pool_cases()]
+    assert all(s == tuple(range(reps)) for s, reps in slots)
+    assert sum(reps for _, reps in slots) == 174
+
+
 def test_twist_vanishing_mod_p_still_fails_inside_frobenius_factor(monkeypatch):
     calls = _count_frobenius_factor(monkeypatch)
     with pytest.raises(ZeroDivisionError, match="vanishes mod 7") as info:
@@ -913,6 +942,65 @@ def test_kernel_that_drops_a_vector_fails_the_rank_check(monkeypatch):
     for p, d, family in [(11, 10, ADDITIVE), (41, 40, ADDITIVE), (13, 7, LINEAR)]:
         with pytest.raises(StjacError, match="kernel rank"):
             right_kernel(build_matrix(p, d, family))
+
+
+def test_warm_kernels_still_check_their_rank(monkeypatch):
+    # the eliminations are memoized per matrix and the rank comparison is
+    # not: on warm matrices a kernel that drops a vector, or a rank off by
+    # one, still fails, and no elimination runs again meanwhile
+    mats = [build_matrix(p, d, family) for p, d, family in
+            [(11, 10, ADDITIVE), (41, 40, ADDITIVE), (13, 7, LINEAR)]]
+    warm = [right_kernel(mat) for mat in mats]
+    memo = intlinalg._rational_kernel
+    misses, hits = memo.cache_info().misses, memo.cache_info().hits
+    assert [right_kernel(mat) for mat in mats] == warm
+    for name, patched in [("kernel_basis", lambda rows: kernel_basis(rows)[:-1]),
+                          ("rank", lambda rows: rank(rows) + 1)]:
+        with monkeypatch.context() as m:
+            m.setattr(stmatrix, name, patched)
+            for mat in mats:
+                with pytest.raises(StjacError, match="kernel rank"):
+                    right_kernel(mat)
+    assert memo.cache_info().misses == misses
+    assert memo.cache_info().hits >= hits + 3 * 2 * len(mats)
+    assert [right_kernel(mat) for mat in mats] == warm
+
+
+def test_memoized_results_are_safe_to_share():
+    # two callers of one elimination get one result made of tuples, and
+    # each caller of kernel_basis or rank gets its own lists
+    rows = build_matrix(41, 40, ADDITIVE).distinct_rows
+    cols = tuple(dict.fromkeys(zip(*rows)))
+    first = intlinalg._rational_kernel(tuple(zip(*cols)))
+    second = intlinalg._rational_kernel(tuple(tuple(row) for row in zip(*cols)))
+    assert first is second
+    free, dens, nums = first
+    assert type(free) is tuple and type(dens) is tuple and type(nums) is tuple
+    assert all(type(v) is tuple for v in nums)
+    one, two = kernel_basis(rows), kernel_basis(rows)
+    assert one == two and one is not two
+    one[0][0] += 1
+    assert kernel_basis(rows) == two != one
+    assert rank(rows) == rank(list(rows)) == len(cols) - len(free)
+    # a replace copy of a matrix takes its own hash and its own column orbits
+    m = build_matrix(41, 40, ADDITIVE)
+    orbits = m._orbits
+    same = dataclasses.replace(m)
+    assert same == m and hash(same) == hash(m) and same._orbits is not orbits
+    assert [a.tolist() for a in (same._orbits.slot, same._orbits.exponent)] == [
+        orbits.slot.tolist(), orbits.exponent.tolist()]
+    flipped = dataclasses.replace(m, entries=tuple(tuple(1 - e for e in r) for r in m.entries))
+    assert flipped != m and hash(flipped) != hash(m)
+    assert hash(flipped) == hash(dataclasses.replace(flipped))
+    bad = dataclasses.replace(m, cols=m.cols[:-1], entries=tuple(r[:-1] for r in m.entries))
+    with pytest.raises(InputError, match="not closed under the units"):
+        bad._orbits
+    for array in (orbits.slot, orbits.exponent, orbits.columns, orbits.ks):
+        assert array.dtype == np.int64 and not array.flags.writeable
+    # pickling drops the hash, which holds in one process only
+    copy = pickle.loads(pickle.dumps(m))
+    assert "_hash" in vars(m) and "_hash" not in vars(copy)
+    assert copy == m and hash(copy) == hash(m)
 
 
 def test_term_check_fires_under_python_O():
@@ -955,7 +1043,7 @@ def _pool_matrices():
 def _embedded(w, L, ell, powers, e):
     """w at zeta_L -> r^e mod l, summed term by term (powers[i] = r^i)."""
     step = L // w.n
-    return sum(cf * powers[e * i * step % L] for i, cf in enumerate(w.coeffs)) % ell
+    return sum(cf * int(powers[e * i * step % L]) for i, cf in enumerate(w.coeffs)) % ell
 
 
 def test_derived_terms_equal_the_directly_built_ones():
@@ -972,10 +1060,11 @@ def test_derived_terms_equal_the_directly_built_ones():
                 if not cols or c.numerator % p == 0 or c.denominator % p == 0:
                     continue
                 mat, fresh = build_matrix(p, d, family), make_field(p)
-                points = stmatrix._term_points(make_field(p), mat, c)
-                L, n = mat._orbits.L, p - 1
+                orbits = mat._orbits
+                terms = stmatrix._orbit_terms(make_field(p), mat, range(len(orbits.reps)), c)
+                L, n = orbits.L, p - 1
                 ell, powers, _ = split_prime(L, 0)
-                table = dict(zip(cols, stmatrix._evaluate(points, L, ell, powers)))
+                table = dict(zip(cols, stmatrix._evaluate(terms, orbits, ell, powers).tolist()))
                 for a in cols:
                     w = frobenius_factor(fresh, a, c)
                     for k in mat._orbits.ks.tolist():
@@ -1116,8 +1205,8 @@ def test_relation_report_reads_each_vector_from_one_pass(monkeypatch, capsys):
     honest = stmatrix.relation_report(p, d, ADDITIVE, 3)[2]
     real = stmatrix._evaluate
 
-    def spoiled(points, L, ell, powers):
-        values = real(points, L, ell, powers)
+    def spoiled(terms, orbits, ell, powers):
+        values = real(terms, orbits, ell, powers)
         return [2 * y % ell if math.gcd(a, n) == g else y for a, y in zip(mat.cols, values)]
 
     monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
@@ -1153,8 +1242,8 @@ def test_batch_with_one_tampered_residue_fails(monkeypatch):
     real = stmatrix._evaluate
     for j in range(len(mat.cols)):
 
-        def spoiled(points, L, ell, powers, j=j):
-            values = real(points, L, ell, powers)
+        def spoiled(terms, orbits, ell, powers, j=j):
+            values = real(terms, orbits, ell, powers)
             values[j] = 2 * values[j] % ell
             return values
 
@@ -1198,8 +1287,8 @@ def test_batch_checks_each_vector_at_the_split_primes_it_needs(monkeypatch):
     kmax = max(sum(-x for x in v if x < 0) for v in heavy)
     assert [ell for ell, _ in asked] == [ell for ell, _, _ in split_primes(L, p, kmax)]
 
-    def second_spoiled(points, L, ell, powers):
-        values = real(points, L, ell, powers)
+    def second_spoiled(terms, orbits, ell, powers):
+        values = real(terms, orbits, ell, powers)
         return values if ell == top else [2 * y % ell for y in values]
 
     monkeypatch.setattr(stmatrix, "_evaluate", second_spoiled)

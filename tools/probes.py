@@ -12,7 +12,9 @@ next to this script:
   y^2 = x^D + C*x (linear);
 - st0scan:FAMILY:D, ``identify_st0`` of that curve for each of the
   TWISTS = 1, 2, 3, 5, -1, 1/2, -3/5 in turn, in one process: what a
-  process that scans the twists of a curve reuses;
+  process that scans the twists of a curve reuses.  ``first_s`` is the
+  first (cold) twist's time, ``rest_s`` that of the six warm ones, and
+  ``seconds`` their sum;
 - sweep:FAMILY:D:C:HI, ``trace_sweep`` of that curve over the primes in
   [3, HI] in one process;
 - count:FAMILY:D:C:P, ``count_formula`` of that curve at the prime P,
@@ -103,6 +105,9 @@ FIELDS = {"st0": 3, "st0scan": 2, "sweep": 4, "count": 4, "kernel": 3}
 # the twists of an st0scan probe, in order
 TWISTS = ("1", "2", "3", "5", "-1", "1/2", "-3/5")
 
+# the keys of a probe's result that are times, not answers
+TIMES = {"seconds", "first_s", "rest_s"}
+
 
 def run_probe(name: str, src: Path = SRC) -> dict:
     """Run one probe in this process, with stjac from ``src``, and return a
@@ -124,11 +129,14 @@ def run_probe(name: str, src: Path = SRC) -> dict:
     family, d = fields[0], int(fields[1])
     start = time.perf_counter()
     if kind == "st0scan":
-        tids = [identify_st0(curve(family, d, Fraction(c))) for c in TWISTS]
+        tids = [identify_st0(curve(family, d, Fraction(TWISTS[0])))]
+        first = time.perf_counter() - start
+        tids += [identify_st0(curve(family, d, Fraction(c))) for c in TWISTS[1:]]
         seconds = time.perf_counter() - start
         if any(tid != tids[0] for tid in tids):
             raise RuntimeError(f"the twists of {name} name different tori")
-        return {"seconds": seconds, "twists": len(tids), "dimension": tids[0].dimension,
+        return {"seconds": seconds, "first_s": first, "rest_s": seconds - first,
+                "twists": len(tids), "dimension": tids[0].dimension,
                 "classes": len(tids[0].classes), "primes_used": list(tids[0].primes_used)}
     if kind == "kernel":
         mat, kern, relations = relation_report(int(fields[2]), d, family)
@@ -222,7 +230,7 @@ def paired(name: str, cap: float, base: Path) -> dict:
     ok = [(b, c) for b, c in zip(base_runs, change_runs) if b["result"] and c["result"]]
     ratios = [c["result"]["seconds"] / b["result"]["seconds"] for b, c in ok]
     cpu_ratios = [c["cpu_s"] / b["cpu_s"] for b, c in ok]
-    answers = [{k: v for k, v in (r["result"] or {}).items() if k != "seconds"}
+    answers = [{k: v for k, v in (r["result"] or {}).items() if k not in TIMES}
                for r in base_runs + change_runs]
     return {
         "probe": name, "cap_s": cap, "pairs": len(base_runs),
