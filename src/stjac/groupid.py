@@ -197,9 +197,10 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     validation (``CarryMatrix.violations``), ``torus_dimension``,
     ``weight_classes`` and ``torus_name``; the field of each prime, with
     its dlog and Jacobi-profile tables (``_shared_field``); and the
-    twist-independent part of each relation check
-    (``stmatrix._relation_plan``, with the column orbits and split primes
-    it reads); and the modular eliminations behind the kernel and its rank
+    twist-independent part of each relation check, one plan per matrix
+    and kernel (``stmatrix._relation_plan``: the membership product, the
+    touched column orbits and the split primes); and the modular
+    eliminations behind the kernel and its rank
     (``intlinalg._rational_kernel``).  A process that scans the twists of
     one (d, family) does that work once, and the rebuild of the first
     prime's matrix below is a cache hit.  The Frobenius terms, their

@@ -31,12 +31,13 @@ the pass over the whole kernel into one lattice verdict per field
 (``verify_relation``); ``relation_report`` (``stjac kernel``) runs the
 same pass over a basis and keeps each vector's verdict.  Everything of a
 pass but the twisted terms and their residues depends only on the matrix
-and the vectors, and is memoized per process: the matrix's hash, its
-column orbits with each column's representative slot and embedding
-exponent (``CarryMatrix._orbits``), the plan of each batch with the
-orbits its rows touch (``_relation_plan``) and the split primes with
-their powers (``split_prime``).  A pass builds the terms of the touched
-orbits only, and checks each against w * conj(w) = p, on every call.
+and the vectors, and is memoized per process: the matrix's hash, one
+plan per batch (``_relation_plan``: the membership product, the orbits
+the rows touch with each of their columns' representative slot and
+embedding exponent, the embeddings and the entry lists) and the split
+primes with their powers (``split_prime``).  A pass builds the terms of
+the touched orbits only, and checks each against w * conj(w) = p, on
+every call.
 The eliminations behind ``right_kernel`` are memoized per matrix
 (``intlinalg``); its lift, saturation and rank comparison run per call.
 """
@@ -44,12 +45,10 @@ The eliminations behind ``right_kernel`` are memoized per matrix
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, takewhile
+from itertools import takewhile
 
 import numpy as np
 
@@ -89,30 +88,6 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
-class _ColumnOrbits:
-    """The Galois data of a matrix's columns that a relation check reads
-    (``CarryMatrix._orbits``); no field or twist changes it.
-
-    L is the even conductor of all columns.  ``reps`` lists the orbit
-    representatives g = gcd(a, p-1), ascending.  Column a's term is
-    sigma_u(w_g), u an odd lift of a/g mod (p-1)/g (a unit mod p-1), so at
-    zeta_L -> r it is w_g at zeta_N -> r^(u*L/N), N = (p-1)/gcd(g, (p-1)/2)
-    the conductor of w_g: per column, ``slot`` holds the index of g in
-    ``reps`` and ``exponent`` u*L/N mod L.  ``columns`` holds the exponents
-    a, and ``ks`` one unit k mod p-1 per unit class mod L, ascending (k = 1
-    first): the embeddings zeta_L -> r^k that a check reads.  The arrays
-    are read-only int64.
-    """
-
-    L: int
-    reps: tuple[int, ...]
-    slot: np.ndarray
-    exponent: np.ndarray
-    columns: np.ndarray
-    ks: np.ndarray
-
-
 @dataclass(frozen=True)
 class CarryMatrix:
     p: int
@@ -142,12 +117,6 @@ class CarryMatrix:
         return {k: v for k, v in vars(self).items() if k != "_hash"}
 
     @cached_property
-    def _row_array(self) -> np.ndarray:
-        """``distinct_rows`` as a read-only int64 array, for kernel-membership
-        products; a memoized matrix shares it with every caller."""
-        return _read_only(self.distinct_rows)
-
-    @cached_property
     def distinct_rows(self) -> tuple[tuple[int, ...], ...]:
         """The rows without repeats, in order of first appearance.
 
@@ -156,31 +125,6 @@ class CarryMatrix:
         set of row equations depend only on the set of rows.
         """
         return tuple(dict.fromkeys(self.entries))
-
-    @cached_property
-    def _orbits(self) -> _ColumnOrbits:
-        """The columns' ``_ColumnOrbits``, built once per matrix; InputError
-        unless the columns are closed under the units mod p-1.
-
-        Column a's conductor (p-1)/gcd(a, (p-1)/2) (``charsums.conductor``)
-        is that of its representative g, and the lcm of all of them is
-        L = (p-1)/gcd((p-1)/2, every column), which is even.
-        """
-        n = self.n
-        orbit = [math.gcd(a, n) for a in self.cols]
-        if any(orbit.count(g) != euler_phi(n // g) for g in set(orbit)):
-            raise InputError(f"the columns at p={self.p} are not closed under the units mod {n}")
-        L = n // math.gcd(n // 2, *self.cols)
-        reps = tuple(sorted(set(orbit)))
-        lifts = [a // g + n // g * (a // g % 2 == 0) for a, g in zip(self.cols, orbit)]
-        return _ColumnOrbits(
-            L=L, reps=reps,
-            slot=_read_only([reps.index(g) for g in orbit]),
-            exponent=_read_only([
-                u * (L * math.gcd(g, n // 2) // n) % L for u, g in zip(lifts, orbit)]),
-            columns=_read_only(self.cols),
-            ks=_read_only(sorted({k % L: k for k in reversed(self.rows)}.values())),
-        )
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -239,7 +183,7 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     Each unit k is odd, so the carry rule reduces to k*a mod n >= n/2.
 
     Memoized: the last 256 (p, d, family) calls share one frozen matrix,
-    with its ``violations``, ``distinct_rows`` and read-only row array.  A
+    with its ``violations``, ``distinct_rows`` and hash.  A
     matrix never depends on the twist c, so a process that scans the twists
     of a curve builds each matrix once (the 18 st0-curves curves need 54
     entries); a one-shot ``stjac st0`` gains nothing.  ``typed`` keeps 11.0
@@ -373,80 +317,90 @@ def split_primes(L: int, p: int, k: int) -> list[tuple[int, np.ndarray, dict[int
 
 
 def _evaluate(
-    terms: list[CycloElt | None], orbits: _ColumnOrbits, ell: int, powers: np.ndarray
+    terms: list[CycloElt], plan: _RelationPlan, ell: int, powers: np.ndarray
 ) -> np.ndarray:
-    """The residue of every column's term at zeta_L -> r mod l, in column
-    order, from the terms w_g at the orbit representatives (None where no
-    row reads the orbit; its columns get 0).
+    """The residue at zeta_L -> r mod l of the term of every column of a
+    touched orbit, in the order of ``plan.columns``, from the terms w_g at
+    the representatives ``plan.reps``.
 
     Column a's term sigma_u(w_g) is w_g at zeta_N -> r^(u*L/N): the
     representatives' coordinates are reduced mod l once and gathered per
-    column by ``orbits.slot``, and each column's point r^(u*L/N) is read
-    off ``powers`` at ``orbits.exponent``, with no Python step per column.
+    column by ``plan.slot``, and each column's point r^(u*L/N) is read off
+    ``powers`` at ``plan.exponent``, with no Python step per column.
     Horner's rule over the reduced coordinates keeps every step below
     l^2 < 2^62.
     """
-    phi = max(len(w.coeffs) for w in terms if w is not None)
-    table = np.zeros((phi, len(terms)), dtype=np.int64)
+    table = np.zeros((max(len(w.coeffs) for w in terms), len(terms)), dtype=np.int64)
     for i, w in enumerate(terms):
-        if w is not None:
-            table[: len(w.coeffs), i] = [cf % ell for cf in w.coeffs]
-    x = powers[orbits.exponent]
+        table[: len(w.coeffs), i] = [cf % ell for cf in w.coeffs]
+    x = powers[plan.exponent]
     value = np.zeros_like(x)
-    for cf in table[::-1, orbits.slot]:
+    for cf in table[::-1, plan.slot]:
         value = (value * x + cf) % ell
     return value
 
 
-def _orbit_terms(fld: PrimeField, mat: CarryMatrix, slots, c) -> list[CycloElt | None]:
+def _orbit_terms(fld: PrimeField, plan: _RelationPlan, c) -> list[CycloElt]:
     """The Frobenius term w_g, in field fld and twist c, of each orbit
-    representative g = ``mat._orbits.reps[i]`` for i in slots, None at the
-    others: ``_evaluate`` derives every column's term from these.
+    representative g in ``plan.reps``: ``_evaluate`` derives every touched
+    column's term from these.
 
     For a unit k mod p-1, sigma_k maps T^a to T^(k*a) and fixes phi and
     phi(c) = +-1, so sigma_k(w_a) = w_(k*a): w_a at zeta_L -> r^k is column
     k*a mod p-1 at zeta_L -> r, conj(w_a) = w_(-a) is column -k*a, and the
-    columns must be closed under the units (``CarryMatrix._orbits``, else
+    columns must be closed under the units (``_relation_plan``, else
     InputError).  k*a and a share their orbit, so a row reads only the
     orbits of its own columns.  Each term built is checked against
     w * conj(w) = p in Z[zeta]; sigma_u commutes with complex conjugation,
     so every derived term inherits the identity.
     """
-    reps = mat._orbits.reps
-    terms: list[CycloElt | None] = [None] * len(reps)
-    for i in slots:
-        w = terms[i] = frobenius_factor(fld, reps[i], c)
+    terms = []
+    for g in plan.reps:
+        w = frobenius_factor(fld, g, c)
         if w * w.conj() != fld.p:
             raise RelationVerificationError(
-                f"the term of column {reps[i]} at p={fld.p} has w * conj(w) != p"
+                f"the term of column {g} at p={fld.p} has w * conj(w) != p"
             )
+        terms.append(w)
     return terms
 
 
 @dataclass(frozen=True, eq=False)
 class _RelationPlan:
-    """The part of a batched relation check that only the matrix and the
+    """Everything of a batched relation check that only the matrix and the
     rows fix (``_relation_plan``); no field or twist changes it.
 
     ``start`` holds each row's exponent t before any term is read: None
     for an unbalanced row, else 0.  ``index`` lists the rows to check, the
     nonzero balanced ones, longest entry list first (see
-    ``_relation_exponents``), L is the even conductor of the columns (1
-    when no row is checked), ``slots`` the indices into
-    ``CarryMatrix._orbits.reps`` of the orbits those rows touch (the only
-    terms a pass builds) and ``primes`` the split primes for the largest
-    k.  In the order of ``index``, ``neg`` and ``need`` hold each
-    row's k and the number of split primes its bound needs, ``keys[pos]``
-    the key +-a mod p-1 of entry pos of each row with more than pos
-    entries, and ``bits[pos]`` the bit b of those entries times p-1 (None
-    when every |e| is 1, ``levels`` = 1; else b < ``levels``).  That is
-    O(rows x positions) integers.
+    ``_relation_exponents``); when there is none, the other fields keep
+    their defaults.  L is the even conductor of the columns and ``reps``
+    lists the representatives g = gcd(a, p-1) of the Galois orbits that
+    the checked rows touch, ascending: the only terms a pass builds.
+    Column a's term is sigma_u(w_g), u an odd lift of a/g mod (p-1)/g (a
+    unit mod p-1), so at zeta_L -> r it is w_g at zeta_N -> r^(u*L/N),
+    N = (p-1)/gcd(g, (p-1)/2) the conductor of w_g: for each column of a
+    touched orbit, ascending, ``columns`` holds its exponent a, ``slot``
+    the index of g in ``reps`` and ``exponent`` u*L/N mod L.  ``ks`` holds
+    one unit k mod p-1 per unit class mod L, ascending (k = 1 first): the
+    embeddings zeta_L -> r^k that a check reads.  ``primes`` are the split
+    primes for the largest k.  In the order of ``index``, ``neg`` and
+    ``need`` hold each row's k and the number of split primes its bound
+    needs, ``keys[pos]`` the key +-a mod p-1 of entry pos of each row with
+    more than pos entries, and ``bits[pos]`` the bit b of those entries
+    times p-1 (None when every |e| is 1, ``levels`` = 1; else
+    b < ``levels``).  The arrays are read-only int64, O(columns + rows x
+    positions) integers.
     """
 
     start: tuple[int | None, ...]
     index: tuple[int, ...] = ()
     L: int = 1
-    slots: tuple[int, ...] = ()
+    reps: tuple[int, ...] = ()
+    columns: np.ndarray | None = None
+    slot: np.ndarray | None = None
+    exponent: np.ndarray | None = None
+    ks: np.ndarray | None = None
     primes: tuple = ()
     neg: tuple[int, ...] = ()
     need: np.ndarray | None = None
@@ -459,21 +413,25 @@ class _RelationPlan:
 def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _RelationPlan:
     """The ``_RelationPlan`` of a batch of rows, memoized per (matrix, rows)
     for the last 256 pairs: a process that checks one kernel in many
-    fields or twists runs the kernel-membership product, the split-prime
-    walk and the entry lists once.
+    fields or twists runs the kernel-membership product, the orbit and
+    split-prime walks and the entry lists once.
 
     Raises NotInKernelError for a row of the wrong length or outside the
-    kernel of the carry matrix, and InputError for columns that are not
-    closed under the units.  A factor w^|e| is the product of the w^(2^b)
-    over the set bits b of |e|, so each row becomes a list of entries
-    (+-a mod n, b).  The plan keeps no array over the embeddings: those
-    would hold rows x positions x embeddings keys.
+    kernel of the carry matrix, and, when some row is to be checked,
+    InputError for columns that are not closed under the units mod p-1.
+    Column a's conductor (p-1)/gcd(a, (p-1)/2) (``charsums.conductor``) is
+    that of its representative g, and the lcm of all of them is
+    L = (p-1)/gcd((p-1)/2, every column), which is even.  A factor w^|e|
+    is the product of the w^(2^b) over the set bits b of |e|, so each row
+    becomes a list of entries (+-a mod n, b).  The plan keeps no array
+    over the embeddings: those would hold rows x positions x embeddings
+    keys.
     """
     if any(len(row) != len(mat.cols) for row in rows):
         raise NotInKernelError("vector length does not match the column count")
     wide = np.int64 if max(sum(map(abs, row)) for row in rows) < 2**63 else object
     vectors = np.array(rows, dtype=wide)
-    residual = mat._row_array @ vectors.T
+    residual = np.array(mat.distinct_rows, dtype=np.int64) @ vectors.T
     if residual.any():
         bad = rows[(residual != 0).any(axis=0).argmax()]
         raise NotInKernelError(f"{list(bad)} is not in the kernel of the carry matrix")
@@ -481,13 +439,18 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     index = [i for i, row in enumerate(rows) if any(row) and not sum(row)]
     if not index:
         return _RelationPlan(start=start)
-    n, p, orbits = mat.n, mat.p, mat._orbits
-    L = orbits.L
-    slots = sorted(set(orbits.slot[(vectors[index] != 0).any(axis=0)].tolist()))
+    n, p = mat.n, mat.p
+    orbit = [math.gcd(a, n) for a in mat.cols]
+    if any(orbit.count(g) != euler_phi(n // g) for g in set(orbit)):
+        raise InputError(f"the columns at p={p} are not closed under the units mod {n}")
+    L = n // math.gcd(n // 2, *mat.cols)
+    read = (vectors[index] != 0).any(axis=0).tolist()
+    reps = sorted({g for g, r in zip(orbit, read) if r})
+    slot_of = {g: i for i, g in enumerate(reps)}
+    touched = [(a, g) for a, g in zip(mat.cols, orbit) if g in slot_of]
+    lifts = [a // g + n // g * (a // g % 2 == 0) for a, g in touched]
     neg = [sum(-e for e in rows[i] if e < 0) for i in index]
-    primes = split_primes(L, p, max(neg))
-    bounds = list(accumulate((ell for ell, _, _ in primes), operator.mul))
-    need = [bisect_right(bounds, 2 * p**k) + 1 for k in neg]
+    need = {k: len(split_primes(L, p, k)) for k in set(neg)}
     entries = [
         [((a if e > 0 else -a) % n, abs(e)) for a, e in zip(mat.cols, rows[i]) if e]
         for i in index
@@ -509,9 +472,14 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     if levels > 1:
         bits = tuple(_read_only([b * n for _, b in col]) for col in columns)
     return _RelationPlan(
-        start=start, index=tuple(index[i] for i in order), L=L,
-        slots=tuple(slots), primes=tuple(primes),
-        neg=tuple(neg[i] for i in order), need=_read_only([need[i] for i in order]),
+        start=start, index=tuple(index[i] for i in order), L=L, reps=tuple(reps),
+        columns=_read_only([a for a, _ in touched]),
+        slot=_read_only([slot_of[g] for _, g in touched]),
+        exponent=_read_only([
+            u * (L * math.gcd(g, n // 2) // n) % L for u, (_, g) in zip(lifts, touched)]),
+        ks=_read_only(sorted({k % L: k for k in reversed(mat.rows)}.values())),
+        primes=tuple(split_primes(L, p, max(neg))),
+        neg=tuple(neg[i] for i in order), need=_read_only([need[neg[i]] for i in order]),
         keys=keys, bits=bits, levels=levels,
     )
 
@@ -574,7 +542,7 @@ def verify_relation(
     plan = _relation_plan(mat, rows)
     if None in plan.start:
         return RelationResult(kind="fail", order=None)
-    return _verdict(plan.L, _relation_exponents(fld, mat, plan, c))
+    return _verdict(plan.L, _relation_exponents(fld, plan, c))
 
 
 def _verdict(L: int, ts: list[int | None]) -> RelationResult:
@@ -588,9 +556,7 @@ def _verdict(L: int, ts: list[int | None]) -> RelationResult:
     return RelationResult(kind="torsion", order=is_root_of_unity(CycloElt.zeta_pow(L, g)))
 
 
-def _relation_exponents(
-    fld: PrimeField, mat: CarryMatrix, plan: _RelationPlan, c
-) -> list[int | None]:
+def _relation_exponents(fld: PrimeField, plan: _RelationPlan, c) -> list[int | None]:
     """The exponent t of each row of the plan, W = zeta_L^t, in input
     order, or None for a row that is no relation (see ``verify_relation``);
     a row that fails is marked, and the others are still checked.
@@ -598,20 +564,19 @@ def _relation_exponents(
     Each row is checked at the prefix of the plan's split primes that
     passes its own 2 p^k, the primes a check of that row alone would use.
     At each split prime one ``_evaluate`` gives the residue of every
-    column, and one numpy pass builds X at every embedding u for the rows
-    still checked there: position i of every entry list long enough
-    gathers its residues at key +-u*a mod n from the table squared b
-    times, and multiplies them in.  The work arrays are rows x embeddings,
-    whatever the support sizes; the terms and their residues are the only
-    input that depends on the field and the twist, and a pass with no row
-    to check builds none.
+    column of a touched orbit, and one numpy pass builds X at every
+    embedding u for the rows still checked there: position i of every
+    entry list long enough gathers its residues at key +-u*a mod n from
+    the table squared b times, and multiplies them in.  The work arrays are
+    rows x embeddings, whatever the support sizes; the terms and their
+    residues are the only input that depends on the field and the twist,
+    and a pass with no row to check builds none.
     """
     ts = list(plan.start)
     if not plan.index:
         return ts
-    orbits = mat._orbits
-    terms = _orbit_terms(fld, mat, plan.slots, c)
-    L, n, p, ks, levels = plan.L, fld.n, fld.p, orbits.ks, plan.levels
+    terms = _orbit_terms(fld, plan, c)
+    L, n, p, ks, levels = plan.L, fld.n, fld.p, plan.ks, plan.levels
     # spread[key] holds key * u mod n for the embeddings u
     spread = np.arange(n, dtype=np.int64)[:, None] * ks % n
     ok = np.ones(len(plan.index), dtype=bool)
@@ -623,7 +588,7 @@ def _relation_exponents(
         if not len(act):
             break
         table = np.zeros(n, dtype=np.int64)
-        table[orbits.columns] = _evaluate(terms, orbits, ell, powers)
+        table[plan.columns] = _evaluate(terms, plan, ell, powers)
         squares = [table]
         for _ in range(1, levels):
             squares.append(squares[-1] * squares[-1] % ell)
@@ -671,5 +636,5 @@ def relation_report(
     if not kern.basis:
         return mat, kern, []
     plan = _relation_plan(mat, kern.basis)
-    ts = _relation_exponents(make_field(p), mat, plan, c)
+    ts = _relation_exponents(make_field(p), plan, c)
     return mat, kern, [_verdict(plan.L, [t]) for t in ts]

@@ -454,9 +454,10 @@ def test_relation_failure_exits_2(capsys, monkeypatch):
 
     real = stmatrix._evaluate
 
-    def spoiled(terms, orbits, ell, powers):
-        values = real(terms, orbits, ell, powers)
-        values[0] = 2 * values[0] % ell
+    def spoiled(terms, plan, ell, powers):
+        values = real(terms, plan, ell, powers)
+        at = plan.columns == 1
+        values[at] = 2 * values[at] % ell
         return values
 
     monkeypatch.setattr(stmatrix, "_evaluate", spoiled)

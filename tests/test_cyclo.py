@@ -243,7 +243,12 @@ def test_galois_and_lift_have_int_coords_and_match_sympy(a, u, step):
     u = next(v for v in range(u, u + n + 1) if math.gcd(v, n) == 1)
     image = a.galois(u)
     assert _all_int(image)
-    assert list(image.coeffs) == _sympy_coords(_sympy_poly(a).subs(_X, _X**u), n)
+    # x^u = x^(u mod n) modulo x^n - 1, which Phi_n divides: u may pass n,
+    # and the oracle folds each power of the composition below x^n before
+    # sympy divides by Phi_n (at n = 105 the unfolded degree reaches 4,900)
+    composed = sympy.Poly(_sympy_poly(a).subs(_X, _X ** (u % n)), _X)
+    folded = sum(int(c) * _X ** (e % n) for (e,), c in composed.terms())
+    assert list(image.coeffs) == _sympy_coords(folded, n)
     lifted = a.lift(n * step)
     assert _all_int(lifted)
     assert list(lifted.coeffs) == _sympy_coords(

@@ -187,11 +187,16 @@ def test_altered_copy_of_a_memoized_matrix_reports_its_own_violations():
     assert validate_matrix(m) == [] and build_matrix(11, 10, ADDITIVE) is m
 
 
-def test_row_array_of_a_memoized_matrix_is_read_only():
+def test_relation_plan_arrays_of_a_memoized_matrix_are_read_only():
+    # the plan of a memoized matrix and kernel is shared by every caller
     m = build_matrix(11, 10, ADDITIVE)
-    with pytest.raises(ValueError, match="read-only"):
-        m._row_array[0, 0] = 1
-    assert m._row_array.tolist() == [list(r) for r in m.distinct_rows]
+    plan = stmatrix._relation_plan(m, right_kernel(m).basis)
+    arrays = [plan.columns, plan.slot, plan.exponent, plan.ks, plan.need, *plan.keys]
+    for array in arrays:
+        assert array.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert plan.columns.tolist() == list(m.cols)
 
 
 def test_identify_st0_builds_each_matrix_once_across_twists():
@@ -470,8 +475,8 @@ def _record_evaluate(monkeypatch):
     """The (l, number of residues) of every ``_evaluate`` call from now on."""
     real, asked = stmatrix._evaluate, []
 
-    def counted(terms, orbits, ell, powers):
-        values = real(terms, orbits, ell, powers)
+    def counted(terms, plan, ell, powers):
+        values = real(terms, plan, ell, powers)
         asked.append((ell, len(values)))
         return values
 
@@ -514,14 +519,17 @@ def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
             honest = verify_relation(make_field(p), mat, w, 3)
             assert honest.ok
             fld = make_field(p)
-            first = split_prime(mat._orbits.L, 0)[0]
+            first = split_prime(stmatrix._relation_plan(mat, (tuple(w),)).L, 0)[0]
             # embedding 1 reads w_a at key a and conj(w_a) = w_-a at key -a
             read = {a if x > 0 else -a % (p - 1) for a, x in zip(mat.cols, w) if x}
 
-            def spoiled(terms, orbits, ell, powers, read=read, spoil=spoil, first=first):
-                values = real(terms, orbits, ell, powers)
+            def spoiled(terms, plan, ell, powers, read=read, spoil=spoil, first=first):
+                values = real(terms, plan, ell, powers)
                 if spoil == "embeddings":
-                    return [y if a in read else 2 * y % ell for a, y in zip(mat.cols, values)]
+                    return [
+                        y if a in read else 2 * y % ell
+                        for a, y in zip(plan.columns.tolist(), values)
+                    ]
                 return values if ell == first else [2 * y % ell for y in values]
 
             monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
@@ -531,21 +539,34 @@ def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
 
 def test_each_split_prime_evaluates_one_residue_per_column(monkeypatch):
     # per relation pass, _evaluate runs once per split prime in use and is
-    # asked for exactly one residue per column, whatever the vectors need
+    # asked for exactly one residue per column of a touched orbit, whatever
+    # the vectors need: on every pool kernel that is every column
     asked = _record_evaluate(monkeypatch)
     cases = several = 0
     for mat, basis in _pool_cases():
         for c in (Fraction(1), Fraction(2)):
             for scale in (1, 3):
-                batch = [[scale * x for x in v] for v in basis]
+                batch = tuple(tuple(scale * x for x in v) for v in basis)
                 k = max(sum(-x for x in v if x < 0) for v in batch)
                 asked.clear()
                 assert verify_relation(make_field(mat.p), mat, batch, c).ok
-                used = split_primes(mat._orbits.L, mat.p, k)
+                plan = stmatrix._relation_plan(mat, batch)
+                assert plan.columns.tolist() == list(mat.cols)
+                used = split_primes(plan.L, mat.p, k)
                 assert asked == [(ell, len(mat.cols)) for ell, _, _ in used]
                 several += len(asked) >= 2
             cases += 1
     assert cases == 108 and several > 0
+    # a lone vector of x^40 at p = 41 is asked for the columns of its own
+    # orbits only
+    mat = build_matrix(41, 40, ADDITIVE)
+    for v in right_kernel(mat).basis:
+        touched = {math.gcd(a, 40) for a, x in zip(mat.cols, v) if x}
+        columns = [a for a in mat.cols if math.gcd(a, 40) in touched]
+        asked.clear()
+        assert verify_relation(make_field(41), mat, v, 3).ok
+        assert stmatrix._relation_plan(mat, (v,)).columns.tolist() == columns
+        assert asked and all(size == len(columns) < len(mat.cols) for _, size in asked)
 
 
 def test_cold_split_prime_far_down_needs_no_recursion(monkeypatch, deadline):
@@ -824,8 +845,8 @@ def test_verify_relation_fails_when_a_residue_is_tampered(monkeypatch):
     assert verify_relation(make_field(11), m, v, 2).ok
     real = stmatrix._evaluate
     monkeypatch.setattr(
-        stmatrix, "_evaluate", lambda terms, orbits, ell, powers: [
-            (y + 1) % ell for y in real(terms, orbits, ell, powers)
+        stmatrix, "_evaluate", lambda terms, plan, ell, powers: [
+            (y + 1) % ell for y in real(terms, plan, ell, powers)
         ]
     )
     fld = make_field(11)
@@ -892,15 +913,21 @@ def test_a_pass_builds_only_the_orbits_its_rows_touch(monkeypatch):
         assert verify_relation(fld, mat, v, 3).ok
         touched = {math.gcd(a, 40) for a, x in zip(mat.cols, v) if x}
         assert sorted(calls) == sorted((41, g, 3) for g in touched), v
-        fewer += len(touched) < len(mat._orbits.reps)
+        assert stmatrix._relation_plan(mat, (v,)).reps == tuple(sorted(touched))
+        fewer += len(touched) < len(_all_orbits(mat))
     assert fewer == len(basis)
     calls.clear()
     assert verify_relation(fld, mat, basis, 3).ok
-    assert sorted(g for _, g, _ in calls) == list(mat._orbits.reps)
-    slots = [(stmatrix._relation_plan(mat, basis).slots, len(mat._orbits.reps))
-             for mat, basis in _pool_cases()]
-    assert all(s == tuple(range(reps)) for s, reps in slots)
-    assert sum(reps for _, reps in slots) == 174
+    assert sorted(g for _, g, _ in calls) == list(_all_orbits(mat))
+    reps = [(stmatrix._relation_plan(mat, basis).reps, _all_orbits(mat))
+            for mat, basis in _pool_cases()]
+    assert all(touched == every for touched, every in reps)
+    assert sum(len(every) for _, every in reps) == 174
+
+
+def _all_orbits(mat):
+    """The representatives gcd(a, p-1) of every Galois orbit of columns."""
+    return tuple(sorted({math.gcd(a, mat.n) for a in mat.cols}))
 
 
 def test_twist_vanishing_mod_p_still_fails_inside_frobenius_factor(monkeypatch):
@@ -982,20 +1009,25 @@ def test_memoized_results_are_safe_to_share():
     one[0][0] += 1
     assert kernel_basis(rows) == two != one
     assert rank(rows) == rank(list(rows)) == len(cols) - len(free)
-    # a replace copy of a matrix takes its own hash and its own column orbits
+    # an equal replace copy of a matrix hashes alike and shares the relation
+    # plan; a flipped copy (the same kernel) gets a plan of its own
     m = build_matrix(41, 40, ADDITIVE)
-    orbits = m._orbits
+    basis = right_kernel(m).basis
+    plan = stmatrix._relation_plan(m, basis)
     same = dataclasses.replace(m)
-    assert same == m and hash(same) == hash(m) and same._orbits is not orbits
-    assert [a.tolist() for a in (same._orbits.slot, same._orbits.exponent)] == [
-        orbits.slot.tolist(), orbits.exponent.tolist()]
+    assert same == m and hash(same) == hash(m)
+    assert stmatrix._relation_plan(same, basis) is plan
     flipped = dataclasses.replace(m, entries=tuple(tuple(1 - e for e in r) for r in m.entries))
     assert flipped != m and hash(flipped) != hash(m)
     assert hash(flipped) == hash(dataclasses.replace(flipped))
+    other = stmatrix._relation_plan(flipped, basis)
+    assert other is not plan
+    assert [a.tolist() for a in (other.slot, other.exponent)] == [
+        plan.slot.tolist(), plan.exponent.tolist()]
     bad = dataclasses.replace(m, cols=m.cols[:-1], entries=tuple(r[:-1] for r in m.entries))
     with pytest.raises(InputError, match="not closed under the units"):
-        bad._orbits
-    for array in (orbits.slot, orbits.exponent, orbits.columns, orbits.ks):
+        stmatrix._relation_plan(bad, (tuple(kernel_basis(bad.distinct_rows)[0]),))
+    for array in (plan.columns, plan.slot, plan.exponent, plan.ks, plan.need, *plan.keys):
         assert array.dtype == np.int64 and not array.flags.writeable
     # pickling drops the hash, which holds in one process only
     copy = pickle.loads(pickle.dumps(m))
@@ -1050,7 +1082,9 @@ def test_derived_terms_equal_the_directly_built_ones():
     # sigma_k(w_a) = w_(k*a): the residues a check reads at keys k*a and
     # -k*a of a table built from the orbit representatives must be those of
     # the term frobenius_factor builds for a, and of its conjugate, at the
-    # embedding zeta_L -> r^k, for every embedding k
+    # embedding zeta_L -> r^k, for every embedding k.  The plan of a row
+    # that reads every column, over a matrix whose one carry row is zero
+    # (so every vector is in its kernel), touches every orbit
     pairs = derived = 0
     for family, d in ST0_POOL:
         primes = set(generic_primes(family, d, 3)) | set(prime_range(3, 399))
@@ -1060,14 +1094,16 @@ def test_derived_terms_equal_the_directly_built_ones():
                 if not cols or c.numerator % p == 0 or c.denominator % p == 0:
                     continue
                 mat, fresh = build_matrix(p, d, family), make_field(p)
-                orbits = mat._orbits
-                terms = stmatrix._orbit_terms(make_field(p), mat, range(len(orbits.reps)), c)
-                L, n = orbits.L, p - 1
+                free = dataclasses.replace(mat, entries=((0,) * len(cols),) * len(mat.rows))
+                plan = stmatrix._relation_plan(free, ((1, -1) * (len(cols) // 2),))
+                assert plan.columns.tolist() == list(cols)
+                terms = stmatrix._orbit_terms(make_field(p), plan, c)
+                L, n = plan.L, p - 1
                 ell, powers, _ = split_prime(L, 0)
-                table = dict(zip(cols, stmatrix._evaluate(terms, orbits, ell, powers).tolist()))
+                table = dict(zip(cols, stmatrix._evaluate(terms, plan, ell, powers).tolist()))
                 for a in cols:
                     w = frobenius_factor(fresh, a, c)
-                    for k in mat._orbits.ks.tolist():
+                    for k in plan.ks.tolist():
                         assert table[k * a % n] == _embedded(w, L, ell, powers, k), (p, a, c, k)
                         assert table[-k * a % n] == _embedded(
                             w.conj(), L, ell, powers, k), (p, a, c, k)
@@ -1137,7 +1173,7 @@ def _row_verdicts(mat, rows, c):
     """Each row's verdict from one relation pass, as ``relation_report``
     reads them."""
     plan = stmatrix._relation_plan(mat, rows)
-    ts = stmatrix._relation_exponents(make_field(mat.p), mat, plan, c)
+    ts = stmatrix._relation_exponents(make_field(mat.p), plan, c)
     return [stmatrix._verdict(plan.L, [t]) for t in ts]
 
 
@@ -1172,9 +1208,9 @@ def test_relation_report_reads_each_vector_from_one_pass(monkeypatch, capsys):
     passes = []
     real_pass = stmatrix._relation_exponents
 
-    def counted(fld, mat, plan, c):
+    def counted(fld, plan, c):
         passes.append(fld.p)
-        return real_pass(fld, mat, plan, c)
+        return real_pass(fld, plan, c)
 
     monkeypatch.setattr(stmatrix, "_relation_exponents", counted)
     reports = 0
@@ -1205,9 +1241,12 @@ def test_relation_report_reads_each_vector_from_one_pass(monkeypatch, capsys):
     honest = stmatrix.relation_report(p, d, ADDITIVE, 3)[2]
     real = stmatrix._evaluate
 
-    def spoiled(terms, orbits, ell, powers):
-        values = real(terms, orbits, ell, powers)
-        return [2 * y % ell if math.gcd(a, n) == g else y for a, y in zip(mat.cols, values)]
+    def spoiled(terms, plan, ell, powers):
+        values = real(terms, plan, ell, powers)
+        return [
+            2 * y % ell if math.gcd(a, n) == g else y
+            for a, y in zip(plan.columns.tolist(), values)
+        ]
 
     monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
     passes.clear()
@@ -1240,18 +1279,19 @@ def test_batch_with_one_tampered_residue_fails(monkeypatch):
     mat = build_matrix(p, d, ADDITIVE)
     basis = right_kernel(mat).basis
     real = stmatrix._evaluate
-    for j in range(len(mat.cols)):
+    for a in mat.cols:
 
-        def spoiled(terms, orbits, ell, powers, j=j):
-            values = real(terms, orbits, ell, powers)
-            values[j] = 2 * values[j] % ell
+        def spoiled(terms, plan, ell, powers, a=a):
+            values = real(terms, plan, ell, powers)
+            at = plan.columns == a
+            values[at] = 2 * values[at] % ell
             return values
 
         monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
         fld = make_field(p)
         per = [verify_relation(fld, mat, v, 3) for v in basis]
-        assert verify_relation(make_field(p), mat, basis, 3).kind == "fail", j
-        assert _fold(per).kind == "fail" and any(r.ok for r in per), j
+        assert verify_relation(make_field(p), mat, basis, 3).kind == "fail", a
+        assert _fold(per).kind == "fail" and any(r.ok for r in per), a
 
 
 def test_batch_with_one_non_kernel_row_raises(monkeypatch):
@@ -1275,7 +1315,7 @@ def test_batch_checks_each_vector_at_the_split_primes_it_needs(monkeypatch):
     p, d = 281, 40
     mat = build_matrix(p, d, ADDITIVE)
     basis = right_kernel(mat).basis
-    L = mat._orbits.L
+    L = stmatrix._relation_plan(mat, basis).L
     top = split_prime(L, 0)[0]
     k = [sum(-x for x in v if x < 0) for v in basis]
     light = [v for v, kv in zip(basis, k) if 2 * p**kv < top]
@@ -1287,8 +1327,8 @@ def test_batch_checks_each_vector_at_the_split_primes_it_needs(monkeypatch):
     kmax = max(sum(-x for x in v if x < 0) for v in heavy)
     assert [ell for ell, _ in asked] == [ell for ell, _, _ in split_primes(L, p, kmax)]
 
-    def second_spoiled(terms, orbits, ell, powers):
-        values = real(terms, orbits, ell, powers)
+    def second_spoiled(terms, plan, ell, powers):
+        values = real(terms, plan, ell, powers)
         return values if ell == top else [2 * y % ell for y in values]
 
     monkeypatch.setattr(stmatrix, "_evaluate", second_spoiled)
@@ -1298,15 +1338,18 @@ def test_batch_checks_each_vector_at_the_split_primes_it_needs(monkeypatch):
 
 def test_batch_powers_match_the_vector_checks():
     # |e| with several set bits reads the squared tables: scaled vectors
-    # and their sums against the per-vector results
+    # and their sums against the per-vector results, and each of those
+    # against the Z[zeta] oracle
+    c = Fraction(-3, 5)
     for p, d, family in [(41, 40, ADDITIVE), (61, 30, ADDITIVE), (41, 11, LINEAR)]:
         mat = build_matrix(p, d, family)
         basis = right_kernel(mat).basis
         mixed = [[s * x for x in v] for s, v in zip((1, 2, 3, 5, 7, 6), basis)]
         mixed.append([x + 3 * y for x, y in zip(basis[0], basis[-1])])
-        fld = make_field(p)
-        per = [verify_relation(fld, mat, v, Fraction(-3, 5)) for v in mixed]
-        assert verify_relation(make_field(p), mat, mixed, Fraction(-3, 5)) == _fold(per)
+        fld, ref = make_field(p), make_field(p)
+        per = [verify_relation(fld, mat, v, c) for v in mixed]
+        assert per == [oracles.verify_relation(ref, mat, v, c) for v in mixed], (p, d, family)
+        assert verify_relation(make_field(p), mat, mixed, c) == _fold(per)
 
 
 def test_identify_st0_checks_each_field_in_one_call(monkeypatch):
