@@ -5,9 +5,10 @@ J(T^a, phi) lies in Z[zeta_{p-1}] and is computed exactly from the
 character sum, never from Gauss sums.
 ``jacobi_sum_compact(fld, a, shift)`` folds it in O(M) from one cached
 vector per field (``_phi_profile``, one O(p) pass over the dlog residues
-mod M), into its smallest cyclotomic field, of conductor M = ``conductor``,
-already multiplied by zeta_M^shift: the twist of a Frobenius term is an
-offset in the same scatter, not a product.
+mod M), into its smallest cyclotomic field, of conductor M = ``conductor``;
+the fold is cached per field and Galois orbit of exponents, and each call
+rotates it by the twist shift: zeta_M^shift * J is a rotation of the same
+coefficients, not a product.
 """
 
 from __future__ import annotations
@@ -60,16 +61,33 @@ def jacobi_sum_compact(fld: PrimeField, a: CharExponent, shift: int = 0) -> Cycl
 
     T^a(x) depends only on dlog x mod ord T^a, so the cached D folds to
     that period, and its entry i is the coefficient of zeta_{p-1}^(a*i),
-    that is of zeta_N^(a*i/g) with g = (p-1)/N = gcd(a, (p-1)/2).  The
-    factor zeta_N^shift (a Frobenius twist, see ``pointcount.twist_exponent``)
-    only moves each entry to exponent a*i/g + shift mod N.
+    that is of zeta_N^(a*i/h) with h = (p-1)/N = gcd(a, (p-1)/2).  That
+    fold, N coefficients over the exponents mod N before any reduction by
+    Phi_N, is kept per field for the Galois-orbit representative
+    g = gcd(a, p-1) alone (``PrimeField.folds``), so the fold runs once
+    per field and orbit and a field keeps at most one vector per divisor
+    of p - 1.  Any other a is u*g with u a unit mod N (a/g, plus (p-1)/g
+    when a/g is even, for N = 2(p-1)/g), and J(T^a, phi) = sigma_u(J(T^g, phi))
+    moves the coefficient at exponent j to u*j, exactly, before any
+    reduction.  The factor zeta_N^shift (a Frobenius twist, see
+    ``pointcount.twist_exponent``) rotates the coefficients by shift, and
+    each call reduces the rotated vector once.
     """
     n = fld.n
     a %= n
-    order = n // math.gcd(a, n)
-    N = conductor(fld, a)
-    profile = _phi_profile(fld, N)
-    coeffs = np.zeros(N, dtype=np.int64)
-    exps = (a * np.arange(order) % n // (n // N) + shift) % N
-    coeffs[exps] = profile.reshape(-1, order).sum(axis=0)
-    return CycloElt.from_int_coeffs(N, coeffs.tolist())
+    g = math.gcd(a, n)
+    N = conductor(fld, g)
+    fold = fld.folds.get(g)
+    if fold is None:
+        order = n // g
+        coeffs = np.zeros(N, dtype=np.int64)
+        coeffs[g * np.arange(order) // (n // N)] = (
+            _phi_profile(fld, N).reshape(-1, order).sum(axis=0))
+        fold = fld.folds[g] = tuple(coeffs.tolist())
+    if a != g:
+        u = a // g + n // g * (a // g % 2 == 0)
+        moved = np.zeros(N, dtype=np.int64)
+        moved[u * np.arange(N) % N] = fold
+        fold = tuple(moved.tolist())
+    shift %= N
+    return CycloElt.from_int_coeffs(N, fold[N - shift:] + fold[:N - shift])

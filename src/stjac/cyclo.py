@@ -92,7 +92,7 @@ class CycloElt:
     @staticmethod
     def from_int_coeffs(n: int, coeffs) -> "CycloElt":
         """Build from an integer coefficient list of any degree (reduced here)."""
-        return CycloElt(n, _reduce_mod_phi([int(c) for c in coeffs], n))
+        return CycloElt(n, _reduce_mod_phi(list(map(int, coeffs)), n))
 
     @staticmethod
     def zero(n: int) -> "CycloElt":
@@ -173,7 +173,8 @@ class CycloElt:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = CycloElt.from_int(self.n, other)
+            # the int k is (k, 0, ..., 0): phi(n) >= 1, so Phi_n never reduces it
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         if not isinstance(other, CycloElt):
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs

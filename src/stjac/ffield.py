@@ -37,19 +37,24 @@ class PrimeField:
     ``joint`` caches the profiles of the Jacobi sums J(T^a, phi): M -> the
     length-M vector D[i] = sum of phi(1 - x) over the x in F_p minus {0, 1}
     with dlog x = i (mod M), M even; it serves every a with
-    lcm(2, ord T^a) | M.
+    lcm(2, ord T^a) | M.  ``folds`` caches, per divisor g of p - 1 (the
+    representative gcd(a, p - 1) of a Galois orbit of exponents a), the N
+    coefficients of J(T^g, phi) over the exponents of zeta_N, N its
+    conductor, folded from a profile and not yet reduced by Phi_N; every a
+    of the orbit reads it (``charsums.jacobi_sum_compact``).
 
-    A field holds only data that depends on p alone, so
-    ``groupid.identify_st0`` shares one field per generic prime across the
-    process: a twist scan builds each table once.  The Frobenius terms of
-    a relation check, keyed by c, are built per check and kept in no
-    field.  ``make_field`` itself builds a fresh field.
+    A field holds only data that depends on p alone, and on g for a fold,
+    so ``groupid.identify_st0`` shares one field per generic prime across
+    the process: a twist scan builds each table and each fold once.  The
+    Frobenius terms of a relation check, keyed by c, are built per check
+    and kept in no field.  ``make_field`` itself builds a fresh field.
     """
 
     p: int
     generator: int
     residues: dict = field(default_factory=dict, repr=False)
     joint: dict = field(default_factory=dict, repr=False)
+    folds: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:

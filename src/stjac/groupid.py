@@ -196,19 +196,20 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     last 256 entries of each: ``generic_primes``; ``build_matrix``, its
     validation (``CarryMatrix.violations``), ``torus_dimension``,
     ``weight_classes`` and ``torus_name``; the field of each prime, with
-    its dlog and Jacobi-profile tables (``_shared_field``); and the
-    twist-independent part of each relation check, one plan per matrix
-    and kernel (``stmatrix._relation_plan``: the membership product, the
-    touched column orbits and the split primes); and the modular
-    eliminations behind the kernel and its rank
-    (``intlinalg._rational_kernel``).  A process that scans the twists of
-    one (d, family) does that work once, and the rebuild of the first
-    prime's matrix below is a cache hit.  The Frobenius terms, their
-    residues and the w * conj(w) = p check are keyed by c, which has no
-    bound, so they are computed on every call.  So is ``right_kernel``:
-    its lift, HNF, Smith-form saturation check and rank comparison run
-    per call, on memoized eliminations.  A one-shot call gains only the
-    hit.
+    its dlog and Jacobi-profile tables and the fold of J(T^a, phi) for
+    each exponent a (``_shared_field``); the twist-independent part of
+    each relation check, one plan per matrix and kernel
+    (``stmatrix._relation_plan``: the membership product, the touched
+    column orbits, the split primes and their powers of p); and the
+    kernel's HNF and each rank (``intlinalg._kernel_hnf`` and
+    ``intlinalg._rank``).  A process that scans the twists of one
+    (d, family) does that work once, and the rebuild of the first prime's
+    matrix below is a cache hit.  What a warm call still computes is what
+    c fixes and the checks: each Frobenius term, a rotation of its cached
+    fold reduced mod Phi_N, with its w * conj(w) = p check and its
+    residues, and ``right_kernel``'s Smith-form check and rank comparison
+    on new lists from the memoized kernel.  A one-shot call gains only
+    the hit.
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     for p in primes:

@@ -14,12 +14,14 @@ vectors, checked exactly, prove equality.  A Smith form splits off the unit
 pivots of an HNF and works modulo the product of the others
 (Domich-Kannan-Trotter 1987).
 
-Only the modular core is memoized: ``_rational_kernel`` keeps the RREF of
-ker_Q, checked over Z, for the last 256 distinct matrices, so a process
-that asks for the kernel or the rank of one matrix again eliminates it
-once.  The grouping of equal columns, the saturation, the lift and
-``hnf_rows`` run on every ``kernel_basis`` call, and so does the Smith
-form of every ``snf_invariant_factors`` call.
+Two results are memoized, each per matrix for the last 256 distinct
+ones: the HNF basis of a kernel (``_kernel_hnf``, its nonzero entries in
+tuples that no caller can change) and a rank (``_rank``).  A process that asks for the kernel or
+the rank of one matrix again eliminates, saturates, lifts and reduces it
+once; ``kernel_basis`` still returns new lists on every call, and every
+``snf_invariant_factors`` call takes its own Smith form.  The
+eliminations below them (``_rational_kernel``) keep nothing, since no
+memoized result reads one again.
 
 Measured on a 2-core Xeon under CPython 3.11 and numpy 2.4, the saturated
 kernel of the distinct carry rows takes 0.8 ms for x^40 at p = 41 (16 x 38),
@@ -181,7 +183,6 @@ def _rational(x: int, m: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-@lru_cache(maxsize=256)
 def _rational_kernel(
     mat: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -198,11 +199,6 @@ def _rational_kernel(
     earlier ones.  Nothing is returned unchecked: mat @ nums[i] = 0 must
     hold over Z.  That suffices, because rank_Q >= rank_l: q - rank_l
     independent kernel vectors then span ker_Q.
-
-    Memoized per matrix (a tuple of int tuples) for the last 256, with
-    tuples that no caller can change: ``kernel_basis`` and ``rank`` run the
-    eliminations, the reconstruction and the exact check once per distinct
-    matrix in a process, and their other steps on every call.
     """
     q = len(mat[0])
     flipped = [row[::-1] for row in mat]
@@ -271,11 +267,18 @@ def rank(rows) -> int:
     is 1 at its own free column) and checked exactly over Z, prove the
     reverse.  ``kernel_basis`` eliminates the distinct columns of the rows
     instead, so a count of its vectors can be checked against this rank.
+
+    Memoized per matrix for the last 256 (``_rank``).
     """
-    rows = list(dict.fromkeys(map(tuple, rows)))
+    return _rank(tuple(map(tuple, rows)))
+
+
+@lru_cache(maxsize=256)
+def _rank(rows: tuple[tuple, ...]) -> int:
+    rows = list(dict.fromkeys(tuple(map(int, row)) for row in rows))
     if not rows or not rows[0]:
         return 0
-    free, _, _ = _rational_kernel(tuple(tuple(map(int, col)) for col in dict.fromkeys(zip(*rows))))
+    free, _, _ = _rational_kernel(tuple(dict.fromkeys(zip(*rows))))
     return len(rows) - len(free)
 
 
@@ -320,7 +323,8 @@ def _times(left, right) -> list[list[int]]:
 
 
 def kernel_basis(rows) -> list[list[int]]:
-    """Canonical (HNF) basis of the saturated right kernel {v : rows @ v = 0}.
+    """Canonical (HNF) basis of the saturated right kernel {v : rows @ v = 0},
+    as new lists on every call.
 
     Equal columns are grouped: A = B @ S, with B the distinct columns in
     order of their last appearance and S: Z^n -> Z^q adding up each group,
@@ -330,11 +334,29 @@ def kernel_basis(rows) -> list[list[int]]:
     the next column j' of its group, which span ker S.  Lifted from an
     echelon basis of ker B, that basis is already in echelon form, so
     ``hnf_rows`` only reduces entries above its pivots.
+
+    Memoized per matrix for the last 256 (``_kernel_hnf``).  Rows that
+    compare equal have equal int parts, so a key may keep entries that are
+    not ints; each entry goes through ``int`` before any arithmetic.
     """
-    rows = [list(map(int, row)) for row in rows]
+    width, support = _kernel_hnf(tuple(map(tuple, rows)))
+    basis = []
+    for positions, values in support:
+        vector = [0] * width
+        for j, x in zip(positions, values):
+            vector[j] = x
+        basis.append(vector)
+    return basis
+
+
+@lru_cache(maxsize=256)
+def _kernel_hnf(rows: tuple[tuple, ...]) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The length of the ``kernel_basis`` vectors and, for each, the
+    positions and values of its nonzero entries: about 2 % of them at
+    x^840, so the memo holds O(nonzeros) ints."""
     if not rows or not rows[0]:
-        return []
-    cols = list(zip(*rows))
+        return 0, ()
+    cols = list(zip(*(map(int, row) for row in rows)))
     last = {col: j for j, col in enumerate(cols)}
     reps = sorted(last.values())
     basis = []
@@ -350,7 +372,10 @@ def kernel_basis(rows) -> list[list[int]]:
             diff[j], diff[following[cols[j]]] = 1, -1
             basis.append(diff)
         following[cols[j]] = j
-    return hnf_rows(basis)
+    support = tuple(
+        (tuple(j for j, x in enumerate(v) if x), tuple(x for x in v if x)) for v in hnf_rows(basis)
+    )
+    return len(cols), support
 
 
 def snf_invariant_factors(rows) -> list[int]:

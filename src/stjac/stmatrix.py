@@ -20,26 +20,28 @@ primes l = 1 (mod L), L the even conductor of the Jacobi sums (see
 A relation check reads w_a at the embedding zeta -> r^k mod a split prime
 as the residue of column k*a mod p-1 at zeta -> r, since sigma_k(w_a) =
 w_(k*a); each residue comes from the Galois-orbit representative w_g,
-g = gcd(a, p-1), the only term built (one twisted scatter
-``jacobi_sum_compact(fld, g, shift)``, checked against w * conj(w) = p in
-Z[zeta]), once per check.  One pass decides a batch of vectors, each on
-its own (``_relation_exponents``): one membership product and one numpy
-pass per split prime for all of them.  A kernel depends only on the set
-of distinct rows, which every generic prime shares, so
-``groupid.identify_st0`` computes it once, at its first prime, and folds
-the pass over the whole kernel into one lattice verdict per field
-(``verify_relation``); ``relation_report`` (``stjac kernel``) runs the
-same pass over a basis and keeps each vector's verdict.  Everything of a
-pass but the twisted terms and their residues depends only on the matrix
-and the vectors, and is memoized per process: the matrix's hash, one
-plan per batch (``_relation_plan``: the membership product, the orbits
-the rows touch with each of their columns' representative slot and
-embedding exponent, the embeddings and the entry lists) and the split
-primes with their powers (``split_prime``).  A pass builds the terms of
-the touched orbits only, and checks each against w * conj(w) = p, on
-every call.
-The eliminations behind ``right_kernel`` are memoized per matrix
-(``intlinalg``); its lift, saturation and rank comparison run per call.
+g = gcd(a, p-1), the only term built (one rotation of the field's fold
+of J, ``jacobi_sum_compact(fld, g, shift)``, checked against
+w * conj(w) = p in Z[zeta]), once per check.  One pass decides a batch
+of vectors, each on its own (``_relation_exponents``): one membership
+product and one numpy pass per split prime for all of them.  A kernel
+depends only on the set of distinct rows, which every generic prime
+shares, so ``groupid.identify_st0`` computes it once, at its first
+prime, and folds the pass over the whole kernel into one lattice verdict
+per field (``verify_relation``); ``relation_report`` (``stjac kernel``)
+runs the same pass over a basis and keeps each vector's verdict.
+Everything of a pass but the twisted terms and their residues depends
+only on the matrix and the vectors, and is memoized per process: the
+matrix's hash, one plan per batch (``_relation_plan``: the membership
+product, the orbits the rows touch with each of their columns'
+representative slot and embedding exponent, the embeddings, the entry
+lists and each row's p^k modulo the split primes) and the split primes
+with their powers (``split_prime``).  A pass builds the terms of the
+touched orbits only, and checks each against w * conj(w) = p, on every
+call.
+The kernel's HNF and the rank behind ``right_kernel`` are memoized per
+matrix (``intlinalg``); its Smith-form check and rank comparison run per
+call.
 """
 
 from __future__ import annotations
@@ -235,13 +237,15 @@ def right_kernel(mat: CarryMatrix) -> KernelLattice:
     checked against columns - rank (StjacError when they differ).
 
     The rank comes from the transpose, an elimination of its own, so a
-    kernel that lost a vector cannot agree with it.  Both eliminations are
-    memoized per matrix (``intlinalg._rational_kernel``), but this call is
-    not: each one lifts and saturates the kernel (``kernel_basis``, with
-    ``hnf_rows``), checks the Smith form (``snf_invariant_factors``) and
-    compares the counts.  The traced test of ``perfbench`` expects those
-    three calls on a warm rerun, so a kernel memoized per matrix waits for
-    a change to the benchmark (ROADMAP item 1).
+    kernel that lost a vector cannot agree with it.  The kernel's HNF and
+    the rank are memoized per matrix (``intlinalg._kernel_hnf`` and
+    ``intlinalg._rank``), but this call is not: each one takes new lists
+    from ``kernel_basis``, checks their Smith form
+    (``snf_invariant_factors``, with ``hnf_rows``) and compares the counts,
+    so a kernel that drops a vector or a rank that is off fails on a warm
+    call too.  The traced test of ``perfbench`` expects those three calls
+    on a warm rerun, so a kernel memoized per matrix waits for a change to
+    the benchmark (ROADMAP item 1).
     """
     rows = mat.distinct_rows
     basis = kernel_basis(rows)
@@ -274,7 +278,7 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
 
     This is the exact term the point-count formula attaches to column a,
     i.e. (minus) a Frobenius eigenvalue of the curve at p; the twist is
-    zeta^k with k = ``twist_exponent``, an offset in the scatter of J.
+    zeta^k with k = ``twist_exponent``, a rotation of the fold of J.
     """
     cp = reduce_mod(c, fld.p)
     if cp == 0:
@@ -283,11 +287,12 @@ def frobenius_factor(fld: PrimeField, a: int, c) -> CycloElt:
 
 
 @lru_cache(maxsize=256)
-def split_prime(L: int, i: int) -> tuple[int, np.ndarray, dict[int, int]]:
+def split_prime(L: int, i: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The i-th prime l = 1 (mod L) below 2^31, counting down from the top
     (``primes.ladder_prime``), with the powers r^e mod l (e < L) of an r of
-    exact order L, as a read-only int64 array, and the exponent e of each
-    power.
+    exact order L and the exponents e in ascending order of their powers
+    (a search in ``powers[order]`` finds the exponent of a power), both
+    read-only int64 arrays.
 
     r = h^((l-1)/L) for the smallest primitive root h of l.  Each entry
     holds O(L) numbers and the cache keeps at most 256 of them.
@@ -299,10 +304,10 @@ def split_prime(L: int, i: int) -> tuple[int, np.ndarray, dict[int, int]]:
     powers = [1] * L
     for e in range(1, L):
         powers[e] = powers[e - 1] * r % ell
-    return ell, _read_only(powers), {x: e for e, x in enumerate(powers)}
+    return ell, _read_only(powers), _read_only(sorted(range(L), key=powers.__getitem__))
 
 
-def split_primes(L: int, p: int, k: int) -> list[tuple[int, np.ndarray, dict[int, int]]]:
+def split_primes(L: int, p: int, k: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """The first ``split_prime`` entries for L, skipping l = p, whose
     primes multiply to more than 2 p^k."""
     bound, product, out = 2 * p**k, 1, []
@@ -323,21 +328,19 @@ def _evaluate(
     touched orbit, in the order of ``plan.columns``, from the terms w_g at
     the representatives ``plan.reps``.
 
-    Column a's term sigma_u(w_g) is w_g at zeta_N -> r^(u*L/N): the
-    representatives' coordinates are reduced mod l once and gathered per
-    column by ``plan.slot``, and each column's point r^(u*L/N) is read off
-    ``powers`` at ``plan.exponent``, with no Python step per column.
-    Horner's rule over the reduced coordinates keeps every step below
-    l^2 < 2^62.
+    Column a's term sigma_u(w_g) is w_g at zeta_N -> r^(u*L/N), e =
+    ``plan.exponent``: coordinate i of w_g is read at r^(e*i mod L).  One
+    gather by ``plan.slot`` picks each column's reduced coordinates, one
+    gather from ``powers`` its points, and one product sums them, with no
+    Python step per column or per coordinate.  Every coordinate and power
+    is reduced below l < 2^31, so each product is below 2^62 and, reduced
+    again, a sum of fewer than 2^31 of them (phi(N) < p) stays below 2^62.
+    A coordinate beyond int64 raises OverflowError rather than wrapping.
     """
-    table = np.zeros((max(len(w.coeffs) for w in terms), len(terms)), dtype=np.int64)
-    for i, w in enumerate(terms):
-        table[: len(w.coeffs), i] = [cf % ell for cf in w.coeffs]
-    x = powers[plan.exponent]
-    value = np.zeros_like(x)
-    for cf in table[::-1, plan.slot]:
-        value = (value * x + cf) % ell
-    return value
+    width = max(len(w.coeffs) for w in terms)
+    coeffs = np.array([w.coeffs + (0,) * (width - len(w.coeffs)) for w in terms], dtype=np.int64)
+    points = powers[plan.exponent[:, None] * np.arange(width) % plan.L]
+    return ((coeffs % ell)[plan.slot] * points % ell).sum(axis=1) % ell
 
 
 def _orbit_terms(fld: PrimeField, plan: _RelationPlan, c) -> list[CycloElt]:
@@ -384,13 +387,15 @@ class _RelationPlan:
     the index of g in ``reps`` and ``exponent`` u*L/N mod L.  ``ks`` holds
     one unit k mod p-1 per unit class mod L, ascending (k = 1 first): the
     embeddings zeta_L -> r^k that a check reads.  ``primes`` are the split
-    primes for the largest k.  In the order of ``index``, ``neg`` and
-    ``need`` hold each row's k and the number of split primes its bound
-    needs, ``keys[pos]`` the key +-a mod p-1 of entry pos of each row with
-    more than pos entries, and ``bits[pos]`` the bit b of those entries
-    times p-1 (None when every |e| is 1, ``levels`` = 1; else
-    b < ``levels``).  The arrays are read-only int64, O(columns + rows x
-    positions) integers.
+    primes for the largest k.  For each distinct k (the sum of the
+    negative parts of a row), ascending, ``scale[j]`` holds p^k mod the
+    j-th split prime and ``unscale`` p^-k mod the first.  In the order of
+    ``index``, ``need`` holds the number of split primes each row's bound
+    needs, ``kslot`` the index of its k, ``keys[pos]`` the key +-a mod p-1
+    of entry pos of each row with more than pos entries, and ``bits[pos]``
+    the bit b of those entries times p-1 (None when every |e| is 1,
+    ``levels`` = 1; else b < ``levels``).  The arrays are read-only int64,
+    O(columns + rows x positions + split primes x distinct k) integers.
     """
 
     start: tuple[int | None, ...]
@@ -402,8 +407,10 @@ class _RelationPlan:
     exponent: np.ndarray | None = None
     ks: np.ndarray | None = None
     primes: tuple = ()
-    neg: tuple[int, ...] = ()
     need: np.ndarray | None = None
+    kslot: np.ndarray | None = None
+    scale: tuple[np.ndarray, ...] = ()
+    unscale: np.ndarray | None = None
     keys: tuple[np.ndarray, ...] = ()
     bits: tuple[np.ndarray, ...] | None = None
     levels: int = 1
@@ -416,9 +423,13 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     fields or twists runs the kernel-membership product, the orbit and
     split-prime walks and the entry lists once.
 
-    Raises NotInKernelError for a row of the wrong length or outside the
-    kernel of the carry matrix, and, when some row is to be checked,
-    InputError for columns that are not closed under the units mod p-1.
+    The rows are read as ints here, once per plan: rows that compare equal
+    have equal ints, so the plan keyed by rows of numpy ints or of floats
+    is the plan of their ints, and no other entry reaches the int64 sizing
+    of the membership product.  Raises NotInKernelError for a row of the
+    wrong length or outside the kernel of the carry matrix, and, when some
+    row is to be checked, InputError for columns that are not closed under
+    the units mod p-1.
     Column a's conductor (p-1)/gcd(a, (p-1)/2) (``charsums.conductor``) is
     that of its representative g, and the lcm of all of them is
     L = (p-1)/gcd((p-1)/2, every column), which is even.  A factor w^|e|
@@ -427,6 +438,7 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     over the embeddings: those would hold rows x positions x embeddings
     keys.
     """
+    rows = tuple(tuple(map(int, row)) for row in rows)
     if any(len(row) != len(mat.cols) for row in rows):
         raise NotInKernelError("vector length does not match the column count")
     wide = np.int64 if max(sum(map(abs, row)) for row in rows) < 2**63 else object
@@ -471,6 +483,10 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     bits = None
     if levels > 1:
         bits = tuple(_read_only([b * n for _, b in col]) for col in columns)
+    neg = [neg[i] for i in order]
+    distinct = sorted(set(neg))
+    primes = split_primes(L, p, distinct[-1])
+    kslot = {k: i for i, k in enumerate(distinct)}
     return _RelationPlan(
         start=start, index=tuple(index[i] for i in order), L=L, reps=tuple(reps),
         columns=_read_only([a for a, _ in touched]),
@@ -478,9 +494,11 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
         exponent=_read_only([
             u * (L * math.gcd(g, n // 2) // n) % L for u, (_, g) in zip(lifts, touched)]),
         ks=_read_only(sorted({k % L: k for k in reversed(mat.rows)}.values())),
-        primes=tuple(split_primes(L, p, max(neg))),
-        neg=tuple(neg[i] for i in order), need=_read_only([need[neg[i]] for i in order]),
-        keys=keys, bits=bits, levels=levels,
+        primes=tuple(primes), need=_read_only([need[k] for k in neg]),
+        kslot=_read_only([kslot[k] for k in neg]),
+        scale=tuple(_read_only([pow(p, k, ell) for k in distinct]) for ell, _, _ in primes),
+        unscale=_read_only([pow(p, -k, primes[0][0]) for k in distinct]), keys=keys, bits=bits,
+        levels=levels,
     )
 
 
@@ -533,13 +551,9 @@ def verify_relation(
         raise InputError(f"a field of p={fld.p} cannot check a carry matrix at p={mat.p}")
     v = list(v)
     batch = bool(v) and hasattr(v[0], "__len__")
-    # a row that is already a tuple of ints (a KernelLattice basis) is kept,
-    # so the memoized plans of one kernel in several fields share its rows
-    rows = tuple(
-        row if type(row) is tuple and set(map(type, row)) <= {int} else tuple(map(int, row))
-        for row in (v if batch else [v])
-    )
-    plan = _relation_plan(mat, rows)
+    # a tuple row (a KernelLattice basis) is kept as it is, so the memoized
+    # plans of one kernel in several fields share its rows
+    plan = _relation_plan(mat, tuple(map(tuple, v)) if batch else (tuple(v),))
     if None in plan.start:
         return RelationResult(kind="fail", order=None)
     return _verdict(plan.L, _relation_exponents(fld, plan, c))
@@ -576,12 +590,12 @@ def _relation_exponents(fld: PrimeField, plan: _RelationPlan, c) -> list[int | N
     if not plan.index:
         return ts
     terms = _orbit_terms(fld, plan, c)
-    L, n, p, ks, levels = plan.L, fld.n, fld.p, plan.ks, plan.levels
+    L, n, ks, levels = plan.L, fld.n, plan.ks, plan.levels
     # spread[key] holds key * u mod n for the embeddings u
     spread = np.arange(n, dtype=np.int64)[:, None] * ks % n
     ok = np.ones(len(plan.index), dtype=bool)
     found = np.zeros(len(plan.index), dtype=np.int64)
-    for j, (ell, powers, exponent_of) in enumerate(plan.primes):
+    for j, (ell, powers, order) in enumerate(plan.primes):
         # the rows checked here, still longest first: at each position the
         # ones with an entry there are a prefix of them
         act = np.flatnonzero(ok & (plan.need > j))
@@ -606,16 +620,14 @@ def _relation_exponents(fld: PrimeField, plan: _RelationPlan, c) -> list[int | N
                 x[:live] = x[:live] * flat[gathered] % ell
             else:
                 x = flat[gathered]
-        negs = [plan.neg[i] for i in act.tolist()]
-        q = {k: pow(p, k, ell) for k in set(negs)}
         if not j:
-            inverse = {k: pow(qk, -1, ell) for k, qk in q.items()}
-            exps = [exponent_of.get(x0 * inverse[k] % ell) for x0, k in zip(x[:, 0].tolist(), negs)]
-            ok[:] = [e is not None for e in exps]
-            found[:] = [e or 0 for e in exps]
-        qs = np.array([q[k] for k in negs], dtype=np.int64)[:, None]
+            # every row is checked at the first prime: t is the exponent of
+            # X(r) * p^-k among the powers, found by a search in their order;
+            # a value that is no power gets some t, which u = 1 then rejects
+            y = x[:, 0] * plan.unscale[plan.kslot] % ell
+            found[:] = order[np.searchsorted(powers[order], y) % L]
         ok[act] &= (
-            x == powers[found[act, None] * ks % L] * qs % ell
+            x == powers[found[act, None] * ks % L] * plan.scale[j][plan.kslot[act], None] % ell
         ).all(axis=1)
     for i, t, good in zip(plan.index, found.tolist(), ok.tolist()):
         ts[i] = t if good else None

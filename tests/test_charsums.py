@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stjac import _accel, groupid, pointcount
+from stjac import _accel, charsums, groupid, pointcount
 from stjac.charsums import conductor, jacobi_sum_compact
 from stjac.cyclo import CycloElt
 from stjac.ffield import make_field
@@ -219,6 +219,35 @@ def test_shifted_scatter_is_the_zeta_power_product():
             for k in range(-n, 2 * n) if every else [7919 * a % (3 * n) - n]:
                 want = CycloElt.zeta_pow(n, k) * base
                 assert jacobi_sum_compact(fld, a, k) == want, (fld.p, a, k)
+
+
+def test_every_shift_of_every_column_with_one_fold_per_orbit(monkeypatch):
+    # on a fresh field, every shift in range(N) of every contributing
+    # column of x^d + c (d <= 40) and x^d + c*x (odd d < 40) is
+    # zeta_N^shift * J(T^a, phi), J from the defining sum; the fold runs
+    # once per Galois orbit g = gcd(a, p-1), so at most once per a, however
+    # many shifts read it
+    folds = []
+    real = charsums._phi_profile
+    monkeypatch.setattr(charsums, "_phi_profile", lambda fld, need: folds.append(need) or real(
+        fld, need))
+    families = [(ADDITIVE, d) for d in range(1, 41)] + [(LINEAR, d) for d in range(3, 40, 2)]
+    checked = 0
+    for p in prime_range(3, 400):
+        fld = make_field(p)
+        folds.clear()
+        exps = sorted(set(count_columns(p, families)))
+        for a in exps:
+            J = direct_jacobi(fld, a, fld.n // 2)
+            assert J.n == conductor(fld, a)
+            for shift in range(J.n):
+                assert jacobi_sum_compact(fld, a, shift) == CycloElt.zeta_pow(J.n, shift) * J, (
+                    p, a, shift)
+                checked += 1
+        orbits = {math.gcd(a, fld.n) for a in exps}
+        assert len(folds) == len(orbits) <= len(exps) and set(fld.folds) == orbits, p
+        assert all(len(fld.folds[g]) == conductor(fld, g) for g in orbits)
+    assert checked > 10**4
 
 
 def test_count_formula_makes_one_histogram_pass(monkeypatch):

@@ -75,6 +75,24 @@ def test_only_int_scalars():
     assert z != half and CycloElt.from_int(10, 1) != Fraction(1)
 
 
+def test_equality_with_an_int_is_equality_with_its_element():
+    # the int k is (k, 0, ..., 0) at every conductor, the degree-1 cases
+    # n = 1 and 2 included (zeta_1 = 1, zeta_2 = -1)
+    rng = random.Random(38)
+    for n in range(1, 61):
+        phi = euler_phi(n)
+        elements = [CycloElt.zeta_pow(n, k) for k in range(n)]
+        elements += [CycloElt.from_int(n, k) for k in (-3, -1, 0, 1, 2, 7)]
+        elements += [CycloElt.from_int_coeffs(n, [rng.randrange(-2, 3) for _ in range(phi)])
+                     for _ in range(5)]
+        for w in elements:
+            for k in (-3, -1, 0, 1, 2, 7, True):
+                want = w.coeffs == CycloElt.from_int(n, k).coeffs
+                assert (w == k) is want and (k == w) is want and (w != k) is not want, (n, w, k)
+    assert CycloElt.zeta_pow(1, 1) == 1 and CycloElt.zeta_pow(2, 1) == -1
+    assert CycloElt.zeta_pow(3, 1) != 1 and CycloElt.zeta_pow(4, 2) == -1
+
+
 def test_conj_is_ring_involution():
     rng = random.Random(2)
     n = 12

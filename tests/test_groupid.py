@@ -14,6 +14,7 @@ from stjac.errors import (
     RelationVerificationError,
     StjacError,
 )
+from stjac.charsums import conductor
 from stjac.ffield import PrimeField
 from stjac.groupid import (
     TorusId,
@@ -99,7 +100,7 @@ C_VALUES = tuple(Fraction(c) for c in ("1", "2", "3", "5", "-1", "1/2", "-3/5"))
 def _clear_st0_memos():
     """Empty every per-process memo that identify_st0 reads."""
     for memo in (build_matrix, torus_dimension, stmatrix._relation_plan, stmatrix.split_prime,
-                 intlinalg._rational_kernel, groupid._shared_field, groupid._generic_primes,
+                 intlinalg._kernel_hnf, intlinalg._rank, groupid._shared_field, groupid._generic_primes,
                  groupid._weight_classes, groupid._torus_name):
         memo.cache_clear()
 
@@ -143,10 +144,15 @@ def test_twist_scan_builds_each_table_once_and_every_term_per_call(monkeypatch):
         assert sorted(terms) == sorted((p, g, c) for p in primes for g in reps[p]), c
     assert tables == primes
     for p in primes:
-        assert list(groupid._shared_field(p).residues) == [40]
-    # a field holds only what depends on p, so nothing keyed by c stays on it
+        fld = groupid._shared_field(p)
+        assert list(fld.residues) == [40]
+        # one fold per representative exponent, whatever the twists
+        assert sorted(fld.folds) == sorted(reps[p])
+        assert all(len(fold) == conductor(fld, g) for g, fold in fld.folds.items())
+    # a field holds only what depends on p, and the folds on a, so nothing
+    # keyed by c stays on it
     names = [f.name for f in dataclasses.fields(PrimeField)]
-    assert names == ["p", "generator", "residues", "joint"]
+    assert names == ["p", "generator", "residues", "joint", "folds"]
 
 
 def test_tampered_terms_on_a_warm_call_still_fail(monkeypatch):

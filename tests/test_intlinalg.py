@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,7 +221,7 @@ def test_large_carry_kernels(deadline, family, d, p):
 
 def test_kernel_over_several_primes_and_unlucky_ones(monkeypatch, deadline):
     # the count of eliminations starts from an empty memo
-    intlinalg._rational_kernel.cache_clear()
+    intlinalg._kernel_hnf.cache_clear()
     calls = []
     rref = intlinalg._rref_mod
     monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))
@@ -239,6 +240,26 @@ def test_kernel_over_several_primes_and_unlucky_ones(monkeypatch, deadline):
         calls.clear()
         assert kernel_basis(big) == oracles.kernel_basis(big)
         assert len(calls) > 1
+
+
+def test_kernel_basis_returns_new_lists_that_no_caller_shares():
+    # the HNF is memoized per matrix; every call gets lists of its own, and
+    # a caller that changes them changes nothing for the next call, also
+    # when the rows come as lists or a numpy array (equal keys)
+    rows = build_matrix(41, 40, ADDITIVE).distinct_rows
+    one, two = kernel_basis(rows), kernel_basis(rows)
+    assert one == two and one is not two
+    assert all(type(v) is list and v is not w for v, w in zip(one, two))
+    misses = intlinalg._kernel_hnf.cache_info().misses
+    one[0][0] += 1
+    one[1].append(7)
+    one.pop()
+    for again in (rows, [list(row) for row in rows], np.array(rows)):
+        got = kernel_basis(again)
+        assert got == two != one and all(type(v) is list for v in got)
+        got[0].clear()
+    assert kernel_basis(rows) == two
+    assert intlinalg._kernel_hnf.cache_info().misses == misses
 
 
 # -- the certified modular rank --------------------------------------------
@@ -275,7 +296,7 @@ def test_rank_survives_primes_where_it_drops(monkeypatch):
     # reconstructed kernel then fails its exact check and a later prime,
     # with more pivots, gives the rank over Q; the count of eliminations
     # starts from an empty memo
-    intlinalg._rational_kernel.cache_clear()
+    intlinalg._rank.cache_clear()
     calls = []
     rref = intlinalg._rref_mod
     monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))

@@ -1,12 +1,14 @@
 """tools/probes.py: its JSON schema on one tiny probe of each kind (st0,
-st0scan, sweep, count, kernel), the best of its repeated runs, a cap it
+st0scan, st0pool, sweep, count, kernel), the best of its repeated runs, a cap it
 cannot meet, a probe that raises, and an A/A pairing of one probe with
 --base."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,22 @@ from stjac.pointcount import count_formula, curve, good_primes, trace_sweep
 from stjac.stmatrix import relation_report
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "probes.py"
+
+
+def _load(name, path):
+    """The module at path, run under a name of its own (a dataclass needs
+    its module in sys.modules while it is made)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+probes = _load("stjac_probes", SCRIPT)
 KEYS = {"probe", "cap_s", "status", "wall_s", "cpu_s", "result", "peak_rss_mb", "runs"}
 RUN_KEYS = {"status", "wall_s", "cpu_s", "seconds"}
 
@@ -70,6 +88,29 @@ def test_st0scan_probe_json_schema():
     times = {k: result[k] for k in ("seconds", "first_s", "rest_s")}
     assert result == {**times, "twists": 7, "dimension": tid.dimension,
                       "classes": len(tid.classes), "primes_used": [11, 31, 41]}
+
+
+def test_st0pool_probe_json_schema():
+    doc = _probe("--only", "st0pool:2", "--cap", "60")
+    (probe,) = doc["probes"]
+    assert set(probe) == KEYS and len(probe["runs"]) == 3
+    assert all(set(r) == RUN_KEYS for r in probe["runs"])
+    assert probe["probe"] == "st0pool:2" and probe["status"] == "ok"
+    result = probe["result"]
+    assert set(result) == {"seconds", "first_s", "per_call_s", "calls", "warm_passes",
+                           "names_sha256"}
+    # the cold pass and the warm passes are CPU times of their own
+    assert 0 < result["first_s"] and 0 < result["seconds"] < probe["cpu_s"]
+    assert result["per_call_s"] == pytest.approx(result["seconds"] / (2 * 126))
+    assert result["calls"] == 126 and result["warm_passes"] == 2
+    # the pool is perfbench's st0-curves pool, each curve with every twist
+    workloads = _load("perfbench_workloads", SCRIPT.parents[1] / "perfbench" / "workloads.py")
+    pool = sorted(workloads.ST0_PINNED)
+    assert pool == sorted(probes.POOL) and len(pool) == 18
+    assert probes.TWISTS == workloads.C_VALUES
+    names = [identify_st0(curve(family, d, Fraction(c))).to_dict()
+             for family, d in probes.POOL for c in probes.TWISTS]
+    assert result["names_sha256"] == hashlib.sha256(json.dumps(names).encode()).hexdigest()
 
 
 def test_sweep_probe_json_schema():

@@ -537,6 +537,35 @@ def test_every_embedding_and_every_split_prime_is_checked(monkeypatch):
             monkeypatch.setattr(stmatrix, "_evaluate", real)
 
 
+def test_the_identity_embedding_is_checked_too(monkeypatch):
+    # x^10 at p = 11: e_1 - e_4 reads column 1 at the identity embedding
+    # alone.  Its residue times (r^t - 1)/r^t at the first split prime makes
+    # X(r) p^-k = r^t - 1, just below r^t among the powers, so the search
+    # for t still finds t and every other embedding agrees: only the check
+    # at u = 1 can fail it
+    p, v = 11, (1, 0, 0, -1, 0, 0, 0, 0)
+    mat = build_matrix(p, 10, ADDITIVE)
+    plan = stmatrix._relation_plan(mat, (v,))
+    # embedding u reads keys u and -4u mod 10, so key 1 at u = 1 only
+    assert plan.ks[0] == 1 and all(1 not in (u % 10, -4 * u % 10) for u in plan.ks[1:].tolist())
+    (t,) = stmatrix._relation_exponents(make_field(p), plan, 3)
+    assert t is not None and verify_relation(make_field(p), mat, v, 3).ok
+    ell, powers, _ = plan.primes[0]
+    rt = int(powers[t])
+    assert rt - 1 not in powers.tolist()
+    real = stmatrix._evaluate
+
+    def spoiled(terms, plan, at, powers):
+        values = real(terms, plan, at, powers).copy()
+        if at == ell:
+            i = plan.columns.tolist().index(1)
+            values[i] = int(values[i]) * (rt - 1) * pow(rt, -1, ell) % ell
+        return values
+
+    monkeypatch.setattr(stmatrix, "_evaluate", spoiled)
+    assert verify_relation(make_field(p), mat, v, 3).kind == "fail"
+
+
 def test_each_split_prime_evaluates_one_residue_per_column(monkeypatch):
     # per relation pass, _evaluate runs once per split prime in use and is
     # asked for exactly one residue per column of a touched orbit, whatever
@@ -585,7 +614,7 @@ def test_cold_split_prime_far_down_needs_no_recursion(monkeypatch, deadline):
     split_prime.cache_clear()
     walk = [split_prime(40, i) for i in range(1201)]
     assert [entry[0] for entry in walk] == ells
-    assert cold[0] == walk[-1][0] and cold[2] == walk[-1][2]
+    assert cold[0] == walk[-1][0] and cold[2].tolist() == walk[-1][2].tolist()
     assert cold[1].tolist() == walk[-1][1].tolist()
 
 
@@ -636,14 +665,20 @@ def test_split_primes_are_split_prime_and_cover_the_bound(L):
 def test_split_prime_root_has_exact_order_L(L):
     previous = SPLIT_PRIME_BOUND
     for i in range(3):
-        ell, powers, exponent_of = split_prime(L, i)
+        ell, powers, order = split_prime(L, i)
         assert ell < previous
         previous = ell
         r = int(powers[1])
         assert sympy.n_order(r, ell) == L
         assert powers.tolist() == [pow(r, e, ell) for e in range(L)]
-        assert powers.dtype == np.int64 and not powers.flags.writeable
-        assert exponent_of == {x: e for e, x in enumerate(powers)}
+        for array in (powers, order):
+            assert array.dtype == np.int64 and not array.flags.writeable
+        # the exponent of each power, found by a search in their order
+        ranked = powers[order]
+        assert (np.diff(ranked) > 0).all()
+        assert {int(x): int(e) for x, e in zip(ranked, order)} == {
+            x: e for e, x in enumerate(powers.tolist())}
+        assert order[np.searchsorted(ranked, powers)].tolist() == list(range(L))
 
 
 def test_relation_check_memory_stays_linear_in_the_conductor(deadline):
@@ -972,14 +1007,17 @@ def test_kernel_that_drops_a_vector_fails_the_rank_check(monkeypatch):
 
 
 def test_warm_kernels_still_check_their_rank(monkeypatch):
-    # the eliminations are memoized per matrix and the rank comparison is
-    # not: on warm matrices a kernel that drops a vector, or a rank off by
-    # one, still fails, and no elimination runs again meanwhile
+    # the kernel's HNF and the rank are memoized per matrix and the rank
+    # comparison is not: on warm matrices a kernel that drops a vector, or
+    # a rank off by one, still fails, and no elimination runs again meanwhile
     mats = [build_matrix(p, d, family) for p, d, family in
             [(11, 10, ADDITIVE), (41, 40, ADDITIVE), (13, 7, LINEAR)]]
     warm = [right_kernel(mat) for mat in mats]
-    memo = intlinalg._rational_kernel
-    misses, hits = memo.cache_info().misses, memo.cache_info().hits
+    eliminations = []
+    rref = intlinalg._rref_mod
+    monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: eliminations.append(ell) or rref(m, ell))
+    memos = (intlinalg._kernel_hnf, intlinalg._rank)
+    before = [(memo.cache_info().misses, memo.cache_info().hits) for memo in memos]
     assert [right_kernel(mat) for mat in mats] == warm
     for name, patched in [("kernel_basis", lambda rows: kernel_basis(rows)[:-1]),
                           ("rank", lambda rows: rank(rows) + 1)]:
@@ -988,22 +1026,68 @@ def test_warm_kernels_still_check_their_rank(monkeypatch):
             for mat in mats:
                 with pytest.raises(StjacError, match="kernel rank"):
                     right_kernel(mat)
-    assert memo.cache_info().misses == misses
-    assert memo.cache_info().hits >= hits + 3 * 2 * len(mats)
+    assert eliminations == []
+    for memo, (misses, hits) in zip(memos, before):
+        assert memo.cache_info().misses == misses
+        assert memo.cache_info().hits >= hits + 3 * len(mats)
     assert [right_kernel(mat) for mat in mats] == warm
 
 
+def test_verify_relation_reads_numpy_and_list_rows_as_their_ints():
+    # a batch or a vector of numpy ints, of lists or of tuples of numpy
+    # ints gets the verdict of its int tuples (one plan, keyed by equal rows)
+    for family, d, c in [(ADDITIVE, 10, 2), (ADDITIVE, 40, Fraction(-3, 5)), (LINEAR, 7, 1)]:
+        for p in generic_primes(family, d, 2):
+            mat = build_matrix(p, d, family)
+            basis = right_kernel(mat).basis
+            fld = make_field(p)
+            want = verify_relation(fld, mat, basis, c)
+            assert want.ok
+            for rows in (np.array(basis), np.array(basis, dtype=np.int32),
+                         [list(v) for v in basis], [np.array(v) for v in basis],
+                         tuple(tuple(np.int64(x) for x in v) for v in basis)):
+                assert verify_relation(fld, mat, rows, c) == want
+            for v in basis:
+                one = verify_relation(fld, mat, v, c)
+                for row in (np.array(v), list(v), [np.int64(x) for x in v]):
+                    assert verify_relation(fld, mat, row, c) == one
+
+
+def test_numpy_rows_are_read_as_ints_before_any_int64_sizing():
+    # four conjugate pairs of columns at 2^62 each: every carry row holds one
+    # column of each pair, so each row product is 2^64, which int64 wraps to
+    # 0, and the sum 2^65 wraps to 0 too; read as ints, the row is not in
+    # the kernel
+    mat = build_matrix(11, 10, ADDITIVE)
+    assert mat.cols == (1, 2, 3, 4, 6, 7, 8, 9)
+    v = np.full(8, 2**62, dtype=np.int64)
+    assert not (np.array(mat.distinct_rows, dtype=np.int64) @ v).any() and not v.sum()
+    fld = make_field(11)
+    for rows in (v, [v], [list(v)]):
+        with pytest.raises(NotInKernelError):
+            verify_relation(fld, mat, rows, 1)
+
+
 def test_memoized_results_are_safe_to_share():
-    # two callers of one elimination get one result made of tuples, and
-    # each caller of kernel_basis or rank gets its own lists
+    # two callers of one kernel get one memoized HNF made of tuples of
+    # ints (the positions and values of each vector's nonzero entries),
+    # also from rows of another type, and each caller of kernel_basis gets
+    # its own lists; an elimination is made of tuples
     rows = build_matrix(41, 40, ADDITIVE).distinct_rows
     cols = tuple(dict.fromkeys(zip(*rows)))
-    first = intlinalg._rational_kernel(tuple(zip(*cols)))
-    second = intlinalg._rational_kernel(tuple(tuple(row) for row in zip(*cols)))
-    assert first is second
-    free, dens, nums = first
+    first = intlinalg._kernel_hnf(rows)
+    assert intlinalg._kernel_hnf(tuple(tuple(np.array(row)) for row in rows)) is first
+    width, support = first
+    assert width == len(rows[0]) and type(support) is tuple
+    assert all(type(part) is tuple and all(type(x) is int for x in part)
+               for entry in support for part in entry)
+    for v, (positions, values) in zip(kernel_basis(rows), support, strict=True):
+        assert [j for j, x in enumerate(v) if x] == list(positions)
+        assert [v[j] for j in positions] == list(values)
+    free, dens, nums = intlinalg._rational_kernel(tuple(zip(*cols)))
     assert type(free) is tuple and type(dens) is tuple and type(nums) is tuple
     assert all(type(v) is tuple for v in nums)
+    assert intlinalg._rational_kernel(tuple(zip(*cols))) == (free, dens, nums)
     one, two = kernel_basis(rows), kernel_basis(rows)
     assert one == two and one is not two
     one[0][0] += 1

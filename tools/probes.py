@@ -5,9 +5,10 @@
     python tools/probes.py --only st0:additive:6:3  # one probe
     python tools/probes.py --base HEAD~1 --only st0:additive:420:3
     python tools/probes.py --base HEAD~1 --only st0scan:additive:40
+    python tools/probes.py --base HEAD~1 --only st0pool:5
 
-A probe is named KIND:FAMILY:D:..., with stjac imported from the ``src``
-next to this script:
+A probe is named KIND:FIELD:..., mostly KIND:FAMILY:D:..., with stjac
+imported from the ``src`` next to this script:
 - st0:FAMILY:D:C, ``identify_st0`` of y^2 = x^D + C (additive) or
   y^2 = x^D + C*x (linear);
 - st0scan:FAMILY:D, ``identify_st0`` of that curve for each of the
@@ -15,6 +16,14 @@ next to this script:
   process that scans the twists of a curve reuses.  ``first_s`` is the
   first (cold) twist's time, ``rest_s`` that of the six warm ones, and
   ``seconds`` their sum;
+- st0pool:WARM, ``identify_st0`` of each of the 18 curves of perfbench's
+  st0-curves (POOL) with each of the TWISTS, 126 calls in one pass: one
+  cold pass, then WARM warm passes in the same process.  Both are CPU time
+  (``time.process_time``): ``first_s`` is the cold pass, ``seconds`` the
+  WARM warm passes and ``per_call_s`` their time per call, which a
+  ``--base`` pair compares without the harness of perfbench.  Every pass
+  must name the same tori; ``names_sha256`` is the SHA-256 of their
+  ``TorusId.to_dict()``s;
 - sweep:FAMILY:D:C:HI, ``trace_sweep`` of that curve over the primes in
   [3, HI] in one process;
 - count:FAMILY:D:C:P, ``count_formula`` of that curve at the prime P,
@@ -100,13 +109,17 @@ DEFAULT = (
 REPEATS = 3  # runs of each probe, each in a fresh process
 
 # the fields after KIND of each probe kind
-FIELDS = {"st0": 3, "st0scan": 2, "sweep": 4, "count": 4, "kernel": 3}
+FIELDS = {"st0": 3, "st0scan": 2, "st0pool": 1, "sweep": 4, "count": 4, "kernel": 3}
 
-# the twists of an st0scan probe, in order
+# the twists of an st0scan or st0pool probe, in order
 TWISTS = ("1", "2", "3", "5", "-1", "1/2", "-3/5")
 
+# the curves of an st0pool probe: the pool of perfbench's st0-curves
+POOL = tuple(("additive", d) for d in (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 36, 40)) + tuple(
+    ("linear", d) for d in (5, 7, 9, 11, 13))
+
 # the keys of a probe's result that are times, not answers
-TIMES = {"seconds", "first_s", "rest_s"}
+TIMES = {"seconds", "first_s", "rest_s", "per_call_s"}
 
 
 def run_probe(name: str, src: Path = SRC) -> dict:
@@ -126,6 +139,20 @@ def run_probe(name: str, src: Path = SRC) -> dict:
     import stjac
     if Path(stjac.__file__).parents[1] != src.resolve():
         raise RuntimeError(f"stjac came from {stjac.__file__}, not from {src}")
+    if kind == "st0pool":
+        specs = [curve(family, d, Fraction(c)) for family, d in POOL for c in TWISTS]
+        start = time.process_time()
+        names = [identify_st0(spec).to_dict() for spec in specs]
+        first = time.process_time() - start
+        warm = int(fields[0])
+        start = time.process_time()
+        for _ in range(warm):
+            if [identify_st0(spec).to_dict() for spec in specs] != names:
+                raise RuntimeError(f"a warm pass of {name} names other tori")
+        seconds = time.process_time() - start
+        return {"seconds": seconds, "first_s": first, "per_call_s": seconds / (warm * len(specs)),
+                "calls": len(specs), "warm_passes": warm,
+                "names_sha256": hashlib.sha256(json.dumps(names).encode()).hexdigest()}
     family, d = fields[0], int(fields[1])
     start = time.perf_counter()
     if kind == "st0scan":
