@@ -112,6 +112,7 @@ def cmd_count(args):
 
 
 def cmd_matrix(args):
+    # --c is validated like everywhere else; a carry matrix never depends on it
     spec = _build_spec(args)
     mat = stmatrix.build_matrix(args.p, spec.d, spec.family)
     violations = stmatrix.validate_matrix(mat)
@@ -176,6 +177,8 @@ def cmd_st0(args):
 
 
 def cmd_split(args):
+    if args.check and not args.refine:
+        raise SystemExit("--check needs --refine")
     c = _parse_c(args.c)
     fact = splitjac.split_full(args.g, c)
     entries = []
@@ -246,12 +249,11 @@ def cmd_sweep(args):
     return payload, lines, 0
 
 
-def _add_curve_options(sub, with_c=True):
+def _add_curve_options(sub):
     sub.add_argument("--family", choices=FAMILIES, default=None)
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--curve", default=None, help="shorthand like x^10+c or x^9+cx")
-    if with_c:
-        sub.add_argument("--c", default="1", help="nonzero rational, e.g. 2 or -3/5")
+    sub.add_argument("--c", default="1", help="nonzero rational, e.g. 2 or -3/5")
 
 
 def _add_output_options(sub, formats):
@@ -275,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_count)
 
     sub = subs.add_parser("matrix", help="print the Stickelberger carry matrix")
-    _add_curve_options(sub, with_c=False)
-    sub.set_defaults(c="1")
+    _add_curve_options(sub)
     sub.add_argument("--p", type=int, required=True)
     _add_output_options(sub, ("text", "json"))
     sub.set_defaults(func=cmd_matrix)
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--refine", action="store_true",
                      help="refine odd-genus linear-twist factors")
     sub.add_argument("--check", action="store_true",
-                     help="verify the binomial identity exactly when refining")
+                     help="verify the binomial identity exactly (needs --refine)")
     _add_output_options(sub, ("text", "json"))
     sub.set_defaults(func=cmd_split)
 

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import NotCoprimeError
 from .primes import divisors, euler_phi, mobius
 
@@ -201,17 +199,11 @@ def is_root_of_unity(w: CycloElt) -> int | None:
     exp(2*pi*i*e/(2n)) with e = 2k + n*(1-s)/2, of order 2n / gcd(e, 2n).
     For k < phi(n) the coordinates of s*zeta_n^k are s at position k and
     0 elsewhere, and multiplying by zeta_n^phi(n) fewer than n/phi(n) times
-    moves any k below phi(n); each such step is one long division.
-
-    When w does not have that shape as it stands, w * conj(w) = 1 is
-    tested first, which decides the question both ways: a root of unity
-    passes, and Q(zeta_n) is abelian, so complex conjugation commutes with
-    every embedding sigma and w * conj(w) = 1 puts every sigma(w) on the
-    unit circle, which makes the algebraic integer w a root of unity
-    (Kronecker).  The product is read off x^(phi-1) * w(x) * w(1/x), one
-    convolution of the coordinates with their reverse, a polynomial of
-    degree below 2 phi(n) that must reduce to x^(phi-1): a non-root costs
-    one long division.
+    moves any k below phi(n); each such step is one long division.  The
+    walk decides both ways: a single +-1 coordinate at k after the shift
+    means w * zeta_n^shift = +-zeta_n^k, so w is a root of unity, and a
+    non-root never takes that shape, so it is rejected after at most
+    ceil(n/phi(n)) - 1 long divisions.
     """
     n, cs = w.n, w.coeffs
     phi = len(cs)
@@ -223,17 +215,4 @@ def is_root_of_unity(w: CycloElt) -> int | None:
             k = (support[0] - shift) % n
             e = 2 * k + (0 if cs[support[0]] == 1 else n)
             return 2 * n // math.gcd(e, 2 * n)
-        if not shift and not _has_unit_norm(w):
-            return None
-    raise AssertionError(f"w * conj(w) = 1 but w = {w} is no +-zeta^k")
-
-
-def _has_unit_norm(w: CycloElt) -> bool:
-    """w * conj(w) = 1, from x^(phi-1) * w(x) * w(1/x) mod Phi_n (see
-    ``is_root_of_unity``); int64 holds every coefficient of the product
-    when phi * max|c|^2 does."""
-    cs, phi = w.coeffs, len(w.coeffs)
-    wide = np.int64 if phi * max(map(abs, cs)) ** 2 < 2**63 else object
-    coeffs = np.array(cs, dtype=wide)
-    norm = np.convolve(coeffs, coeffs[::-1]).tolist()
-    return _reduce_mod_phi(norm, w.n) == tuple(int(i == phi - 1) for i in range(phi))
+    return None

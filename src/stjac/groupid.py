@@ -17,11 +17,15 @@ vector (the cyclotomic direction), so:
 All of this depends only on the set of distinct carry rows (HNF bases are
 canonical), which every generic prime shares, so ``identify_st0`` names
 the torus once, from its first prime; the other primes are evidence.  The
-ranks are ``intlinalg.rank``: modular elimination, certified exactly.
+ranks are ``intlinalg.rank``: modular elimination, certified exactly, and
+memoized there.  ``weight_classes`` and ``generic_primes`` are memoized
+per process, the last 256 entries of each, and hand out the immutable
+value itself: tuples that no caller can change.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -54,7 +58,8 @@ class WeightClass:
     minus: int
 
 
-def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
+@lru_cache(maxsize=256)
+def weight_classes(mat: CarryMatrix) -> tuple[tuple[WeightClass, ...], tuple[int, ...]]:
     """Group columns by weight modulo sign and the all-ones direction.
 
     Returns (classes, degenerate) where degenerate lists the exponents of
@@ -66,14 +71,8 @@ def weight_classes(mat: CarryMatrix) -> tuple[list[WeightClass], list[int]]:
     its plus weight as plus and their complements as minus.  StjacError
     names the smallest plus weight whose counts differ.
 
-    Memoized per matrix, like ``torus_dimension``; each call gets new lists.
+    Memoized per matrix for the last 256; every call gets the same tuples.
     """
-    classes, degenerate = _weight_classes(mat)
-    return list(classes), list(degenerate)
-
-
-@lru_cache(maxsize=256)
-def _weight_classes(mat: CarryMatrix) -> tuple[tuple[WeightClass, ...], tuple[int, ...]]:
     degenerate = []
     counts: dict[tuple[int, ...], int] = {}
     for a, col in zip(mat.cols, zip(*mat.entries)):
@@ -94,33 +93,26 @@ def _weight_classes(mat: CarryMatrix) -> tuple[tuple[WeightClass, ...], tuple[in
     return tuple(classes), tuple(degenerate)
 
 
-@lru_cache(maxsize=256)
 def torus_dimension(mat: CarryMatrix) -> int:
     """Rank of the column lattice together with the all-ones vector, minus 1.
 
     That is the rank of the transpose: the distinct rows, each extended by
-    one entry 1 (a repeated row adds nothing to a rank).  Memoized for the
-    last 256 matrices, keyed by the frozen matrix itself (equal matrices
-    share an entry, an altered copy gets its own); the matrix never depends
-    on the twist c.
+    one entry 1 (a repeated row adds nothing to a rank).  Not memoized
+    itself: the rank is (``intlinalg._rank``, keyed by those rows), so a
+    matrix asked for again costs building its key.
     """
     return rank([(*row, 1) for row in mat.distinct_rows]) - 1
 
 
-def torus_name(classes: list[WeightClass], dimension: int) -> str:
+def torus_name(classes: Sequence[WeightClass], dimension: int) -> str:
     """Canonical name: U(1)_k factors by descending k, or the abstract torus.
 
     The concrete product is used only when the class representatives are a
     lattice basis of the weight lattice, which (since every column is a
     signed representative modulo the cyclotomic direction) happens exactly
-    when the representatives are independent and match the dimension.
-    Memoized per (classes, dimension) for the last 256 pairs.
+    when the representatives are independent and match the dimension.  The
+    rank that decides it is memoized (``intlinalg._rank``).
     """
-    return _torus_name(tuple(classes), dimension)
-
-
-@lru_cache(maxsize=256)
-def _torus_name(classes: tuple[WeightClass, ...], dimension: int) -> str:
     if classes and len(classes) == dimension:
         reps = [list(cl.weight) for cl in classes]
         ones = [1] * len(classes[0].weight)
@@ -151,17 +143,14 @@ class TorusId:
         }
 
 
-def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> list[int]:
+@lru_cache(maxsize=256, typed=True)
+def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> tuple[int, ...]:
     """First `count` primes where the contributing set is fully split: the
     primes p = 1 + j*M up to `bound`, M = ``congruence_modulus``, in order.
 
-    Memoized per arguments for the last 256 calls; each call gets a new list.
+    Memoized per arguments for the last 256 calls; every call gets the
+    same tuple.
     """
-    return list(_generic_primes(family, d, count, bound))
-
-
-@lru_cache(maxsize=256, typed=True)
-def _generic_primes(family: str, d: int, count: int, bound: int) -> tuple[int, ...]:
     if count < 1:
         raise ValueError(f"the number of primes must be at least 1, got {count}")
     m = congruence_modulus(CurveSpec(family, d))
@@ -193,23 +182,23 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
 
     Only the twist T^a(-c) * phi(c) of each Frobenius term depends on c,
     so everything keyed by p or by the matrix is memoized per process, the
-    last 256 entries of each: ``generic_primes``; ``build_matrix``, its
-    validation (``CarryMatrix.violations``), ``torus_dimension``,
-    ``weight_classes`` and ``torus_name``; the field of each prime, with
-    its dlog and Jacobi-profile tables and the fold of J(T^a, phi) for
-    each exponent a (``_shared_field``); the twist-independent part of
-    each relation check, one plan per matrix and kernel
-    (``stmatrix._relation_plan``: the membership product, the touched
-    column orbits, the split primes and their powers of p); and the
-    kernel's HNF and each rank (``intlinalg._kernel_hnf`` and
-    ``intlinalg._rank``).  A process that scans the twists of one
-    (d, family) does that work once, and the rebuild of the first prime's
-    matrix below is a cache hit.  What a warm call still computes is what
-    c fixes and the checks: each Frobenius term, a rotation of its cached
-    fold reduced mod Phi_N, with its w * conj(w) = p check and its
-    residues, and ``right_kernel``'s Smith-form check and rank comparison
-    on new lists from the memoized kernel.  A one-shot call gains only
-    the hit.
+    last 256 entries of each, and handed out as the immutable value
+    itself: ``generic_primes``; ``build_matrix``, with its validation
+    (``CarryMatrix.violations``); ``weight_classes``; the field of each
+    prime, with its dlog and Jacobi-profile tables and the fold of
+    J(T^a, phi) for each exponent a (``_shared_field``); the
+    twist-independent part of each relation check, one plan per matrix
+    and kernel (``stmatrix._relation_plan``: the membership product, the
+    touched column orbits, the split primes and their powers of p); and
+    the kernel's HNF and each rank (``intlinalg._kernel_hnf`` and
+    ``intlinalg._rank``), which ``torus_dimension`` and ``torus_name``
+    read.  A process that scans the twists of one (d, family) does that
+    work once, and the rebuild of the first prime's matrix below is a
+    cache hit.  What a warm call still computes is what c fixes and the
+    checks: each Frobenius term, a rotation of its cached fold reduced
+    mod Phi_N, with its w * conj(w) = p check and its residues, and
+    ``right_kernel``'s Smith-form check and rank comparison on the
+    memoized kernel.  A one-shot call gains only the hit.
     """
     primes = generic_primes(spec.family, spec.d, num_primes)
     for p in primes:
@@ -232,13 +221,13 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     first = build_matrix(primes[0], spec.d, spec.family)
     classes, degenerate = weight_classes(first)
     if degenerate:
-        raise StjacError(f"degenerate columns {degenerate} at p={primes[0]}")
+        raise StjacError(f"degenerate columns {list(degenerate)} at p={primes[0]}")
     dim = torus_dimension(first)
     if not 1 <= dim <= spec.genus:
         raise StjacError(f"dimension {dim} out of range at p={primes[0]}")
     return TorusId(
         name=torus_name(classes, dim),
         dimension=dim,
-        classes=tuple(classes),
-        primes_used=tuple(primes),
+        classes=classes,
+        primes_used=primes,
     )

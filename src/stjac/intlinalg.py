@@ -14,11 +14,11 @@ vectors, checked exactly, prove equality.  A Smith form splits off the unit
 pivots of an HNF and works modulo the product of the others
 (Domich-Kannan-Trotter 1987).
 
-Two results are memoized, each per matrix for the last 256 distinct
-ones: the HNF basis of a kernel (``_kernel_hnf``, its nonzero entries in
-tuples that no caller can change) and a rank (``_rank``).  A process that asks for the kernel or
-the rank of one matrix again eliminates, saturates, lifts and reduces it
-once; ``kernel_basis`` still returns new lists on every call, and every
+Two results are memoized per process, the last 256 entries of each, and
+handed out as the immutable value itself: the HNF basis of a kernel, a
+tuple of int tuples (``kernel_basis``, in ``_kernel_hnf``), and a rank
+(``_rank``).  A process that asks for the kernel or the rank of one
+matrix again eliminates, saturates, lifts and reduces it once; every
 ``snf_invariant_factors`` call takes its own Smith form.  The
 eliminations below them (``_rational_kernel``) keep nothing, since no
 memoized result reads one again.
@@ -322,9 +322,8 @@ def _times(left, right) -> list[list[int]]:
     return out
 
 
-def kernel_basis(rows) -> list[list[int]]:
-    """Canonical (HNF) basis of the saturated right kernel {v : rows @ v = 0},
-    as new lists on every call.
+def kernel_basis(rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical (HNF) basis of the saturated right kernel {v : rows @ v = 0}.
 
     Equal columns are grouped: A = B @ S, with B the distinct columns in
     order of their last appearance and S: Z^n -> Z^q adding up each group,
@@ -335,27 +334,18 @@ def kernel_basis(rows) -> list[list[int]]:
     echelon basis of ker B, that basis is already in echelon form, so
     ``hnf_rows`` only reduces entries above its pivots.
 
-    Memoized per matrix for the last 256 (``_kernel_hnf``).  Rows that
-    compare equal have equal int parts, so a key may keep entries that are
-    not ints; each entry goes through ``int`` before any arithmetic.
+    Memoized per matrix for the last 256 (``_kernel_hnf``): rows that
+    compare equal get the same tuple of int tuples.  They have equal int
+    parts, so a key may keep entries that are not ints; each entry goes
+    through ``int`` before any arithmetic.
     """
-    width, support = _kernel_hnf(tuple(map(tuple, rows)))
-    basis = []
-    for positions, values in support:
-        vector = [0] * width
-        for j, x in zip(positions, values):
-            vector[j] = x
-        basis.append(vector)
-    return basis
+    return _kernel_hnf(tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=256)
-def _kernel_hnf(rows: tuple[tuple, ...]) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The length of the ``kernel_basis`` vectors and, for each, the
-    positions and values of its nonzero entries: about 2 % of them at
-    x^840, so the memo holds O(nonzeros) ints."""
+def _kernel_hnf(rows: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...]:
     if not rows or not rows[0]:
-        return 0, ()
+        return ()
     cols = list(zip(*(map(int, row) for row in rows)))
     last = {col: j for j, col in enumerate(cols)}
     reps = sorted(last.values())
@@ -372,10 +362,7 @@ def _kernel_hnf(rows: tuple[tuple, ...]) -> tuple[int, tuple[tuple[tuple[int, ..
             diff[j], diff[following[cols[j]]] = 1, -1
             basis.append(diff)
         following[cols[j]] = j
-    support = tuple(
-        (tuple(j for j, x in enumerate(v) if x), tuple(x for x in v if x)) for v in hnf_rows(basis)
-    )
-    return len(cols), support
+    return tuple(map(tuple, hnf_rows(basis)))
 
 
 def snf_invariant_factors(rows) -> list[int]:

@@ -40,8 +40,9 @@ with their powers (``split_prime``).  A pass builds the terms of the
 touched orbits only, and checks each against w * conj(w) = p, on every
 call.
 The kernel's HNF and the rank behind ``right_kernel`` are memoized per
-matrix (``intlinalg``); its Smith-form check and rank comparison run per
-call.
+matrix (``intlinalg``), and the kernel's basis is the memo's own tuple,
+so the plans of one kernel share its rows; its Smith-form check and rank
+comparison run per call.
 """
 
 from __future__ import annotations
@@ -239,8 +240,8 @@ def right_kernel(mat: CarryMatrix) -> KernelLattice:
     The rank comes from the transpose, an elimination of its own, so a
     kernel that lost a vector cannot agree with it.  The kernel's HNF and
     the rank are memoized per matrix (``intlinalg._kernel_hnf`` and
-    ``intlinalg._rank``), but this call is not: each one takes new lists
-    from ``kernel_basis``, checks their Smith form
+    ``intlinalg._rank``), and ``basis`` is the memo's own tuple, but this
+    call is not: each one checks the Smith form of that basis
     (``snf_invariant_factors``, with ``hnf_rows``) and compares the counts,
     so a kernel that drops a vector or a rank that is off fails on a warm
     call too.  The traced test of ``perfbench`` expects those three calls
@@ -255,9 +256,7 @@ def right_kernel(mat: CarryMatrix) -> KernelLattice:
         raise StjacError(
             f"kernel rank {len(basis)} at p={mat.p} is not columns - rank = {expected}"
         )
-    return KernelLattice(
-        basis=tuple(tuple(v) for v in basis), rank=len(basis), saturated=sat
-    )
+    return KernelLattice(basis=basis, rank=len(basis), saturated=sat)
 
 
 @dataclass(frozen=True)

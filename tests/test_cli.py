@@ -94,6 +94,19 @@ def test_matrix_json(capsys):
     assert len(payload["entries"]) == 6
 
 
+def test_matrix_takes_c_like_every_curve_subcommand_and_ignores_it(capsys):
+    # a carry matrix never depends on c; --c is validated, not read as --curve
+    for fmt in ("text", "json"):
+        argv = ("matrix", "--family", "additive", "--d", "6", "--p", "13", "--format", fmt)
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and plain[2] == ""
+        for c in (("--c", "5"), ("--c", "-3/5"), ("--c=-3/5",)):
+            assert run(capsys, *argv, *c) == plain, (fmt, c)
+    for sub in (("matrix", "--p", "13"), ("kernel", "--p", "13"), ("count", "--p", "13")):
+        code, out, err = run(capsys, *sub, "--family", "additive", "--d", "6", "--c", "0")
+        assert (code, out, err) == (1, "", "stjac: error: c must be nonzero\n"), sub
+
+
 def test_kernel_annotated(capsys):
     code, out, _ = run(capsys, "kernel", "--family", "additive", "--d", "9", "--p", "19")
     assert code == 0
@@ -263,6 +276,15 @@ def test_split_with_nothing_to_refine_checks_nothing(capsys):
     )
     assert (code, err) == (0, "")
     assert out == json.dumps(SPLIT_G3_JSON, indent=2) + "\n"
+
+
+def test_split_check_without_refine_is_a_usage_error(capsys):
+    # without --refine no identity is ever checked, so --check alone would
+    # report a check that did not happen
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "split", "--g", "5", "--check", "--format", fmt)
+        assert (code, out, err) == (1, "", "stjac: error: --check needs --refine\n"), fmt
+    assert run(capsys, "split", "--g", "5")[0] == 0
 
 
 def test_split_has_no_float_check_options(capsys):

@@ -338,29 +338,37 @@ def test_memory_stays_linear_in_the_conductor(deadline):
     assert peak <= 64 * n, peak
 
 
-def test_non_root_needs_one_long_division(monkeypatch):
-    # n = 4620, phi = 960: the shape search may take up to
-    # ceil(n / phi) - 1 = 4 long divisions; w * conj(w) = 1 decides a
-    # non-root with one, and a root still gets its order
+def test_non_root_takes_at_most_ceil_n_over_phi_minus_one_long_divisions(monkeypatch):
+    # n = 4620, phi = 960: the shape search walks w, w * zeta^phi, ... and
+    # takes at most ceil(n / phi) - 1 = 4 long divisions, which decide a
+    # non-root (it never takes the shape +-zeta^k) as well as a root
     import math
 
     from stjac import cyclo
 
     n = 4620
+    limit = -(-n // euler_phi(n)) - 1
     real, calls = cyclo._reduce_mod_phi, []
     monkeypatch.setattr(cyclo, "_reduce_mod_phi", lambda cs, m: calls.append(m) or real(cs, m))
     root = CycloElt.zeta_pow(n, 31337)
     non_root = CycloElt.from_int_coeffs(n, [0] * (n - 1) + [3])
     unit_non_root = 1 + CycloElt.zeta_pow(n, 1) + CycloElt.zeta_pow(n, 7)
-    calls.clear()
-    assert is_root_of_unity(non_root) is None
-    assert is_root_of_unity(unit_non_root) is None
-    assert calls == [n, n]
+    for w in (non_root, unit_non_root):
+        calls.clear()
+        assert is_root_of_unity(w) is None
+        assert calls == [n] * limit
     calls.clear()
     assert is_root_of_unity(root) == n // math.gcd(31337 % n, n)
-    assert 1 < len(calls) <= -(-n // 960)
+    assert 1 < len(calls) <= limit
     # already of the shape -zeta^5: no division at all
     shaped = -1 * CycloElt.zeta_pow(n, 5)
     calls.clear()
     assert is_root_of_unity(shaped) == 2 * n // math.gcd(10 + n, 2 * n)
     assert calls == []
+    # zeta_L^g, as a torsion verdict asks, has order L / g
+    for L in (420, 840, 2520):
+        for g in (g for g in range(1, L + 1) if L % g == 0):
+            w = CycloElt.zeta_pow(L, g)
+            calls.clear()
+            assert is_root_of_unity(w) == L // g, (L, g)
+            assert len(calls) <= -(-L // euler_phi(L)) - 1, (L, g)

@@ -203,13 +203,15 @@ def test_identify_st0_builds_each_matrix_once_across_twists():
     # three primes make four calls (the first prime's matrix is read twice)
     # and three builds; every later twist of the curve only hits the cache
     build_matrix.cache_clear()
-    torus_dimension.cache_clear()
+    intlinalg._rank.cache_clear()
     identify_st0(curve(ADDITIVE, 10, 1))
     assert (build_matrix.cache_info().hits, build_matrix.cache_info().misses) == (1, 3)
     for c in C_VALUES[1:]:
         identify_st0(curve(ADDITIVE, 10, c))
     assert (build_matrix.cache_info().hits, build_matrix.cache_info().misses) == (25, 3)
-    assert (torus_dimension.cache_info().hits, torus_dimension.cache_info().misses) == (6, 1)
+    # the kernel's rank, the dimension and the name's rank: three entries,
+    # each read again by every later twist
+    assert (intlinalg._rank.cache_info().hits, intlinalg._rank.cache_info().misses) == (18, 3)
 
 
 def test_validate_matrix_passes_everywhere():
@@ -283,7 +285,7 @@ def test_reference_kernel_lattice():
 def test_kernel_single_row():
     from stjac.intlinalg import kernel_basis
 
-    assert kernel_basis([[1, 1]]) == [[1, -1]]
+    assert kernel_basis([[1, 1]]) == ((1, -1),)
 
 
 def test_kernel_rank_and_annihilation():
@@ -1070,28 +1072,22 @@ def test_numpy_rows_are_read_as_ints_before_any_int64_sizing():
 
 def test_memoized_results_are_safe_to_share():
     # two callers of one kernel get one memoized HNF made of tuples of
-    # ints (the positions and values of each vector's nonzero entries),
-    # also from rows of another type, and each caller of kernel_basis gets
-    # its own lists; an elimination is made of tuples
+    # ints, also from rows of another type, and kernel_basis hands out that
+    # very tuple, which no caller can change; an elimination is made of tuples
     rows = build_matrix(41, 40, ADDITIVE).distinct_rows
     cols = tuple(dict.fromkeys(zip(*rows)))
     first = intlinalg._kernel_hnf(rows)
     assert intlinalg._kernel_hnf(tuple(tuple(np.array(row)) for row in rows)) is first
-    width, support = first
-    assert width == len(rows[0]) and type(support) is tuple
-    assert all(type(part) is tuple and all(type(x) is int for x in part)
-               for entry in support for part in entry)
-    for v, (positions, values) in zip(kernel_basis(rows), support, strict=True):
-        assert [j for j, x in enumerate(v) if x] == list(positions)
-        assert [v[j] for j in positions] == list(values)
+    assert type(first) is tuple and all(len(v) == len(rows[0]) for v in first)
+    assert all(type(v) is tuple and all(type(x) is int for x in v) for v in first)
+    assert kernel_basis(rows) is first
     free, dens, nums = intlinalg._rational_kernel(tuple(zip(*cols)))
     assert type(free) is tuple and type(dens) is tuple and type(nums) is tuple
     assert all(type(v) is tuple for v in nums)
     assert intlinalg._rational_kernel(tuple(zip(*cols))) == (free, dens, nums)
-    one, two = kernel_basis(rows), kernel_basis(rows)
-    assert one == two and one is not two
-    one[0][0] += 1
-    assert kernel_basis(rows) == two != one
+    with pytest.raises(TypeError):
+        first[0][0] += 1
+    assert kernel_basis(rows) is first
     assert rank(rows) == rank(list(rows)) == len(cols) - len(free)
     # an equal replace copy of a matrix hashes alike and shares the relation
     # plan; a flipped copy (the same kernel) gets a plan of its own
