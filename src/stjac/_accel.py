@@ -217,8 +217,6 @@ def _finish(
     gap = x - first
     order = np.argsort(gap, kind="stable")[::-1]
     gap = gap[order]
-    if gap[0] == 0:
-        return r
     counts = np.searchsorted(-gap, -np.arange(1, gap[0] + 1), side="right").tolist()
     acc, mod = r[order], m[order]
     base = first[order] % mod

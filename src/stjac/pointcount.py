@@ -142,16 +142,11 @@ def good_reduction(p: int, spec: CurveSpec) -> bool:
     Linear twist: x^d + c*x factors as x*(x^(d-1) + c), which is separable
     unless p | 2*(d-1)*c; p | d is harmless there.
     """
-    return _bad_reduction_product(spec) % p != 0
-
-
-def _bad_reduction_product(spec: CurveSpec) -> int:
-    """2 * degree * num(c) * den(c): the primes of bad reduction are its divisors."""
-    return math.prod(_bad_reduction_factors(spec))
+    return math.prod(_bad_reduction_factors(spec)) % p != 0
 
 
 def _bad_reduction_factors(spec: CurveSpec) -> tuple[int, int, int]:
-    """2 * degree, num(c) and den(c), the factors of ``_bad_reduction_product``."""
+    """2 * degree, num(c) and den(c): the primes of bad reduction divide their product."""
     degree = spec.d if spec.family == ADDITIVE else spec.d - 1
     return 2 * degree, spec.c.numerator, spec.c.denominator
 
@@ -164,7 +159,7 @@ def good_primes(spec: CurveSpec, p_min: int, p_max: int) -> list[int]:
     check_p_max(p_max)
     if p_min > p_max:
         raise ValueError("p_min must not exceed p_max")
-    bad = _bad_reduction_product(spec)
+    bad = math.prod(_bad_reduction_factors(spec))
     return [p for p in prime_range(max(3, p_min), p_max) if bad % p]
 
 
@@ -202,8 +197,7 @@ def count_formula(fld: PrimeField, spec: CurveSpec) -> int:
     even d, which contributes -1 identically.
     """
     p = fld.p
-    if not good_reduction(p, spec):
-        raise BadReductionError(f"{p} divides 2*d*c for {spec.label()}")
+    _check_residue_prime(p, spec)
     cp = reduce_mod(spec.c, fld.p)
     terms = [
         jacobi_sum_compact(fld, a, twist_exponent(fld, a, cp))
@@ -289,7 +283,7 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     t_p = t0 unless t0 = top (mod 2p).  An end means no affine point (top)
     or two at every x (top - 2p).  x = 0 gives one point for the linear
     family, so it never meets an end; for the additive family it gives two
-    when c is a square, phi(c) = (num*den)^h = 1 mod p, and none otherwise
+    when c is a square, phi(c) = c^h = 1 mod p, and none otherwise
     (x^6 + 1 at p = 7 gives -8, x^6 + 5 at p = 7 gives 6).
 
     The binomials come by duplication.  C(h, j) = C(h, h-j), so the terms j
@@ -310,18 +304,19 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     comes from one ``_accel.prefix_factorials`` call on int64 arrays, and
     every power from one ``_accel.pow_mod`` call: the inverses of (r!)^2 by
     Fermat, each checked (``_check_inverses``), (4^+-1 c)^(h-j) and the
-    parity power, with c = num/den read as num^k den^(p-1-k) (p prime, den
-    a unit), so that no power waits for the inverse of den; an integer c
-    takes no power of den.  The binomial sum is a few int64 passes
-    (p < 2^31, so a product of two residues is below 2^62).
+    parity power (-c)^k; c enters only as c mod p, at three gathers: the
+    terms' bases, the parity powers and phi(c) at the ends.  A batch with
+    no term runs the same passes on empty arrays.  The binomial sum is a
+    few int64 passes (p < 2^31, so a product of two residues is below 2^62).
     """
-    ps, num, den = _check_residue_primes(primes, spec)
+    ps, c = _check_residue_primes(primes, spec)
     n = ps - 1
     total = np.full(len(ps), 1 - points_at_infinity(spec), dtype=np.int64)
     # requests: one block of (x, p) over a class per fraction of p - 1;
     # binomials: block positions of r and 2r per distinct r;
     # terms: (primes, block positions of r, h - j) per j < h
-    xs, mods, binomials, terms, size = [], [], [], [], 0
+    empty = ps[:0]
+    xs, mods, binomials, terms, size = [empty], [empty], [(empty,) * 2], [(empty,) * 3], 0
     classes = np.gcd(n, index_modulus(spec.family, spec.d))
     for e in set(classes.tolist()):
         idx = np.flatnonzero(classes == e)
@@ -330,8 +325,6 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
         ms = [a // step for a in contributing_ms(p, spec.d, spec.family) if 2 * a <= p - 1]
         js = [Fraction(m, e) for m in ms if 2 * m < e]
         total[idx] += len(ms) - len(js)  # the term j = h
-        if not js:
-            continue
         rs = {min(j, _HALF - j) for j in js}
         at = {}
         for f in rs | {2 * r for r in rs}:
@@ -341,62 +334,43 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
             size += len(idx)
         binomials += [(at[r], at[2 * r]) for r in rs]
         terms += [(idx, at[min(j, _HALF - j)], _part(n[idx], _HALF - j)) for j in js]
+    x, xmod = np.concatenate(xs), np.concatenate(mods)
+    order = np.argsort(x, kind="stable")
+    fact = np.empty_like(x)
+    fact[order] = _accel.prefix_factorials(x[order], xmod[order])
+    at_r, at_2r = (np.concatenate(b) for b in zip(*binomials))
+    mr = xmod[at_r]
+    square = fact[at_r] * fact[at_r] % mr
+    owner, at_t, hj = (np.concatenate(t) for t in zip(*terms))
+    m = ps[owner]
+    # 4^-r c^(h-j): (c/4)^(h-j) where r = h - j, else (4c)^(h-j)
+    half = (m + 1) // 2
+    base = c[owner] * np.where(x[at_t] == hj, half * half % m, 4) % m
     # odd additive d: the primes whose parity asks whether -c is an e-th power
-    odd = np.flatnonzero(classes > 1) if spec.family == ADDITIVE and spec.d % 2 else []
-    # one pow_mod for the batch, c = num/den: the Fermat inverses,
-    # (4^+-1 c)^(h-j) as (4^+-1 num)^(h-j) * den^(p-1-(h-j)) and (-c)^k = 1 as
-    # (-num)^k = den^k.  An integer c takes no power of den (a missing one
-    # reads as 1), and den's own inverse serves only its check
-    with_den = spec.c.denominator != 1
-    blocks = {}
-    if terms:
-        x, xmod = np.concatenate(xs), np.concatenate(mods)
-        order = np.argsort(x, kind="stable")
-        fact = np.empty_like(x)
-        fact[order] = _accel.prefix_factorials(x[order], xmod[order])
-        at_r, at_2r = (np.concatenate(b) for b in zip(*binomials))
-        mr = xmod[at_r]
-        square = fact[at_r] * fact[at_r] % mr
-        blocks["inv"] = (square, mr - 2, mr)
-        owner, at_t, hj = (np.concatenate(t) for t in zip(*terms))
-        m = ps[owner]
-        # 4^-r c^(h-j): (c/4)^(h-j) where r = h - j, else (4c)^(h-j)
-        half = (m + 1) // 2
-        blocks["num"] = (num[owner] * np.where(x[at_t] == hj, half * half % m, 4) % m, hj, m)
-        if with_den:
-            blocks["den"] = (den[owner], n[owner] - hj, m)
-    if len(odd):
-        mo, k = ps[odd], n[odd] // classes[odd]
-        blocks["odd"] = (-num[odd] % mo, k, mo)
-        if with_den:
-            blocks["odd_den"] = (den[odd], k, mo)
-    if blocks and with_den:
-        blocks["den_inv"] = (den, n - 1, ps)
-    if blocks:
-        cuts = np.cumsum([len(base) for base, _, _ in blocks.values()])[:-1]
-        power = _accel.pow_mod(*map(np.concatenate, zip(*blocks.values())))
-        powers = dict(zip(blocks, np.split(power, cuts)))
-    if "den_inv" in blocks:
-        _check_inverses(den, powers["den_inv"], ps)
-    if terms:
-        _check_inverses(square, powers["inv"], mr)
-        # C(h, r) at the block position of r, with the sign (-1)^r
-        binom = np.empty_like(x)
-        b = fact[at_2r] * powers["inv"] % mr
-        binom[at_r] = np.where(x[at_r] % 2, mr - b, b)
-        cpow = powers["num"] * powers.get("den", 1) % m
-        np.add.at(total, owner, binom[at_t] * cpow % m)
+    odd = np.flatnonzero(classes > 1) if spec.family == ADDITIVE and spec.d % 2 else empty
+    mo = ps[odd]
+    # one pow_mod for the batch: the Fermat inverses, (4^+-1 c)^(h-j) and (-c)^k
+    power = _accel.pow_mod(
+        np.concatenate([square, base, -c[odd] % mo]),
+        np.concatenate([mr - 2, hj, n[odd] // classes[odd]]),
+        np.concatenate([mr, m, mo]),
+    )
+    inv, cpow, odd_power = np.split(power, [len(mr), len(mr) + len(m)])
+    _check_inverses(square, inv, mr)
+    # C(h, r) at the block position of r, with the sign (-1)^r
+    binom = np.empty_like(x)
+    b = fact[at_2r] * inv % mr
+    binom[at_r] = np.where(x[at_r] % 2, mr - b, b)
+    np.add.at(total, owner, binom[at_t] * cpow % m)
     parity = np.zeros(len(ps), dtype=np.int64)
-    if len(odd):
-        parity[odd] = powers["odd"] != powers.get("odd_den", 1)
+    parity[odd] = odd_power != 1
     s = total % ps
     t = np.where(s % 2 == parity, s, s - ps)
     # the ends of [top - 2p, top], never met by the linear family: phi(c) picks
     top = ps + 1 - points_at_infinity(spec)
     ends = np.flatnonzero((top - t) % (2 * ps) == 0)
     m = ps[ends]
-    is_square = _accel.pow_mod(num[ends] * den[ends] % m, n[ends] // 2, m) == 1
-    t[ends] = top[ends] - 2 * m * is_square
+    t[ends] = top[ends] - 2 * m * (_accel.pow_mod(c[ends], n[ends] // 2, m) == 1)
     return t.tolist()
 
 
@@ -405,15 +379,15 @@ def _part(n: np.ndarray, f: Fraction) -> np.ndarray:
     return n * f.numerator // f.denominator
 
 
-def _check_residue_primes(
-    primes: list[int], spec: CurveSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The primes as an int64 array, with c's numerator and denominator mod
-    each, once every p passes the checks of ``hasse_witt_traces``.
+def _check_residue_primes(primes: list[int], spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The primes as an int64 array, with c mod each, once every p passes
+    the checks of ``hasse_witt_traces``.
 
     The checks run in arrays; the first offending p in input order is then
     checked alone, in order.  A p above P_MAX does not fit the arrays, so
     then every p is checked alone, in input order, up to the one that raises.
+    A fractional c = num/den then takes den^(p-2) as den^-1, checked at
+    every p (``_check_inverses``); an integer c takes no power.
     """
     if max(primes, default=0) > P_MAX:
         for p in primes:
@@ -424,7 +398,11 @@ def _check_residue_primes(
     failed = _residues(double_degree, ps) * num % ps * den % ps == 0
     if failed.any():
         _check_residue_prime(primes[failed.argmax()], spec)
-    return ps, num, den
+    if denominator == 1:
+        return ps, num
+    inv = _accel.pow_mod(den, ps - 2, ps)
+    _check_inverses(den, inv, ps)
+    return ps, num * inv % ps
 
 
 def _check_residue_prime(p: int, spec: CurveSpec) -> None:

@@ -166,6 +166,13 @@ def test_prefix_factorials_at_the_bundle_edges():
                     ms[count // 2] = wide
                     with pytest.raises(ValueError, match=f"got {wide}$"):
                         _prefix_factorials(xs, ms)
+    # every request opens its own bundle, each x W + 1 past the last, so no
+    # request has a gap to finish
+    for count in (1, K + 1):
+        xs = [5 + i * (W + 1) for i in range(count)]
+        ms = [moduli[i % len(moduli)] for i in range(count)]
+        assert _accel._bundle_starts(np.array(xs)) == list(range(count))
+        assert _prefix_factorials(xs, ms) == _factorials(xs, ms), count
 
 
 @settings(max_examples=200, deadline=None)

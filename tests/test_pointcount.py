@@ -110,6 +110,18 @@ def test_count_formula_requires_good_reduction(field):
         count_formula(field(3), curve(ADDITIVE, 9, 1))
 
 
+def test_count_formula_and_hasse_witt_share_the_bad_reduction_message(field):
+    # both raise through one check, in one wording
+    cases = [(curve(ADDITIVE, 6, 7), 7), (curve(ADDITIVE, 11, 409), 409),
+             (curve(LINEAR, 5, Fraction(-3, 5)), 3), (curve(LINEAR, 5, Fraction(-3, 5)), 5)]
+    for spec, p in cases:
+        with pytest.raises(BadReductionError) as formula:
+            count_formula(field(p), spec)
+        with pytest.raises(BadReductionError) as residue:
+            hasse_witt_traces([p], spec)
+        assert str(formula.value) == str(residue.value) == f"{p} divides 2*d*c for {spec.label()}"
+
+
 def test_bruteforce_known_values(field):
     # p = 2 mod 3 makes x -> x^3 a bijection, so x^3 + 1 gives p + 1
     assert count_bruteforce(field(5), curve(ADDITIVE, 3, 1)) == 6
@@ -389,12 +401,14 @@ def test_trace_hasse_witt_rejects_composite_p():
 
 def test_hasse_witt_checks_the_inverse_of_den_c_only_for_a_fraction():
     # 1001 = 7 * 11 * 13 has gcd(9, 1000) = 1: no binomial term, so only the
-    # Fermat check of den(c)'s inverse, made for every p of a batch with a
-    # term (103 has one), sees it; an integer c has no such check
-    primes = [101, 1001, 103]
-    with pytest.raises(NotPrimeError, match="got 1001$"):
-        hasse_witt_traces(primes, curve(ADDITIVE, 9, Fraction(1, 2)))
-    assert len(hasse_witt_traces(primes, curve(ADDITIVE, 9, 1))) == 3
+    # Fermat check of den(c)'s inverse sees it.  c is reduced once per prime,
+    # so that check runs at every p of the batch, whatever else the batch
+    # holds (101 has no term either, 103 has one); an integer c has no such
+    # check
+    for primes in ([1001], [101, 1001], [1001, 103], [101, 1001, 103]):
+        with pytest.raises(NotPrimeError, match="got 1001$"):
+            hasse_witt_traces(primes, curve(ADDITIVE, 9, Fraction(1, 2)))
+        assert len(hasse_witt_traces(primes, curve(ADDITIVE, 9, 1))) == len(primes)
 
 
 def test_trace_sweep_builds_no_field_and_calls_no_count_formula(monkeypatch):
@@ -526,6 +540,22 @@ def test_hasse_witt_errors_keep_type_message_and_input_order():
     # shared binomial C(16, 4), and 3 divides (4!)^2
     with pytest.raises(NotPrimeError, match=r"^p must be an odd prime, got 33$"):
         hasse_witt_traces([41, 33], curve(LINEAR, 5, 1))
+
+
+def test_hasse_witt_reads_c_only_mod_p():
+    # the benchmark's sweep curves, c fractional and past int64 included:
+    # each trace of a batch is that of the curve with c replaced by c mod p
+    curves = [(ADDITIVE, d) for d in (6, 9, 10, 12)] + [(LINEAR, d) for d in (5, 7)]
+    checked = 0
+    for c in (Fraction(1, 2), Fraction(-3, 5), 10**20 + 3, Fraction(1, 10**19)):
+        for family, d in curves:
+            spec = curve(family, d, c)
+            primes = [p for p in _PRIMES_BELOW_3000 if good_reduction(p, spec)]
+            assert hasse_witt_traces(primes, spec) == [
+                trace_hasse_witt(p, curve(family, d, reduce_mod(spec.c, p))) for p in primes
+            ], spec
+            checked += len(primes)
+    assert checked == 10258
 
 
 def test_hasse_witt_stays_exact_for_wide_c():
