@@ -386,8 +386,8 @@ def _check_residue_primes(primes: list[int], spec: CurveSpec) -> tuple[np.ndarra
     The checks run in arrays; the first offending p in input order is then
     checked alone, in order.  A p above P_MAX does not fit the arrays, so
     then every p is checked alone, in input order, up to the one that raises.
-    A fractional c = num/den then takes den^(p-2) as den^-1, checked at
-    every p (``_check_inverses``); an integer c takes no power.
+    Once they pass, a fractional c = num/den takes den^(p-2) as den^-1,
+    checked at every p (``_check_inverses``); an integer c takes no power.
     """
     if max(primes, default=0) > P_MAX:
         for p in primes:
