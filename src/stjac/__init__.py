@@ -18,7 +18,6 @@ from .pointcount import (
 from .splitjac import (
     lockwood_check,
     lower_genus_curve,
-    split_even,
     split_full,
     split_odd,
     split_refined,
@@ -55,7 +54,6 @@ __all__ = [
     "lower_genus_curve",
     "make_field",
     "right_kernel",
-    "split_even",
     "split_full",
     "split_odd",
     "split_refined",

@@ -72,9 +72,8 @@ def dlog_table(p: int, g: int, m: int) -> np.ndarray:
             _reduce(values, p)
         if labels is not None:
             r[values] = labels[:count]
-        else:  # every e below h is its own residue when m >= h
-            e = np.arange(start, start + count)
-            r[values] = e if m >= h else e % m
+        else:
+            r[values] = np.arange(start, start + count) % m
     _fill_negatives(r, m)
     return r
 

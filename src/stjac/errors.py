@@ -58,9 +58,5 @@ class NoGenericPrimeError(InputError):
     """Could not find enough fully split primes below the search bound."""
 
 
-class OddInputError(InputError):
-    """This splitting step applies to even genus only."""
-
-
 class EvenInputError(InputError):
     """This splitting step applies to odd genus (at least 3) only."""

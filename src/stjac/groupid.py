@@ -48,6 +48,8 @@ from .stmatrix import (
     verify_relation,
 )
 
+GENERIC_PRIME_BOUND = 20000
+
 
 @dataclass(frozen=True)
 class WeightClass:
@@ -144,9 +146,10 @@ class TorusId:
 
 
 @lru_cache(maxsize=256, typed=True)
-def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> tuple[int, ...]:
+def generic_primes(family: str, d: int, count: int) -> tuple[int, ...]:
     """First `count` primes where the contributing set is fully split: the
-    primes p = 1 + j*M up to `bound`, M = ``congruence_modulus``, in order.
+    primes p = 1 + j*M up to ``GENERIC_PRIME_BOUND``, M =
+    ``congruence_modulus``, in order.
 
     Memoized per arguments for the last 256 calls; every call gets the
     same tuple.
@@ -154,10 +157,10 @@ def generic_primes(family: str, d: int, count: int, bound: int = 20000) -> tuple
     if count < 1:
         raise ValueError(f"the number of primes must be at least 1, got {count}")
     m = congruence_modulus(CurveSpec(family, d))
-    found = tuple(islice(filter(is_prime, range(m + 1, bound + 1, m)), count))
+    found = tuple(islice(filter(is_prime, range(m + 1, GENERIC_PRIME_BOUND + 1, m)), count))
     if len(found) < count:
         raise NoGenericPrimeError(
-            f"only {len(found)} generic primes below {bound} for d={d} ({family})"
+            f"only {len(found)} generic primes below {GENERIC_PRIME_BOUND} for d={d} ({family})"
         )
     return found
 

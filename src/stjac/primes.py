@@ -55,29 +55,23 @@ def ladder_prime(L: int, i: int) -> int | None:
 
 
 def prime_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending.
+    """All primes p with lo <= p <= hi, ascending."""
+    return _segment(max(lo, 2), hi)
 
-    A segmented sieve: one bool per integer of [lo, hi], struck out by the
-    base primes up to sqrt(hi), so a narrow window of large primes costs
-    about sqrt(hi) and not hi.
+
+def _segment(lo: int, hi: int) -> list[int]:
+    """The primes of [lo, hi] for lo >= 2, by a segmented sieve: one bool per
+    integer of the window, struck out by the primes up to sqrt(hi), which
+    this sieve finds on [2, sqrt(hi)].  A narrow window of large primes
+    costs about sqrt(hi) and not hi.  The recursion stays below the public
+    name, so a caller that wraps ``prime_range`` sees one call.
     """
-    lo = max(lo, 2)
     if hi < lo:
         return []
     seg = np.ones(hi - lo + 1, dtype=bool)
-    for q in _base_primes(math.isqrt(hi)):
+    for q in _segment(2, math.isqrt(hi)):
         seg[max(q * q, -(-lo // q) * q) - lo :: q] = False
     return (np.flatnonzero(seg) + lo).tolist()
-
-
-def _base_primes(n: int) -> list[int]:
-    """The primes up to n, by the plain sieve of one bool per integer."""
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve).tolist()
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EvenInputError, OddInputError
+from .errors import EvenInputError
 from .pointcount import ADDITIVE, LINEAR, CurveSpec
 from .primes import v2
 
@@ -116,17 +116,6 @@ class IsogenyFactorization:
         return {"source": self.source.to_dict(), "factors": out}
 
 
-def split_even(g: int, c=Fraction(1)) -> IsogenyFactorization:
-    """Jac(y^2 = x^(2g+2) + c) ~ Jac(y^2 = x^(g+1) + c)^2 for even g."""
-    if g < 2 or g % 2:
-        raise OddInputError(f"split_even needs even g >= 2, got {g}")
-    c = Fraction(c)
-    return IsogenyFactorization(
-        source=CurveSpec(ADDITIVE, 2 * g + 2, c),
-        factors=((CurveSpec(ADDITIVE, g + 1, c), 2),),
-    )
-
-
 def split_odd(g: int, c=Fraction(1)) -> IsogenyFactorization:
     """Jac(y^2 = x^(2g+2) + c) ~ Jac(x^(g+1)+c) x Jac(x^(g+2)+cx) for odd g."""
     if g < 3 or g % 2 == 0:
@@ -146,7 +135,8 @@ def split_full(g: int, c=Fraction(1)) -> IsogenyFactorization:
 
     With k = v2(g+1): one odd-degree additive factor x^((g+1)/2^k) + c
     squared, and linear-twist factors x^((g+1)/2^(i-1) + 1) + c*x for
-    i = 1..k.  Matches repeated application of the even/odd lemmas.
+    i = 1..k.  Matches repeated application of the even/odd lemmas; for
+    even g (k = 0) it is the even lemma, Jac(y^2 = x^(g+1) + c)^2.
     """
     if g < 2:
         raise ValueError("split_full needs g >= 2")

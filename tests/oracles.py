@@ -8,6 +8,8 @@
   sums and complex embeddings, for J(A, B) = g(A) g(B) / g(AB).
 * ``carry``: the scalar rule that ``stmatrix.build_matrix`` broadcasts.
 * ``split_by_recursion``: ``splitjac.split_full`` by recursing the lemmas.
+* ``count_affine``: the affine points of y^2 = F(x) over F_p for any F, by
+  brute force.
 * ``kernel_basis``: the saturated kernel read off one HNF of [A^T | I],
   with no grouping of columns and no modular elimination.
 * ``rank``: the rank over Q as the number of rows of one HNF, with no
@@ -138,6 +140,18 @@ def split_by_recursion(g: int, c=Fraction(1)) -> IsogenyFactorization:
     return IsogenyFactorization(
         source=CurveSpec(ADDITIVE, 2 * g + 2, c), factors=tuple(factors)
     )
+
+
+def count_affine(coeffs, p: int) -> int:
+    """#{(x, y) in F_p^2 : y^2 = F(x)}, F = sum of coeffs[i] x^i (ints,
+    reduced mod p here), by brute force over F_p in numpy: O(p deg F)."""
+    x = np.arange(p, dtype=np.int64)
+    v = np.zeros(p, dtype=np.int64)
+    for a in reversed(coeffs):  # Horner; v * x < p^2 < 2^62
+        v = (v * x + a % p) % p
+    square_roots = np.bincount(x * x % p, minlength=p)
+    return int(square_roots[v].sum())
+
 
 
 # -- lattices ----------------------------------------------------------------

@@ -246,8 +246,9 @@ def test_generic_primes():
     assert generic_primes(ADDITIVE, 10, 3) == (11, 31, 41)
     assert generic_primes(ADDITIVE, 9, 3) == (19, 37, 73)
     assert generic_primes(LINEAR, 7, 3) == (13, 37, 61)
-    with pytest.raises(NoGenericPrimeError):
-        generic_primes(ADDITIVE, 9, 3, bound=30)
+    # M = 19998: the one candidate below the bound, 19999 = 7 * 2857, is not prime
+    with pytest.raises(NoGenericPrimeError, match="only 0 generic primes below 20000"):
+        generic_primes(ADDITIVE, 9999, 3)
 
 
 def test_generic_primes_equal_the_odd_number_scan():

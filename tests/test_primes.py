@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 
+from stjac import pointcount, primes
+from stjac.ffield import P_MAX
+from stjac.pointcount import curve, good_primes
 from stjac.primes import divisors, euler_phi, factorize, is_prime, mobius, prime_range, v2
 
 
@@ -39,9 +42,34 @@ def test_segmented_prime_range_matches_full_sieve():
     ranges = [(0, 0), (-5, 1), (-5, 2), (2, 2), (2, 3), (4, 4), (17, 17), (18, 18), (5, 3),
               (1, 50), (3, 10**5), (49, 49), (48, 53), (10**6, 10**6 + 1000),
               (10**7 - 500, 10**7 + 500), (10**7, 10**7)]
+    # windows that end next to the square of a sieving prime
+    ranges += [(lo, q * q + e) for q in (2, 3, 5, 7, 11, 13) for e in (-1, 0, 1)
+               for lo in (0, q * q - 3)]
+    ranges += [(lo, hi) for lo in range(4) for hi in range(5)]
     for lo, hi in ranges:
         assert prime_range(lo, hi) == _full_sieve(lo, hi), (lo, hi)
     assert all(type(p) is int for p in prime_range(3, 100))
+    # the full sieve to P_MAX would take 2 GB; its top window against is_prime
+    top = [n for n in range(P_MAX - 300, P_MAX + 1) if is_prime(n)]
+    assert prime_range(P_MAX - 300, P_MAX) == top and top[-1] == P_MAX
+
+
+def test_good_primes_enter_prime_range_once(monkeypatch):
+    # the sieve finds its own sieving primes below the public name, so a
+    # wrapper around prime_range sees one call, not one per recursion level
+    calls = []
+    real = primes.prime_range
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(primes, "prime_range", counted)
+    monkeypatch.setattr(pointcount, "prime_range", counted)
+    spec = curve("additive", 9, 1)
+    got = good_primes(spec, 3, 10**6)
+    assert calls == [(3, 10**6)]
+    assert got == [p for p in real(3, 10**6) if p != 3]
 
 
 def test_prime_range_window_costs_the_window(deadline):

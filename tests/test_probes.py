@@ -1,5 +1,5 @@
 """tools/probes.py: its JSON schema on one tiny probe of each kind (st0,
-st0scan, st0pool, sweep, count, kernel), the best of its repeated runs, a cap it
+st0scan, st0pool, st0survey, sweep, count, kernel), the best of its repeated runs, a cap it
 cannot meet, a probe that raises, and an A/A pairing of one probe with
 --base."""
 
@@ -111,6 +111,27 @@ def test_st0pool_probe_json_schema():
     names = [identify_st0(curve(family, d, Fraction(c))).to_dict()
              for family, d in probes.POOL for c in probes.TWISTS]
     assert result["names_sha256"] == hashlib.sha256(json.dumps(names).encode()).hexdigest()
+
+
+def test_st0survey_probe_json_schema():
+    doc = _probe("--only", "st0survey:12", "st0survey:12", "--cap", "60")
+    first, second = doc["probes"]
+    for probe in (first, second):
+        assert set(probe) == KEYS and len(probe["runs"]) == 3
+        assert probe["probe"] == "st0survey:12" and probe["status"] == "ok"
+        result = probe["result"]
+        assert set(result) == {"seconds", "calls", "slowest", "names_sha256",
+                               "closed_form_misses"}
+        # additive d = 3..12 and linear d = 3, 5, ..., 11
+        assert result["calls"] == 15 and 0 < result["seconds"] < probe["cpu_s"]
+        times = [t for *_, t in result["slowest"]]
+        assert len(times) == 5 and times == sorted(times, reverse=True)
+        assert result["closed_form_misses"] == []
+    assert first["result"]["names_sha256"] == second["result"]["names_sha256"]
+    names = [identify_st0(curve(family, d, 3)).to_dict()
+             for family, ds in (("additive", range(3, 13)), ("linear", range(3, 13, 2)))
+             for d in ds]
+    assert first["result"]["names_sha256"] == hashlib.sha256(json.dumps(names).encode()).hexdigest()
 
 
 def test_sweep_probe_json_schema():

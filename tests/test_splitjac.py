@@ -1,35 +1,32 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stjac.cyclo import CycloElt
-from stjac.errors import EvenInputError, OddInputError
+from stjac.errors import EvenInputError
+from stjac.ffield import reduce_mod
 from stjac.pointcount import ADDITIVE, LINEAR, CurveSpec
+from stjac.primes import factorize, prime_range
 from stjac.splitjac import (
     CurveTerm,
     bracket_coeff,
     lockwood_check,
     lower_genus_curve,
-    split_even,
     split_full,
     split_odd,
     split_refined,
 )
 
-from oracles import power, split_by_recursion
+from oracles import count_affine, power, split_by_recursion
+
+# the benchmark's twists
+C_VALUES = tuple(Fraction(c) for c in ("1", "2", "3", "5", "-1", "1/2", "-3/5"))
 
 
 def _shape(fact):
     return [(f.family, f.d, e) for f, e in fact.factors]
-
-
-def test_split_even():
-    assert _shape(split_even(4)) == [(ADDITIVE, 5, 2)]
-    assert _shape(split_even(2)) == [(ADDITIVE, 3, 2)]
-    assert _shape(split_even(8)) == [(ADDITIVE, 9, 2)]
-    with pytest.raises(OddInputError):
-        split_even(5)
 
 
 def test_split_odd():
@@ -42,7 +39,10 @@ def test_split_odd():
 
 
 def test_split_full_reference_cases():
+    # even g: Jac(x^(g+1) + c)^2, the even lemma
+    assert _shape(split_full(2)) == [(ADDITIVE, 3, 2)]
     assert _shape(split_full(4)) == [(ADDITIVE, 5, 2)]
+    assert _shape(split_full(8)) == [(ADDITIVE, 9, 2)]
     assert _shape(split_full(5)) == [(ADDITIVE, 3, 2), (LINEAR, 7, 1)]
     assert _shape(split_full(9)) == [(ADDITIVE, 5, 2), (LINEAR, 11, 1)]
     assert _shape(split_full(11)) == [(ADDITIVE, 3, 2), (LINEAR, 13, 1), (LINEAR, 7, 1)]
@@ -193,6 +193,57 @@ def test_split_refined():
         assert split_refined(g).genus_total() == g
     with pytest.raises(EvenInputError):
         split_refined(4)
+
+
+def _primitive_root(p):
+    """The smallest primitive root mod the prime p."""
+    qs = factorize(p - 1)
+    return next(h for h in range(2, p) if all(pow(h, (p - 1) // q, p) != 1 for q in qs))
+
+
+def _trace(curve, zeta, root, p):
+    """t_p of y^2 = F(x) for F of odd degree (one point at infinity), read at
+    p with zeta_g -> zeta and c^(1/g) -> root; a CurveSpec here is linear."""
+    if isinstance(curve, CurveSpec):  # x^d + c*x
+        coeffs = [0, reduce_mod(curve.c, p)] + [0] * (curve.d - 2) + [1]
+    else:
+        coeffs = [0] * (curve.g + 1)
+        for t in curve.terms:
+            coeffs[t.x_exp] = (t.coeff * pow(zeta, t.zeta_exp, p)
+                               * pow(root, int(t.c_exp * curve.g), p))
+    return p - count_affine(coeffs, p)
+
+
+def test_refined_split_traces_add_at_split_primes(deadline):
+    # the second method on Frobenius: t_p(x^(2g+1) + cx) = t_p(x^3 + cx) +
+    # t_p(C_0) + t_p(C_1) wherever C_0 and C_1 are defined over F_p, i.e.
+    # p = 1 mod g and c a g-th power mod p.  The image of zeta_g cannot
+    # matter: it has odd order, so x -> lambda*x with lambda^2 = zeta^m and
+    # lambda^g = 1 makes y^2 = zeta^j D_g(x, zeta^m c^(1/g)) isomorphic to C_0
+    # over F_p.  So this checks the x and c parts of each term, and
+    # lockwood_check the zeta exponents.
+    cases = 0
+    with deadline(30):
+        for g in range(3, 16, 2):
+            for p in prime_range(g + 1, 2999):
+                if p % g != 1:
+                    continue
+                zeta = pow(_primitive_root(p), (p - 1) // g, p)
+                x = np.arange(p, dtype=np.int64)
+                gth_powers = np.ones(p, dtype=np.int64)
+                for _ in range(g):
+                    gth_powers = gth_powers * x % p
+                for c in C_VALUES:
+                    roots = np.flatnonzero(gth_powers == reduce_mod(c, p))
+                    if not roots.size:
+                        continue
+                    root = int(roots[0])  # the smallest g-th root of c
+                    fact = split_refined(g, c)
+                    want = _trace(fact.source, zeta, root, p)
+                    got = sum(e * _trace(f, zeta, root, p) for f, e in fact.factors)
+                    assert got == want, (g, p, c)
+                    cases += 1
+    assert cases == 1690
 
 
 def test_serialization_roundtrip():

@@ -6,6 +6,7 @@
     python tools/probes.py --base HEAD~1 --only st0:additive:420:3
     python tools/probes.py --base HEAD~1 --only st0scan:additive:40
     python tools/probes.py --base HEAD~1 --only st0pool:5
+    python tools/probes.py --base HEAD~1 --only st0survey:200
 
 A probe is named KIND:FIELD:..., mostly KIND:FAMILY:D:..., with stjac
 imported from the ``src`` next to this script:
@@ -24,6 +25,14 @@ imported from the ``src`` next to this script:
   ``--base`` pair compares without the harness of perfbench.  Every pass
   must name the same tori; ``names_sha256`` is the SHA-256 of their
   ``TorusId.to_dict()``s;
+- st0survey:D, ``identify_st0`` at c = 3 of every additive x^d + 3 and
+  every odd linear x^d + 3x, d in 3..D, in one process: the cold scan over
+  d.  ``seconds`` is its CPU time, ``slowest`` the five slowest calls as
+  [family, d, CPU seconds], ``names_sha256`` the SHA-256 of every
+  ``TorusId.to_dict()`` in order, and ``closed_form_misses`` each
+  [family, d, dimension, closed form] whose dimension is not phi(M)/2
+  (additive) or phi(M)/4 (linear, d >= 5), M = ``congruence_modulus``:
+  reported, never raised;
 - sweep:FAMILY:D:C:HI, ``trace_sweep`` of that curve over the primes in
   [3, HI] in one process;
 - count:FAMILY:D:C:P, ``count_formula`` of that curve at the prime P,
@@ -109,7 +118,8 @@ DEFAULT = (
 REPEATS = 3  # runs of each probe, each in a fresh process
 
 # the fields after KIND of each probe kind
-FIELDS = {"st0": 3, "st0scan": 2, "st0pool": 1, "sweep": 4, "count": 4, "kernel": 3}
+FIELDS = {"st0": 3, "st0scan": 2, "st0pool": 1, "st0survey": 1, "sweep": 4, "count": 4,
+          "kernel": 3}
 
 # the twists of an st0scan or st0pool probe, in order
 TWISTS = ("1", "2", "3", "5", "-1", "1/2", "-3/5")
@@ -119,7 +129,7 @@ POOL = tuple(("additive", d) for d in (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 
     ("linear", d) for d in (5, 7, 9, 11, 13))
 
 # the keys of a probe's result that are times, not answers
-TIMES = {"seconds", "first_s", "rest_s", "per_call_s"}
+TIMES = {"seconds", "first_s", "rest_s", "per_call_s", "slowest"}
 
 
 def run_probe(name: str, src: Path = SRC) -> dict:
@@ -133,7 +143,8 @@ def run_probe(name: str, src: Path = SRC) -> dict:
 
     from stjac.ffield import make_field
     from stjac.groupid import identify_st0
-    from stjac.pointcount import count_formula, curve, trace_sweep
+    from stjac.pointcount import congruence_modulus, count_formula, curve, trace_sweep
+    from stjac.primes import euler_phi
     from stjac.stmatrix import relation_report
 
     import stjac
@@ -153,6 +164,24 @@ def run_probe(name: str, src: Path = SRC) -> dict:
         return {"seconds": seconds, "first_s": first, "per_call_s": seconds / (warm * len(specs)),
                 "calls": len(specs), "warm_passes": warm,
                 "names_sha256": hashlib.sha256(json.dumps(names).encode()).hexdigest()}
+    if kind == "st0survey":
+        top = int(fields[0])
+        specs = [curve("additive", d, 3) for d in range(3, top + 1)] + [
+            curve("linear", d, 3) for d in range(3, top + 1, 2)]
+        names, times, misses = [], [], []
+        for spec in specs:
+            start = time.process_time()
+            tid = identify_st0(spec)
+            times.append([spec.family, spec.d, time.process_time() - start])
+            names.append(tid.to_dict())
+            phi = euler_phi(congruence_modulus(spec))
+            closed = phi // 2 if spec.family == "additive" else phi // 4 if spec.d >= 5 else None
+            if closed is not None and tid.dimension != closed:
+                misses.append([spec.family, spec.d, tid.dimension, closed])
+        return {"seconds": sum(t for *_, t in times), "calls": len(specs),
+                "slowest": sorted(times, key=lambda t: -t[2])[:5],
+                "names_sha256": hashlib.sha256(json.dumps(names).encode()).hexdigest(),
+                "closed_form_misses": misses}
     family, d = fields[0], int(fields[1])
     start = time.perf_counter()
     if kind == "st0scan":
