@@ -153,7 +153,6 @@ def count_affine(coeffs, p: int) -> int:
     return int(square_roots[v].sum())
 
 
-
 # -- lattices ----------------------------------------------------------------
 
 
