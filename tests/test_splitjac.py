@@ -29,6 +29,15 @@ def _shape(fact):
     return [(f.family, f.d, e) for f, e in fact.factors]
 
 
+def test_split_even():
+    # even g: Jac(x^(g+1) + c)^2, the even lemma, which split_full applies
+    assert _shape(split_full(4)) == [(ADDITIVE, 5, 2)]
+    assert _shape(split_full(2)) == [(ADDITIVE, 3, 2)]
+    assert _shape(split_full(8)) == [(ADDITIVE, 9, 2)]
+    for g in range(2, 101, 2):
+        assert _shape(split_full(g)) == [(ADDITIVE, g + 1, 2)]
+
+
 def test_split_odd():
     assert _shape(split_odd(5)) == [(ADDITIVE, 6, 1), (LINEAR, 7, 1)]
     assert _shape(split_odd(3)) == [(ADDITIVE, 4, 1), (LINEAR, 5, 1)]
@@ -39,10 +48,7 @@ def test_split_odd():
 
 
 def test_split_full_reference_cases():
-    # even g: Jac(x^(g+1) + c)^2, the even lemma
-    assert _shape(split_full(2)) == [(ADDITIVE, 3, 2)]
     assert _shape(split_full(4)) == [(ADDITIVE, 5, 2)]
-    assert _shape(split_full(8)) == [(ADDITIVE, 9, 2)]
     assert _shape(split_full(5)) == [(ADDITIVE, 3, 2), (LINEAR, 7, 1)]
     assert _shape(split_full(9)) == [(ADDITIVE, 5, 2), (LINEAR, 11, 1)]
     assert _shape(split_full(11)) == [(ADDITIVE, 3, 2), (LINEAR, 13, 1), (LINEAR, 7, 1)]
