@@ -1,17 +1,20 @@
 """Hot numeric kernels.
 
 There is one backend, ``BACKEND = "numpy"``.  The Jacobi-sum and counting
-kernels are whole-array passes, O(p) each, in chunks of about 2^16
-elements.  The dlog table walks g^e for e < (p-1)/2 and fills
+kernels are whole-array passes, O(p) each, in chunks of about 2^15
+elements: a chunk of the walk (int64 powers and the temporaries of their
+reduction) then stays in a 2 MB L2 next to a p-byte table near p = 10^6.
+The dlog table walks g^e for e < (p-1)/2 and fills
 dlog(-x) = dlog x + (p-1)/2.  The histogram pass of a point count
 builds the M x M joint table of (dlog x, dlog(1-x)) mod M when
 M^2 <= p - 1, reading half of F_p (the table is symmetric under
-x -> 1 - x), and otherwise the M x 2 table of (dlog x mod M, parity of
-dlog(1-x)) over all of F_p.
+x -> 1 - x) and dlog(1-x) forward as dlog(x-1) + (p-1)/2, and otherwise
+the M x 2 table of (dlog x mod M, parity of dlog(1-x)) over all of F_p.
 Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a
-dlog table (residues mod m | p - 1) needs at most int32, and the kernels
-form every histogram key (< 2(p - 1)) and every product of two residues
-mod p (< p^2 < 2^62) in int64.
+dlog table (residues mod m | p - 1) needs at most int32, a histogram key
+(< m*k <= 2(p - 1)) at most int64, and the kernels form every product of
+two residues mod p (< p^2 < 2^62) in int64.  Tables and keys take the
+smallest signed type that holds their largest value.
 ``prefix_factorials`` serves the Hasse-Witt traces of a sweep: one
 remainder tree on Python ints for all the factorials of all the primes,
 whose leaves are bundles of nearby requests that finish in int64: every
@@ -29,7 +32,7 @@ import numpy as np
 BACKEND = "numpy"
 
 # elements per chunk of the O(p) passes
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 # leaves of the remainder tree: bundles of at most _BUNDLE requests within
 # _BUNDLE_WIDTH of the bundle's first x, finished in int64
 _BUNDLE = 16
@@ -43,9 +46,9 @@ def dlog_table(p: int, g: int, m: int) -> np.ndarray:
     smallest signed one that holds m - 1.  With h = (p - 1) / 2, g^h = -1,
     so dlog(p - x) = dlog x + h: the walk visits only e < h, which writes
     exactly one entry of each pair (y, p - y), and ``_fill_negatives``
-    writes the other.  The powers g^e come in chunks of about 2^16 whose
-    length is a multiple of m when m is that small, so the label e mod m of
-    column j of every chunk is j mod m.
+    writes the other.  The powers g^e come in chunks of about 2^15 (see the
+    module docstring) whose length is a multiple of m when m is that small,
+    so the label e mod m of column j of every chunk is j mod m.
     """
     h = (p - 1) // 2
     dtype = np.min_scalar_type(-m)  # the smallest signed type that holds m - 1
@@ -125,28 +128,34 @@ def char_pair_histogram(u: np.ndarray, m: int, k: int, n: int) -> np.ndarray:
     m or 2; the m*k bins read as an m x k table.  k = m gives the joint
     table H[i][j] = #{x : u(x) = i, u(1-x) = j}, which x -> 1 - x maps to
     its transpose: that pass reads x = 2 .. (p-1)/2 only, adds the
-    transpose and counts the fixed point x = 1/2 = (p+1)/2 once.  k = 2
-    gives H[i][s] = #{x : u(x) = i, u(1-x) = s mod 2} (for even m, s is
-    the parity of dlog(1-x)), which has no such symmetry, so that pass
-    reads all of F_p.  Keys are int64.
+    transpose and counts the fixed point x = 1/2 = (p+1)/2 once.  It reads
+    u(1-x) forward, as u(x-1) + s mod m with s = h mod m, h = (p-1)/2:
+    1 - x = p - (x - 1) and dlog(-y) = dlog y + h.  So it counts pairs
+    (u(x), u(x-1)) from two contiguous slices and rolls the columns of that
+    table by s (0 or m/2, as m | 2h).  k = 2 gives H[i][t] = #{x : u(x) = i,
+    u(1-x) = t mod 2} (for even m, t is the parity of dlog(1-x)), which has
+    no such symmetry, so that pass reads all of F_p, with 1 - x as a
+    reversed view.  Keys take the smallest signed type that holds m*k - 1.
     """
     p = n + 1
     joint = k == m
     # the joint pass stops before x = (p+1)/2 = 1/2, its own image under x -> 1 - x
     end = (p + 1) // 2 if joint else p
     bins = m * k
+    dtype = np.min_scalar_type(-bins)  # the smallest signed type that holds m*k - 1
     chunk = max(_CHUNK, bins)
     hist = np.zeros(bins, dtype=np.int64)
-    for s in range(2, end, chunk):
-        e = min(s + chunk, end)
-        # x = s .. e-1 reads u[s:e]; 1 - x = p+1-s .. p+2-e reads a reversed view
-        keys = u[s:e].astype(np.int64)
+    for a in range(2, end, chunk):
+        e = min(a + chunk, end)
+        keys = u[a:e].astype(dtype)
         keys *= k
-        rev = u[p + 2 - e : p + 2 - s][::-1]
-        keys += rev if joint else rev & 1
+        if joint:  # u(x-1) for x = a .. e-1
+            keys += u[a - 1 : e - 1]
+        else:  # 1 - x = p+1-a .. p+2-e
+            keys += u[p + 2 - e : p + 2 - a][::-1] & 1
         hist += np.bincount(keys, minlength=bins)
     if joint:
-        half = hist.reshape(m, m)
+        half = np.roll(hist.reshape(m, m), (p - 1) // 2 % m, axis=1)
         hist = (half + half.T).ravel()
         hist[(m + 1) * int(u[end])] += 1
     return hist

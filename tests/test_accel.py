@@ -36,7 +36,7 @@ def _enumerated_dlog(p, g):
 
 
 def test_dlog_residues_match_the_full_table_mod_every_divisor():
-    # p = 131113 > 2 * 2^16: the chunks of the large moduli cross boundaries.
+    # p = 131113 > 4 * 2^15: the chunks of the large moduli cross boundaries.
     # 3, 7, 11, 19, 4099 and 131071 are 3 mod 4: h = (p-1)/2 is odd, so the
     # entries of -x take a shift h mod m != 0 for every even m; the walk
     # stops at h, and at 131071 the chunks of the pass that fills -x cross h
@@ -53,7 +53,7 @@ def test_dlog_residues_match_the_full_table_mod_every_divisor():
 
 
 def test_large_moduli_near_a_million_match_the_enumerated_table():
-    # m > 2^16 labels each power by e itself, reduced mod m only when m is
+    # m > 2^15 labels each power by e itself, reduced mod m only when m is
     # below the walk's stop h = (p-1)/2: (p-1)/3 and (p-1)/5 are, p-1 and
     # (p-1)/2 are not
     for p in (1000081, 1188721):
@@ -87,7 +87,7 @@ def test_numpy_histogram_counts_all_pairs():
 
 
 def test_residue_histogram_is_chunked_into_need_squared_bins():
-    # p > 2 * 2^16 spans three chunks (two for the half-range joint pass);
+    # p > 4 * 2^15 spans five chunks (three for the half-range joint pass);
     # the reference is one unchunked enumeration
     p, need = 131113, 6
     red = dlog_table(p, 5, need)
@@ -113,6 +113,32 @@ def test_pair_code_histogram_matches_the_brute_force_joint_table():
                 assert table.sum() == p - 2, (p, m, k)
                 if k == m:
                     assert np.array_equal(table, table.T), (p, m)
+
+
+@pytest.mark.parametrize("chunk, below", [(1, 300), (5, 1000), (64, 1000)])
+def test_small_chunks_cross_every_seam(monkeypatch, chunk, below):
+    # chunks far below 2^15 put the walk, the fill of -x and both histogram
+    # passes across many chunk seams (chunk 1 costs a Python step per
+    # element, hence its lower bound on p).  The joint pass reads u(1-x) as
+    # u(x-1) + h mod m, so a wrong roll of its columns shows wherever
+    # (p-1)/m is odd (h mod m = m/2).  Some joint passes end on a full chunk, whose
+    # last element is x = (p-1)/2: p = 13 at chunk 5, p = 131 at chunk 64
+    monkeypatch.setattr(_accel, "_CHUNK", chunk)
+    full_last_chunks = 0
+    for p in prime_range(3, below):
+        g = smallest_primitive_root(p)
+        full = _enumerated_dlog(p, g)
+        for m in (m for m in range(1, p) if (p - 1) % m == 0):
+            u = dlog_table(p, g, m)
+            assert np.array_equal(u[1:], full[1:] % m), (chunk, p, m)
+            for k in (m, 2) if m * m <= p - 1 else (2,):
+                hist = char_pair_histogram(u, m, k, p - 1)
+                assert np.array_equal(
+                    hist.reshape(m, k), _enumerated_pair_histogram(u, m, k)
+                ), (chunk, p, m, k)
+            if m * m <= p - 1:
+                full_last_chunks += ((p + 1) // 2 - 2) % max(chunk, m * m) == 0
+    assert full_last_chunks
 
 
 def _factorials(xs, ms):
