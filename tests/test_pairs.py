@@ -107,6 +107,7 @@ def test_main_merges_workloads_into_one_file(tmp_path, monkeypatch):
         assert set(record["metrics"]) == set(FULL)
         assert record["src_sha256"] == {"base": ["speed 100.0"], "change": ["speed 100.0"]}
         assert record["command"].startswith("tools/pairs.py --base HEAD")
+    out.write_text(json.dumps({**doc, "base": "0" * 40}))
     with pytest.raises(SystemExit, match="another schema or base"):
-        pairs.main(["--base", "HEAD~1", "--workload", "st0-curves", "--pairs", "1",
+        pairs.main(["--base", "HEAD", "--workload", "st0-curves", "--pairs", "1",
                     "--out", str(out)])
