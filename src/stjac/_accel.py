@@ -2,14 +2,16 @@
 
 There is one backend, ``BACKEND = "numpy"``.  The Jacobi-sum and counting
 kernels are whole-array passes, O(p) each, in chunks of about 2^15
-elements: a chunk of the walk (int64 powers and the temporaries of their
-reduction) then stays in a 2 MB L2 next to a p-byte table near p = 10^6.
-The dlog table walks g^e for e < (p-1)/2 and fills
-dlog(-x) = dlog x + (p-1)/2.  The histogram pass of a point count
-builds the M x M joint table of (dlog x, dlog(1-x)) mod M when
-M^2 <= p - 1, reading half of F_p (the table is symmetric under
-x -> 1 - x) and dlog(1-x) forward as dlog(x-1) + (p-1)/2, and otherwise
-the M x 2 table of (dlog x mod M, parity of dlog(1-x)) over all of F_p.
+elements: a chunk of the walk (int64 powers and the scratch of their
+reduction) then stays in a 2 MB L2 next to a p/2-byte table near p = 10^6.
+A dlog table holds y <= (p-1)/2 only: the walk over g^e, e < (p-1)/2,
+meets each pair {y, p - y} once and writes the smaller, and
+dlog(-y) = dlog y + (p-1)/2 gives the other.  The histogram pass of a
+point count reads that half forward, as the pairs (dlog x, dlog(x-1)) for
+2 <= x <= (p-1)/2, dlog(1-x) being dlog(x-1) + (p-1)/2: into the M x M
+joint table of (dlog x, dlog(1-x)) mod M when M^2 <= p - 1 (plus its
+transpose, the images 1 - x), and otherwise into the M x 2 table of
+(dlog x mod M, parity of dlog(1-x)), counted twice over the same pairs.
 Range: the callers keep p <= ``ffield.P_MAX`` = 2^31 - 1, so a
 dlog table (residues mod m | p - 1) needs at most int32, a histogram key
 (< m*k <= 2(p - 1)) at most int64, and the kernels form every product of
@@ -40,124 +42,117 @@ _BUNDLE_WIDTH = 64
 
 
 def dlog_table(p: int, g: int, m: int) -> np.ndarray:
-    """r[x] = (dlog x) mod m for units x, with g^(dlog x) = x mod p; r[0] = -1.
+    """r[y] = (dlog y) mod m for 1 <= y <= h = (p - 1)/2, with g^(dlog y) = y
+    mod p; r[0] = -1.
 
-    m must divide p - 1; m = p - 1 gives the full table.  The dtype is the
-    smallest signed one that holds m - 1.  With h = (p - 1) / 2, g^h = -1,
-    so dlog(p - x) = dlog x + h: the walk visits only e < h, which writes
-    exactly one entry of each pair (y, p - y), and ``_fill_negatives``
-    writes the other.  The powers g^e come in chunks of about 2^15 (see the
-    module docstring) whose length is a multiple of m when m is that small,
-    so the label e mod m of column j of every chunk is j mod m.
+    m must divide p - 1; m = p - 1 gives the full logs.  The table holds
+    h + 1 entries: g^h = -1, so dlog(p - y) = dlog y + h, which is how
+    ``ffield.PrimeField.dlog`` reads the other half.  The walk over e < h
+    visits each pair {y, p - y} once, as v = g^e, and writes min(v, p - v)
+    with the label e mod m, or (e + h) mod m when v > h.  The dtype is the
+    smallest signed one that holds m - 1.  The powers g^e come in chunks of
+    about 2^15 (see the module docstring) whose length is a multiple of m
+    when m is that small, so the label e mod m of column j of every chunk
+    is j mod m, and (e + h) mod m is (j + s) mod m, s = h mod m.
     """
     h = (p - 1) // 2
+    s = h % m
     dtype = np.min_scalar_type(-m)  # the smallest signed type that holds m - 1
-    r = np.full(p, -1, dtype=dtype)
+    unsigned = dtype.str.replace("i", "u")
+    r = np.empty(h + 1, dtype=dtype)
+    r[0] = -1
+    # labels are written unsigned: j + s < 2m - 1 fits that width, and a
+    # scatter of the table's own dtype does not cast
+    out = r.view(unsigned)
     chunk = min(h, m * -(-_CHUNK // m) if m <= _CHUNK else _CHUNK)
     # powers[j] = g^j mod p for j < chunk, by doubling; products stay < p^2 < 2^62
     powers = np.empty(chunk, dtype=np.int64)
+    spare = np.empty(chunk, dtype=np.int64)  # the quotients of _reduce, then min(v, p - v)
     powers[0] = 1
     k, gk = 1, g % p
     while k < chunk:
         t = min(k, chunk - k)
         block = powers[k : k + t]
         np.multiply(powers[:t], gk, out=block)
-        _reduce(block, p)
+        _reduce(block, p, spare[:t])
         k += t
         gk = gk * gk % p
-    labels = np.tile(np.arange(m, dtype=dtype), -(-chunk // m)) if m <= _CHUNK else None
+    # tile[j] = j mod m
+    tile = np.tile(np.arange(m, dtype=unsigned), -(-chunk // m)) if m <= _CHUNK else None
     stride = pow(g, chunk, p)
     for start in range(0, h, chunk):
         count = min(chunk, h - start)
         values = powers[:count]
         if start:  # g^(start + j) = g^(start - chunk + j) * g^chunk, in place
             values *= stride
-            _reduce(values, p)
-        if labels is not None:
-            r[values] = labels[:count]
+            _reduce(values, p, spare[:count])
+        if tile is None:
+            labels = (np.arange(start, start + count) + s * (values > h)) % m
+        elif s:
+            labels = np.multiply(values > h, s, dtype=unsigned)
+            labels += tile[:count]
+            np.minimum(labels, labels - m, out=labels)  # mod m: below m, labels - m wraps above
         else:
-            r[values] = np.arange(start, start + count) % m
-    _fill_negatives(r, m)
+            labels = tile[:count]
+        y = np.subtract(p, values, out=spare[:count])
+        out[np.minimum(y, values, out=y)] = labels
     return r
 
 
-def _reduce(x: np.ndarray, p: int) -> None:
-    """x %= p in place for x >= 0, as x - (x // p) * p: numpy divides by a
-    scalar without a hardware division per element, which x % p does not."""
-    x -= x // p * p
-
-
-def _fill_negatives(r: np.ndarray, m: int) -> None:
-    """Set the unwritten entry of each pair (y, p - y) to the other one + s
-    mod m, s = h mod m, h = (p - 1) / 2.
-
-    Exactly one entry of each pair holds a residue w, the other the -1
-    sentinel.  In the unsigned view of the same width the sentinel is all
-    ones and w < 2^(bits - 1), so w = lo & hi, and w + s <= 2m - 2 fits.
-    The p - y half runs backwards; one reversed copy per chunk keeps the
-    arithmetic on contiguous arrays.
-    """
-    p = len(r)
-    h = (p - 1) // 2
-    s = h % m
-    u = r.view(r.dtype.str.replace("i", "u"))
-    for a in range(1, h + 1, _CHUNK):
-        b = min(a + _CHUNK, h + 1)
-        lo = u[a:b]  # y = a .. b-1
-        hi_view = u[p + 1 - b : p + 1 - a][::-1]  # p - y
-        hi = hi_view.copy()
-        w = lo & hi
-        if s == 0:
-            lo[...] = w
-            hi_view[...] = w
-            continue
-        t = w + s
-        np.minimum(t, t - m, out=t)  # mod m: below m, t - m wraps above t
-        # the sentinel side takes t; the written side keeps w < t | ~w
-        keep_lo = t | (hi ^ w)
-        t |= lo ^ w
-        np.minimum(lo, keep_lo, out=lo)
-        np.minimum(hi, t, out=hi)
-        hi_view[...] = hi
+def _reduce(x: np.ndarray, p: int, q: np.ndarray) -> None:
+    """x %= p in place for x >= 0, as x - (x // p) * p, with q (x's length)
+    for the quotients: numpy divides by a scalar without a hardware
+    division per element, which x % p does not."""
+    np.floor_divide(x, p, out=q)
+    q *= p
+    x -= q
 
 
 def char_pair_histogram(u: np.ndarray, m: int, k: int, n: int) -> np.ndarray:
     """Histogram of k*u(x) + (u(1-x) mod k) over x in F_p minus {0, 1}, p = n + 1.
 
-    ``u`` is the table of dlog x mod m of ``dlog_table`` (m | n), and k is
-    m or 2; the m*k bins read as an m x k table.  k = m gives the joint
-    table H[i][j] = #{x : u(x) = i, u(1-x) = j}, which x -> 1 - x maps to
-    its transpose: that pass reads x = 2 .. (p-1)/2 only, adds the
-    transpose and counts the fixed point x = 1/2 = (p+1)/2 once.  It reads
-    u(1-x) forward, as u(x-1) + s mod m with s = h mod m, h = (p-1)/2:
-    1 - x = p - (x - 1) and dlog(-y) = dlog y + h.  So it counts pairs
-    (u(x), u(x-1)) from two contiguous slices and rolls the columns of that
-    table by s (0 or m/2, as m | 2h).  k = 2 gives H[i][t] = #{x : u(x) = i,
-    u(1-x) = t mod 2} (for even m, t is the parity of dlog(1-x)), which has
-    no such symmetry, so that pass reads all of F_p, with 1 - x as a
-    reversed view.  Keys take the smallest signed type that holds m*k - 1.
+    ``u`` is the half table of dlog y mod m of ``dlog_table`` (m | n,
+    y <= h = n/2), and k is m or 2; the m*k bins read as an m x k table.
+    With s = h mod m (0 or m/2, as m | 2h), dlog(-y) = dlog y + h reads
+    every x from the half: for x = 2 .. h, u(x) is an entry and
+    u(1 - x) = u(p - (x-1)) = u(x-1) + s; their images x' = 1 - x run over
+    h + 2 .. p - 1, with u(x') = u(x-1) + s and u(1 - x') = u(x); and
+    x = h + 1 = 1/2, its own image, has u(x) = u(1-x) = u(h) + s.  So one
+    forward pass over x = 2 .. h reads the pairs (u(x), u(x-1)) from two
+    contiguous slices.  k = m gives the joint table H[i][j] = #{x : u(x) = i,
+    u(1-x) = j}: the pass counts (u(x), u(x-1)), rolls the columns by s and
+    adds the transpose, the images x'.  k = 2 gives H[i][t] = #{x : u(x) = i,
+    u(1-x) = t mod 2} (for even m, t is the parity of dlog(1-x)): the pass
+    counts (u(x), u(x-1) mod 2), whose two columns roll by s, a swap when s
+    is odd (s = m/2, so m is even and (w + s) mod m has the parity of w + s), and
+    (u(x-1), u(x) mod 2), whose rows roll by s.  Keys take the smallest
+    signed type that holds m*k - 1.
     """
-    p = n + 1
+    h = n // 2
+    s = h % m
     joint = k == m
-    # the joint pass stops before x = (p+1)/2 = 1/2, its own image under x -> 1 - x
-    end = (p + 1) // 2 if joint else p
     bins = m * k
     dtype = np.min_scalar_type(-bins)  # the smallest signed type that holds m*k - 1
     chunk = max(_CHUNK, bins)
     hist = np.zeros(bins, dtype=np.int64)
-    for a in range(2, end, chunk):
-        e = min(a + chunk, end)
-        keys = u[a:e].astype(dtype)
+    images = np.zeros(bins, dtype=np.int64)  # k = 2: (u(x-1), u(x) mod 2)
+    for a in range(2, h + 1, chunk):
+        e = min(a + chunk, h + 1)
+        x, prev = u[a:e], u[a - 1 : e - 1]  # u(x) and u(x-1) for x = a .. e-1
+        keys = x.astype(dtype)
         keys *= k
-        if joint:  # u(x-1) for x = a .. e-1
-            keys += u[a - 1 : e - 1]
-        else:  # 1 - x = p+1-a .. p+2-e
-            keys += u[p + 2 - e : p + 2 - a][::-1] & 1
+        if joint:
+            keys += prev
+        else:
+            keys += prev & 1
+            images += np.bincount(prev.astype(dtype) * 2 + (x & 1), minlength=bins)
         hist += np.bincount(keys, minlength=bins)
-    if joint:
-        half = np.roll(hist.reshape(m, m), (p - 1) // 2 % m, axis=1)
-        hist = (half + half.T).ravel()
-        hist[(m + 1) * int(u[end])] += 1
+    # u(1-x) = u(x-1) + s: the columns roll by s (for k = 2, a swap when s is
+    # odd) and the rows of the images by s, by gathers (np.roll costs ~5 us)
+    half = hist.reshape(m, k)[:, (np.arange(k) - s) % k]
+    hist = (half + (half.T if joint else images.reshape(m, 2)[(np.arange(m) - s) % m])).ravel()
+    w = (int(u[h]) + s) % m  # x = h + 1 = 1/2
+    hist[k * w + w % k] += 1
     return hist
 
 

@@ -38,7 +38,7 @@ def _phi_profile(fld: PrimeField, need: int) -> np.ndarray:
     M is even, so phi(1 - x) = (-1)^(dlog(1-x) mod M) and J(T^a, phi) =
     sum_i D[i] zeta_{p-1}^(a*i).  Built on first use by one
     ``_accel.char_pair_histogram`` pass over the dlog residues mod need
-    (one byte per x for need <= 128): the need x need joint table of
+    (one byte per y <= (p-1)/2 for need <= 128): the need x need joint table of
     (dlog x, dlog(1-x)) when need^2 <= p - 1, else the need x 2 table of
     (dlog x, parity of dlog(1-x)); D is that table against the signs
     (-1)^j of its columns.

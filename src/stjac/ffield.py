@@ -5,8 +5,8 @@ matrix and kernel built downstream is deterministic.  Characters are the
 maps T^a : x -> zeta_{p-1}^(a * dlog x), extended by zero at x = 0 for
 every a including a = 0; a character is handled through its exponent a
 only, and nothing here computes in Z[zeta].  Discrete logs are read from
-tables of dlog x mod m, each built on first use, so a field holds only the
-residues that its callers asked for.
+tables of dlog y mod m over half of F_p, y <= (p-1)/2, each built on first
+use, so a field holds only the residues that its callers asked for.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ P_MAX = 2**31 - 1
 class PrimeField:
     """Odd prime p with its smallest primitive root and cached dlog residues.
 
-    ``residues`` caches read-only tables m -> dlog x mod m (``dlog_mod``),
-    each built on first use; the full table is the entry m = p - 1.
+    ``residues`` caches read-only tables m -> dlog y mod m over
+    0 <= y <= (p-1)/2 (``dlog_mod``), each built on first use; the full
+    logs are the entry m = p - 1, and ``dlog`` reads any unit from them.
     ``joint`` caches the profiles of the Jacobi sums J(T^a, phi): M -> the
     length-M vector D[i] = sum of phi(1 - x) over the x in F_p minus {0, 1}
     with dlog x = i (mod M), M even; it serves every a with
@@ -62,7 +63,8 @@ class PrimeField:
         return self.p - 1
 
     def dlog_mod(self, m: int) -> np.ndarray:
-        """Read-only table of dlog x mod m for a divisor m of p - 1; entry 0 is -1."""
+        """Read-only table of dlog y mod m for a divisor m of p - 1, over
+        0 <= y <= (p-1)/2 (``_accel.dlog_table``); entry 0 is -1."""
         table = self.residues.get(m)
         if table is None:
             table = _accel.dlog_table(self.p, self.generator, m)
@@ -77,6 +79,14 @@ class PrimeField:
             if k % m == 0:
                 return table
         return self.dlog_mod(m)
+
+    def dlog(self, y: int, m: int) -> int:
+        """dlog y mod m for a unit y in [1, p - 1] and m | p - 1, from any
+        cached table mod a multiple of m (``dlog_residues``).  A table stops
+        at h = (p-1)/2, and dlog(p - y) = dlog y + h, as g^h = -1."""
+        h = self.p // 2
+        table = self.dlog_residues(m)
+        return (int(table[y]) if y <= h else int(table[self.p - y]) + h) % m
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, generator={self.generator})"

@@ -180,13 +180,11 @@ def twist_exponent(fld: PrimeField, a: int, cp: int) -> int:
     and J(T^a, phi) lies in Q(zeta_N), N = (p-1)/g = ``conductor(fld, a)``,
     so k = shift/g.  Mod p - 1, a*dlog(-c) depends only on dlog(-c) mod
     ord T^a and the second term only on the parity of dlog(c), so both logs
-    are read modulo any multiple of N = lcm(2, ord T^a): from whichever
-    cached table of the field serves it.
+    are read modulo N = lcm(2, ord T^a), through ``PrimeField.dlog``.
     """
     n = fld.n
     N = conductor(fld, a)
-    r = fld.dlog_residues(N)
-    shift = (a * int(r[fld.p - cp]) + n // 2 * int(r[cp])) % n
+    shift = (a * fld.dlog(fld.p - cp, N) + n // 2 * fld.dlog(cp, N)) % n
     return shift // (n // N)
 
 

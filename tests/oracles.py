@@ -1,7 +1,9 @@
 """Independent reference implementations that the tests compare the library against.
 
-* ``direct_jacobi``: J(T^a, T^b) from the defining sum over the full dlog
-  table, in its compact field, the one defining-sum reference; the general
+* ``enumerated_dlog``: dlog x for every unit x, by stepping through g^e;
+  the character and Gauss sums below read it, never a library table.
+* ``direct_jacobi``: J(T^a, T^b) from the defining sum over the enumerated
+  logs, in its compact field, the one defining-sum reference; the general
   pair in Z[zeta_{p-1}] is ``direct_jacobi(...).lift(p - 1)``.
 * ``char_eval``: T^a(x) as an exact element of Z[zeta_{p-1}].
 * ``gauss_sum``, ``embed``, ``gauss_jacobi_check``: floating-point Gauss
@@ -45,12 +47,27 @@ from stjac.stmatrix import CarryMatrix, RelationResult
 # -- character sums --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=2)
+def enumerated_dlog(p: int, g: int) -> np.ndarray:
+    """dlog x for every unit x of F_p, from g^e enumerated one by one; -1 at 0.
+
+    The defining-sum oracles read this table, not the library's: a library
+    table holds x <= (p-1)/2 only and comes from a chunked walk.
+    """
+    full = [-1] * p
+    x = 1
+    for e in range(p - 1):
+        full[x] = e
+        x = x * g % p
+    return np.array(full, dtype=np.int64)
+
+
 @functools.lru_cache(maxsize=1)
-def _dlog_pairs(fld):
-    """(dlog x, dlog(1-x)) over x in F_p minus {0, 1}, from the full table in int64."""
-    u = fld.dlog_mod(fld.n).astype(np.int64)
-    x = np.arange(2, fld.p)
-    return u[x], u[(1 - x) % fld.p]
+def _dlog_pairs(p: int, g: int):
+    """(dlog x, dlog(1-x)) over x in F_p minus {0, 1}, from the enumerated logs."""
+    u = enumerated_dlog(p, g)
+    x = np.arange(2, p)
+    return u[x], u[(1 - x) % p]
 
 
 def direct_jacobi(fld: PrimeField, a: int, b: int) -> CycloElt:
@@ -60,7 +77,7 @@ def direct_jacobi(fld: PrimeField, a: int, b: int) -> CycloElt:
     a %= n
     b %= n
     g = math.gcd(a, b, n)
-    u, v = _dlog_pairs(fld)
+    u, v = _dlog_pairs(fld.p, fld.generator)
     hist = np.bincount((a * u + b * v) % n, minlength=n)
     return CycloElt.from_int_coeffs(n // g, hist[::g].tolist())
 
@@ -73,14 +90,14 @@ def char_eval(fld: PrimeField, a: int, x: int) -> CycloElt:
     x %= fld.p
     if x == 0:
         return CycloElt.zero(fld.n)
-    return CycloElt.zeta_pow(fld.n, a * int(fld.dlog_mod(fld.n)[x]) % fld.n)
+    return CycloElt.zeta_pow(fld.n, a * int(enumerated_dlog(fld.p, fld.generator)[x]) % fld.n)
 
 
 def gauss_sum(fld: PrimeField, a: int) -> complex:
     """Floating-point Gauss sum sum_x T^a(x) e^(2 pi i x / p)."""
     p, n = fld.p, fld.n
     x = np.arange(1, p)
-    angles = (a % n) * fld.dlog_mod(n)[1:].astype(np.int64) % n / n + x / p
+    angles = (a % n) * enumerated_dlog(p, fld.generator)[1:] % n / n + x / p
     return complex(np.exp(2j * np.pi * angles).sum())
 
 

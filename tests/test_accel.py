@@ -13,41 +13,52 @@ from stjac._accel import (
     pow_mod,
     prefix_factorials,
 )
-from stjac.ffield import smallest_primitive_root
+from stjac.ffield import PrimeField, smallest_primitive_root
 from stjac.primes import prime_range
+
+from oracles import enumerated_dlog
 
 
 def test_numpy_dlog_table_correct():
+    # the table holds y <= h = (p-1)/2; PrimeField.dlog reads p - y from it
     for p, g in [(11, 2), (19, 2), (7, 3), (1009, 11)]:
         table = dlog_table(p, g, p - 1)
+        h = (p - 1) // 2
         assert table[0] == -1
-        for x in range(1, p):
-            assert pow(g, int(table[x]), p) == x
+        assert len(table) == h + 1
+        for y in range(1, h + 1):
+            assert pow(g, int(table[y]), p) == y
+        fld = PrimeField(p, g)
+        for y in range(1, p):
+            assert pow(g, fld.dlog(y, p - 1), p) == y
 
 
-def _enumerated_dlog(p, g):
-    """dlog x for every unit x, from g^e enumerated one by one; -1 at 0."""
-    full = [-1] * p
-    x = 1
-    for e in range(p - 1):
-        full[x] = e
-        x = x * g % p
-    return np.array(full, dtype=np.int64)
+def _check_half_table(r, p, g, m, full, every_unit=True):
+    """r = dlog_table(p, g, m) holds the enumerated logs mod m on [0, h],
+    h = (p-1)/2, and ``PrimeField.dlog`` reads them mod m at every unit
+    (or, with every_unit false, at the units p - y for y <= 999 and at h + 1)."""
+    h = (p - 1) // 2
+    assert len(r) == h + 1, (p, m)
+    assert r[0] == -1
+    assert np.array_equal(r[1:], full[1 : h + 1] % m), (p, m)
+    fld = PrimeField(p, g)
+    fld.residues[m] = r
+    ys = range(1, p) if every_unit else [h + 1, *range(max(h + 1, p - 999), p)]
+    assert [fld.dlog(y, m) for y in ys] == (full[list(ys)] % m).tolist(), (p, m)
 
 
 def test_dlog_residues_match_the_full_table_mod_every_divisor():
     # p = 131113 > 4 * 2^15: the chunks of the large moduli cross boundaries.
     # 3, 7, 11, 19, 4099 and 131071 are 3 mod 4: h = (p-1)/2 is odd, so the
-    # entries of -x take a shift h mod m != 0 for every even m; the walk
-    # stops at h, and at 131071 the chunks of the pass that fills -x cross h
+    # label of y = g^e > h, (e + h) mod m, takes a shift h mod m != 0 for every
+    # even m, and the walk stops at h.  PrimeField.dlog reads every unit below
+    # 5000; above, the units p - y next to p and h + 1
     for p in (3, 5, 7, 11, 19, 1009, 4099, 131071, 131113):
         g = smallest_primitive_root(p)
-        full = _enumerated_dlog(p, g)
-        assert np.array_equal(dlog_table(p, g, p - 1), full)
+        full = enumerated_dlog(p, g)
         for m in (m for m in range(1, p) if (p - 1) % m == 0):
             r = dlog_table(p, g, m)
-            assert r[0] == -1
-            assert np.array_equal(r[1:], full[1:] % m), (p, m)
+            _check_half_table(r, p, g, m, full, every_unit=p < 5000)
             smallest = next(t for t in (np.int8, np.int16, np.int32) if m - 1 <= np.iinfo(t).max)
             assert r.dtype == smallest, (p, m, r.dtype)
 
@@ -58,43 +69,45 @@ def test_large_moduli_near_a_million_match_the_enumerated_table():
     # (p-1)/2 are not
     for p in (1000081, 1188721):
         g = smallest_primitive_root(p)
-        full = _enumerated_dlog(p, g)
+        full = enumerated_dlog(p, g)
         for m in (p - 1, (p - 1) // 2, (p - 1) // 3, (p - 1) // 5):
             r = dlog_table(p, g, m)
             assert r.dtype == np.int32, (p, m)
-            assert r[0] == -1
-            assert np.array_equal(r[1:], full[1:] % m), (p, m)
+            _check_half_table(r, p, g, m, full, every_unit=False)
 
 
-def _enumerated_pair_histogram(u, m, k):
-    """#{x : u(x) = i, u(1-x) mod k = j} over x in F_p minus {0, 1}, by np.add.at."""
-    p = len(u)
+def _enumerated_pair_histogram(full, m, k):
+    """#{x : dlog x = i mod m, (dlog(1-x) mod m) mod k = j} over x in F_p
+    minus {0, 1}, from the enumerated logs ``full`` of all of F_p, by np.add.at."""
+    p = len(full)
     x = np.arange(2, p)
     ref = np.zeros((m, k), dtype=np.int64)
-    np.add.at(ref, (u[x], u[(1 - x) % p] % k), 1)
+    np.add.at(ref, (full[x] % m, full[(1 - x) % p] % m % k), 1)
     return ref
 
 
 def test_numpy_histogram_counts_all_pairs():
     # both shapes at p = 11: the 10 x 10 joint table and the 10 x 2 table
     table = dlog_table(11, 2, 10)
+    full = enumerated_dlog(11, 2)
     for k in (10, 2):
         hist = char_pair_histogram(table, 10, k, 10)
         assert hist.shape == (10 * k,)
-        assert np.array_equal(hist.reshape(10, k), _enumerated_pair_histogram(table, 10, k))
+        assert np.array_equal(hist.reshape(10, k), _enumerated_pair_histogram(full, 10, k))
         assert hist.sum() == 9  # x runs over F_11 minus {0, 1}
         assert hist.min() >= 0
 
 
 def test_residue_histogram_is_chunked_into_need_squared_bins():
-    # p > 4 * 2^15 spans five chunks (three for the half-range joint pass);
-    # the reference is one unchunked enumeration
+    # p > 4 * 2^15 spans five chunks of F_p (three for the half-range
+    # passes); the reference is one unchunked enumeration
     p, need = 131113, 6
     red = dlog_table(p, 5, need)
+    full = enumerated_dlog(p, 5)
     for k in (need, 2):
         hist = char_pair_histogram(red, need, k, p - 1)
         assert hist.shape == (need * k,)
-        assert np.array_equal(hist.reshape(need, k), _enumerated_pair_histogram(red, need, k)), k
+        assert np.array_equal(hist.reshape(need, k), _enumerated_pair_histogram(full, need, k)), k
 
 
 def test_pair_code_histogram_matches_the_brute_force_joint_table():
@@ -103,38 +116,66 @@ def test_pair_code_histogram_matches_the_brute_force_joint_table():
     # transpose and x = 1/2), each against all of F_p enumerated
     for p in prime_range(3, 3000):
         g = smallest_primitive_root(p)
+        full = enumerated_dlog(p, g)
         for m in (m for m in range(1, p) if (p - 1) % m == 0):
             u = dlog_table(p, g, m)
             for k in (m, 2) if m * m <= p - 1 else (2,):
                 hist = char_pair_histogram(u, m, k, p - 1)
                 assert hist.shape == (m * k,), (p, m, k)
                 table = hist.reshape(m, k)
-                assert np.array_equal(table, _enumerated_pair_histogram(u, m, k)), (p, m, k)
+                assert np.array_equal(table, _enumerated_pair_histogram(full, m, k)), (p, m, k)
                 assert table.sum() == p - 2, (p, m, k)
                 if k == m:
                     assert np.array_equal(table, table.T), (p, m)
 
 
+def test_parity_pass_over_the_half_table_matches_the_enumeration():
+    # the m x 2 pass with m^2 > p - 1, as _phi_profile runs it: two forward
+    # counts over x = 2 .. h, one with its columns swapped for odd s and one
+    # with its rows rolled by s = h mod m, plus x = h + 1.  Every prime below
+    # 2000 and every such m; s = m/2 occurs wherever (p-1)/m is odd (every
+    # even m at p = 3 mod 4), odd s where m = 2 mod 4 as well.  Then the
+    # count pool's s = m/2 case: linear x^9 reads M = 16 at p = 1000081,
+    # (p-1)/16 = 62505 odd, through both shapes
+    seen = set()
+    for p in prime_range(3, 2000):
+        g = smallest_primitive_root(p)
+        full = enumerated_dlog(p, g)
+        for m in (m for m in range(1, p) if (p - 1) % m == 0 and m * m > p - 1):
+            hist = char_pair_histogram(dlog_table(p, g, m), m, 2, p - 1)
+            assert np.array_equal(hist.reshape(m, 2), _enumerated_pair_histogram(full, m, 2)), (p, m)
+            s = (p - 1) // 2 % m
+            seen.add("s = 0" if s == 0 else "s odd" if s % 2 else "s even")
+    assert seen == {"s = 0", "s odd", "s even"}
+    p, m = 1000081, 16
+    g = smallest_primitive_root(p)
+    assert (p - 1) // 2 % m == m // 2
+    u, full = dlog_table(p, g, m), enumerated_dlog(p, g)
+    for k in (m, 2):
+        hist = char_pair_histogram(u, m, k, p - 1)
+        assert np.array_equal(hist.reshape(m, k), _enumerated_pair_histogram(full, m, k)), k
+
+
 @pytest.mark.parametrize("chunk, below", [(1, 300), (5, 1000), (64, 1000)])
 def test_small_chunks_cross_every_seam(monkeypatch, chunk, below):
-    # chunks far below 2^15 put the walk, the fill of -x and both histogram
-    # passes across many chunk seams (chunk 1 costs a Python step per
-    # element, hence its lower bound on p).  The joint pass reads u(1-x) as
-    # u(x-1) + h mod m, so a wrong roll of its columns shows wherever
-    # (p-1)/m is odd (h mod m = m/2).  Some joint passes end on a full chunk, whose
-    # last element is x = (p-1)/2: p = 13 at chunk 5, p = 131 at chunk 64
+    # chunks far below 2^15 put the walk and both histogram passes across
+    # many chunk seams (chunk 1 costs a Python step per element, hence its
+    # lower bound on p).  Both passes read u(1-x) as u(x-1) + h mod m, so a
+    # wrong roll of the joint columns or of the parity rows shows wherever
+    # (p-1)/m is odd (h mod m = m/2).  Some joint passes end on a full chunk,
+    # whose last element is x = (p-1)/2: p = 13 at chunk 5, p = 131 at chunk 64
     monkeypatch.setattr(_accel, "_CHUNK", chunk)
     full_last_chunks = 0
     for p in prime_range(3, below):
         g = smallest_primitive_root(p)
-        full = _enumerated_dlog(p, g)
+        full = enumerated_dlog(p, g)
         for m in (m for m in range(1, p) if (p - 1) % m == 0):
             u = dlog_table(p, g, m)
-            assert np.array_equal(u[1:], full[1:] % m), (chunk, p, m)
+            _check_half_table(u, p, g, m, full, every_unit=p < 300)
             for k in (m, 2) if m * m <= p - 1 else (2,):
                 hist = char_pair_histogram(u, m, k, p - 1)
                 assert np.array_equal(
-                    hist.reshape(m, k), _enumerated_pair_histogram(u, m, k)
+                    hist.reshape(m, k), _enumerated_pair_histogram(full, m, k)
                 ), (chunk, p, m, k)
             if m * m <= p - 1:
                 full_last_chunks += ((p + 1) // 2 - 2) % max(chunk, m * m) == 0

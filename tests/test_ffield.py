@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from stjac import _accel
@@ -6,7 +7,7 @@ from stjac.errors import EvenOrTooSmallError, NotPrimeError, PrimeTooLargeError
 from stjac.ffield import P_MAX, make_field, reduce_mod
 from stjac.primes import prime_range
 
-from oracles import char_eval
+from oracles import char_eval, enumerated_dlog
 
 
 def test_make_field_validation():
@@ -39,7 +40,8 @@ def test_smallest_generator_examples(field):
     assert field(11).generator == 2
     assert field(19).generator == 2
     assert field(3).generator == 2
-    assert field(3).dlog_mod(2).tolist() == [-1, 0, 1]
+    assert field(3).dlog_mod(2).tolist() == [-1, 0]  # y <= (p-1)/2 = 1
+    assert field(3).dlog(2, 2) == 1
     assert field(7).generator == 3
     assert field(41).generator == 6
 
@@ -56,14 +58,17 @@ def test_generator_is_smallest_primitive_root(field):
 
 
 def test_dlog_is_bijective_and_correct(field):
+    # the table holds y <= h = (p-1)/2, equal to the enumerated logs there;
+    # PrimeField.dlog reads every unit, p - y as dlog y + h
     for p in (11, 19, 97, 1009):
         fld = field(p)
         dlog = fld.dlog_mod(fld.n)
         assert dlog[0] == -1
-        exps = sorted(int(e) for e in dlog[1:])
+        assert np.array_equal(dlog, enumerated_dlog(p, fld.generator)[: (p + 1) // 2])
+        exps = sorted(fld.dlog(x, fld.n) for x in range(1, p))
         assert exps == list(range(p - 1))
-        for x in (1, 2, p - 1, p // 2):
-            assert pow(fld.generator, int(dlog[x]), p) == x % p
+        for x in (1, 2, p - 1, p // 2, p // 2 + 1):
+            assert pow(fld.generator, fld.dlog(x, fld.n), p) == x % p
 
 
 def test_field_table_immutable(field):
@@ -94,7 +99,7 @@ def test_char_multiplicativity_exhaustive(field):
     for p in prime_range(3, 50):
         fld = field(p)
         n = p - 1
-        dlog = fld.dlog_mod(n).tolist()
+        dlog = [None] + [fld.dlog(x, n) for x in range(1, p)]
         for a in range(n):
             for x in range(1, p):
                 for y in range(1, p):
@@ -140,5 +145,6 @@ def test_quadratic_character_is_legendre(field):
 def test_large_field_construction():
     fld = make_field(999983)
     dlog = fld.dlog_mod(fld.n)
-    assert dlog.shape == (999983,)
+    assert dlog.shape == (499992,)  # y <= (p-1)/2
     assert pow(fld.generator, int(dlog[123456]), 999983) == 123456
+    assert pow(fld.generator, fld.dlog(999983 - 123456, fld.n), 999983) == 999983 - 123456

@@ -25,7 +25,13 @@ end-to-end metric (unit, better direction and bound from BENCHMARK.json):
   many pairs favour the change;
 - the A/A series' pair changes, their median and their range [min, max];
 - the verdict: "resolved" when the median pair change lies outside the A/A
-  range, "not resolved" when it lies inside, "no A/A" without a series.
+  range and the A/A series holds at least as many pairs as the change
+  series, "A/A too short" when it lies outside a shorter series' range,
+  "not resolved" when it lies inside, "no A/A" without a series;
+- the same pair changes, A/A range and verdict on the raw values, and the
+  pairs whose calibrated and raw changes favour different sides.
+
+A line per metric on stderr gives both verdicts and those pairs.
 
 With ``--out FILE`` the workload is merged into FILE when it exists (same
 schema and base), so one file collects several workloads; ``--probes
@@ -122,9 +128,21 @@ def _runs_record(runs: list[dict], sides: tuple[str, str]) -> dict:
     }
 
 
-def _pair_changes(runs: list[dict], sides: tuple[str, str], name: str) -> list[float]:
+def _pair_changes(runs: list[dict], sides: tuple[str, str], name: str,
+                  key: str = "values") -> list[float]:
+    """change / base - 1 of each pair, on the calibrated values or ("raw") the raw ones."""
     base, other = sides
-    return [r[other]["values"][name] / r[base]["values"][name] - 1 for r in runs]
+    return [r[other][key][name] / r[base][key][name] - 1 for r in runs]
+
+
+def verdict(median_change: float, aa_changes: list[float], pairs: int) -> str:
+    """Whether a median pair change over ``pairs`` pairs stands out of the A/A
+    range: a range from fewer pairs is narrower by chance, so it resolves nothing."""
+    if not aa_changes:
+        return "no A/A"
+    if min(aa_changes) <= median_change <= max(aa_changes):
+        return "not resolved"
+    return "resolved" if len(aa_changes) >= pairs else "A/A too short"
 
 
 def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
@@ -135,15 +153,11 @@ def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
     for name, (unit, better, bound) in spec.items():
         sign = 1 if better == "higher" else -1
         values = {s: [r[s]["values"][name] for r in runs] for s in ("base", "change")}
-        changes = _pair_changes(runs, ("base", "change"), name)
-        aa_changes = _pair_changes(aa, ("base", "copy"), name)
-        median_change = statistics.median(changes)
-        if not aa_changes:
-            verdict = "no A/A"
-        elif min(aa_changes) <= median_change <= max(aa_changes):
-            verdict = "not resolved"
-        else:
-            verdict = "resolved"
+        changes, raw = (_pair_changes(runs, ("base", "change"), name, key)
+                        for key in ("values", "raw"))
+        aa_changes, aa_raw = (_pair_changes(aa, ("base", "copy"), name, key)
+                              for key in ("values", "raw"))
+        median_change, raw_median = statistics.median(changes), statistics.median(raw)
         base_median, change_median = (statistics.median(v) for v in values.values())
         iqr = None
         if len(runs) > 1:
@@ -165,8 +179,14 @@ def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
                 "pair_changes": aa_changes,
                 "median_pair_change": statistics.median(aa_changes) if aa else None,
                 "range": [min(aa_changes), max(aa_changes)] if aa else None,
+                "raw_pair_changes": aa_raw,
+                "raw_range": [min(aa_raw), max(aa_raw)] if aa else None,
             },
-            "verdict": verdict,
+            "verdict": verdict(median_change, aa_changes, len(runs)),
+            "raw_pair_changes": raw,
+            "raw_median_pair_change": raw_median,
+            "raw_verdict": verdict(raw_median, aa_raw, len(runs)),
+            "disagreeing_pairs": [i for i, (c, r) in enumerate(zip(changes, raw)) if c * r < 0],
         }
     return record
 
@@ -211,6 +231,10 @@ def main(argv=None) -> int:
                          f"--pairs {args.pairs} --aa {args.aa} --seed {args.seed} "
                          f"--seconds {args.seconds:g}")
     doc["workloads"][args.workload] = record
+    for name, m in record["metrics"].items():
+        print(f"{args.workload} {name}: {m['median_pair_change']:+.1%} {m['verdict']}, "
+              f"raw {m['raw_median_pair_change']:+.1%} {m['raw_verdict']}; "
+              f"pairs disagreeing: {m['disagreeing_pairs']}", file=sys.stderr)
     if args.probes:
         doc.setdefault("probes", []).append(json.loads(Path(args.probes).read_text()))
     text = json.dumps(doc, indent=1)
