@@ -11,9 +11,10 @@ The representation is canonical, so equality is coefficient-wise
 equality.  Conversion between conductors goes through ``lift`` (n must
 divide the target conductor).
 
-Every coordinate list enters the ring through ``_reduce_mod_phi``, long
-division by the monic Phi_n over its nonzero terms, so no conductor keeps
-more than those terms cached.  ``is_root_of_unity`` needs no table either.
+Every coordinate list enters the ring through ``_reduce_mod_phi``: a fold
+by x^(n/2) = -1 (even n) or x^n = 1 (odd n), then long division by the
+monic Phi_n over its nonzero terms, so no conductor keeps more than those
+terms cached.  ``is_root_of_unity`` needs no table either.
 """
 
 from __future__ import annotations
@@ -60,15 +61,18 @@ def _phi_terms(n: int) -> tuple[tuple[int, int], ...]:
 def _reduce_mod_phi(cs: list[int], n: int) -> tuple[int, ...]:
     """The phi(n) power-basis coordinates of sum cs[k] x^k (cs is consumed).
 
-    Exponents fold mod x^n - 1 first; then long division by the monic
-    Phi_n, from the top coefficient down, subtracts c * x^(k - phi) * Phi_n
-    over Phi_n's nonzero terms only.
+    Exponents fold first: mod x^n - 1 for odd n, and mod x^(n/2) + 1 for
+    even n, which Phi_n divides, so x^(n/2) = -1.  Then long division by
+    the monic Phi_n, from the top coefficient down, subtracts
+    c * x^(k - phi) * Phi_n over Phi_n's nonzero terms only; after an even
+    fold it runs over the n/2 - phi(n) top coefficients alone.
     """
     deg = len(cyclotomic_poly(n)) - 1
-    if len(cs) > n:
-        for k in range(n, len(cs)):
-            cs[k % n] += cs[k]
-        del cs[n:]
+    h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+    if len(cs) > h:
+        for k in range(h, len(cs)):
+            cs[k % h] += sign ** (k // h) * cs[k]
+        del cs[h:]
     cs.extend([0] * (deg - len(cs)))
     terms = _phi_terms(n)
     for k in range(len(cs) - 1, deg - 1, -1):

@@ -275,13 +275,20 @@ def test_galois_and_lift_have_int_coords_and_match_sympy(a, u, step):
 
 
 def test_from_int_coeffs_reduces_any_degree_like_sympy():
-    # degree 3n - 1, so every input folds mod x^n - 1 before the division;
-    # Phi_105 has a coefficient -2 and Phi_385 one of magnitude 3
+    # degree 3n - 1, so every input folds mod x^n - 1 (odd n) or
+    # x^(n/2) + 1 (even n) before the division; Phi_105 has a coefficient -2
+    # and Phi_385 one of magnitude 3, and Phi_734 and Phi_794 (2 times a
+    # prime) have n/2 nonzero terms
     rng = random.Random(15)
-    for n in (*range(1, 61), 105, 385):
+    for n in (*range(1, 61), 105, 385, 734, 794, 840):
         coeffs = [rng.randrange(-9, 10) for _ in range(3 * n)]
-        expr = sympy.Poly(coeffs[::-1], _X).as_expr()
-        assert list(CycloElt.from_int_coeffs(n, coeffs).coeffs) == _sympy_coords(expr, n), n
+        # sympy's remainder over ZZ, exact as Phi_n is monic (its default,
+        # over QQ, takes seconds at n = 840)
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)
+        rem = sympy.Poly(coeffs[::-1], _X).rem(phi, auto=False)
+        expected = [int(c) for c in reversed(rem.all_coeffs())]
+        expected += [0] * (euler_phi(n) - len(expected))
+        assert list(CycloElt.from_int_coeffs(n, coeffs).coeffs) == expected, n
 
 
 def test_canonical_int_coordinates():

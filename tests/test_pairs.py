@@ -1,7 +1,7 @@
-"""tools/pairs.py on a stub runner, without perfbench: the order and the
-directories of each pair, the JSON record of a workload, the verdict rule
-on calibrated and raw values, and the merge of several workloads into one
-file."""
+"""tools/pairs.py on stub runners, without perfbench: the order and the
+directories of each pair, the JSON record of a perfbench workload and of a
+probe, the verdict rule on calibrated and raw values, and the merge of
+several workloads into one file; then a real A/A pairing of one probe."""
 
 import importlib.util
 import io
@@ -15,6 +15,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
 _spec = importlib.util.spec_from_file_location("stjac_pairs", SCRIPT)
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
+needs_git = pytest.mark.skipif(not (SCRIPT.parents[1] / ".git").exists(),
+                               reason="--base needs a git checkout")
 
 # name -> (unit, better, bound) of every end-to-end metric
 FULL = pairs.end_to_end_spec()
@@ -24,9 +26,9 @@ OFFSET_B = 0.95
 
 
 def _tar(speed: float) -> bytes:
-    """A tree whose only file, src/speed, holds the stub's speed."""
+    """A tree whose only file, src/stjac/speed.py, holds the stub's speed."""
     data = str(speed).encode()
-    info = tarfile.TarInfo("src/speed")
+    info = tarfile.TarInfo("src/stjac/speed.py")
     info.size = len(data)
     buf = io.BytesIO()
     with tarfile.open(fileobj=buf, mode="w") as tar:
@@ -34,21 +36,34 @@ def _tar(speed: float) -> bytes:
     return buf.getvalue()
 
 
-def stub(tree, workload, seed, seconds):
-    """A perfbench run that reads the tree's speed (100 without one) and
-    pays the offset of directory b."""
-    speed_file = tree / "src" / "speed"
+def _speed(tree):
+    """The tree's speed (100 without one), minus the offset of directory b."""
+    speed_file = tree / "src" / "stjac" / "speed.py"
     speed = float(speed_file.read_text()) if speed_file.exists() else 100.0
-    units = speed * (OFFSET_B if tree.name == "b" else 1)
+    return speed, speed * (OFFSET_B if tree.name == "b" else 1)
+
+
+def stub(tree, workload, seed, seconds):
+    """A perfbench run that reads the tree's speed and pays the offset of b."""
+    speed, units = _speed(tree)
     values = {name: units if better == "higher" else 1 / units
               for name, (_, better, _) in FULL.items()}
     return {"correct": True, "attempted": 7, "failed": 0, "values": values,
-            "raw": {k: 2 * v for k, v in values.items()}, "src_sha256": f"speed {speed}"}
+            "raw": {k: 2 * v for k, v in values.items()}, "src_sha256": f"speed {speed}",
+            "answer": None}
 
 
-def _series(tmp_path, base, other, speeds, seeds):
+def probe_stub(tree, name, seed, seconds):
+    """A probe run that reads the tree's speed and pays the offset of b."""
+    _, units = _speed(tree)
+    values = {"seconds": 1 / units, "cpu_s": 1.2 / units, "peak_rss_mb": 50.0}
+    return {"correct": True, "attempted": 1, "failed": 0, "values": values, "raw": values,
+            "src_sha256": pairs.src_sha256(tree), "answer": {"count": 1988}}
+
+
+def _series(tmp_path, base, other, speeds, seeds, runner=stub):
     tars = {base: _tar(speeds[0]), other: _tar(speeds[1])}
-    return pairs.series(tars, "count-1e6", seeds, 1.0, tmp_path, runner=stub)
+    return pairs.series(tars, "count-1e6", seeds, 1.0, tmp_path, runner)
 
 
 def test_pairs_alternate_order_and_trade_directories(tmp_path):
@@ -67,11 +82,13 @@ def test_record_schema_and_verdicts(tmp_path):
     for speed, verdict in ((120, "resolved"), (102, "not resolved")):
         runs = _series(tmp_path, "base", "change", (100, speed), [1, 2, 3, 4])
         record = pairs.summarize(runs, aa, SPEC)
-        assert set(record) == {"pairs", "attempted", "failed", "correct", "src_sha256", "aa",
-                               "metrics"}
-        assert set(record["aa"]) == {"pairs", "attempted", "failed", "correct", "src_sha256"}
+        series_keys = {"pairs", "attempted", "failed", "correct", "src_sha256", "answer",
+                       "same_answers"}
+        assert set(record) == series_keys | {"aa", "metrics"}
+        assert set(record["aa"]) == series_keys
         assert record["src_sha256"] == {"base": ["speed 100.0"], "change": [f"speed {speed:.1f}"]}
         assert record["attempted"] == {"base": [7] * 4, "change": [7] * 4}
+        assert record["answer"] is None and record["same_answers"] is True
         assert set(record["metrics"]) == set(SPEC)
         units = record["metrics"]["units_per_s"]
         assert units["better"] == "higher"
@@ -79,7 +96,7 @@ def test_record_schema_and_verdicts(tmp_path):
                               "change_median", "median_change_frac", "base_iqr_frac",
                               "pair_changes", "median_pair_change", "wins_change", "aa",
                               "verdict", "raw_pair_changes", "raw_median_pair_change",
-                              "raw_verdict", "disagreeing_pairs"}
+                              "raw_wins_change", "raw_verdict", "disagreeing_pairs"}
         assert set(units["aa"]) == {"base", "copy", "pair_changes", "median_pair_change", "range",
                                     "raw_pair_changes", "raw_range"}
         assert units["change"]["raw"] == [2 * v for v in units["change"]["values"]]
@@ -88,6 +105,8 @@ def test_record_schema_and_verdicts(tmp_path):
         assert abs(units["aa"]["median_pair_change"]) < 0.01
         assert units["median_pair_change"] == pytest.approx(
             (speed / 100 * OFFSET_B + speed / 100 / OFFSET_B) / 2 - 1)
+        # the base runs read 100 in a and 95 in b: quartiles 95 and 100
+        assert units["base_iqr_frac"] == pytest.approx(5 / 97.5)
         assert units["verdict"] == units["raw_verdict"] == verdict
         assert units["raw_pair_changes"] == pytest.approx(units["pair_changes"])
         assert units["disagreeing_pairs"] == []
@@ -95,62 +114,114 @@ def test_record_schema_and_verdicts(tmp_path):
         p50 = record["metrics"]["request_p50_s"]
         assert p50["verdict"] == verdict
         assert units["wins_change"] == p50["wins_change"] == (4 if speed == 120 else 2)
-    assert pairs.summarize(runs, [], SPEC)["metrics"]["units_per_s"]["verdict"] == "no A/A"
+        assert units["raw_wins_change"] == units["wins_change"]
+        # the A/A series is context: without one the verdicts are the same
+        bare = pairs.summarize(runs, [], SPEC)["metrics"]
+        assert [bare[name]["verdict"] for name in SPEC] == [verdict] * 2
+        assert bare["units_per_s"]["aa"]["range"] is None
 
 
-def test_a_shorter_aa_series_resolves_nothing(tmp_path):
-    # an A/A range from fewer pairs than the change series is narrower by
-    # chance: a change outside it reads "A/A too short", one inside it
-    # "not resolved", and only an A/A series at least as long resolves
+def test_the_verdict_is_wins_and_medians_apart_by_the_base_iqr():
+    base = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    assert pairs._iqr(base) == pytest.approx(2)
+    for shift, wins, verdict in ((3, 10, "resolved"), (3, 9, "resolved"),
+                                 (3, 8, "not resolved"), (1.5, 10, "not resolved")):
+        change = [v + shift for v in base]
+        assert pairs.verdict(base, change, wins, 1) == verdict, (shift, wins)
+        # the same numbers are a loss where lower is better
+        assert pairs.verdict(base, change, wins, -1) == "not resolved"
+        lower = [v - shift for v in base]
+        assert pairs.verdict(base, lower, wins, -1) == verdict, (shift, wins)
+    # one pair has no IQR and resolves nothing
+    assert pairs.verdict([100], [200], 1, 1) == "not resolved"
+
+
+def test_one_wild_aa_pair_decides_no_verdict(tmp_path):
+    # the A/A range is context, not a term of the verdict: one wild A/A pair
+    # does not hide a change that won every pair, and a tight A/A range does
+    # not let through a change that won half the pairs
     runs = _series(tmp_path, "base", "change", (100, 120), [1, 2, 3, 4])
     small = _series(tmp_path, "base", "change", (100, 102), [1, 2, 3, 4])
-    for aa_seeds, verdict in (([11, 12], "A/A too short"), ([11, 12, 13, 14], "resolved"),
-                              ([11, 12, 13, 14, 15, 16], "resolved")):
-        aa = _series(tmp_path, "base", "copy", (100, 100), aa_seeds)
-        for name in SPEC:
-            metric = pairs.summarize(runs, aa, SPEC)["metrics"][name]
-            assert metric["verdict"] == metric["raw_verdict"] == verdict, (aa_seeds, name)
-            assert pairs.summarize(small, aa, SPEC)["metrics"][name]["verdict"] == "not resolved"
+    wild = _series(tmp_path, "base", "copy", (100, 100), [11, 12, 13, 14])
+    wild[2]["copy"]["values"] = {k: v * 1.6 if FULL[k][1] == "higher" else v / 1.6
+                                 for k, v in wild[2]["base"]["values"].items()}
+    tight = _series(tmp_path, "base", "copy", (100, 100), [11, 12, 13, 14])
+    for r in tight:
+        r["copy"]["values"] = dict(r["base"]["values"])
+    units = pairs.summarize(runs, wild, SPEC)["metrics"]["units_per_s"]
+    aa_low, aa_high = units["aa"]["range"]
+    assert aa_low < units["median_pair_change"] < aa_high == pytest.approx(0.6)
+    assert (units["wins_change"], units["verdict"]) == (4, "resolved")
+    units = pairs.summarize(small, tight, SPEC)["metrics"]["units_per_s"]
+    assert units["aa"]["range"] == [0, 0] and units["median_pair_change"] > 0.02
+    assert (units["wins_change"], units["verdict"]) == (2, "not resolved")
 
 
 def test_raw_verdict_and_disagreeing_pairs(tmp_path):
     runs = _series(tmp_path, "base", "change", (100, 120), [1, 2, 3, 4])
     aa = _series(tmp_path, "base", "copy", (100, 100), [11, 12, 13, 14])
     # the calibration reads pair 1 as a 10 % loss, its raw values as a win
-    base = runs[1]["base"]["values"]
+    base, kept = runs[1]["base"]["values"], runs[1]["change"]["values"]
     runs[1]["change"]["values"] = {k: v * 0.9 if FULL[k][1] == "higher" else v / 0.9
                                    for k, v in base.items()}
     units = pairs.summarize(runs, aa, SPEC)["metrics"]["units_per_s"]
     assert units["pair_changes"][1] == pytest.approx(-0.1)
     assert units["raw_pair_changes"][1] > 0.2
-    assert units["verdict"] == units["raw_verdict"] == "resolved"
+    # three of four pairs are too few wins for the calibrated verdict
+    assert (units["verdict"], units["raw_verdict"]) == ("not resolved", "resolved")
     assert units["disagreeing_pairs"] == [1]
-    assert units["wins_change"] == 3
-    # raw values that tie in every pair: the raw verdict alone reads nothing,
-    # and a tie favours neither side, so no pair disagrees
+    assert (units["wins_change"], units["raw_wins_change"]) == (3, 4)
+    # raw values that tie in every pair: a tie favours neither side, so the
+    # raw verdict reads nothing and no pair disagrees
+    runs[1]["change"]["values"] = kept
     for r in runs:
         r["change"]["raw"] = dict(r["base"]["raw"])
     for name in SPEC:
         metric = pairs.summarize(runs, aa, SPEC)["metrics"][name]
         assert (metric["verdict"], metric["raw_verdict"]) == ("resolved", "not resolved"), name
-        assert metric["raw_pair_changes"] == [0, 0, 0, 0]
+        assert metric["raw_pair_changes"] == [0, 0, 0, 0] and metric["raw_wins_change"] == 0
         assert metric["disagreeing_pairs"] == []
 
 
-@pytest.mark.skipif(not (SCRIPT.parents[1] / ".git").exists(), reason="--base needs a git checkout")
+def test_probe_series_record(tmp_path):
+    runs = _series(tmp_path, "base", "change", (100, 125), [1, 2], runner=probe_stub)
+    aa = _series(tmp_path, "base", "copy", (100, 100), [3, 4], runner=probe_stub)
+    record = pairs.summarize(runs, aa, pairs.PROBE_SPEC)
+    assert record["pairs"] == [{"seed": 1, "first": "base", "dirs": {"base": "a", "change": "b"}},
+                               {"seed": 2, "first": "change",
+                                "dirs": {"change": "a", "base": "b"}}]
+    assert [p["dirs"] for p in record["aa"]["pairs"]] == [{"base": "a", "copy": "b"},
+                                                          {"copy": "a", "base": "b"}]
+    # cpu_s next to seconds, each lower-is-better and unbounded
+    assert list(record["metrics"]) == ["seconds", "cpu_s", "peak_rss_mb"]
+    for name, metric in record["metrics"].items():
+        assert (metric["better"], metric["bound"]) == ("lower", None), name
+        assert metric["raw_pair_changes"] == metric["pair_changes"]
+    assert record["metrics"]["cpu_s"]["change"]["values"] == pytest.approx(
+        [1.2 / (125 * OFFSET_B), 1.2 / 125])
+    # each side's stjac is hashed from its tree: two hashes, one in an A/A
+    sha = {s: record["src_sha256"][s] for s in ("base", "change")}
+    assert len(sha["base"]) == len(sha["change"]) == 1 and sha["base"] != sha["change"]
+    assert record["aa"]["src_sha256"] == {"base": sha["base"], "copy": sha["base"]}
+    assert record["answer"] == record["aa"]["answer"] == {"count": 1988}
+    assert record["same_answers"] is record["aa"]["same_answers"] is True
+    runs[1]["base"]["answer"] = {"count": 1989}
+    assert pairs.summarize(runs, aa, pairs.PROBE_SPEC)["same_answers"] is False
+
+
+@needs_git
 def test_main_merges_workloads_into_one_file(tmp_path, monkeypatch, capsys):
-    series = pairs.series
-    monkeypatch.setattr(pairs, "series", lambda *a: series(*a, runner=stub))
+    monkeypatch.setattr(pairs, "perfbench", stub)
     out = tmp_path / "bench.json"
     for workload in ("count-1e6", "sweep-2e4"):
-        pairs.main(["--base", "HEAD", "--workload", workload, "--pairs", "2", "--aa", "2",
-                    "--out", str(out)])
+        assert pairs.main(["--base", "HEAD", "--workload", workload, "--pairs", "2", "--aa", "2",
+                           "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     # one stderr line per workload and metric, with both verdicts
     lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("{")]
     assert len(lines) == 2 * len(FULL)
-    assert lines[0] == ("count-1e6 units_per_s: +0.1% not resolved, raw +0.1% not resolved; "
-                        "pairs disagreeing: []")
+    assert lines[0] == ("count-1e6 units_per_s: +0.1%, 1 of 2 pairs, not resolved; "
+                        "raw +0.1%, 1 of 2 pairs, not resolved; pairs disagreeing: []")
     assert doc["schema"] == pairs.SCHEMA
     assert set(doc["workloads"]) == {"count-1e6", "sweep-2e4"}
     for record in doc["workloads"].values():
@@ -161,3 +232,43 @@ def test_main_merges_workloads_into_one_file(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit, match="another schema or base"):
         pairs.main(["--base", "HEAD", "--workload", "st0-curves", "--pairs", "1",
                     "--out", str(out)])
+
+
+@needs_git
+def test_main_runs_a_probe_name_as_a_probe(monkeypatch, capsys):
+    monkeypatch.setattr(pairs, "probe", probe_stub)
+    assert pairs.main(["--base", "HEAD", "--workload", "count:additive:397:1:2383",
+                       "--pairs", "2"]) == 0
+    record = json.loads(capsys.readouterr().out)["workloads"]["count:additive:397:1:2383"]
+    assert set(record["metrics"]) == set(pairs.PROBE_SPEC)
+    # answers that differ between runs make the exit status 1
+    monkeypatch.setattr(pairs, "probe", lambda tree, *a: {**probe_stub(tree, *a),
+                                                          "answer": tree.name})
+    assert pairs.main(["--base", "HEAD", "--workload", "count:additive:397:1:2383",
+                       "--pairs", "2"]) == 1
+    assert "the answers differ" in capsys.readouterr().err
+
+
+@needs_git
+def test_base_pairs_agree_on_the_same_commit(capsys):
+    assert pairs.main(["--base", "HEAD", "--workload", "st0:additive:6:3", "--pairs", "2",
+                       "--aa", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    record = doc["workloads"]["st0:additive:6:3"]
+    assert record["correct"] and record["aa"]["correct"]
+    assert record["attempted"] == {"base": [1, 1], "change": [1, 1]}
+    # the change side is the working tree's stjac, and both sides of the
+    # A/A series are the base's
+    base_sha = record["src_sha256"]["base"]
+    assert record["src_sha256"]["change"] == [pairs.src_sha256(pairs.ROOT)]
+    assert record["aa"]["src_sha256"] == {"base": base_sha, "copy": base_sha}
+    assert record["answer"] == {"dimension": 1, "classes": 1, "primes_used": [7, 13, 19]}
+    assert record["same_answers"] and record["aa"]["same_answers"]
+    for name, metric in record["metrics"].items():
+        for side in ("base", "change"):
+            assert all(v > 0 for v in metric[side]["values"]), (name, side)
+        assert metric["verdict"] in ("resolved", "not resolved")
+    # the probed call runs inside the process whose CPU time is measured
+    seconds, cpu = (record["metrics"][k]["base"]["values"] for k in ("seconds", "cpu_s"))
+    assert all(s < c for s, c in zip(seconds, cpu))
+    assert all(10 < mb < 1000 for mb in record["metrics"]["peak_rss_mb"]["base"]["values"])

@@ -195,6 +195,19 @@ def test_formula_equals_oracle_for_large_d_near_a_million(deadline, family, d):
     assert list(fld.joint) == [pointcount.congruence_modulus(spec)]
 
 
+def test_large_conductor_count_at_a_small_prime(deadline):
+    # x^397 + c at p = 2383 sums its Jacobi sums in Z[zeta_794]; Phi_794 has
+    # 397 nonzero terms, and the fold by x^397 = -1 leaves one coefficient
+    # above phi(794) = 396 for the long division.  c = 1 alone would not
+    # see the sign of the fold: its Jacobi sums add up to a constant
+    # polynomial before any reduction
+    fld = make_field(2383)
+    specs = [curve(ADDITIVE, 397, c) for c in (1, 3)]
+    with deadline(1):
+        counts = [count_formula(fld, spec) for spec in specs]
+    assert counts == [count_bruteforce(fld, spec) for spec in specs] == [1988, 1589]
+
+
 _PRIMES_BELOW_3000 = prime_range(3, 3000)
 
 

@@ -1,50 +1,65 @@
-"""Paired perfbench runs of a base revision against this tree, in one JSON schema.
+"""Paired runs of a base revision against this tree, perfbench or probe, in one JSON schema.
 
     python tools/pairs.py --base HEAD~1 --workload count-1e6 --pairs 10 --aa 6 --out BENCH.json
-    python tools/pairs.py --base HEAD~1 --workload sweep-2e4 --pairs 6 --out BENCH.json
-    python tools/pairs.py --base HEAD --workload st0-curves --pairs 4   # A/A: HEAD against HEAD
+    python tools/pairs.py --base HEAD~1 --workload count:additive:397:1:2383 --pairs 10
+    python tools/pairs.py --base HEAD --workload st0:additive:840:3 --pairs 4  # A/A on a clean tree
 
-The base side is REV's ``src`` and ``perfbench``, exported with ``git
-archive``; the change side is the same two directories of the working
-tree, tracked and untracked files alike, minus what git ignores.  Each
-pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once per side, each side in a fresh export, in one of two directories,
-``a`` and ``b``, under one temporary root.  The tree in ``a`` runs first,
-and the two sides trade directories every pair, so over an even number of
-pairs both the side that runs first and the directory each side runs in
+A workload is a perfbench workload or a probe, named as ``tools/probes.py
+--only`` names it (KIND:FIELDS).  The base side is REV's ``src``,
+``perfbench`` and ``tools``, exported with ``git archive``; the change side
+is the same three directories of the working tree, tracked and untracked
+files alike, minus what git ignores.  Each pair runs the workload once per
+side, each side in a fresh export, in one of two directories, ``a`` and
+``b``, under one temporary root.  The tree in ``a`` runs first, and the
+two sides trade directories every pair, so over an even number of pairs
+both the side that runs first and the directory each side runs in
 alternate.  Pair i takes seed SEED + i.  Then ``--aa M`` pairs run the
 base against a second export of the base in the change's place, in the
 same way, with seeds SEED + N + j: an A/A series of identical code.
 
-The output holds, per workload, each run's seed, directory, order,
-request counts and the SHA-256 of the ``src/stjac`` it imported, and per
-end-to-end metric (unit, better direction and bound from BENCHMARK.json):
-- each side's calibrated and raw values, run by run;
+A perfbench run is ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0``; its metrics are the end-to-end metrics of BENCHMARK.json,
+calibrated and raw.  A probe run is that tree's ``tools/probes.py
+--measure NAME --src <tree>/src``, under the probe's default cap (the seed
+and ``--seconds`` do not apply); its metrics are the probed call's
+``seconds``, the CPU time ``cpu_s`` and the ``peak_rss_mb`` of the probe's
+process, lower is better and none has a bound.  A probe has no
+calibration, so its raw values are its values, and its answer (the result
+without its times) must be the same in every run of both sides.  A run
+that fails stops the harness.
+
+The output holds, per workload and series, each run's seed, directory,
+order, request counts (one per probe run) and the SHA-256 of the
+``src/stjac`` it imported, the answer of its first run and whether every
+run gave it (perfbench checks its own answers: its answer is null), and
+per metric (unit, better direction and bound):
+- each side's values and raw values, run by run;
 - the side medians, the base side's IQR and the change of the medians;
 - each pair's relative change (change / base - 1), their median and how
-  many pairs favour the change;
-- the A/A series' pair changes, their median and their range [min, max];
-- the verdict: "resolved" when the median pair change lies outside the A/A
-  range and the A/A series holds at least as many pairs as the change
-  series, "A/A too short" when it lies outside a shorter series' range,
-  "not resolved" when it lies inside, "no A/A" without a series;
-- the same pair changes, A/A range and verdict on the raw values, and the
-  pairs whose calibrated and raw changes favour different sides.
+  many pairs favour the change (a tie favours neither side);
+- the A/A series' pair changes, their median and their range [min, max],
+  as context;
+- the verdict: "resolved" when the change wins at least nine tenths of the
+  pairs and its median is better than the base median by more than the
+  base IQR, else "not resolved";
+- the same pair changes, wins and verdict on the raw values, and the pairs
+  whose calibrated and raw changes favour different sides.
 
-A line per metric on stderr gives both verdicts and those pairs.
-
-With ``--out FILE`` the workload is merged into FILE when it exists (same
-schema and base), so one file collects several workloads; ``--probes
-FILE`` embeds a ``tools/probes.py --base`` record under "probes".
+A line per metric on stderr gives both verdicts and those pairs.  With
+``--out FILE`` the workload is merged into FILE when it exists (same
+schema and base), so one file collects several workloads.  The exit status
+is 1 when the answers of a probe differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
 import platform
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -55,17 +70,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = "stjac-pairs/1"
-TREES = ("src", "perfbench")
+TREES = ("src", "perfbench", "tools")
+# name -> (unit, better, bound) of a probe's metrics
+PROBE_SPEC = {"seconds": ("s", "lower", None), "cpu_s": ("s", "lower", None),
+              "peak_rss_mb": ("MB", "lower", None)}
+# the keys of a probe's result that are times, not answers
+TIMES = runpy.run_path(str(ROOT / "tools" / "probes.py"))["TIMES"]
 
 
 def archive_rev(rev: str) -> bytes:
-    """REV's ``src`` and ``perfbench`` as a tar."""
+    """REV's trees as a tar."""
     return subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *TREES],
                           capture_output=True, check=True).stdout
 
 
 def archive_worktree() -> bytes:
-    """The working tree's ``src`` and ``perfbench`` as a tar, without ignored files."""
+    """The working tree's trees as a tar, without ignored files."""
     names = subprocess.run(
         ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard",
          *TREES], capture_output=True, check=True).stdout.decode().split("\0")
@@ -86,6 +106,14 @@ def extract(tar: bytes, dest: Path) -> Path:
     return dest
 
 
+def src_sha256(tree: Path) -> str:
+    """The SHA-256 of tree's ``src/stjac``, as ``perfbench/run.py`` records it."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "stjac").rglob("*.py")):
+        digest.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run in tree: request counts,
     calibrated and raw end-to-end metrics and the SHA-256 of its stjac."""
@@ -98,11 +126,28 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     out = json.loads(path.read_text())
     return {"correct": last["correct"], "attempted": last["attempted"], "failed": last["failed"],
             "values": {name: m["value"] for name, m in last["metrics"].items()},
-            "raw": out["raw_metrics"], "src_sha256": out["env"]["src_sha256"]}
+            "raw": out["raw_metrics"], "src_sha256": out["env"]["src_sha256"], "answer": None}
+
+
+def probe(tree: Path, name: str, seed: int, seconds: float) -> dict:
+    """One ``tools/probes.py --measure`` run of the probe in tree: its
+    seconds, CPU time and peak RSS, its answer and the SHA-256 of its stjac."""
+    proc = subprocess.run(
+        [sys.executable, "tools/probes.py", "--measure", name, "--src", str(tree / "src")],
+        cwd=tree, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    if out["status"] != "ok":
+        raise RuntimeError(f"{name} in {tree}: {out['status']} {out.get('error', '')}")
+    result = out["result"]
+    values = {"seconds": result["seconds"], "cpu_s": out["cpu_s"],
+              "peak_rss_mb": out["peak_rss_mb"]}
+    return {"correct": True, "attempted": 1, "failed": 0, "values": values, "raw": values,
+            "src_sha256": src_sha256(tree),
+            "answer": {k: v for k, v in result.items() if k not in TIMES}}
 
 
 def series(tars: dict[str, bytes], workload: str, seeds: list[int], seconds: float,
-           root: Path, runner=perfbench) -> list[dict]:
+           root: Path, runner) -> list[dict]:
     """One pair per seed between the two tars (keys: base side first); the
     tree in ``a`` runs first and the sides trade directories every pair."""
     first, second = tars
@@ -119,12 +164,15 @@ def series(tars: dict[str, bytes], workload: str, seeds: list[int], seconds: flo
 
 
 def _runs_record(runs: list[dict], sides: tuple[str, str]) -> dict:
-    """Order, directories, request counts and stjac hashes of one series."""
+    """Order, directories, request counts, stjac hashes and answers of one series."""
+    answers = [r[s]["answer"] for r in runs for s in sides]
     return {
         "pairs": [{"seed": r["seed"], "first": r["first"], "dirs": r["dirs"]} for r in runs],
         **{key: {s: [r[s][key] for r in runs] for s in sides} for key in ("attempted", "failed")},
         "correct": all(r[s]["correct"] for r in runs for s in sides),
         "src_sha256": {s: sorted({r[s]["src_sha256"] for r in runs}) for s in sides},
+        "answer": answers[0] if answers else None,
+        "same_answers": all(a == answers[0] for a in answers),
     }
 
 
@@ -135,14 +183,23 @@ def _pair_changes(runs: list[dict], sides: tuple[str, str], name: str,
     return [r[other][key][name] / r[base][key][name] - 1 for r in runs]
 
 
-def verdict(median_change: float, aa_changes: list[float], pairs: int) -> str:
-    """Whether a median pair change over ``pairs`` pairs stands out of the A/A
-    range: a range from fewer pairs is narrower by chance, so it resolves nothing."""
-    if not aa_changes:
-        return "no A/A"
-    if min(aa_changes) <= median_change <= max(aa_changes):
+def _iqr(values: list[float]) -> float | None:
+    """q3 - q1 of the values, or None for fewer than two."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(base: list[float], change: list[float], wins: int, sign: int) -> str:
+    """The verdict on one metric: "resolved" when the change won at least
+    nine tenths of the pairs and its median is better (sign 1: higher) than
+    the base median by more than the base IQR, else "not resolved"."""
+    spread = _iqr(base)
+    if spread is None or 10 * wins < 9 * len(base):
         return "not resolved"
-    return "resolved" if len(aa_changes) >= pairs else "A/A too short"
+    gain = sign * (statistics.median(change) - statistics.median(base))
+    return "resolved" if gain > spread else "not resolved"
 
 
 def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
@@ -152,28 +209,24 @@ def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
               "aa": _runs_record(aa, ("base", "copy")), "metrics": {}}
     for name, (unit, better, bound) in spec.items():
         sign = 1 if better == "higher" else -1
-        values = {s: [r[s]["values"][name] for r in runs] for s in ("base", "change")}
+        sides = {s: {key: [r[s][key][name] for r in runs] for key in ("values", "raw")}
+                 for s in ("base", "change")}
         changes, raw = (_pair_changes(runs, ("base", "change"), name, key)
                         for key in ("values", "raw"))
         aa_changes, aa_raw = (_pair_changes(aa, ("base", "copy"), name, key)
                               for key in ("values", "raw"))
-        median_change, raw_median = statistics.median(changes), statistics.median(raw)
-        base_median, change_median = (statistics.median(v) for v in values.values())
-        iqr = None
-        if len(runs) > 1:
-            q1, _, q3 = statistics.quantiles(values["base"], n=4)
-            iqr = (q3 - q1) / base_median
+        wins, raw_wins = (sum(sign * c > 0 for c in cs) for cs in (changes, raw))
+        base_median, change_median = (statistics.median(sides[s]["values"]) for s in sides)
+        iqr = _iqr(sides["base"]["values"])
         record["metrics"][name] = {
-            "unit": unit, "better": better, "bound": bound,
-            **{s: {"values": values[s], "raw": [r[s]["raw"][name] for r in runs]}
-               for s in ("base", "change")},
+            "unit": unit, "better": better, "bound": bound, **sides,
             "base_median": base_median,
             "change_median": change_median,
             "median_change_frac": change_median / base_median - 1,
-            "base_iqr_frac": iqr,
+            "base_iqr_frac": None if iqr is None else iqr / base_median,
             "pair_changes": changes,
-            "median_pair_change": median_change,
-            "wins_change": sum(sign * c > 0 for c in changes),
+            "median_pair_change": statistics.median(changes),
+            "wins_change": wins,
             "aa": {
                 **{s: [r[s]["values"][name] for r in aa] for s in ("base", "copy")},
                 "pair_changes": aa_changes,
@@ -182,10 +235,11 @@ def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
                 "raw_pair_changes": aa_raw,
                 "raw_range": [min(aa_raw), max(aa_raw)] if aa else None,
             },
-            "verdict": verdict(median_change, aa_changes, len(runs)),
+            "verdict": verdict(sides["base"]["values"], sides["change"]["values"], wins, sign),
             "raw_pair_changes": raw,
-            "raw_median_pair_change": raw_median,
-            "raw_verdict": verdict(raw_median, aa_raw, len(runs)),
+            "raw_median_pair_change": statistics.median(raw),
+            "raw_wins_change": raw_wins,
+            "raw_verdict": verdict(sides["base"]["raw"], sides["change"]["raw"], raw_wins, sign),
             "disagreeing_pairs": [i for i, (c, r) in enumerate(zip(changes, raw)) if c * r < 0],
         }
     return record
@@ -200,12 +254,11 @@ def end_to_end_spec() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, metavar="REV")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a perfbench workload or KIND:FIELDS")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--aa", type=int, default=0, help="pairs of the A/A series")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--probes", default=None, help="embed this tools/probes.py --base JSON")
     ap.add_argument("--out", default=None, help="merge the record into this JSON file")
     args = ap.parse_args(argv)
     base_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
@@ -215,32 +268,36 @@ def main(argv=None) -> int:
         "schema": SCHEMA, "base": base_sha, "workloads": {}}
     if doc.get("schema") != SCHEMA or doc.get("base") != base_sha:
         raise SystemExit(f"pairs: {out} holds another schema or base")
+    is_probe = ":" in args.workload
+    runner, spec = (probe, PROBE_SPEC) if is_probe else (perfbench, end_to_end_spec())
     base = archive_rev(base_sha)
     seeds = list(range(args.seed, args.seed + args.pairs + args.aa))
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         root = Path(tmp)
         runs = series({"base": base, "change": archive_worktree()}, args.workload,
-                      seeds[:args.pairs], args.seconds, root)
+                      seeds[:args.pairs], args.seconds, root, runner)
         aa = series({"base": base, "copy": base}, args.workload, seeds[args.pairs:],
-                    args.seconds, root)
+                    args.seconds, root, runner)
     doc["machine"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(),
                       "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
-    record = summarize(runs, aa, end_to_end_spec())
+    record = summarize(runs, aa, spec)
     record["command"] = (f"tools/pairs.py --base {args.base} --workload {args.workload} "
                          f"--pairs {args.pairs} --aa {args.aa} --seed {args.seed} "
                          f"--seconds {args.seconds:g}")
     doc["workloads"][args.workload] = record
     for name, m in record["metrics"].items():
-        print(f"{args.workload} {name}: {m['median_pair_change']:+.1%} {m['verdict']}, "
-              f"raw {m['raw_median_pair_change']:+.1%} {m['raw_verdict']}; "
+        print(f"{args.workload} {name}: {m['median_pair_change']:+.1%}, {m['wins_change']} of "
+              f"{args.pairs} pairs, {m['verdict']}; raw {m['raw_median_pair_change']:+.1%}, "
+              f"{m['raw_wins_change']} of {args.pairs} pairs, {m['raw_verdict']}; "
               f"pairs disagreeing: {m['disagreeing_pairs']}", file=sys.stderr)
-    if args.probes:
-        doc.setdefault("probes", []).append(json.loads(Path(args.probes).read_text()))
     text = json.dumps(doc, indent=1)
     if out:
         out.write_text(text + "\n")
     print(text)
+    if not (record["same_answers"] and record["aa"]["same_answers"]):
+        print(f"{args.workload}: the answers differ", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -3,10 +3,7 @@
     python tools/probes.py                          # the default probes, JSON on stdout
     python tools/probes.py --cap 60 --out probes.json
     python tools/probes.py --only st0:additive:6:3  # one probe
-    python tools/probes.py --base HEAD~1 --only st0:additive:420:3
-    python tools/probes.py --base HEAD~1 --only st0scan:additive:40
-    python tools/probes.py --base HEAD~1 --only st0pool:5
-    python tools/probes.py --base HEAD~1 --only st0survey:200
+    python tools/probes.py --only st0pool:5 st0survey:200
 
 A probe is named KIND:FIELD:..., mostly KIND:FAMILY:D:..., with stjac
 imported from the ``src`` next to this script:
@@ -21,9 +18,9 @@ imported from the ``src`` next to this script:
   st0-curves (POOL) with each of the TWISTS, 126 calls in one pass: one
   cold pass, then WARM warm passes in the same process.  Both are CPU time
   (``time.process_time``): ``first_s`` is the cold pass, ``seconds`` the
-  WARM warm passes and ``per_call_s`` their time per call, which a
-  ``--base`` pair compares without the harness of perfbench.  Every pass
-  must name the same tori; ``names_sha256`` is the SHA-256 of their
+  WARM warm passes and ``per_call_s`` their time per call, which a pair
+  compares without the harness of perfbench.  Every pass must name the
+  same tori; ``names_sha256`` is the SHA-256 of their
   ``TorusId.to_dict()``s;
 - st0survey:D, ``identify_st0`` at c = 3 of every additive x^d + 3 and
   every odd linear x^d + 3x, d in 3..D, in one process: the cold scan over
@@ -68,30 +65,19 @@ of t_p mod p ambiguous, and the interval of the point count fixes t_p.  A sweep'
 (p, t_p) pairs, so two checkouts can be compared by answer as well as by
 time.
 
-With ``--base REV`` each probe is paired: REV's ``src`` is exported with
-``git archive`` into a temporary directory, and the repeats alternate
-between REV and the working tree's ``src`` (REV first in the first,
-third, ... pair), each run in a fresh process, so drift of the machine
-falls on both sides.  The record holds each side's fastest run and
-largest peak RSS, the ratio change/base of each pair's seconds, their
-median and how many pairs favour the change, the same three for each
-pair's CPU time (``cpu_ratios``, ``median_cpu_ratio``,
-``favour_change_cpu``), and whether both sides gave the same answers.
+``tools/pairs.py --base REV --workload KIND:FIELDS`` pairs one probe
+between REV and the working tree, one ``--measure`` run per side and pair.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import platform
 import resource
-import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 import time
 from pathlib import Path
 
@@ -241,11 +227,11 @@ def measure(name: str, cap: float, src: Path = SRC) -> dict:
     return record
 
 
-def measure_fresh(name: str, cap: float, src: Path = SRC) -> dict:
+def measure_fresh(name: str, cap: float) -> dict:
     """``measure`` in a fresh measuring process, so that the peak RSS of its
     children is this run's alone."""
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure", name, "--cap", str(cap), "--src", str(src)],
+        [sys.executable, __file__, "--measure", name, "--cap", str(cap)],
         capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -272,53 +258,11 @@ def repeat(name: str, cap: float) -> dict:
     return summarize(records)
 
 
-def paired(name: str, cap: float, base: Path) -> dict:
-    """Alternate up to REPEATS pairs of runs of one probe between the
-    ``src`` at ``base`` and this tree's, until a run is not ok."""
-    sides = {"base": [], "change": []}
-    srcs = {"base": base, "change": SRC}
-    for i in range(REPEATS):
-        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            sides[side].append(measure_fresh(name, cap, srcs[side]))
-        if any(r[-1]["status"] != "ok" for r in sides.values()):
-            break
-    base_runs, change_runs = sides["base"], sides["change"]
-    ok = [(b, c) for b, c in zip(base_runs, change_runs) if b["result"] and c["result"]]
-    ratios = [c["result"]["seconds"] / b["result"]["seconds"] for b, c in ok]
-    cpu_ratios = [c["cpu_s"] / b["cpu_s"] for b, c in ok]
-    answers = [{k: v for k, v in (r["result"] or {}).items() if k not in TIMES}
-               for r in base_runs + change_runs]
-    return {
-        "probe": name, "cap_s": cap, "pairs": len(base_runs),
-        "base": summarize(base_runs), "change": summarize(change_runs),
-        "ratios": ratios, "median_ratio": statistics.median(ratios) if ratios else None,
-        "favour_change": sum(r < 1 for r in ratios),
-        "cpu_ratios": cpu_ratios,
-        "median_cpu_ratio": statistics.median(cpu_ratios) if cpu_ratios else None,
-        "favour_change_cpu": sum(r < 1 for r in cpu_ratios),
-        "same_answers": all(a == answers[0] for a in answers),
-    }
-
-
-def export_src(rev: str, dest: str) -> Path:
-    """Write REV's ``src`` into dest with ``git archive``; return its path."""
-    repo = SRC.parent
-    archive = subprocess.run(
-        ["git", "-C", str(repo), "archive", "--format=tar", rev, "src"],
-        capture_output=True, check=True,
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-    return Path(dest) / "src"
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", nargs="+", default=list(DEFAULT), metavar="PROBE")
     ap.add_argument("--cap", type=float, default=60.0, help="seconds per run of a probe")
     ap.add_argument("--out", default=None, help="also write the JSON here")
-    ap.add_argument("--base", default=None, metavar="REV",
-                    help="pair each probe's runs between REV's src and this tree's")
     ap.add_argument("--run", default=None, help=argparse.SUPPRESS)
     ap.add_argument("--measure", default=None, help=argparse.SUPPRESS)
     ap.add_argument("--src", type=Path, default=SRC, help=argparse.SUPPRESS)
@@ -330,15 +274,11 @@ def main(argv=None) -> int:
         print(json.dumps(measure(args.measure, args.cap, args.src)))
         return 0
     probes = []
-    with tempfile.TemporaryDirectory(prefix="probes-base-") as tmp:
-        base = export_src(args.base, tmp) if args.base else None
-        for name in args.only:
-            probes.append(paired(name, args.cap, base) if base else repeat(name, args.cap))
-            print(json.dumps(probes[-1]), file=sys.stderr)
+    for name in args.only:
+        probes.append(repeat(name, args.cap))
+        print(json.dumps(probes[-1]), file=sys.stderr)
     doc = {"python": platform.python_version(), "machine": platform.machine(),
            "cap_s": args.cap, "probes": probes}
-    if args.base:
-        doc["base"] = args.base
     text = json.dumps(doc, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
