@@ -32,6 +32,7 @@ from itertools import islice
 
 from .errors import (
     InconsistentAcrossPrimesError,
+    InputError,
     NoGenericPrimeError,
     RelationVerificationError,
     StjacError,
@@ -152,10 +153,10 @@ def generic_primes(family: str, d: int, count: int) -> tuple[int, ...]:
     ``congruence_modulus``, in order.
 
     Memoized per arguments for the last 256 calls; every call gets the
-    same tuple.
+    same tuple.  A count that is not an int of at least 1 is an InputError.
     """
-    if count < 1:
-        raise ValueError(f"the number of primes must be at least 1, got {count}")
+    if not isinstance(count, int) or count < 1:
+        raise InputError(f"the number of primes must be an int of at least 1, got {count!r}")
     m = congruence_modulus(CurveSpec(family, d))
     found = tuple(islice(filter(is_prime, range(m + 1, GENERIC_PRIME_BOUND + 1, m)), count))
     if len(found) < count:

@@ -31,14 +31,13 @@ prime, and folds the pass over the whole kernel into one lattice verdict
 per field (``verify_relation``); ``relation_report`` (``stjac kernel``)
 runs the same pass over a basis and keeps each vector's verdict.
 Everything of a pass but the twisted terms and their residues depends
-only on the matrix and the vectors, and is memoized per process: the
-matrix's hash, one plan per batch (``_relation_plan``: the membership
-product, the orbits the rows touch with each of their columns'
-representative slot and embedding exponent, the embeddings, the entry
-lists and each row's p^k modulo the split primes) and the split primes
-with their powers (``split_prime``).  A pass builds the terms of the
-touched orbits only, and checks each against w * conj(w) = p, on every
-call.
+only on the matrix and the vectors, and is memoized per process: one
+plan per batch (``_relation_plan``: the membership product, the orbits
+the rows touch with each of their columns' representative slot and
+embedding exponent, the embeddings, the entry lists and each row's p^k
+modulo the split primes) and the split primes with their powers
+(``split_prime``).  A pass builds the terms of the touched orbits only,
+and checks each against w * conj(w) = p, on every call.
 The kernel's HNF and the rank behind ``right_kernel`` are memoized per
 matrix (``intlinalg``), and the kernel's basis is the memo's own tuple,
 so the plans of one kernel share its rows; its Smith-form check and rank
@@ -106,18 +105,10 @@ class CarryMatrix:
         return self.p - 1
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of the fields, taken once: every memo keyed by a matrix
-        would otherwise rehash each row of its entries on each lookup."""
-        return hash((self.p, self.d, self.family, self.rows, self.cols, self.entries,
-                     self.is_generic))
-
-    def __getstate__(self) -> dict:
-        # str hashes are salted per process, so a copy made by pickle takes its own
-        return {k: v for k, v in vars(self).items() if k != "_hash"}
+        # build_matrix makes the matrix a function of its key, so the key
+        # hashes it, and no memo lookup rehashes the entries; equality still
+        # compares every field
+        return hash((self.p, self.d, self.family))
 
     @cached_property
     def distinct_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -186,7 +177,7 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     Each unit k is odd, so the carry rule reduces to k*a mod n >= n/2.
 
     Memoized: the last 256 (p, d, family) calls share one frozen matrix,
-    with its ``violations``, ``distinct_rows`` and hash.  A
+    with its ``violations`` and ``distinct_rows``.  A
     matrix never depends on the twist c, so a process that scans the twists
     of a curve builds each matrix once (the 18 st0-curves curves need 54
     entries); a one-shot ``stjac st0`` gains nothing.  ``typed`` keeps 11.0
@@ -391,10 +382,11 @@ class _RelationPlan:
     j-th split prime and ``unscale`` p^-k mod the first.  In the order of
     ``index``, ``need`` holds the number of split primes each row's bound
     needs, ``kslot`` the index of its k, ``keys[pos]`` the key +-a mod p-1
-    of entry pos of each row with more than pos entries, and ``bits[pos]``
-    the bit b of those entries times p-1 (None when every |e| is 1,
-    ``levels`` = 1; else b < ``levels``).  The arrays are read-only int64,
-    O(columns + rows x positions + split primes x distinct k) integers.
+    of entry pos of each row with more than pos entries, and
+    ``offsets[pos]`` their (|e| - 1)*(p-1), the start of the power |e| in a
+    table of the powers 1..``top`` of the residues, top = max |e| (None
+    when top = 1).  The arrays are read-only int64, O(columns + rows x
+    positions + split primes x distinct k) integers.
     """
 
     start: tuple[int | None, ...]
@@ -411,8 +403,8 @@ class _RelationPlan:
     scale: tuple[np.ndarray, ...] = ()
     unscale: np.ndarray | None = None
     keys: tuple[np.ndarray, ...] = ()
-    bits: tuple[np.ndarray, ...] | None = None
-    levels: int = 1
+    offsets: tuple[np.ndarray, ...] | None = None
+    top: int = 1
 
 
 @lru_cache(maxsize=256)
@@ -431,11 +423,11 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     the units mod p-1.
     Column a's conductor (p-1)/gcd(a, (p-1)/2) (``charsums.conductor``) is
     that of its representative g, and the lcm of all of them is
-    L = (p-1)/gcd((p-1)/2, every column), which is even.  A factor w^|e|
-    is the product of the w^(2^b) over the set bits b of |e|, so each row
-    becomes a list of entries (+-a mod n, b).  The plan keeps no array
-    over the embeddings: those would hold rows x positions x embeddings
-    keys.
+    L = (p-1)/gcd((p-1)/2, every column), which is even.  Each nonzero
+    entry e of a row becomes one pair (+-a mod n, (|e| - 1)*n): the key of
+    w or conj(w) and the offset of the power |e| in the pass's table of
+    powers.  The plan keeps no array over the embeddings: those would hold
+    rows x positions x embeddings keys.
     """
     rows = tuple(tuple(map(int, row)) for row in rows)
     if any(len(row) != len(mat.cols) for row in rows):
@@ -463,14 +455,10 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
     neg = [sum(-e for e in rows[i] if e < 0) for i in index]
     need = {k: len(split_primes(L, p, k)) for k in set(neg)}
     entries = [
-        [((a if e > 0 else -a) % n, abs(e)) for a, e in zip(mat.cols, rows[i]) if e]
+        [((a if e > 0 else -a) % n, (abs(e) - 1) * n) for a, e in zip(mat.cols, rows[i]) if e]
         for i in index
     ]
-    levels = max(e for ent in entries for _, e in ent).bit_length()
-    if levels > 1:
-        entries = [
-            [(key, b) for key, e in ent for b in range(levels) if e >> b & 1] for ent in entries
-        ]
+    top = max(abs(e) for i in index for e in rows[i])
     order = sorted(range(len(index)), key=lambda i: len(entries[i]), reverse=True)
     entries = [entries[i] for i in order]
     # longest first, so the rows with an entry at pos are a prefix
@@ -479,9 +467,9 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
         for pos in range(len(entries[0]))
     ]
     keys = tuple(_read_only([key for key, _ in col]) for col in columns)
-    bits = None
-    if levels > 1:
-        bits = tuple(_read_only([b * n for _, b in col]) for col in columns)
+    offsets = None
+    if top > 1:
+        offsets = tuple(_read_only([offset for _, offset in col]) for col in columns)
     neg = [neg[i] for i in order]
     distinct = sorted(set(neg))
     primes = split_primes(L, p, distinct[-1])
@@ -496,8 +484,8 @@ def _relation_plan(mat: CarryMatrix, rows: tuple[tuple[int, ...], ...]) -> _Rela
         primes=tuple(primes), need=_read_only([need[k] for k in neg]),
         kslot=_read_only([kslot[k] for k in neg]),
         scale=tuple(_read_only([pow(p, k, ell) for k in distinct]) for ell, _, _ in primes),
-        unscale=_read_only([pow(p, -k, primes[0][0]) for k in distinct]), keys=keys, bits=bits,
-        levels=levels,
+        unscale=_read_only([pow(p, -k, primes[0][0]) for k in distinct]), keys=keys,
+        offsets=offsets, top=top,
     )
 
 
@@ -577,11 +565,12 @@ def _relation_exponents(fld: PrimeField, plan: _RelationPlan, c) -> list[int | N
     Each row is checked at the prefix of the plan's split primes that
     passes its own 2 p^k, the primes a check of that row alone would use.
     At each split prime one ``_evaluate`` gives the residue of every
-    column of a touched orbit, and one numpy pass builds X at every
-    embedding u for the rows still checked there: position i of every
-    entry list long enough gathers its residues at key +-u*a mod n from
-    the table squared b times, and multiplies them in.  The work arrays are
-    rows x embeddings, whatever the support sizes; the terms and their
+    column of a touched orbit, top - 1 products raise them to the powers
+    1..top, and one numpy pass builds X at every embedding u for the rows
+    still checked there: position i of every entry list long enough
+    gathers its residues at key +-u*a mod n from the power |e| of the
+    table, one gather per entry, and multiplies them in.  The work arrays
+    are rows x embeddings, whatever the support sizes; the terms and their
     residues are the only input that depends on the field and the twist,
     and a pass with no row to check builds none.
     """
@@ -589,7 +578,7 @@ def _relation_exponents(fld: PrimeField, plan: _RelationPlan, c) -> list[int | N
     if not plan.index:
         return ts
     terms = _orbit_terms(fld, plan, c)
-    L, n, ks, levels = plan.L, fld.n, plan.ks, plan.levels
+    L, n, ks = plan.L, fld.n, plan.ks
     # spread[key] holds key * u mod n for the embeddings u
     spread = np.arange(n, dtype=np.int64)[:, None] * ks % n
     ok = np.ones(len(plan.index), dtype=bool)
@@ -600,12 +589,12 @@ def _relation_exponents(fld: PrimeField, plan: _RelationPlan, c) -> list[int | N
         act = np.flatnonzero(ok & (plan.need > j))
         if not len(act):
             break
-        table = np.zeros(n, dtype=np.int64)
-        table[plan.columns] = _evaluate(terms, plan, ell, powers)
-        squares = [table]
-        for _ in range(1, levels):
-            squares.append(squares[-1] * squares[-1] % ell)
-        flat = np.concatenate(squares) if levels > 1 else table
+        # row m of the table holds the residues to the power m + 1
+        table = np.zeros((plan.top, n), dtype=np.int64)
+        table[0, plan.columns] = _evaluate(terms, plan, ell, powers)
+        for m in range(1, plan.top):
+            table[m] = table[m - 1] * table[0] % ell
+        flat = table.ravel()
         every = len(act) == len(plan.need)
         for pos, keys in enumerate(plan.keys):
             live = len(keys) if every else int(np.searchsorted(act, len(keys)))
@@ -613,8 +602,8 @@ def _relation_exponents(fld: PrimeField, plan: _RelationPlan, c) -> list[int | N
                 break
             at = slice(None) if every else act[:live]
             gathered = spread[keys[at]]
-            if plan.bits is not None:
-                gathered += plan.bits[pos][at][:, None]
+            if plan.offsets is not None:
+                gathered += plan.offsets[pos][at][:, None]
             if pos:
                 x[:live] = x[:live] * flat[gathered] % ell
             else:

@@ -10,6 +10,7 @@ from stjac import _accel, groupid, intlinalg, stmatrix
 from stjac.cli import main
 from stjac.errors import (
     InconsistentAcrossPrimesError,
+    InputError,
     NoGenericPrimeError,
     RelationVerificationError,
     StjacError,
@@ -249,6 +250,16 @@ def test_generic_primes():
     # M = 19998: the one candidate below the bound, 19999 = 7 * 2857, is not prime
     with pytest.raises(NoGenericPrimeError, match="only 0 generic primes below 20000"):
         generic_primes(ADDITIVE, 9999, 3)
+
+
+def test_prime_counts_are_checked_as_input():
+    # a count that is not an int of at least 1 is an InputError, also
+    # through identify_st0, which asks generic_primes first
+    for count in (0, -1, 2.5):
+        with pytest.raises(InputError, match="an int of at least 1"):
+            generic_primes(ADDITIVE, 10, count)
+        with pytest.raises(InputError, match="an int of at least 1"):
+            identify_st0(curve(ADDITIVE, 10, 1), count)
 
 
 def test_generic_primes_equal_the_odd_number_scan():

@@ -134,6 +134,17 @@ def test_the_verdict_is_wins_and_medians_apart_by_the_base_iqr():
         assert pairs.verdict(base, lower, wins, -1) == verdict, (shift, wins)
     # one pair has no IQR and resolves nothing
     assert pairs.verdict([100], [200], 1, 1) == "not resolved"
+    # a loss in nine tenths of the pairs beyond the bound, a fraction of the
+    # base median, regresses; without a bound the base IQR is the margin
+    for shift, losses, bound, verdict in ((-15, 10, 0.1, "regressed"), (-15, 9, 0.1, "regressed"),
+                                          (-15, 8, 0.1, "not resolved"),
+                                          (-5, 10, 0.1, "not resolved"),
+                                          (-3, 10, None, "regressed"),
+                                          (-1.5, 10, None, "not resolved")):
+        change = [v + shift for v in base]
+        assert pairs.verdict(base, change, 0, 1, losses, bound) == verdict, (shift, losses)
+        lower = [v - shift for v in base]
+        assert pairs.verdict(base, lower, 0, -1, losses, bound) == verdict, (shift, losses)
 
 
 def test_one_wild_aa_pair_decides_no_verdict(tmp_path):
@@ -209,6 +220,23 @@ def test_probe_series_record(tmp_path):
     assert pairs.summarize(runs, aa, pairs.PROBE_SPEC)["same_answers"] is False
 
 
+def test_losses_beyond_the_bound_regress(tmp_path):
+    # ten losses of ten: 30 % slower is beyond every end-to-end bound, 10 %
+    # slower is within each; a probe has no bound and uses the base IQR
+    aa = _series(tmp_path, "base", "copy", (100, 100), [11, 12, 13, 14])
+    seeds = list(range(1, 11))
+    for speed, verdict in ((70, "regressed"), (90, "not resolved")):
+        runs = _series(tmp_path, "base", "change", (100, speed), seeds)
+        metrics = pairs.summarize(runs, aa, FULL)["metrics"]
+        for name in ("units_per_s", "request_p50_s", "request_tail_s", "setup_s"):
+            metric = metrics[name]
+            assert metric["wins_change"] == metric["raw_wins_change"] == 0, name
+            assert (metric["verdict"], metric["raw_verdict"]) == (verdict, verdict), name
+    runs = _series(tmp_path, "base", "change", (100, 70), seeds, runner=probe_stub)
+    seconds = pairs.summarize(runs, [], pairs.PROBE_SPEC)["metrics"]["seconds"]
+    assert (seconds["verdict"], seconds["raw_verdict"]) == ("regressed", "regressed")
+
+
 @needs_git
 def test_main_merges_workloads_into_one_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pairs, "perfbench", stub)
@@ -267,7 +295,7 @@ def test_base_pairs_agree_on_the_same_commit(capsys):
     for name, metric in record["metrics"].items():
         for side in ("base", "change"):
             assert all(v > 0 for v in metric[side]["values"]), (name, side)
-        assert metric["verdict"] in ("resolved", "not resolved")
+        assert metric["verdict"] in ("resolved", "not resolved", "regressed")
     # the probed call runs inside the process whose CPU time is measured
     seconds, cpu = (record["metrics"][k]["base"]["values"] for k in ("seconds", "cpu_s"))
     assert all(s < c for s, c in zip(seconds, cpu))

@@ -1090,7 +1090,8 @@ def test_memoized_results_are_safe_to_share():
     assert kernel_basis(rows) is first
     assert rank(rows) == rank(list(rows)) == len(cols) - len(free)
     # an equal replace copy of a matrix hashes alike and shares the relation
-    # plan; a flipped copy (the same kernel) gets a plan of its own
+    # plan; a flipped copy (the same kernel, the same key) is not equal, so
+    # it gets a plan of its own
     m = build_matrix(41, 40, ADDITIVE)
     basis = right_kernel(m).basis
     plan = stmatrix._relation_plan(m, basis)
@@ -1098,7 +1099,7 @@ def test_memoized_results_are_safe_to_share():
     assert same == m and hash(same) == hash(m)
     assert stmatrix._relation_plan(same, basis) is plan
     flipped = dataclasses.replace(m, entries=tuple(tuple(1 - e for e in r) for r in m.entries))
-    assert flipped != m and hash(flipped) != hash(m)
+    assert flipped != m
     assert hash(flipped) == hash(dataclasses.replace(flipped))
     other = stmatrix._relation_plan(flipped, basis)
     assert other is not plan
@@ -1107,11 +1108,10 @@ def test_memoized_results_are_safe_to_share():
     bad = dataclasses.replace(m, cols=m.cols[:-1], entries=tuple(r[:-1] for r in m.entries))
     with pytest.raises(InputError, match="not closed under the units"):
         stmatrix._relation_plan(bad, (tuple(kernel_basis(bad.distinct_rows)[0]),))
-    for array in (plan.columns, plan.slot, plan.exponent, plan.ks, plan.need, *plan.keys):
+    for array in (plan.columns, plan.slot, plan.exponent, plan.ks, plan.need, *plan.keys,
+                  *(plan.offsets or ())):
         assert array.dtype == np.int64 and not array.flags.writeable
-    # pickling drops the hash, which holds in one process only
     copy = pickle.loads(pickle.dumps(m))
-    assert "_hash" in vars(m) and "_hash" not in vars(copy)
     assert copy == m and hash(copy) == hash(m)
 
 
@@ -1417,19 +1417,41 @@ def test_batch_checks_each_vector_at_the_split_primes_it_needs(monkeypatch):
 
 
 def test_batch_powers_match_the_vector_checks():
-    # |e| with several set bits reads the squared tables: scaled vectors
-    # and their sums against the per-vector results, and each of those
-    # against the Z[zeta] oracle
+    # |e| > 1 reads the table of powers: scaled vectors and integer
+    # combinations of kernel rows, which reach |e| >= 5 with several |e| in
+    # one row, against the per-vector results, and each of those against
+    # the Z[zeta] oracle
     c = Fraction(-3, 5)
-    for p, d, family in [(41, 40, ADDITIVE), (61, 30, ADDITIVE), (41, 11, LINEAR)]:
+    for p, d, family in [(41, 40, ADDITIVE), (61, 30, ADDITIVE), (41, 11, LINEAR),
+                         (31, 30, ADDITIVE), (73, 13, LINEAR)]:
         mat = build_matrix(p, d, family)
         basis = right_kernel(mat).basis
         mixed = [[s * x for x in v] for s, v in zip((1, 2, 3, 5, 7, 6), basis)]
         mixed.append([x + 3 * y for x, y in zip(basis[0], basis[-1])])
+        for s, t, u in [(2, -3, 0), (1, 4, -2), (3, 1, 5), (-4, 0, 3)]:
+            mixed.append([s * x + t * y + u * z for x, y, z in zip(basis[0], basis[1], basis[-1])])
+        assert max(abs(e) for v in mixed[-4:] for e in v) >= 5, (p, d, family)
         fld, ref = make_field(p), make_field(p)
         per = [verify_relation(fld, mat, v, c) for v in mixed]
         assert per == [oracles.verify_relation(ref, mat, v, c) for v in mixed], (p, d, family)
+        assert all(r.ok for r in per), (p, d, family)
         assert verify_relation(make_field(p), mat, mixed, c) == _fold(per)
+
+
+def test_each_nonzero_entry_is_one_gather():
+    # each nonzero entry of a checked row is one key of the plan, at the
+    # offset (|e| - 1)*(p-1) of its power, and the table reaches max |e|
+    # (2 at x^40, 3 at x^420)
+    for p, d, top in [(41, 40, 2), (421, 420, 3)]:
+        mat = build_matrix(p, d, ADDITIVE)
+        basis = right_kernel(mat).basis
+        plan = stmatrix._relation_plan(mat, basis)
+        checked = [basis[i] for i in plan.index]
+        entries = [e for row in checked for e in row if e]
+        assert sum(len(k) for k in plan.keys) == len(entries), (p, d)
+        assert plan.top == max(map(abs, entries)) == top, (p, d)
+        offsets = sorted(x for o in plan.offsets for x in o.tolist())
+        assert offsets == sorted((abs(e) - 1) * (p - 1) for e in entries), (p, d)
 
 
 def test_identify_st0_checks_each_field_in_one_call(monkeypatch):

@@ -41,7 +41,10 @@ per metric (unit, better direction and bound):
   as context;
 - the verdict: "resolved" when the change wins at least nine tenths of the
   pairs and its median is better than the base median by more than the
-  base IQR, else "not resolved";
+  base IQR; "regressed" when it loses at least nine tenths of the pairs
+  and its median is worse than the base median by more than the metric's
+  bound, a fraction of the base median (the base IQR for a probe, which
+  has no bound); else "not resolved";
 - the same pair changes, wins and verdict on the raw values, and the pairs
   whose calibrated and raw changes favour different sides.
 
@@ -191,15 +194,25 @@ def _iqr(values: list[float]) -> float | None:
     return q3 - q1
 
 
-def verdict(base: list[float], change: list[float], wins: int, sign: int) -> str:
+def verdict(base: list[float], change: list[float], wins: int, sign: int, losses: int = 0,
+            bound: float | None = None) -> str:
     """The verdict on one metric: "resolved" when the change won at least
     nine tenths of the pairs and its median is better (sign 1: higher) than
-    the base median by more than the base IQR, else "not resolved"."""
+    the base median by more than the base IQR; "regressed" when it lost at
+    least nine tenths of the pairs and its median is worse by more than
+    bound times the base median (by more than the base IQR without a
+    bound); else "not resolved"."""
     spread = _iqr(base)
-    if spread is None or 10 * wins < 9 * len(base):
+    if spread is None:
         return "not resolved"
-    gain = sign * (statistics.median(change) - statistics.median(base))
-    return "resolved" if gain > spread else "not resolved"
+    base_median = statistics.median(base)
+    gain = sign * (statistics.median(change) - base_median)
+    if 10 * wins >= 9 * len(base) and gain > spread:
+        return "resolved"
+    margin = spread if bound is None else bound * abs(base_median)
+    if 10 * losses >= 9 * len(base) and -gain > margin:
+        return "regressed"
+    return "not resolved"
 
 
 def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
@@ -216,6 +229,7 @@ def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
         aa_changes, aa_raw = (_pair_changes(aa, ("base", "copy"), name, key)
                               for key in ("values", "raw"))
         wins, raw_wins = (sum(sign * c > 0 for c in cs) for cs in (changes, raw))
+        losses, raw_losses = (sum(sign * c < 0 for c in cs) for cs in (changes, raw))
         base_median, change_median = (statistics.median(sides[s]["values"]) for s in sides)
         iqr = _iqr(sides["base"]["values"])
         record["metrics"][name] = {
@@ -235,11 +249,13 @@ def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
                 "raw_pair_changes": aa_raw,
                 "raw_range": [min(aa_raw), max(aa_raw)] if aa else None,
             },
-            "verdict": verdict(sides["base"]["values"], sides["change"]["values"], wins, sign),
+            "verdict": verdict(sides["base"]["values"], sides["change"]["values"], wins, sign,
+                               losses, bound),
             "raw_pair_changes": raw,
             "raw_median_pair_change": statistics.median(raw),
             "raw_wins_change": raw_wins,
-            "raw_verdict": verdict(sides["base"]["raw"], sides["change"]["raw"], raw_wins, sign),
+            "raw_verdict": verdict(sides["base"]["raw"], sides["change"]["raw"], raw_wins, sign,
+                                   raw_losses, bound),
             "disagreeing_pairs": [i for i, (c, r) in enumerate(zip(changes, raw)) if c * r < 0],
         }
     return record
