@@ -27,9 +27,8 @@ from .errors import NotCoprimeError
 from .primes import divisors, euler_phi, mobius
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree.
+    """Coefficients of Phi_n, ascending degree, computed on each call.
 
     For n > 1, Phi_n = prod over d | n of (1 - x^d)^mu(n/d), taken as a
     power series truncated at degree phi(n): each factor is one in-place
@@ -53,9 +52,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _phi_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero terms (i, c) of Phi_n below its leading x^phi(n)."""
-    return tuple((i, c) for i, c in enumerate(cyclotomic_poly(n)[:-1]) if c)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero terms (i, c) of Phi_n below x^phi(n)."""
+    phi = cyclotomic_poly(n)
+    return len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 
 
 def _reduce_mod_phi(cs: list[int], n: int) -> tuple[int, ...]:
@@ -67,14 +67,13 @@ def _reduce_mod_phi(cs: list[int], n: int) -> tuple[int, ...]:
     c * x^(k - phi) * Phi_n over Phi_n's nonzero terms only; after an even
     fold it runs over the n/2 - phi(n) top coefficients alone.
     """
-    deg = len(cyclotomic_poly(n)) - 1
+    deg, terms = _phi_terms(n)
     h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
     if len(cs) > h:
         for k in range(h, len(cs)):
             cs[k % h] += sign ** (k // h) * cs[k]
         del cs[h:]
     cs.extend([0] * (deg - len(cs)))
-    terms = _phi_terms(n)
     for k in range(len(cs) - 1, deg - 1, -1):
         c = cs[k]
         if c:

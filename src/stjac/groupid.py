@@ -5,22 +5,22 @@ Frobenius character.  The identity component of the Sato-Tate group is the
 torus whose character lattice is the column lattice modulo the all-ones
 vector (the cyclotomic direction), so:
 
-  * dimension = rank_Z(columns together with the all-ones vector) - 1;
+  * dimension = rank_Z(columns together with the all-ones vector) - 1
+    = rank - 1, as every row is half ones;
   * columns that agree are the same character weight; columns that are
     complements (entrywise 1 - w) are inverse weights, so they pair off
     into classes with equal plus and minus counts;
   * a class of plus-count k contributes a U(1)_k factor (the circle
     embedded diagonally in k conjugate blocks) whenever the class
-    representatives form a basis of the weight lattice; otherwise the
-    torus is reported abstractly as U(1) x ... x U(1).
+    representatives form a basis of the weight lattice (there are as many
+    as the dimension); otherwise the torus is U(1) x ... x U(1).
 
 All of this depends only on the set of distinct carry rows (HNF bases are
 canonical), which every generic prime shares, so ``identify_st0`` names
 the torus once, from its first prime; the other primes are evidence.  The
-ranks are ``intlinalg.rank``: modular elimination, certified exactly, and
-memoized there.  ``weight_classes`` and ``generic_primes`` are memoized
-per process, the last 256 entries of each, and hand out the immutable
-value itself: tuples that no caller can change.
+one rank is the matrix's own (``CarryMatrix.rank``).  ``weight_classes``
+and ``generic_primes`` are memoized per process, the last 256 entries of
+each, and hand out the immutable value itself: tuples.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     StjacError,
 )
 from .ffield import PrimeField, make_field
-from .intlinalg import rank
 from .pointcount import CurveSpec, congruence_modulus
 from .primes import is_prime
 from .stmatrix import (
@@ -99,29 +98,27 @@ def weight_classes(mat: CarryMatrix) -> tuple[tuple[WeightClass, ...], tuple[int
 def torus_dimension(mat: CarryMatrix) -> int:
     """Rank of the column lattice together with the all-ones vector, minus 1.
 
-    That is the rank of the transpose: the distinct rows, each extended by
-    one entry 1 (a repeated row adds nothing to a rank).  Not memoized
-    itself: the rank is (``intlinalg._rank``, keyed by those rows), so a
-    matrix asked for again costs building its key.
+    Every row of A is half ones (``row_balance``), so A @ (2/cols) 1 = 1
+    is in the column span already, and this is ``mat.rank`` - 1.  A matrix
+    whose ``violations`` include ``row_balance`` raises StjacError.
     """
-    return rank([(*row, 1) for row in mat.distinct_rows]) - 1
+    if "row_balance" in mat.violations:
+        raise StjacError(f"the carry rows at p={mat.p} are not half ones")
+    return mat.rank - 1
 
 
 def torus_name(classes: Sequence[WeightClass], dimension: int) -> str:
     """Canonical name: U(1)_k factors by descending k, or the abstract torus.
 
-    The concrete product is used only when the class representatives are a
-    lattice basis of the weight lattice, which (since every column is a
-    signed representative modulo the cyclotomic direction) happens exactly
-    when the representatives are independent and match the dimension.  The
-    rank that decides it is memoized (``intlinalg._rank``).
+    The concrete product needs the class representatives to be a basis of
+    the weight lattice.  Each non-degenerate column is a weight w or 1 - w,
+    so with the all-ones vector the representatives span what the columns
+    do, dimension + 1 for the classes and dimension of one matrix: they
+    are a basis exactly when there are ``dimension`` of them.
     """
     if classes and len(classes) == dimension:
-        reps = [list(cl.weight) for cl in classes]
-        ones = [1] * len(classes[0].weight)
-        if rank(reps + [ones]) == dimension + 1:
-            ks = sorted((cl.plus for cl in classes), reverse=True)
-            return " x ".join("U(1)" if k == 1 else f"U(1)_{k}" for k in ks)
+        ks = sorted((cl.plus for cl in classes), reverse=True)
+        return " x ".join("U(1)" if k == 1 else f"U(1)_{k}" for k in ks)
     return " x ".join(["U(1)"] * dimension)
 
 
@@ -194,9 +191,10 @@ def identify_st0(spec: CurveSpec, num_primes: int = 3) -> TorusId:
     twist-independent part of each relation check, one plan per matrix
     and kernel (``stmatrix._relation_plan``: the membership product, the
     touched column orbits, the split primes and their powers of p); and
-    the kernel's HNF and each rank (``intlinalg._kernel_hnf`` and
-    ``intlinalg._rank``), which ``torus_dimension`` and ``torus_name``
-    read.  A process that scans the twists of one (d, family) does that
+    the kernel's HNF (``intlinalg._kernel_hnf``).  The first prime's
+    matrix computes its one rank (``CarryMatrix.rank``) for
+    ``right_kernel`` and keeps it for ``torus_dimension``; the name needs
+    no rank.  A process that scans the twists of one (d, family) does that
     work once, and the rebuild of the first prime's matrix below is a
     cache hit.  What a warm call still computes is what c fixes and the
     checks: each Frobenius term, a rotation of its cached fold reduced

@@ -14,14 +14,10 @@ vectors, checked exactly, prove equality.  A Smith form splits off the unit
 pivots of an HNF and works modulo the product of the others
 (Domich-Kannan-Trotter 1987).
 
-Two results are memoized per process, the last 256 entries of each, and
-handed out as the immutable value itself: the HNF basis of a kernel, a
-tuple of int tuples (``kernel_basis``, in ``_kernel_hnf``), and a rank
-(``_rank``).  A process that asks for the kernel or the rank of one
-matrix again eliminates, saturates, lifts and reduces it once; every
-``snf_invariant_factors`` call takes its own Smith form.  The
-eliminations below them (``_rational_kernel``) keep nothing, since no
-memoized result reads one again.
+The HNF basis of a kernel is memoized per process, the last 256, and
+handed out as the immutable tuple of int tuples itself (``kernel_basis``,
+in ``_kernel_hnf``).  Nothing else is kept: each rank, Smith form and
+elimination is computed per call (a carry matrix keeps its own rank).
 
 Measured on a 2-core Xeon under CPython 3.11 and numpy 2.4, the saturated
 kernel of the distinct carry rows takes 0.8 ms for x^40 at p = 41 (16 x 38),
@@ -267,14 +263,7 @@ def rank(rows) -> int:
     is 1 at its own free column) and checked exactly over Z, prove the
     reverse.  ``kernel_basis`` eliminates the distinct columns of the rows
     instead, so a count of its vectors can be checked against this rank.
-
-    Memoized per matrix for the last 256 (``_rank``).
     """
-    return _rank(tuple(map(tuple, rows)))
-
-
-@lru_cache(maxsize=256)
-def _rank(rows: tuple[tuple, ...]) -> int:
     rows = list(dict.fromkeys(tuple(map(int, row)) for row in rows))
     if not rows or not rows[0]:
         return 0

@@ -38,10 +38,9 @@ embedding exponent, the embeddings, the entry lists and each row's p^k
 modulo the split primes) and the split primes with their powers
 (``split_prime``).  A pass builds the terms of the touched orbits only,
 and checks each against w * conj(w) = p, on every call.
-The kernel's HNF and the rank behind ``right_kernel`` are memoized per
-matrix (``intlinalg``), and the kernel's basis is the memo's own tuple,
-so the plans of one kernel share its rows; its Smith-form check and rank
-comparison run per call.
+The kernel's HNF is memoized per matrix (``intlinalg``), so the plans of
+one kernel share its rows, and each matrix keeps its one rank
+(``CarryMatrix.rank``) for ``right_kernel`` and the torus dimension.
 """
 
 from __future__ import annotations
@@ -121,6 +120,11 @@ class CarryMatrix:
         return tuple(dict.fromkeys(self.entries))
 
     @cached_property
+    def rank(self) -> int:
+        """Certified rank over Q of the distinct rows, once per matrix."""
+        return rank(self.distinct_rows)
+
+    @cached_property
     def violations(self) -> tuple[str, ...]:
         """Names of violated structural checks (expected empty).
 
@@ -177,7 +181,7 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     Each unit k is odd, so the carry rule reduces to k*a mod n >= n/2.
 
     Memoized: the last 256 (p, d, family) calls share one frozen matrix,
-    with its ``violations`` and ``distinct_rows``.  A
+    with its ``violations``, ``distinct_rows`` and ``rank``.  A
     matrix never depends on the twist c, so a process that scans the twists
     of a curve builds each matrix once (the 18 st0-curves curves need 54
     entries); a one-shot ``stjac st0`` gains nothing.  ``typed`` keeps 11.0
@@ -226,23 +230,19 @@ class KernelLattice:
 
 def right_kernel(mat: CarryMatrix) -> KernelLattice:
     """The saturated right kernel of the distinct rows, with its rank
-    checked against columns - rank (StjacError when they differ).
+    checked against columns - ``mat.rank`` (StjacError when they differ).
 
     The rank comes from the transpose, an elimination of its own, so a
-    kernel that lost a vector cannot agree with it.  The kernel's HNF and
-    the rank are memoized per matrix (``intlinalg._kernel_hnf`` and
-    ``intlinalg._rank``), and ``basis`` is the memo's own tuple, but this
-    call is not: each one checks the Smith form of that basis
-    (``snf_invariant_factors``, with ``hnf_rows``) and compares the counts,
-    so a kernel that drops a vector or a rank that is off fails on a warm
-    call too.  The traced test of ``perfbench`` expects those three calls
-    on a warm rerun, so a kernel memoized per matrix waits for a change to
-    the benchmark (ROADMAP item 1).
+    kernel that lost a vector cannot agree with it.  ``basis`` is the
+    memoized HNF's own tuple (``intlinalg._kernel_hnf``), but each call
+    checks its Smith form (``snf_invariant_factors``, with ``hnf_rows``)
+    and the counts, so a kernel that drops a vector fails warm too.  The
+    traced test of ``perfbench`` expects those calls on a warm rerun, so a
+    kernel memoized per matrix waits for a benchmark change (ROADMAP 1).
     """
-    rows = mat.distinct_rows
-    basis = kernel_basis(rows)
+    basis = kernel_basis(mat.distinct_rows)
     sat = all(f == 1 for f in snf_invariant_factors(basis)) if basis else True
-    expected = len(mat.cols) - rank(rows)
+    expected = len(mat.cols) - mat.rank
     if len(basis) != expected:
         raise StjacError(
             f"kernel rank {len(basis)} at p={mat.p} is not columns - rank = {expected}"

@@ -228,12 +228,17 @@ _X = sympy.Symbol("x")
 
 
 def _sympy_poly(w):
-    return sum(int(c) * _X**i for i, c in enumerate(w.coeffs))
+    """w's coordinates as a sympy polynomial over ZZ (dense arithmetic, no
+    expansion of expressions)."""
+    return sympy.Poly([int(c) for c in reversed(w.coeffs)], _X, domain="ZZ")
 
 
 def _sympy_coords(expr, n):
-    """Ascending coefficients of (expr mod Phi_n), padded to phi(n)."""
-    rem = sympy.Poly(sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(n, _X), _X), _X)
+    """Ascending coefficients of (expr mod Phi_n), padded to phi(n): sympy's
+    remainder over ZZ, exact as Phi_n is monic (over QQ it takes seconds at
+    n = 840)."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)
+    rem = sympy.Poly(expr, _X, domain="ZZ").rem(phi, auto=False)
     out = [int(c) for c in reversed(rem.all_coeffs())]
     return out + [0] * (euler_phi(n) - len(out))
 
@@ -264,13 +269,13 @@ def test_galois_and_lift_have_int_coords_and_match_sympy(a, u, step):
     # x^u = x^(u mod n) modulo x^n - 1, which Phi_n divides: u may pass n,
     # and the oracle folds each power of the composition below x^n before
     # sympy divides by Phi_n (at n = 105 the unfolded degree reaches 4,900)
-    composed = sympy.Poly(_sympy_poly(a).subs(_X, _X ** (u % n)), _X)
+    composed = _sympy_poly(a).compose(sympy.Poly(_X ** (u % n), _X))
     folded = sum(int(c) * _X ** (e % n) for (e,), c in composed.terms())
     assert list(image.coeffs) == _sympy_coords(folded, n)
     lifted = a.lift(n * step)
     assert _all_int(lifted)
     assert list(lifted.coeffs) == _sympy_coords(
-        _sympy_poly(a).subs(_X, _X**step), n * step
+        _sympy_poly(a).compose(sympy.Poly(_X**step, _X)), n * step
     )
 
 

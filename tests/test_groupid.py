@@ -78,18 +78,56 @@ def test_torus_dimension_reference_cases():
     assert torus_dimension(build_matrix(7, 6, ADDITIVE)) == 1
 
 
-def test_torus_dimension_reads_the_rank_memo_and_an_altered_copy_gets_its_own():
-    assert intlinalg._rank.cache_info().maxsize == 256
+def test_torus_dimension_reads_the_matrix_rank_and_an_altered_copy_gets_its_own(monkeypatch):
     m = build_matrix(11, 10, ADDITIVE)
     assert torus_dimension(m) == 2
-    info = intlinalg._rank.cache_info()
-    assert torus_dimension(m) == 2
-    assert intlinalg._rank.cache_info()[:2] == (info.hits + 1, info.misses)
+    calls = []
+    monkeypatch.setattr(stmatrix, "rank", lambda rows: calls.append(rows) or intlinalg.rank(rows))
+    assert torus_dimension(m) == 2 and calls == []
+    # swapping a 0 and a 1 within a row keeps every row half ones; the copy
+    # computes its own rank, and the memoized matrix keeps its own
+    entries = [list(r) for r in m.entries]
+    entries[1][0], entries[1][1] = entries[1][1], entries[1][0]
+    bad = dataclasses.replace(m, entries=tuple(tuple(r) for r in entries))
+    assert torus_dimension(bad) == oracles.rank([(*row, 1) for row in bad.entries]) - 1 == 3
+    assert len(calls) == 1
+    assert torus_dimension(bad) == 3 and len(calls) == 1
+    assert torus_dimension(m) == 2 and build_matrix(11, 10, ADDITIVE) is m
+
+
+def test_torus_dimension_raises_on_rows_that_are_not_half_ones():
+    # rank - 1 is the dimension only when every row is half ones, which puts
+    # the all-ones vector in the column span; a flipped entry breaks that
+    m = build_matrix(11, 10, ADDITIVE)
     entries = [list(r) for r in m.entries]
     entries[0][0] ^= 1
     bad = dataclasses.replace(m, entries=tuple(tuple(r) for r in entries))
-    assert torus_dimension(bad) == oracles.rank([(*row, 1) for row in bad.entries]) - 1 == 3
-    assert torus_dimension(m) == 2
+    assert "row_balance" in bad.violations
+    with pytest.raises(StjacError, match="not half ones"):
+        torus_dimension(bad)
+
+
+def test_the_all_ones_vector_adds_no_rank_and_class_counts_decide_the_name():
+    # the evidence behind torus_dimension = rank - 1 and a name with no rank,
+    # against the HNF rank of tests/oracles.py, at the first generic prime
+    named = 0
+    for family, ds in ((ADDITIVE, range(3, 61)), (LINEAR, range(3, 42, 2))):
+        for d in ds:
+            try:
+                p = generic_primes(family, d, 1)[0]
+                m = build_matrix(p, d, family)
+            except StjacError:
+                continue
+            rows = m.distinct_rows
+            ranked = oracles.rank(rows)
+            assert m.rank == ranked == oracles.rank([(*row, 1) for row in rows]), (family, d)
+            dim = torus_dimension(m)
+            classes, _ = weight_classes(m)
+            if len(classes) == dim:
+                named += 1
+                reps = [cl.weight for cl in classes]
+                assert oracles.rank(reps + [(1,) * len(reps[0])]) == dim + 1, (family, d)
+    assert named > 20
 
 
 # the st0-curves pool and the benchmark's C_VALUES
@@ -102,7 +140,7 @@ C_VALUES = tuple(Fraction(c) for c in ("1", "2", "3", "5", "-1", "1/2", "-3/5"))
 def _clear_st0_memos():
     """Empty every per-process memo that identify_st0 reads."""
     for memo in (build_matrix, stmatrix._relation_plan, stmatrix.split_prime, intlinalg._kernel_hnf,
-                 intlinalg._rank, groupid._shared_field, generic_primes, weight_classes):
+                 groupid._shared_field, generic_primes, weight_classes):
         memo.cache_clear()
 
 
@@ -210,27 +248,29 @@ def test_memoized_st0_values_are_hashable_so_no_list_is_inside():
             hash(intlinalg.kernel_basis(mat.distinct_rows))
 
 
-def test_a_second_call_reads_every_rank_entry_the_first_created(monkeypatch):
-    # torus_dimension and torus_name are not memoized on top of the rank,
-    # so the rank entries a one-shot identify_st0 leaves are read again
-    real, keys = intlinalg._rank, []
-    # the kernel's rank and the dimension, and the name's rank when the
-    # classes are as many as the dimension (not for x^40 + c)
-    cases = ((ADDITIVE, 40, 3, 2), (ADDITIVE, 10, 2, 3), (LINEAR, 11, Fraction(-3, 5), 3))
-    for family, d, c, entries in cases:
+def test_a_cold_call_ranks_once_and_a_warm_call_not_at_all(monkeypatch):
+    # the first prime's matrix computes its rank for right_kernel and keeps
+    # it for torus_dimension; torus_name reads no rank, also when the classes
+    # are as many as the dimension (not for x^40 + c)
+    calls, eliminations = [], []
+    real = intlinalg._rational_kernel
+    monkeypatch.setattr(stmatrix, "rank", lambda rows: calls.append(rows) or intlinalg.rank(rows))
+    monkeypatch.setattr(intlinalg, "_rational_kernel",
+                        lambda mat: eliminations.append(mat) or real(mat))
+    for family, d, c in ((ADDITIVE, 40, 3), (ADDITIVE, 10, 2), (LINEAR, 11, Fraction(-3, 5))):
         _clear_st0_memos()
-        monkeypatch.setattr(intlinalg, "_rank", lambda rows: keys.append(rows) or real(rows))
+        calls.clear()
+        eliminations.clear()
         first = identify_st0(curve(family, d, c))
-        created = set(keys)
-        cold = real.cache_info()
-        assert cold.misses == len(created) == entries, (family, d)
-        keys.clear()
+        first_prime = build_matrix(first.primes_used[0], d, family)
+        assert calls == [first_prime.distinct_rows], (family, d)
+        # one elimination for the kernel and one for the rank
+        assert len(eliminations) == 2, (family, d)
+        calls.clear()
+        eliminations.clear()
         assert identify_st0(curve(family, d, c)) == first
-        assert set(keys) == created, (family, d)
-        warm = real.cache_info()
-        assert warm.misses == cold.misses and warm.hits == cold.hits + len(keys), (family, d)
-        keys.clear()
-        monkeypatch.undo()
+        assert calls == eliminations == [], (family, d)
+    assert not hasattr(groupid, "rank") and not hasattr(intlinalg, "_rank")
 
 
 def test_torus_name_grammar():

@@ -295,9 +295,7 @@ def test_rank_matches_the_hnf_oracle_and_sympy(rows):
 def test_rank_survives_primes_where_it_drops(monkeypatch):
     # each matrix loses rank modulo the first elimination primes; the
     # reconstructed kernel then fails its exact check and a later prime,
-    # with more pivots, gives the rank over Q; the count of eliminations
-    # starts from an empty memo
-    intlinalg._rank.cache_clear()
+    # with more pivots, gives the rank over Q
     calls = []
     rref = intlinalg._rref_mod
     monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: calls.append(ell) or rref(m, ell))

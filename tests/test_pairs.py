@@ -1,7 +1,8 @@
 """tools/pairs.py on stub runners, without perfbench: the order and the
 directories of each pair, the JSON record of a perfbench workload and of a
-probe, the verdict rule on calibrated and raw values, and the merge of
-several workloads into one file; then a real A/A pairing of one probe."""
+probe, the verdict rule on calibrated and raw values, the merge of
+several workloads into one file and several workloads in one invocation;
+then a real A/A pairing of one probe."""
 
 import importlib.util
 import io
@@ -275,6 +276,51 @@ def test_main_runs_a_probe_name_as_a_probe(monkeypatch, capsys):
     assert pairs.main(["--base", "HEAD", "--workload", "count:additive:397:1:2383",
                        "--pairs", "2"]) == 1
     assert "the answers differ" in capsys.readouterr().err
+
+
+@needs_git
+def test_main_runs_several_workloads_from_one_archive_per_side(tmp_path, monkeypatch, capsys):
+    # perfbench workloads and probes mixed in one invocation: each side is
+    # archived once, and each workload gets its own record, seeds and lines
+    archives, seen = [], []
+    for name in ("archive_rev", "archive_worktree"):
+        real = getattr(pairs, name)
+        monkeypatch.setattr(pairs, name, lambda *a, real=real, name=name:
+                            archives.append(name) or real(*a))
+
+    def runner(stub_runner):
+        return lambda tree, workload, seed, seconds: (
+            seen.append((workload, seed)) or stub_runner(tree, workload, seed, seconds))
+
+    monkeypatch.setattr(pairs, "perfbench", runner(stub))
+    monkeypatch.setattr(pairs, "probe", runner(probe_stub))
+    out = tmp_path / "bench.json"
+    workloads = ["count-1e6", "count:additive:397:1:2383", "st0-curves"]
+    assert pairs.main(["--base", "HEAD", "--workload", *workloads, "--pairs", "2", "--aa", "1",
+                       "--seed", "10", "--out", str(out)]) == 0
+    assert sorted(archives) == ["archive_rev", "archive_worktree"]
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == workloads
+    # three runs a side per workload (two pairs and one A/A pair), seeds apart
+    for k, workload in enumerate(workloads):
+        seeds = [seed for w, seed in seen if w == workload]
+        assert seeds == [s for s in range(10 + 3 * k, 13 + 3 * k) for _ in range(2)], workload
+        record = doc["workloads"][workload]
+        assert record["command"].endswith(f"--workload {workload} --pairs 2 --aa 1 "
+                                          f"--seed {10 + 3 * k} --seconds 20")
+    assert set(doc["workloads"]["count:additive:397:1:2383"]["metrics"]) == set(pairs.PROBE_SPEC)
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("{")]
+    assert [ln.split(" ")[0] for ln in lines] == (
+        ["count-1e6"] * len(FULL) + ["count:additive:397:1:2383"] * len(pairs.PROBE_SPEC)
+        + ["st0-curves"] * len(FULL))
+    # one probe whose answers differ makes the exit status 1, and every
+    # workload is still recorded
+    monkeypatch.setattr(pairs, "probe", lambda tree, *a: {**probe_stub(tree, *a),
+                                                          "answer": tree.name})
+    assert pairs.main(["--base", "HEAD", "--workload", *workloads, "--pairs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert list(json.loads(captured.out)["workloads"]) == workloads
+    assert captured.err.splitlines()[-1] == "count:additive:397:1:2383: the answers differ"
 
 
 @needs_git

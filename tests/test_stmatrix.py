@@ -199,19 +199,20 @@ def test_relation_plan_arrays_of_a_memoized_matrix_are_read_only():
     assert plan.columns.tolist() == list(m.cols)
 
 
-def test_identify_st0_builds_each_matrix_once_across_twists():
+def test_identify_st0_builds_each_matrix_once_across_twists(monkeypatch):
     # three primes make four calls (the first prime's matrix is read twice)
     # and three builds; every later twist of the curve only hits the cache
+    ranks = []
+    monkeypatch.setattr(stmatrix, "rank", lambda rows: ranks.append(rows) or rank(rows))
     build_matrix.cache_clear()
-    intlinalg._rank.cache_clear()
     identify_st0(curve(ADDITIVE, 10, 1))
     assert (build_matrix.cache_info().hits, build_matrix.cache_info().misses) == (1, 3)
     for c in C_VALUES[1:]:
         identify_st0(curve(ADDITIVE, 10, c))
     assert (build_matrix.cache_info().hits, build_matrix.cache_info().misses) == (25, 3)
-    # the kernel's rank, the dimension and the name's rank: three entries,
-    # each read again by every later twist
-    assert (intlinalg._rank.cache_info().hits, intlinalg._rank.cache_info().misses) == (18, 3)
+    # the first prime's matrix ranks once, for the kernel and the dimension,
+    # and every later twist reads that rank
+    assert ranks == [build_matrix(11, 10, ADDITIVE).distinct_rows]
 
 
 def test_validate_matrix_passes_everywhere():
@@ -994,9 +995,10 @@ def test_term_check_raises_a_typed_error(monkeypatch):
 
 
 def test_kernel_rank_check_raises_a_typed_error(monkeypatch):
+    # a fresh copy of the memoized matrix computes its own rank
     monkeypatch.setattr(stmatrix, "rank", lambda rows: rank(rows) + 1)
     with pytest.raises(StjacError, match="kernel rank"):
-        right_kernel(build_matrix(11, 10, ADDITIVE))
+        right_kernel(dataclasses.replace(build_matrix(11, 10, ADDITIVE)))
 
 
 def test_kernel_that_drops_a_vector_fails_the_rank_check(monkeypatch):
@@ -1009,29 +1011,32 @@ def test_kernel_that_drops_a_vector_fails_the_rank_check(monkeypatch):
 
 
 def test_warm_kernels_still_check_their_rank(monkeypatch):
-    # the kernel's HNF and the rank are memoized per matrix and the rank
-    # comparison is not: on warm matrices a kernel that drops a vector, or
-    # a rank off by one, still fails, and no elimination runs again meanwhile
+    # the kernel's HNF is memoized per matrix and the rank is kept on it, and
+    # the rank comparison is not: on warm matrices a kernel that drops a
+    # vector still fails with no elimination, and a rank off by one fails on
+    # a fresh copy, which eliminates for its rank alone
     mats = [build_matrix(p, d, family) for p, d, family in
             [(11, 10, ADDITIVE), (41, 40, ADDITIVE), (13, 7, LINEAR)]]
     warm = [right_kernel(mat) for mat in mats]
     eliminations = []
-    rref = intlinalg._rref_mod
-    monkeypatch.setattr(intlinalg, "_rref_mod", lambda m, ell: eliminations.append(ell) or rref(m, ell))
-    memos = (intlinalg._kernel_hnf, intlinalg._rank)
-    before = [(memo.cache_info().misses, memo.cache_info().hits) for memo in memos]
+    real = intlinalg._rational_kernel
+    monkeypatch.setattr(intlinalg, "_rational_kernel",
+                        lambda mat: eliminations.append(mat) or real(mat))
+    misses = intlinalg._kernel_hnf.cache_info().misses
     assert [right_kernel(mat) for mat in mats] == warm
-    for name, patched in [("kernel_basis", lambda rows: kernel_basis(rows)[:-1]),
-                          ("rank", lambda rows: rank(rows) + 1)]:
-        with monkeypatch.context() as m:
-            m.setattr(stmatrix, name, patched)
-            for mat in mats:
-                with pytest.raises(StjacError, match="kernel rank"):
-                    right_kernel(mat)
+    with monkeypatch.context() as m:
+        m.setattr(stmatrix, "kernel_basis", lambda rows: kernel_basis(rows)[:-1])
+        for mat in mats:
+            with pytest.raises(StjacError, match="kernel rank"):
+                right_kernel(mat)
     assert eliminations == []
-    for memo, (misses, hits) in zip(memos, before):
-        assert memo.cache_info().misses == misses
-        assert memo.cache_info().hits >= hits + 3 * len(mats)
+    with monkeypatch.context() as m:
+        m.setattr(stmatrix, "rank", lambda rows: rank(rows) + 1)
+        for mat in mats:
+            with pytest.raises(StjacError, match="kernel rank"):
+                right_kernel(dataclasses.replace(mat))
+    assert len(eliminations) == len(mats)
+    assert intlinalg._kernel_hnf.cache_info().misses == misses
     assert [right_kernel(mat) for mat in mats] == warm
 
 

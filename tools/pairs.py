@@ -3,19 +3,24 @@
     python tools/pairs.py --base HEAD~1 --workload count-1e6 --pairs 10 --aa 6 --out BENCH.json
     python tools/pairs.py --base HEAD~1 --workload count:additive:397:1:2383 --pairs 10
     python tools/pairs.py --base HEAD --workload st0:additive:840:3 --pairs 4  # A/A on a clean tree
+    python tools/pairs.py --base HEAD~1 --workload count-1e6 st0:additive:840:3 --pairs 10 --aa 4
 
 A workload is a perfbench workload or a probe, named as ``tools/probes.py
---only`` names it (KIND:FIELDS).  The base side is REV's ``src``,
-``perfbench`` and ``tools``, exported with ``git archive``; the change side
-is the same three directories of the working tree, tracked and untracked
-files alike, minus what git ignores.  Each pair runs the workload once per
+--only`` names it (KIND:FIELDS); ``--workload`` takes one or more, mixed,
+and runs them in the order given, each with its own series.  The base side
+is REV's ``src``, ``perfbench`` and ``tools``, exported with ``git
+archive``; the change side is the same three directories of the working
+tree, tracked and untracked files alike, minus what git ignores.  Each
+side is archived once, when the invocation starts, so every workload runs
+the same two trees.  Each pair runs the workload once per
 side, each side in a fresh export, in one of two directories, ``a`` and
 ``b``, under one temporary root.  The tree in ``a`` runs first, and the
 two sides trade directories every pair, so over an even number of pairs
 both the side that runs first and the directory each side runs in
-alternate.  Pair i takes seed SEED + i.  Then ``--aa M`` pairs run the
-base against a second export of the base in the change's place, in the
-same way, with seeds SEED + N + j: an A/A series of identical code.
+alternate.  Pair i of the k-th workload (k from 0) takes seed
+SEED + k*(N + M) + i.  Then ``--aa M`` pairs run the base against a second
+export of the base in the change's place, in the same way, with seeds
+SEED + k*(N + M) + N + j: an A/A series of identical code.
 
 A perfbench run is ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0``; its metrics are the end-to-end metrics of BENCHMARK.json,
@@ -48,10 +53,11 @@ per metric (unit, better direction and bound):
 - the same pair changes, wins and verdict on the raw values, and the pairs
   whose calibrated and raw changes favour different sides.
 
-A line per metric on stderr gives both verdicts and those pairs.  With
-``--out FILE`` the workload is merged into FILE when it exists (same
-schema and base), so one file collects several workloads.  The exit status
-is 1 when the answers of a probe differ.
+Each workload's record keeps the command that reruns it alone.  A line
+per workload and metric on stderr gives both verdicts and those pairs.
+With ``--out FILE`` the workloads are merged into FILE when it exists
+(same schema and base), each as soon as it finishes.  The exit status is
+1 when the answers of any probe differ.
 """
 
 from __future__ import annotations
@@ -270,12 +276,13 @@ def end_to_end_spec() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, metavar="REV")
-    ap.add_argument("--workload", required=True, help="a perfbench workload or KIND:FIELDS")
+    ap.add_argument("--workload", required=True, nargs="+",
+                    help="perfbench workloads or KIND:FIELDS probes, one or more")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--aa", type=int, default=0, help="pairs of the A/A series")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--out", default=None, help="merge the record into this JSON file")
+    ap.add_argument("--out", default=None, help="merge the records into this JSON file")
     args = ap.parse_args(argv)
     base_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
                               capture_output=True, text=True, check=True).stdout.strip()
@@ -284,37 +291,39 @@ def main(argv=None) -> int:
         "schema": SCHEMA, "base": base_sha, "workloads": {}}
     if doc.get("schema") != SCHEMA or doc.get("base") != base_sha:
         raise SystemExit(f"pairs: {out} holds another schema or base")
-    is_probe = ":" in args.workload
-    runner, spec = (probe, PROBE_SPEC) if is_probe else (perfbench, end_to_end_spec())
-    base = archive_rev(base_sha)
-    seeds = list(range(args.seed, args.seed + args.pairs + args.aa))
-    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        root = Path(tmp)
-        runs = series({"base": base, "change": archive_worktree()}, args.workload,
-                      seeds[:args.pairs], args.seconds, root, runner)
-        aa = series({"base": base, "copy": base}, args.workload, seeds[args.pairs:],
-                    args.seconds, root, runner)
     doc["machine"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(),
                       "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
-    record = summarize(runs, aa, spec)
-    record["command"] = (f"tools/pairs.py --base {args.base} --workload {args.workload} "
-                         f"--pairs {args.pairs} --aa {args.aa} --seed {args.seed} "
-                         f"--seconds {args.seconds:g}")
-    doc["workloads"][args.workload] = record
-    for name, m in record["metrics"].items():
-        print(f"{args.workload} {name}: {m['median_pair_change']:+.1%}, {m['wins_change']} of "
-              f"{args.pairs} pairs, {m['verdict']}; raw {m['raw_median_pair_change']:+.1%}, "
-              f"{m['raw_wins_change']} of {args.pairs} pairs, {m['raw_verdict']}; "
-              f"pairs disagreeing: {m['disagreeing_pairs']}", file=sys.stderr)
-    text = json.dumps(doc, indent=1)
-    if out:
-        out.write_text(text + "\n")
-    print(text)
-    if not (record["same_answers"] and record["aa"]["same_answers"]):
-        print(f"{args.workload}: the answers differ", file=sys.stderr)
-        return 1
-    return 0
+    base, change = archive_rev(base_sha), archive_worktree()
+    differ = []
+    for k, workload in enumerate(args.workload):
+        runner, spec = (probe, PROBE_SPEC) if ":" in workload else (perfbench, end_to_end_spec())
+        seed = args.seed + k * (args.pairs + args.aa)
+        seeds = list(range(seed, seed + args.pairs + args.aa))
+        with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+            root = Path(tmp)
+            runs = series({"base": base, "change": change}, workload, seeds[:args.pairs],
+                          args.seconds, root, runner)
+            aa = series({"base": base, "copy": base}, workload, seeds[args.pairs:],
+                        args.seconds, root, runner)
+        record = summarize(runs, aa, spec)
+        record["command"] = (f"tools/pairs.py --base {args.base} --workload {workload} "
+                             f"--pairs {args.pairs} --aa {args.aa} --seed {seed} "
+                             f"--seconds {args.seconds:g}")
+        doc["workloads"][workload] = record
+        for name, m in record["metrics"].items():
+            print(f"{workload} {name}: {m['median_pair_change']:+.1%}, {m['wins_change']} of "
+                  f"{args.pairs} pairs, {m['verdict']}; raw {m['raw_median_pair_change']:+.1%}, "
+                  f"{m['raw_wins_change']} of {args.pairs} pairs, {m['raw_verdict']}; "
+                  f"pairs disagreeing: {m['disagreeing_pairs']}", file=sys.stderr)
+        if not (record["same_answers"] and record["aa"]["same_answers"]):
+            differ.append(workload)
+        if out:  # each finished workload is kept, should a later one fail
+            out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(json.dumps(doc, indent=1))
+    for workload in differ:
+        print(f"{workload}: the answers differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
