@@ -115,7 +115,10 @@ def check_p_max(p: int) -> None:
 
 
 def check_prime(p: int) -> None:
-    """Reject any p that is not an odd prime <= P_MAX, before any work of size p."""
+    """Reject any p that is not an odd prime <= P_MAX, before any work of
+    size p; a p with no ``__index__``, such as 11.0, is NotPrimeError."""
+    if not hasattr(type(p), "__index__"):
+        raise NotPrimeError(f"p must be an odd prime, got {p!r}")
     if p < 3 or p % 2 == 0:
         raise EvenOrTooSmallError(f"p must be an odd prime >= 3, got {p}")
     check_p_max(p)

@@ -1,18 +1,19 @@
 """Exact integer linear algebra on dense matrices, in Python ints and, modulo
 primes below 2^31, in int64 arrays.
 
-``hnf_rows`` is the one elimination without a modulus, and it only sees
-echelon bases: a Smith form starts from it, and a kernel puts its lifted
-echelon basis in canonical form with it, so no transformation matrix is
-carried along and no entry grows.  Everything else eliminates modulo
-primes l < 2^31 (``_rref_mod``).  A kernel groups equal columns, takes the
-kernel of the distinct columns from a reduced row echelon form modulo
-primes (rational reconstruction, then an exact check over Z), saturates it
-by congruences modulo the common denominator and lifts it back.  A rank is
-certified the same way on the transpose: rank_l <= rank_Q, and the kernel
-vectors, checked exactly, prove equality.  A Smith form splits off the unit
-pivots of an HNF and works modulo the product of the others
-(Domich-Kannan-Trotter 1987).
+``hnf_rows`` is the one elimination without a modulus, and it takes only
+echelon bases (InputError on rows that share a leading column): a kernel
+puts its lifted echelon basis in canonical form with it, and a Smith form
+starts from it.  It only reduces above its pivots, so no transformation
+matrix is carried along and no entry grows.  Everything else eliminates
+modulo primes l < 2^31 (``_rref_mod``).  A kernel groups equal columns,
+takes the kernel of the distinct columns from a reduced row echelon form
+modulo primes (rational reconstruction, then an exact check over Z),
+saturates it by congruences modulo the common denominator and lifts it
+back.  A rank is certified the same way on the transpose: rank_l <=
+rank_Q, and the kernel vectors, checked exactly, prove equality.  A Smith
+form splits off the unit pivots of an HNF and works modulo the product of
+the others (Domich-Kannan-Trotter 1987).
 
 The HNF basis of a kernel is memoized per process, the last 256, and
 handed out as the immutable tuple of int tuples itself (``kernel_basis``,
@@ -24,9 +25,7 @@ kernel of the distinct carry rows takes 0.8 ms for x^40 at p = 41 (16 x 38),
 0.03 s for x^300 at p = 601 (80 x 298), 0.16 s for x^420 at p = 421
 (96 x 418), 0.28 s for x^600 at p = 601 (160 x 598) and 1.5 s for x^840 at
 p = 2521 (192 x 838); their ranks take 0.4 ms, 0.01 s, 0.02 s, 0.05 s and
-0.09 s.  One HNF of [A^T | I] (``tests/oracles.py``) takes about 1 s on
-x^300 and did not finish in 15 minutes on x^420; the HNF rank
-(``tests/oracles.py``) did not finish in 17 minutes on x^600.
+0.09 s.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from itertools import chain, count
 
 import numpy as np
 
+from .errors import InputError
 from .primes import ladder_prime
 
 
@@ -56,45 +56,29 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hnf_rows(rows) -> list[list[int]]:
-    """Row-style Hermite normal form of an integer matrix.
+    """Row-style Hermite normal form of an echelon basis: nonzero rows with
+    pairwise distinct leading columns, in any order (InputError otherwise).
 
-    Returns the nonzero rows: pivots positive, each entry above a pivot
-    reduced into [0, pivot).  The result is the canonical basis of the
-    row lattice, so two lattices are equal iff their HNFs are equal.
+    Sorts the rows by leading column, makes each pivot positive and reduces
+    each entry above a pivot into [0, pivot), with no elimination below a
+    pivot: the canonical basis of the row lattice.
     """
-    mat = [list(map(int, r)) for r in rows]
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return []
-    m, n = len(mat), len(mat[0])
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, m):
-            if not mat[i][col]:
-                continue
-            q, rem = divmod(mat[i][col], mat[r][col])
-            if rem:
-                g, s, t = xgcd(mat[r][col], mat[i][col])
-                u, v = mat[r][col] // g, mat[i][col] // g
-                mat[r], mat[i] = (
-                    [s * x + t * y for x, y in zip(mat[r], mat[i])],
-                    [-v * x + u * y for x, y in zip(mat[r], mat[i])],
-                )
-            elif q:
-                # a dividing pivot keeps its row; snf_invariant_factors needs that
-                mat[i] = [y - q * x for x, y in zip(mat[r], mat[i])]
+    mat = sorted(([int(x) for x in row] for row in rows if any(row)), key=_lead)
+    leads = list(map(_lead, mat))
+    if len(set(leads)) < len(leads):
+        raise InputError("rows that share a leading column are not an echelon basis")
+    for r, col in enumerate(leads):
         if mat[r][col] < 0:
             mat[r] = [-x for x in mat[r]]
         for i in range(r):
             q = mat[i][col] // mat[r][col]
             if q:
                 mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return mat[:r]
+    return mat
+
+
+def _lead(row) -> int:
+    return next(j for j, x in enumerate(row) if x)
 
 
 def _echelon_mod(rows, d: int) -> list[list[int]]:
@@ -104,9 +88,9 @@ def _echelon_mod(rows, d: int) -> list[list[int]]:
     stays in [0, d): adding a multiple of d*e_j keeps a vector in the
     lattice.  Each column combines the rows that reach it with the
     implicit row d*e_col; a pivot g | d leaves the row
-    d*e_col - (d/g)*pivot behind, which the later columns must see.  As
-    in ``hnf_rows``, a dividing pivot keeps its row.  Entries above the
-    pivots are not reduced.
+    d*e_col - (d/g)*pivot behind, which the later columns must see.  A
+    dividing pivot keeps its row (``snf_invariant_factors`` needs that to
+    end).  Entries above the pivots are not reduced.
     """
     n = len(rows[0])
     work = [[x % d for x in row] for row in rows]
@@ -320,8 +304,9 @@ def kernel_basis(rows) -> tuple[tuple[int, ...], ...]:
     saturated ker B lifts to a saturated ker A: each vector of ker B put on
     the last column of every group, and e_j - e_j' for each column j and
     the next column j' of its group, which span ker S.  Lifted from an
-    echelon basis of ker B, that basis is already in echelon form, so
-    ``hnf_rows`` only reduces entries above its pivots.
+    echelon basis of ker B, that basis is an echelon basis too: its leading
+    columns are ker B's free columns and the non-last columns of each
+    group, so ``hnf_rows`` takes it.
 
     Memoized per matrix for the last 256 (``_kernel_hnf``): rows that
     compare equal get the same tuple of int tuples.  They have equal int
@@ -355,9 +340,10 @@ def _kernel_hnf(rows: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def snf_invariant_factors(rows) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Invariant factors d_1 | d_2 | ... of the lattice that an echelon
+    basis spans, as ``hnf_rows`` takes it (InputError otherwise).
 
-    Starts from the row HNF V.  A unit pivot's column is a unit vector
+    Starts from their row HNF V.  A unit pivot's column is a unit vector
     there, so column operations split it off as a factor 1; when every
     pivot is 1, that is all.  The rows with larger pivots, without the
     unit-pivot columns, have the same remaining factors, and their column
@@ -370,16 +356,13 @@ def snf_invariant_factors(rows) -> list[int]:
     Pairwise (gcd, lcm) then orders the diagonal by divisibility.
     """
     mat = hnf_rows(rows)
-    leads = [next(j for j, x in enumerate(row) if x) for row in mat]
-    units = {lead for lead, row in zip(leads, mat) if row[lead] == 1}
-    rest = [
-        [x for j, x in enumerate(row) if j not in units]
-        for lead, row in zip(leads, mat)
-        if row[lead] != 1
-    ]
+    units = {_lead(row) for row in mat if next(filter(None, row)) == 1}
+    rest = [[x for j, x in enumerate(row) if j not in units]
+            for row in mat if _lead(row) not in units]
     if not rest:
         return [1] * len(mat)
-    d = math.prod(row[lead] for lead, row in zip(leads, mat))
+    # a row of rest starts with its pivot
+    d = math.prod(next(filter(None, row)) for row in rest)
     mat = _echelon_mod(list(zip(*rest)), d)
     while any(x for i, row in enumerate(mat) for j, x in enumerate(row) if i != j):
         mat = _echelon_mod(list(zip(*mat)), d)

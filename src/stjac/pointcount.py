@@ -68,6 +68,8 @@ class CurveSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if not hasattr(type(self.d), "__index__"):
+            raise ValueError(f"d must be an integer, got {self.d!r}")
         # d = 1, 2 only arise as genus-0 leaves of the splitting recursion
         # (g+1 a power of two); the count formula covers them regardless.
         if self.d < 1:

@@ -178,7 +178,9 @@ class CarryMatrix:
 def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     """Carry matrix at the odd prime p; NoColumnsError when no character contributes.
 
-    Each unit k is odd, so the carry rule reduces to k*a mod n >= n/2.
+    p is checked first, then (family, d) as a ``CurveSpec``, before any
+    arithmetic.  Each unit k is odd, so the carry rule reduces to
+    k*a mod n >= n/2.
 
     Memoized: the last 256 (p, d, family) calls share one frozen matrix,
     with its ``violations``, ``distinct_rows`` and ``rank``.  A
@@ -191,6 +193,7 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     85 MB either way.
     """
     check_prime(p)
+    spec = CurveSpec(family, d)
     n = p - 1
     cols = st_columns(p, d, family)
     if not cols:
@@ -203,7 +206,7 @@ def build_matrix(p: int, d: int, family: str = ADDITIVE) -> CarryMatrix:
     return CarryMatrix(
         p=p, d=d, family=family, rows=tuple(k[:, 0].tolist()), cols=cols,
         entries=tuple(shared.setdefault(r, r) for r in map(tuple, carries.tolist())),
-        is_generic=is_generic_prime(p, CurveSpec(family, d)),
+        is_generic=is_generic_prime(p, spec),
     )
 
 

@@ -12,9 +12,11 @@
 * ``split_by_recursion``: ``splitjac.split_full`` by recursing the lemmas.
 * ``count_affine``: the affine points of y^2 = F(x) over F_p for any F, by
   brute force.
-* ``kernel_basis``: the saturated kernel read off one HNF of [A^T | I],
-  with no grouping of columns and no modular elimination.
-* ``rank``: the rank over Q as the number of rows of one HNF, with no
+* ``hnf``: the row-style Hermite normal form of any integer matrix, from
+  sympy's ``hermite_normal_form``, not ``stjac.intlinalg.hnf_rows``.
+* ``kernel_basis``: the saturated kernel read off one ``hnf`` of
+  [A^T | I], with no grouping of columns and no modular elimination.
+* ``rank``: the rank over Q as the number of rows of one ``hnf``, with no
   modulus.
 * ``power``: w^k in Z[zeta] by square-and-multiply.
 * ``verify_relation`` decides a kernel relation by the product itself: it
@@ -34,12 +36,14 @@ import weakref
 from fractions import Fraction
 
 import numpy as np
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form
 
 from stjac import stmatrix
 from stjac.cyclo import CycloElt, is_root_of_unity
 from stjac.errors import NotCoprimeError, NotInKernelError, RelationVerificationError
 from stjac.ffield import PrimeField
-from stjac.intlinalg import hnf_rows
 from stjac.pointcount import ADDITIVE, LINEAR, CurveSpec
 from stjac.splitjac import Factor, IsogenyFactorization
 from stjac.stmatrix import CarryMatrix, RelationResult
@@ -173,6 +177,23 @@ def count_affine(coeffs, p: int) -> int:
 # -- lattices ----------------------------------------------------------------
 
 
+def hnf(rows) -> list[list[int]]:
+    """Row-style Hermite normal form of an integer matrix: its nonzero rows,
+    pivots positive, each entry above a pivot reduced into [0, pivot).
+
+    sympy's HNF is column-style with its pivots at the bottom right: the
+    columns of H span the columns of the input.  Taken of the transpose
+    with the columns reversed, then transposed back with its rows and
+    columns reversed, it is the row HNF, the canonical basis of the row
+    lattice.
+    """
+    rows = [[ZZ(int(x)) for x in row[::-1]] for row in rows if any(row)]
+    if not rows:
+        return []
+    cohen = hermite_normal_form(DomainMatrix(rows, (len(rows), len(rows[0])), ZZ).transpose())
+    return [[int(x) for x in row[::-1]] for row in cohen.transpose().to_list()[::-1]]
+
+
 def kernel_basis(rows) -> list[list[int]]:
     """Canonical (HNF) basis of the saturated right kernel {v : rows @ v = 0}.
 
@@ -180,20 +201,26 @@ def kernel_basis(rows) -> list[list[int]]:
     of its HNF whose first m entries vanish span exactly the integer kernel,
     i.e. Z^n / kernel is torsion-free.  With that prefix dropped they are
     already the HNF of the kernel.  Its entries grow in the elimination:
-    it takes about 1 s on the carry rows of x^300 at p = 601 and did not
-    finish in 15 minutes on those of x^420 at p = 421.
+    on a 2-core Xeon under CPython 3.11 and sympy 1.14 it takes 5.8 s on
+    the carry rows of x^300 at p = 601 (80 x 298) and did not finish in 4
+    minutes on those of x^420 at p = 421 (96 x 418); a row HNF by xgcd row
+    operations in pure Python took about 1 s and did not finish in 15
+    minutes on them.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     aug = [[int(row[j]) for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
-    return [h[m:] for h in hnf_rows(aug) if not any(h[:m])]
+    return [h[m:] for h in hnf(aug) if not any(h[:m])]
 
 
 def rank(rows) -> int:
     """Rank over Q: the HNF of the distinct columns has one row per unit of
-    rank (a repeated column adds nothing).  Its entries grow: it did not
-    finish in 17 minutes on the carry rows of x^600 at p = 601."""
-    return len(hnf_rows(zip(*dict.fromkeys(zip(*rows)))))
+    rank (a repeated column adds nothing).  Its entries grow: it takes
+    0.19 s on the carry rows of x^300 at p = 601 and 0.31 s on those of
+    x^420 at p = 421, and did not finish in 4 minutes on those of x^600 at
+    p = 601 (a row HNF by xgcd row operations in pure Python did not
+    finish in 17 minutes on them)."""
+    return len(hnf(zip(*dict.fromkeys(zip(*rows)))))
 
 
 # -- relations in Z[zeta] ----------------------------------------------------

