@@ -19,8 +19,8 @@ two residues mod p (< p^2 < 2^62) in int64.  Tables and keys take the
 smallest signed type that holds their largest value.
 ``prefix_factorials`` serves the Hasse-Witt traces of a sweep: one
 remainder tree on Python ints for all the factorials of all the primes,
-whose leaves are bundles of nearby requests that finish in int64: every
-modulus is below 2^31.
+whose leaves are bundles of nearby requests, each finished by one ``%``
+and int64 products: every modulus is below 2^31.
 ``pow_mod`` is the elementwise power with which the traces combine them.
 """
 
@@ -165,7 +165,7 @@ def prefix_factorials(xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
     the bundle's first x.  One accumulating remainder tree over the bundles
     (``_tree_factorials``) gives V_b = (x_b)! mod M_b, x_b the first x of
     bundle b and M_b the product of its moduli.  Each request then finishes
-    in int64 (``_finish``): V_b mod m_i from V_b's 32-bit words, times the at
+    (``_finish``): V_b mod m_i by Python's ``%``, times, in int64, the at
     most ``_BUNDLE_WIDTH`` integers of (x_b, x_i].  A modulus of 2^31 or
     more raises ValueError.
     """
@@ -201,22 +201,14 @@ def _bundle_starts(x: np.ndarray) -> list[int]:
 def _finish(
     vals: list[int], bundle: np.ndarray, first: np.ndarray, x: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
-    """vals[bundle_i] * prod of t over first_i < t <= x_i, mod m_i, in int64.
+    """vals[bundle_i] * prod of t over first_i < t <= x_i, mod m_i.
 
-    m_i < 2^31 and x_i - first_i <= ``_BUNDLE_WIDTH``.  V mod m is a Horner
-    pass over V's 32-bit words, high to low: r -> r * (2^32 mod m) + w, below
-    2^62 + 2^32, then mod m.  The gap products multiply by
+    m_i < 2^31 and x_i - first_i <= ``_BUNDLE_WIDTH``.  V mod m is Python's
+    ``%`` on an object array.  The gap products multiply in int64 by
     (first mod m) + k < 2^31 + ``_BUNDLE_WIDTH``, over the requests sorted by
     gap, longest first, so step k touches only those whose gap is at least k.
     """
-    words = -(-max(v.bit_length() for v in vals) // 32) or 1
-    table = np.frombuffer(
-        b"".join(v.to_bytes(4 * words, "little") for v in vals), dtype="<u4"
-    ).reshape(-1, words)[bundle].astype(np.int64)
-    shift = (1 << 32) % m
-    r = table[:, -1] % m
-    for k in range(words - 2, -1, -1):
-        r = (r * shift + table[:, k]) % m
+    r = (np.array(vals, dtype=object)[bundle] % m.astype(object)).astype(np.int64)
     gap = x - first
     order = np.argsort(gap, kind="stable")[::-1]
     gap = gap[order]

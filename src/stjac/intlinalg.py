@@ -63,8 +63,8 @@ def hnf_rows(rows) -> list[list[int]]:
     each entry above a pivot into [0, pivot), with no elimination below a
     pivot: the canonical basis of the row lattice.
     """
-    mat = sorted(([int(x) for x in row] for row in rows if any(row)), key=_lead)
-    leads = list(map(_lead, mat))
+    pairs = sorted((_lead(row), row) for row in ([int(x) for x in r] for r in rows) if any(row))
+    leads, mat = [col for col, _ in pairs], [row for _, row in pairs]
     if len(set(leads)) < len(leads):
         raise InputError("rows that share a leading column are not an echelon basis")
     for r, col in enumerate(leads):
@@ -356,9 +356,10 @@ def snf_invariant_factors(rows) -> list[int]:
     Pairwise (gcd, lcm) then orders the diagonal by divisibility.
     """
     mat = hnf_rows(rows)
-    units = {_lead(row) for row in mat if next(filter(None, row)) == 1}
+    leads = list(map(_lead, mat))
+    units = {col for col, row in zip(leads, mat) if row[col] == 1}
     rest = [[x for j, x in enumerate(row) if j not in units]
-            for row in mat if _lead(row) not in units]
+            for col, row in zip(leads, mat) if col not in units]
     if not rest:
         return [1] * len(mat)
     # a row of rest starts with its pivot

@@ -175,10 +175,28 @@ def test_cached_jacobi_equals_direct_on_every_column_below_4000():
     for p in prime_range(3, 4000):
         fld = make_field(p)
         assert_matches_direct(fld, sorted(set(count_columns(p, families))))
-        square += any(m * m <= fld.n for m in fld.joint)
-        narrow += any(m * m > fld.n for m in fld.joint)
+        # the rule of _phi_profile: the joint table up to min(p - 1, 2^14) bins
+        square += any(m * m <= min(fld.n, 1 << 14) for m in fld.joint)
+        narrow += any(m * m > min(fld.n, 1 << 14) for m in fld.joint)
     # most of these primes go through an M x M table, many through an M x 2 one
     assert square > 400 and narrow > 200, (square, narrow)
+
+
+def test_more_than_2_14_bins_take_the_parity_table(monkeypatch):
+    # at 1008001, M = 360 (x^360 + 3) and M = 140 have M^2 <= p - 1 but
+    # more than 2^14 bins, so their profile comes from the M x 2 table, equal
+    # to the joint one's; M = 128 has 2^14 bins and keeps the joint table
+    shapes = []
+    real = _accel.char_pair_histogram
+    monkeypatch.setattr(_accel, "char_pair_histogram", lambda u, m, k, n: shapes.append(k) or real(
+        u, m, k, n))
+    for m, shape in ((360, 2), (140, 2), (128, 128)):
+        fld = make_field(1008001)
+        shapes.clear()
+        profile = charsums._phi_profile(fld, m)
+        assert shapes == [shape] and m * m <= fld.n, m
+        joint = real(fld.dlog_mod(m), m, m, fld.n).reshape(m, m) @ (1 - 2 * (np.arange(m) % 2))
+        assert profile.tolist() == joint.tolist(), m
 
 
 def test_cached_jacobi_equals_direct_near_a_million():

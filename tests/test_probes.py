@@ -1,5 +1,5 @@
 """tools/probes.py: its JSON schema on one tiny probe of each kind (st0,
-st0scan, st0pool, st0survey, sweep, count, kernel), the best of its repeated runs, a cap it
+st0pool, st0survey, sweep, count, kernel), the best of its repeated runs, a cap it
 cannot meet and a probe that raises.  tests/test_pairs.py pairs a probe
 between two trees."""
 
@@ -71,25 +71,6 @@ def test_probe_json_schema(tmp_path):
     assert 10 < probe["peak_rss_mb"] < 1000
 
 
-def test_st0scan_probe_json_schema():
-    doc = _probe("--only", "st0scan:additive:10", "--cap", "60")
-    (probe,) = doc["probes"]
-    assert set(probe) == KEYS and len(probe["runs"]) == 3
-    assert all(set(r) == RUN_KEYS for r in probe["runs"])
-    assert probe["probe"] == "st0scan:additive:10" and probe["status"] == "ok"
-    result = probe["result"]
-    assert set(result) == {"seconds", "first_s", "rest_s", "twists", "dimension", "classes",
-                           "primes_used"}
-    assert 0 < result["seconds"] < probe["wall_s"] < 60
-    # the first (cold) twist is timed apart from the six warm ones
-    assert 0 < result["first_s"] and 0 < result["rest_s"]
-    assert result["first_s"] + result["rest_s"] == pytest.approx(result["seconds"])
-    tid = identify_st0(curve("additive", 10, 1))
-    times = {k: result[k] for k in ("seconds", "first_s", "rest_s")}
-    assert result == {**times, "twists": 7, "dimension": tid.dimension,
-                      "classes": len(tid.classes), "primes_used": [11, 31, 41]}
-
-
 def test_st0pool_probe_json_schema():
     doc = _probe("--only", "st0pool:2", "--cap", "60")
     (probe,) = doc["probes"]
@@ -103,13 +84,17 @@ def test_st0pool_probe_json_schema():
     assert 0 < result["first_s"] and 0 < result["seconds"] < probe["cpu_s"]
     assert result["per_call_s"] == pytest.approx(result["seconds"] / (2 * 126))
     assert result["calls"] == 126 and result["warm_passes"] == 2
-    # the pool is perfbench's st0-curves pool, each curve with every twist
+    # the pool is perfbench's st0-curves pool, each curve with every twist,
+    # in the order the probe has always taken them
     workloads = _load("perfbench_workloads", SCRIPT.parents[1] / "perfbench" / "workloads.py")
-    pool = sorted(workloads.ST0_PINNED)
-    assert pool == sorted(probes.POOL) and len(pool) == 18
-    assert probes.TWISTS == workloads.C_VALUES
+    pool, twists = probes.st0_pool()
+    assert sorted(pool) == sorted(workloads.ST0_PINNED) and len(pool) == 18
+    additive = (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 36, 40)
+    assert pool == tuple(("additive", d) for d in additive) + tuple(
+        ("linear", d) for d in (5, 7, 9, 11, 13))
+    assert twists == workloads.C_VALUES == ("1", "2", "3", "5", "-1", "1/2", "-3/5")
     names = [identify_st0(curve(family, d, Fraction(c))).to_dict()
-             for family, d in probes.POOL for c in probes.TWISTS]
+             for family, d in pool for c in twists]
     assert result["names_sha256"] == hashlib.sha256(json.dumps(names).encode()).hexdigest()
 
 

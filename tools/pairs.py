@@ -7,57 +7,62 @@
 
 A workload is a perfbench workload or a probe, named as ``tools/probes.py
 --only`` names it (KIND:FIELDS); ``--workload`` takes one or more, mixed,
-and runs them in the order given, each with its own series.  The base side
-is REV's ``src``, ``perfbench`` and ``tools``, exported with ``git
-archive``; the change side is the same three directories of the working
-tree, tracked and untracked files alike, minus what git ignores.  Each
-side is archived once, when the invocation starts, so every workload runs
-the same two trees.  Each pair runs the workload once per
-side, each side in a fresh export, in one of two directories, ``a`` and
-``b``, under one temporary root.  The tree in ``a`` runs first, and the
-two sides trade directories every pair, so over an even number of pairs
-both the side that runs first and the directory each side runs in
-alternate.  Pair i of the k-th workload (k from 0) takes seed
-SEED + k*(N + M) + i.  Then ``--aa M`` pairs run the base against a second
-export of the base in the change's place, in the same way, with seeds
-SEED + k*(N + M) + N + j: an A/A series of identical code.
+and runs them in the order given, each with its own series.  Both sides
+are exported by one function, ``archive``: ``git archive`` of a tree's
+``src``, ``perfbench`` and ``tools``.  The base side is REV's tree.  The
+change side is a tree written from a throwaway index (``snapshot``) that
+holds those three directories of the working tree, tracked and untracked
+files alike, minus what git ignores; the real index and the working tree
+are left as they were.  When the three tree ids of both sides agree, the
+change side runs the base's tar bytes.  Each side is archived once, when
+the invocation starts, so every workload runs the same two trees.  Each
+pair runs the workload once per side, each side in a fresh extract, in
+one of two directories, ``a`` and ``b``, under one temporary root.  The
+tree in ``a`` runs first, and the two sides trade directories every pair,
+so over an even number of pairs both the side that runs first and the
+directory each side runs in alternate.  Pair i of the k-th workload (k
+from 0) takes seed SEED + k*(N + M) + i.  Then ``--aa M`` pairs run the
+base against a second extract of the base in the change's place, in the
+same way, with seeds SEED + k*(N + M) + N + j: an A/A series of identical
+code.
 
 A perfbench run is ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0``; its metrics are the end-to-end metrics of BENCHMARK.json,
-calibrated and raw.  A probe run is that tree's ``tools/probes.py
---measure NAME --src <tree>/src``, under the probe's default cap (the seed
-and ``--seconds`` do not apply); its metrics are the probed call's
-``seconds``, the CPU time ``cpu_s`` and the ``peak_rss_mb`` of the probe's
-process, lower is better and none has a bound.  A probe has no
-calibration, so its raw values are its values, and its answer (the result
-without its times) must be the same in every run of both sides.  A run
-that fails stops the harness.
+each calibrated (NAME) and raw (NAME:raw).  A probe run is that tree's
+``tools/probes.py --measure NAME --src <tree>/src``, under the probe's
+default cap (the seed and ``--seconds`` do not apply); its metrics are the
+probed call's ``seconds``, the CPU time ``cpu_s`` and the ``peak_rss_mb``
+of the probe's process, lower is better and none has a bound.  A probe has
+no calibration, so it has no NAME:raw, and its answer (the result without
+its times) must be the same in every run of both sides.  A run that fails
+stops the harness.
 
-The output holds, per workload and series, each run's seed, directory,
-order, request counts (one per probe run) and the SHA-256 of the
-``src/stjac`` it imported, the answer of its first run and whether every
-run gave it (perfbench checks its own answers: its answer is null), and
-per metric (unit, better direction and bound):
-- each side's values and raw values, run by run;
+The output holds, per workload, both sides' tree ids, and per series each
+run's seed, directory, order, request counts (one per probe run) and the
+SHA-256 of the ``src/stjac`` it imported, the answer of its first run and
+whether every run gave it (perfbench checks its own answers: its answer is
+null).  Every metric, raw twins included, gets its record from one
+function, ``metric``: unit, better direction and bound;
+- each side's values, run by run;
 - the side medians, the base side's IQR and the change of the medians;
 - each pair's relative change (change / base - 1), their median and how
   many pairs favour the change (a tie favours neither side);
-- the A/A series' pair changes, their median and their range [min, max],
-  as context;
+- the A/A series' values, pair changes, their median and their range
+  [min, max], as context;
 - the verdict: "resolved" when the change wins at least nine tenths of the
   pairs and its median is better than the base median by more than the
   base IQR; "regressed" when it loses at least nine tenths of the pairs
   and its median is worse than the base median by more than the metric's
   bound, a fraction of the base median (the base IQR for a probe, which
-  has no bound); else "not resolved";
-- the same pair changes, wins and verdict on the raw values, and the pairs
-  whose calibrated and raw changes favour different sides.
+  has no bound); else "not resolved".
+A calibrated metric also lists the pairs whose calibrated and raw changes
+favour different sides.
 
 Each workload's record keeps the command that reruns it alone.  A line
-per workload and metric on stderr gives both verdicts and those pairs.
-With ``--out FILE`` the workloads are merged into FILE when it exists
-(same schema and base), each as soon as it finishes.  The exit status is
-1 when the answers of any probe differ.
+per workload and metric on stderr gives its verdict.  With ``--out FILE``
+the workloads are merged into FILE when it exists (same schema and base),
+each as soon as it finishes.  The exit status is 1 when the answers of
+any probe differ.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "stjac-pairs/1"
+SCHEMA = "stjac-pairs/2"
 TREES = ("src", "perfbench", "tools")
 # name -> (unit, better, bound) of a probe's metrics
 PROBE_SPEC = {"seconds": ("s", "lower", None), "cpu_s": ("s", "lower", None),
@@ -87,23 +92,31 @@ PROBE_SPEC = {"seconds": ("s", "lower", None), "cpu_s": ("s", "lower", None),
 TIMES = runpy.run_path(str(ROOT / "tools" / "probes.py"))["TIMES"]
 
 
-def archive_rev(rev: str) -> bytes:
-    """REV's trees as a tar."""
-    return subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *TREES],
+def git(*args: str, env: dict | None = None) -> str:
+    """The stdout of one git command in ROOT, stripped."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                          check=True, env=env).stdout.strip()
+
+
+def archive(treeish: str) -> bytes:
+    """TREEISH's trees as a tar, by ``git archive``."""
+    return subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", treeish, *TREES],
                           capture_output=True, check=True).stdout
 
 
-def archive_worktree() -> bytes:
-    """The working tree's trees as a tar, without ignored files."""
-    names = subprocess.run(
-        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard",
-         *TREES], capture_output=True, check=True).stdout.decode().split("\0")
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w") as tar:
-        for name in filter(None, names):
-            if (ROOT / name).is_file():  # a tracked file deleted in the working tree is skipped
-                tar.add(ROOT / name, arcname=name)
-    return buf.getvalue()
+def snapshot() -> str:
+    """The id of a tree that holds the working tree's trees, tracked and
+    untracked files alike, minus what git ignores: written from a
+    throwaway index, so the real index and the working tree are untouched."""
+    with tempfile.TemporaryDirectory(prefix="pairs-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "-A", "--", *TREES, env=env)
+        return git("write-tree", env=env)
+
+
+def tree_ids(treeish: str) -> dict[str, str]:
+    """name -> id of each of TREEISH's trees."""
+    return {name: git("rev-parse", f"{treeish}:{name}") for name in TREES}
 
 
 def extract(tar: bytes, dest: Path) -> Path:
@@ -124,8 +137,9 @@ def src_sha256(tree: Path) -> str:
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``perfbench/run.py`` run in tree: request counts,
-    calibrated and raw end-to-end metrics and the SHA-256 of its stjac."""
+    """One untraced ``perfbench/run.py`` run in tree: request counts, the
+    end-to-end metrics, each calibrated (NAME) and raw (NAME:raw), and the
+    SHA-256 of its stjac."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -133,9 +147,10 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     path = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     out = json.loads(path.read_text())
+    values = {name: m["value"] for name, m in last["metrics"].items()}
+    values.update((f"{name}:raw", v) for name, v in out["raw_metrics"].items())
     return {"correct": last["correct"], "attempted": last["attempted"], "failed": last["failed"],
-            "values": {name: m["value"] for name, m in last["metrics"].items()},
-            "raw": out["raw_metrics"], "src_sha256": out["env"]["src_sha256"], "answer": None}
+            "values": values, "src_sha256": out["env"]["src_sha256"], "answer": None}
 
 
 def probe(tree: Path, name: str, seed: int, seconds: float) -> dict:
@@ -150,7 +165,7 @@ def probe(tree: Path, name: str, seed: int, seconds: float) -> dict:
     result = out["result"]
     values = {"seconds": result["seconds"], "cpu_s": out["cpu_s"],
               "peak_rss_mb": out["peak_rss_mb"]}
-    return {"correct": True, "attempted": 1, "failed": 0, "values": values, "raw": values,
+    return {"correct": True, "attempted": 1, "failed": 0, "values": values,
             "src_sha256": src_sha256(tree),
             "answer": {k: v for k, v in result.items() if k not in TIMES}}
 
@@ -185,11 +200,10 @@ def _runs_record(runs: list[dict], sides: tuple[str, str]) -> dict:
     }
 
 
-def _pair_changes(runs: list[dict], sides: tuple[str, str], name: str,
-                  key: str = "values") -> list[float]:
-    """change / base - 1 of each pair, on the calibrated values or ("raw") the raw ones."""
+def _pair_changes(runs: list[dict], sides: tuple[str, str], name: str) -> list[float]:
+    """change / base - 1 of each pair."""
     base, other = sides
-    return [r[other][key][name] / r[base][key][name] - 1 for r in runs]
+    return [r[other]["values"][name] / r[base]["values"][name] - 1 for r in runs]
 
 
 def _iqr(values: list[float]) -> float | None:
@@ -221,56 +235,58 @@ def verdict(base: list[float], change: list[float], wins: int, sign: int, losses
     return "not resolved"
 
 
+def metric(runs: list[dict], aa: list[dict], name: str, unit: str, better: str,
+           bound: float | None) -> dict:
+    """The record of one metric: each side's values, the side medians, the
+    base IQR, the pair changes, their median and wins, the A/A series'
+    values, pair changes, median and range, and the verdict."""
+    sign = 1 if better == "higher" else -1
+    base, change = ([r[s]["values"][name] for r in runs] for s in ("base", "change"))
+    changes = _pair_changes(runs, ("base", "change"), name)
+    aa_changes = _pair_changes(aa, ("base", "copy"), name)
+    wins = sum(sign * c > 0 for c in changes)
+    losses = sum(sign * c < 0 for c in changes)
+    base_median, change_median = statistics.median(base), statistics.median(change)
+    iqr = _iqr(base)
+    return {
+        "unit": unit, "better": better, "bound": bound, "base": base, "change": change,
+        "base_median": base_median,
+        "change_median": change_median,
+        "median_change_frac": change_median / base_median - 1,
+        "base_iqr_frac": None if iqr is None else iqr / base_median,
+        "pair_changes": changes,
+        "median_pair_change": statistics.median(changes),
+        "wins_change": wins,
+        "aa": {
+            **{s: [r[s]["values"][name] for r in aa] for s in ("base", "copy")},
+            "pair_changes": aa_changes,
+            "median_pair_change": statistics.median(aa_changes) if aa else None,
+            "range": [min(aa_changes), max(aa_changes)] if aa else None,
+        },
+        "verdict": verdict(base, change, wins, sign, losses, bound),
+    }
+
+
 def summarize(runs: list[dict], aa: list[dict], spec: dict) -> dict:
-    """The schema's record of one workload: its two series and, per metric,
-    the values, medians, wins, A/A range and verdict."""
-    record = {**_runs_record(runs, ("base", "change")),
-              "aa": _runs_record(aa, ("base", "copy")), "metrics": {}}
-    for name, (unit, better, bound) in spec.items():
-        sign = 1 if better == "higher" else -1
-        sides = {s: {key: [r[s][key][name] for r in runs] for key in ("values", "raw")}
-                 for s in ("base", "change")}
-        changes, raw = (_pair_changes(runs, ("base", "change"), name, key)
-                        for key in ("values", "raw"))
-        aa_changes, aa_raw = (_pair_changes(aa, ("base", "copy"), name, key)
-                              for key in ("values", "raw"))
-        wins, raw_wins = (sum(sign * c > 0 for c in cs) for cs in (changes, raw))
-        losses, raw_losses = (sum(sign * c < 0 for c in cs) for cs in (changes, raw))
-        base_median, change_median = (statistics.median(sides[s]["values"]) for s in sides)
-        iqr = _iqr(sides["base"]["values"])
-        record["metrics"][name] = {
-            "unit": unit, "better": better, "bound": bound, **sides,
-            "base_median": base_median,
-            "change_median": change_median,
-            "median_change_frac": change_median / base_median - 1,
-            "base_iqr_frac": None if iqr is None else iqr / base_median,
-            "pair_changes": changes,
-            "median_pair_change": statistics.median(changes),
-            "wins_change": wins,
-            "aa": {
-                **{s: [r[s]["values"][name] for r in aa] for s in ("base", "copy")},
-                "pair_changes": aa_changes,
-                "median_pair_change": statistics.median(aa_changes) if aa else None,
-                "range": [min(aa_changes), max(aa_changes)] if aa else None,
-                "raw_pair_changes": aa_raw,
-                "raw_range": [min(aa_raw), max(aa_raw)] if aa else None,
-            },
-            "verdict": verdict(sides["base"]["values"], sides["change"]["values"], wins, sign,
-                               losses, bound),
-            "raw_pair_changes": raw,
-            "raw_median_pair_change": statistics.median(raw),
-            "raw_wins_change": raw_wins,
-            "raw_verdict": verdict(sides["base"]["raw"], sides["change"]["raw"], raw_wins, sign,
-                                   raw_losses, bound),
-            "disagreeing_pairs": [i for i, (c, r) in enumerate(zip(changes, raw)) if c * r < 0],
-        }
-    return record
+    """The schema's record of one workload: its two series and the
+    ``metric`` record of each metric of spec; a calibrated metric with a
+    raw twin also lists the pairs whose two changes favour different sides."""
+    metrics = {name: metric(runs, aa, name, *spec[name]) for name in spec}
+    for name, record in metrics.items():
+        if f"{name}:raw" in metrics:
+            raw = metrics[f"{name}:raw"]["pair_changes"]
+            record["disagreeing_pairs"] = [
+                i for i, (c, r) in enumerate(zip(record["pair_changes"], raw)) if c * r < 0]
+    return {**_runs_record(runs, ("base", "change")), "aa": _runs_record(aa, ("base", "copy")),
+            "metrics": metrics}
 
 
 def end_to_end_spec() -> dict:
-    """name -> (unit, better, bound) of the end-to-end metrics in BENCHMARK.json."""
+    """name -> (unit, better, bound) of the end-to-end metrics in
+    BENCHMARK.json, each followed by its raw twin NAME:raw."""
     doc = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: (m["unit"], m["better"], m["bound"]) for m in doc["end_to_end"]}
+    return {m["name"] + suffix: (m["unit"], m["better"], m["bound"])
+            for m in doc["end_to_end"] for suffix in ("", ":raw")}
 
 
 def main(argv=None) -> int:
@@ -284,8 +300,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", default=None, help="merge the records into this JSON file")
     args = ap.parse_args(argv)
-    base_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
-                              capture_output=True, text=True, check=True).stdout.strip()
+    base_sha = git("rev-parse", args.base)
     out = Path(args.out) if args.out else None
     doc = json.loads(out.read_text()) if out and out.exists() else {
         "schema": SCHEMA, "base": base_sha, "workloads": {}}
@@ -294,7 +309,10 @@ def main(argv=None) -> int:
     doc["machine"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(),
                       "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
-    base, change = archive_rev(base_sha), archive_worktree()
+    change_tree = snapshot()
+    trees = {"base": tree_ids(base_sha), "change": tree_ids(change_tree)}
+    base = archive(base_sha)
+    change = base if trees["change"] == trees["base"] else archive(change_tree)
     differ = []
     for k, workload in enumerate(args.workload):
         runner, spec = (probe, PROBE_SPEC) if ":" in workload else (perfbench, end_to_end_spec())
@@ -306,16 +324,16 @@ def main(argv=None) -> int:
                           args.seconds, root, runner)
             aa = series({"base": base, "copy": base}, workload, seeds[args.pairs:],
                         args.seconds, root, runner)
-        record = summarize(runs, aa, spec)
+        record = {**summarize(runs, aa, spec), "trees": trees}
         record["command"] = (f"tools/pairs.py --base {args.base} --workload {workload} "
                              f"--pairs {args.pairs} --aa {args.aa} --seed {seed} "
                              f"--seconds {args.seconds:g}")
         doc["workloads"][workload] = record
         for name, m in record["metrics"].items():
+            disagree = (f"; pairs disagreeing: {m['disagreeing_pairs']}"
+                        if "disagreeing_pairs" in m else "")
             print(f"{workload} {name}: {m['median_pair_change']:+.1%}, {m['wins_change']} of "
-                  f"{args.pairs} pairs, {m['verdict']}; raw {m['raw_median_pair_change']:+.1%}, "
-                  f"{m['raw_wins_change']} of {args.pairs} pairs, {m['raw_verdict']}; "
-                  f"pairs disagreeing: {m['disagreeing_pairs']}", file=sys.stderr)
+                  f"{args.pairs} pairs, {m['verdict']}{disagree}", file=sys.stderr)
         if not (record["same_answers"] and record["aa"]["same_answers"]):
             differ.append(workload)
         if out:  # each finished workload is kept, should a later one fail

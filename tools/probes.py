@@ -9,13 +9,10 @@ A probe is named KIND:FIELD:..., mostly KIND:FAMILY:D:..., with stjac
 imported from the ``src`` next to this script:
 - st0:FAMILY:D:C, ``identify_st0`` of y^2 = x^D + C (additive) or
   y^2 = x^D + C*x (linear);
-- st0scan:FAMILY:D, ``identify_st0`` of that curve for each of the
-  TWISTS = 1, 2, 3, 5, -1, 1/2, -3/5 in turn, in one process: what a
-  process that scans the twists of a curve reuses.  ``first_s`` is the
-  first (cold) twist's time, ``rest_s`` that of the six warm ones, and
-  ``seconds`` their sum;
 - st0pool:WARM, ``identify_st0`` of each of the 18 curves of perfbench's
-  st0-curves (POOL) with each of the TWISTS, 126 calls in one pass: one
+  st0-curves with each of its twists 1, 2, 3, 5, -1, 1/2, -3/5, both
+  read from ``perfbench/workloads.py`` in its order (``st0_pool``), 126
+  calls in one pass: what a process that scans the twists reuses; one
   cold pass, then WARM warm passes in the same process.  Both are CPU time
   (``time.process_time``): ``first_s`` is the cold pass, ``seconds`` the
   WARM warm passes and ``per_call_s`` their time per call, which a pair
@@ -53,17 +50,18 @@ the probed call.
 The default probes are the large-degree walls: st0 of x^420, x^600 and
 x^840 (congruence modulus 420, 600, 840) and of the linear x^211 and x^421
 (moduli 420 and 840); the kernels of x^420 at p = 421 and of the linear
-x^421 at p = 2521, where k reaches 127; the counts of
-x^397+1 at p = 2383 and x^2000+3 at p = 1008001, where the count sums
-hundreds of Jacobi sums, and of x^12+3 at 50000017, the first good prime
-from 5*10^7, where the O(p) passes dominate; and the sweep of x^9+1 to
-10^5, 3*10^5 and 10^6, where the top of the remainder tree grows
+x^421 at p = 2521, where k reaches 127; the counts of x^397+1 at
+p = 2383 and x^2000+3 at p = 1008001, where the count sums hundreds of
+Jacobi sums, of x^360+3 at p = 1008001, where M = 360 takes the M x 2
+table (M^2 > 2^14), and of x^12+3 at 50000017, the first good prime from
+5*10^7, where the O(p) passes dominate; and the sweep of x^9+1 to 10^5,
+3*10^5 and 10^6, where the top of the remainder tree grows
 quadratically; and the sweeps of the genus-200 x^401+1 and the genus-100
 linear x^201+x to 160000, where every prime of the first and about 30 % of
 the second lie at or below 4g^2: there the Weil bound leaves the residue
-of t_p mod p ambiguous, and the interval of the point count fixes t_p.  A sweep's result holds its moments and the SHA-256 of its
-(p, t_p) pairs, so two checkouts can be compared by answer as well as by
-time.
+of t_p mod p ambiguous, and the interval of the point count fixes t_p.
+A sweep's result holds its moments and the SHA-256 of its (p, t_p)
+pairs, so two checkouts can be compared by answer as well as by time.
 
 ``tools/pairs.py --base REV --workload KIND:FIELDS`` pairs one probe
 between REV and the working tree, one ``--measure`` run per side and pair.
@@ -76,6 +74,7 @@ import hashlib
 import json
 import platform
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -92,6 +91,7 @@ DEFAULT = (
     "kernel:linear:421:2521",
     "count:additive:397:1:2383",
     "count:additive:2000:3:1008001",
+    "count:additive:360:3:1008001",
     "count:additive:12:3:50000017",
     "sweep:additive:9:1:100000",
     "sweep:additive:9:1:300000",
@@ -104,18 +104,18 @@ DEFAULT = (
 REPEATS = 3  # runs of each probe, each in a fresh process
 
 # the fields after KIND of each probe kind
-FIELDS = {"st0": 3, "st0scan": 2, "st0pool": 1, "st0survey": 1, "sweep": 4, "count": 4,
-          "kernel": 3}
-
-# the twists of an st0scan or st0pool probe, in order
-TWISTS = ("1", "2", "3", "5", "-1", "1/2", "-3/5")
-
-# the curves of an st0pool probe: the pool of perfbench's st0-curves
-POOL = tuple(("additive", d) for d in (6, 8, 9, 10, 12, 14, 16, 18, 20, 24, 30, 36, 40)) + tuple(
-    ("linear", d) for d in (5, 7, 9, 11, 13))
+FIELDS = {"st0": 3, "st0pool": 1, "st0survey": 1, "sweep": 4, "count": 4, "kernel": 3}
 
 # the keys of a probe's result that are times, not answers
-TIMES = {"seconds", "first_s", "rest_s", "per_call_s", "slowest"}
+TIMES = {"seconds", "first_s", "per_call_s", "slowest"}
+
+
+def st0_pool() -> tuple[tuple, tuple]:
+    """The curves and twists of an st0pool probe, in order: the pool of
+    perfbench's st0-curves and its ``C_VALUES``, read from
+    ``perfbench/workloads.py`` next to this script."""
+    workloads = runpy.run_path(str(SRC.parent / "perfbench" / "workloads.py"))
+    return workloads["WORKLOADS"]["st0-curves"].curves, workloads["C_VALUES"]
 
 
 def run_probe(name: str, src: Path = SRC) -> dict:
@@ -137,7 +137,8 @@ def run_probe(name: str, src: Path = SRC) -> dict:
     if Path(stjac.__file__).parents[1] != src.resolve():
         raise RuntimeError(f"stjac came from {stjac.__file__}, not from {src}")
     if kind == "st0pool":
-        specs = [curve(family, d, Fraction(c)) for family, d in POOL for c in TWISTS]
+        pool, twists = st0_pool()
+        specs = [curve(family, d, Fraction(c)) for family, d in pool for c in twists]
         start = time.process_time()
         names = [identify_st0(spec).to_dict() for spec in specs]
         first = time.process_time() - start
@@ -170,16 +171,6 @@ def run_probe(name: str, src: Path = SRC) -> dict:
                 "closed_form_misses": misses}
     family, d = fields[0], int(fields[1])
     start = time.perf_counter()
-    if kind == "st0scan":
-        tids = [identify_st0(curve(family, d, Fraction(TWISTS[0])))]
-        first = time.perf_counter() - start
-        tids += [identify_st0(curve(family, d, Fraction(c))) for c in TWISTS[1:]]
-        seconds = time.perf_counter() - start
-        if any(tid != tids[0] for tid in tids):
-            raise RuntimeError(f"the twists of {name} name different tori")
-        return {"seconds": seconds, "first_s": first, "rest_s": seconds - first,
-                "twists": len(tids), "dimension": tids[0].dimension,
-                "classes": len(tids[0].classes), "primes_used": list(tids[0].primes_used)}
     if kind == "kernel":
         mat, kern, relations = relation_report(int(fields[2]), d, family)
         kinds = [r.kind for r in relations]
