@@ -21,6 +21,10 @@ from . import _accel
 from .cyclo import CycloElt
 from .ffield import CharExponent, PrimeField
 
+# the most bins of a joint table: at p = 1008001 the joint pass beat the
+# parity pass at M = 48, tied with it from M = 96 to 180 and took 2-4x as
+# long at M = 240 and 360
+_JOINT_BINS = 1 << 14
 
 def conductor(fld: PrimeField, a: CharExponent) -> int:
     """Conductor N = (p-1)/gcd(a, (p-1)/2) = lcm(2, ord T^a) of J(T^a, phi).
@@ -38,18 +42,16 @@ def _phi_profile(fld: PrimeField, need: int) -> np.ndarray:
     M is even, so phi(1 - x) = (-1)^(dlog(1-x) mod M) and J(T^a, phi) =
     sum_i D[i] zeta_{p-1}^(a*i).  Built on first use by one
     ``_accel.char_pair_histogram`` pass over the dlog residues mod need
-    (one byte per y <= (p-1)/2 for need <= 128): the need x need joint table of
-    (dlog x, dlog(1-x)) when need^2 <= min(p - 1, 2^14), else the need x 2
-    table of (dlog x, parity of dlog(1-x)); D is that table against the
-    signs (-1)^j of its columns.
+    (one byte per y <= (p-1)/2 for need <= 128): the need x need joint
+    table of (dlog x, dlog(1-x)) when need^2 <= min(p - 1, ``_JOINT_BINS``),
+    else the need x 2 table of (dlog x, parity of dlog(1-x)); D is that
+    table against the signs (-1)^j of its columns.
     """
     for m, profile in fld.joint.items():
         if m % need == 0:
             return profile
     n = fld.n
-    # at p = 1008001 the joint pass took 0.9-1.6 ms up to M = 128 (2^14 bins)
-    # and 2.7-5.6 ms from M = 140 to 180, the parity pass 1.7-2.3 ms at every M
-    k = need if need * need <= min(n, 1 << 14) else 2
+    k = need if need * need <= min(n, _JOINT_BINS) else 2
     table = _accel.char_pair_histogram(fld.dlog_mod(need), need, k, n)
     profile = table.reshape(need, k) @ (1 - 2 * (np.arange(k) % 2))
     profile.flags.writeable = False

@@ -175,9 +175,9 @@ def test_cached_jacobi_equals_direct_on_every_column_below_4000():
     for p in prime_range(3, 4000):
         fld = make_field(p)
         assert_matches_direct(fld, sorted(set(count_columns(p, families))))
-        # the rule of _phi_profile: the joint table up to min(p - 1, 2^14) bins
-        square += any(m * m <= min(fld.n, 1 << 14) for m in fld.joint)
-        narrow += any(m * m > min(fld.n, 1 << 14) for m in fld.joint)
+        # the rule of _phi_profile: the joint table up to min(p - 1, _JOINT_BINS) bins
+        square += any(m * m <= min(fld.n, charsums._JOINT_BINS) for m in fld.joint)
+        narrow += any(m * m > min(fld.n, charsums._JOINT_BINS) for m in fld.joint)
     # most of these primes go through an M x M table, many through an M x 2 one
     assert square > 400 and narrow > 200, (square, narrow)
 

@@ -389,15 +389,18 @@ def _git(repo, *args):
 @pytest.fixture
 def repo(tmp_path, monkeypatch):
     """A git repository of the test's own, as pairs.ROOT, with one commit
-    of src, perfbench, tools and one file outside them."""
+    of src, perfbench, tools and one file outside them; perfbench/pinned.log
+    is tracked although the ignore rule matches it."""
     root = tmp_path / "repo"
     files = {"src/stjac/speed.py": "100", "src/stjac/kept.py": "", "perfbench/run.py": "",
-             "tools/probes.py": "", "README.md": "", ".gitignore": "*.log\n"}
+             "tools/probes.py": "", "README.md": "", ".gitignore": "*.log\n",
+             "perfbench/pinned.log": "tracked"}
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text)
     _git(root, "init", "-q")
     _git(root, "add", "-A")
+    _git(root, "add", "-f", "perfbench/pinned.log")
     _git(root, "-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
          "commit", "-q", "-m", "base")
     monkeypatch.setattr(pairs, "ROOT", root)
@@ -411,7 +414,8 @@ def _tar_files(tar: bytes) -> dict[str, str]:
 
 def test_a_snapshot_exports_the_present_files_that_git_does_not_ignore(repo):
     # a modified file, an untracked one, an ignored one, a deleted tracked
-    # one, and a change outside src, perfbench and tools
+    # one, and a change outside src, perfbench and tools; the tracked file
+    # that the ignore rule matches stays
     (repo / "src/stjac/speed.py").write_text("120")
     (repo / "tools/new.py").write_text("new")
     (repo / "src/stjac/trace.log").write_text("ignored")
@@ -424,8 +428,8 @@ def test_a_snapshot_exports_the_present_files_that_git_does_not_ignore(repo):
     assert (repo / ".git" / "index").read_bytes() == index
     assert _git(repo, "status", "--porcelain") == status
     assert _tar_files(pairs.archive(tree)) == {
-        "src/stjac/speed.py": "120", "perfbench/run.py": "", "tools/probes.py": "",
-        "tools/new.py": "new"}
+        "src/stjac/speed.py": "120", "perfbench/run.py": "", "perfbench/pinned.log": "tracked",
+        "tools/probes.py": "", "tools/new.py": "new"}
     assert pairs.tree_ids(tree)["perfbench"] == pairs.tree_ids("HEAD")["perfbench"]
     assert pairs.tree_ids(tree)["src"] != pairs.tree_ids("HEAD")["src"]
 

@@ -11,9 +11,10 @@ and runs them in the order given, each with its own series.  Both sides
 are exported by one function, ``archive``: ``git archive`` of a tree's
 ``src``, ``perfbench`` and ``tools``.  The base side is REV's tree.  The
 change side is a tree written from a throwaway index (``snapshot``) that
-holds those three directories of the working tree, tracked and untracked
-files alike, minus what git ignores; the real index and the working tree
-are left as they were.  When the three tree ids of both sides agree, the
+holds those three directories of the working tree: HEAD's files as they
+are now, a deleted one left out and one that an ignore rule matches kept,
+and the untracked files that git does not ignore; the real index and the
+working tree are left as they were.  When the three tree ids of both sides agree, the
 change side runs the base's tar bytes.  Each side is archived once, when
 the invocation starts, so every workload runs the same two trees.  Each
 pair runs the workload once per side, each side in a fresh extract, in
@@ -105,11 +106,13 @@ def archive(treeish: str) -> bytes:
 
 
 def snapshot() -> str:
-    """The id of a tree that holds the working tree's trees, tracked and
-    untracked files alike, minus what git ignores: written from a
+    """The id of a tree that holds the working tree's trees: HEAD's files as
+    they are now (an ignore rule does not drop a tracked file) and the
+    untracked files that git does not ignore.  It is written from a
     throwaway index, so the real index and the working tree are untouched."""
     with tempfile.TemporaryDirectory(prefix="pairs-index-") as tmp:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=env)
         git("add", "-A", "--", *TREES, env=env)
         return git("write-tree", env=env)
 
