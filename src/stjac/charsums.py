@@ -21,10 +21,11 @@ from . import _accel
 from .cyclo import CycloElt
 from .ffield import CharExponent, PrimeField
 
-# the most bins of a joint table: at p = 1008001 the joint pass beat the
-# parity pass at M = 48, tied with it from M = 96 to 180 and took 2-4x as
-# long at M = 240 and 360
+# the most bins of a joint table: at p = 1008001 the joint pass took
+# 1.1-1.7 ms up to M = 128 and 2.8-4.9 ms from M = 136 to 180, the parity
+# pass 1.9-2.7 ms at every M
 _JOINT_BINS = 1 << 14
+
 
 def conductor(fld: PrimeField, a: CharExponent) -> int:
     """Conductor N = (p-1)/gcd(a, (p-1)/2) = lcm(2, ord T^a) of J(T^a, phi).
