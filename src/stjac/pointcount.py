@@ -29,7 +29,10 @@ sweep taken from one accumulating remainder tree over bundles of nearby
 requests (the trivial term C(h, h) = 1 takes none), every power from one
 vectorised square-and-multiply, no dlog table and no cyclotomic
 arithmetic.  The samples, moments and class counts are read off int64
-columns.
+columns.  Each binomial depends on r/(p-1) and p alone, never on c or d,
+so every checked one is memoized per process, keyed by (r/(p-1), p), up
+to 2^20 entries (``_BINOMIALS``): a later sweep of any twist or curve
+over the same primes asks the tree only for the binomials it lacks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,6 +250,63 @@ def is_generic_prime(p: int, spec: CurveSpec) -> bool:
 
 _HALF = Fraction(1, 2)
 
+# r -> (primes, values), least recently used first: the binomials
+# C(h, r(p-1)) mod p with their sign (-1)^(r(p-1)), as a term of
+# ``hasse_witt_traces`` reads them, at the sorted, read-only int64 primes
+# where they are known; r = min(j, 1/2 - j) is a fraction of p - 1
+_BINOMIALS: dict[Fraction, tuple[np.ndarray, np.ndarray]] = {}
+# entries over every r, 16 bytes each, counted by the whole pages of their
+# pairs: 2^20 are 16 MiB in at most 4096 maps, five times the 195,945
+# binomials of perfbench's six sweep-2e4 curves swept to 10^6
+_BINOMIAL_BOUND = 1 << 20
+
+
+def _known_binomials(r: Fraction, ps: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The table's binomials of r at ps (0 where absent, None when it has
+    no r) and where they are present; r becomes the most recently used."""
+    entry = _BINOMIALS.pop(r, None)
+    if entry is None:
+        return None, np.zeros(len(ps), dtype=bool)
+    _BINOMIALS[r] = entry
+    keys, values = entry
+    at = np.minimum(np.searchsorted(keys, ps), len(keys) - 1)
+    found = keys[at] == ps
+    return np.where(found, values[at], 0), found
+
+
+def _store_binomials(r: Fraction, ps: np.ndarray, values: np.ndarray) -> None:
+    """Merge checked binomials of r into the table, as one new read-only
+    pair of arrays in an anonymous mmap of its own, then evict whole
+    fractions, least recently used first, until the pairs' pages fit
+    ``_BINOMIAL_BOUND`` entries.
+
+    A batch stores after its remainder tree, so a pair on the malloc heap
+    would lie above the tree's freed memory and keep the heap from
+    shrinking: a cold x^9 + 1 to 3*10^5 then peaked at 53.8 MB in a
+    ``tools/probes.py`` run, against 50.8-51.6 MB with no table, and in
+    mmaps at 51.0-51.1 MB (to 10^6: 83.4, 79.7 and 79.4 MB).  Each pair
+    takes at least one page, so the bound also caps the number of maps."""
+    old = _BINOMIALS.pop(r, None)
+    if old is not None:
+        ps, values = np.concatenate([old[0], ps]), np.concatenate([old[1], values])
+    keys, first = np.unique(ps, return_index=True)
+    pair = np.frombuffer(mmap.mmap(-1, 16 * len(keys)), dtype=np.int64).reshape(2, -1)
+    pair[0], pair[1] = keys, values[first]
+    pair.flags.writeable = False
+    _BINOMIALS[r] = pair[0], pair[1]
+    pages = [(f, -(-16 * len(k) // mmap.PAGESIZE)) for f, (k, _) in list(_BINOMIALS.items())]
+    excess = sum(n for _, n in pages) - 16 * _BINOMIAL_BOUND // mmap.PAGESIZE
+    for f, n in pages:
+        if excess <= 0:
+            break
+        _BINOMIALS.pop(f, None)
+        excess -= n
+
+
+def _clear_binomials() -> None:
+    """Empty the binomial table, so that the next batch runs cold."""
+    _BINOMIALS.clear()
+
 
 def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     """Frobenius traces t_p from the Hasse-Witt residue and the parity of t_p,
@@ -300,23 +361,44 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     gcd(k, p-1) = e, k = ``index_modulus``, has its j at the same fractions
     m/e of p - 1, so each distinct x in {r, 2r} is one int64 array over the
     class.  The term j = h is C(h, h) c^0 = 1 and requests no factorial, so
-    neither does a class whose only j is h.  Every x! mod p of the batch
-    comes from one ``_accel.prefix_factorials`` call on int64 arrays, and
-    every power from one ``_accel.pow_mod`` call: the inverses of (r!)^2 by
+    neither does a class whose only j is h.  Every x! mod p that the batch
+    lacks comes from one ``_accel.prefix_factorials`` call on int64 arrays,
+    and every power from one ``_accel.pow_mod`` call: the inverses of (r!)^2 by
     Fermat, each checked (``_check_inverses``), (4^+-1 c)^(h-j) and the
     parity power (-c)^k; c enters only as c mod p, at three gathers: the
     terms' bases, the parity powers and phi(c) at the ends.  A batch with
     no term runs the same passes on empty arrays.  The binomial sum is a
     few int64 passes (p < 2^31, so a product of two residues is below 2^62).
+
+    The binomials are memoized per process (``_BINOMIALS``).  The key is
+    (r, p), r = min(j, 1/2 - j) a fraction of p - 1, and the value is
+    C(h, r(p-1)) mod p with its sign (-1)^(r(p-1)), as a term reads it.
+    Neither depends on c, nor on d or the family beyond the fraction r, so
+    a twist, or another curve whose r meet at a prime (x^6's r = 1/6 at
+    p = 1 mod 6 is among those of x^9 and x^12), reads the entry as it is.
+    Each (class, r) block is looked up first, by ``np.searchsorted`` in one
+    sorted, read-only int64 array of primes per r.  Only the misses ask the
+    tree for their r! and (2r)! and ``pow_mod`` for their inverse; the
+    c-keyed work (the powers of c, the parity power and phi(c) at the ends)
+    runs on every call.  The tree holds a sweep's peak memory, so the
+    lookups add only boolean masks before it, and the position arrays of
+    the blocks and terms are built after it, in the memory it frees.  A
+    miss is stored only once its inverse passed ``_check_inverses``, so a
+    composite that fails the check raises again on a repeat.  A store
+    replaces its r's pair of arrays whole, so a lost race between threads
+    costs a recomputation, never a wrong value.  The table holds at most
+    ``_BINOMIAL_BOUND`` entries and, when full, evicts whole fractions,
+    least recently used first (``_store_binomials``).
     """
     ps, c = _check_residue_primes(primes, spec)
     n = ps - 1
     total = np.full(len(ps), 1 - points_at_infinity(spec), dtype=np.int64)
-    # requests: one block of (x, p) over a class per fraction of p - 1;
-    # binomials: block positions of r and 2r per distinct r;
-    # terms: (primes, block positions of r, h - j) per j < h
+    # requests: one block of (x, p) per fraction of p - 1 over the primes of
+    # a class that miss an r with x in {r, 2r}; blocks: (primes, the table's
+    # values, where it has them, request positions of r and 2r) per
+    # (class, r); terms: (primes, block, h - j, r = h - j) per j < h
     empty = ps[:0]
-    xs, mods, binomials, terms, size = [empty], [empty], [(empty,) * 2], [(empty,) * 3], 0
+    xs, mods, blocks, terms, size = [empty], [empty], {}, [], 0
     classes = np.gcd(n, index_modulus(spec.family, spec.d))
     for e in set(classes.tolist()):
         idx = np.flatnonzero(classes == e)
@@ -326,26 +408,47 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
         js = [Fraction(m, e) for m in ms if 2 * m < e]
         total[idx] += len(ms) - len(js)  # the term j = h
         rs = {min(j, _HALF - j) for j in js}
+        known = {r: _known_binomials(r, ps[idx]) for r in rs}
         at = {}
         for f in rs | {2 * r for r in rs}:
-            at[f] = np.arange(size, size + len(idx))
-            xs.append(_part(n[idx], f))
-            mods.append(ps[idx])
-            size += len(idx)
-        binomials += [(at[r], at[2 * r]) for r in rs]
-        terms += [(idx, at[min(j, _HALF - j)], _part(n[idx], _HALF - j)) for j in js]
+            need = ~np.logical_and.reduce([known[r][1] for r in rs if f in (r, 2 * r)])
+            sub = idx[need]
+            at[f] = np.zeros(len(idx), dtype=np.int64)
+            at[f][need] = np.arange(size, size + len(sub))
+            xs.append(_part(n[sub], f))
+            mods.append(ps[sub])
+            size += len(sub)
+        blocks.update(((e, r), (idx, *known[r], at[r], at[2 * r])) for r in rs)
+        for j in js:
+            r = min(j, _HALF - j)
+            terms.append((idx, (e, r), _part(n[idx], _HALF - j), r == _HALF - j))
     x, xmod = np.concatenate(xs), np.concatenate(mods)
     order = np.argsort(x, kind="stable")
     fact = np.empty_like(x)
     fact[order] = _accel.prefix_factorials(x[order], xmod[order])
-    at_r, at_2r = (np.concatenate(b) for b in zip(*binomials))
+    # binom: the blocks one after another, the table's values in place;
+    # missing: (binom positions, primes, request positions of r and 2r)
+    starts = dict(zip(blocks, itertools.accumulate((len(b[0]) for b in blocks.values()),
+                                                   initial=0)))
+    binom = np.zeros(sum(len(b[0]) for b in blocks.values()), dtype=np.int64)
+    missing, computed = [(empty,) * 4], {}
+    for (e, r), (idx, values, found, at_r, at_2r) in blocks.items():
+        pos = starts[e, r] + np.flatnonzero(~found)
+        if values is not None:
+            binom[starts[e, r]:starts[e, r] + len(idx)] = values
+        missing.append((pos, ps[idx[~found]], at_r[~found], at_2r[~found]))
+        computed.setdefault(r, []).append(len(missing) - 1)
+    at_b, owned, at_r, at_2r = (np.concatenate(v) for v in zip(*missing))
     mr = xmod[at_r]
     square = fact[at_r] * fact[at_r] % mr
-    owner, at_t, hj = (np.concatenate(t) for t in zip(*terms))
+    owner, at_t, hj, quarter = (np.concatenate(v) for v in zip(
+        (empty, empty, empty, empty.astype(bool)),
+        *((idx, starts[key] + np.arange(len(idx)), part, np.full(len(idx), q))
+          for idx, key, part, q in terms)))
     m = ps[owner]
     # 4^-r c^(h-j): (c/4)^(h-j) where r = h - j, else (4c)^(h-j)
     half = (m + 1) // 2
-    base = c[owner] * np.where(x[at_t] == hj, half * half % m, 4) % m
+    base = c[owner] * np.where(quarter, half * half % m, 4) % m
     # odd additive d: the primes whose parity asks whether -c is an e-th power
     odd = np.flatnonzero(classes > 1) if spec.family == ADDITIVE and spec.d % 2 else empty
     mo = ps[odd]
@@ -357,10 +460,13 @@ def hasse_witt_traces(primes: list[int], spec: CurveSpec) -> list[int]:
     )
     inv, cpow, odd_power = np.split(power, [len(mr), len(mr) + len(m)])
     _check_inverses(square, inv, mr)
-    # C(h, r) at the block position of r, with the sign (-1)^r
-    binom = np.empty_like(x)
+    # C(h, r) of each miss with the sign (-1)^r, stored once checked
     b = fact[at_2r] * inv % mr
-    binom[at_r] = np.where(x[at_r] % 2, mr - b, b)
+    binom[at_b] = np.where(x[at_r] % 2, mr - b, b)
+    for r, rows in computed.items():
+        pos, keys = (np.concatenate([missing[i][k] for i in rows]) for k in (0, 1))
+        if len(pos):
+            _store_binomials(r, keys, binom[pos])
     np.add.at(total, owner, binom[at_t] * cpow % m)
     parity = np.zeros(len(ps), dtype=np.int64)
     parity[odd] = odd_power != 1
@@ -467,6 +573,12 @@ def trace_sweep(
     takes one contiguous block of the primes, the blocks cut at
     about equal sums of p (``_blocks_of_equal_sum``); the pool is imported
     only then.  workers must lie in [1, os.cpu_count()].
+
+    The batch reads and fills the per-process binomial table of
+    ``hasse_witt_traces``, so only a process that sweeps again, another
+    twist or another curve over some of the same primes, gains from it: a
+    one-shot sweep (``stjac sweep``) computes every binomial, and what a
+    worker of the pool stores ends with the pool.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:

@@ -3,11 +3,13 @@ directories of each pair, the JSON record of a perfbench workload and of a
 probe, the verdict rule on calibrated and raw values, the merge of
 several workloads into one file and several workloads in one invocation;
 the export of both sides, in a git repository of the test's own; then a
-real A/A pairing of one probe."""
+real A/A pairing of one probe, and a real probe run on a tree with no
+probes.py of its own."""
 
 import importlib.util
 import io
 import json
+import shutil
 import subprocess
 import tarfile
 from pathlib import Path
@@ -486,3 +488,14 @@ def test_base_pairs_agree_on_the_same_commit(capsys):
     seconds, cpu = (record["metrics"][k]["base"] for k in ("seconds", "cpu_s"))
     assert all(s < c for s, c in zip(seconds, cpu))
     assert all(10 < mb < 1000 for mb in record["metrics"]["peak_rss_mb"]["base"])
+
+
+def test_both_sides_run_the_probes_next_to_the_harness(tmp_path):
+    # a tree that holds only src, and so no probes.py of its own, still
+    # runs a probe: the one definition next to tools/pairs.py
+    shutil.copytree(pairs.ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    run = pairs.probe(tmp_path, "sweep:additive:9:1,-1:500", 1, 0)
+    assert run["src_sha256"] == pairs.src_sha256(pairs.ROOT)
+    assert set(run["answer"]) == {"moments", "samples_sha256"}
+    assert len(run["answer"]["moments"]) == 2 and run["values"]["seconds"] > 0

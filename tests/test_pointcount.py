@@ -1,4 +1,5 @@
 import math
+import mmap
 import random
 from fractions import Fraction
 
@@ -522,7 +523,9 @@ def test_hasse_witt_any_order_and_repeats():
 
 
 def _recording_tree(monkeypatch):
-    """Replace the remainder tree by one that logs its (x, p) requests per call."""
+    """Replace the remainder tree by one that logs its (x, p) requests per
+    call, and empty the binomial table, so that the next batch runs cold."""
+    pointcount._clear_binomials()
     calls, tree = [], _accel.prefix_factorials
 
     def recording(xs, ms):
@@ -542,28 +545,138 @@ def test_hasse_witt_trivial_term_makes_no_tree_request(monkeypatch):
     assert sum(map(len, calls)) == 0
 
 
+def _binomial_rs(p, spec):
+    """The r = min(j, h - j) of the j < h of ``_binomial_js``."""
+    h = (p - 1) // 2
+    return {min(j, h - j) for j in _binomial_js(p, spec) if j < h}
+
+
 def test_hasse_witt_requests_each_distinct_factorial_once(monkeypatch):
-    # per prime, exactly the distinct x in {r, 2r}, r = min(j, h - j) over
-    # the j < h: C(h, j) = C(h, r) = (-1)^r (2r)! / (4^r (r!)^2) mod p
+    # cold, per prime, exactly the distinct x in {r, 2r}, r = min(j, h - j)
+    # over the j < h: C(h, j) = C(h, r) = (-1)^r (2r)! / (4^r (r!)^2) mod p;
+    # an immediate repeat finds every binomial in the table
     calls = _recording_tree(monkeypatch)
     specs = (curve(ADDITIVE, 12, 1), curve(ADDITIVE, 8, 3), curve(ADDITIVE, 9, 1),
              curve(LINEAR, 9, -1), curve(LINEAR, 5, 1))
     for spec in specs:
         primes = [p for p in prime_range(3, 3000) if good_reduction(p, spec)]
+        pointcount._clear_binomials()
         calls.clear()
-        hasse_witt_traces(primes, spec)
+        traces = hasse_witt_traces(primes, spec)
         expected = []
         for p in primes:
-            h = (p - 1) // 2
-            rs = {min(j, h - j) for j in _binomial_js(p, spec) if j < h}
+            rs = _binomial_rs(p, spec)
             expected += [(x, p) for x in rs | {2 * r for r in rs}]
         (requests,) = calls
         assert sorted(requests) == sorted(expected), spec
         assert all(0 < x <= (p - 1) // 2 for x, p in requests), spec
+        assert hasse_witt_traces(primes, spec) == traces
+        assert calls[1:] == [[]], spec
     # x^9 + 1 in the class e = 9: the j = 2mh/9, m = 1..4, asked for 9
     # factorials in {h, j, h - j} and ask for 6 in {r, 2r}
+    pointcount._clear_binomials()
     hasse_witt_traces([1999, 2017], curve(ADDITIVE, 9, 1))
     assert [sum(q == p for _, q in calls[-1]) for p in (1999, 2017)] == [6, 6]
+
+
+def test_binomial_table_answers_as_a_cold_call_in_any_order():
+    # the sweep-2e4 pool with every twist, over windows below 3000 that
+    # overlap, in shuffled order in one process: cold, warm and partial
+    # hits; each call equals the same call on an empty table, and t_p
+    # equals the Jacobi-sum count below 500
+    pool = [(ADDITIVE, d) for d in (6, 9, 10, 12)] + [(LINEAR, d) for d in (5, 7)]
+    windows = ((3, 3000), (3, 800), (1000, 2000), (1500, 3000))
+    calls = [(curve(f, d, c), w) for f, d in pool for c in _TWISTS for w in windows]
+    cold = {}
+    for spec, (lo, hi) in calls:
+        pointcount._clear_binomials()
+        cold[spec, lo, hi] = repr(trace_sweep(spec, lo, hi))
+    pointcount._clear_binomials()
+    random.Random(50).shuffle(calls)
+    counted = 0
+    for spec, (lo, hi) in calls:
+        res = trace_sweep(spec, lo, hi)
+        assert repr(res) == cold[spec, lo, hi], (spec, lo, hi)
+        for s in res.samples:
+            if s.p < 500:
+                assert s.count == count_formula(make_field(s.p), spec), (spec, s.p)
+                counted += 1
+    assert pointcount._BINOMIALS and counted == 7796
+
+
+def test_binomial_table_serves_an_overlapping_curve_its_new_pairs(monkeypatch):
+    # x^6 + 1 below 2000, then x^12 + 3 on [1000, 3000]: x^12 asks only for
+    # the (r, p) that x^6 left out, each as its distinct x in {r, 2r}
+    calls = _recording_tree(monkeypatch)
+    first, second = curve(ADDITIVE, 6, 1), curve(ADDITIVE, 12, 3)
+    hasse_witt_traces(pointcount.good_primes(first, 3, 2000), first)
+    primes = pointcount.good_primes(second, 1000, 3000)
+    calls.clear()
+    traces = hasse_witt_traces(primes, second)
+    expected = []
+    for p in primes:
+        rs = _binomial_rs(p, second) - (_binomial_rs(p, first) if p <= 2000 else set())
+        expected += [(x, p) for x in rs | {2 * r for r in rs}]
+    (requests,) = calls
+    assert sorted(requests) == sorted(expected)
+    assert 0 < len(requests) < sum(2 * len(_binomial_rs(p, second)) for p in primes)
+    pointcount._clear_binomials()
+    assert hasse_witt_traces(primes, second) == traces
+
+
+def test_binomial_table_stays_within_its_bound(monkeypatch):
+    # a bound of 1024 entries, four pages of pairs: whole fractions go,
+    # least recently used first, and every trace equals the cold one
+    specs = [curve(ADDITIVE, d, 1) for d in (6, 9, 12, 10)] + [curve(LINEAR, 7, 2)]
+    cold = []
+    for spec in specs:
+        pointcount._clear_binomials()
+        cold.append(trace_sweep(spec, 3, 3000).samples)
+    monkeypatch.setattr(pointcount, "_BINOMIAL_BOUND", 1024)
+    limit = 16 * 1024 // mmap.PAGESIZE
+    pointcount._clear_binomials()
+    seen = set()
+    for _ in range(2):
+        for spec, samples in zip(specs, cold, strict=True):
+            assert trace_sweep(spec, 3, 3000).samples == samples, spec
+            sizes = [len(keys) for keys, _ in pointcount._BINOMIALS.values()]
+            assert 0 < sum(sizes) <= 1024, spec
+            assert sum(-(-16 * n // mmap.PAGESIZE) for n in sizes) <= limit, spec
+            seen |= set(pointcount._BINOMIALS)
+    assert set(pointcount._BINOMIALS) < seen  # some fractions were evicted
+    # each pair is sorted, read-only and replaced whole
+    for keys, values in pointcount._BINOMIALS.values():
+        assert np.all(np.diff(keys) > 0) and len(values) == len(keys)
+        assert not keys.flags.writeable and not values.flags.writeable
+    # a lookup makes its fraction the most recently used: in a bound of four
+    # pages 1/4 and 1/8 take a page each, 1/6 three, so 1/8 goes
+    monkeypatch.setattr(pointcount, "_BINOMIAL_BOUND", 4 * mmap.PAGESIZE // 16)
+    pointcount._clear_binomials()
+    ps = np.array([5, 13, 17], dtype=np.int64)
+    for r in (Fraction(1, 4), Fraction(1, 8)):
+        pointcount._store_binomials(r, ps, ps - 1)
+    pointcount._known_binomials(Fraction(1, 4), ps)
+    many = np.arange(7, 8 + 2 * mmap.PAGESIZE // 16, dtype=np.int64)
+    pointcount._store_binomials(Fraction(1, 6), many, np.ones_like(many))
+    assert list(pointcount._BINOMIALS) == [Fraction(1, 4), Fraction(1, 6)]
+    values, found = pointcount._known_binomials(Fraction(1, 4), np.array([13, 7, 17, 13]))
+    assert values.tolist() == [12, 0, 16, 12] and found.tolist() == [True, False, True, True]
+
+
+def test_binomial_table_keeps_nothing_of_a_failed_check():
+    # 415 = 5 * 83 = 1 mod 9: 5 divides the factorials, so the inverse
+    # check fails; the batch stores nothing, 271 included, and a repeat
+    # raises again
+    pointcount._clear_binomials()
+    spec = curve(ADDITIVE, 9, 1)
+    for _ in range(2):
+        with pytest.raises(NotPrimeError, match=r"^p must be an odd prime, got 415$"):
+            hasse_witt_traces([271, 415], spec)
+        assert pointcount._BINOMIALS == {}
+    hasse_witt_traces([271], spec)
+    assert {int(p) for keys, _ in pointcount._BINOMIALS.values() for p in keys} == {271}
+    with pytest.raises(NotPrimeError, match=r"^p must be an odd prime, got 415$"):
+        hasse_witt_traces([415, 271], spec)
 
 
 def test_hasse_witt_errors_keep_type_message_and_input_order():

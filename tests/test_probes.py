@@ -1,7 +1,7 @@
 """tools/probes.py: its JSON schema on one tiny probe of each kind (st0,
-st0pool, st0survey, sweep, count, kernel), the best of its repeated runs, a cap it
-cannot meet and a probe that raises.  tests/test_pairs.py pairs a probe
-between two trees."""
+st0pool, st0survey, sweep, count, kernel) and on a sweep over several
+twists, the best of its repeated runs, a cap it cannot meet and a probe
+that raises.  tests/test_pairs.py pairs a probe between two trees."""
 
 import hashlib
 import importlib.util
@@ -130,6 +130,26 @@ def test_sweep_probe_json_schema():
     spec = curve("additive", 9, 1)
     assert result["moments"]["n_samples"] == len(good_primes(spec, 3, 2000)) == 301
     pairs = [[s.p, s.t_p] for s in trace_sweep(spec, 3, 2000).samples]
+    digest = hashlib.sha256(json.dumps(pairs, separators=(",", ":")).encode()).hexdigest()
+    assert result["samples_sha256"] == digest
+
+
+def test_sweep_probe_over_several_twists_json_schema():
+    # the twists run in turn in one process: each twist's seconds and
+    # moments, their sum and one hash over every twist's pairs in order
+    doc = _probe("--only", "sweep:additive:9:1,-1,1/2:2000", "--cap", "60")
+    (probe,) = doc["probes"]
+    assert set(probe) == KEYS and len(probe["runs"]) == 3
+    assert probe["probe"] == "sweep:additive:9:1,-1,1/2:2000" and probe["status"] == "ok"
+    result = probe["result"]
+    assert set(result) == {"seconds", "twist_seconds", "moments", "samples_sha256"}
+    assert "twist_seconds" in probes.TIMES and "moments" not in probes.TIMES
+    assert len(result["twist_seconds"]) == 3 and all(t > 0 for t in result["twist_seconds"])
+    assert result["seconds"] == pytest.approx(sum(result["twist_seconds"]))
+    assert 0 < result["seconds"] < probe["wall_s"] < 60
+    results = [trace_sweep(curve("additive", 9, Fraction(c)), 3, 2000) for c in ("1", "-1", "1/2")]
+    assert result["moments"] == [res.moments for res in results]
+    pairs = [[[s.p, s.t_p] for s in res.samples] for res in results]
     digest = hashlib.sha256(json.dumps(pairs, separators=(",", ":")).encode()).hexdigest()
     assert result["samples_sha256"] == digest
 

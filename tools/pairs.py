@@ -29,9 +29,11 @@ code.
 
 A perfbench run is ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0``; its metrics are the end-to-end metrics of BENCHMARK.json,
-each calibrated (NAME) and raw (NAME:raw).  A probe run is that tree's
-``tools/probes.py --measure NAME --src <tree>/src``, under the probe's
-default cap (the seed and ``--seconds`` do not apply); its metrics are the
+each calibrated (NAME) and raw (NAME:raw).  A probe run is
+``tools/probes.py --measure NAME --src <tree>/src`` under a cap of
+``PROBE_CAP`` seconds (the seed and ``--seconds`` do not apply).  Both sides run the
+probes.py next to this script, so a probe has one definition, which a base
+that predates it runs too, and only the stjac differs.  Its metrics are the
 probed call's ``seconds``, the CPU time ``cpu_s`` and the ``peak_rss_mb``
 of the probe's process, lower is better and none has a bound.  A probe has
 no calibration, so it has no NAME:raw, and its answer (the result without
@@ -89,8 +91,14 @@ TREES = ("src", "perfbench", "tools")
 # name -> (unit, better, bound) of a probe's metrics
 PROBE_SPEC = {"seconds": ("s", "lower", None), "cpu_s": ("s", "lower", None),
               "peak_rss_mb": ("MB", "lower", None)}
+# both sides run this probes.py, so a probe that the change adds pairs too
+PROBES = ROOT / "tools" / "probes.py"
+# a run past the cap stops the harness, so the cap only ends a hung run;
+# it lies above probes.py's default of 60 s, which several sweeps to 10^6
+# in one process pass at a parent with no binomial table
+PROBE_CAP = 600
 # the keys of a probe's result that are times, not answers
-TIMES = runpy.run_path(str(ROOT / "tools" / "probes.py"))["TIMES"]
+TIMES = runpy.run_path(str(PROBES))["TIMES"]
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -157,10 +165,12 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def probe(tree: Path, name: str, seed: int, seconds: float) -> dict:
-    """One ``tools/probes.py --measure`` run of the probe in tree: its
-    seconds, CPU time and peak RSS, its answer and the SHA-256 of its stjac."""
+    """One ``--measure`` run of the probe on the stjac of tree, by the
+    ``tools/probes.py`` next to this script: its seconds, CPU time and peak
+    RSS, its answer and the SHA-256 of its stjac."""
     proc = subprocess.run(
-        [sys.executable, "tools/probes.py", "--measure", name, "--src", str(tree / "src")],
+        [sys.executable, str(PROBES), "--measure", name, "--src", str(tree / "src"),
+         "--cap", str(PROBE_CAP)],
         cwd=tree, capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout)
     if out["status"] != "ok":

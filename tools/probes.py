@@ -28,7 +28,9 @@ imported from the ``src`` next to this script:
   (additive) or phi(M)/4 (linear, d >= 5), M = ``congruence_modulus``:
   reported, never raised;
 - sweep:FAMILY:D:C:HI, ``trace_sweep`` of that curve over the primes in
-  [3, HI] in one process;
+  [3, HI] in one process; C may be a comma list, such as
+  sweep:additive:9:1,2,3,5,-1,1/2,-3/5:1000000, whose twists are swept in
+  turn in the one process, as a scan over twists runs (``_sweeps``);
 - count:FAMILY:D:C:P, ``count_formula`` of that curve at the prime P,
   field included;
 - kernel:FAMILY:D:P, ``relation_report`` at P for c = 1, as ``stjac kernel``
@@ -61,7 +63,9 @@ linear x^201+x to 160000, where every prime of the first and about 30 % of
 the second lie at or below 4g^2: there the Weil bound leaves the residue
 of t_p mod p ambiguous, and the interval of the point count fixes t_p.
 A sweep's result holds its moments and the SHA-256 of its (p, t_p)
-pairs, so two checkouts can be compared by answer as well as by time.
+pairs, so two checkouts can be compared by answer as well as by time; a
+comma list of twists holds each twist's seconds and moments, their sum as
+``seconds`` and one SHA-256 over the pairs of every twist in order.
 
 ``tools/pairs.py --base REV --workload KIND:FIELDS`` pairs one probe
 between REV and the working tree, one ``--measure`` run per side and pair.
@@ -107,7 +111,7 @@ REPEATS = 3  # runs of each probe, each in a fresh process
 FIELDS = {"st0": 3, "st0pool": 1, "st0survey": 1, "sweep": 4, "count": 4, "kernel": 3}
 
 # the keys of a probe's result that are times, not answers
-TIMES = {"seconds", "first_s", "per_call_s", "slowest"}
+TIMES = {"seconds", "first_s", "per_call_s", "slowest", "twist_seconds"}
 
 
 def st0_pool() -> tuple[tuple, tuple]:
@@ -129,7 +133,7 @@ def run_probe(name: str, src: Path = SRC) -> dict:
 
     from stjac.ffield import make_field
     from stjac.groupid import identify_st0
-    from stjac.pointcount import congruence_modulus, count_formula, curve, trace_sweep
+    from stjac.pointcount import congruence_modulus, count_formula, curve
     from stjac.primes import euler_phi
     from stjac.stmatrix import relation_report
 
@@ -177,20 +181,43 @@ def run_probe(name: str, src: Path = SRC) -> dict:
         return {"seconds": time.perf_counter() - start, "rank": kern.rank,
                 "saturated": kern.saturated, "columns": len(mat.cols),
                 "relations": {k: kinds.count(k) for k in sorted(set(kinds))}}
+    if kind == "sweep":
+        return _sweeps(family, d, fields[2].split(","), int(fields[3]))
     spec = curve(family, d, Fraction(fields[2]))
     if kind == "count":
         p = int(fields[3])
         count = count_formula(make_field(p), spec)
         return {"seconds": time.perf_counter() - start, "count": count, "t_p": p + 1 - count}
-    if kind == "sweep":
-        res = trace_sweep(spec, 3, int(fields[3]))
-        seconds = time.perf_counter() - start
-        pairs = json.dumps([[s.p, s.t_p] for s in res.samples], separators=(",", ":"))
-        return {"seconds": seconds, "moments": res.moments,
-                "samples_sha256": hashlib.sha256(pairs.encode()).hexdigest()}
     tid = identify_st0(spec)
     return {"seconds": time.perf_counter() - start, "dimension": tid.dimension,
             "classes": len(tid.classes), "primes_used": list(tid.primes_used)}
+
+
+def _sweeps(family: str, d: int, twists: list[str], top: int) -> dict:
+    """``trace_sweep`` of y^2 = x^d + c (or + c*x) over [3, top] for each c
+    of ``twists`` in turn, in this process.  One c gives its seconds, its
+    moments and the SHA-256 of its [p, t_p] pairs; several give the sum of
+    their seconds, each c's seconds (``twist_seconds``) and moments, and
+    one SHA-256 of the list of every c's pairs, in order."""
+    from fractions import Fraction
+
+    from stjac.pointcount import curve, trace_sweep
+
+    times, moments, pairs = [], [], []
+    for c in twists:
+        start = time.perf_counter()
+        res = trace_sweep(curve(family, d, Fraction(c)), 3, top)
+        times.append(time.perf_counter() - start)
+        moments.append(res.moments)
+        pairs.append([[s.p, s.t_p] for s in res.samples])
+
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value, separators=(",", ":")).encode()).hexdigest()
+
+    if len(twists) == 1:
+        return {"seconds": times[0], "moments": moments[0], "samples_sha256": digest(pairs[0])}
+    return {"seconds": sum(times), "twist_seconds": times, "moments": moments,
+            "samples_sha256": digest(pairs)}
 
 
 def measure(name: str, cap: float, src: Path = SRC) -> dict:
